@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import expit, log_softmax
 
 from .training import (
     AdamState,
@@ -55,15 +56,6 @@ def init_bilstm(config: BiLstmConfig) -> dict[str, np.ndarray]:
     return params
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 def _lstm_run(x, w, u, b):
     """One direction over (l, k) inputs; returns (l, h) hidden states + caches."""
     length = x.shape[0]
@@ -74,10 +66,10 @@ def _lstm_run(x, w, u, b):
     caches = []
     for t in range(length):
         z = w @ x[t] + u @ h_prev + b
-        i = _sigmoid(z[:h_dim])
-        f = _sigmoid(z[h_dim:2 * h_dim])
+        i = expit(z[:h_dim])
+        f = expit(z[h_dim:2 * h_dim])
         g = np.tanh(z[2 * h_dim:3 * h_dim])
-        o = _sigmoid(z[3 * h_dim:])
+        o = expit(z[3 * h_dim:])
         c = f * c_prev + i * g
         tc = np.tanh(c)
         states[t] = o * tc
@@ -149,8 +141,7 @@ def bilstm_loss_and_grad(params: dict,
                                      params["bw_b"])
         both = np.concatenate([fw, bw_rev[::-1]], axis=1)
         logits = both @ params["head_w"] + params["head_b"]
-        m = logits.max(axis=1, keepdims=True)
-        logp = logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+        logp = log_softmax(logits, axis=1)
         page_losses = -logp[np.arange(len(labels)), labels]
         if not np.all(np.isfinite(page_losses)):
             raise FloatingPointError("non-finite page loss")

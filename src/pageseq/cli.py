@@ -53,13 +53,11 @@ from .evaluation import (
     scores_payload,
 )
 from .features import (
-    SvdProjector,
-    TfIdfModel,
-    Vocabulary,
-    TOKENIZER_VERSION,
     fit_svd,
     fit_tfidf,
     fit_vocabulary,
+    page_vector_model_from_payload,
+    page_vector_payload,
     project,
     texts_of,
     tfidf_matrix,
@@ -259,31 +257,6 @@ def _encoder_logit_seqs(params, config, codec, split_docs, label_mode):
     return out
 
 
-def _features_payload(model: TfIdfModel, projector: SvdProjector) -> dict:
-    return {
-        "tokenizer_version": TOKENIZER_VERSION,
-        "cap": model.vocabulary.cap,
-        "tokens": list(model.vocabulary.tokens),
-        "doc_freq": list(model.vocabulary.doc_freq),
-        "idf": model.idf.tolist(),
-        "n_train_pages": model.n_train_pages,
-        "basis": projector.basis.tolist(),
-        "singular_values": projector.singular_values.tolist(),
-    }
-
-
-def _features_from_payload(payload: dict) -> tuple[TfIdfModel, SvdProjector]:
-    if payload.get("tokenizer_version") != TOKENIZER_VERSION:
-        raise ConfigError("feature artifact tokenizer version mismatch")
-    vocab = Vocabulary(tuple(payload["tokens"]), tuple(payload["doc_freq"]),
-                       payload["cap"])
-    model = TfIdfModel(vocabulary=vocab, idf=np.asarray(payload["idf"]),
-                       n_train_pages=payload["n_train_pages"])
-    projector = SvdProjector(basis=np.asarray(payload["basis"]),
-                             singular_values=np.asarray(payload["singular_values"]))
-    return model, projector
-
-
 def cmd_train(args) -> int:
     cfg_obj = _load_config_file(args.config)
     if args.mode:
@@ -382,7 +355,7 @@ def cmd_train(args) -> int:
                        "hidden_dim": hidden, "init_seed": seed},
             "classes": list(split.vocabulary.class_names),
             "params": {k: v.tolist() for k, v in sorted(bl_params.items())},
-            "features": _features_payload(tfidf, projector),
+            "features": page_vector_payload(tfidf, projector),
             "provenance": provenance,
         })
         write_json(outdir / "bilstm_report.json",
@@ -404,7 +377,7 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _infer_with_crf(payload, docs, vocab):
+def _infer_with_crf(payload, docs):
     params, config, codec, label_mode, _ = restore_encoder(payload["encoder"])
     model = CrfModel(transition=np.asarray(payload["transition"]),
                      start=np.asarray(payload["start"]),
@@ -423,8 +396,11 @@ def _infer_with_crf(payload, docs, vocab):
     return traces
 
 
-def _infer_with_bilstm(payload, docs, vocab):
-    tfidf, projector = _features_from_payload(payload["features"])
+def _infer_with_bilstm(payload, docs):
+    try:
+        tfidf, projector = page_vector_model_from_payload(payload["features"])
+    except ValueError as exc:
+        raise ConfigError(f"bilstm feature artifact: {exc}") from None
     params = {k: np.asarray(v) for k, v in payload["params"].items()}
     traces = []
     for doc in docs:
@@ -450,11 +426,14 @@ def cmd_infer(args) -> int:
         infer = infer_document if mode == "recurrent" else infer_context_oblivious
         traces = [infer(params, doc, config, codec, label_mode) for doc in docs]
     elif kind == "crf":
-        traces = _infer_with_crf(payload, docs, split.vocabulary)
+        if list(split.vocabulary.class_names) != \
+                payload["encoder"]["codec"]["classes"]:
+            raise ConfigError("checkpoint classes do not match the corpus manifest")
+        traces = _infer_with_crf(payload, docs)
     elif kind == "bilstm":
         if list(split.vocabulary.class_names) != payload["classes"]:
             raise ConfigError("checkpoint classes do not match the corpus manifest")
-        traces = _infer_with_bilstm(payload, docs, split.vocabulary)
+        traces = _infer_with_bilstm(payload, docs)
     else:
         raise ConfigError(f"unknown checkpoint kind {kind!r}")
     ref = {"checkpoint_hash": config_hash(payload), "split": args.split}

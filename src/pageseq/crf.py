@@ -2,9 +2,10 @@
 
 The encoder is used purely as a feature extractor: its saved logits become
 log-softmax emissions, and only the CRF's own parameters (start scores, a
-transition matrix, and one positive emission scale) are fit, by gradient
-ascent on the regularized sequence log-likelihood.  No gradient ever reaches
-the encoder.
+transition matrix, and one positive emission scale) are fit (Lafferty et al.,
+2001).  The fit maximizes the regularized sequence log-likelihood with
+scipy's L-BFGS-B (Liu & Nocedal, 1989), whose bound keeps the emission scale
+above a small positive floor.  No gradient ever reaches the encoder.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import minimize
+from scipy.special import log_softmax
+
+_SCALE_FLOOR = 1e-6
 
 
 @dataclass(eq=False)
@@ -42,10 +47,7 @@ class CrfModel:
 
 def emissions_from_logits(logits: np.ndarray) -> np.ndarray:
     """Log-softmax emissions from frozen per-page score vectors (l x n)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    m = logits.max(axis=-1, keepdims=True)
-    z = logits - m
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return log_softmax(np.asarray(logits, dtype=np.float64), axis=-1)
 
 
 def _logsumexp(x, axis=None):
@@ -163,67 +165,36 @@ def crf_fit(emission_seqs: Sequence[np.ndarray],
             l2: float = 0.0,
             tol: float = 1e-6,
             max_iter: int = 1000) -> CrfModel:
-    """Maximize the regularized log-likelihood by gradient ascent with
-    Barzilai-Borwein step sizes safeguarded by a backtracking line search
-    (the objective is concave in all parameters).
+    """Maximize the regularized log-likelihood with L-BFGS-B (Liu & Nocedal,
+    1989), starting from zero scores and an emission scale of 1.
 
-    Converges when the gradient max-norm falls under ``tol``; otherwise a
+    The objective is concave, so its negation is minimized.  The emission
+    scale is bounded below by a small positive floor.  The fit converges when
+    the projected gradient's max-norm falls under ``tol``; otherwise a
     non-convergence warning is emitted and the last iterate returned.
-    The emission scale is floored at a small positive value.
     """
-    def pack(m):
-        return np.concatenate([m.transition.ravel(), m.start, [m.emission_scale]])
+    size = n_classes * n_classes
 
     def unpack(x):
-        t = x[:n_classes * n_classes].reshape(n_classes, n_classes)
-        return CrfModel(transition=t, start=x[n_classes * n_classes:-1],
-                        emission_scale=float(x[-1]))
+        return CrfModel(transition=x[:size].reshape(n_classes, n_classes),
+                        start=x[size:-1], emission_scale=float(x[-1]))
 
-    def objective(x):
-        m = unpack(x)
+    def negated(x):
         ll, g_t, g_s, g_e = crf_log_likelihood_and_grad(
-            m, emission_seqs, gold_seqs, l2)
-        return ll, np.concatenate([g_t.ravel(), g_s, [g_e]])
+            unpack(x), emission_seqs, gold_seqs, l2)
+        return -ll, -np.concatenate([g_t.ravel(), g_s, [g_e]])
 
-    x = pack(CrfModel(transition=np.zeros((n_classes, n_classes)),
-                      start=np.zeros(n_classes), emission_scale=1.0))
-    ll, g = objective(x)
-    step = 1.0 / max(1, len(gold_seqs))
-    prev_x = prev_g = None
-    for _ in range(max_iter):
-        # projected gradient: a downhill scale direction at the floor is inactive
-        proj = g.copy()
-        if x[-1] <= 1e-6 and proj[-1] < 0:
-            proj[-1] = 0.0
-        grad_norm = float(np.abs(proj).max())
-        if grad_norm <= tol:
-            return unpack(x)
-        if prev_x is not None:
-            s = x - prev_x
-            y = g - prev_g
-            sy = float(s @ y)       # negative for a concave objective
-            if sy < 0:
-                step = float(s @ s) / -sy
-            step = min(max(step, 1e-12), 1e4)
-        sq_norm = float(proj @ proj)
-        accepted = False
-        trial = step
-        while trial >= 1e-15:
-            cand = x + trial * proj
-            cand[-1] = max(cand[-1], 1e-6)  # keep the scale at or above its floor
-            new_ll, new_g = objective(cand)
-            if new_ll >= ll + 1e-4 * trial * sq_norm:
-                prev_x, prev_g = x, g
-                x, ll, g = cand, new_ll, new_g
-                accepted = True
-                break
-            trial *= 0.5
-        if not accepted:
-            warnings.warn("CRF line search stalled before reaching tolerance")
-            return unpack(x)
-    warnings.warn(f"CRF fit did not converge in {max_iter} iterations "
-                  f"(gradient max-norm {grad_norm:.3e})")
-    return unpack(x)
+    x0 = np.zeros(size + n_classes + 1)
+    x0[-1] = 1.0
+    bounds = [(None, None)] * (size + n_classes) + [(_SCALE_FLOOR, None)]
+    # gtol is L-BFGS-B's projected-gradient test; ftol=0 stops it from
+    # reporting success on a small objective change before tol is reached
+    result = minimize(negated, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                      options={"gtol": tol, "ftol": 0.0, "maxiter": max_iter})
+    if not result.success:
+        warnings.warn(f"CRF fit did not converge in {result.nit} iterations "
+                      f"({result.message})")
+    return unpack(result.x)
 
 
 def decode_documents(model: CrfModel,

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy.special import expit, log_softmax
 
 from .corpus import MULTICLASS, TypeVocabulary
 
@@ -387,25 +388,10 @@ def predict(scores: np.ndarray, label_mode: str) -> frozenset[int]:
     scores = np.asarray(scores)
     if label_mode == MULTICLASS:
         return frozenset({int(np.argmax(scores))})
-    chosen = np.nonzero(_sigmoid(scores) >= 0.5)[0]
+    chosen = np.nonzero(expit(scores) >= 0.5)[0]
     if chosen.size == 0:
         return frozenset({int(np.argmax(scores))})
     return frozenset(int(i) for i in chosen)
-
-
-def _sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def _log_softmax(scores):
-    m = scores.max(axis=-1, keepdims=True)
-    z = scores - m
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def loss_and_grad(params: dict, batch: Sequence[tuple[TokenSequence, frozenset]],
@@ -429,7 +415,7 @@ def loss_and_grad(params: dict, batch: Sequence[tuple[TokenSequence, frozenset]]
 
     if label_mode == MULTICLASS:
         golds = np.array([next(iter(ex[1])) for ex in batch], dtype=np.int64)
-        logp = _log_softmax(scores)
+        logp = log_softmax(scores, axis=-1)
         per_example = -logp[np.arange(n_examples), golds]
         dscores = (np.exp(logp) - _one_hot(golds, n_classes)) / n_examples
     else:
@@ -440,7 +426,7 @@ def loss_and_grad(params: dict, batch: Sequence[tuple[TokenSequence, frozenset]]
         per_class = np.maximum(scores, 0.0) - scores * targets + \
             np.log1p(np.exp(-np.abs(scores)))
         per_example = per_class.mean(axis=1)
-        dscores = (_sigmoid(scores) - targets) / (n_examples * n_classes)
+        dscores = (expit(scores) - targets) / (n_examples * n_classes)
 
     if not np.all(np.isfinite(per_example)):
         bad = int(np.flatnonzero(~np.isfinite(per_example))[0])

@@ -222,9 +222,10 @@ def project(text: str, model: TfIdfModel, projector: SvdProjector) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def save_page_vector_model(path: Path | str, model: TfIdfModel,
-                           projector: SvdProjector) -> None:
-    payload = {
+def page_vector_payload(model: TfIdfModel, projector: SvdProjector) -> dict:
+    """JSON-ready dict of a fitted TF-IDF model and SVD projector, tagged with
+    the tokenizer version."""
+    return {
         "tokenizer_version": TOKENIZER_VERSION,
         "cap": model.vocabulary.cap,
         "tokens": list(model.vocabulary.tokens),
@@ -234,11 +235,11 @@ def save_page_vector_model(path: Path | str, model: TfIdfModel,
         "basis": projector.basis.tolist(),
         "singular_values": projector.singular_values.tolist(),
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
-def load_page_vector_model(path: Path | str) -> tuple[TfIdfModel, SvdProjector]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+def page_vector_model_from_payload(payload: dict) -> tuple[TfIdfModel, SvdProjector]:
+    """Inverse of ``page_vector_payload``; raises ValueError on a tokenizer
+    version mismatch."""
     if payload.get("tokenizer_version") != TOKENIZER_VERSION:
         raise ValueError(
             f"tokenizer version mismatch: artifact has "
@@ -251,3 +252,14 @@ def load_page_vector_model(path: Path | str) -> tuple[TfIdfModel, SvdProjector]:
     projector = SvdProjector(basis=np.asarray(payload["basis"]),
                              singular_values=np.asarray(payload["singular_values"]))
     return model, projector
+
+
+def save_page_vector_model(path: Path | str, model: TfIdfModel,
+                           projector: SvdProjector) -> None:
+    Path(path).write_text(json.dumps(page_vector_payload(model, projector),
+                                     sort_keys=True), encoding="utf-8")
+
+
+def load_page_vector_model(path: Path | str) -> tuple[TfIdfModel, SvdProjector]:
+    return page_vector_model_from_payload(
+        json.loads(Path(path).read_text(encoding="utf-8")))

@@ -11,7 +11,6 @@ Run with:  pytest tests/test_acceptance.py -v -s
 import hashlib
 import json
 import time
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -126,10 +125,8 @@ def _run_models(split, seed, with_crf):
             tr = infer_context_oblivious(p_obl, doc, enc, codec, MULTICLASS)
             em.append(emissions_from_logits(np.stack([p.scores for p in tr.pages])))
             golds.append([next(iter(p.gold_labels)) for p in doc.pages])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            crf_model = crf_fit(em, golds, N_CLASSES, l2=0.01, tol=1e-4,
-                                max_iter=500)
+        crf_model = crf_fit(em, golds, N_CLASSES, l2=0.01, tol=1e-4,
+                            max_iter=500)
 
     preds_obl, preds_rec, preds_crf = [], [], []
     for doc in split.test:

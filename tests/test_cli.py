@@ -142,7 +142,6 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path),
                      "--outdir", str(tmp_path / "runs")]) == 2
 
-    @pytest.mark.filterwarnings("ignore:CRF fit did not converge")
     def test_baselines_produce_checkpoints(self, tmp_path, corpus_dir):
         outdir = run_train(tmp_path, corpus_dir, "base",
                            baselines={"crf": True, "bilstm": True},
@@ -264,7 +263,6 @@ class TestInferEvalCompare:
         assert sum(sum(row) for row in cmp["contingency_table"]) == \
             sum(len(d) for d in split.test)
 
-    @pytest.mark.filterwarnings("ignore:CRF fit did not converge")
     def test_crf_and_bilstm_checkpoints_infer(self, tmp_path, corpus_dir):
         outdir = run_train(tmp_path, corpus_dir, "base2",
                            baselines={"crf": True, "bilstm": True},
@@ -279,6 +277,32 @@ class TestInferEvalCompare:
             assert rc == 0
             traces = read_traces(out, split.vocabulary)
             assert sum(len(t) for t in traces) == n_pages
+
+    def test_crf_checkpoint_rejects_other_classes(self, tmp_path, corpus_dir):
+        outdir = run_train(tmp_path, corpus_dir, "crf3", baselines={"crf": True})
+        cfg_path = tmp_path / "synth4.json"
+        cfg_path.write_text(json.dumps(dict(SYNTH_CFG, n_classes=4)))
+        assert main(["synth", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "runs"), "--run-id", "c4"]) == 0
+        out = tmp_path / "traces.jsonl"
+        rc = main(["infer", "--checkpoint", str(outdir / "crf.json"),
+                   "--manifest", str(tmp_path / "runs" / "c4" / "manifest.json"),
+                   "--split", "test", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_bilstm_tokenizer_mismatch_exits_2(self, tmp_path, corpus_dir):
+        outdir = run_train(tmp_path, corpus_dir, "bl",
+                           baselines={"bilstm": True},
+                           bilstm={"hidden_dim": 8, "svd_k": 6})
+        payload = json.loads((outdir / "bilstm.json").read_text())
+        payload["features"]["tokenizer_version"] = "other/0"
+        ckpt = tmp_path / "stale.json"
+        ckpt.write_text(json.dumps(payload))
+        rc = main(["infer", "--checkpoint", str(ckpt),
+                   "--manifest", str(corpus_dir / "manifest.json"),
+                   "--split", "test", "--out", str(tmp_path / "t.jsonl")])
+        assert rc == 2
 
 
 class TestStats:

@@ -203,7 +203,6 @@ class TestFit:
         model = crf_fit(seqs, golds, n, l2=0.01, tol=1e-3, max_iter=1000)
         assert decode_documents(model, seqs) == golds
 
-    @pytest.mark.filterwarnings("ignore:CRF fit did not converge")
     def test_fit_never_mutates_emissions(self):
         """Frozen-extractor contract: inputs are read-only features."""
         rng = np.random.default_rng(29)
@@ -221,6 +220,18 @@ class TestFit:
         golds = [rng.integers(0, 3, 5).tolist() for _ in range(8)]
         model = crf_fit(seqs, golds, 3, l2=0.1, max_iter=200)
         assert model.emission_scale > 0.0
+
+    def test_returned_model_meets_gradient_tolerance(self):
+        rng = np.random.default_rng(43)
+        logits = [rng.normal(0, 2, (int(rng.integers(2, 8)), 3)) for _ in range(12)]
+        seqs = [emissions_from_logits(lg) for lg in logits]
+        golds = [rng.integers(0, 3, s.shape[0]).tolist() for s in seqs]
+        tol = 1e-6
+        model = crf_fit(seqs, golds, 3, l2=0.05, tol=tol)
+        _, g_t, g_s, g_e = crf_log_likelihood_and_grad(model, seqs, golds, 0.05)
+        if model.emission_scale <= 1e-6:
+            g_e = max(g_e, 0.0)  # at the floor only an upward step is feasible
+        assert max(np.abs(g_t).max(), np.abs(g_s).max(), abs(g_e)) <= tol
 
     def test_non_convergence_warns(self):
         rng = np.random.default_rng(37)
