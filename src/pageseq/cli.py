@@ -65,8 +65,7 @@ from .features import (
 from .recurrence import (
     PagePrediction,
     PredictionTrace,
-    infer_context_oblivious,
-    infer_document,
+    infer_split,
     read_traces,
     write_traces,
 )
@@ -106,6 +105,31 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
+
+
+def _load_artifact(what: str, path, load, *args):
+    """``load(path, *args)`` with a missing, unreadable or malformed file
+    reported as a ConfigError (exit 2) that names the file."""
+    try:
+        return load(path, *args)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except ValueError as exc:  # includes JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"{what} {path}: {exc}") from None
+    except KeyError as exc:
+        raise ConfigError(f"{what} {path}: missing field {exc}") from None
+    except TypeError as exc:
+        raise ConfigError(f"{what} {path}: malformed ({exc})") from None
+
+
+def _restore_encoder(payload: dict):
+    """``restore_encoder`` with a malformed payload reported as a ConfigError."""
+    try:
+        return restore_encoder(payload)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"encoder checkpoint: {exc}") from None
 
 
 def _field(obj: dict, name: str, kind, default=None, required=False, where=""):
@@ -250,11 +274,9 @@ def _fit_codec(split: CorpusSplit, cap: int) -> TokenCodec:
 
 def _encoder_logit_seqs(params, config, codec, split_docs, label_mode):
     """Frozen per-page logits, one (l, n) array per document."""
-    out = []
-    for doc in split_docs:
-        trace = infer_context_oblivious(params, doc, config, codec, label_mode)
-        out.append(np.stack([p.scores for p in trace.pages]))
-    return out
+    traces = infer_split(params, split_docs, config, codec, label_mode,
+                         recurrent=False)
+    return [np.stack([p.scores for p in trace.pages]) for trace in traces]
 
 
 def cmd_train(args) -> int:
@@ -378,16 +400,13 @@ def cmd_train(args) -> int:
 
 
 def _infer_with_crf(payload, docs):
-    params, config, codec, label_mode, _ = restore_encoder(payload["encoder"])
+    params, config, codec, label_mode, _ = _restore_encoder(payload["encoder"])
     model = CrfModel(transition=np.asarray(payload["transition"]),
                      start=np.asarray(payload["start"]),
                      emission_scale=float(payload["emission_scale"]))
     traces = []
-    for doc in docs:
-        logits = np.stack([
-            p.scores for p in
-            infer_context_oblivious(params, doc, config, codec, label_mode).pages
-        ])
+    for doc, logits in zip(docs, _encoder_logit_seqs(params, config, codec, docs,
+                                                     label_mode)):
         path, _ = crf_viterbi(model, emissions_from_logits(logits))
         pages = [PagePrediction(scores=logits[t], labels=frozenset({path[t]}),
                                 context=None)
@@ -417,14 +436,16 @@ def _infer_with_bilstm(payload, docs):
 def cmd_infer(args) -> int:
     split = load_corpus(args.manifest)
     docs = split.split(args.split)
-    payload = load_checkpoint(args.checkpoint)
+    payload = _load_artifact("checkpoint", args.checkpoint, load_checkpoint)
+    if not isinstance(payload, dict):
+        raise ConfigError(f"checkpoint {args.checkpoint}: not a JSON object")
     kind = payload.get("kind")
     if kind == "encoder":
-        params, config, codec, label_mode, mode = restore_encoder(payload)
+        params, config, codec, label_mode, mode = _restore_encoder(payload)
         if codec.type_vocab.class_names != split.vocabulary.class_names:
             raise ConfigError("checkpoint classes do not match the corpus manifest")
-        infer = infer_document if mode == "recurrent" else infer_context_oblivious
-        traces = [infer(params, doc, config, codec, label_mode) for doc in docs]
+        traces = infer_split(params, docs, config, codec, label_mode,
+                             recurrent=(mode == "recurrent"))
     elif kind == "crf":
         if list(split.vocabulary.class_names) != \
                 payload["encoder"]["codec"]["classes"]:
@@ -449,11 +470,20 @@ def cmd_infer(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _read_split_traces(path, split: CorpusSplit, docs):
+    """Traces from ``path`` and their labels in gold page order; the file
+    must cover exactly the pages of ``docs``."""
+    traces = _load_artifact("trace file", path, read_traces, split.vocabulary)
+    try:
+        return traces, align_traces(traces, docs)
+    except ValueError as exc:
+        raise ConfigError(f"trace file {path}: {exc}") from None
+
+
 def cmd_eval(args) -> int:
     split = load_corpus(args.manifest)
     docs = split.split(args.split)
-    traces = read_traces(args.traces, split.vocabulary)
-    preds = align_traces(traces, docs)
+    _, preds = _read_split_traces(args.traces, split, docs)
     golds = gold_labels(docs)
     scores = score(preds, golds, split.vocabulary)
     print(format_score_table(scores, split.vocabulary))
@@ -470,8 +500,8 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     split = load_corpus(args.manifest)
     docs = split.split(args.split)
-    traces_a = read_traces(args.traces_a, split.vocabulary)
-    traces_b = read_traces(args.traces_b, split.vocabulary)
+    traces_a, _ = _read_split_traces(args.traces_a, split, docs)
+    traces_b, _ = _read_split_traces(args.traces_b, split, docs)
     report = compare_traces(traces_a, traces_b, docs, split.vocabulary)
     names = split.vocabulary.class_names
     print("per-class F1 (A vs B, percent):")

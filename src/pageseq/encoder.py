@@ -1,8 +1,10 @@
 """Trainable per-page scoring models over token id sequences.
 
 Two variants share one interface: a linear bag-of-embeddings scorer and a
-tiny pre-LN transformer read out at the CLS position.  Both are pure numpy
-with handwritten backward passes, so gradients are exact for the forward
+tiny pre-LN transformer read out at the CLS position.  The transformer's last
+layer computes the CLS row only (its keys and values still see every row),
+in the forward and the backward pass alike.  Both are pure numpy with
+handwritten backward passes, so gradients are exact for the forward
 definition and checkable against finite differences.
 
 Token id layout (one combined table of size V + n + 4):
@@ -176,20 +178,27 @@ _MASK_NEG = -1e30
 
 def _layernorm_fwd(x, g, b):
     mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xhat = x - mu
+    var = np.square(xhat).mean(axis=-1, keepdims=True)   # == x.var(axis=-1)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv
-    return g * xhat + b, (xhat, inv, g)
+    xhat *= inv
+    y = g * xhat
+    y += b
+    return y, (xhat, inv, g)
 
 
 def _layernorm_bwd(dy, cache):
     xhat, inv, g = cache
-    dg = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
-    db = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
-    dxhat = dy * g
-    mean1 = dxhat.mean(axis=-1, keepdims=True)
-    mean2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - mean1 - xhat * mean2)
+    lead = tuple(range(dy.ndim - 1))
+    tmp = dy * xhat
+    dg = np.sum(tmp, axis=lead)
+    db = np.sum(dy, axis=lead)
+    dx = dy * g                                     # dxhat
+    mean1 = dx.mean(axis=-1, keepdims=True)
+    mean2 = np.multiply(dx, xhat, out=tmp).mean(axis=-1, keepdims=True)
+    dx -= mean1                                     # inv (dxhat - mean1 - xhat mean2)
+    dx -= np.multiply(xhat, mean2, out=tmp)
+    dx *= inv
     return dx, dg, db
 
 
@@ -197,15 +206,34 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def _gelu_fwd(x):
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
-    t = np.tanh(inner)
-    return 0.5 * x * (1.0 + t), (x, t)
+    # x * x * x: numpy's float pow is ~60x slower than two multiplies here
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = 0.5 * x
+    y *= 1.0 + t
+    return y, (x, t)
 
 
 def _gelu_bwd(dy, cache):
     x, t = cache
-    dinner = (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * dinner)
+    dinner = t * t                                  # (1 - t^2) C (1 + 3 a x^2)
+    np.subtract(1.0, dinner, out=dinner)
+    dinner *= _GELU_C
+    poly = x * (3 * 0.044715)
+    poly *= x
+    poly += 1.0
+    dinner *= poly
+    dx = t + 1.0                                    # dy (0.5 (1 + t) + 0.5 x dinner)
+    dx *= 0.5
+    np.multiply(x, 0.5, out=poly)
+    poly *= dinner
+    dx += poly
+    dx *= dy
+    return dx
 
 
 def _stack_batch(sequences: Sequence[TokenSequence]):
@@ -237,83 +265,107 @@ def _linear_bwd(dscores, params, cache):
     return grads
 
 
-def _attention_fwd(a, params, prefix, mask, n_heads):
-    b, l, d = a.shape
+def _attention_fwd(a, params, prefix, mask, n_heads, n_query):
+    """Multi-head self-attention for the first ``n_query`` rows of ``a``;
+    keys and values come from all of its rows."""
+    b, _, d = a.shape
     dh = d // n_heads
-    q = a @ params[prefix + "wq"] + params[prefix + "qb"]
-    k = a @ params[prefix + "wk"] + params[prefix + "kb"]
-    v = a @ params[prefix + "wv"] + params[prefix + "vb"]
+    aq = a[:, :n_query]
+    q = aq @ params[prefix + "wq"]
+    q += params[prefix + "qb"]
+    k = a @ params[prefix + "wk"]
+    k += params[prefix + "kb"]
+    v = a @ params[prefix + "wv"]
+    v += params[prefix + "vb"]
 
     def split(x):
-        return x.reshape(b, l, n_heads, dh).transpose(0, 2, 1, 3)  # (B, H, L, dh)
+        return x.reshape(b, -1, n_heads, dh).transpose(0, 2, 1, 3)  # (B, H, ., dh)
 
     qh, kh, vh = split(q), split(k), split(v)
-    logits = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(dh)          # (B, H, L, L)
-    logits = logits + mask[:, None, None, :]
+    logits = qh @ kh.transpose(0, 1, 3, 2)                          # (B, H, Lq, L)
+    logits /= math.sqrt(dh)
+    logits += mask[:, None, None, :]
     probs = _softmax_last(logits)
-    ctx = probs @ vh                                                # (B, H, L, dh)
-    merged = ctx.transpose(0, 2, 1, 3).reshape(b, l, d)
-    out = merged @ params[prefix + "wo"] + params[prefix + "ob"]
-    return out, (a, qh, kh, vh, probs, merged)
+    ctx = probs @ vh                                                # (B, H, Lq, dh)
+    merged = ctx.transpose(0, 2, 1, 3).reshape(b, n_query, d)
+    out = merged @ params[prefix + "wo"]
+    out += params[prefix + "ob"]
+    return out, (a, aq, qh, kh, vh, probs, merged)
 
 
 def _softmax_last(x):
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in the buffer of ``x``."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _attention_bwd(dout, params, prefix, cache, grads, n_heads):
-    a, qh, kh, vh, probs, merged = cache
-    b, l, d = a.shape
+    """Gradient wrt the attention input: (B, L, d) from (B, Lq, d)."""
+    a, aq, qh, kh, vh, probs, merged = cache
+    b, _, d = a.shape
+    n_query = aq.shape[1]
     dh = d // n_heads
     grads[prefix + "wo"] += merged.reshape(-1, d).T @ dout.reshape(-1, d)
     grads[prefix + "ob"] += dout.sum(axis=(0, 1))
     dmerged = dout @ params[prefix + "wo"].T
-    dctx = dmerged.reshape(b, l, n_heads, dh).transpose(0, 2, 1, 3)
+    dctx = dmerged.reshape(b, n_query, n_heads, dh).transpose(0, 2, 1, 3)
     dprobs = dctx @ vh.transpose(0, 1, 3, 2)
     dvh = probs.transpose(0, 1, 3, 2) @ dctx
-    dlogits = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
+    dlogits = dprobs                                # softmax backward
+    dlogits -= np.sum(dprobs * probs, axis=-1, keepdims=True)
+    dlogits *= probs
     dlogits /= math.sqrt(dh)
     dqh = dlogits @ kh
     dkh = dlogits.transpose(0, 1, 3, 2) @ qh
 
     def merge(x):
-        return x.transpose(0, 2, 1, 3).reshape(b, l, d)
+        return x.transpose(0, 2, 1, 3).reshape(b, -1, d)
 
     dq, dk, dv = merge(dqh), merge(dkh), merge(dvh)
-    da = np.zeros_like(a)
-    flat_a = a.reshape(-1, d)
-    for dz, w_name, b_name in ((dq, "wq", "qb"), (dk, "wk", "kb"), (dv, "wv", "vb")):
-        grads[prefix + w_name] += flat_a.T @ dz.reshape(-1, d)
+    da = dk @ params[prefix + "wk"].T
+    da[:, :n_query] += dq @ params[prefix + "wq"].T
+    da += dv @ params[prefix + "wv"].T
+    for x, dz, w_name, b_name in ((aq, dq, "wq", "qb"), (a, dk, "wk", "kb"),
+                                  (a, dv, "wv", "vb")):
+        grads[prefix + w_name] += x.reshape(-1, d).T @ dz.reshape(-1, d)
         grads[prefix + b_name] += dz.sum(axis=(0, 1))
-        da += dz @ params[prefix + w_name].T
     return da
 
 
 def _transformer_fwd(params, ids, config, dropout_rng=None):
+    """Pre-LN layers read out at CLS.  The last layer computes the CLS row
+    only: after its attention every op is row-wise, so only its keys and
+    values need the other rows."""
     b, l = ids.shape
     mask = np.where(ids == PAD_ID, _MASK_NEG, 0.0)       # (B, L) additive on keys
-    x = params["emb"][ids] + params["pos"][:l]
+    x = params["emb"][ids]
+    x += params["pos"][:l]
     caches = []
     drop = config.dropout if dropout_rng is not None else 0.0
     for layer in range(config.n_layers):
         p = f"layer{layer}/"
+        n_query = 1 if layer == config.n_layers - 1 else l
         a, ln1_cache = _layernorm_fwd(x, params[p + "ln1_g"], params[p + "ln1_b"])
-        attn, attn_cache = _attention_fwd(a, params, p, mask, config.n_heads)
+        attn, attn_cache = _attention_fwd(a, params, p, mask, config.n_heads,
+                                          n_query)
         attn, m1 = _dropout_fwd(attn, drop, dropout_rng)
-        x = x + attn
+        attn += x[:, :n_query]
+        x = attn
         f, ln2_cache = _layernorm_fwd(x, params[p + "ln2_g"], params[p + "ln2_b"])
-        h1 = f @ params[p + "w1"] + params[p + "b1"]
+        h1 = f @ params[p + "w1"]
+        h1 += params[p + "b1"]
         u, gelu_cache = _gelu_fwd(h1)
-        h2 = u @ params[p + "w2"] + params[p + "b2"]
+        h2 = u @ params[p + "w2"]
+        h2 += params[p + "b2"]
         h2, m2 = _dropout_fwd(h2, drop, dropout_rng)
-        x = x + h2
+        x += h2
         caches.append((ln1_cache, attn_cache, m1, ln2_cache, f, gelu_cache, u, m2))
-    final, lnf_cache = _layernorm_fwd(x, params["lnf_g"], params["lnf_b"])
+    final, lnf_cache = _layernorm_fwd(x[:, :1], params["lnf_g"], params["lnf_b"])
     cls = final[:, 0, :]
     scores = cls @ params["head_w"] + params["head_b"]
-    return scores, (ids, caches, lnf_cache, cls, final.shape)
+    return scores, (ids, caches, lnf_cache, cls)
 
 
 def _dropout_fwd(x, rate, rng):
@@ -324,13 +376,13 @@ def _dropout_fwd(x, rate, rng):
 
 
 def _transformer_bwd(dscores, params, cache, config):
-    ids, caches, lnf_cache, cls, shape = cache
+    ids, caches, lnf_cache, cls = cache
+    b, l = ids.shape
     grads = {name: np.zeros_like(value) for name, value in params.items()}
     grads["head_w"] += cls.T @ dscores
     grads["head_b"] += dscores.sum(axis=0)
-    dfinal = np.zeros(shape)
-    dfinal[:, 0, :] = dscores @ params["head_w"].T
-    dx, dg, db = _layernorm_bwd(dfinal, lnf_cache)
+    dcls = (dscores @ params["head_w"].T)[:, None, :]
+    dx, dg, db = _layernorm_bwd(dcls, lnf_cache)       # (B, 1, d)
     grads["lnf_g"] += dg
     grads["lnf_b"] += db
     for layer in reversed(range(config.n_layers)):
@@ -353,9 +405,12 @@ def _transformer_bwd(dscores, params, cache, config):
         dx_ln1, dg1, db1 = _layernorm_bwd(da, ln1_cache)
         grads[p + "ln1_g"] += dg1
         grads[p + "ln1_b"] += db1
-        dx = dx + dx_ln1
+        dx_ln1[:, :dx.shape[1]] += dx       # residual, padded back to L rows
+        dx = dx_ln1
+    if dx.shape[1] < l:                     # no layers: only CLS was read
+        dx = np.concatenate([dx, np.zeros((b, l - dx.shape[1], dx.shape[2]))], axis=1)
     np.add.at(grads["emb"], ids, dx)
-    grads["pos"][:ids.shape[1]] += dx.sum(axis=0)
+    grads["pos"][:l] += dx.sum(axis=0)
     return grads
 
 
@@ -478,7 +533,11 @@ def save_checkpoint(path: Path | str, payload: dict) -> None:
 
 
 def restore_encoder(payload: dict):
-    """Rebuild (params, config, codec, label_mode, mode) from a payload."""
+    """Rebuild (params, config, codec, label_mode, mode) from a payload.
+
+    Raises ValueError unless the parameters have exactly the names and
+    shapes that ``init_params`` gives for the payload's config and codec.
+    """
     if payload.get("kind") != "encoder":
         raise ValueError("not an encoder checkpoint")
     config = EncoderConfig(**payload["config"])
@@ -487,6 +546,16 @@ def restore_encoder(payload: dict):
     codec = TokenCodec(vocab, payload["codec"]["text_tokens"])
     params = {name: np.asarray(value, dtype=np.float64)
               for name, value in payload["params"].items()}
+    expected = init_params(config, codec)
+    if params.keys() != expected.keys():
+        raise ValueError(
+            f"parameter names do not match the config: missing "
+            f"{sorted(expected.keys() - params.keys())}, "
+            f"unexpected {sorted(params.keys() - expected.keys())}")
+    for name, value in expected.items():
+        if params[name].shape != value.shape:
+            raise ValueError(f"parameter {name!r} has shape {params[name].shape}, "
+                             f"the config and codec give {value.shape}")
     return params, config, codec, payload["label_mode"], payload["mode"]
 
 

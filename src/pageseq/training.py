@@ -16,12 +16,7 @@ import numpy as np
 from .corpus import DocumentSequence, TypeVocabulary
 from .encoder import EncoderConfig, TokenCodec, init_params, loss_and_grad
 from .evaluation import gold_labels, score
-from .recurrence import (
-    build_plain_batches,
-    build_teacher_forced_batches,
-    infer_context_oblivious,
-    infer_document,
-)
+from .recurrence import build_plain_batches, build_teacher_forced_batches, infer_split
 
 
 class TrainingDiverged(RuntimeError):
@@ -133,8 +128,7 @@ class TrainReport:
 
 def _evaluate_split(params, docs, config, codec, label_mode, recurrent,
                     vocabulary: TypeVocabulary):
-    infer = infer_document if recurrent else infer_context_oblivious
-    traces = [infer(params, doc, config, codec, label_mode) for doc in docs]
+    traces = infer_split(params, docs, config, codec, label_mode, recurrent)
     preds = [labels for trace in traces for labels in trace.labels()]
     golds = gold_labels(docs)
     scored = score(preds, golds, vocabulary, label_mode)

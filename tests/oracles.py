@@ -96,6 +96,52 @@ def assert_grads_close(analytic: dict[str, np.ndarray],
         )
 
 
+# -- full-sequence tiny transformer ------------------------------------------
+
+def reference_transformer_scores(params: dict[str, np.ndarray], ids: np.ndarray,
+                                 n_layers: int, n_heads: int) -> np.ndarray:
+    """Class scores of the pre-LN tiny transformer, one example at a time,
+    with every row computed in every layer and read out at row 0 (CLS).
+
+    ``ids`` is a (B, L) matrix padded with id 0; padded keys get no
+    attention.  Layernorm eps 1e-5; GELU is the tanh approximation.
+    """
+    def layernorm(x, g, b):
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        return g * (x - mu) / np.sqrt(var + 1e-5) + b
+
+    def gelu(x):
+        return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi)
+                                        * (x + 0.044715 * x ** 3)))
+
+    out = []
+    for row in ids:
+        length = int(np.count_nonzero(row))
+        x = params["emb"][row] + params["pos"][:len(row)]
+        for layer in range(n_layers):
+            p = f"layer{layer}/"
+            a = layernorm(x, params[p + "ln1_g"], params[p + "ln1_b"])
+            q = a @ params[p + "wq"] + params[p + "qb"]
+            k = a @ params[p + "wk"] + params[p + "kb"]
+            v = a @ params[p + "wv"] + params[p + "vb"]
+            dh = q.shape[1] // n_heads
+            heads = []
+            for h in range(n_heads):
+                cols = slice(h * dh, (h + 1) * dh)
+                logits = q[:, cols] @ k[:length, cols].T / math.sqrt(dh)
+                w = np.exp(logits - logits.max(axis=1, keepdims=True))
+                w /= w.sum(axis=1, keepdims=True)
+                heads.append(w @ v[:length, cols])
+            x = x + np.concatenate(heads, axis=1) @ params[p + "wo"] + params[p + "ob"]
+            f = layernorm(x, params[p + "ln2_g"], params[p + "ln2_b"])
+            hidden = gelu(f @ params[p + "w1"] + params[p + "b1"])
+            x = x + hidden @ params[p + "w2"] + params[p + "b2"]
+        final = layernorm(x, params["lnf_g"], params["lnf_b"])
+        out.append(final[0] @ params["head_w"] + params["head_b"])
+    return np.array(out)
+
+
 # -- brute-force linear-chain CRF --------------------------------------------
 
 def crf_enumerate(transition: np.ndarray, start: np.ndarray,

@@ -48,7 +48,7 @@ from pageseq.encoder import (
 )
 from pageseq.evaluation import aggregate_f1, gold_labels, mcnemar_bowker, score
 from pageseq.features import fit_svd, fit_vocabulary, texts_of
-from pageseq.recurrence import infer_context_oblivious, infer_document
+from pageseq.recurrence import infer_split
 from pageseq.training import AdamState, TrainConfig, lr_at, optimizer_step, train_encoder
 
 from oracles import (
@@ -121,18 +121,20 @@ def _run_models(split, seed, with_crf):
     crf_model = None
     if with_crf:
         em, golds = [], []
-        for doc in split.train:
-            tr = infer_context_oblivious(p_obl, doc, enc, codec, MULTICLASS)
+        for doc, tr in zip(split.train, infer_split(p_obl, split.train, enc, codec,
+                                                    MULTICLASS, recurrent=False)):
             em.append(emissions_from_logits(np.stack([p.scores for p in tr.pages])))
             golds.append([next(iter(p.gold_labels)) for p in doc.pages])
         crf_model = crf_fit(em, golds, N_CLASSES, l2=0.01, tol=1e-4,
                             max_iter=500)
 
     preds_obl, preds_rec, preds_crf = [], [], []
-    for doc in split.test:
-        tr_o = infer_context_oblivious(p_obl, doc, enc, codec, MULTICLASS)
+    traces_obl = infer_split(p_obl, split.test, enc, codec, MULTICLASS,
+                             recurrent=False)
+    traces_rec = infer_split(p_rec, split.test, enc, codec, MULTICLASS,
+                             recurrent=True)
+    for tr_o, tr_r in zip(traces_obl, traces_rec):
         preds_obl.extend(p.labels for p in tr_o.pages)
-        tr_r = infer_document(p_rec, doc, enc, codec, MULTICLASS)
         preds_rec.extend(p.labels for p in tr_r.pages)
         if with_crf:
             e = emissions_from_logits(np.stack([p.scores for p in tr_o.pages]))

@@ -305,6 +305,94 @@ class TestInferEvalCompare:
         assert rc == 2
 
 
+class TestBadArtifacts:
+    """Missing, truncated or inconsistent artifact files exit 2 with a
+    one-line message and write nothing."""
+
+    @pytest.fixture()
+    def trained(self, tmp_path, corpus_dir):
+        outdir = run_train(tmp_path, corpus_dir, "m", mode="recurrent")
+        traces = tmp_path / "traces.jsonl"
+        assert main(["infer", "--checkpoint", str(outdir / "checkpoint.json"),
+                     "--manifest", str(corpus_dir / "manifest.json"),
+                     "--split", "test", "--out", str(traces)]) == 0
+        return tmp_path, corpus_dir, outdir, traces
+
+    @staticmethod
+    def infer(tmp_path, corpus_dir, checkpoint, manifest=None):
+        out = tmp_path / "out.jsonl"
+        rc = main(["infer", "--checkpoint", str(checkpoint),
+                   "--manifest", str(manifest or corpus_dir / "manifest.json"),
+                   "--split", "test", "--out", str(out)])
+        assert not out.exists()
+        return rc
+
+    @staticmethod
+    def truncations(tmp_path, path):
+        """The file cut inside its last line and cut after its second-to-last."""
+        text = path.read_text()
+        mid = tmp_path / f"mid-{path.name}"
+        mid.write_text(text[:len(text) - 20])
+        lines = text.splitlines(keepends=True)
+        short = tmp_path / f"short-{path.name}"
+        short.write_text("".join(lines[:-1]))
+        return mid, short
+
+    def test_checkpoint_missing_or_truncated(self, trained, capsys):
+        tmp_path, corpus_dir, outdir, _ = trained
+        assert self.infer(tmp_path, corpus_dir, tmp_path / "nope.json") == 2
+        mid, _ = self.truncations(tmp_path, outdir / "checkpoint.json")
+        assert self.infer(tmp_path, corpus_dir, mid) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_traces_missing_or_truncated(self, trained, command, capsys):
+        tmp_path, corpus_dir, _, traces = trained
+        mid, short = self.truncations(tmp_path, traces)
+        lines = traces.read_text().splitlines(keepends=True)
+        no_scores = tmp_path / "no-scores.jsonl"
+        page = json.loads(lines[-1])
+        del page["scores"]
+        no_scores.write_text("".join(lines[:-1]) + json.dumps(page) + "\n")
+        not_object = tmp_path / "not-object.jsonl"
+        not_object.write_text("".join(lines) + "3\n")
+        for bad in (tmp_path / "nope.jsonl", mid, short, no_scores, not_object):
+            out = tmp_path / "report.json"
+            if command == "eval":
+                argv = ["eval", "--traces", str(bad)]
+            else:
+                argv = ["compare", "--traces-a", str(traces), "--traces-b", str(bad)]
+            rc = main(argv + ["--manifest", str(corpus_dir / "manifest.json"),
+                              "--split", "test", "--out", str(out)])
+            assert rc == 2
+            assert not out.exists()
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and str(bad) in err[0]
+
+    def test_head_narrower_than_manifest_classes(self, trained):
+        """A 3-column head relabelled with a 4-class codec must not infer."""
+        tmp_path, corpus_dir, outdir, _ = trained
+        cfg_path = tmp_path / "synth4.json"
+        cfg_path.write_text(json.dumps(dict(SYNTH_CFG, n_classes=4)))
+        assert main(["synth", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "runs"), "--run-id", "c4"]) == 0
+        manifest = tmp_path / "runs" / "c4" / "manifest.json"
+        payload = json.loads((outdir / "checkpoint.json").read_text())
+        payload["codec"]["classes"] = list(load_corpus(manifest).vocabulary.class_names)
+        ckpt = tmp_path / "relabelled.json"
+        ckpt.write_text(json.dumps(payload))
+        assert self.infer(tmp_path, corpus_dir, ckpt, manifest) == 2
+
+    def test_short_embedding_table(self, trained):
+        tmp_path, corpus_dir, outdir, _ = trained
+        payload = json.loads((outdir / "checkpoint.json").read_text())
+        payload["params"]["emb"] = payload["params"]["emb"][:5]
+        ckpt = tmp_path / "short-emb.json"
+        ckpt.write_text(json.dumps(payload))
+        assert self.infer(tmp_path, corpus_dir, ckpt) == 2
+
+
 class TestStats:
     def test_stats_prints_counts_and_runs(self, corpus_dir, capsys):
         rc = main(["stats", "--manifest", str(corpus_dir / "manifest.json")])

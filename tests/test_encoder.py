@@ -25,7 +25,7 @@ from pageseq.encoder import (
     checkpoint_payload,
 )
 
-from oracles import assert_grads_close, finite_diff_grads
+from oracles import assert_grads_close, finite_diff_grads, reference_transformer_scores
 
 VOCAB3 = TypeVocabulary(("A", "B", "C"))
 TEXT_TOKENS = ("alpha", "beta", "gamma", "delta", "eps", "zeta")
@@ -146,6 +146,29 @@ class TestTransformerForward:
         assert not np.allclose(s1, s2)
 
 
+class TestTransformerAgainstFullSequence:
+    """forward_batch computes only the CLS row in the last layer; the oracle
+    computes every row in every layer."""
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    def test_random_ragged_batches(self, n_layers):
+        codec = make_codec()
+        config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=n_layers,
+                               n_heads=2, max_len=12, init_seed=n_layers)
+        rng = np.random.default_rng(40 + n_layers)
+        params = {name: rng.normal(0.0, 0.5, size=value.shape)
+                  for name, value in init_params(config, codec).items()}
+        for _ in range(5):
+            lengths = rng.integers(1, 13, size=int(rng.integers(1, 9)))
+            batch = [seq([CLS_ID] + list(rng.integers(3, codec.n_ids, size=n - 1)))
+                     for n in lengths]
+            ids = np.stack([s.ids for s in batch])[:, :max(lengths)]
+            np.testing.assert_allclose(
+                forward_batch(params, batch, config),
+                reference_transformer_scores(params, ids, n_layers, 2),
+                rtol=0, atol=1e-12)
+
+
 class TestPredict:
     def test_argmax(self):
         assert predict(np.array([0.1, 2.0, -1.0]), MULTICLASS) == frozenset({1})
@@ -253,6 +276,47 @@ class TestGradients:
             lambda p: loss_and_grad(p, batch, config, label_mode)[0], params)
         assert_grads_close(grads, numeric, rel_tol=1e-4)
 
+    def test_transformer_dropout_gradients_match_finite_differences(self):
+        """Same dropout masks in every evaluation: the rng is reseeded."""
+        codec = make_codec()
+        config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=2,
+                               n_heads=2, max_len=8, dropout=0.1, init_seed=6)
+        rng = np.random.default_rng(29)
+        params = {name: rng.normal(0.0, 0.4, size=value.shape)
+                  for name, value in init_params(config, codec).items()}
+        batch = fd_batch(codec, 8)
+
+        def loss_grad(p):
+            return loss_and_grad(p, batch, config, MULTICLASS,
+                                 np.random.default_rng(17))
+
+        loss, grads = loss_grad(params)
+        no_dropout = loss_and_grad(params, batch, config, MULTICLASS)[0]
+        assert loss != no_dropout  # the masks are in effect
+        numeric = finite_diff_grads(lambda p: loss_grad(p)[0], params)
+        # A key bias shifts every logit of a query row alike, and softmax
+        # ignores such shifts: its true gradient is 0, so the finite
+        # difference is pure rounding noise (~1e-12) and no relative check
+        # applies.
+        for name in [n for n in grads if n.endswith("/kb")]:
+            np.testing.assert_allclose(grads.pop(name), 0.0, atol=1e-15)
+            np.testing.assert_allclose(numeric.pop(name), 0.0, atol=1e-10)
+        assert_grads_close(grads, numeric, rel_tol=1e-4)
+
+    def test_transformer_without_layers_gradients(self):
+        """No layers: the final layernorm reads the CLS embedding alone."""
+        codec = make_codec()
+        config = EncoderConfig(variant="tiny-transformer", d=6, n_layers=0,
+                               max_len=8, init_seed=8)
+        rng = np.random.default_rng(31)
+        params = {name: rng.normal(0.0, 0.4, size=value.shape)
+                  for name, value in init_params(config, codec).items()}
+        batch = fd_batch(codec, 8)
+        _, grads = loss_and_grad(params, batch, config, MULTICLASS)
+        numeric = finite_diff_grads(
+            lambda p: loss_and_grad(p, batch, config, MULTICLASS)[0], params)
+        assert_grads_close(grads, numeric, rel_tol=1e-4)
+
     def test_special_token_embeddings_receive_gradient(self):
         codec = make_codec()
         config = EncoderConfig(variant="linear", d=6, max_len=8)
@@ -278,3 +342,23 @@ class TestCheckpoint:
         assert label_mode == MULTICLASS and mode == "recurrent"
         for name in sorted(params):
             np.testing.assert_array_equal(params2[name], params[name])
+
+    @pytest.mark.parametrize("edit", ["narrow_head", "short_emb", "missing",
+                                      "extra"])
+    def test_restore_checks_parameter_names_and_shapes(self, edit):
+        codec = make_codec()
+        config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=1,
+                               n_heads=2, max_len=12)
+        payload = checkpoint_payload(init_params(config, codec), config, codec,
+                                     MULTICLASS, mode="oblivious", seed=0)
+        params = payload["params"]
+        if edit == "narrow_head":
+            params["head_w"] = [row[:2] for row in params["head_w"]]
+        elif edit == "short_emb":
+            params["emb"] = params["emb"][:-1]
+        elif edit == "missing":
+            del params["layer0/wq"]
+        else:
+            params["layer1/wq"] = params["layer0/wq"]
+        with pytest.raises(ValueError, match="parameter"):
+            restore_encoder(payload)

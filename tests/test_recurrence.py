@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import pageseq.recurrence as recurrence
+import pageseq.encoder as encoder
 from pageseq.corpus import MULTICLASS, DocumentSequence, PageRecord, TypeVocabulary
 from pageseq.encoder import (
     EncoderConfig,
@@ -18,8 +18,7 @@ from pageseq.recurrence import (
     augment_input,
     build_plain_batches,
     build_teacher_forced_batches,
-    infer_context_oblivious,
-    infer_document,
+    infer_split,
     page_examples,
     read_traces,
     write_traces,
@@ -38,6 +37,47 @@ def make_doc(doc_id, texts_and_labels):
         for i, (text, lab) in enumerate(texts_and_labels)
     )
     return DocumentSequence(doc_id, pages)
+
+
+def infer_document(params, doc, config, codec, label_mode):
+    (trace,) = infer_split(params, [doc], config, codec, label_mode, recurrent=True)
+    return trace
+
+
+def infer_context_oblivious(params, doc, config, codec, label_mode):
+    (trace,) = infer_split(params, [doc], config, codec, label_mode, recurrent=False)
+    return trace
+
+
+def reference_traces(params, docs, config, codec, label_mode, recurrent):
+    """Per-page reference driver: augment -> forward -> predict, one page at a
+    time, each document on its own.  (scores, labels, context) per page."""
+    out = []
+    for doc in docs:
+        context = FIRST_PAGE if recurrent else None
+        pages = []
+        for page in doc.pages:
+            seq = augment_input(context, page.text, codec, config.max_len)
+            scores = forward(params, seq, config)
+            labels = predict(scores, label_mode)
+            pages.append((scores, labels, context))
+            if recurrent:
+                context = labels
+        out.append(pages)
+    return out
+
+
+def count_forward_batch_rows(monkeypatch):
+    """Record the row count of every encoder.forward_batch call."""
+    rows = []
+    real = encoder.forward_batch
+
+    def counting(params, sequences, config):
+        rows.append(len(sequences))
+        return real(params, sequences, config)
+
+    monkeypatch.setattr(encoder, "forward_batch", counting)
+    return rows
 
 
 class TestAugmentInput:
@@ -216,20 +256,14 @@ class TestInferDocument:
             context = labels
 
     def test_one_forward_call_per_page(self, monkeypatch):
-        calls = []
-        real_forward = recurrence.forward
-
-        def counting_forward(*args, **kwargs):
-            calls.append(1)
-            return real_forward(*args, **kwargs)
-
-        monkeypatch.setattr(recurrence, "forward", counting_forward)
+        """A lone document decodes one one-row encoder call per page."""
+        rows = count_forward_batch_rows(monkeypatch)
         codec = briefs_codec()
         config = EncoderConfig(variant="linear", d=4, max_len=8)
         params = init_params(config, codec)
         doc = make_doc("d", [("page", 0)] * 7)
         infer_document(params, doc, config, codec, MULTICLASS)
-        assert len(calls) == 7
+        assert rows == [1] * 7
 
     def test_gold_perfect_model_matches_teacher_forced_contexts(self):
         """If every prediction equals gold, the recurrent contexts equal the
@@ -260,8 +294,10 @@ class TestInferContextOblivious:
         trace = infer_context_oblivious(params, doc, config, codec, MULTICLASS)
         for t, page in enumerate(doc.pages):
             seq = augment_input(None, page.text, codec, config.max_len)
-            np.testing.assert_array_equal(trace.pages[t].scores,
-                                          forward(params, seq, config))
+            # one 3-row call against three 1-row calls: BLAS may round apart
+            np.testing.assert_allclose(trace.pages[t].scores,
+                                       forward(params, seq, config),
+                                       rtol=0, atol=1e-12)
             assert trace.pages[t].context is None
 
     def test_permuting_pages_permutes_predictions(self):
@@ -289,6 +325,123 @@ class TestInferContextOblivious:
         assert trace.pages[0].labels == trace.pages[1].labels
 
 
+WORDS = ("brief", "of", "appellant", "signed", "page", "unseen")
+
+
+def ragged_split(lengths, seed):
+    rng = np.random.default_rng(seed)
+    docs = []
+    for i, n in enumerate(lengths):
+        pages = []
+        for _ in range(n):
+            text = " ".join(rng.choice(WORDS, size=int(rng.integers(0, 12))))
+            pages.append((text, int(rng.integers(0, 3))))
+        docs.append(make_doc(f"d{i}", pages))
+    return docs
+
+
+RAGGED = (7, 3, 1, 5) + (1,) * 40
+VARIANTS = {
+    "linear": EncoderConfig(variant="linear", d=8, max_len=10, init_seed=1),
+    "tiny-transformer": EncoderConfig(variant="tiny-transformer", d=8,
+                                      n_layers=2, n_heads=2, max_len=10,
+                                      init_seed=2),
+}
+
+
+def random_params(config, codec, seed):
+    """Weight matrices large enough that decisions and fed contexts vary;
+    biases and layernorm gains keep their initial values."""
+    rng = np.random.default_rng(seed)
+    return {name: rng.normal(0.0, 1.0, size=value.shape) if value.ndim == 2
+            else value for name, value in init_params(config, codec).items()}
+
+
+class TestLockstep:
+    """infer_split against the per-page reference driver on a ragged split."""
+
+    @pytest.mark.parametrize("recurrent", [True, False])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_matches_per_page_driver(self, variant, recurrent):
+        codec, config = briefs_codec(), VARIANTS[variant]
+        params = random_params(config, codec, 3)
+        docs = ragged_split(RAGGED, 4)
+        traces = infer_split(params, docs, config, codec, MULTICLASS, recurrent)
+        expected = reference_traces(params, docs, config, codec, MULTICLASS,
+                                    recurrent)
+        assert [t.doc_id for t in traces] == [d.doc_id for d in docs]
+        decided = set()
+        for trace, ref in zip(traces, expected):
+            assert len(trace) == len(ref)
+            for page, (scores, labels, context) in zip(trace.pages, ref):
+                np.testing.assert_allclose(page.scores, scores, rtol=0, atol=1e-12)
+                assert page.labels == labels
+                assert page.context is context or page.context == context
+                decided |= labels
+        assert len(decided) > 1  # the split exercises more than one context
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_no_lookahead(self, variant):
+        """Editing page t+1 leaves every page <= t of that document unchanged."""
+        codec, config = briefs_codec(), VARIANTS[variant]
+        params = random_params(config, codec, 7)
+        docs = ragged_split(RAGGED, 6)
+        before = infer_split(params, docs, config, codec, MULTICLASS, True)
+        t = 2
+        pages = [(p.text, 0) for p in docs[0].pages]
+        pages[t + 1] = ("signed signed appellant page of", 0)
+        edited = [make_doc("d0", pages)] + docs[1:]
+        after = infer_split(params, edited, config, codec, MULTICLASS, True)
+        for p_before, p_after in zip(before[0].pages[:t + 1], after[0].pages):
+            np.testing.assert_array_equal(p_before.scores, p_after.scores)
+            assert p_before.labels == p_after.labels
+        assert not np.array_equal(before[0].pages[t + 1].scores,
+                                  after[0].pages[t + 1].scores)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_documents_independent_of_split(self, variant):
+        codec, config = briefs_codec(), VARIANTS[variant]
+        params = random_params(config, codec, 3)
+        docs = ragged_split(RAGGED, 8)
+        together = infer_split(params, docs, config, codec, MULTICLASS, True)
+        subset = infer_split(params, docs[1::3], config, codec, MULTICLASS, True)
+        for alone, trace in zip(subset, together[1::3]):
+            assert alone.labels() == trace.labels()
+            assert [p.context for p in alone.pages] == \
+                [p.context for p in trace.pages]
+        for doc, trace in zip(docs[:4], together):
+            (alone,) = infer_split(params, [doc], config, codec, MULTICLASS, True)
+            assert alone.labels() == trace.labels()
+            for pa, pt in zip(alone.pages, trace.pages):
+                np.testing.assert_allclose(pa.scores, pt.scores, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lengths, rows", [
+        ((7, 3, 1), [3, 2, 2, 1, 1, 1, 1]),
+        ((1,) * 40, [32, 8]),
+    ])
+    def test_forward_batch_calls(self, monkeypatch, lengths, rows):
+        """One call per page position, at most 32 rows per call."""
+        calls = count_forward_batch_rows(monkeypatch)
+        codec, config = briefs_codec(), VARIANTS["linear"]
+        params = init_params(config, codec)
+        infer_split(params, ragged_split(lengths, 9), config, codec, MULTICLASS,
+                    recurrent=True)
+        assert calls == rows
+
+    def test_oblivious_scores_pages_in_blocks(self, monkeypatch):
+        calls = count_forward_batch_rows(monkeypatch)
+        codec, config = briefs_codec(), VARIANTS["linear"]
+        params = init_params(config, codec)
+        infer_split(params, ragged_split(RAGGED, 10), config, codec, MULTICLASS,
+                    recurrent=False)
+        assert calls == [32, 24]
+
+    def test_empty_split(self):
+        codec, config = briefs_codec(), VARIANTS["linear"]
+        params = init_params(config, codec)
+        assert infer_split(params, [], config, codec, MULTICLASS, True) == []
+
+
 class TestTraceFiles:
     def test_round_trip(self, tmp_path):
         codec = briefs_codec()
@@ -296,7 +449,7 @@ class TestTraceFiles:
         params = init_params(config, codec)
         docs = [make_doc("d1", [("brief", 0), ("page", 1)]),
                 make_doc("d2", [("signed", 2)])]
-        traces = [infer_document(params, d, config, codec, MULTICLASS) for d in docs]
+        traces = infer_split(params, docs, config, codec, MULTICLASS, recurrent=True)
         path = tmp_path / "traces.jsonl"
         write_traces(traces, path, BRIEFS, provenance={"seed": 0})
         loaded = read_traces(path, BRIEFS)
