@@ -9,21 +9,13 @@ same optimizer and schedule machinery as the encoders (batched by document).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import expit, log_softmax
 
-from .training import (
-    AdamState,
-    TrainConfig,
-    TrainReport,
-    TrainingDiverged,
-    lr_at,
-    optimizer_step,
-)
+from .training import TrainConfig, TrainReport, fit_adamw
 
 # gate row order inside the stacked weight matrices: input, forget, cell, output
 
@@ -172,39 +164,13 @@ def bilstm_train(sequences: Sequence[np.ndarray],
     AdamW step and linear warmup/decay schedule."""
     if len(sequences) != len(label_seqs):
         raise ValueError("sequences and labels must align")
-    started = time.perf_counter()
-    n_docs = len(sequences)
-    steps_per_epoch = math.ceil(n_docs / cfg.batch_size)
-    total_steps = cfg.epochs * steps_per_epoch
     params = init_bilstm(config)
-    state = AdamState.for_params(params)
-    step_losses, step_lrs, epoch_metrics = [], [], []
-    global_step = 0
-    for epoch in range(cfg.epochs):
-        rng = np.random.default_rng((cfg.seed, epoch))
-        order = rng.permutation(n_docs)
-        epoch_losses = []
-        for lo in range(0, n_docs, cfg.batch_size):
-            batch = [(sequences[i], label_seqs[i])
-                     for i in order[lo:lo + cfg.batch_size]]
-            try:
-                loss, grads = bilstm_loss_and_grad(params, batch)
-            except FloatingPointError as exc:
-                raise TrainingDiverged(
-                    f"non-finite loss at optimizer step {global_step}: {exc}"
-                ) from exc
-            lr = lr_at(global_step, total_steps, cfg)
-            optimizer_step(params, grads, state, lr, cfg)
-            step_losses.append(loss)
-            step_lrs.append(lr)
-            epoch_losses.append(loss)
-            global_step += 1
-        epoch_metrics.append({"epoch": epoch,
-                              "train_loss": float(np.mean(epoch_losses))})
-    report = TrainReport(step_losses=step_losses, step_lrs=step_lrs,
-                         epoch_metrics=epoch_metrics, total_steps=total_steps,
-                         wall_clock_seconds=time.perf_counter() - started)
-    return params, report
+
+    def batch_loss(rows, epoch):
+        return bilstm_loss_and_grad(
+            params, [(sequences[i], label_seqs[i]) for i in rows])
+
+    return params, fit_adamw(params, len(sequences), batch_loss, cfg)
 
 
 def bilstm_predict(params: dict, x: np.ndarray) -> list[int]:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bilstm import BiLstmConfig, bilstm_forward, bilstm_train
+from .bilstm import BiLstmConfig, bilstm_forward, bilstm_train, init_bilstm
 from .corpus import (
     MULTICLASS,
     CorpusError,
@@ -39,6 +39,7 @@ from .crf import CrfModel, crf_fit, crf_viterbi, emissions_from_logits
 from .encoder import (
     EncoderConfig,
     TokenCodec,
+    check_params,
     checkpoint_payload,
     load_checkpoint,
     restore_encoder,
@@ -65,7 +66,9 @@ from .features import (
 from .recurrence import (
     PagePrediction,
     PredictionTrace,
+    encode_split,
     infer_split,
+    page_tokens,
     read_traces,
     write_traces,
 )
@@ -122,14 +125,6 @@ def _load_artifact(what: str, path, load, *args):
         raise ConfigError(f"{what} {path}: missing field {exc}") from None
     except TypeError as exc:
         raise ConfigError(f"{what} {path}: malformed ({exc})") from None
-
-
-def _restore_encoder(payload: dict):
-    """``restore_encoder`` with a malformed payload reported as a ConfigError."""
-    try:
-        return restore_encoder(payload)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"encoder checkpoint: {exc}") from None
 
 
 def _field(obj: dict, name: str, kind, default=None, required=False, where=""):
@@ -267,15 +262,11 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fit_codec(split: CorpusSplit, cap: int) -> TokenCodec:
-    vocab = fit_vocabulary(texts_of(split.train), cap)
-    return TokenCodec(split.vocabulary, vocab.tokens)
-
-
-def _encoder_logit_seqs(params, config, codec, split_docs, label_mode):
+def _encoder_logit_seqs(params, config, codec, split_docs, label_mode,
+                        encoded=None):
     """Frozen per-page logits, one (l, n) array per document."""
     traces = infer_split(params, split_docs, config, codec, label_mode,
-                         recurrent=False)
+                         recurrent=False, encoded=encoded)
     return [np.stack([p.scores for p in trace.pages]) for trace in traces]
 
 
@@ -314,11 +305,16 @@ def cmd_train(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     provenance = provenance_for("train", cfg_obj, seed)
 
-    codec = _fit_codec(split, cap)
+    # the train split is tokenized once, for the vocabulary and the encoder
+    train_tokens = page_tokens(split.train)
+    codec = TokenCodec(split.vocabulary, fit_vocabulary(train_tokens, cap).tokens)
+    train_encoded = encode_split(split.train, codec, encoder_config.max_len,
+                                 train_tokens)
     started = time.perf_counter()
     params, report = train_encoder(encoder_config, codec, split.train, label_mode,
                                    train_config, recurrent=(mode == "recurrent"),
-                                   val_docs=split.validation)
+                                   val_docs=split.validation,
+                                   encoded=train_encoded)
     ckpt = checkpoint_payload(params, encoder_config, codec, label_mode,
                               mode=mode, seed=seed)
     ckpt["provenance"] = provenance
@@ -326,16 +322,15 @@ def cmd_train(args) -> int:
     write_json(outdir / "report.json",
                {"provenance": provenance, **report.to_payload()})
     timings = {"train_seconds": report.wall_clock_seconds}
+    golds = [[next(iter(p.gold_labels)) for p in doc.pages] for doc in split.train]
 
     if want_crf:
         crf_obj = _field(cfg_obj, "crf", dict, default={})
         l2 = _field(crf_obj, "l2", float, default=0.01, where="crf")
         tick = time.perf_counter()
         logit_seqs = _encoder_logit_seqs(params, encoder_config, codec,
-                                         split.train, label_mode)
+                                         split.train, label_mode, train_encoded)
         emission_seqs = [emissions_from_logits(lg) for lg in logit_seqs]
-        golds = [[next(iter(p.gold_labels)) for p in doc.pages]
-                 for doc in split.train]
         crf_model = crf_fit(emission_seqs, golds, split.vocabulary.n, l2=l2)
         crf_payload = {
             "kind": "crf",
@@ -365,8 +360,6 @@ def cmd_train(args) -> int:
                 f"= {min(matrix.shape)}")
         projector = fit_svd(matrix, k=svd_k)
         feats = [np.stack([project(p.text, tfidf, projector) for p in doc.pages])
-                 for doc in split.train]
-        golds = [[next(iter(p.gold_labels)) for p in doc.pages]
                  for doc in split.train]
         bl_config = BiLstmConfig(input_dim=svd_k, n_classes=split.vocabulary.n,
                                  hidden_dim=hidden, init_seed=seed)
@@ -399,64 +392,76 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _infer_with_crf(payload, docs):
-    params, config, codec, label_mode, _ = _restore_encoder(payload["encoder"])
-    model = CrfModel(transition=np.asarray(payload["transition"]),
-                     start=np.asarray(payload["start"]),
-                     emission_scale=float(payload["emission_scale"]))
-    traces = []
-    for doc, logits in zip(docs, _encoder_logit_seqs(params, config, codec, docs,
-                                                     label_mode)):
-        path, _ = crf_viterbi(model, emissions_from_logits(logits))
-        pages = [PagePrediction(scores=logits[t], labels=frozenset({path[t]}),
-                                context=None)
-                 for t in range(len(doc))]
-        traces.append(PredictionTrace(doc_id=doc.doc_id, pages=pages))
-    return traces
+def _context_free_traces(docs, logit_seqs, label_seqs) -> list[PredictionTrace]:
+    """Traces of a decoder that feeds no context: scores and class per page."""
+    return [PredictionTrace(doc_id=doc.doc_id, pages=[
+        PagePrediction(scores=row, labels=frozenset({int(c)}), context=None)
+        for row, c in zip(logits, labels)])
+        for doc, logits, labels in zip(docs, logit_seqs, label_seqs)]
 
 
-def _infer_with_bilstm(payload, docs):
+def _restore_model(payload):
+    """The class names and the decoder (documents -> traces) of a checkpoint
+    payload of any kind.  Kind, fields, class lists and parameter shapes are
+    checked here, and a malformed payload is a ConfigError."""
+    if not isinstance(payload, dict):
+        raise ConfigError("checkpoint is not a JSON object")
+    kind = payload.get("kind")
     try:
-        tfidf, projector = page_vector_model_from_payload(payload["features"])
-    except ValueError as exc:
-        raise ConfigError(f"bilstm feature artifact: {exc}") from None
-    params = {k: np.asarray(v) for k, v in payload["params"].items()}
-    traces = []
-    for doc in docs:
-        x = np.stack([project(p.text, tfidf, projector) for p in doc.pages])
-        logits = bilstm_forward(params, x)
-        pages = [PagePrediction(scores=logits[t],
-                                labels=frozenset({int(np.argmax(logits[t]))}),
-                                context=None)
-                 for t in range(len(doc))]
-        traces.append(PredictionTrace(doc_id=doc.doc_id, pages=pages))
-    return traces
+        if kind == "encoder":
+            params, config, codec, label_mode, mode = restore_encoder(payload)
+
+            def decode(docs):
+                return infer_split(params, docs, config, codec, label_mode,
+                                   recurrent=(mode == "recurrent"))
+            return codec.type_vocab.class_names, decode
+        if kind == "crf":
+            params, config, codec, label_mode, _ = restore_encoder(payload["encoder"])
+            model = CrfModel(payload["transition"], payload["start"],
+                             float(payload["emission_scale"]))
+            if model.n != codec.n_classes:
+                raise ValueError(f"{model.n} CRF classes, {codec.n_classes} "
+                                 f"encoder classes")
+
+            def decode(docs):
+                logit_seqs = _encoder_logit_seqs(params, config, codec, docs,
+                                                 label_mode)
+                return _context_free_traces(docs, logit_seqs, [
+                    crf_viterbi(model, emissions_from_logits(logits))[0]
+                    for logits in logit_seqs])
+            return codec.type_vocab.class_names, decode
+        if kind == "bilstm":
+            config = BiLstmConfig(**payload["config"])
+            tfidf, projector = page_vector_model_from_payload(payload["features"])
+            params = {name: np.asarray(value, dtype=np.float64)
+                      for name, value in payload["params"].items()}
+            check_params(params, init_bilstm(config))
+            if len(payload["classes"]) != config.n_classes or projector.basis.shape \
+                    != (tfidf.vocabulary.size, config.input_dim):
+                raise ValueError("classes or page vectors do not match the config")
+
+            def decode(docs):
+                logit_seqs = [bilstm_forward(params, np.stack(
+                    [project(p.text, tfidf, projector) for p in doc.pages]))
+                    for doc in docs]
+                return _context_free_traces(
+                    docs, logit_seqs, [lg.argmax(axis=1) for lg in logit_seqs])
+            return tuple(payload["classes"]), decode
+    except KeyError as exc:
+        raise ConfigError(f"{kind} checkpoint: missing field {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{kind} checkpoint: {exc}") from None
+    raise ConfigError(f"unknown checkpoint kind {kind!r}")
 
 
 def cmd_infer(args) -> int:
     split = load_corpus(args.manifest)
     docs = split.split(args.split)
     payload = _load_artifact("checkpoint", args.checkpoint, load_checkpoint)
-    if not isinstance(payload, dict):
-        raise ConfigError(f"checkpoint {args.checkpoint}: not a JSON object")
-    kind = payload.get("kind")
-    if kind == "encoder":
-        params, config, codec, label_mode, mode = _restore_encoder(payload)
-        if codec.type_vocab.class_names != split.vocabulary.class_names:
-            raise ConfigError("checkpoint classes do not match the corpus manifest")
-        traces = infer_split(params, docs, config, codec, label_mode,
-                             recurrent=(mode == "recurrent"))
-    elif kind == "crf":
-        if list(split.vocabulary.class_names) != \
-                payload["encoder"]["codec"]["classes"]:
-            raise ConfigError("checkpoint classes do not match the corpus manifest")
-        traces = _infer_with_crf(payload, docs)
-    elif kind == "bilstm":
-        if list(split.vocabulary.class_names) != payload["classes"]:
-            raise ConfigError("checkpoint classes do not match the corpus manifest")
-        traces = _infer_with_bilstm(payload, docs)
-    else:
-        raise ConfigError(f"unknown checkpoint kind {kind!r}")
+    classes, decode = _restore_model(payload)
+    if tuple(classes) != split.vocabulary.class_names:
+        raise ConfigError("checkpoint classes do not match the corpus manifest")
+    traces = decode(docs)
     ref = {"checkpoint_hash": config_hash(payload), "split": args.split}
     provenance = provenance_for("infer", ref, payload.get("seed", 0))
     write_traces(traces, args.out, split.vocabulary, provenance=provenance)

@@ -328,10 +328,15 @@ class SynthConfig:
             raise CorpusError("start_distribution is not stochastic")
         if not 0.0 <= self.ambiguity <= 1.0:
             raise CorpusError("ambiguity must be in [0, 1]")
-        for field_name in ("pages_per_doc", "tokens_per_page"):
-            lo, hi = getattr(self, field_name)
-            if lo < 1 or hi < lo:
-                raise CorpusError(f"invalid {field_name} range ({lo}, {hi})")
+        for field_name, size in (("pages_per_doc", 2), ("tokens_per_page", 2),
+                                 ("docs_per_split", 3)):
+            value = getattr(self, field_name)
+            if len(value) != size or not all(
+                    isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                    for x in value):
+                raise CorpusError(f"{field_name} must be {size} integers")
+            if size == 2 and not 1 <= value[0] <= value[1]:
+                raise CorpusError(f"invalid {field_name} range {tuple(value)}")
         if self.class_vocab_size < 1 or self.shared_vocab_size < 1:
             raise CorpusError("vocab sizes must be >= 1")
         if any(d < 1 for d in self.docs_per_split):

@@ -32,9 +32,9 @@ class CrfModel:
     def __post_init__(self):
         self.transition = np.asarray(self.transition, dtype=np.float64)
         self.start = np.asarray(self.start, dtype=np.float64)
-        n = self.start.shape[0]
-        if self.transition.shape != (n, n):
-            raise ValueError("transition must be n x n matching start")
+        if self.start.ndim != 1 or self.transition.shape != self.start.shape * 2:
+            raise ValueError("start must be a vector of n scores and transition "
+                             "n x n")
         if not (np.all(np.isfinite(self.transition))
                 and np.all(np.isfinite(self.start))
                 and np.isfinite(self.emission_scale)):

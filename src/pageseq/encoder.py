@@ -86,25 +86,15 @@ class TokenCodec:
         return [self.id_to_string(int(i)) for i in ids if int(i) != PAD_ID]
 
 
-@dataclass(eq=False)
-class TokenSequence:
-    """PAD-padded id sequence of fixed width ``max_len``."""
-
-    ids: np.ndarray
-    length: int
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        if self.ids.ndim != 1 or self.length > self.ids.shape[0]:
-            raise ValueError("ids must be 1-D with length <= max_len")
-        if np.any(self.ids[self.length:] != PAD_ID):
-            raise ValueError("padding tail must be PAD")
-
-
-def check_sequence(seq: TokenSequence, codec: TokenCodec) -> None:
-    """Assert the structural invariant: CLS first, then an optional block of
-    control tokens, and control tokens nowhere else."""
-    ids = seq.ids[:seq.length].tolist()
+def check_sequence(ids: np.ndarray, codec: TokenCodec) -> None:
+    """Assert the structural invariant of one PAD-padded id row: CLS first,
+    then an optional block of control tokens, control tokens nowhere else,
+    and nothing but PAD after the first PAD."""
+    ids = np.asarray(ids).tolist()
+    length = ids.index(PAD_ID) if PAD_ID in ids else len(ids)
+    if any(i != PAD_ID for i in ids[length:]):
+        raise ValueError("padding tail must be PAD")
+    ids = ids[:length]
     if not ids or ids[0] != CLS_ID:
         raise ValueError("sequence must start with CLS")
     i = 1
@@ -234,12 +224,6 @@ def _gelu_bwd(dy, cache):
     dx += poly
     dx *= dy
     return dx
-
-
-def _stack_batch(sequences: Sequence[TokenSequence]):
-    ids = np.stack([s.ids for s in sequences])
-    width = max(int(s.length) for s in sequences)
-    return ids[:, :width]
 
 
 def _linear_fwd(params, ids):
@@ -419,10 +403,9 @@ def _transformer_bwd(dscores, params, cache, config):
 # ---------------------------------------------------------------------------
 
 
-def forward_batch(params: dict, sequences: Sequence[TokenSequence],
+def forward_batch(params: dict, ids: np.ndarray,
                   config: EncoderConfig) -> np.ndarray:
-    """Class score rows for a batch; deterministic (no dropout)."""
-    ids = _stack_batch(sequences)
+    """Class score rows of a (B, L) PAD-padded id matrix; no dropout."""
     if ids.shape[1] > config.max_len:
         raise ValueError("sequence longer than max_len")
     if config.variant == LINEAR:
@@ -432,9 +415,9 @@ def forward_batch(params: dict, sequences: Sequence[TokenSequence],
     return scores
 
 
-def forward(params: dict, sequence: TokenSequence, config: EncoderConfig) -> np.ndarray:
-    """Score vector y for one page input."""
-    return forward_batch(params, [sequence], config)[0]
+def forward(params: dict, ids: np.ndarray, config: EncoderConfig) -> np.ndarray:
+    """Score vector y for one page's id row."""
+    return forward_batch(params, np.asarray(ids)[None, :], config)[0]
 
 
 def predict(scores: np.ndarray, label_mode: str) -> frozenset[int]:
@@ -449,19 +432,18 @@ def predict(scores: np.ndarray, label_mode: str) -> frozenset[int]:
     return frozenset(int(i) for i in chosen)
 
 
-def loss_and_grad(params: dict, batch: Sequence[tuple[TokenSequence, frozenset]],
+def loss_and_grad(params: dict, ids: np.ndarray, targets: np.ndarray,
                   config: EncoderConfig, label_mode: str,
                   dropout_rng: np.random.Generator | None = None
                   ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy over the batch and its exact parameter gradient.
+    """Mean cross-entropy over a (B, L) id matrix and its exact gradient.
 
-    Multiclass uses softmax cross-entropy; multilabel uses per-class sigmoid
-    cross-entropy averaged over examples and classes.
+    Multiclass: softmax cross-entropy against B gold class indices.
+    Multilabel: per-class sigmoid cross-entropy against a (B, n) 0/1 matrix,
+    averaged over examples and classes.
     """
-    if not batch:
+    if len(ids) == 0:
         raise ValueError("batch must be non-empty")
-    sequences = [ex[0] for ex in batch]
-    ids = _stack_batch(sequences)
     if config.variant == LINEAR:
         scores, cache = _linear_fwd(params, ids)
     else:
@@ -469,14 +451,10 @@ def loss_and_grad(params: dict, batch: Sequence[tuple[TokenSequence, frozenset]]
     n_examples, n_classes = scores.shape
 
     if label_mode == MULTICLASS:
-        golds = np.array([next(iter(ex[1])) for ex in batch], dtype=np.int64)
         logp = log_softmax(scores, axis=-1)
-        per_example = -logp[np.arange(n_examples), golds]
-        dscores = (np.exp(logp) - _one_hot(golds, n_classes)) / n_examples
+        per_example = -logp[np.arange(n_examples), targets]
+        dscores = (np.exp(logp) - _one_hot(targets, n_classes)) / n_examples
     else:
-        targets = np.zeros((n_examples, n_classes))
-        for i, (_, gold) in enumerate(batch):
-            targets[i, list(gold)] = 1.0
         # stable BCE-with-logits: max(y,0) - y*t + log(1 + exp(-|y|))
         per_class = np.maximum(scores, 0.0) - scores * targets + \
             np.log1p(np.exp(-np.abs(scores)))
@@ -546,7 +524,12 @@ def restore_encoder(payload: dict):
     codec = TokenCodec(vocab, payload["codec"]["text_tokens"])
     params = {name: np.asarray(value, dtype=np.float64)
               for name, value in payload["params"].items()}
-    expected = init_params(config, codec)
+    check_params(params, init_params(config, codec))
+    return params, config, codec, payload["label_mode"], payload["mode"]
+
+
+def check_params(params: dict, expected: dict) -> None:
+    """Raise ValueError unless ``params`` has the names and shapes of ``expected``."""
     if params.keys() != expected.keys():
         raise ValueError(
             f"parameter names do not match the config: missing "
@@ -555,8 +538,7 @@ def restore_encoder(payload: dict):
     for name, value in expected.items():
         if params[name].shape != value.shape:
             raise ValueError(f"parameter {name!r} has shape {params[name].shape}, "
-                             f"the config and codec give {value.shape}")
-    return params, config, codec, payload["label_mode"], payload["mode"]
+                             f"the config gives {value.shape}")
 
 
 def load_checkpoint(path: Path | str) -> dict:

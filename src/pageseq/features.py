@@ -82,16 +82,17 @@ class Vocabulary:
         return {tok: i for i, tok in enumerate(self.tokens)}
 
 
-def fit_vocabulary(page_texts: Iterable[str], cap: int = DEFAULT_VOCAB_CAP) -> Vocabulary:
-    """Fit the vocabulary on training pages only."""
+def fit_vocabulary(page_tokens: Iterable[Sequence[str]],
+                   cap: int = DEFAULT_VOCAB_CAP) -> Vocabulary:
+    """Fit the vocabulary on the tokens of training pages only, one
+    ``tokenize`` result per page."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     collection = Counter()
     doc_freq = Counter()
     n_pages = 0
-    for text in page_texts:
+    for toks in page_tokens:
         n_pages += 1
-        toks = tokenize(text)
         collection.update(toks)
         doc_freq.update(set(toks))
     if n_pages == 0 or not collection:
@@ -123,7 +124,7 @@ def fit_tfidf(page_texts: Sequence[str], cap: int = DEFAULT_VOCAB_CAP,
               vocabulary: Vocabulary | None = None) -> TfIdfModel:
     page_texts = list(page_texts)
     if vocabulary is None:
-        vocabulary = fit_vocabulary(page_texts, cap)
+        vocabulary = fit_vocabulary(map(tokenize, page_texts), cap)
     n = len(page_texts)
     df = np.asarray(vocabulary.doc_freq, dtype=np.float64)
     idf = np.log((1.0 + n) / (1.0 + df)) + 1.0

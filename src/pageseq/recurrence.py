@@ -1,6 +1,7 @@
 """Previous-page type conditioning: input augmentation with special tokens,
-teacher-forced batch construction, and left-to-right inference where the
-model feeds its own predictions forward.
+teacher-forced training examples, and left-to-right inference where the
+model feeds its own predictions forward.  A split is tokenized once
+(``encode_split``); only the context tokens written before its text change.
 
 Inference decodes every document of a split in lockstep: at page position t
 it scores page t of each document that has one, conditioned on that
@@ -21,16 +22,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import encoder
-from .corpus import DocumentSequence, TypeVocabulary
-from .encoder import (
-    CLS_ID,
-    FIRST_ID,
-    PAD_ID,
-    EncoderConfig,
-    TokenCodec,
-    TokenSequence,
-    predict,
-)
+from .corpus import MULTICLASS, DocumentSequence, TypeVocabulary
+from .encoder import CLS_ID, FIRST_ID, PAD_ID, EncoderConfig, TokenCodec, predict
 from .features import tokenize
 
 
@@ -73,76 +66,107 @@ class PredictionTrace:
         return [p.labels for p in self.pages]
 
 
-def augment_input(context: Context, text: str, codec: TokenCodec,
-                  max_len: int) -> TokenSequence:
-    """[CLS] + context tokens + text tokens, PAD-padded to ``max_len``.
+@dataclass(eq=False)
+class EncodedSplit:
+    """The text ids of a split's pages in document order: ``text`` is (pages,
+    max_len - 1), PAD-padded, ``lengths`` each row's text length, and
+    document i owns rows ``offsets[i]:offsets[i + 1]``."""
 
-    Context tokens are the first-page marker or the special tokens of the
-    previous page's classes in ascending class order; they are never
-    truncated.  Text is truncated from the right to fit.
-    """
-    head = [CLS_ID]
+    text: np.ndarray
+    lengths: np.ndarray
+    offsets: np.ndarray
+
+
+def page_tokens(docs: Sequence[DocumentSequence]) -> list[list[str]]:
+    """The tokens of every page of ``docs``, in document order."""
+    return [tokenize(page.text) for doc in docs for page in doc.pages]
+
+
+def encode_split(docs: Sequence[DocumentSequence], codec: TokenCodec,
+                 max_len: int,
+                 tokens: Sequence[list[str]] | None = None) -> EncodedSplit:
+    """The text ids of every page of ``docs``; ``tokens`` is
+    ``page_tokens(docs)`` when the caller already has it."""
+    if tokens is None:
+        tokens = page_tokens(docs)
+    n_text = max_len - 1
+    text = np.full((len(tokens), n_text), PAD_ID, dtype=np.int64)
+    lengths = np.zeros(len(tokens), dtype=np.int64)
+    for row, page in enumerate(tokens):
+        ids = [codec.text_token_id(tok) for tok in page[:n_text]]
+        text[row, :len(ids)] = ids
+        lengths[row] = len(ids)
+    offsets = np.cumsum([0] + [len(doc) for doc in docs])
+    return EncodedSplit(text=text, lengths=lengths, offsets=offsets)
+
+
+def _context_ids(context: Context, codec: TokenCodec) -> list[int]:
+    if context is None:
+        return []
     if context is FIRST_PAGE:
-        head.append(FIRST_ID)
-    elif context is not None:
-        if not context:
-            raise ValueError("previous-page context must be non-empty")
-        head.extend(codec.class_token_id(c) for c in sorted(context))
-    if len(head) > max_len:
+        return [FIRST_ID]
+    if not context:
+        raise ValueError("previous-page context must be non-empty")
+    return [codec.class_token_id(c) for c in sorted(context)]
+
+
+def augment_input(text: np.ndarray, lengths: np.ndarray,
+                  contexts: Sequence[Context], codec: TokenCodec,
+                  max_len: int) -> np.ndarray:
+    """[CLS] + context tokens + text, one row per page, PAD-padded to the
+    longest row.
+
+    ``text`` and ``lengths`` are rows of an ``EncodedSplit``; ``contexts``
+    holds one context per row.  Context tokens are the first-page marker or
+    the special tokens of the previous page's classes in ascending class
+    order; they are never truncated.  Text is truncated from the right so
+    that no row is longer than ``max_len``.
+    """
+    heads = [_context_ids(context, codec) for context in contexts]
+    n_context = np.array([len(head) for head in heads], dtype=np.int64)
+    if 1 + n_context.max(initial=0) > max_len:
         raise ValueError("max_len too small for CLS plus context tokens")
-    text_ids = [codec.text_token_id(tok) for tok in tokenize(text)]
-    body = text_ids[: max_len - len(head)]
-    ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    ids[: len(head) + len(body)] = head + body
-    return TokenSequence(ids=ids, length=len(head) + len(body))
+    full = 1 + n_context + np.minimum(lengths, max_len - 1 - n_context)
+    width = int(full.max(initial=1))
+    ids = np.full((len(heads), width), PAD_ID, dtype=np.int64)
+    ids[:, 0] = CLS_ID
+    for k in np.unique(n_context).tolist():
+        rows = np.flatnonzero(n_context == k)
+        if k:
+            ids[rows, 1:1 + k] = [heads[r] for r in rows]
+        ids[rows, 1 + k:] = text[rows, :width - 1 - k]
+    return ids
+
+
+def row_lengths(ids: np.ndarray) -> np.ndarray:
+    """Token count of each row of an id matrix; PAD only pads on the right."""
+    return np.count_nonzero(ids != PAD_ID, axis=1)
 
 
 def page_examples(docs: Sequence[DocumentSequence], teacher_forced: bool,
-                  codec: TokenCodec, max_len: int):
-    """One (TokenSequence, gold) example per page.
+                  codec: TokenCodec, max_len: int, label_mode: str,
+                  encoded: EncodedSplit | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The input ids (pages x width) and targets of every page, in document
+    order; ``encoded`` is ``encode_split(docs, codec, max_len)`` if known.
 
     With teacher forcing the context of page t>1 is the GOLD label set of
     page t-1 (never a model output); without it no context tokens are added.
+    Targets are gold class indices (multiclass) or a (pages x classes) 0/1
+    matrix (multilabel), as ``encoder.loss_and_grad`` takes them.
     """
-    examples = []
-    for doc in docs:
-        for t, page in enumerate(doc.pages):
-            if not teacher_forced:
-                context: Context = None
-            elif t == 0:
-                context = FIRST_PAGE
-            else:
-                context = doc.pages[t - 1].gold_labels
-            examples.append(
-                (augment_input(context, page.text, codec, max_len),
-                 page.gold_labels)
-            )
-    return examples
-
-
-def batched(examples: list, batch_size: int,
-            rng: np.random.Generator | None = None) -> list[list]:
-    """Shuffle (when an rng is given) and chunk; the last batch may be short."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    order = np.arange(len(examples))
-    if rng is not None:
-        rng.shuffle(order)
-    shuffled = [examples[i] for i in order]
-    return [shuffled[i:i + batch_size] for i in range(0, len(shuffled), batch_size)]
-
-
-def build_teacher_forced_batches(docs: Sequence[DocumentSequence], batch_size: int,
-                                 codec: TokenCodec, max_len: int,
-                                 rng: np.random.Generator | None = None) -> list[list]:
-    return batched(page_examples(docs, True, codec, max_len), batch_size, rng)
-
-
-def build_plain_batches(docs: Sequence[DocumentSequence], batch_size: int,
-                        codec: TokenCodec, max_len: int,
-                        rng: np.random.Generator | None = None) -> list[list]:
-    """Context-oblivious batches: every page stands alone."""
-    return batched(page_examples(docs, False, codec, max_len), batch_size, rng)
+    split = encoded or encode_split(docs, codec, max_len)
+    contexts = [(doc.pages[t - 1].gold_labels if t else FIRST_PAGE)
+                if teacher_forced else None
+                for doc in docs for t in range(len(doc))]
+    ids = augment_input(split.text, split.lengths, contexts, codec, max_len)
+    golds = [page.gold_labels for doc in docs for page in doc.pages]
+    if label_mode == MULTICLASS:
+        return ids, np.array([next(iter(gold)) for gold in golds], dtype=np.int64)
+    targets = np.zeros((len(golds), codec.n_classes))
+    for row, gold in enumerate(golds):
+        targets[row, list(gold)] = 1.0
+    return ids, targets
 
 
 # Rows per encoder call.  Blocks of 32 length-sorted rows decoded faster than
@@ -150,49 +174,58 @@ def build_plain_batches(docs: Sequence[DocumentSequence], batch_size: int,
 _BLOCK_ROWS = 32
 
 
-def _score_rows(params: dict, sequences: list[TokenSequence],
-                config: EncoderConfig) -> np.ndarray:
-    """Score rows of ``sequences``, in length-sorted blocks of at most
-    ``_BLOCK_ROWS`` so that a block pads little."""
-    order = sorted(range(len(sequences)), key=lambda i: sequences[i].length)
-    scores = np.empty((len(sequences), params["head_b"].shape[0]))
+def _score_rows(params: dict, split: EncodedSplit, rows: np.ndarray,
+                contexts: Sequence[Context], config: EncoderConfig,
+                codec: TokenCodec) -> np.ndarray:
+    """Scores of ``rows`` of ``split`` fed ``contexts``, in length-sorted
+    blocks of at most ``_BLOCK_ROWS`` so that a block pads little."""
+    ids = augment_input(split.text[rows], split.lengths[rows], contexts, codec,
+                        config.max_len)
+    lengths = row_lengths(ids)
+    order = np.argsort(lengths, kind="stable")
+    scores = np.empty((len(rows), params["head_b"].shape[0]))
     for start in range(0, len(order), _BLOCK_ROWS):
         block = order[start:start + _BLOCK_ROWS]
         # looked up on the module at call time, so that a wrapper installed
         # on pageseq.encoder.forward_batch (perfbench's tracer) sees the call
         scores[block] = encoder.forward_batch(
-            params, [sequences[i] for i in block], config)
+            params, ids[block, :lengths[block[-1]]], config)
     return scores
 
 
 def infer_split(params: dict, docs: Sequence[DocumentSequence],
                 config: EncoderConfig, codec: TokenCodec, label_mode: str,
-                recurrent: bool) -> list[PredictionTrace]:
-    """One trace per document.
+                recurrent: bool,
+                encoded: EncodedSplit | None = None) -> list[PredictionTrace]:
+    """One trace per document; ``encoded`` is ``encode_split(docs, ...)`` if
+    known.
 
     Recurrent: left to right in lockstep across documents; page t>1 is
     conditioned on the model's own decision for page t-1 of its document.
     Oblivious: every page scored from its own text, with no context tokens.
     """
+    split = encoded or encode_split(docs, codec, config.max_len)
     pages: list[list] = [[None] * len(doc) for doc in docs]
     if recurrent:
+        sizes = np.diff(split.offsets)
         contexts: list[Context] = [FIRST_PAGE] * len(docs)
-        for t in range(max((len(doc) for doc in docs), default=0)):
-            active = [i for i, doc in enumerate(docs) if t < len(doc)]
-            sequences = [augment_input(contexts[i], docs[i].pages[t].text, codec,
-                                       config.max_len) for i in active]
-            for i, scores in zip(active, _score_rows(params, sequences, config)):
-                labels = predict(scores, label_mode)
-                pages[i][t] = PagePrediction(scores=scores, labels=labels,
-                                             context=contexts[i])
+        for t in range(int(sizes.max(initial=0))):
+            active = np.flatnonzero(sizes > t)
+            fed = [contexts[i] for i in active]
+            scores = _score_rows(params, split, split.offsets[active] + t, fed,
+                                 config, codec)
+            for i, context, row in zip(active.tolist(), fed, scores):
+                labels = predict(row, label_mode)
+                pages[i][t] = PagePrediction(scores=row, labels=labels,
+                                             context=context)
                 contexts[i] = labels
     else:
         where = [(i, t) for i, doc in enumerate(docs) for t in range(len(doc))]
-        sequences = [augment_input(None, docs[i].pages[t].text, codec,
-                                   config.max_len) for i, t in where]
-        for (i, t), scores in zip(where, _score_rows(params, sequences, config)):
-            pages[i][t] = PagePrediction(scores=scores,
-                                         labels=predict(scores, label_mode),
+        scores = _score_rows(params, split, np.arange(len(where)),
+                             [None] * len(where), config, codec)
+        for (i, t), row in zip(where, scores):
+            pages[i][t] = PagePrediction(scores=row,
+                                         labels=predict(row, label_mode),
                                          context=None)
     return [PredictionTrace(doc_id=doc.doc_id, pages=doc_pages)
             for doc, doc_pages in zip(docs, pages)]

@@ -1,7 +1,7 @@
 """Optimization: linear warmup/decay learning-rate schedule, Adam with
 decoupled weight decay, and the deterministic training loop shared by the
-context-oblivious and recurrent setups (they differ only in how batches are
-built).
+context-oblivious and recurrent setups (they differ only in the context
+tokens of the training examples).
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import DocumentSequence, TypeVocabulary
+from .corpus import DocumentSequence
 from .encoder import EncoderConfig, TokenCodec, init_params, loss_and_grad
 from .evaluation import gold_labels, score
-from .recurrence import build_plain_batches, build_teacher_forced_batches, infer_split
+from . import recurrence
+from .recurrence import EncodedSplit, encode_split, infer_split, row_lengths
 
 
 class TrainingDiverged(RuntimeError):
@@ -126,79 +127,86 @@ class TrainReport:
         }
 
 
-def _evaluate_split(params, docs, config, codec, label_mode, recurrent,
-                    vocabulary: TypeVocabulary):
-    traces = infer_split(params, docs, config, codec, label_mode, recurrent)
-    preds = [labels for trace in traces for labels in trace.labels()]
-    golds = gold_labels(docs)
-    scored = score(preds, golds, vocabulary, label_mode)
-    exact = sum(1 for p, g in zip(preds, golds) if p == g)
-    return {
-        "accuracy": exact / len(golds),
-        "macro_f1": scored.macro_f1,
-        "weighted_f1": scored.weighted_f1,
-    }
+def fit_adamw(params: dict[str, np.ndarray], n_examples: int, batch_loss,
+              cfg: TrainConfig, end_epoch=None) -> TrainReport:
+    """Train ``params`` in place with AdamW on the warmup/decay schedule, in
+    batches of example indices shuffled by ``default_rng((cfg.seed, epoch))``.
+    ``batch_loss(rows, epoch)`` gives one batch's loss and gradient;
+    ``end_epoch(epoch)``, if given, metrics to record per epoch."""
+    started = time.perf_counter()
+    total_steps = cfg.epochs * math.ceil(n_examples / cfg.batch_size)
+    state = AdamState.for_params(params)
+    step_losses: list[float] = []
+    step_lrs: list[float] = []
+    epoch_metrics: list[dict] = []
+    for epoch in range(cfg.epochs):
+        order = np.random.default_rng((cfg.seed, epoch)).permutation(n_examples)
+        epoch_losses = []
+        for start in range(0, n_examples, cfg.batch_size):
+            step = len(step_losses)
+            try:
+                loss, grads = batch_loss(order[start:start + cfg.batch_size], epoch)
+            except FloatingPointError as exc:
+                raise TrainingDiverged(
+                    f"non-finite loss at optimizer step {step}: {exc}") from exc
+            lr = lr_at(step, total_steps, cfg)
+            optimizer_step(params, grads, state, lr, cfg)
+            step_losses.append(loss)
+            step_lrs.append(lr)
+            epoch_losses.append(loss)
+        metrics = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
+        if end_epoch is not None:
+            metrics.update(end_epoch(epoch))
+        epoch_metrics.append(metrics)
+    assert len(step_losses) == total_steps
+    return TrainReport(step_losses=step_losses, step_lrs=step_lrs,
+                       epoch_metrics=epoch_metrics, total_steps=total_steps,
+                       wall_clock_seconds=time.perf_counter() - started)
 
 
 def train_encoder(encoder_config: EncoderConfig, codec: TokenCodec,
                   train_docs: Sequence[DocumentSequence], label_mode: str,
                   cfg: TrainConfig, recurrent: bool,
-                  val_docs: Sequence[DocumentSequence] | None = None
+                  val_docs: Sequence[DocumentSequence] | None = None,
+                  encoded: EncodedSplit | None = None
                   ) -> tuple[dict, TrainReport]:
     """Train one encoder; deterministic given the two configs.
 
-    ``recurrent=True`` trains on teacher-forced batches (gold previous-page
-    context tokens); ``recurrent=False`` on plain per-page batches.  Nothing
-    else differs between the two paths.
+    ``recurrent=True`` trains on teacher-forced examples (gold previous-page
+    context tokens); ``recurrent=False`` on plain per-page examples.  Nothing
+    else differs between the two paths.  Both splits are tokenized once;
+    ``encoded`` is ``encode_split(train_docs, codec, encoder_config.max_len)``
+    if known.
     """
-    started = time.perf_counter()
-    n_examples = sum(len(doc) for doc in train_docs)
-    if n_examples == 0:
+    # looked up on the module, so that perfbench's tracer sees the call
+    ids, targets = recurrence.page_examples(train_docs, recurrent, codec,
+                                            encoder_config.max_len, label_mode,
+                                            encoded)
+    if len(ids) == 0:
         raise ValueError("no training pages")
-    steps_per_epoch = math.ceil(n_examples / cfg.batch_size)
-    total_steps = cfg.epochs * steps_per_epoch
-    build = build_teacher_forced_batches if recurrent else build_plain_batches
-
+    lengths = row_lengths(ids)
+    val_encoded = (encode_split(val_docs, codec, encoder_config.max_len)
+                   if val_docs else None)
     params = init_params(encoder_config, codec)
-    state = AdamState.for_params(params)
-    vocabulary = codec.type_vocab
-    step_losses: list[float] = []
-    step_lrs: list[float] = []
-    epoch_metrics: list[dict] = []
-    global_step = 0
-    for epoch in range(cfg.epochs):
-        shuffle_rng = np.random.default_rng((cfg.seed, epoch))
-        dropout_rng = (np.random.default_rng((cfg.seed, 7919, epoch))
-                       if encoder_config.dropout > 0 else None)
-        batches = build(train_docs, cfg.batch_size, codec,
-                        encoder_config.max_len, shuffle_rng)
-        epoch_losses = []
-        for batch in batches:
-            try:
-                loss, grads = loss_and_grad(params, batch, encoder_config,
-                                            label_mode, dropout_rng)
-            except FloatingPointError as exc:
-                raise TrainingDiverged(
-                    f"non-finite loss at optimizer step {global_step}: {exc}"
-                ) from exc
-            lr = lr_at(global_step, total_steps, cfg)
-            optimizer_step(params, grads, state, lr, cfg)
-            step_losses.append(loss)
-            step_lrs.append(lr)
-            epoch_losses.append(loss)
-            global_step += 1
-        metrics = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
-        if val_docs:
-            val = _evaluate_split(params, val_docs, encoder_config, codec,
-                                  label_mode, recurrent, vocabulary)
-            metrics.update({f"val_{k}": v for k, v in val.items()})
-        epoch_metrics.append(metrics)
-    report = TrainReport(
-        step_losses=step_losses,
-        step_lrs=step_lrs,
-        epoch_metrics=epoch_metrics,
-        total_steps=total_steps,
-        wall_clock_seconds=time.perf_counter() - started,
-    )
-    assert len(step_losses) == total_steps
+    dropout_rngs = [np.random.default_rng((cfg.seed, 7919, epoch))
+                    if encoder_config.dropout > 0 else None
+                    for epoch in range(cfg.epochs)]
+
+    def batch_loss(rows, epoch):
+        return loss_and_grad(params, ids[rows, :lengths[rows].max()],
+                             targets[rows], encoder_config, label_mode,
+                             dropout_rngs[epoch])
+
+    def validate(epoch):
+        traces = infer_split(params, val_docs, encoder_config, codec, label_mode,
+                             recurrent, val_encoded)
+        preds = [labels for trace in traces for labels in trace.labels()]
+        golds = gold_labels(val_docs)
+        scored = score(preds, golds, codec.type_vocab, label_mode)
+        return {"val_accuracy": sum(p == g for p, g in zip(preds, golds)) / len(golds),
+                "val_macro_f1": scored.macro_f1,
+                "val_weighted_f1": scored.weighted_f1}
+
+    report = fit_adamw(params, len(ids), batch_loss, cfg,
+                       validate if val_docs else None)
     return params, report

@@ -32,6 +32,51 @@ def reference_tokenize(text: str) -> list[str]:
     return out
 
 
+# -- per-page input augmentation ---------------------------------------------
+
+def augment_input(context, text: str, codec, max_len: int):
+    """Per-page reference of the model input: [CLS] + context tokens + text
+    tokens, PAD-padded to ``max_len``.  Returns (ids, length).
+
+    ``context`` is ``recurrence.FIRST_PAGE``, a non-empty set of class
+    indices, or None.  Context tokens (the first-page marker, or the class
+    special tokens in ascending class order) are never truncated; text is
+    truncated from the right.
+    """
+    from pageseq.encoder import CLS_ID, FIRST_ID, PAD_ID
+    from pageseq.recurrence import FIRST_PAGE
+
+    head = [CLS_ID]
+    if context is FIRST_PAGE:
+        head.append(FIRST_ID)
+    elif context is not None:
+        if not context:
+            raise ValueError("previous-page context must be non-empty")
+        head.extend(codec.class_token_id(c) for c in sorted(context))
+    if len(head) > max_len:
+        raise ValueError("max_len too small for CLS plus context tokens")
+    text_ids = [codec.text_token_id(tok) for tok in reference_tokenize(text)]
+    body = text_ids[: max_len - len(head)]
+    ids = np.full(max_len, PAD_ID, dtype=np.int64)
+    ids[: len(head) + len(body)] = head + body
+    return ids, len(head) + len(body)
+
+
+def reference_batch(examples, label_mode: str, n_classes: int):
+    """(ids, targets) of a training batch from per-page examples
+    ((ids, length), gold label set): the rows cut to the longest length, and
+    gold class indices (multiclass) or a 0/1 matrix (multilabel)."""
+    width = max(length for (_, length), _ in examples)
+    ids = np.stack([row[:width] for (row, _), _ in examples])
+    golds = [gold for _, gold in examples]
+    if label_mode == "multiclass":
+        return ids, np.array([next(iter(gold)) for gold in golds])
+    targets = np.zeros((len(golds), n_classes))
+    for i, gold in enumerate(golds):
+        targets[i, sorted(gold)] = 1.0
+    return ids, targets
+
+
 # -- label-run scanning ------------------------------------------------------
 
 def scan_runs(label_seqs: list[list[int]]) -> dict[int, list[int]]:

@@ -42,12 +42,11 @@ from pageseq.encoder import (
     UNK_ID,
     EncoderConfig,
     TokenCodec,
-    TokenSequence,
     init_params,
     loss_and_grad,
 )
 from pageseq.evaluation import aggregate_f1, gold_labels, mcnemar_bowker, score
-from pageseq.features import fit_svd, fit_vocabulary, texts_of
+from pageseq.features import fit_svd, fit_vocabulary, texts_of, tokenize
 from pageseq.recurrence import infer_split
 from pageseq.training import AdamState, TrainConfig, lr_at, optimizer_step, train_encoder
 
@@ -56,6 +55,7 @@ from oracles import (
     crf_enumerate,
     finite_diff_grads,
     jacobi_eigh,
+    reference_batch,
     reference_chi2_sf,
 )
 
@@ -105,7 +105,7 @@ def _experiment_corpus(self_prob, seed):
 def _run_models(split, seed, with_crf):
     """Train oblivious + recurrent (and optionally fit the CRF on the frozen
     oblivious train scores); return test macro-F1 percentages."""
-    vocab = fit_vocabulary(texts_of(split.train))
+    vocab = fit_vocabulary(map(tokenize, texts_of(split.train)))
     codec = TokenCodec(split.vocabulary, vocab.tokens)
     enc = EncoderConfig(variant="linear", d=32, max_len=16, init_seed=seed)
     cfg = TrainConfig(epochs=5, batch_size=32, peak_lr=0.02, seed=seed)
@@ -215,18 +215,16 @@ def test_criterion_3_crf_exactness():
 # ---------------------------------------------------------------------------
 
 
-def _fd_sequences(codec, max_len):
-    def seq(ids):
+def _fd_batch(codec, max_len, label_mode):
+    a, c = codec.class_token_id(0), codec.class_token_id(2)
+    examples = []
+    for ids, gold in (([CLS_ID, FIRST_ID, 7, 8], frozenset({0})),
+                      ([CLS_ID, a, 9, UNK_ID], frozenset({1})),
+                      ([CLS_ID, a, c, 10], frozenset({2}))):
         padded = np.full(max_len, PAD_ID, dtype=np.int64)
         padded[:len(ids)] = ids
-        return TokenSequence(ids=padded, length=len(ids))
-
-    a, c = codec.class_token_id(0), codec.class_token_id(2)
-    return [
-        (seq([CLS_ID, FIRST_ID, 7, 8]), frozenset({0})),
-        (seq([CLS_ID, a, 9, UNK_ID]), frozenset({1})),
-        (seq([CLS_ID, a, c, 10]), frozenset({2})),
-    ]
+        examples.append(((padded, len(ids)), gold))
+    return reference_batch(examples, label_mode, codec.n_classes)
 
 
 def test_criterion_5_gradient_suites():
@@ -244,10 +242,10 @@ def test_criterion_5_gradient_suites():
             params = init_params(config, codec)
             for name in params:
                 params[name] = rng.normal(0, 0.4, params[name].shape)
-            batch = _fd_sequences(codec, 8)
-            _, grads = loss_and_grad(params, batch, config, label_mode)
+            batch = _fd_batch(codec, 8, label_mode)
+            _, grads = loss_and_grad(params, *batch, config, label_mode)
             numeric = finite_diff_grads(
-                lambda p: loss_and_grad(p, batch, config, label_mode)[0], params)
+                lambda p: loss_and_grad(p, *batch, config, label_mode)[0], params)
             assert_grads_close(grads, numeric, rel_tol=1e-4)
 
         bl_config = BiLstmConfig(input_dim=4, n_classes=3, hidden_dim=5, init_seed=2)

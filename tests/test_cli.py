@@ -101,6 +101,22 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg_path),
                      "--outdir", str(tmp_path / "runs")]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("pages_per_doc", ["a", 3]),
+        ("tokens_per_page", [3]),
+        ("pages_per_doc", [1.5, 3]),
+        ("tokens_per_page", [2, 3, 4]),
+        ("docs_per_split", [3, 2]),
+        ("docs_per_split", [3, 2, True]),
+    ])
+    def test_list_fields_must_hold_integers(self, tmp_path, capsys, field, value):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(dict(SYNTH_CFG, **{field: value})))
+        assert main(["synth", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and field in err[0]
+
 
 class TestTrain:
     def test_writes_checkpoint_and_report(self, tmp_path, corpus_dir):
@@ -303,6 +319,122 @@ class TestInferEvalCompare:
                    "--manifest", str(corpus_dir / "manifest.json"),
                    "--split", "test", "--out", str(tmp_path / "t.jsonl")])
         assert rc == 2
+
+
+def count_tokenize_calls(monkeypatch):
+    """Count calls of the tokenizer under every name the program calls it by."""
+    import pageseq.features as features
+    import pageseq.recurrence as recurrence
+
+    calls = []
+    real = features.tokenize
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(features, "tokenize", counting)
+    monkeypatch.setattr(recurrence, "tokenize", counting)
+    return calls
+
+
+class TestTokenizeOnce:
+    def test_each_page_tokenized_once_per_command(self, tmp_path, corpus_dir,
+                                                  monkeypatch):
+        """train (with the CRF baseline) tokenizes every train and validation
+        page once, for the vocabulary, every epoch and the CRF alike; infer
+        every page of its split once."""
+        split = load_corpus(corpus_dir / "manifest.json")
+        calls = count_tokenize_calls(monkeypatch)
+        outdir = run_train(tmp_path, corpus_dir, "once", baselines={"crf": True})
+        pages = [p.text for docs in (split.train, split.validation)
+                 for d in docs for p in d.pages]
+        assert sorted(calls) == sorted(pages)
+        for ckpt in ("checkpoint.json", "crf.json"):
+            calls.clear()
+            assert main(["infer", "--checkpoint", str(outdir / ckpt),
+                         "--manifest", str(corpus_dir / "manifest.json"),
+                         "--split", "test", "--out", str(tmp_path / "t.jsonl")]) == 0
+            assert sorted(calls) == sorted(p.text for d in split.test
+                                           for p in d.pages)
+
+
+class TestBaselineCheckpoints:
+    """A CRF or BiLSTM checkpoint with a missing field, a wrong shape or a
+    class list that does not fit exits 2 with a one-line message."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("baselines")
+        cfg_path = tmp_path / "synth.json"
+        cfg_path.write_text(json.dumps(SYNTH_CFG))
+        assert main(["synth", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "runs"), "--run-id", "corpus"]) == 0
+        corpus_dir = tmp_path / "runs" / "corpus"
+        outdir = run_train(tmp_path, corpus_dir, "b",
+                           baselines={"crf": True, "bilstm": True},
+                           bilstm={"hidden_dim": 8, "svd_k": 6})
+        return tmp_path, corpus_dir, outdir
+
+    @staticmethod
+    def edit_crf(payload, edit):
+        if edit in ("transition", "start", "encoder", "emission_scale"):
+            del payload[edit]
+        elif edit == "2x2_transition":
+            payload["transition"] = [row[:2] for row in payload["transition"][:2]]
+        elif edit == "2_class_crf":
+            payload["transition"] = [row[:2] for row in payload["transition"][:2]]
+            payload["start"] = payload["start"][:2]
+        elif edit == "nan_scale":
+            payload["emission_scale"] = float("nan")
+        elif edit == "text_scale":
+            payload["emission_scale"] = "one"
+        elif edit == "scalar_start":
+            payload["start"] = 0.0
+        elif edit == "encoder_list":
+            payload["encoder"] = []
+
+    @staticmethod
+    def edit_bilstm(payload, edit):
+        if edit in ("params", "config", "features", "classes"):
+            del payload[edit]
+        elif edit == "missing_param":
+            del payload["params"]["fw_u"]
+        elif edit == "narrow_head":
+            payload["params"]["head_w"] = [row[:2] for row in payload["params"]["head_w"]]
+        elif edit == "hidden_dim":
+            payload["config"]["hidden_dim"] = 9
+        elif edit == "two_classes":
+            payload["classes"] = payload["classes"][:2]
+        elif edit == "input_dim":
+            payload["config"]["input_dim"] = 5
+            payload["params"]["fw_w"] = [row[:5] for row in payload["params"]["fw_w"]]
+            payload["params"]["bw_w"] = [row[:5] for row in payload["params"]["bw_w"]]
+
+    @pytest.mark.parametrize("kind, edit", [
+        ("crf", e) for e in ("transition", "start", "encoder", "emission_scale",
+                             "2x2_transition", "2_class_crf", "nan_scale",
+                             "text_scale", "scalar_start", "encoder_list")
+    ] + [
+        ("bilstm", e) for e in ("params", "config", "features", "classes",
+                                "missing_param", "narrow_head", "hidden_dim",
+                                "two_classes", "input_dim")
+    ])
+    def test_bad_payload_exits_2(self, trained, capsys, kind, edit):
+        tmp_path, corpus_dir, outdir = trained
+        payload = json.loads((outdir / f"{kind}.json").read_text())
+        getattr(self, f"edit_{kind}")(payload, edit)
+        ckpt = tmp_path / f"{kind}-{edit}.json"
+        ckpt.write_text(json.dumps(payload))
+        out = tmp_path / f"{kind}-{edit}.jsonl"
+        capsys.readouterr()
+        rc = main(["infer", "--checkpoint", str(ckpt),
+                   "--manifest", str(corpus_dir / "manifest.json"),
+                   "--split", "test", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestBadArtifacts:

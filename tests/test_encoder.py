@@ -14,7 +14,6 @@ from pageseq.encoder import (
     UNK_ID,
     EncoderConfig,
     TokenCodec,
-    TokenSequence,
     check_sequence,
     forward,
     forward_batch,
@@ -25,7 +24,12 @@ from pageseq.encoder import (
     checkpoint_payload,
 )
 
-from oracles import assert_grads_close, finite_diff_grads, reference_transformer_scores
+from oracles import (
+    assert_grads_close,
+    finite_diff_grads,
+    reference_batch,
+    reference_transformer_scores,
+)
 
 VOCAB3 = TypeVocabulary(("A", "B", "C"))
 TEXT_TOKENS = ("alpha", "beta", "gamma", "delta", "eps", "zeta")
@@ -35,10 +39,23 @@ def make_codec(vocab=VOCAB3, tokens=TEXT_TOKENS):
     return TokenCodec(vocab, tokens)
 
 
-def seq(ids, max_len=12):
-    padded = np.full(max_len, PAD_ID, dtype=np.int64)
-    padded[:len(ids)] = ids
-    return TokenSequence(ids=padded, length=len(ids))
+def seq(ids):
+    """One page's id row."""
+    return np.asarray(ids, dtype=np.int64)
+
+
+def as_batch(examples, label_mode=MULTICLASS, n_classes=3):
+    """(ids, targets) of (id row, gold label set) examples, as
+    ``loss_and_grad`` takes them."""
+    width = max(len(ids) for ids, _ in examples)
+    return reference_batch(
+        [((np.pad(ids, (0, width - len(ids))), len(ids)), gold)
+         for ids, gold in examples], label_mode, n_classes)
+
+
+def pad_rows(rows):
+    """Id rows PAD-padded to the longest."""
+    return as_batch([(row, frozenset({0})) for row in rows])[0]
 
 
 class TestTokenCodec:
@@ -65,6 +82,9 @@ class TestTokenCodec:
             check_sequence(bad, codec)
         with pytest.raises(ValueError, match="CLS"):
             check_sequence(seq([FIRST_ID]), codec)
+        with pytest.raises(ValueError, match="padding tail"):
+            check_sequence(seq([CLS_ID, 7, PAD_ID, 8]), codec)
+        check_sequence(seq([CLS_ID, 7, PAD_ID, PAD_ID]), codec)
 
 
 class TestLinearForward:
@@ -107,7 +127,7 @@ class TestLinearForward:
         codec = make_codec()
         config = EncoderConfig(variant="linear", d=8, max_len=12)
         params = init_params(config, codec)
-        too_long = seq([CLS_ID] + [7] * 15, max_len=16)
+        too_long = seq([CLS_ID] + [7] * 15)
         with pytest.raises(ValueError, match="max_len"):
             forward(params, too_long, config)
 
@@ -129,10 +149,11 @@ class TestTransformerForward:
         config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=1,
                                n_heads=2, max_len=12)
         params = init_params(config, codec)
-        short = forward_batch(params, [seq([CLS_ID, 7, 8])], config)[0]
+        short = forward_batch(params, pad_rows([seq([CLS_ID, 7, 8])]), config)[0]
         # batching with a longer sequence widens the pad tail of the first
-        both = forward_batch(params, [seq([CLS_ID, 7, 8]),
-                                      seq([CLS_ID, 7, 8, 9, 10, 5])], config)
+        both = forward_batch(params, pad_rows([seq([CLS_ID, 7, 8]),
+                                               seq([CLS_ID, 7, 8, 9, 10, 5])]),
+                             config)
         np.testing.assert_allclose(both[0], short, atol=1e-12)
 
     def test_order_sensitivity(self):
@@ -160,11 +181,11 @@ class TestTransformerAgainstFullSequence:
                   for name, value in init_params(config, codec).items()}
         for _ in range(5):
             lengths = rng.integers(1, 13, size=int(rng.integers(1, 9)))
-            batch = [seq([CLS_ID] + list(rng.integers(3, codec.n_ids, size=n - 1)))
-                     for n in lengths]
-            ids = np.stack([s.ids for s in batch])[:, :max(lengths)]
+            ids = pad_rows([seq([CLS_ID] + list(rng.integers(3, codec.n_ids,
+                                                             size=n - 1)))
+                            for n in lengths])
             np.testing.assert_allclose(
-                forward_batch(params, batch, config),
+                forward_batch(params, ids, config),
                 reference_transformer_scores(params, ids, n_layers, 2),
                 rtol=0, atol=1e-12)
 
@@ -193,9 +214,9 @@ class TestLoss:
         params = init_params(config, codec)
         for name in params:
             params[name][:] = 0.0
-        batch = [(seq([CLS_ID, 7]), frozenset({0})),
-                 (seq([CLS_ID, 8, 9]), frozenset({2}))]
-        loss, _ = loss_and_grad(params, batch, config, MULTICLASS)
+        ids, targets = as_batch([(seq([CLS_ID, 7]), frozenset({0})),
+                                 (seq([CLS_ID, 8, 9]), frozenset({2}))])
+        loss, _ = loss_and_grad(params, ids, targets, config, MULTICLASS)
         assert loss == pytest.approx(math.log(3), rel=1e-12)
 
     def test_confident_correct_logits_drive_loss_to_zero(self):
@@ -208,8 +229,8 @@ class TestLoss:
         tok = codec.text_token_id("tok")
         params["emb"][tok] = np.array([50.0, 0.0, 0.0])
         params["head_w"] = np.eye(3)
-        batch = [(seq([CLS_ID, tok], max_len=5), frozenset({0}))]
-        loss, _ = loss_and_grad(params, batch, config, MULTICLASS)
+        ids, targets = as_batch([(seq([CLS_ID, tok]), frozenset({0}))])
+        loss, _ = loss_and_grad(params, ids, targets, config, MULTICLASS)
         assert loss < 1e-20
 
     def test_non_finite_loss_reports_example_index(self):
@@ -217,10 +238,10 @@ class TestLoss:
         config = EncoderConfig(variant="linear", d=4, max_len=8)
         params = init_params(config, codec)
         params["emb"][7] = np.nan
-        batch = [(seq([CLS_ID, 8], max_len=8), frozenset({0})),
-                 (seq([CLS_ID, 7], max_len=8), frozenset({1}))]
+        ids, targets = as_batch([(seq([CLS_ID, 8]), frozenset({0})),
+                                 (seq([CLS_ID, 7]), frozenset({1}))])
         with pytest.raises(FloatingPointError, match="example 1"):
-            loss_and_grad(params, batch, config, MULTICLASS)
+            loss_and_grad(params, ids, targets, config, MULTICLASS)
 
     def test_multilabel_bce_value(self):
         """All-zero logits: BCE is ln 2 per (example, class)."""
@@ -229,21 +250,22 @@ class TestLoss:
         params = init_params(config, codec)
         for name in params:
             params[name][:] = 0.0
-        batch = [(seq([CLS_ID, 7]), frozenset({0, 2}))]
-        loss, _ = loss_and_grad(params, batch, config, MULTILABEL)
+        ids, targets = as_batch([(seq([CLS_ID, 7]), frozenset({0, 2}))],
+                                MULTILABEL)
+        loss, _ = loss_and_grad(params, ids, targets, config, MULTILABEL)
         assert loss == pytest.approx(math.log(2), rel=1e-12)
 
 
-def fd_batch(codec, max_len):
+def fd_batch(codec, label_mode=MULTICLASS):
     """Batch exercising special tokens, UNK, and text tokens."""
     a = codec.class_token_id(0)
     c = codec.class_token_id(2)
-    return [
-        (seq([CLS_ID, FIRST_ID, 7, 8], max_len), frozenset({0})),
-        (seq([CLS_ID, a, 9, UNK_ID, 7], max_len), frozenset({1})),
-        (seq([CLS_ID, a, c, 10], max_len), frozenset({2})),
-        (seq([CLS_ID, 8], max_len), frozenset({0})),
-    ]
+    return as_batch([
+        (seq([CLS_ID, FIRST_ID, 7, 8]), frozenset({0})),
+        (seq([CLS_ID, a, 9, UNK_ID, 7]), frozenset({1})),
+        (seq([CLS_ID, a, c, 10]), frozenset({2})),
+        (seq([CLS_ID, 8]), frozenset({0})),
+    ], label_mode)
 
 
 class TestGradients:
@@ -255,10 +277,10 @@ class TestGradients:
         params = init_params(config, codec)
         for name in params:  # larger-than-init values to avoid degenerate zeros
             params[name] = rng.normal(0.0, 0.5, size=params[name].shape)
-        batch = fd_batch(codec, 8)
-        _, grads = loss_and_grad(params, batch, config, label_mode)
+        batch = fd_batch(codec, label_mode)
+        _, grads = loss_and_grad(params, *batch, config, label_mode)
         numeric = finite_diff_grads(
-            lambda p: loss_and_grad(p, batch, config, label_mode)[0], params)
+            lambda p: loss_and_grad(p, *batch, config, label_mode)[0], params)
         assert_grads_close(grads, numeric, rel_tol=1e-4)
 
     @pytest.mark.parametrize("label_mode", [MULTICLASS, MULTILABEL])
@@ -270,10 +292,10 @@ class TestGradients:
         params = init_params(config, codec)
         for name in params:
             params[name] = rng.normal(0.0, 0.4, size=params[name].shape)
-        batch = fd_batch(codec, 8)
-        _, grads = loss_and_grad(params, batch, config, label_mode)
+        batch = fd_batch(codec, label_mode)
+        _, grads = loss_and_grad(params, *batch, config, label_mode)
         numeric = finite_diff_grads(
-            lambda p: loss_and_grad(p, batch, config, label_mode)[0], params)
+            lambda p: loss_and_grad(p, *batch, config, label_mode)[0], params)
         assert_grads_close(grads, numeric, rel_tol=1e-4)
 
     def test_transformer_dropout_gradients_match_finite_differences(self):
@@ -284,14 +306,14 @@ class TestGradients:
         rng = np.random.default_rng(29)
         params = {name: rng.normal(0.0, 0.4, size=value.shape)
                   for name, value in init_params(config, codec).items()}
-        batch = fd_batch(codec, 8)
+        batch = fd_batch(codec)
 
         def loss_grad(p):
-            return loss_and_grad(p, batch, config, MULTICLASS,
+            return loss_and_grad(p, *batch, config, MULTICLASS,
                                  np.random.default_rng(17))
 
         loss, grads = loss_grad(params)
-        no_dropout = loss_and_grad(params, batch, config, MULTICLASS)[0]
+        no_dropout = loss_and_grad(params, *batch, config, MULTICLASS)[0]
         assert loss != no_dropout  # the masks are in effect
         numeric = finite_diff_grads(lambda p: loss_grad(p)[0], params)
         # A key bias shifts every logit of a query row alike, and softmax
@@ -311,19 +333,20 @@ class TestGradients:
         rng = np.random.default_rng(31)
         params = {name: rng.normal(0.0, 0.4, size=value.shape)
                   for name, value in init_params(config, codec).items()}
-        batch = fd_batch(codec, 8)
-        _, grads = loss_and_grad(params, batch, config, MULTICLASS)
+        batch = fd_batch(codec)
+        _, grads = loss_and_grad(params, *batch, config, MULTICLASS)
         numeric = finite_diff_grads(
-            lambda p: loss_and_grad(p, batch, config, MULTICLASS)[0], params)
+            lambda p: loss_and_grad(p, *batch, config, MULTICLASS)[0], params)
         assert_grads_close(grads, numeric, rel_tol=1e-4)
 
     def test_special_token_embeddings_receive_gradient(self):
         codec = make_codec()
         config = EncoderConfig(variant="linear", d=6, max_len=8)
         params = init_params(config, codec)
-        batch = [(seq([CLS_ID, FIRST_ID, 7], 8), frozenset({0})),
-                 (seq([CLS_ID, codec.class_token_id(1), 8], 8), frozenset({1}))]
-        _, grads = loss_and_grad(params, batch, config, MULTICLASS)
+        ids, targets = as_batch([
+            (seq([CLS_ID, FIRST_ID, 7]), frozenset({0})),
+            (seq([CLS_ID, codec.class_token_id(1), 8]), frozenset({1}))])
+        _, grads = loss_and_grad(params, ids, targets, config, MULTICLASS)
         assert np.any(grads["emb"][FIRST_ID] != 0.0)
         assert np.any(grads["emb"][codec.class_token_id(1)] != 0.0)
 

@@ -51,11 +51,11 @@ class TestTokenize:
 class TestVocabulary:
     def test_cap_keeps_most_frequent(self):
         texts = ["a a a b b c"]
-        vocab = fit_vocabulary(texts, cap=2)
+        vocab = fit_vocabulary(map(tokenize, texts), cap=2)
         assert vocab.tokens == ("a", "b")
 
     def test_cap_larger_than_distinct(self):
-        vocab = fit_vocabulary(["x y", "y z"], cap=100)
+        vocab = fit_vocabulary(map(tokenize, ["x y", "y z"]), cap=100)
         assert set(vocab.tokens) == {"x", "y", "z"}
 
     def test_ties_broken_lexicographically(self):
@@ -63,15 +63,15 @@ class TestVocabulary:
         texts = ["b a", "d c", "a b"]
         counts = {"a": 2, "b": 2, "c": 1, "d": 1}
         expected = sorted(counts, key=lambda t: (-counts[t], t))[:3]
-        vocab = fit_vocabulary(texts, cap=3)
+        vocab = fit_vocabulary(map(tokenize, texts), cap=3)
         assert list(vocab.tokens) == expected == ["a", "b", "c"]
 
     def test_ids_are_dense_and_ordered(self):
-        vocab = fit_vocabulary(["c c c b b a"], cap=10)
+        vocab = fit_vocabulary(map(tokenize, ["c c c b b a"]), cap=10)
         assert vocab.token_ids() == {"c": 0, "b": 1, "a": 2}
 
     def test_doc_freq_counts_pages(self):
-        vocab = fit_vocabulary(["a a b", "a c", "c"], cap=10)
+        vocab = fit_vocabulary(map(tokenize, ["a a b", "a c", "c"]), cap=10)
         ids = vocab.token_ids()
         assert vocab.doc_freq[ids["a"]] == 2
         assert vocab.doc_freq[ids["c"]] == 2
@@ -79,9 +79,9 @@ class TestVocabulary:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
-            fit_vocabulary([], cap=5)
+            fit_vocabulary(map(tokenize, []), cap=5)
         with pytest.raises(ValueError, match="empty corpus"):
-            fit_vocabulary(["...", ""], cap=5)
+            fit_vocabulary(map(tokenize, ["...", ""]), cap=5)
 
 
 # Four-page fixture; idf and tf*idf products below were computed by hand from

@@ -1,10 +1,20 @@
 """Tests for context-token augmentation, teacher forcing, and sequential inference."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pageseq.encoder as encoder
-from pageseq.corpus import MULTICLASS, DocumentSequence, PageRecord, TypeVocabulary
+from pageseq.corpus import (
+    MULTICLASS,
+    MULTILABEL,
+    DocumentSequence,
+    PageRecord,
+    TypeVocabulary,
+)
 from pageseq.encoder import (
     EncoderConfig,
     TokenCodec,
@@ -16,13 +26,17 @@ from pageseq.encoder import (
 from pageseq.recurrence import (
     FIRST_PAGE,
     augment_input,
-    build_plain_batches,
-    build_teacher_forced_batches,
+    encode_split,
     infer_split,
     page_examples,
     read_traces,
+    row_lengths,
     write_traces,
 )
+import pageseq.training as training
+from pageseq.training import TrainConfig, train_encoder
+
+import oracles
 
 BRIEFS = TypeVocabulary(("Caption", "Body", "Signature"))
 
@@ -37,6 +51,19 @@ def make_doc(doc_id, texts_and_labels):
         for i, (text, lab) in enumerate(texts_and_labels)
     )
     return DocumentSequence(doc_id, pages)
+
+
+def augment(context, text, codec, max_len):
+    """The batched augment_input on one page: its id row."""
+    split = encode_split([make_doc("d", [(text, 0)])], codec, max_len)
+    (row,) = augment_input(split.text, split.lengths, [context], codec, max_len)
+    return row
+
+
+def reference_row(context, text, codec, max_len):
+    """oracles.augment_input's row, cut to its length."""
+    ids, length = oracles.augment_input(context, text, codec, max_len)
+    return ids[:length]
 
 
 def infer_document(params, doc, config, codec, label_mode):
@@ -57,8 +84,8 @@ def reference_traces(params, docs, config, codec, label_mode, recurrent):
         context = FIRST_PAGE if recurrent else None
         pages = []
         for page in doc.pages:
-            seq = augment_input(context, page.text, codec, config.max_len)
-            scores = forward(params, seq, config)
+            row = reference_row(context, page.text, codec, config.max_len)
+            scores = forward(params, row, config)
             labels = predict(scores, label_mode)
             pages.append((scores, labels, context))
             if recurrent:
@@ -72,9 +99,9 @@ def count_forward_batch_rows(monkeypatch):
     rows = []
     real = encoder.forward_batch
 
-    def counting(params, sequences, config):
-        rows.append(len(sequences))
-        return real(params, sequences, config)
+    def counting(params, ids, config):
+        rows.append(len(ids))
+        return real(params, ids, config)
 
     monkeypatch.setattr(encoder, "forward_batch", counting)
     return rows
@@ -83,46 +110,59 @@ def count_forward_batch_rows(monkeypatch):
 class TestAugmentInput:
     def test_first_page_gets_reserved_token(self):
         codec = briefs_codec()
-        seq = augment_input(FIRST_PAGE, "brief of appellant", codec, max_len=10)
-        assert codec.decode(seq.ids) == ["[CLS]", "[-1]", "brief", "of", "appellant"]
+        seq = augment(FIRST_PAGE, "brief of appellant", codec, max_len=10)
+        assert codec.decode(seq) == ["[CLS]", "[-1]", "brief", "of", "appellant"]
 
     def test_previous_class_token_prepended(self):
         codec = briefs_codec()
-        seq = augment_input(frozenset({0}), "brief of appellant", codec, max_len=10)
-        assert codec.decode(seq.ids) == \
+        seq = augment(frozenset({0}), "brief of appellant", codec, max_len=10)
+        assert codec.decode(seq) == \
             ["[CLS]", "[type_Caption]", "brief", "of", "appellant"]
 
     def test_multilabel_context_two_tokens_ascending(self):
         vocab = TypeVocabulary(tuple(f"K{i}" for i in range(6)), "multilabel")
         codec = TokenCodec(vocab, ("word",))
-        seq = augment_input(frozenset({5, 2}), "word word", codec, max_len=12)
-        decoded = codec.decode(seq.ids)
+        seq = augment(frozenset({5, 2}), "word word", codec, max_len=12)
+        decoded = codec.decode(seq)
         assert decoded[:3] == ["[CLS]", "[type_K2]", "[type_K5]"]
         assert decoded[3:] == ["word", "word"]
 
     def test_oblivious_input_has_no_context_tokens(self):
         codec = briefs_codec()
-        seq = augment_input(None, "brief of", codec, max_len=10)
-        assert codec.decode(seq.ids) == ["[CLS]", "brief", "of"]
+        seq = augment(None, "brief of", codec, max_len=10)
+        assert codec.decode(seq) == ["[CLS]", "brief", "of"]
 
     def test_text_truncated_from_right_specials_survive(self):
         codec = briefs_codec()
         text = " ".join(["page"] * 50)
-        seq = augment_input(frozenset({0, 1}), text, codec, max_len=6)
-        decoded = codec.decode(seq.ids)
-        assert seq.length == 6
+        seq = augment(frozenset({0, 1}), text, codec, max_len=6)
+        decoded = codec.decode(seq)
+        assert len(seq) == 6
         assert decoded == ["[CLS]", "[type_Caption]", "[type_Body]",
                            "page", "page", "page"]
         check_sequence(seq, codec)
 
     def test_unknown_text_tokens_become_unk(self):
         codec = briefs_codec()
-        seq = augment_input(FIRST_PAGE, "zzz brief", codec, max_len=8)
-        assert codec.decode(seq.ids) == ["[CLS]", "[-1]", "[UNK]", "brief"]
+        seq = augment(FIRST_PAGE, "zzz brief", codec, max_len=8)
+        assert codec.decode(seq) == ["[CLS]", "[-1]", "[UNK]", "brief"]
 
     def test_empty_context_set_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            augment_input(frozenset(), "x", briefs_codec(), max_len=8)
+            augment(frozenset(), "x", briefs_codec(), max_len=8)
+
+
+def record_batches(monkeypatch):
+    """Record the (ids, targets) of every training step."""
+    batches = []
+    real = training.loss_and_grad
+
+    def recording(params, ids, targets, *args):
+        batches.append((ids.copy(), targets.copy()))
+        return real(params, ids, targets, *args)
+
+    monkeypatch.setattr(training, "loss_and_grad", recording)
+    return batches
 
 
 class TestTeacherForcedBatches:
@@ -130,22 +170,22 @@ class TestTeacherForcedBatches:
         """Doc with gold A,B -> examples (FIRST_PAGE, A), ({A}, B)."""
         codec = briefs_codec()
         doc = make_doc("d", [("brief", 0), ("signed", 1)])
-        examples = page_examples([doc], True, codec, max_len=8)
-        assert len(examples) == 2
-        seq0, gold0 = examples[0]
-        assert codec.decode(seq0.ids)[1] == "[-1]"
-        assert gold0 == frozenset({0})
-        seq1, gold1 = examples[1]
-        assert codec.decode(seq1.ids)[1] == "[type_Caption]"
-        assert gold1 == frozenset({1})
+        ids, targets = page_examples([doc], True, codec, 8, MULTICLASS)
+        assert len(ids) == 2
+        assert codec.decode(ids[0])[1] == "[-1]"
+        assert targets[0] == 0
+        assert codec.decode(ids[1])[1] == "[type_Caption]"
+        assert targets[1] == 1
 
-    def test_batch_sizes(self):
+    def test_batch_sizes(self, monkeypatch):
         """100 pages at batch_size 32 -> batches of 32,32,32,4."""
+        batches = record_batches(monkeypatch)
         codec = briefs_codec()
         docs = [make_doc(f"d{i}", [("page", 0)] * 10) for i in range(10)]
-        batches = build_teacher_forced_batches(docs, 32, codec, 8,
-                                               np.random.default_rng(0))
-        assert [len(b) for b in batches] == [32, 32, 32, 4]
+        train_encoder(EncoderConfig(variant="linear", d=4, max_len=8), codec,
+                      docs, MULTICLASS, TrainConfig(epochs=1, batch_size=32),
+                      recurrent=True)
+        assert [len(ids) for ids, _ in batches] == [32, 32, 32, 4]
 
     def test_contexts_depend_only_on_gold(self):
         """Scan of batch construction inputs: every context token equals the
@@ -156,40 +196,165 @@ class TestTeacherForcedBatches:
             make_doc(f"d{i}", [("page", int(c)) for c in rng.integers(0, 3, size=6)])
             for i in range(4)
         ]
-        examples = page_examples(docs, True, codec, max_len=8)
+        ids, targets = page_examples(docs, True, codec, 8, MULTICLASS)
         idx = 0
         for doc in docs:
             for t in range(len(doc.pages)):
-                seq, gold = examples[idx]
-                decoded = codec.decode(seq.ids)
+                decoded = codec.decode(ids[idx])
                 if t == 0:
                     assert decoded[1] == "[-1]"
                 else:
                     prev_gold = next(iter(doc.pages[t - 1].gold_labels))
                     assert decoded[1] == BRIEFS.special_token(prev_gold)
-                assert gold == doc.pages[t].gold_labels
+                assert {int(targets[idx])} == doc.pages[t].gold_labels
                 idx += 1
 
-    def test_shuffle_is_seeded(self):
+    def test_shuffle_is_seeded(self, monkeypatch):
+        batches = record_batches(monkeypatch)
         codec = briefs_codec()
         docs = [make_doc(f"d{i}", [("page", 0)] * 5) for i in range(6)]
-        b1 = build_teacher_forced_batches(docs, 4, codec, 8, np.random.default_rng(3))
-        b2 = build_teacher_forced_batches(docs, 4, codec, 8, np.random.default_rng(3))
-        for x, y in zip(b1, b2):
-            for (sx, gx), (sy, gy) in zip(x, y):
-                np.testing.assert_array_equal(sx.ids, sy.ids)
-                assert gx == gy
+        for _ in range(2):
+            train_encoder(EncoderConfig(variant="linear", d=4, max_len=8), codec,
+                          docs, MULTICLASS,
+                          TrainConfig(epochs=2, batch_size=4, seed=3),
+                          recurrent=True)
+        first, second = batches[:len(batches) // 2], batches[len(batches) // 2:]
+        for (ix, tx), (iy, ty) in zip(first, second):
+            np.testing.assert_array_equal(ix, iy)
+            np.testing.assert_array_equal(tx, ty)
 
     def test_plain_batches_carry_no_context_tokens(self):
         codec = briefs_codec()
         docs = [make_doc("d", [("brief", 0), ("page", 1)])]
-        (batch,) = build_plain_batches(docs, 8, codec, 8)
-        assert len(batch) == 2
-        for seq, _ in batch:
-            decoded = codec.decode(seq.ids)
+        ids, _ = page_examples(docs, False, codec, 8, MULTICLASS)
+        assert len(ids) == 2
+        for row in ids:
+            decoded = codec.decode(row)
             assert decoded[0] == "[CLS]"
             assert not any(t.startswith("[type_") or t == "[-1]"
                            for t in decoded)
+
+
+PROPERTY_WORDS = ("brief", "of", "Appellant,", "signed", "page", "§", "ÉTÉ")
+
+# page text: arbitrary Unicode, or known words and arbitrary pieces joined by
+# assorted Unicode whitespace
+page_texts = st.one_of(
+    st.text(max_size=40),
+    st.tuples(st.lists(st.one_of(st.sampled_from(PROPERTY_WORDS),
+                                 st.text(max_size=6)), max_size=14),
+              st.sampled_from([" ", "\t", "\n", "\u3000", " \u00a0 "]))
+    .map(lambda parts: parts[1].join(parts[0])))
+
+
+@st.composite
+def labelled_splits(draw, max_docs=6, max_pages=5):
+    """(codec, docs): a ragged split whose gold labels fit the codec's label
+    mode, and a codec that knows some of the split's tokens."""
+    n = draw(st.integers(2, 5))
+    label_mode = draw(st.sampled_from([MULTICLASS, MULTILABEL]))
+    label_sets = st.sets(st.integers(0, n - 1), min_size=1,
+                         max_size=1 if label_mode == MULTICLASS else n)
+    pages = st.lists(st.tuples(page_texts, label_sets), min_size=1,
+                     max_size=max_pages)
+    docs = [make_doc(f"d{i}", doc_pages) for i, doc_pages in
+            enumerate(draw(st.lists(pages, min_size=1, max_size=max_docs)))]
+    seen = sorted({tok for doc in docs for page in doc.pages
+                   for tok in oracles.reference_tokenize(page.text)})
+    known = draw(st.lists(st.sampled_from(seen), unique=True)) if seen else []
+    vocab = TypeVocabulary(tuple(f"K{i}" for i in range(n)), label_mode)
+    return TokenCodec(vocab, known), docs
+
+
+def context_size(context):
+    return 0 if context is None else 1 if context is FIRST_PAGE else len(context)
+
+
+@st.composite
+def augment_cases(draw):
+    """A split, one context per page (none, first page, or 1..n classes), a
+    block of its rows in any order, and a max_len from one below CLS plus the
+    longest context upwards, so that truncation and the too-small case
+    occur."""
+    codec, docs = draw(labelled_splits())
+    n = codec.n_classes
+    classes = st.frozensets(
+        st.integers(0, n - 1), min_size=1,
+        max_size=1 if codec.type_vocab.label_mode == MULTICLASS else n)
+    n_pages = sum(len(doc) for doc in docs)
+    contexts = draw(st.lists(st.one_of(st.none(), st.just(FIRST_PAGE), classes),
+                             min_size=n_pages, max_size=n_pages))
+    longest = max(map(context_size, contexts))
+    max_len = draw(st.integers(max(longest, 1), longest + 14))
+    block = draw(st.permutations(range(n_pages)).flatmap(
+        lambda rows: st.integers(1, n_pages).map(lambda k: rows[:k])))
+    return codec, docs, contexts, max_len, block
+
+
+class TestAugmentInputProperties:
+    """The batched augment_input against the per-page oracle."""
+
+    @settings(max_examples=250)
+    @given(augment_cases())
+    def test_rows_equal_per_page_oracle(self, case):
+        codec, docs, contexts, max_len, block = case
+        texts = [page.text for doc in docs for page in doc.pages]
+        split = encode_split(docs, codec, max_len)
+        fed = [contexts[r] for r in block]
+        if max_len < 1 + max(map(context_size, fed)):
+            with pytest.raises(ValueError, match="max_len"):
+                augment_input(split.text[block], split.lengths[block], fed, codec,
+                              max_len)
+            return
+        ids = augment_input(split.text[block], split.lengths[block], fed, codec,
+                            max_len)
+        expected = [oracles.augment_input(context, texts[r], codec, max_len)
+                    for r, context in zip(block, fed)]
+        lengths = [length for _, length in expected]
+        assert ids.shape == (len(block), max(lengths))
+        np.testing.assert_array_equal(
+            ids, np.stack([ref[:ids.shape[1]] for ref, _ in expected]))
+        np.testing.assert_array_equal(row_lengths(ids), lengths)
+
+    @settings(max_examples=100)
+    @given(labelled_splits(max_docs=8, max_pages=6), st.integers(1, 9),
+           st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_epoch_batches_are_oracle_rows_in_shuffled_order(
+            self, case, batch_size, seed, teacher_forced):
+        codec, docs = case
+        label_mode = codec.type_vocab.label_mode
+        config = EncoderConfig(variant="linear", d=4, max_len=8)
+        cfg = TrainConfig(epochs=2, batch_size=batch_size, seed=seed)
+        recorded = []
+        real = training.loss_and_grad
+
+        def recording(params, ids, targets, *args):
+            recorded.append((ids.copy(), targets.copy()))
+            return real(params, ids, targets, *args)
+
+        with mock.patch.object(training, "loss_and_grad", recording):
+            train_encoder(config, codec, docs, label_mode, cfg, teacher_forced)
+
+        examples = []
+        for doc in docs:
+            for t, page in enumerate(doc.pages):
+                context = (None if not teacher_forced else FIRST_PAGE if t == 0
+                           else doc.pages[t - 1].gold_labels)
+                examples.append((oracles.augment_input(context, page.text, codec,
+                                                       config.max_len),
+                                 page.gold_labels))
+        expected = []
+        for epoch in range(cfg.epochs):
+            order = np.arange(len(examples))
+            np.random.default_rng((seed, epoch)).shuffle(order)
+            for lo in range(0, len(order), batch_size):
+                expected.append(oracles.reference_batch(
+                    [examples[i] for i in order[lo:lo + batch_size]], label_mode,
+                    codec.n_classes))
+        assert len(recorded) == len(expected)
+        for (ids, targets), (ref_ids, ref_targets) in zip(recorded, expected):
+            np.testing.assert_array_equal(ids, ref_ids)
+            np.testing.assert_array_equal(targets, ref_targets)
 
 
 def stub_params(codec, config):
@@ -248,8 +413,8 @@ class TestInferDocument:
 
         context = FIRST_PAGE
         for t, page in enumerate(doc.pages):
-            seq = augment_input(context, page.text, codec, config.max_len)
-            scores = forward(params, seq, config)
+            row = reference_row(context, page.text, codec, config.max_len)
+            scores = forward(params, row, config)
             labels = predict(scores, MULTICLASS)
             np.testing.assert_array_equal(trace.pages[t].scores, scores)
             assert trace.pages[t].labels == labels
@@ -293,10 +458,10 @@ class TestInferContextOblivious:
         doc = make_doc("d", [("brief of", 0), ("signed page", 1), ("of", 2)])
         trace = infer_context_oblivious(params, doc, config, codec, MULTICLASS)
         for t, page in enumerate(doc.pages):
-            seq = augment_input(None, page.text, codec, config.max_len)
+            row = reference_row(None, page.text, codec, config.max_len)
             # one 3-row call against three 1-row calls: BLAS may round apart
             np.testing.assert_allclose(trace.pages[t].scores,
-                                       forward(params, seq, config),
+                                       forward(params, row, config),
                                        rtol=0, atol=1e-12)
             assert trace.pages[t].context is None
 

@@ -5,7 +5,7 @@ import pytest
 
 from pageseq.corpus import MULTICLASS, SynthConfig, generate_synthetic
 from pageseq.encoder import EncoderConfig, TokenCodec
-from pageseq.features import fit_vocabulary, texts_of
+from pageseq.features import fit_vocabulary, texts_of, tokenize
 from pageseq.training import (
     AdamState,
     TrainConfig,
@@ -103,7 +103,7 @@ def tiny_corpus(seed=0, ambiguity=0.0, n_classes=3, self_prob=0.5):
 
 
 def codec_for(split, cap=60_000):
-    vocab = fit_vocabulary(texts_of(split.train), cap)
+    vocab = fit_vocabulary(map(tokenize, texts_of(split.train)), cap)
     return TokenCodec(split.vocabulary, vocab.tokens)
 
 
