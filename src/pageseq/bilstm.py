@@ -102,15 +102,22 @@ def _lstm_backward(dstates, caches, w, u):
     return dx, dw, du, db
 
 
+def _forward(params: dict, x: np.ndarray):
+    """Logits (l, n), the concatenated hidden states (l, 2h) and the caches
+    of both directions."""
+    fw, fw_cache = _lstm_run(x, params["fw_w"], params["fw_u"], params["fw_b"])
+    bw_rev, bw_cache = _lstm_run(x[::-1], params["bw_w"], params["bw_u"],
+                                 params["bw_b"])
+    both = np.concatenate([fw, bw_rev[::-1]], axis=1)
+    return both @ params["head_w"] + params["head_b"], both, fw_cache, bw_cache
+
+
 def bilstm_forward(params: dict, x: np.ndarray) -> np.ndarray:
     """Per-page logits (l, n) for one document's page vectors (l, k)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("need a non-empty (l, k) vector sequence")
-    fw, _ = _lstm_run(x, params["fw_w"], params["fw_u"], params["fw_b"])
-    bw_rev, _ = _lstm_run(x[::-1], params["bw_w"], params["bw_u"], params["bw_b"])
-    both = np.concatenate([fw, bw_rev[::-1]], axis=1)
-    return both @ params["head_w"] + params["head_b"]
+    return _forward(params, x)[0]
 
 
 def bilstm_loss_and_grad(params: dict,
@@ -128,11 +135,7 @@ def bilstm_loss_and_grad(params: dict,
     for x, labels in batch:
         x = np.asarray(x, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
-        fw, fw_cache = _lstm_run(x, params["fw_w"], params["fw_u"], params["fw_b"])
-        bw_rev, bw_cache = _lstm_run(x[::-1], params["bw_w"], params["bw_u"],
-                                     params["bw_b"])
-        both = np.concatenate([fw, bw_rev[::-1]], axis=1)
-        logits = both @ params["head_w"] + params["head_b"]
+        logits, both, fw_cache, bw_cache = _forward(params, x)
         logp = log_softmax(logits, axis=1)
         page_losses = -logp[np.arange(len(labels)), labels]
         if not np.all(np.isfinite(page_losses)):
@@ -171,8 +174,3 @@ def bilstm_train(sequences: Sequence[np.ndarray],
             params, [(sequences[i], label_seqs[i]) for i in rows])
 
     return params, fit_adamw(params, len(sequences), batch_loss, cfg)
-
-
-def bilstm_predict(params: dict, x: np.ndarray) -> list[int]:
-    """Per-page argmax labels for one document."""
-    return [int(c) for c in np.argmax(bilstm_forward(params, x), axis=1)]

@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +60,6 @@ from .features import (
     fit_vocabulary,
     page_vector_model_from_payload,
     page_vector_payload,
-    project,
-    texts_of,
     tfidf_matrix,
 )
 from .recurrence import (
@@ -270,6 +269,14 @@ def _encoder_logit_seqs(params, config, codec, split_docs, label_mode,
     return [np.stack([p.scores for p in trace.pages]) for trace in traces]
 
 
+def _page_vector_seqs(matrix, projector, docs):
+    """Page vectors ``matrix @ basis`` of the TF-IDF rows of ``docs``' pages,
+    one (l, k) array per document."""
+    vectors = matrix @ projector.basis
+    offsets = np.cumsum([0] + [len(doc) for doc in docs])
+    return [vectors[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+
+
 def cmd_train(args) -> int:
     cfg_obj = _load_config_file(args.config)
     if args.mode:
@@ -305,9 +312,27 @@ def cmd_train(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     provenance = provenance_for("train", cfg_obj, seed)
 
-    # the train split is tokenized once, for the vocabulary and the encoder
+    # the train split is tokenized once, for the vocabulary, the encoder and
+    # the BiLSTM's page vectors
     train_tokens = page_tokens(split.train)
-    codec = TokenCodec(split.vocabulary, fit_vocabulary(train_tokens, cap).tokens)
+    vocab = fit_vocabulary(train_tokens, cap)
+    if want_bilstm:
+        if label_mode != MULTICLASS:
+            raise ConfigError("baselines.bilstm supports multiclass corpora only")
+        bl_obj = _field(cfg_obj, "bilstm", dict, default={})
+        hidden = _field(bl_obj, "hidden_dim", int, default=128, where="bilstm")
+        svd_k = _field(bl_obj, "svd_k", int, default=300, where="bilstm")
+        try:
+            bl_config = BiLstmConfig(input_dim=svd_k, n_classes=split.vocabulary.n,
+                                     hidden_dim=hidden, init_seed=seed)
+        except ValueError as exc:
+            raise ConfigError(f"invalid bilstm config: {exc}") from None
+        # the TF-IDF vocabulary is this one: same train tokens, same cap
+        if svd_k > min(len(train_tokens), vocab.size):
+            raise ConfigError(
+                f"bilstm.svd_k={svd_k} exceeds min(train pages, vocabulary) "
+                f"= {min(len(train_tokens), vocab.size)}")
+    codec = TokenCodec(split.vocabulary, vocab.tokens)
     train_encoded = encode_split(split.train, codec, encoder_config.max_len,
                                  train_tokens)
     started = time.perf_counter()
@@ -345,29 +370,15 @@ def cmd_train(args) -> int:
         timings["crf_seconds"] = time.perf_counter() - tick
 
     if want_bilstm:
-        if label_mode != MULTICLASS:
-            raise ConfigError("baselines.bilstm supports multiclass corpora only")
-        bl_obj = _field(cfg_obj, "bilstm", dict, default={})
-        hidden = _field(bl_obj, "hidden_dim", int, default=128, where="bilstm")
-        svd_k = _field(bl_obj, "svd_k", int, default=300, where="bilstm")
         tick = time.perf_counter()
-        texts = texts_of(split.train)
-        tfidf = fit_tfidf(texts, cap)
-        matrix = tfidf_matrix(texts, tfidf)
-        if svd_k > min(matrix.shape):
-            raise ConfigError(
-                f"bilstm.svd_k={svd_k} exceeds min(train pages, vocabulary) "
-                f"= {min(matrix.shape)}")
+        tfidf = fit_tfidf(train_tokens, cap)
+        matrix = tfidf_matrix(train_tokens, tfidf)
         projector = fit_svd(matrix, k=svd_k)
-        feats = [np.stack([project(p.text, tfidf, projector) for p in doc.pages])
-                 for doc in split.train]
-        bl_config = BiLstmConfig(input_dim=svd_k, n_classes=split.vocabulary.n,
-                                 hidden_dim=hidden, init_seed=seed)
+        feats = _page_vector_seqs(matrix, projector, split.train)
         bl_params, bl_report = bilstm_train(feats, golds, bl_config, train_config)
         write_json(outdir / "bilstm.json", {
             "kind": "bilstm",
-            "config": {"input_dim": svd_k, "n_classes": split.vocabulary.n,
-                       "hidden_dim": hidden, "init_seed": seed},
+            "config": asdict(bl_config),
             "classes": list(split.vocabulary.class_names),
             "params": {k: v.tolist() for k, v in sorted(bl_params.items())},
             "features": page_vector_payload(tfidf, projector),
@@ -441,9 +452,9 @@ def _restore_model(payload):
                 raise ValueError("classes or page vectors do not match the config")
 
             def decode(docs):
-                logit_seqs = [bilstm_forward(params, np.stack(
-                    [project(p.text, tfidf, projector) for p in doc.pages]))
-                    for doc in docs]
+                matrix = tfidf_matrix(page_tokens(docs), tfidf)
+                logit_seqs = [bilstm_forward(params, x) for x in
+                              _page_vector_seqs(matrix, projector, docs)]
                 return _context_free_traces(
                     docs, logit_seqs, [lg.argmax(axis=1) for lg in logit_seqs])
             return tuple(payload["classes"]), decode

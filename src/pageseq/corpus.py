@@ -85,6 +85,12 @@ class PageRecord:
             raise CorpusError(
                 f"page ({self.doc_id!r}, {self.page_index}) has no labels"
             )
+        for c in self.gold_labels:
+            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+                raise CorpusError(
+                    f"page ({self.doc_id!r}, {self.page_index}): label {c!r} "
+                    f"is not a class index"
+                )
         if self.page_index < 0:
             raise CorpusError("page_index must be >= 0")
 

@@ -8,25 +8,17 @@ producing shifted vocabularies.
 
 from __future__ import annotations
 
-import json
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .corpus import DocumentSequence
 
 TOKENIZER_VERSION = "lower-wssplit-punctstrip/1"
 
 DEFAULT_VOCAB_CAP = 60_000
 DEFAULT_SVD_DIM = 300
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative fit failed to reach its tolerance within the iteration cap."""
 
 
 def _is_punct(ch: str) -> bool:
@@ -46,11 +38,6 @@ def tokenize(text: str) -> list[str]:
         if j > i:
             tokens.append(piece[i:j])
     return tokens
-
-
-def texts_of(docs: Sequence[DocumentSequence]) -> list[str]:
-    """Flatten documents to their page texts, in corpus order."""
-    return [page.text for doc in docs for page in doc.pages]
 
 
 @dataclass(frozen=True)
@@ -120,35 +107,30 @@ class TfIdfModel:
             raise ValueError("idf must be a finite length-V vector")
 
 
-def fit_tfidf(page_texts: Sequence[str], cap: int = DEFAULT_VOCAB_CAP,
-              vocabulary: Vocabulary | None = None) -> TfIdfModel:
-    page_texts = list(page_texts)
-    if vocabulary is None:
-        vocabulary = fit_vocabulary(map(tokenize, page_texts), cap)
-    n = len(page_texts)
+def fit_tfidf(page_tokens: Sequence[Sequence[str]],
+              cap: int = DEFAULT_VOCAB_CAP) -> TfIdfModel:
+    """Vocabulary and idf weights fitted on training pages, one ``tokenize``
+    result per page."""
+    vocabulary = fit_vocabulary(page_tokens, cap)
+    n = len(page_tokens)
     df = np.asarray(vocabulary.doc_freq, dtype=np.float64)
     idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
     return TfIdfModel(vocabulary=vocabulary, idf=idf, n_train_pages=n)
 
 
-def tfidf_vector(text: str, model: TfIdfModel) -> np.ndarray:
-    """tf x idf entries over the vocabulary, L2-normalized unless all-zero.
+def tfidf_matrix(page_tokens: Sequence[Sequence[str]],
+                 model: TfIdfModel) -> np.ndarray:
+    """(pages, V) tf x idf rows, each L2-normalized unless all-zero.
     Out-of-vocabulary tokens are ignored."""
     ids = model.vocabulary.token_ids()
-    vec = np.zeros(model.vocabulary.size, dtype=np.float64)
-    for tok in tokenize(text):
-        i = ids.get(tok)
-        if i is not None:
-            vec[i] += 1.0
-    vec *= model.idf
-    norm = np.linalg.norm(vec)
-    if norm > 0.0:
-        vec /= norm
-    return vec
-
-
-def tfidf_matrix(page_texts: Sequence[str], model: TfIdfModel) -> np.ndarray:
-    return np.stack([tfidf_vector(t, model) for t in page_texts])
+    size = model.vocabulary.size
+    cells = [row * size + ids[tok] for row, toks in enumerate(page_tokens)
+             for tok in toks if tok in ids]
+    counts = np.bincount(np.asarray(cells, dtype=np.int64),
+                         minlength=len(page_tokens) * size)
+    matrix = counts.reshape(len(page_tokens), size) * model.idf
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    return np.divide(matrix, norms, out=matrix, where=norms > 0.0)
 
 
 @dataclass(frozen=True)
@@ -180,42 +162,16 @@ class SvdProjector:
         return self.basis.shape[1]
 
 
-def fit_svd(matrix: np.ndarray, k: int = DEFAULT_SVD_DIM, tol: float = 1e-8,
-            max_iter: int = 500, seed: int = 0) -> SvdProjector:
-    """Block power iteration for the top-k right-singular subspace.
-
-    Each step multiplies the current orthonormal block by A^T A and
-    re-orthonormalizes; singular values come from the Rayleigh-Ritz projection
-    and iteration stops when their relative change falls below ``tol``.
-    Deterministic for a fixed seed.
-    """
+def fit_svd(matrix: np.ndarray, k: int = DEFAULT_SVD_DIM) -> SvdProjector:
+    """The top-k right-singular vectors and values of ``matrix``, from one
+    exact LAPACK SVD."""
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("matrix must be 2-D")
-    n_rows, n_cols = a.shape
-    if not 1 <= k <= min(n_rows, n_cols):
-        raise ValueError(f"k={k} must be within 1..min(n_rows, n_cols)={min(n_rows, n_cols)}")
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n_cols, k)))
-    prev_sv = None
-    for _ in range(max_iter):
-        q, _ = np.linalg.qr(a.T @ (a @ q))
-        # Rayleigh-Ritz on the k-dim subspace: exact values once q has converged
-        small = (a @ q).T @ (a @ q)
-        evals, evecs = np.linalg.eigh(small)
-        sv = np.sqrt(np.clip(evals[::-1], 0.0, None))
-        if prev_sv is not None and np.max(np.abs(sv - prev_sv)) <= tol * max(sv[0], 1.0):
-            rotation = evecs[:, ::-1]
-            return SvdProjector(basis=q @ rotation, singular_values=sv)
-        prev_sv = sv
-    raise ConvergenceError(
-        f"SVD block power iteration did not converge in {max_iter} iterations"
-    )
-
-
-def project(text: str, model: TfIdfModel, projector: SvdProjector) -> np.ndarray:
-    """Fixed-size page vector: basis^T applied to the page's TF-IDF vector."""
-    return projector.basis.T @ tfidf_vector(text, model)
+    if not 1 <= k <= min(a.shape):
+        raise ValueError(f"k={k} must be within 1..min(n_rows, n_cols)={min(a.shape)}")
+    _, sv, vt = np.linalg.svd(a, full_matrices=False)
+    return SvdProjector(basis=vt[:k].T, singular_values=sv[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +209,3 @@ def page_vector_model_from_payload(payload: dict) -> tuple[TfIdfModel, SvdProjec
     projector = SvdProjector(basis=np.asarray(payload["basis"]),
                              singular_values=np.asarray(payload["singular_values"]))
     return model, projector
-
-
-def save_page_vector_model(path: Path | str, model: TfIdfModel,
-                           projector: SvdProjector) -> None:
-    Path(path).write_text(json.dumps(page_vector_payload(model, projector),
-                                     sort_keys=True), encoding="utf-8")
-
-
-def load_page_vector_model(path: Path | str) -> tuple[TfIdfModel, SvdProjector]:
-    return page_vector_model_from_payload(
-        json.loads(Path(path).read_text(encoding="utf-8")))

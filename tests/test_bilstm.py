@@ -7,7 +7,6 @@ from pageseq.bilstm import (
     BiLstmConfig,
     bilstm_forward,
     bilstm_loss_and_grad,
-    bilstm_predict,
     bilstm_train,
     init_bilstm,
 )
@@ -121,7 +120,7 @@ class TestTraining:
         params, _ = bilstm_train(xs, ys, config, cfg)
         correct = total = 0
         for x, labels in zip(xs, ys):
-            preds = bilstm_predict(params, x)
+            preds = bilstm_forward(params, x).argmax(axis=1)
             correct += sum(p == g for p, g in zip(preds, labels))
             total += len(labels)
         assert correct / total >= 0.99
@@ -139,7 +138,7 @@ class TestTraining:
         def accuracy_bilstm():
             hits = total = 0
             for x, labels in zip(test_x, test_y):
-                preds = bilstm_predict(params, x)
+                preds = bilstm_forward(params, x).argmax(axis=1)
                 hits += sum(p == g for p, g in zip(preds, labels))
                 total += len(labels)
             return hits / total

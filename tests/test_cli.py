@@ -166,6 +166,40 @@ class TestTrain:
         assert json.loads((outdir / "bilstm.json").read_text())["kind"] == "bilstm"
         assert (outdir / "bilstm_report.json").exists()
 
+    @pytest.mark.parametrize("field", ["svd_k", "hidden_dim"])
+    def test_bad_bilstm_config_exits_2(self, tmp_path, corpus_dir, capsys, field):
+        bilstm = dict({"hidden_dim": 8, "svd_k": 6}, **{field: 0})
+        cfg = experiment_cfg(corpus_dir, baselines={"bilstm": True}, bilstm=bilstm)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_readme_walkthrough_bilstm(self, tmp_path):
+        """The README walkthrough corpus (2036 train pages, 400 tokens) with
+        its BiLSTM's svd_k of 100; a small hidden size and one epoch keep
+        it quick."""
+        synth = {"n_classes": 4, "self_transition": 0.85,
+                 "pages_per_doc": [6, 14], "tokens_per_page": [1, 6],
+                 "class_vocab_size": 25, "shared_vocab_size": 300,
+                 "ambiguity": 0.8, "seed": 100, "docs_per_split": [200, 30, 60]}
+        cfg_path = tmp_path / "synth.json"
+        cfg_path.write_text(json.dumps(synth))
+        assert main(["synth", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "runs"), "--run-id", "corpus"]) == 0
+        corpus_dir = tmp_path / "runs" / "corpus"
+        outdir = run_train(tmp_path, corpus_dir, "walk",
+                           encoder={"variant": "linear", "d": 32, "max_len": 16},
+                           train={"epochs": 1, "batch_size": 32, "peak_lr": 0.02},
+                           vocab_cap=60000, baselines={"bilstm": True},
+                           bilstm={"hidden_dim": 4, "svd_k": 100})
+        payload = json.loads((outdir / "bilstm.json").read_text())
+        assert payload["config"]["input_dim"] == 100
+        assert np.array(payload["features"]["basis"]).shape == (400, 100)
+
     def test_codec_fitted_on_train_split_only(self, tmp_path, corpus_dir):
         outdir = run_train(tmp_path, corpus_dir, "sep")
         ckpt = json.loads((outdir / "checkpoint.json").read_text())
@@ -341,16 +375,18 @@ def count_tokenize_calls(monkeypatch):
 class TestTokenizeOnce:
     def test_each_page_tokenized_once_per_command(self, tmp_path, corpus_dir,
                                                   monkeypatch):
-        """train (with the CRF baseline) tokenizes every train and validation
-        page once, for the vocabulary, every epoch and the CRF alike; infer
-        every page of its split once."""
+        """train (with both baselines) tokenizes every train and validation
+        page once, for the vocabulary, every epoch, the CRF and the BiLSTM
+        alike; infer every page of its split once."""
         split = load_corpus(corpus_dir / "manifest.json")
         calls = count_tokenize_calls(monkeypatch)
-        outdir = run_train(tmp_path, corpus_dir, "once", baselines={"crf": True})
+        outdir = run_train(tmp_path, corpus_dir, "once",
+                           baselines={"crf": True, "bilstm": True},
+                           bilstm={"hidden_dim": 8, "svd_k": 6})
         pages = [p.text for docs in (split.train, split.validation)
                  for d in docs for p in d.pages]
         assert sorted(calls) == sorted(pages)
-        for ckpt in ("checkpoint.json", "crf.json"):
+        for ckpt in ("checkpoint.json", "crf.json", "bilstm.json"):
             calls.clear()
             assert main(["infer", "--checkpoint", str(outdir / ckpt),
                          "--manifest", str(corpus_dir / "manifest.json"),
@@ -435,6 +471,20 @@ class TestBaselineCheckpoints:
         assert not out.exists()
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "crf", "bilstm"])
+    def test_empty_split_infers(self, trained, kind):
+        tmp_path, corpus_dir, outdir = trained
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        (corpus_dir / "empty.jsonl").write_text("")
+        manifest["test"] = "empty.jsonl"
+        (corpus_dir / "empty-test.json").write_text(json.dumps(manifest))
+        out = tmp_path / f"empty-{kind}.jsonl"
+        assert main(["infer", "--checkpoint", str(outdir / f"{kind}.json"),
+                     "--manifest", str(corpus_dir / "empty-test.json"),
+                     "--split", "test", "--out", str(out)]) == 0
+        assert all("doc_id" not in line for line in out.read_text().splitlines())
 
 
 class TestBadArtifacts:

@@ -85,6 +85,12 @@ class TestDataModel:
         with pytest.raises(CorpusError, match="label index"):
             simple_split([doc], AB)
 
+    @pytest.mark.parametrize("label", [frozenset({0}), "A", True, -1, 1.5],
+                             ids=["frozenset", "str", "bool", "negative", "float"])
+    def test_label_must_be_class_index(self, label):
+        with pytest.raises(CorpusError, match="not a class index"):
+            PageRecord("d", 0, "x", frozenset({label}))
+
     def test_duplicate_doc_ids_rejected(self):
         docs = [make_doc("d", [0]), make_doc("d", [1])]
         with pytest.raises(CorpusError, match="duplicate doc_id"):

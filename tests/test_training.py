@@ -5,7 +5,8 @@ import pytest
 
 from pageseq.corpus import MULTICLASS, SynthConfig, generate_synthetic
 from pageseq.encoder import EncoderConfig, TokenCodec
-from pageseq.features import fit_vocabulary, texts_of, tokenize
+from pageseq.features import fit_vocabulary
+from pageseq.recurrence import page_tokens
 from pageseq.training import (
     AdamState,
     TrainConfig,
@@ -103,7 +104,7 @@ def tiny_corpus(seed=0, ambiguity=0.0, n_classes=3, self_prob=0.5):
 
 
 def codec_for(split, cap=60_000):
-    vocab = fit_vocabulary(map(tokenize, texts_of(split.train)), cap)
+    vocab = fit_vocabulary(page_tokens(split.train), cap)
     return TokenCodec(split.vocabulary, vocab.tokens)
 
 
