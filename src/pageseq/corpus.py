@@ -200,17 +200,28 @@ def load_split_file(path: Path | str, vocab: TypeVocabulary) -> tuple[DocumentSe
     path = Path(path)
     by_doc: dict[str, list[PageRecord]] = {}
     seen: set[tuple[str, int]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            page = _parse_page_line(line, lineno, str(path), vocab)
-            key = (page.doc_id, page.page_index)
-            if key in seen:
-                raise CorpusError(f"{path}:{lineno}: duplicate page {key}")
-            seen.add(key)
-            by_doc.setdefault(page.doc_id, []).append(page)
+    # split on "\n" only: a JSON string may hold U+2028 and the like raw
+    for lineno, line in enumerate(_read_text(path, "split file").split("\n"),
+                                  start=1):
+        if not line.strip():
+            continue
+        page = _parse_page_line(line, lineno, str(path), vocab)
+        key = (page.doc_id, page.page_index)
+        if key in seen:
+            raise CorpusError(f"{path}:{lineno}: duplicate page {key}")
+        seen.add(key)
+        by_doc.setdefault(page.doc_id, []).append(page)
     return tuple(DocumentSequence(doc_id, tuple(pages)) for doc_id, pages in by_doc.items())
+
+
+def _read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of a corpus file; CorpusError if it cannot be read."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CorpusError(f"{path}: cannot read {what} ({exc.strerror})") from None
+    except UnicodeDecodeError:
+        raise CorpusError(f"{path}: {what} is not UTF-8 text") from None
 
 
 def load_corpus(path: Path | str, vocabulary: TypeVocabulary | None = None) -> CorpusSplit:
@@ -222,9 +233,11 @@ def load_corpus(path: Path | str, vocabulary: TypeVocabulary | None = None) -> C
     """
     path = Path(path)
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest = json.loads(_read_text(path, "manifest"))
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: malformed manifest ({exc.msg})") from None
+    if not isinstance(manifest, dict):
+        raise CorpusError(f"{path}: manifest must be a JSON object")
     for key in ("classes", "label_mode", *SPLIT_NAMES):
         if key not in manifest:
             raise CorpusError(f"{path}: manifest missing field {key!r}")

@@ -1,11 +1,20 @@
 """Trainable per-page scoring models over token id sequences.
 
 Two variants share one interface: a linear bag-of-embeddings scorer and a
-tiny pre-LN transformer read out at the CLS position.  The transformer's last
-layer computes the CLS row only (its keys and values still see every row),
-in the forward and the backward pass alike.  Both are pure numpy with
-handwritten backward passes, so gradients are exact for the forward
+tiny pre-LN transformer read out at the CLS position.  Both are pure numpy
+with handwritten backward passes, so gradients are exact for the forward
 definition and checkable against finite differences.
+
+The transformer keeps its hidden states as packed rows, one (d,) row per
+non-PAD token of the (B, L) id matrix (``np.flatnonzero(ids != PAD_ID)``,
+row-major).  The embedding gather, the layernorms, the Q/K/V/O projections,
+the FFN and GELU, the residuals and their backward passes run on those rows
+only.  Attention alone scatters K, V (and Q) into the padded (B, H, L, dh)
+grid, adds a -1e30 key mask at the PAD slots, and gathers the context back
+to packed rows.  PAD tokens therefore never reach a score, and their
+embedding gets no gradient.  The last layer computes the B CLS rows only (its
+keys and values still see every row), in the forward and the backward pass
+alike.
 
 Token id layout (one combined table of size V + n + 4):
 
@@ -20,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit, log_softmax
@@ -63,46 +72,6 @@ class TokenCodec:
 
     def text_token_id(self, token: str) -> int:
         return self._text_ids.get(token, UNK_ID)
-
-    def is_control_id(self, i: int) -> bool:
-        """Control ids: CLS, the first-page marker, and class special tokens."""
-        return i == CLS_ID or i == FIRST_ID or \
-            N_RESERVED <= i < N_RESERVED + self.type_vocab.n
-
-    def id_to_string(self, i: int) -> str:
-        if i == PAD_ID:
-            return "[PAD]"
-        if i == UNK_ID:
-            return "[UNK]"
-        if i == CLS_ID:
-            return "[CLS]"
-        if i == FIRST_ID:
-            return self.type_vocab.first_page_token
-        if i < N_RESERVED + self.type_vocab.n:
-            return self.type_vocab.special_token(i - N_RESERVED)
-        return self.text_tokens[i - N_RESERVED - self.type_vocab.n]
-
-    def decode(self, ids: Sequence[int]) -> list[str]:
-        return [self.id_to_string(int(i)) for i in ids if int(i) != PAD_ID]
-
-
-def check_sequence(ids: np.ndarray, codec: TokenCodec) -> None:
-    """Assert the structural invariant of one PAD-padded id row: CLS first,
-    then an optional block of control tokens, control tokens nowhere else,
-    and nothing but PAD after the first PAD."""
-    ids = np.asarray(ids).tolist()
-    length = ids.index(PAD_ID) if PAD_ID in ids else len(ids)
-    if any(i != PAD_ID for i in ids[length:]):
-        raise ValueError("padding tail must be PAD")
-    ids = ids[:length]
-    if not ids or ids[0] != CLS_ID:
-        raise ValueError("sequence must start with CLS")
-    i = 1
-    while i < len(ids) and codec.is_control_id(ids[i]) and ids[i] != CLS_ID:
-        i += 1
-    for j in range(i, len(ids)):
-        if codec.is_control_id(ids[j]):
-            raise ValueError(f"control token at position {j}, outside the front block")
 
 
 @dataclass(frozen=True)
@@ -249,32 +218,71 @@ def _linear_bwd(dscores, params, cache):
     return grads
 
 
-def _attention_fwd(a, params, prefix, mask, n_heads, n_query):
-    """Multi-head self-attention for the first ``n_query`` rows of ``a``;
-    keys and values come from all of its rows."""
-    b, _, d = a.shape
-    dh = d // n_heads
-    aq = a[:, :n_query]
+class _Packing(NamedTuple):
+    """Where a (B, L) id matrix's non-PAD tokens sit among its packed rows."""
+    slots: np.ndarray       # (N,) flat positions in the (B, L) grid, row-major
+    cls: np.ndarray         # (B,) packed row of each example's first token
+    mask: np.ndarray        # (B, L) additive key mask: 0, or -1e30 at PAD
+
+
+def _pack(ids) -> _Packing:
+    nonpad = ids != PAD_ID
+    if not nonpad[:, 0].all():
+        raise ValueError("every id row must start with a non-PAD token")
+    lengths = nonpad.sum(axis=1)
+    return _Packing(np.flatnonzero(nonpad), np.cumsum(lengths) - lengths,
+                    np.where(nonpad, 0.0, _MASK_NEG))
+
+
+def _padded(x, slots, b, l):
+    """Packed rows (N, d) scattered to their flat ``slots`` of a zero
+    (B, L, d) grid."""
+    if len(slots) == b * l:                 # no PAD: the rows are the grid
+        return x.reshape(b, l, -1)
+    grid = np.zeros((b * l, x.shape[1]))
+    grid[slots] = x
+    return grid.reshape(b, l, -1)
+
+
+def _heads(x, n_heads):
+    """(B, L, d) -> (B, H, L, dh)."""
+    b, l, d = x.shape
+    return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def _rows(xh, slots):
+    """(B, H, L, dh) -> the packed rows at ``slots`` (all B x L if None)."""
+    b, n_heads, _, dh = xh.shape
+    x = xh.transpose(0, 2, 1, 3).reshape(-1, n_heads * dh)
+    return x if slots is None or len(slots) == len(x) else np.take(x, slots, axis=0)
+
+
+def _attention_fwd(a, params, prefix, pack, n_heads, cls_only):
+    """Multi-head self-attention over packed rows ``a`` (N, d).  Queries come
+    from every row, or from the CLS rows only; keys and values come from
+    every row.  The projections run on the packed rows; the logits run on
+    the padded grid, where the additive key mask hides the PAD slots."""
+    slots, cls, mask = pack
+    b, l = mask.shape
+    dh = a.shape[1] // n_heads
+    aq = a[cls] if cls_only else a
     q = aq @ params[prefix + "wq"]
     q += params[prefix + "qb"]
     k = a @ params[prefix + "wk"]
     k += params[prefix + "kb"]
     v = a @ params[prefix + "wv"]
     v += params[prefix + "vb"]
-
-    def split(x):
-        return x.reshape(b, -1, n_heads, dh).transpose(0, 2, 1, 3)  # (B, H, ., dh)
-
-    qh, kh, vh = split(q), split(k), split(v)
+    qh = _heads(q[:, None] if cls_only else _padded(q, slots, b, l), n_heads)
+    kh = _heads(_padded(k, slots, b, l), n_heads)                   # (B, H, L, dh)
+    vh = _heads(_padded(v, slots, b, l), n_heads)
     logits = qh @ kh.transpose(0, 1, 3, 2)                          # (B, H, Lq, L)
     logits /= math.sqrt(dh)
     logits += mask[:, None, None, :]
     probs = _softmax_last(logits)
-    ctx = probs @ vh                                                # (B, H, Lq, dh)
-    merged = ctx.transpose(0, 2, 1, 3).reshape(b, n_query, d)
+    merged = _rows(probs @ vh, None if cls_only else slots)         # (Nq, d)
     out = merged @ params[prefix + "wo"]
     out += params[prefix + "ob"]
-    return out, (a, aq, qh, kh, vh, probs, merged)
+    return out, (a, aq, cls_only, qh, kh, vh, probs, merged)
 
 
 def _softmax_last(x):
@@ -285,57 +293,63 @@ def _softmax_last(x):
     return x
 
 
-def _attention_bwd(dout, params, prefix, cache, grads, n_heads):
-    """Gradient wrt the attention input: (B, L, d) from (B, Lq, d)."""
-    a, aq, qh, kh, vh, probs, merged = cache
-    b, _, d = a.shape
-    n_query = aq.shape[1]
-    dh = d // n_heads
-    grads[prefix + "wo"] += merged.reshape(-1, d).T @ dout.reshape(-1, d)
-    grads[prefix + "ob"] += dout.sum(axis=(0, 1))
+def _attention_bwd(dout, params, prefix, pack, cache, grads, n_heads):
+    """Gradient wrt the attention input: packed (N, d) from (Nq, d)."""
+    a, aq, cls_only, qh, kh, vh, probs, merged = cache
+    slots, cls, _ = pack
+    b, _, l, dh = kh.shape
+    grads[prefix + "wo"] += merged.T @ dout
+    grads[prefix + "ob"] += dout.sum(axis=0)
     dmerged = dout @ params[prefix + "wo"].T
-    dctx = dmerged.reshape(b, n_query, n_heads, dh).transpose(0, 2, 1, 3)
+    dctx = _heads(dmerged[:, None] if cls_only else _padded(dmerged, slots, b, l),
+                  n_heads)
     dprobs = dctx @ vh.transpose(0, 1, 3, 2)
     dvh = probs.transpose(0, 1, 3, 2) @ dctx
     dlogits = dprobs                                # softmax backward
     dlogits -= np.sum(dprobs * probs, axis=-1, keepdims=True)
     dlogits *= probs
     dlogits /= math.sqrt(dh)
-    dqh = dlogits @ kh
-    dkh = dlogits.transpose(0, 1, 3, 2) @ qh
-
-    def merge(x):
-        return x.transpose(0, 2, 1, 3).reshape(b, -1, d)
-
-    dq, dk, dv = merge(dqh), merge(dkh), merge(dvh)
+    dq = _rows(dlogits @ kh, None if cls_only else slots)
+    dk = _rows(dlogits.transpose(0, 1, 3, 2) @ qh, slots)
+    dv = _rows(dvh, slots)
     da = dk @ params[prefix + "wk"].T
-    da[:, :n_query] += dq @ params[prefix + "wq"].T
+    da[cls if cls_only else slice(None)] += dq @ params[prefix + "wq"].T
     da += dv @ params[prefix + "wv"].T
     for x, dz, w_name, b_name in ((aq, dq, "wq", "qb"), (a, dk, "wk", "kb"),
                                   (a, dv, "wv", "vb")):
-        grads[prefix + w_name] += x.reshape(-1, d).T @ dz.reshape(-1, d)
-        grads[prefix + b_name] += dz.sum(axis=(0, 1))
+        grads[prefix + w_name] += x.T @ dz
+        grads[prefix + b_name] += dz.sum(axis=0)
     return da
 
 
 def _transformer_fwd(params, ids, config, dropout_rng=None):
-    """Pre-LN layers read out at CLS.  The last layer computes the CLS row
-    only: after its attention every op is row-wise, so only its keys and
-    values need the other rows."""
+    """Pre-LN layers read out at CLS, on packed rows: one row per non-PAD
+    token, in row-major order of ``ids``.  The last layer computes the CLS
+    rows only: after its attention every op is row-wise, so only its keys
+    and values need the other rows."""
     b, l = ids.shape
-    mask = np.where(ids == PAD_ID, _MASK_NEG, 0.0)       # (B, L) additive on keys
-    x = params["emb"][ids]
-    x += params["pos"][:l]
+    pack = _pack(ids)
+    slots, cls = pack.slots, pack.cls
+    tokens = ids.ravel()[slots]
+    x = params["emb"][tokens]                           # (N, d)
+    x += params["pos"][slots % l]
+    d = x.shape[1]
     caches = []
     drop = config.dropout if dropout_rng is not None else 0.0
     for layer in range(config.n_layers):
         p = f"layer{layer}/"
-        n_query = 1 if layer == config.n_layers - 1 else l
+        last = layer == config.n_layers - 1
+        # The rows this layer outputs.  Dropout masks are drawn at the padded
+        # output shape and cut to those rows, so each (example, position)
+        # gets the mask value that the padded layout gives it.
+        if last:
+            out_rows, drop_shape, drop_rows = cls, (b, 1, d), slice(None)
+        else:
+            out_rows, drop_shape, drop_rows = slice(None), (b, l, d), slots
         a, ln1_cache = _layernorm_fwd(x, params[p + "ln1_g"], params[p + "ln1_b"])
-        attn, attn_cache = _attention_fwd(a, params, p, mask, config.n_heads,
-                                          n_query)
-        attn, m1 = _dropout_fwd(attn, drop, dropout_rng)
-        attn += x[:, :n_query]
+        attn, attn_cache = _attention_fwd(a, params, p, pack, config.n_heads, last)
+        attn, m1 = _dropout_fwd(attn, drop, dropout_rng, drop_shape, drop_rows)
+        attn += x[out_rows]
         x = attn
         f, ln2_cache = _layernorm_fwd(x, params[p + "ln2_g"], params[p + "ln2_b"])
         h1 = f @ params[p + "w1"]
@@ -343,58 +357,62 @@ def _transformer_fwd(params, ids, config, dropout_rng=None):
         u, gelu_cache = _gelu_fwd(h1)
         h2 = u @ params[p + "w2"]
         h2 += params[p + "b2"]
-        h2, m2 = _dropout_fwd(h2, drop, dropout_rng)
+        h2, m2 = _dropout_fwd(h2, drop, dropout_rng, drop_shape, drop_rows)
         x += h2
         caches.append((ln1_cache, attn_cache, m1, ln2_cache, f, gelu_cache, u, m2))
-    final, lnf_cache = _layernorm_fwd(x[:, :1], params["lnf_g"], params["lnf_b"])
-    cls = final[:, 0, :]
-    scores = cls @ params["head_w"] + params["head_b"]
-    return scores, (ids, caches, lnf_cache, cls)
+    if not config.n_layers:
+        x = x[cls]
+    cls_out, lnf_cache = _layernorm_fwd(x, params["lnf_g"], params["lnf_b"])
+    scores = cls_out @ params["head_w"] + params["head_b"]
+    return scores, (pack, tokens, caches, lnf_cache, cls_out)
 
 
-def _dropout_fwd(x, rate, rng):
+def _dropout_fwd(x, rate, rng, shape, rows):
+    """Inverted dropout on rows ``x``: the mask is drawn at ``shape`` and
+    its ``rows`` (of the flattened leading axes) are applied."""
     if rate <= 0.0 or rng is None:
         return x, None
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    mask = (rng.random(shape) >= rate) / (1.0 - rate)
+    mask = mask.reshape(-1, shape[-1])[rows]
     return x * mask, mask
 
 
 def _transformer_bwd(dscores, params, cache, config):
-    ids, caches, lnf_cache, cls = cache
-    b, l = ids.shape
+    pack, tokens, caches, lnf_cache, cls_out = cache
+    slots, cls, mask = pack
     grads = {name: np.zeros_like(value) for name, value in params.items()}
-    grads["head_w"] += cls.T @ dscores
+    grads["head_w"] += cls_out.T @ dscores
     grads["head_b"] += dscores.sum(axis=0)
-    dcls = (dscores @ params["head_w"].T)[:, None, :]
-    dx, dg, db = _layernorm_bwd(dcls, lnf_cache)       # (B, 1, d)
+    dx, dg, db = _layernorm_bwd(dscores @ params["head_w"].T, lnf_cache)   # (B, d)
     grads["lnf_g"] += dg
     grads["lnf_b"] += db
     for layer in reversed(range(config.n_layers)):
         p = f"layer{layer}/"
         ln1_cache, attn_cache, m1, ln2_cache, f, gelu_cache, u, m2 = caches[layer]
         dh2 = dx if m2 is None else dx * m2
-        grads[p + "w2"] += u.reshape(-1, u.shape[-1]).T @ dh2.reshape(-1, dh2.shape[-1])
-        grads[p + "b2"] += dh2.sum(axis=(0, 1))
+        grads[p + "w2"] += u.T @ dh2
+        grads[p + "b2"] += dh2.sum(axis=0)
         du = dh2 @ params[p + "w2"].T
         dh1 = _gelu_bwd(du, gelu_cache)
-        grads[p + "w1"] += f.reshape(-1, f.shape[-1]).T @ dh1.reshape(-1, dh1.shape[-1])
-        grads[p + "b1"] += dh1.sum(axis=(0, 1))
+        grads[p + "w1"] += f.T @ dh1
+        grads[p + "b1"] += dh1.sum(axis=0)
         df = dh1 @ params[p + "w1"].T
         dx_ln2, dg2, db2 = _layernorm_bwd(df, ln2_cache)
         grads[p + "ln2_g"] += dg2
         grads[p + "ln2_b"] += db2
         dx = dx + dx_ln2
         dattn = dx if m1 is None else dx * m1
-        da = _attention_bwd(dattn, params, p, attn_cache, grads, config.n_heads)
+        da = _attention_bwd(dattn, params, p, pack, attn_cache, grads, config.n_heads)
         dx_ln1, dg1, db1 = _layernorm_bwd(da, ln1_cache)
         grads[p + "ln1_g"] += dg1
         grads[p + "ln1_b"] += db1
-        dx_ln1[:, :dx.shape[1]] += dx       # residual, padded back to L rows
+        dx_ln1[cls if layer == config.n_layers - 1 else slice(None)] += dx  # residual
         dx = dx_ln1
-    if dx.shape[1] < l:                     # no layers: only CLS was read
-        dx = np.concatenate([dx, np.zeros((b, l - dx.shape[1], dx.shape[2]))], axis=1)
-    np.add.at(grads["emb"], ids, dx)
-    grads["pos"][:l] += dx.sum(axis=0)
+    if not config.n_layers:                 # no layers: only CLS was read
+        tokens, slots = tokens[cls], slots[cls]
+    np.add.at(grads["emb"], tokens, dx)
+    b, l = mask.shape
+    grads["pos"][:l] += _padded(dx, slots, b, l).sum(axis=0)
     return grads
 
 
@@ -413,11 +431,6 @@ def forward_batch(params: dict, ids: np.ndarray,
     else:
         scores, _ = _transformer_fwd(params, ids, config)
     return scores
-
-
-def forward(params: dict, ids: np.ndarray, config: EncoderConfig) -> np.ndarray:
-    """Score vector y for one page's id row."""
-    return forward_batch(params, np.asarray(ids)[None, :], config)[0]
 
 
 def predict(scores: np.ndarray, label_mode: str) -> frozenset[int]:

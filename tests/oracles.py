@@ -1,7 +1,8 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and the
+test-only helpers that read the package's id rows.
 
-Everything here is written directly from the stated rules (brute force,
-enumeration, finite differences, textbook series) and deliberately shares no
+The oracles are written directly from the stated rules (brute force,
+enumeration, finite differences, textbook series) and deliberately share no
 code with the package under test.
 """
 
@@ -30,6 +31,66 @@ def reference_tokenize(text: str) -> list[str]:
         if token:
             out.append(token)
     return out
+
+
+# -- one id row: scoring, decoding, structure ---------------------------------
+
+def forward(params, ids, config) -> np.ndarray:
+    """Score vector of one page's id row."""
+    from pageseq.encoder import forward_batch
+
+    return forward_batch(params, np.asarray(ids)[None, :], config)[0]
+
+
+def is_control_id(codec, i: int) -> bool:
+    """Control ids: CLS, the first-page marker, and class special tokens."""
+    from pageseq.encoder import CLS_ID, FIRST_ID, N_RESERVED
+
+    return i == CLS_ID or i == FIRST_ID or N_RESERVED <= i < N_RESERVED + codec.n_classes
+
+
+def id_to_string(codec, i: int) -> str:
+    from pageseq.encoder import CLS_ID, FIRST_ID, N_RESERVED, PAD_ID, UNK_ID
+
+    if i == PAD_ID:
+        return "[PAD]"
+    if i == UNK_ID:
+        return "[UNK]"
+    if i == CLS_ID:
+        return "[CLS]"
+    if i == FIRST_ID:
+        return codec.type_vocab.first_page_token
+    if i < N_RESERVED + codec.n_classes:
+        return codec.type_vocab.special_token(i - N_RESERVED)
+    return codec.text_tokens[i - N_RESERVED - codec.n_classes]
+
+
+def decode(codec, ids) -> list[str]:
+    """The token strings of an id row, PAD dropped."""
+    from pageseq.encoder import PAD_ID
+
+    return [id_to_string(codec, int(i)) for i in ids if int(i) != PAD_ID]
+
+
+def check_sequence(ids, codec) -> None:
+    """Assert the structural invariant of one PAD-padded id row: CLS first,
+    then an optional block of control tokens, control tokens nowhere else,
+    and nothing but PAD after the first PAD."""
+    from pageseq.encoder import CLS_ID, PAD_ID
+
+    ids = np.asarray(ids).tolist()
+    length = ids.index(PAD_ID) if PAD_ID in ids else len(ids)
+    if any(i != PAD_ID for i in ids[length:]):
+        raise ValueError("padding tail must be PAD")
+    ids = ids[:length]
+    if not ids or ids[0] != CLS_ID:
+        raise ValueError("sequence must start with CLS")
+    i = 1
+    while i < len(ids) and is_control_id(codec, ids[i]) and ids[i] != CLS_ID:
+        i += 1
+    for j in range(i, len(ids)):
+        if is_control_id(codec, ids[j]):
+            raise ValueError(f"control token at position {j}, outside the front block")
 
 
 # -- per-page TF-IDF ---------------------------------------------------------
@@ -202,6 +263,190 @@ def reference_transformer_scores(params: dict[str, np.ndarray], ids: np.ndarray,
         final = layernorm(x, params["lnf_g"], params["lnf_b"])
         out.append(final[0] @ params["head_w"] + params["head_b"])
     return np.array(out)
+
+
+# -- padded tiny transformer with its backward pass ----------------------------
+#
+# The package's transformer keeps one packed row per non-PAD token.  This
+# reference keeps the padded (B, L, d) layout: every layer's row-wise ops run
+# on all B x L positions, PAD ones included, and the last layer computes the
+# CLS row only.
+
+_REF_LN_EPS = 1e-5
+_REF_MASK_NEG = -1e30
+_REF_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def _ref_layernorm_fwd(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    xhat = x - mu
+    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + _REF_LN_EPS)
+    xhat = xhat * inv
+    return g * xhat + b, (xhat, inv, g)
+
+
+def _ref_layernorm_bwd(dy, cache):
+    xhat, inv, g = cache
+    lead = tuple(range(dy.ndim - 1))
+    dg = np.sum(dy * xhat, axis=lead)
+    db = np.sum(dy, axis=lead)
+    dxhat = dy * g
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return dx, dg, db
+
+
+def _ref_gelu_fwd(x):
+    t = np.tanh(_REF_GELU_C * (x + 0.044715 * x * x * x))
+    return 0.5 * x * (1.0 + t), (x, t)
+
+
+def _ref_gelu_bwd(dy, cache):
+    x, t = cache
+    dinner = (1.0 - t * t) * _REF_GELU_C * (1.0 + 3 * 0.044715 * x * x)
+    return dy * (0.5 * (1.0 + t) + 0.5 * x * dinner)
+
+
+def _ref_softmax_last(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _ref_dropout_fwd(x, rate, rng):
+    if rate <= 0.0 or rng is None:
+        return x, None
+    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    return x * mask, mask
+
+
+def _ref_attention_fwd(a, params, prefix, mask, n_heads, n_query):
+    b, _, d = a.shape
+    dh = d // n_heads
+    aq = a[:, :n_query]
+    q = aq @ params[prefix + "wq"] + params[prefix + "qb"]
+    k = a @ params[prefix + "wk"] + params[prefix + "kb"]
+    v = a @ params[prefix + "wv"] + params[prefix + "vb"]
+
+    def split(x):
+        return x.reshape(b, -1, n_heads, dh).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    logits = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(dh) + mask[:, None, None, :]
+    probs = _ref_softmax_last(logits)
+    merged = (probs @ vh).transpose(0, 2, 1, 3).reshape(b, n_query, d)
+    out = merged @ params[prefix + "wo"] + params[prefix + "ob"]
+    return out, (a, aq, qh, kh, vh, probs, merged)
+
+
+def _ref_attention_bwd(dout, params, prefix, cache, grads, n_heads):
+    a, aq, qh, kh, vh, probs, merged = cache
+    b, _, d = a.shape
+    n_query = aq.shape[1]
+    dh = d // n_heads
+    grads[prefix + "wo"] += merged.reshape(-1, d).T @ dout.reshape(-1, d)
+    grads[prefix + "ob"] += dout.sum(axis=(0, 1))
+    dmerged = dout @ params[prefix + "wo"].T
+    dctx = dmerged.reshape(b, n_query, n_heads, dh).transpose(0, 2, 1, 3)
+    dprobs = dctx @ vh.transpose(0, 1, 3, 2)
+    dvh = probs.transpose(0, 1, 3, 2) @ dctx
+    dlogits = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
+    dlogits /= math.sqrt(dh)
+    dqh = dlogits @ kh
+    dkh = dlogits.transpose(0, 1, 3, 2) @ qh
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(b, -1, d)
+
+    dq, dk, dv = merge(dqh), merge(dkh), merge(dvh)
+    da = dk @ params[prefix + "wk"].T + dv @ params[prefix + "wv"].T
+    da[:, :n_query] += dq @ params[prefix + "wq"].T
+    for x, dz, w_name, b_name in ((aq, dq, "wq", "qb"), (a, dk, "wk", "kb"),
+                                  (a, dv, "wv", "vb")):
+        grads[prefix + w_name] += x.reshape(-1, d).T @ dz.reshape(-1, d)
+        grads[prefix + b_name] += dz.sum(axis=(0, 1))
+    return da
+
+
+def reference_transformer_loss_and_grad(params, ids, targets, config, label_mode,
+                                        dropout_rng=None):
+    """(loss, grads, scores) of the tiny transformer on a (B, L) id matrix,
+    computed on the padded (B, L, d) layout.
+
+    Dropout (when ``dropout_rng`` is given) draws one mask per layer output
+    at shape (B, L, d), or (B, 1, d) in the last layer, in the order
+    attention then FFN, layer by layer.  The loss is the mean softmax
+    cross-entropy (multiclass, ``targets`` class indices) or the mean
+    per-class sigmoid cross-entropy (multilabel, ``targets`` a 0/1 matrix).
+    """
+    b, l = ids.shape
+    mask = np.where(ids == 0, _REF_MASK_NEG, 0.0)
+    x = params["emb"][ids] + params["pos"][:l]
+    drop = config.dropout if dropout_rng is not None else 0.0
+    caches = []
+    for layer in range(config.n_layers):
+        p = f"layer{layer}/"
+        n_query = 1 if layer == config.n_layers - 1 else l
+        a, ln1_cache = _ref_layernorm_fwd(x, params[p + "ln1_g"], params[p + "ln1_b"])
+        attn, attn_cache = _ref_attention_fwd(a, params, p, mask, config.n_heads,
+                                              n_query)
+        attn, m1 = _ref_dropout_fwd(attn, drop, dropout_rng)
+        x = attn + x[:, :n_query]
+        f, ln2_cache = _ref_layernorm_fwd(x, params[p + "ln2_g"], params[p + "ln2_b"])
+        u, gelu_cache = _ref_gelu_fwd(f @ params[p + "w1"] + params[p + "b1"])
+        h2, m2 = _ref_dropout_fwd(u @ params[p + "w2"] + params[p + "b2"], drop,
+                                  dropout_rng)
+        x = x + h2
+        caches.append((ln1_cache, attn_cache, m1, ln2_cache, f, gelu_cache, u, m2))
+    final, lnf_cache = _ref_layernorm_fwd(x[:, :1], params["lnf_g"], params["lnf_b"])
+    cls = final[:, 0, :]
+    scores = cls @ params["head_w"] + params["head_b"]
+
+    n_examples, n_classes = scores.shape
+    if label_mode == "multiclass":
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        loss = float(-logp[np.arange(n_examples), targets].mean())
+        onehot = np.zeros_like(scores)
+        onehot[np.arange(n_examples), targets] = 1.0
+        dscores = (np.exp(logp) - onehot) / n_examples
+    else:
+        per_class = np.maximum(scores, 0.0) - scores * targets + \
+            np.log1p(np.exp(-np.abs(scores)))
+        loss = float(per_class.mean())
+        dscores = (1.0 / (1.0 + np.exp(-scores)) - targets) / (n_examples * n_classes)
+
+    grads = {name: np.zeros_like(value) for name, value in params.items()}
+    grads["head_w"] += cls.T @ dscores
+    grads["head_b"] += dscores.sum(axis=0)
+    dx, dg, db = _ref_layernorm_bwd((dscores @ params["head_w"].T)[:, None, :],
+                                    lnf_cache)
+    grads["lnf_g"] += dg
+    grads["lnf_b"] += db
+    for layer in reversed(range(config.n_layers)):
+        p = f"layer{layer}/"
+        ln1_cache, attn_cache, m1, ln2_cache, f, gelu_cache, u, m2 = caches[layer]
+        dh2 = dx if m2 is None else dx * m2
+        grads[p + "w2"] += u.reshape(-1, u.shape[-1]).T @ dh2.reshape(-1, dh2.shape[-1])
+        grads[p + "b2"] += dh2.sum(axis=(0, 1))
+        dh1 = _ref_gelu_bwd(dh2 @ params[p + "w2"].T, gelu_cache)
+        grads[p + "w1"] += f.reshape(-1, f.shape[-1]).T @ dh1.reshape(-1, dh1.shape[-1])
+        grads[p + "b1"] += dh1.sum(axis=(0, 1))
+        dx_ln2, dg2, db2 = _ref_layernorm_bwd(dh1 @ params[p + "w1"].T, ln2_cache)
+        grads[p + "ln2_g"] += dg2
+        grads[p + "ln2_b"] += db2
+        dx = dx + dx_ln2
+        da = _ref_attention_bwd(dx if m1 is None else dx * m1, params, p,
+                                attn_cache, grads, config.n_heads)
+        dx_ln1, dg1, db1 = _ref_layernorm_bwd(da, ln1_cache)
+        grads[p + "ln1_g"] += dg1
+        grads[p + "ln1_b"] += db1
+        dx_ln1[:, :dx.shape[1]] += dx       # residual, padded back to L rows
+        dx = dx_ln1
+    if dx.shape[1] < l:                     # no layers: only CLS was read
+        dx = np.concatenate([dx, np.zeros((b, l - dx.shape[1], dx.shape[2]))], axis=1)
+    np.add.at(grads["emb"], ids, dx)
+    grads["pos"][:l] += dx.sum(axis=0)
+    return loss, grads, scores
 
 
 # -- brute-force linear-chain CRF --------------------------------------------

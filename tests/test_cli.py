@@ -552,6 +552,42 @@ class TestBadArtifacts:
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and str(bad) in err[0]
 
+    @pytest.mark.parametrize("command", ["stats", "infer", "eval", "compare", "train"])
+    def test_missing_corpus_file(self, trained, command, capsys):
+        """A missing manifest, or a manifest naming a missing split file."""
+        tmp_path, corpus_dir, outdir, traces = trained
+        no_split = tmp_path / "no-split" / "manifest.json"
+        no_split.parent.mkdir()
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        no_split.write_text(json.dumps(dict(
+            manifest, train=str(corpus_dir / manifest["train"]),
+            validation=str(corpus_dir / manifest["validation"]), test="gone.jsonl")))
+        cases = [(tmp_path / "nowhere" / "manifest.json",) * 2,
+                 (no_split, no_split.parent / "gone.jsonl")]
+        for bad, named in cases:
+            out = tmp_path / "out.json"
+            argv = {
+                "stats": ["stats"],
+                "infer": ["infer", "--checkpoint", str(outdir / "checkpoint.json"),
+                          "--split", "test", "--out", str(out)],
+                "eval": ["eval", "--traces", str(traces), "--out", str(out)],
+                "compare": ["compare", "--traces-a", str(traces),
+                            "--traces-b", str(traces), "--out", str(out)],
+            }.get(command)
+            if argv is None:
+                cfg_path = tmp_path / "bad-corpus.json"
+                cfg_path.write_text(json.dumps(experiment_cfg(corpus_dir,
+                                                              corpus=str(bad))))
+                argv = ["train", "--config", str(cfg_path),
+                        "--outdir", str(tmp_path / "runs"), "--run-id", "bad"]
+            else:
+                argv += ["--manifest", str(bad)]
+            assert main(argv) == 2
+            assert not out.exists()
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert str(named) in err[0]
+
     def test_head_narrower_than_manifest_classes(self, trained):
         """A 3-column head relabelled with a 4-class codec must not infer."""
         tmp_path, corpus_dir, outdir, _ = trained

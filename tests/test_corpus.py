@@ -161,6 +161,30 @@ class TestLoadWrite:
         with pytest.raises(CorpusError, match="page_index"):
             load_corpus(tmp_path / "manifest.json")
 
+    def test_unreadable_files_are_corpus_errors(self, tmp_path):
+        """A manifest or split file that cannot be read or decoded, or a
+        manifest that is not an object, is a CorpusError naming the file."""
+        self._write_corpus_dir(tmp_path, [])
+        manifest = tmp_path / "manifest.json"
+        with pytest.raises(CorpusError, match="cannot read manifest"):
+            load_corpus(tmp_path)                       # a directory
+        (tmp_path / "test.jsonl").write_bytes(b"\xff\xfe\n")
+        with pytest.raises(CorpusError, match=r"test\.jsonl: split file is not UTF-8"):
+            load_corpus(manifest)
+        manifest.write_bytes(b"\xff")
+        with pytest.raises(CorpusError, match="manifest is not UTF-8"):
+            load_corpus(manifest)
+        manifest.write_text("[]")
+        with pytest.raises(CorpusError, match="manifest must be a JSON object"):
+            load_corpus(manifest)
+
+    def test_line_separators_inside_text_round_trip(self, tmp_path):
+        """Only "\\n" ends a JSONL record; U+2028 and U+0085 stay in the text."""
+        doc = DocumentSequence("d", (
+            PageRecord("d", 0, "a\u2028b\x85c\rd", frozenset({0})),))
+        split = CorpusSplit((doc,), (), (), AB)
+        assert load_corpus(write_corpus(split, tmp_path)) == split
+
     def test_round_trip_identity(self, tmp_path):
         """load_corpus . write_corpus is the identity on valid splits."""
         cfg = SynthConfig.uniform(3, 0.6, seed=7, docs_per_split=(4, 2, 2),

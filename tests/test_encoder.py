@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import pageseq.encoder as encoder
 from pageseq.corpus import MULTICLASS, MULTILABEL, TypeVocabulary
 from pageseq.encoder import (
     CLS_ID,
@@ -14,8 +17,6 @@ from pageseq.encoder import (
     UNK_ID,
     EncoderConfig,
     TokenCodec,
-    check_sequence,
-    forward,
     forward_batch,
     init_params,
     loss_and_grad,
@@ -26,8 +27,12 @@ from pageseq.encoder import (
 
 from oracles import (
     assert_grads_close,
+    check_sequence,
+    decode,
     finite_diff_grads,
+    forward,
     reference_batch,
+    reference_transformer_loss_and_grad,
     reference_transformer_scores,
 )
 
@@ -69,8 +74,8 @@ class TestTokenCodec:
     def test_decode_round_trip(self):
         codec = make_codec()
         ids = [CLS_ID, FIRST_ID, codec.text_token_id("beta")]
-        assert codec.decode(ids) == ["[CLS]", "[-1]", "beta"]
-        assert codec.decode([CLS_ID, codec.class_token_id(1)]) == \
+        assert decode(codec, ids) == ["[CLS]", "[-1]", "beta"]
+        assert decode(codec, [CLS_ID, codec.class_token_id(1)]) == \
             ["[CLS]", "[type_B]"]
 
     def test_check_sequence_invariant(self):
@@ -144,7 +149,8 @@ class TestTransformerForward:
         np.testing.assert_array_equal(a, b)
 
     def test_padding_does_not_change_scores(self):
-        """Same content with extra PAD width must score identically."""
+        """Same content with extra PAD width must score identically and give
+        the same loss and gradients; the PAD embedding gets no gradient."""
         codec = make_codec()
         config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=1,
                                n_heads=2, max_len=12)
@@ -155,6 +161,48 @@ class TestTransformerForward:
                                                seq([CLS_ID, 7, 8, 9, 10, 5])]),
                              config)
         np.testing.assert_allclose(both[0], short, atol=1e-12)
+
+        ids, targets = as_batch([(seq([CLS_ID, 7, 8]), frozenset({0})),
+                                 (seq([CLS_ID, FIRST_ID, 9, 10, 5]), frozenset({2}))])
+        wide = np.pad(ids, ((0, 0), (0, 4)))
+        loss, grads = loss_and_grad(params, ids, targets, config, MULTICLASS)
+        wide_loss, wide_grads = loss_and_grad(params, wide, targets, config, MULTICLASS)
+        assert abs(wide_loss - loss) <= 1e-12
+        for name, grad in grads.items():
+            np.testing.assert_allclose(wide_grads[name], grad, rtol=0, atol=1e-12)
+        assert np.all(wide_grads["emb"][PAD_ID] == 0.0)
+
+    def test_row_wise_layers_see_only_non_pad_tokens(self, monkeypatch):
+        """The first layer's FFN runs on the non-PAD tokens, the last
+        layer's on the CLS rows."""
+        codec = make_codec()
+        config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=2,
+                               n_heads=2, max_len=12)
+        params = init_params(config, codec)
+        ids, targets = as_batch([(seq([CLS_ID, 7, 8]), frozenset({0})),
+                                 (seq([CLS_ID, FIRST_ID, 9, 10, 5, 6, 7]), frozenset({1})),
+                                 (seq([CLS_ID]), frozenset({2}))])
+        gelu_rows = []
+        gelu_fwd = encoder._gelu_fwd
+
+        def spy(x):
+            gelu_rows.append(x.size // x.shape[-1])
+            return gelu_fwd(x)
+
+        monkeypatch.setattr(encoder, "_gelu_fwd", spy)
+        forward_batch(params, ids, config)
+        loss_and_grad(params, ids, targets, config, MULTICLASS)
+        assert gelu_rows == [np.count_nonzero(ids), len(ids)] * 2
+
+    def test_row_must_start_with_a_token(self):
+        """Row 0 is the read-out row, so it cannot be PAD."""
+        codec = make_codec()
+        config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=1,
+                               n_heads=2, max_len=12)
+        params = init_params(config, codec)
+        with pytest.raises(ValueError, match="non-PAD"):
+            forward_batch(params, pad_rows([seq([CLS_ID, 7]), seq([PAD_ID, 7, 8])]),
+                          config)
 
     def test_order_sensitivity(self):
         """Unlike the bag variant, the transformer may use token order."""
@@ -188,6 +236,59 @@ class TestTransformerAgainstFullSequence:
                 forward_batch(params, ids, config),
                 reference_transformer_scores(params, ids, n_layers, 2),
                 rtol=0, atol=1e-12)
+
+
+@st.composite
+def transformer_cases(draw):
+    """A tiny-transformer case: layer count, label mode, dropout rate, seed,
+    and a batch of id rows (CLS first) with extra PAD columns."""
+    rows = draw(st.lists(
+        st.lists(st.integers(1, 12), max_size=8).map(lambda t: [CLS_ID] + t),
+        min_size=1, max_size=6))
+    return (draw(st.integers(0, 3)), draw(st.sampled_from([MULTICLASS, MULTILABEL])),
+            draw(st.sampled_from([0.0, 0.1])), draw(st.integers(0, 2**16)),
+            rows, draw(st.integers(0, 2)))
+
+
+class TestTransformerAgainstPaddedReference:
+    """The packed-row transformer against the padded reference, which runs
+    every row-wise op on all B x L positions: the loss, the scores and every
+    gradient."""
+
+    @given(transformer_cases())
+    @example((2, MULTICLASS, 0.0, 1, [[CLS_ID]], 0))                  # B=1, CLS only
+    @example((3, MULTILABEL, 0.1, 2, [[CLS_ID, 7, 8], [CLS_ID, 9, 4]], 0))  # no PAD
+    @example((1, MULTICLASS, 0.1, 3, [[CLS_ID], [CLS_ID, 5, 6, 7, 8]], 2))
+    def test_loss_scores_and_grads(self, case):
+        n_layers, label_mode, dropout, seed, rows, extra_pad = case
+        codec = make_codec()
+        config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=n_layers,
+                               n_heads=2, max_len=12, dropout=dropout)
+        rng = np.random.default_rng(seed)
+        params = {name: rng.normal(0.0, 0.5, size=value.shape)
+                  for name, value in init_params(config, codec).items()}
+        ids, targets = as_batch(
+            [(seq(row), frozenset(rng.choice(3, size=1 + (label_mode == MULTILABEL),
+                                             replace=False).tolist()))
+             for row in rows], label_mode)
+        ids = np.pad(ids, ((0, 0), (0, extra_pad)))
+
+        def dropout_rng():
+            return np.random.default_rng(seed) if dropout else None
+
+        loss, grads = loss_and_grad(params, ids, targets, config, label_mode,
+                                    dropout_rng())
+        ref_loss, ref_grads, _ = reference_transformer_loss_and_grad(
+            params, ids, targets, config, label_mode, dropout_rng())
+        assert abs(loss - ref_loss) <= 1e-12
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            np.testing.assert_allclose(grad, ref_grads[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+        _, _, ref_scores = reference_transformer_loss_and_grad(
+            params, ids, targets, config, label_mode)
+        np.testing.assert_allclose(forward_batch(params, ids, config), ref_scores,
+                                   rtol=0, atol=1e-12)
 
 
 class TestPredict:
