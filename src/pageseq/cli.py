@@ -13,11 +13,13 @@ arguments or config.
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
+import typing
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +57,8 @@ from .evaluation import (
     scores_payload,
 )
 from .features import (
+    DEFAULT_SVD_DIM,
+    DEFAULT_VOCAB_CAP,
     fit_svd,
     fit_tfidf,
     fit_vocabulary,
@@ -100,15 +104,6 @@ def write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
-def _load_config_file(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
-
-
 def _load_artifact(what: str, path, load, *args):
     """``load(path, *args)`` with a missing, unreadable or malformed file
     reported as a ConfigError (exit 2) that names the file."""
@@ -126,81 +121,103 @@ def _load_artifact(what: str, path, load, *args):
         raise ConfigError(f"{what} {path}: malformed ({exc})") from None
 
 
-def _field(obj: dict, name: str, kind, default=None, required=False, where=""):
-    label = f"{where}.{name}" if where else name
-    if name not in obj:
-        if required:
-            raise ConfigError(f"missing config field {label!r}")
-        return default
-    value = obj[name]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"config field {label!r} must be {kind.__name__}")
+def _load_config_file(path: str):
+    return _load_artifact("config file", path, lambda p: json.loads(
+        Path(p).read_text(encoding="utf-8")))
+
+
+# ---------------------------------------------------------------------------
+# Config parsing: each JSON block is read against the dataclass it configures
+# ---------------------------------------------------------------------------
+
+
+def _label(where: str, name: str) -> str:
+    return f"{where}.{name}" if where else name
+
+
+def _block(obj, keys, where: str) -> dict:
+    """``obj`` as a JSON object whose keys are all among ``keys``; an unknown
+    key is reported with the nearest valid one."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config field {where!r} must be an object" if where
+                          else "config must be a JSON object")
+    for key in obj:
+        if key not in keys:
+            near = difflib.get_close_matches(key, keys, n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise ConfigError(f"unknown config field {_label(where, key)!r}{hint}")
+    return obj
+
+
+def _typed(value, hint, label: str):
+    """``value`` checked against ``hint``: int, float, str, bool, or a tuple
+    of them, which a JSON array becomes.  An int is accepted as a float;
+    NaN and +-Infinity, which Python's json reads, are not."""
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        if not isinstance(value, list):
+            raise ConfigError(f"config field {label!r} must be a list")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"config field {label!r} must be a list of "
+                              f"{len(args)} values")
+        return tuple(_typed(v, a, f"{label}[{i}]")
+                     for i, (v, a) in enumerate(zip(value, args)))
+    if hint is float and type(value) is int:  # too large for a float: inf
+        value = float(value) if abs(value) <= sys.float_info.max else np.inf
+    if type(value) is not hint:
+        raise ConfigError(f"config field {label!r} must be {hint.__name__}")
+    if hint is float and not np.isfinite(value):
+        raise ConfigError(f"config field {label!r} must be finite")
     return value
 
 
-# ---------------------------------------------------------------------------
-# Config parsing
-# ---------------------------------------------------------------------------
-
-
-def synth_config_from(obj: dict) -> SynthConfig:
-    n = _field(obj, "n_classes", int, required=True)
-    seed = _field(obj, "seed", int, default=0)
-    kwargs = dict(
-        pages_per_doc=tuple(_field(obj, "pages_per_doc", list, default=[4, 12])),
-        tokens_per_page=tuple(_field(obj, "tokens_per_page", list, default=[5, 30])),
-        class_vocab_size=_field(obj, "class_vocab_size", int, default=50),
-        shared_vocab_size=_field(obj, "shared_vocab_size", int, default=100),
-        ambiguity=_field(obj, "ambiguity", float, default=0.5),
-        docs_per_split=tuple(_field(obj, "docs_per_split", list, default=[80, 10, 10])),
-    )
+def _config_from(cls, obj, where: str, **given):
+    """Dataclass ``cls`` from the JSON object ``obj``, whose keys must be
+    fields of ``cls`` holding values of their types.  A field that ``obj``
+    leaves out takes its value from ``given`` (what the CLI derives, such as
+    seeds), else the dataclass default."""
+    hints = typing.get_type_hints(cls)
+    values = dict(given)
+    for name, value in _block(obj, [f.name for f in fields(cls)], where).items():
+        values[name] = _typed(value, hints[name], _label(where, name))
+    for f in fields(cls):
+        if f.name not in values and f.default is MISSING:
+            raise ConfigError(f"missing config field {_label(where, f.name)!r}")
     try:
-        if "transition_matrix" in obj:
-            matrix = tuple(tuple(row) for row in obj["transition_matrix"])
-            start = tuple(_field(obj, "start_distribution", list, required=True))
-            return SynthConfig(n, matrix, start, seed=seed, **kwargs)
-        self_p = _field(obj, "self_transition", float, required=True)
-        return SynthConfig.uniform(n, self_p, seed=seed, **kwargs)
-    except CorpusError as exc:
-        raise ConfigError(f"invalid synthetic corpus config: {exc}") from None
-
-
-def encoder_config_from(obj: dict, default_seed: int) -> EncoderConfig:
-    try:
-        return EncoderConfig(
-            variant=_field(obj, "variant", str, default="linear"),
-            d=_field(obj, "d", int, default=32),
-            n_layers=_field(obj, "n_layers", int, default=2),
-            n_heads=_field(obj, "n_heads", int, default=2),
-            max_len=_field(obj, "max_len", int, default=64),
-            dropout=_field(obj, "dropout", float, default=0.0),
-            init_seed=_field(obj, "init_seed", int, default=default_seed),
-        )
+        return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"invalid encoder config: {exc}") from None
+        raise ConfigError(f"{where or 'config'}: {exc}") from None
 
 
-def train_config_from(obj: dict, default_seed: int) -> TrainConfig:
-    try:
-        return TrainConfig(
-            epochs=_field(obj, "epochs", int, default=6),
-            batch_size=_field(obj, "batch_size", int, default=32),
-            peak_lr=_field(obj, "peak_lr", float, default=1e-3),
-            warmup_fraction=_field(obj, "warmup_fraction", float, default=0.10),
-            weight_decay=_field(obj, "weight_decay", float, default=0.0),
-            seed=_field(obj, "seed", int, default=default_seed),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid train config: {exc}") from None
+def synth_config_from(obj, where: str = "") -> SynthConfig:
+    """SynthConfig from a JSON object.  ``self_transition`` stands for the
+    transition matrix and start distribution of ``SynthConfig.uniform`` and
+    excludes both."""
+    keys = [f.name for f in fields(SynthConfig)] + ["self_transition"]
+    obj = dict(_block(obj, keys, where))
+    self_p = obj.pop("self_transition", None)
+    if self_p is None or "n_classes" not in obj:
+        return _config_from(SynthConfig, obj, where)
+    if obj.keys() & {"transition_matrix", "start_distribution"}:
+        raise ConfigError(f"config field {_label(where, 'self_transition')!r} "
+                          f"excludes 'transition_matrix' and 'start_distribution'")
+    chain = SynthConfig.uniform(
+        _typed(obj["n_classes"], int, _label(where, "n_classes")),
+        _typed(self_p, float, _label(where, "self_transition")))
+    return _config_from(SynthConfig, obj, where,
+                        transition_matrix=chain.transition_matrix,
+                        start_distribution=chain.start_distribution)
 
 
 def corpus_from(value, base: Path) -> CorpusSplit:
     if isinstance(value, str):
         return load_corpus(base / value if not Path(value).is_absolute() else value)
-    if isinstance(value, dict) and "synthetic" in value:
-        return generate_synthetic(synth_config_from(value["synthetic"]))
+    if isinstance(value, dict) and "synthetic" in _block(value, ("synthetic",),
+                                                          "corpus"):
+        return generate_synthetic(synth_config_from(value["synthetic"],
+                                                    "corpus.synthetic"))
     raise ConfigError("config field 'corpus' must be a manifest path or "
                       "{\"synthetic\": {...}}")
 
@@ -278,34 +295,39 @@ def _page_vector_seqs(matrix, projector, docs):
 
 
 def cmd_train(args) -> int:
-    cfg_obj = _load_config_file(args.config)
+    cfg_obj = _block(_load_config_file(args.config),
+                     ("corpus", "mode", "seed", "encoder", "train", "vocab_cap",
+                      "baselines", "crf", "bilstm"), "")
     if args.mode:
         cfg_obj["mode"] = args.mode
-    if args.epochs is not None:
-        cfg_obj.setdefault("train", {})["epochs"] = args.epochs
+    # a "train" that is not an object is reported by _config_from below
+    if args.epochs is not None and isinstance(cfg_obj.setdefault("train", {}), dict):
+        cfg_obj["train"]["epochs"] = args.epochs
     if args.seed is not None:
         cfg_obj["seed"] = args.seed
 
-    seed = _field(cfg_obj, "seed", int, default=0)
-    mode = _field(cfg_obj, "mode", str, default="oblivious")
+    seed = _typed(cfg_obj.get("seed", 0), int, "seed")
+    mode = _typed(cfg_obj.get("mode", "oblivious"), str, "mode")
     if mode not in ("oblivious", "recurrent"):
         raise ConfigError("config field 'mode' must be 'oblivious' or 'recurrent'")
-    baselines = _field(cfg_obj, "baselines", dict, default={})
-    want_crf = _field(baselines, "crf", bool, default=False, where="baselines")
-    want_bilstm = _field(baselines, "bilstm", bool, default=False, where="baselines")
+    baselines = _block(cfg_obj.get("baselines", {}), ("crf", "bilstm"), "baselines")
+    want_crf = _typed(baselines.get("crf", False), bool, "baselines.crf")
+    want_bilstm = _typed(baselines.get("bilstm", False), bool, "baselines.bilstm")
     if want_crf and mode != "oblivious":
         raise ConfigError("baselines.crf requires mode 'oblivious' "
                           "(the CRF consumes a frozen context-oblivious checkpoint)")
-    if "corpus" not in cfg_obj:
-        raise ConfigError("missing config field 'corpus'")
-    base = Path(args.config).parent
-    split = corpus_from(cfg_obj["corpus"], base)
+    encoder_config = _config_from(EncoderConfig, cfg_obj.get("encoder", {}),
+                                  "encoder", init_seed=seed)
+    train_config = _config_from(TrainConfig, cfg_obj.get("train", {}), "train",
+                                seed=seed)
+    cap = _typed(cfg_obj.get("vocab_cap", DEFAULT_VOCAB_CAP), int, "vocab_cap")
+    l2 = _typed(_block(cfg_obj.get("crf", {}), ("l2",), "crf").get("l2", 0.01), float,
+                "crf.l2")
+    bl_obj = dict(_block(cfg_obj.get("bilstm", {}), ("hidden_dim", "svd_k"),
+                         "bilstm"))
+    svd_k = _typed(bl_obj.pop("svd_k", DEFAULT_SVD_DIM), int, "bilstm.svd_k")
+    split = corpus_from(cfg_obj.get("corpus"), Path(args.config).parent)
     label_mode = split.vocabulary.label_mode
-    encoder_config = encoder_config_from(_field(cfg_obj, "encoder", dict, default={}),
-                                         default_seed=seed)
-    train_config = train_config_from(_field(cfg_obj, "train", dict, default={}),
-                                     default_seed=seed)
-    cap = _field(cfg_obj, "vocab_cap", int, default=60_000)
 
     run_id = args.run_id or f"train-{config_hash(cfg_obj)[:12]}"
     outdir = Path(args.outdir) / run_id
@@ -315,18 +337,16 @@ def cmd_train(args) -> int:
     # the train split is tokenized once, for the vocabulary, the encoder and
     # the BiLSTM's page vectors
     train_tokens = page_tokens(split.train)
-    vocab = fit_vocabulary(train_tokens, cap)
+    try:
+        vocab = fit_vocabulary(train_tokens, cap)
+    except ValueError as exc:
+        raise ConfigError(f"cannot fit a vocabulary with vocab_cap={cap}: {exc}") \
+            from None
     if want_bilstm:
         if label_mode != MULTICLASS:
             raise ConfigError("baselines.bilstm supports multiclass corpora only")
-        bl_obj = _field(cfg_obj, "bilstm", dict, default={})
-        hidden = _field(bl_obj, "hidden_dim", int, default=128, where="bilstm")
-        svd_k = _field(bl_obj, "svd_k", int, default=300, where="bilstm")
-        try:
-            bl_config = BiLstmConfig(input_dim=svd_k, n_classes=split.vocabulary.n,
-                                     hidden_dim=hidden, init_seed=seed)
-        except ValueError as exc:
-            raise ConfigError(f"invalid bilstm config: {exc}") from None
+        bl_config = _config_from(BiLstmConfig, bl_obj, "bilstm", input_dim=svd_k,
+                                 n_classes=split.vocabulary.n, init_seed=seed)
         # the TF-IDF vocabulary is this one: same train tokens, same cap
         if svd_k > min(len(train_tokens), vocab.size):
             raise ConfigError(
@@ -350,13 +370,14 @@ def cmd_train(args) -> int:
     golds = [[next(iter(p.gold_labels)) for p in doc.pages] for doc in split.train]
 
     if want_crf:
-        crf_obj = _field(cfg_obj, "crf", dict, default={})
-        l2 = _field(crf_obj, "l2", float, default=0.01, where="crf")
         tick = time.perf_counter()
         logit_seqs = _encoder_logit_seqs(params, encoder_config, codec,
                                          split.train, label_mode, train_encoded)
         emission_seqs = [emissions_from_logits(lg) for lg in logit_seqs]
-        crf_model = crf_fit(emission_seqs, golds, split.vocabulary.n, l2=l2)
+        try:
+            crf_model = crf_fit(emission_seqs, golds, split.vocabulary.n, l2=l2)
+        except ValueError as exc:
+            raise ConfigError(f"crf: {exc}") from None
         crf_payload = {
             "kind": "crf",
             "l2": l2,

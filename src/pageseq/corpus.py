@@ -364,7 +364,8 @@ class SynthConfig:
     @classmethod
     def uniform(cls, n_classes: int, self_prob: float, seed: int = 0, **kwargs) -> "SynthConfig":
         """Convenience constructor: self-transition ``self_prob``, remainder uniform."""
-        off = (1.0 - self_prob) / (n_classes - 1)
+        # n_classes < 2 is rejected by __post_init__, after a safe division
+        off = (1.0 - self_prob) / max(n_classes - 1, 1)
         matrix = tuple(
             tuple(self_prob if i == j else off for j in range(n_classes))
             for i in range(n_classes)

@@ -172,7 +172,10 @@ def crf_fit(emission_seqs: Sequence[np.ndarray],
     scale is bounded below by a small positive floor.  The fit converges when
     the projected gradient's max-norm falls under ``tol``; otherwise a
     non-convergence warning is emitted and the last iterate returned.
+    Concavity needs ``l2 >= 0``; any other ``l2`` is a ValueError.
     """
+    if not (l2 >= 0 and np.isfinite(l2)):
+        raise ValueError("l2 must be >= 0 and finite")
     size = n_classes * n_classes
 
     def unpack(x):

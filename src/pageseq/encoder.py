@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -504,12 +504,7 @@ def checkpoint_payload(params: dict, config: EncoderConfig, codec: TokenCodec,
         "mode": mode,
         "label_mode": label_mode,
         "seed": seed,
-        "config": {
-            "variant": config.variant, "d": config.d,
-            "n_layers": config.n_layers, "n_heads": config.n_heads,
-            "max_len": config.max_len, "dropout": config.dropout,
-            "init_seed": config.init_seed,
-        },
+        "config": asdict(config),
         "codec": {
             "classes": list(codec.type_vocab.class_names),
             "vocab_label_mode": codec.type_vocab.label_mode,

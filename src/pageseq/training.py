@@ -42,12 +42,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.peak_lr <= 0:
-            raise ValueError("peak_lr must be positive")
+        if not 0 < self.peak_lr < math.inf:
+            raise ValueError("peak_lr must be positive and finite")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be >= 0 and finite")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if not (0.0 <= self.betas[0] < 1.0 and 0.0 <= self.betas[1] < 1.0):
             raise ValueError("betas must be in [0, 1)")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
 
     @classmethod
     def published(cls, **overrides) -> "TrainConfig":

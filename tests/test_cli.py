@@ -3,15 +3,20 @@ determinism of every artifact."""
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pageseq.cli import main
-from pageseq.corpus import load_corpus
+from pageseq.cli import _config_from, main
+from pageseq.corpus import SynthConfig, load_corpus
+from pageseq.encoder import EncoderConfig
 from pageseq.evaluation import align_traces, gold_labels, score
 from pageseq.recurrence import PagePrediction, PredictionTrace, read_traces, write_traces
+from pageseq.training import TrainConfig
 
 
 def sha(path):
@@ -619,3 +624,105 @@ class TestStats:
         assert "pages per class" in out
         assert "label runs in train" in out
         assert "self-transition" in out
+
+
+def _chain_cfg(matrix):
+    """SYNTH_CFG with an explicit chain in place of its self-transition."""
+    cfg = {k: v for k, v in SYNTH_CFG.items() if k != "self_transition"}
+    return dict(cfg, transition_matrix=matrix, start_distribution=[0.4, 0.3, 0.3])
+
+
+IDENTITY = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+class TestConfigReader:
+    """Every config block is read against its schema: a bad key, type or
+    value exits 2 with one ``error:`` line naming the field."""
+
+    @pytest.mark.parametrize("command, make_cfg, argv, expected", [
+        pytest.param("train", lambda c: experiment_cfg(
+            c, train={"epoch": 1, "batchsize": 4}), [],
+            ["'train.epoch'", "did you mean 'epochs'"], id="train.epoch"),
+        pytest.param("train", lambda c: experiment_cfg(c, baseline={"crf": True}),
+                     [], ["'baseline'", "did you mean 'baselines'"], id="baseline"),
+        pytest.param("synth", lambda c: dict(SYNTH_CFG, sel_transition=0.5), [],
+                     ["'sel_transition'", "did you mean 'self_transition'"],
+                     id="sel_transition"),
+        pytest.param("train", lambda c: experiment_cfg(
+            c, train={"epochs": 1, "peak_lr": float("nan")}), [],
+            ["'train.peak_lr'"], id="peak_lr-NaN"),
+        pytest.param("train", lambda c: experiment_cfg(
+            c, train={"epochs": 1, "weight_decay": float("inf")}), [],
+            ["'train.weight_decay'"], id="weight_decay-Infinity"),
+        pytest.param("train", lambda c: experiment_cfg(
+            c, train={"epochs": 1, "peak_lr": 10**400}), [],
+            ["'train.peak_lr'"], id="peak_lr-beyond-float"),
+        pytest.param("synth", lambda c: dict(SYNTH_CFG, n_classes=1), [],
+                     ["n_classes"], id="one-class-uniform"),
+        pytest.param("train", lambda c: experiment_cfg(
+            c, baselines={"crf": True}, crf={"l2": -1}), [], ["l2"],
+            id="crf.l2-negative"),
+        pytest.param("train", lambda c: experiment_cfg(c, vocab_cap=0), [],
+                     ["vocab_cap"], id="vocab_cap-0"),
+        pytest.param("synth", lambda c: dict(_chain_cfg(IDENTITY),
+                                             self_transition=0.7), [],
+                     ["'transition_matrix'", "self_transition"],
+                     id="self_transition-and-matrix"),
+        pytest.param("train", lambda c: 5, [], ["config must be a JSON object"],
+                     id="top-level-5"),
+        pytest.param("train", lambda c: experiment_cfg(c, corpus={"synthetic": 5}),
+                     [], ["'corpus.synthetic'"], id="corpus.synthetic-5"),
+        pytest.param("synth", lambda c: _chain_cfg(5), [], ["'transition_matrix'"],
+                     id="transition_matrix-5"),
+        pytest.param("synth", lambda c: _chain_cfg([[1, 0, 0], [0, "1", 0],
+                                                    [0, 0, 1]]), [],
+                     ["'transition_matrix[1][1]'"], id="matrix-entry-string"),
+        pytest.param("train", lambda c: experiment_cfg(c, train=5),
+                     ["--epochs", "1"], ["'train'"], id="epochs-override-train-5"),
+    ])
+    def test_bad_config_exits_2_naming_the_field(self, tmp_path, corpus_dir, capsys,
+                                                 command, make_cfg, argv, expected):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(make_cfg(corpus_dir)))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "runs"), *argv]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        for text in expected:
+            assert text in err[0]
+
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    positive = st.floats(1e-12, 1e6)
+    seed = st.integers(0, 2**63)
+
+    @given(n=st.integers(2, 6), self_p=st.floats(0.0, 1.0), seed=seed,
+           pages=st.tuples(st.integers(1, 5), st.integers(5, 9)),
+           ambiguity=st.floats(0.0, 1.0),
+           docs=st.tuples(*[st.integers(1, 50)] * 3))
+    def test_synth_config_round_trips(self, n, self_p, seed, pages, ambiguity, docs):
+        cfg = SynthConfig.uniform(n, self_p, seed=seed, pages_per_doc=pages,
+                                  ambiguity=ambiguity, docs_per_split=docs)
+        assert _config_from(SynthConfig, json.loads(json.dumps(asdict(cfg))),
+                            "synth") == cfg
+
+    @given(variant=st.sampled_from(["linear", "tiny-transformer"]),
+           heads=st.integers(1, 4), per_head=st.integers(1, 8),
+           n_layers=st.integers(1, 3), max_len=st.integers(3, 512),
+           dropout=unit, init_seed=seed)
+    def test_encoder_config_round_trips(self, variant, heads, per_head, n_layers,
+                                        max_len, dropout, init_seed):
+        cfg = EncoderConfig(variant, heads * per_head, n_layers, heads, max_len,
+                            dropout, init_seed)
+        assert _config_from(EncoderConfig, json.loads(json.dumps(asdict(cfg))),
+                            "encoder") == cfg
+
+    @given(epochs=st.integers(1, 100), batch_size=st.integers(1, 4096),
+           peak_lr=positive, warmup=unit, weight_decay=st.floats(0.0, 1e3),
+           betas=st.tuples(unit, unit), epsilon=positive, seed=seed)
+    def test_train_config_round_trips(self, epochs, batch_size, peak_lr, warmup,
+                                      weight_decay, betas, epsilon, seed):
+        cfg = TrainConfig(epochs, batch_size, peak_lr, warmup, weight_decay, betas,
+                          epsilon, seed)
+        assert _config_from(TrainConfig, json.loads(json.dumps(asdict(cfg))),
+                            "train") == cfg

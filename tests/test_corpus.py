@@ -426,3 +426,8 @@ class TestTransitionSelfProb:
         cfg = SynthConfig.uniform(3, 0.3, seed=21, docs_per_split=(10, 1, 1))
         stats = transition_self_prob(generate_synthetic(cfg).train)
         assert all(0.0 <= v <= 1.0 for v in stats.per_class.values())
+
+
+def test_uniform_with_one_class_raises_corpus_error():
+    with pytest.raises(CorpusError, match="n_classes must be >= 2"):
+        SynthConfig.uniform(1, 0.5)

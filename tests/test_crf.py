@@ -253,3 +253,10 @@ class TestEmissions:
         np.testing.assert_allclose(emissions_from_logits(logits),
                                    emissions_from_logits(logits + 100.0),
                                    atol=1e-9)
+
+
+@pytest.mark.parametrize("l2", [-1.0, float("nan"), float("inf")])
+def test_fit_rejects_l2_that_breaks_concavity(l2):
+    seqs = [np.zeros((3, 2))]
+    with pytest.raises(ValueError, match="l2"):
+        crf_fit(seqs, [[0, 1, 0]], 2, l2=l2)

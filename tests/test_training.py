@@ -201,3 +201,13 @@ class TestTrainConfig:
         assert cfg.batch_size == 32
         assert cfg.peak_lr == 2e-5
         assert cfg.warmup_fraction == 0.10
+
+
+@pytest.mark.parametrize("field, value", [
+    ("peak_lr", float("nan")), ("peak_lr", float("inf")),
+    ("weight_decay", -0.1), ("weight_decay", float("inf")),
+    ("weight_decay", float("nan")), ("epsilon", 0.0), ("epsilon", float("inf")),
+])
+def test_train_config_rejects_non_finite_or_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
