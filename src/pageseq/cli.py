@@ -38,7 +38,7 @@ from .corpus import (
     transition_self_prob,
     write_corpus,
 )
-from .crf import CrfModel, crf_fit, crf_viterbi, emissions_from_logits
+from .crf import CrfModel, check_l2, crf_fit, crf_viterbi, emissions_from_logits
 from .encoder import (
     EncoderConfig,
     TokenCodec,
@@ -323,6 +323,10 @@ def cmd_train(args) -> int:
     cap = _typed(cfg_obj.get("vocab_cap", DEFAULT_VOCAB_CAP), int, "vocab_cap")
     l2 = _typed(_block(cfg_obj.get("crf", {}), ("l2",), "crf").get("l2", 0.01), float,
                 "crf.l2")
+    try:
+        check_l2(l2)
+    except ValueError as exc:
+        raise ConfigError(f"crf: {exc}") from None
     bl_obj = dict(_block(cfg_obj.get("bilstm", {}), ("hidden_dim", "svd_k"),
                          "bilstm"))
     svd_k = _typed(bl_obj.pop("svd_k", DEFAULT_SVD_DIM), int, "bilstm.svd_k")
@@ -334,6 +338,7 @@ def cmd_train(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     provenance = provenance_for("train", cfg_obj, seed)
 
+    started = time.perf_counter()
     # the train split is tokenized once, for the vocabulary, the encoder and
     # the BiLSTM's page vectors
     train_tokens = page_tokens(split.train)
@@ -355,18 +360,25 @@ def cmd_train(args) -> int:
     codec = TokenCodec(split.vocabulary, vocab.tokens)
     train_encoded = encode_split(split.train, codec, encoder_config.max_len,
                                  train_tokens)
-    started = time.perf_counter()
+    encode_seconds = time.perf_counter() - started
     params, report = train_encoder(encoder_config, codec, split.train, label_mode,
                                    train_config, recurrent=(mode == "recurrent"),
                                    val_docs=split.validation,
                                    encoded=train_encoded)
+    tick = time.perf_counter()
     ckpt = checkpoint_payload(params, encoder_config, codec, label_mode,
                               mode=mode, seed=seed)
     ckpt["provenance"] = provenance
     save_checkpoint(outdir / "checkpoint.json", ckpt)
     write_json(outdir / "report.json",
                {"provenance": provenance, **report.to_payload()})
-    timings = {"train_seconds": report.wall_clock_seconds}
+    # wall clock by stage; encode covers tokenizing, the vocabulary and the
+    # id matrices of both splits
+    timings = {f"{stage}_seconds": seconds
+               for stage, seconds in report.stage_seconds.items()}
+    timings["encode_seconds"] += encode_seconds
+    timings["checkpoint_seconds"] = time.perf_counter() - tick
+    timings["train_seconds"] = report.wall_clock_seconds
     golds = [[next(iter(p.gold_labels)) for p in doc.pages] for doc in split.train]
 
     if want_crf:
@@ -374,10 +386,7 @@ def cmd_train(args) -> int:
         logit_seqs = _encoder_logit_seqs(params, encoder_config, codec,
                                          split.train, label_mode, train_encoded)
         emission_seqs = [emissions_from_logits(lg) for lg in logit_seqs]
-        try:
-            crf_model = crf_fit(emission_seqs, golds, split.vocabulary.n, l2=l2)
-        except ValueError as exc:
-            raise ConfigError(f"crf: {exc}") from None
+        crf_model = crf_fit(emission_seqs, golds, split.vocabulary.n, l2=l2)
         crf_payload = {
             "kind": "crf",
             "l2": l2,

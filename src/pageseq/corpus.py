@@ -364,6 +364,8 @@ class SynthConfig:
     @classmethod
     def uniform(cls, n_classes: int, self_prob: float, seed: int = 0, **kwargs) -> "SynthConfig":
         """Convenience constructor: self-transition ``self_prob``, remainder uniform."""
+        if not 0.0 <= self_prob <= 1.0:   # also NaN
+            raise CorpusError(f"self_transition must be in [0, 1], got {self_prob!r}")
         # n_classes < 2 is rejected by __post_init__, after a safe division
         off = (1.0 - self_prob) / max(n_classes - 1, 1)
         matrix = tuple(

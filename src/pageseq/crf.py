@@ -159,6 +159,13 @@ def crf_log_likelihood_and_grad(model: CrfModel,
     return ll, grad_t, grad_start, grad_scale
 
 
+def check_l2(l2: float) -> None:
+    """Raise ValueError unless ``l2`` is a valid transition penalty: >= 0
+    and finite, which keeps the objective concave."""
+    if not (l2 >= 0 and np.isfinite(l2)):
+        raise ValueError("l2 must be >= 0 and finite")
+
+
 def crf_fit(emission_seqs: Sequence[np.ndarray],
             gold_seqs: Sequence[Sequence[int]],
             n_classes: int,
@@ -174,8 +181,7 @@ def crf_fit(emission_seqs: Sequence[np.ndarray],
     non-convergence warning is emitted and the last iterate returned.
     Concavity needs ``l2 >= 0``; any other ``l2`` is a ValueError.
     """
-    if not (l2 >= 0 and np.isfinite(l2)):
-        raise ValueError("l2 must be >= 0 and finite")
+    check_l2(l2)
     size = n_classes * n_classes
 
     def unpack(x):

@@ -16,6 +16,19 @@ embedding gets no gradient.  The last layer computes the B CLS rows only (its
 keys and values still see every row), in the forward and the backward pass
 alike.
 
+Every per-token or per-grid temporary of the transformer's forward and
+backward passes is written with ``out=`` into a ``Scratch`` pool: flat
+float64 buffers keyed by call site (and layer, for what the backward pass
+reads), each grown to the largest size asked for.  The arithmetic is the
+one a fresh array per temporary gives, bit for bit; what changes is that a
+reused buffer's pages are already mapped, so a call does not pay page
+faults for its temporaries again.  ``forward_batch`` and ``loss_and_grad``
+take the pool as ``scratch``, or make a fresh one per call when it is None.
+``training.train_encoder`` owns one pool for its optimizer steps and
+validation decodes, and ``recurrence.infer_split`` one per call.  The
+scores, losses and gradients they return are new arrays, never views into
+the pool, so the next call cannot change them.
+
 Token id layout (one combined table of size V + n + 4):
 
     0 PAD   1 UNK   2 CLS   3 first-page marker
@@ -135,24 +148,47 @@ _LN_EPS = 1e-5
 _MASK_NEG = -1e30
 
 
-def _layernorm_fwd(x, g, b):
+class Scratch:
+    """Reused float64 work buffers of the tiny transformer, one per key (a
+    call site, plus the layer prefix where a buffer must outlive its layer).
+    A buffer grows to the largest size asked for and is handed out as a
+    contiguous view of the asked shape, holding whatever its last user
+    wrote.  Nothing in the pool is live between two calls."""
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def get(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(key)
+        if flat is None or flat.size < size:
+            flat = self._flat[key] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(flat.nbytes for flat in self._flat.values())
+
+
+def _layernorm_fwd(x, g, b, scratch, key):
     mu = x.mean(axis=-1, keepdims=True)
-    xhat = x - mu
-    var = np.square(xhat).mean(axis=-1, keepdims=True)   # == x.var(axis=-1)
+    xhat = np.subtract(x, mu, out=scratch.get(key + "xhat", x.shape))
+    y = scratch.get(key + "y", x.shape)
+    var = np.square(xhat, out=y).mean(axis=-1, keepdims=True)   # == x.var(axis=-1)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
-    y = g * xhat
+    np.multiply(g, xhat, out=y)
     y += b
     return y, (xhat, inv, g)
 
 
-def _layernorm_bwd(dy, cache):
+def _layernorm_bwd(dy, cache, scratch, key):
     xhat, inv, g = cache
     lead = tuple(range(dy.ndim - 1))
-    tmp = dy * xhat
+    tmp = np.multiply(dy, xhat, out=scratch.get("ln.tmp", dy.shape))
     dg = np.sum(tmp, axis=lead)
     db = np.sum(dy, axis=lead)
-    dx = dy * g                                     # dxhat
+    dx = np.multiply(dy, g, out=scratch.get(key + "dx", dy.shape))   # dxhat
     mean1 = dx.mean(axis=-1, keepdims=True)
     mean2 = np.multiply(dx, xhat, out=tmp).mean(axis=-1, keepdims=True)
     dx -= mean1                                     # inv (dxhat - mean1 - xhat mean2)
@@ -164,30 +200,30 @@ def _layernorm_bwd(dy, cache):
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def _gelu_fwd(x):
+def _gelu_fwd(x, scratch, key):
     # x * x * x: numpy's float pow is ~60x slower than two multiplies here
-    t = x * x
+    t = np.multiply(x, x, out=scratch.get(key + "t", x.shape))
     t *= x
     t *= 0.044715
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    y = 0.5 * x
-    y *= 1.0 + t
+    y = np.multiply(0.5, x, out=scratch.get(key + "y", x.shape))
+    y *= np.add(1.0, t, out=scratch.get("gelu.1+t", x.shape))
     return y, (x, t)
 
 
-def _gelu_bwd(dy, cache):
+def _gelu_bwd(dy, cache, scratch, key):
     x, t = cache
-    dinner = t * t                                  # (1 - t^2) C (1 + 3 a x^2)
-    np.subtract(1.0, dinner, out=dinner)
+    dinner = np.multiply(t, t, out=scratch.get("gelu.dinner", x.shape))
+    np.subtract(1.0, dinner, out=dinner)            # (1 - t^2) C (1 + 3 a x^2)
     dinner *= _GELU_C
-    poly = x * (3 * 0.044715)
+    poly = np.multiply(x, 3 * 0.044715, out=scratch.get("gelu.poly", x.shape))
     poly *= x
     poly += 1.0
     dinner *= poly
-    dx = t + 1.0                                    # dy (0.5 (1 + t) + 0.5 x dinner)
-    dx *= 0.5
+    dx = np.add(t, 1.0, out=scratch.get(key + "dx", x.shape))
+    dx *= 0.5                                       # dy (0.5 (1 + t) + 0.5 x dinner)
     np.multiply(x, 0.5, out=poly)
     poly *= dinner
     dx += poly
@@ -234,12 +270,13 @@ def _pack(ids) -> _Packing:
                     np.where(nonpad, 0.0, _MASK_NEG))
 
 
-def _padded(x, slots, b, l):
+def _padded(x, slots, b, l, scratch, key):
     """Packed rows (N, d) scattered to their flat ``slots`` of a zero
     (B, L, d) grid."""
     if len(slots) == b * l:                 # no PAD: the rows are the grid
         return x.reshape(b, l, -1)
-    grid = np.zeros((b * l, x.shape[1]))
+    grid = scratch.get(key, (b * l, x.shape[1]))
+    grid.fill(0.0)
     grid[slots] = x
     return grid.reshape(b, l, -1)
 
@@ -250,37 +287,49 @@ def _heads(x, n_heads):
     return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _rows(xh, slots):
+def _rows(xh, slots, scratch, key):
     """(B, H, L, dh) -> the packed rows at ``slots`` (all B x L if None)."""
-    b, n_heads, _, dh = xh.shape
-    x = xh.transpose(0, 2, 1, 3).reshape(-1, n_heads * dh)
-    return x if slots is None or len(slots) == len(x) else np.take(x, slots, axis=0)
+    b, n_heads, l, dh = xh.shape
+    grid = scratch.get(key + "grid", (b, l, n_heads, dh))
+    np.copyto(grid, xh.transpose(0, 2, 1, 3))
+    x = grid.reshape(-1, n_heads * dh)
+    if slots is None or len(slots) == len(x):
+        return x
+    # with out=, mode "raise" gathers into a hidden copy of out; "clip" does
+    # not, and positions computed from ids are always in range
+    return np.take(x, slots, axis=0, out=scratch.get(key, (len(slots), x.shape[1])),
+                   mode="clip")
 
 
-def _attention_fwd(a, params, prefix, pack, n_heads, cls_only):
+def _attention_fwd(a, params, prefix, pack, n_heads, cls_only, scratch):
     """Multi-head self-attention over packed rows ``a`` (N, d).  Queries come
     from every row, or from the CLS rows only; keys and values come from
     every row.  The projections run on the packed rows; the logits run on
     the padded grid, where the additive key mask hides the PAD slots."""
     slots, cls, mask = pack
     b, l = mask.shape
-    dh = a.shape[1] // n_heads
+    n, d = a.shape
+    dh = d // n_heads
     aq = a[cls] if cls_only else a
-    q = aq @ params[prefix + "wq"]
+    q = np.matmul(aq, params[prefix + "wq"], out=scratch.get(prefix + "q", aq.shape))
     q += params[prefix + "qb"]
-    k = a @ params[prefix + "wk"]
+    k = np.matmul(a, params[prefix + "wk"], out=scratch.get(prefix + "k", (n, d)))
     k += params[prefix + "kb"]
-    v = a @ params[prefix + "wv"]
+    v = np.matmul(a, params[prefix + "wv"], out=scratch.get(prefix + "v", (n, d)))
     v += params[prefix + "vb"]
-    qh = _heads(q[:, None] if cls_only else _padded(q, slots, b, l), n_heads)
-    kh = _heads(_padded(k, slots, b, l), n_heads)                   # (B, H, L, dh)
-    vh = _heads(_padded(v, slots, b, l), n_heads)
-    logits = qh @ kh.transpose(0, 1, 3, 2)                          # (B, H, Lq, L)
+    qh = _heads(q[:, None] if cls_only
+                else _padded(q, slots, b, l, scratch, prefix + "qgrid"), n_heads)
+    kh = _heads(_padded(k, slots, b, l, scratch, prefix + "kgrid"), n_heads)
+    vh = _heads(_padded(v, slots, b, l, scratch, prefix + "vgrid"), n_heads)
+    logits = np.matmul(qh, kh.transpose(0, 1, 3, 2),                # (B, H, Lq, L)
+                       out=scratch.get(prefix + "probs", qh.shape[:3] + (l,)))
     logits /= math.sqrt(dh)
     logits += mask[:, None, None, :]
     probs = _softmax_last(logits)
-    merged = _rows(probs @ vh, None if cls_only else slots)         # (Nq, d)
-    out = merged @ params[prefix + "wo"]
+    ctx = np.matmul(probs, vh, out=scratch.get("attn.ctx", qh.shape))
+    merged = _rows(ctx, None if cls_only else slots, scratch, prefix + "merged")
+    out = np.matmul(merged, params[prefix + "wo"], out=scratch.get(prefix + "out",
+                                                                   merged.shape))
     out += params[prefix + "ob"]
     return out, (a, aq, cls_only, qh, kh, vh, probs, merged)
 
@@ -293,28 +342,37 @@ def _softmax_last(x):
     return x
 
 
-def _attention_bwd(dout, params, prefix, pack, cache, grads, n_heads):
-    """Gradient wrt the attention input: packed (N, d) from (Nq, d)."""
+def _attention_bwd(dout, params, prefix, pack, cache, grads, n_heads, scratch):
+    """Gradient wrt the attention input: packed (N, d) from (Nq, d).  Its
+    buffers are shared by all layers: none is read after the layer's step."""
     a, aq, cls_only, qh, kh, vh, probs, merged = cache
     slots, cls, _ = pack
     b, _, l, dh = kh.shape
     grads[prefix + "wo"] += merged.T @ dout
     grads[prefix + "ob"] += dout.sum(axis=0)
-    dmerged = dout @ params[prefix + "wo"].T
-    dctx = _heads(dmerged[:, None] if cls_only else _padded(dmerged, slots, b, l),
-                  n_heads)
-    dprobs = dctx @ vh.transpose(0, 1, 3, 2)
-    dvh = probs.transpose(0, 1, 3, 2) @ dctx
+    dmerged = np.matmul(dout, params[prefix + "wo"].T,
+                        out=scratch.get("attn.dmerged", dout.shape))
+    dctx = _heads(dmerged[:, None] if cls_only
+                  else _padded(dmerged, slots, b, l, scratch, "attn.dctx"), n_heads)
+    dprobs = np.matmul(dctx, vh.transpose(0, 1, 3, 2),
+                       out=scratch.get("attn.dprobs", probs.shape))
+    dvh = np.matmul(probs.transpose(0, 1, 3, 2), dctx,
+                    out=scratch.get("attn.dvh", vh.shape))
     dlogits = dprobs                                # softmax backward
-    dlogits -= np.sum(dprobs * probs, axis=-1, keepdims=True)
+    dlogits -= np.sum(np.multiply(dprobs, probs, out=scratch.get("attn.dp", probs.shape)),
+                      axis=-1, keepdims=True)
     dlogits *= probs
     dlogits /= math.sqrt(dh)
-    dq = _rows(dlogits @ kh, None if cls_only else slots)
-    dk = _rows(dlogits.transpose(0, 1, 3, 2) @ qh, slots)
-    dv = _rows(dvh, slots)
-    da = dk @ params[prefix + "wk"].T
-    da[cls if cls_only else slice(None)] += dq @ params[prefix + "wq"].T
-    da += dv @ params[prefix + "wv"].T
+    dq = _rows(np.matmul(dlogits, kh, out=scratch.get("attn.dqh", qh.shape)),
+               None if cls_only else slots, scratch, "attn.dq")
+    dk = _rows(np.matmul(dlogits.transpose(0, 1, 3, 2), qh,
+                         out=scratch.get("attn.dkh", kh.shape)), slots, scratch,
+               "attn.dk")
+    dv = _rows(dvh, slots, scratch, "attn.dv")
+    da = np.matmul(dk, params[prefix + "wk"].T, out=scratch.get("attn.da", a.shape))
+    da[cls if cls_only else slice(None)] += np.matmul(
+        dq, params[prefix + "wq"].T, out=scratch.get("attn.daq", dq.shape))
+    da += np.matmul(dv, params[prefix + "wv"].T, out=scratch.get("attn.dav", a.shape))
     for x, dz, w_name, b_name in ((aq, dq, "wq", "qb"), (a, dk, "wk", "kb"),
                                   (a, dv, "wv", "vb")):
         grads[prefix + w_name] += x.T @ dz
@@ -322,17 +380,20 @@ def _attention_bwd(dout, params, prefix, pack, cache, grads, n_heads):
     return da
 
 
-def _transformer_fwd(params, ids, config, dropout_rng=None):
+def _transformer_fwd(params, ids, config, dropout_rng, scratch):
     """Pre-LN layers read out at CLS, on packed rows: one row per non-PAD
     token, in row-major order of ``ids``.  The last layer computes the CLS
     rows only: after its attention every op is row-wise, so only its keys
-    and values need the other rows."""
+    and values need the other rows.  What the backward pass reads stays in
+    ``scratch`` under the layer's prefix."""
     b, l = ids.shape
     pack = _pack(ids)
     slots, cls = pack.slots, pack.cls
     tokens = ids.ravel()[slots]
-    x = params["emb"][tokens]                           # (N, d)
-    x += params["pos"][slots % l]
+    shape = (len(slots), params["emb"].shape[1])
+    x = np.take(params["emb"], tokens, axis=0, out=scratch.get("emb", shape))  # (N, d)
+    x += np.take(params["pos"], slots % l, axis=0, out=scratch.get("pos", shape),
+                 mode="clip")
     d = x.shape[1]
     caches = []
     drop = config.dropout if dropout_rng is not None else 0.0
@@ -343,67 +404,85 @@ def _transformer_fwd(params, ids, config, dropout_rng=None):
         # output shape and cut to those rows, so each (example, position)
         # gets the mask value that the padded layout gives it.
         if last:
-            out_rows, drop_shape, drop_rows = cls, (b, 1, d), slice(None)
+            out_rows, drop_shape, drop_rows = cls, (b, 1, d), None
         else:
             out_rows, drop_shape, drop_rows = slice(None), (b, l, d), slots
-        a, ln1_cache = _layernorm_fwd(x, params[p + "ln1_g"], params[p + "ln1_b"])
-        attn, attn_cache = _attention_fwd(a, params, p, pack, config.n_heads, last)
-        attn, m1 = _dropout_fwd(attn, drop, dropout_rng, drop_shape, drop_rows)
+        a, ln1_cache = _layernorm_fwd(x, params[p + "ln1_g"], params[p + "ln1_b"],
+                                      scratch, p + "ln1/")
+        attn, attn_cache = _attention_fwd(a, params, p, pack, config.n_heads, last,
+                                          scratch)
+        m1 = _dropout_fwd(attn, drop, dropout_rng, drop_shape, drop_rows, scratch,
+                          p + "drop1/")
         attn += x[out_rows]
         x = attn
-        f, ln2_cache = _layernorm_fwd(x, params[p + "ln2_g"], params[p + "ln2_b"])
-        h1 = f @ params[p + "w1"]
+        f, ln2_cache = _layernorm_fwd(x, params[p + "ln2_g"], params[p + "ln2_b"],
+                                      scratch, p + "ln2/")
+        w1 = params[p + "w1"]
+        h1 = np.matmul(f, w1, out=scratch.get(p + "h1", (len(f), w1.shape[1])))
         h1 += params[p + "b1"]
-        u, gelu_cache = _gelu_fwd(h1)
-        h2 = u @ params[p + "w2"]
+        u, gelu_cache = _gelu_fwd(h1, scratch, p + "gelu/")
+        h2 = np.matmul(u, params[p + "w2"], out=scratch.get("h2", f.shape))
         h2 += params[p + "b2"]
-        h2, m2 = _dropout_fwd(h2, drop, dropout_rng, drop_shape, drop_rows)
+        m2 = _dropout_fwd(h2, drop, dropout_rng, drop_shape, drop_rows, scratch,
+                          p + "drop2/")
         x += h2
         caches.append((ln1_cache, attn_cache, m1, ln2_cache, f, gelu_cache, u, m2))
     if not config.n_layers:
         x = x[cls]
-    cls_out, lnf_cache = _layernorm_fwd(x, params["lnf_g"], params["lnf_b"])
+    cls_out, lnf_cache = _layernorm_fwd(x, params["lnf_g"], params["lnf_b"], scratch,
+                                        "lnf/")
     scores = cls_out @ params["head_w"] + params["head_b"]
     return scores, (pack, tokens, caches, lnf_cache, cls_out)
 
 
-def _dropout_fwd(x, rate, rng, shape, rows):
-    """Inverted dropout on rows ``x``: the mask is drawn at ``shape`` and
-    its ``rows`` (of the flattened leading axes) are applied."""
+def _dropout_fwd(x, rate, rng, shape, rows, scratch, key):
+    """Inverted dropout on rows ``x``, in place: the mask is drawn at
+    ``shape`` and its ``rows`` (of the flattened leading axes; all if None)
+    are applied.  Returns the mask, or None without dropout."""
     if rate <= 0.0 or rng is None:
-        return x, None
-    mask = (rng.random(shape) >= rate) / (1.0 - rate)
-    mask = mask.reshape(-1, shape[-1])[rows]
-    return x * mask, mask
+        return None
+    draw = rng.random(out=scratch.get(key + "draw", shape))
+    np.greater_equal(draw, rate, out=draw)
+    draw /= 1.0 - rate
+    mask = draw.reshape(-1, shape[-1])
+    if rows is not None:
+        mask = np.take(mask, rows, axis=0, out=scratch.get(key + "mask", x.shape),
+                       mode="clip")
+    x *= mask
+    return mask
 
 
-def _transformer_bwd(dscores, params, cache, config):
+def _transformer_bwd(dscores, params, cache, config, scratch):
     pack, tokens, caches, lnf_cache, cls_out = cache
     slots, cls, mask = pack
     grads = {name: np.zeros_like(value) for name, value in params.items()}
     grads["head_w"] += cls_out.T @ dscores
     grads["head_b"] += dscores.sum(axis=0)
-    dx, dg, db = _layernorm_bwd(dscores @ params["head_w"].T, lnf_cache)   # (B, d)
+    dx, dg, db = _layernorm_bwd(dscores @ params["head_w"].T, lnf_cache,  # (B, d)
+                                scratch, "lnf/")
     grads["lnf_g"] += dg
     grads["lnf_b"] += db
     for layer in reversed(range(config.n_layers)):
         p = f"layer{layer}/"
         ln1_cache, attn_cache, m1, ln2_cache, f, gelu_cache, u, m2 = caches[layer]
-        dh2 = dx if m2 is None else dx * m2
+        dh2 = dx if m2 is None else np.multiply(dx, m2, out=scratch.get("dh2", dx.shape))
         grads[p + "w2"] += u.T @ dh2
         grads[p + "b2"] += dh2.sum(axis=0)
-        du = dh2 @ params[p + "w2"].T
-        dh1 = _gelu_bwd(du, gelu_cache)
+        du = np.matmul(dh2, params[p + "w2"].T, out=scratch.get("du", u.shape))
+        dh1 = _gelu_bwd(du, gelu_cache, scratch, "gelu/")
         grads[p + "w1"] += f.T @ dh1
         grads[p + "b1"] += dh1.sum(axis=0)
-        df = dh1 @ params[p + "w1"].T
-        dx_ln2, dg2, db2 = _layernorm_bwd(df, ln2_cache)
+        df = np.matmul(dh1, params[p + "w1"].T, out=scratch.get("df", f.shape))
+        dx_ln2, dg2, db2 = _layernorm_bwd(df, ln2_cache, scratch, "ln2/")
         grads[p + "ln2_g"] += dg2
         grads[p + "ln2_b"] += db2
-        dx = dx + dx_ln2
-        dattn = dx if m1 is None else dx * m1
-        da = _attention_bwd(dattn, params, p, pack, attn_cache, grads, config.n_heads)
-        dx_ln1, dg1, db1 = _layernorm_bwd(da, ln1_cache)
+        dx += dx_ln2
+        dattn = dx if m1 is None else np.multiply(dx, m1,
+                                                  out=scratch.get("dattn", dx.shape))
+        da = _attention_bwd(dattn, params, p, pack, attn_cache, grads, config.n_heads,
+                            scratch)
+        # the layer below reads dx after writing its own: one buffer per layer
+        dx_ln1, dg1, db1 = _layernorm_bwd(da, ln1_cache, scratch, p + "ln1/")
         grads[p + "ln1_g"] += dg1
         grads[p + "ln1_b"] += db1
         dx_ln1[cls if layer == config.n_layers - 1 else slice(None)] += dx  # residual
@@ -412,7 +491,7 @@ def _transformer_bwd(dscores, params, cache, config):
         tokens, slots = tokens[cls], slots[cls]
     np.add.at(grads["emb"], tokens, dx)
     b, l = mask.shape
-    grads["pos"][:l] += _padded(dx, slots, b, l).sum(axis=0)
+    grads["pos"][:l] += _padded(dx, slots, b, l, scratch, "pos.grid").sum(axis=0)
     return grads
 
 
@@ -421,15 +500,18 @@ def _transformer_bwd(dscores, params, cache, config):
 # ---------------------------------------------------------------------------
 
 
-def forward_batch(params: dict, ids: np.ndarray,
-                  config: EncoderConfig) -> np.ndarray:
-    """Class score rows of a (B, L) PAD-padded id matrix; no dropout."""
+def forward_batch(params: dict, ids: np.ndarray, config: EncoderConfig,
+                  scratch: Scratch | None = None) -> np.ndarray:
+    """Class score rows of a (B, L) PAD-padded id matrix; no dropout.
+    ``scratch`` is the transformer's work pool (a fresh one if None); the
+    scores are a new array, never a view into it."""
     if ids.shape[1] > config.max_len:
         raise ValueError("sequence longer than max_len")
     if config.variant == LINEAR:
         scores, _ = _linear_fwd(params, ids)
     else:
-        scores, _ = _transformer_fwd(params, ids, config)
+        scores, _ = _transformer_fwd(params, ids, config, None,
+                                     Scratch() if scratch is None else scratch)
     return scores
 
 
@@ -447,20 +529,24 @@ def predict(scores: np.ndarray, label_mode: str) -> frozenset[int]:
 
 def loss_and_grad(params: dict, ids: np.ndarray, targets: np.ndarray,
                   config: EncoderConfig, label_mode: str,
-                  dropout_rng: np.random.Generator | None = None
+                  dropout_rng: np.random.Generator | None = None,
+                  scratch: Scratch | None = None
                   ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over a (B, L) id matrix and its exact gradient.
 
     Multiclass: softmax cross-entropy against B gold class indices.
     Multilabel: per-class sigmoid cross-entropy against a (B, n) 0/1 matrix,
-    averaged over examples and classes.
+    averaged over examples and classes.  ``scratch`` is the transformer's
+    work pool (a fresh one if None); the gradients are new arrays.
     """
     if len(ids) == 0:
         raise ValueError("batch must be non-empty")
+    if scratch is None:
+        scratch = Scratch()
     if config.variant == LINEAR:
         scores, cache = _linear_fwd(params, ids)
     else:
-        scores, cache = _transformer_fwd(params, ids, config, dropout_rng)
+        scores, cache = _transformer_fwd(params, ids, config, dropout_rng, scratch)
     n_examples, n_classes = scores.shape
 
     if label_mode == MULTICLASS:
@@ -482,7 +568,7 @@ def loss_and_grad(params: dict, ids: np.ndarray, targets: np.ndarray,
     if config.variant == LINEAR:
         grads = _linear_bwd(dscores, params, cache)
     else:
-        grads = _transformer_bwd(dscores, params, cache, config)
+        grads = _transformer_bwd(dscores, params, cache, config, scratch)
     return loss, grads
 
 

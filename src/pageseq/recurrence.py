@@ -176,7 +176,7 @@ _BLOCK_ROWS = 32
 
 def _score_rows(params: dict, split: EncodedSplit, rows: np.ndarray,
                 contexts: Sequence[Context], config: EncoderConfig,
-                codec: TokenCodec) -> np.ndarray:
+                codec: TokenCodec, scratch: encoder.Scratch) -> np.ndarray:
     """Scores of ``rows`` of ``split`` fed ``contexts``, in length-sorted
     blocks of at most ``_BLOCK_ROWS`` so that a block pads little."""
     ids = augment_input(split.text[rows], split.lengths[rows], contexts, codec,
@@ -189,22 +189,25 @@ def _score_rows(params: dict, split: EncodedSplit, rows: np.ndarray,
         # looked up on the module at call time, so that a wrapper installed
         # on pageseq.encoder.forward_batch (perfbench's tracer) sees the call
         scores[block] = encoder.forward_batch(
-            params, ids[block, :lengths[block[-1]]], config)
+            params, ids[block, :lengths[block[-1]]], config, scratch)
     return scores
 
 
 def infer_split(params: dict, docs: Sequence[DocumentSequence],
                 config: EncoderConfig, codec: TokenCodec, label_mode: str,
-                recurrent: bool,
-                encoded: EncodedSplit | None = None) -> list[PredictionTrace]:
+                recurrent: bool, encoded: EncodedSplit | None = None,
+                scratch: encoder.Scratch | None = None) -> list[PredictionTrace]:
     """One trace per document; ``encoded`` is ``encode_split(docs, ...)`` if
-    known.
+    known.  Every encoder call of the split shares ``scratch`` (a fresh pool
+    if None).
 
     Recurrent: left to right in lockstep across documents; page t>1 is
     conditioned on the model's own decision for page t-1 of its document.
     Oblivious: every page scored from its own text, with no context tokens.
     """
     split = encoded or encode_split(docs, codec, config.max_len)
+    if scratch is None:
+        scratch = encoder.Scratch()
     pages: list[list] = [[None] * len(doc) for doc in docs]
     if recurrent:
         sizes = np.diff(split.offsets)
@@ -213,7 +216,7 @@ def infer_split(params: dict, docs: Sequence[DocumentSequence],
             active = np.flatnonzero(sizes > t)
             fed = [contexts[i] for i in active]
             scores = _score_rows(params, split, split.offsets[active] + t, fed,
-                                 config, codec)
+                                 config, codec, scratch)
             for i, context, row in zip(active.tolist(), fed, scores):
                 labels = predict(row, label_mode)
                 pages[i][t] = PagePrediction(scores=row, labels=labels,
@@ -222,7 +225,7 @@ def infer_split(params: dict, docs: Sequence[DocumentSequence],
     else:
         where = [(i, t) for i, doc in enumerate(docs) for t in range(len(doc))]
         scores = _score_rows(params, split, np.arange(len(where)),
-                             [None] * len(where), config, codec)
+                             [None] * len(where), config, codec, scratch)
         for (i, t), row in zip(where, scores):
             pages[i][t] = PagePrediction(scores=row,
                                          labels=predict(row, label_mode),

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import DocumentSequence
-from .encoder import EncoderConfig, TokenCodec, init_params, loss_and_grad
+from .encoder import EncoderConfig, Scratch, TokenCodec, init_params, loss_and_grad
 from .evaluation import gold_labels, score
 from . import recurrence
 from .recurrence import EncodedSplit, encode_split, infer_split, row_lengths
@@ -119,6 +119,9 @@ class TrainReport:
     epoch_metrics: list[dict]
     total_steps: int
     wall_clock_seconds: float = 0.0
+    # wall-clock seconds by stage: "steps" (losses, gradients and updates),
+    # "validation" (end-of-epoch decodes) and, from train_encoder, "encode"
+    stage_seconds: dict[str, float] = field(default_factory=dict)
 
     def to_payload(self) -> dict:
         """Deterministic artifact body; wall clock deliberately excluded so
@@ -143,6 +146,7 @@ def fit_adamw(params: dict[str, np.ndarray], n_examples: int, batch_loss,
     step_losses: list[float] = []
     step_lrs: list[float] = []
     epoch_metrics: list[dict] = []
+    validation_seconds = 0.0
     for epoch in range(cfg.epochs):
         order = np.random.default_rng((cfg.seed, epoch)).permutation(n_examples)
         epoch_losses = []
@@ -160,12 +164,17 @@ def fit_adamw(params: dict[str, np.ndarray], n_examples: int, batch_loss,
             epoch_losses.append(loss)
         metrics = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
         if end_epoch is not None:
+            tick = time.perf_counter()
             metrics.update(end_epoch(epoch))
+            validation_seconds += time.perf_counter() - tick
         epoch_metrics.append(metrics)
     assert len(step_losses) == total_steps
+    seconds = time.perf_counter() - started
     return TrainReport(step_losses=step_losses, step_lrs=step_lrs,
                        epoch_metrics=epoch_metrics, total_steps=total_steps,
-                       wall_clock_seconds=time.perf_counter() - started)
+                       wall_clock_seconds=seconds,
+                       stage_seconds={"steps": seconds - validation_seconds,
+                                      "validation": validation_seconds})
 
 
 def train_encoder(encoder_config: EncoderConfig, codec: TokenCodec,
@@ -180,8 +189,10 @@ def train_encoder(encoder_config: EncoderConfig, codec: TokenCodec,
     context tokens); ``recurrent=False`` on plain per-page examples.  Nothing
     else differs between the two paths.  Both splits are tokenized once;
     ``encoded`` is ``encode_split(train_docs, codec, encoder_config.max_len)``
-    if known.
+    if known.  The optimizer steps and the validation decodes share one
+    work pool.
     """
+    started = time.perf_counter()
     # looked up on the module, so that perfbench's tracer sees the call
     ids, targets = recurrence.page_examples(train_docs, recurrent, codec,
                                             encoder_config.max_len, label_mode,
@@ -191,7 +202,9 @@ def train_encoder(encoder_config: EncoderConfig, codec: TokenCodec,
     lengths = row_lengths(ids)
     val_encoded = (encode_split(val_docs, codec, encoder_config.max_len)
                    if val_docs else None)
+    encode_seconds = time.perf_counter() - started
     params = init_params(encoder_config, codec)
+    scratch = Scratch()
     dropout_rngs = [np.random.default_rng((cfg.seed, 7919, epoch))
                     if encoder_config.dropout > 0 else None
                     for epoch in range(cfg.epochs)]
@@ -199,11 +212,11 @@ def train_encoder(encoder_config: EncoderConfig, codec: TokenCodec,
     def batch_loss(rows, epoch):
         return loss_and_grad(params, ids[rows, :lengths[rows].max()],
                              targets[rows], encoder_config, label_mode,
-                             dropout_rngs[epoch])
+                             dropout_rngs[epoch], scratch)
 
     def validate(epoch):
         traces = infer_split(params, val_docs, encoder_config, codec, label_mode,
-                             recurrent, val_encoded)
+                             recurrent, val_encoded, scratch)
         preds = [labels for trace in traces for labels in trace.labels()]
         golds = gold_labels(val_docs)
         scored = score(preds, golds, codec.type_vocab, label_mode)
@@ -213,4 +226,5 @@ def train_encoder(encoder_config: EncoderConfig, codec: TokenCodec,
 
     report = fit_adamw(params, len(ids), batch_loss, cfg,
                        validate if val_docs else None)
+    report.stage_seconds["encode"] = encode_seconds
     return params, report

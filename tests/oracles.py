@@ -1,5 +1,6 @@
-"""Independent reference implementations used as test oracles, and the
-test-only helpers that read the package's id rows.
+"""Independent reference implementations used as test oracles, the
+test-only helpers that read the package's id rows, and the text strategy of
+the JSONL round-trip tests.
 
 The oracles are written directly from the stated rules (brute force,
 enumeration, finite differences, textbook series) and deliberately share no
@@ -13,6 +14,17 @@ import math
 import unicodedata
 
 import numpy as np
+from hypothesis import strategies as st
+
+
+# Text a JSONL reader can trip on: line breaks other than "\n" (U+2028,
+# U+2029, U+0085, CR), astral characters, and punctuation-only or empty
+# pages that tokenize to nothing.  Surrogates are left out: UTF-8 cannot
+# encode them.
+UNICODE_TEXT = st.text(st.one_of(
+    st.sampled_from(["\n", "\r", "\u2028", "\u2029", "\x85", "\x00", "!", " ",
+                     "\U0001F600", "\U00010348"]),
+    st.characters(exclude_categories=("Cs",))))
 
 
 # -- tokenizer ---------------------------------------------------------------

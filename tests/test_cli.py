@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pageseq.cli as cli
 from pageseq.cli import _config_from, main
 from pageseq.corpus import SynthConfig, load_corpus
 from pageseq.encoder import EncoderConfig
@@ -106,6 +107,16 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg_path),
                      "--outdir", str(tmp_path / "runs")]) == 2
 
+    @pytest.mark.parametrize("value", [1.5, -0.1, float("nan")])
+    def test_self_transition_outside_unit_interval(self, tmp_path, capsys, value):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(dict(SYNTH_CFG, self_transition=value)))
+        assert main(["synth", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "self_transition" in err[0] and "stochastic" not in err[0]
+
     @pytest.mark.parametrize("field, value", [
         ("pages_per_doc", ["a", 3]),
         ("tokens_per_page", [3]),
@@ -137,6 +148,31 @@ class TestTrain:
         assert report["total_steps"] == expected_steps
         assert len(report["step_losses"]) == expected_steps
         assert (outdir / "timing.json").exists()
+
+    def test_timing_sidecar_has_stage_seconds(self, tmp_path, corpus_dir):
+        outdir = run_train(tmp_path, corpus_dir, "timed")
+        timing = json.loads((outdir / "timing.json").read_text())
+        for stage in ("encode", "steps", "validation", "checkpoint", "train",
+                      "total"):
+            assert timing[f"{stage}_seconds"] >= 0.0
+        assert timing["steps_seconds"] + timing["validation_seconds"] == \
+            pytest.approx(timing["train_seconds"])
+
+    @pytest.mark.parametrize("l2", [-1, -1e-9, float("nan")])
+    def test_bad_crf_l2_exits_before_training(self, tmp_path, corpus_dir, capsys,
+                                              monkeypatch, l2):
+        """The CRF's l2 is checked with the config, before the encoder
+        trains and before the run directory exists."""
+        trained = []
+        monkeypatch.setattr(cli, "train_encoder", lambda *a, **k: trained.append(a))
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(experiment_cfg(
+            corpus_dir, baselines={"crf": True}, crf={"l2": l2})))
+        assert main(["train", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "runs"), "--run-id", "bad"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "l2" in err[0]
+        assert trained == [] and not (tmp_path / "runs" / "bad").exists()
 
     def test_modes_share_step_counts(self, tmp_path, corpus_dir):
         rep_o = json.loads((run_train(tmp_path, corpus_dir, "o") /

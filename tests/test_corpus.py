@@ -1,9 +1,12 @@
 """Tests for the corpus data model, JSONL round-trip, generator, and statistics."""
 
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pageseq.corpus import (
     CorpusError,
@@ -21,7 +24,7 @@ from pageseq.corpus import (
     write_corpus,
 )
 
-from oracles import count_self_transitions, scan_runs
+from oracles import UNICODE_TEXT, count_self_transitions, scan_runs
 
 
 def make_doc(doc_id, labels, vocab_n=None):
@@ -184,6 +187,22 @@ class TestLoadWrite:
             PageRecord("d", 0, "a\u2028b\x85c\rd", frozenset({0})),))
         split = CorpusSplit((doc,), (), (), AB)
         assert load_corpus(write_corpus(split, tmp_path)) == split
+
+    @given(st.lists(st.tuples(UNICODE_TEXT,
+                              st.lists(st.tuples(UNICODE_TEXT, st.integers(0, 1)),
+                                       min_size=1, max_size=3)),
+                    min_size=1, max_size=4, unique_by=lambda doc: doc[0]))
+    @example([("\u2028", [("", 0), ("?! \x85 \u2029", 1)]),
+              ("\U0001F600\x85", [("\r\n", 1)]), ("", [("\u2028.", 0)])])
+    def test_unicode_round_trip(self, docs):
+        """Any surrogate-free doc ids and page texts survive a write and a
+        load, in every split file."""
+        docs = tuple(DocumentSequence(doc_id, tuple(
+            PageRecord(doc_id, i, text, frozenset({c}))
+            for i, (text, c) in enumerate(pages))) for doc_id, pages in docs)
+        split = CorpusSplit(docs, docs[::-1], docs[:1], AB)
+        with tempfile.TemporaryDirectory() as tmp:
+            assert load_corpus(write_corpus(split, tmp)) == split
 
     def test_round_trip_identity(self, tmp_path):
         """load_corpus . write_corpus is the identity on valid splits."""

@@ -16,6 +16,7 @@ from pageseq.encoder import (
     PAD_ID,
     UNK_ID,
     EncoderConfig,
+    Scratch,
     TokenCodec,
     forward_batch,
     init_params,
@@ -185,9 +186,9 @@ class TestTransformerForward:
         gelu_rows = []
         gelu_fwd = encoder._gelu_fwd
 
-        def spy(x):
+        def spy(x, *pool):
             gelu_rows.append(x.size // x.shape[-1])
-            return gelu_fwd(x)
+            return gelu_fwd(x, *pool)
 
         monkeypatch.setattr(encoder, "_gelu_fwd", spy)
         forward_batch(params, ids, config)
@@ -289,6 +290,62 @@ class TestTransformerAgainstPaddedReference:
             params, ids, targets, config, label_mode)
         np.testing.assert_allclose(forward_batch(params, ids, config), ref_scores,
                                    rtol=0, atol=1e-12)
+
+
+@st.composite
+def pool_cases(draw):
+    """Layer count, dropout rate, seed, and a sequence of ragged batches of
+    id rows (CLS first) for one shared pool."""
+    batch = st.lists(st.lists(st.integers(1, 12), max_size=10).map(lambda t: [CLS_ID] + t),
+                     min_size=1, max_size=5)
+    return (draw(st.integers(0, 3)), draw(st.sampled_from([0.0, 0.1])),
+            draw(st.integers(0, 2**16)), draw(st.lists(batch, min_size=1, max_size=4)))
+
+
+class TestScratchPool:
+    """One ``Scratch`` shared by a sequence of calls against a fresh pool per
+    call: bit-equal scores, losses and gradients; results that later calls
+    leave alone; and a pool that stops growing at the largest batch."""
+
+    @given(pool_cases())
+    @example((2, 0.0, 0, [[[CLS_ID]], [[CLS_ID, 7, 8], [CLS_ID, 9]]]))
+    @example((3, 0.1, 1, [[[CLS_ID, 7, 8], [CLS_ID, 9, 4]]]))            # no PAD
+    def test_shared_pool_matches_fresh_pools(self, case):
+        n_layers, dropout, seed, batches = case
+        codec = make_codec()
+        config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=n_layers,
+                               n_heads=2, max_len=12, dropout=dropout)
+        rng = np.random.default_rng(seed)
+        params = {name: rng.normal(0.0, 0.5, size=value.shape)
+                  for name, value in init_params(config, codec).items()}
+        # Largest in rows, width and tokens, and padded: one row more than any
+        # drawn batch, all of them max_len long but one.
+        big = [[CLS_ID] + [7] * (config.max_len - 1)] * max(map(len, batches)) + [[CLS_ID]]
+        sequence = batches + [big] + batches[::-1] + [big]   # grow, shrink, grow
+        pool = Scratch()
+        kept, sizes = [], []
+
+        def dropout_rng():
+            return np.random.default_rng(seed) if dropout else None
+
+        for rows in sequence:
+            ids, targets = as_batch([(seq(row), frozenset({int(rng.integers(3))}))
+                                     for row in rows])
+            scores = forward_batch(params, ids, config, scratch=pool)
+            np.testing.assert_array_equal(scores, forward_batch(params, ids, config))
+            loss, grads = loss_and_grad(params, ids, targets, config, MULTICLASS,
+                                        dropout_rng(), scratch=pool)
+            fresh_loss, fresh_grads = loss_and_grad(params, ids, targets, config,
+                                                    MULTICLASS, dropout_rng())
+            assert loss == fresh_loss
+            for name, grad in grads.items():
+                np.testing.assert_array_equal(grad, fresh_grads[name], err_msg=name)
+            for result, copy in kept:                   # no views into the pool
+                np.testing.assert_array_equal(result, copy)
+            kept = [(a, a.copy()) for a in (scores, *grads.values())]
+            sizes.append(pool.nbytes)
+        first_big = len(batches)
+        assert sizes[first_big:] == [sizes[first_big]] * len(sizes[first_big:])
 
 
 class TestPredict:

@@ -4,7 +4,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pageseq.encoder as encoder
@@ -23,6 +26,8 @@ from pageseq.encoder import (
 )
 from pageseq.recurrence import (
     FIRST_PAGE,
+    PagePrediction,
+    PredictionTrace,
     augment_input,
     encode_split,
     infer_split,
@@ -35,6 +40,7 @@ import pageseq.training as training
 from pageseq.training import TrainConfig, train_encoder
 
 import oracles
+from oracles import UNICODE_TEXT
 
 BRIEFS = TypeVocabulary(("Caption", "Body", "Signature"))
 
@@ -97,9 +103,9 @@ def count_forward_batch_rows(monkeypatch):
     rows = []
     real = encoder.forward_batch
 
-    def counting(params, ids, config):
+    def counting(params, ids, config, *pool):
         rows.append(len(ids))
-        return real(params, ids, config)
+        return real(params, ids, config, *pool)
 
     monkeypatch.setattr(encoder, "forward_batch", counting)
     return rows
@@ -624,6 +630,31 @@ class TestTraceFiles:
                 assert (po.context is FIRST_PAGE) == (pb.context is FIRST_PAGE)
                 if po.context is not FIRST_PAGE:
                     assert po.context == pb.context
+
+    @given(st.lists(UNICODE_TEXT, min_size=1, max_size=4, unique=True),
+           st.integers(0, 2**16))
+    @example(["\u2028", "d\x85", "\U0001F600", ""], 0)
+    def test_unicode_doc_ids_round_trip(self, doc_ids, seed):
+        """Any surrogate-free doc ids come back in order, with every page's
+        scores, labels and context."""
+        rng = np.random.default_rng(seed)
+        traces = []
+        for doc_id in doc_ids:
+            labels = [frozenset({int(c)})
+                      for c in rng.integers(0, BRIEFS.n, size=int(rng.integers(1, 4)))]
+            traces.append(PredictionTrace(doc_id, [
+                PagePrediction(rng.normal(size=BRIEFS.n), label, context)
+                for label, context in zip(labels, [FIRST_PAGE] + labels[:-1])]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "traces.jsonl"
+            write_traces(traces, path, BRIEFS, provenance={"doc_ids": doc_ids})
+            loaded = read_traces(path, BRIEFS)
+        assert [t.doc_id for t in loaded] == doc_ids
+        for orig, back in zip(traces, loaded):
+            assert back.labels() == orig.labels()
+            assert [p.context for p in back.pages] == [p.context for p in orig.pages]
+            for po, pb in zip(orig.pages, back.pages):
+                np.testing.assert_array_equal(pb.scores, po.scores)
 
     def test_first_page_context_serialized_as_reserved_token(self, tmp_path):
         codec = briefs_codec()

@@ -181,7 +181,9 @@ class TestTrainEncoder:
                                   recurrent=False)
         payload = report.to_payload()
         assert "wall_clock_seconds" not in payload
+        assert "stage_seconds" not in payload
         assert report.wall_clock_seconds > 0.0
+        assert set(report.stage_seconds) == {"encode", "steps", "validation"}
 
 
 class TestTrainConfig:
