@@ -31,6 +31,7 @@ from .corpus import (
     CorpusError,
     CorpusSplit,
     SynthConfig,
+    TypeVocabulary,
     class_page_counts,
     generate_synthetic,
     load_corpus,
@@ -40,6 +41,7 @@ from .corpus import (
 )
 from .crf import CrfModel, check_l2, crf_fit, crf_viterbi, emissions_from_logits
 from .encoder import (
+    MODES,
     EncoderConfig,
     TokenCodec,
     check_params,
@@ -278,11 +280,10 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _encoder_logit_seqs(params, config, codec, split_docs, label_mode,
-                        encoded=None):
+def _encoder_logit_seqs(params, config, codec, split_docs, encoded=None):
     """Frozen per-page logits, one (l, n) array per document."""
-    traces = infer_split(params, split_docs, config, codec, label_mode,
-                         recurrent=False, encoded=encoded)
+    traces = infer_split(params, split_docs, config, codec, recurrent=False,
+                         encoded=encoded)
     return [np.stack([p.scores for p in trace.pages]) for trace in traces]
 
 
@@ -308,8 +309,8 @@ def cmd_train(args) -> int:
 
     seed = _typed(cfg_obj.get("seed", 0), int, "seed")
     mode = _typed(cfg_obj.get("mode", "oblivious"), str, "mode")
-    if mode not in ("oblivious", "recurrent"):
-        raise ConfigError("config field 'mode' must be 'oblivious' or 'recurrent'")
+    if mode not in MODES:
+        raise ConfigError(f"config field 'mode' must be one of {MODES}")
     baselines = _block(cfg_obj.get("baselines", {}), ("crf", "bilstm"), "baselines")
     want_crf = _typed(baselines.get("crf", False), bool, "baselines.crf")
     want_bilstm = _typed(baselines.get("bilstm", False), bool, "baselines.bilstm")
@@ -331,7 +332,8 @@ def cmd_train(args) -> int:
                          "bilstm"))
     svd_k = _typed(bl_obj.pop("svd_k", DEFAULT_SVD_DIM), int, "bilstm.svd_k")
     split = corpus_from(cfg_obj.get("corpus"), Path(args.config).parent)
-    label_mode = split.vocabulary.label_mode
+    if (want_crf or want_bilstm) and split.vocabulary.label_mode != MULTICLASS:
+        raise ConfigError("baselines.crf and baselines.bilstm need a multiclass corpus")
 
     run_id = args.run_id or f"train-{config_hash(cfg_obj)[:12]}"
     outdir = Path(args.outdir) / run_id
@@ -348,11 +350,8 @@ def cmd_train(args) -> int:
         raise ConfigError(f"cannot fit a vocabulary with vocab_cap={cap}: {exc}") \
             from None
     if want_bilstm:
-        if label_mode != MULTICLASS:
-            raise ConfigError("baselines.bilstm supports multiclass corpora only")
         bl_config = _config_from(BiLstmConfig, bl_obj, "bilstm", input_dim=svd_k,
                                  n_classes=split.vocabulary.n, init_seed=seed)
-        # the TF-IDF vocabulary is this one: same train tokens, same cap
         if svd_k > min(len(train_tokens), vocab.size):
             raise ConfigError(
                 f"bilstm.svd_k={svd_k} exceeds min(train pages, vocabulary) "
@@ -361,13 +360,12 @@ def cmd_train(args) -> int:
     train_encoded = encode_split(split.train, codec, encoder_config.max_len,
                                  train_tokens)
     encode_seconds = time.perf_counter() - started
-    params, report = train_encoder(encoder_config, codec, split.train, label_mode,
+    params, report = train_encoder(encoder_config, codec, split.train,
                                    train_config, recurrent=(mode == "recurrent"),
                                    val_docs=split.validation,
                                    encoded=train_encoded)
     tick = time.perf_counter()
-    ckpt = checkpoint_payload(params, encoder_config, codec, label_mode,
-                              mode=mode, seed=seed)
+    ckpt = checkpoint_payload(params, encoder_config, codec, mode=mode, seed=seed)
     ckpt["provenance"] = provenance
     save_checkpoint(outdir / "checkpoint.json", ckpt)
     write_json(outdir / "report.json",
@@ -384,7 +382,7 @@ def cmd_train(args) -> int:
     if want_crf:
         tick = time.perf_counter()
         logit_seqs = _encoder_logit_seqs(params, encoder_config, codec,
-                                         split.train, label_mode, train_encoded)
+                                         split.train, train_encoded)
         emission_seqs = [emissions_from_logits(lg) for lg in logit_seqs]
         crf_model = crf_fit(emission_seqs, golds, split.vocabulary.n, l2=l2)
         crf_payload = {
@@ -401,7 +399,7 @@ def cmd_train(args) -> int:
 
     if want_bilstm:
         tick = time.perf_counter()
-        tfidf = fit_tfidf(train_tokens, cap)
+        tfidf = fit_tfidf(vocab, len(train_tokens))
         matrix = tfidf_matrix(train_tokens, tfidf)
         projector = fit_svd(matrix, k=svd_k)
         feats = _page_vector_seqs(matrix, projector, split.train)
@@ -442,22 +440,23 @@ def _context_free_traces(docs, logit_seqs, label_seqs) -> list[PredictionTrace]:
 
 
 def _restore_model(payload):
-    """The class names and the decoder (documents -> traces) of a checkpoint
-    payload of any kind.  Kind, fields, class lists and parameter shapes are
-    checked here, and a malformed payload is a ConfigError."""
+    """The class vocabulary and the decoder (documents -> traces) of a
+    checkpoint payload of any kind.  Kind, fields, modes, class lists and
+    parameter shapes are checked here; a malformed payload is a ConfigError."""
     if not isinstance(payload, dict):
         raise ConfigError("checkpoint is not a JSON object")
     kind = payload.get("kind")
     try:
         if kind == "encoder":
-            params, config, codec, label_mode, mode = restore_encoder(payload)
+            params, config, codec, recurrent = restore_encoder(payload)
 
             def decode(docs):
-                return infer_split(params, docs, config, codec, label_mode,
-                                   recurrent=(mode == "recurrent"))
-            return codec.type_vocab.class_names, decode
+                return infer_split(params, docs, config, codec, recurrent)
+            return codec.type_vocab, decode
         if kind == "crf":
-            params, config, codec, label_mode, _ = restore_encoder(payload["encoder"])
+            params, config, codec, recurrent = restore_encoder(payload["encoder"])
+            if recurrent:
+                raise ValueError("its encoder must be context-oblivious")
             model = CrfModel(payload["transition"], payload["start"],
                              float(payload["emission_scale"]))
             if model.n != codec.n_classes:
@@ -465,12 +464,11 @@ def _restore_model(payload):
                                  f"encoder classes")
 
             def decode(docs):
-                logit_seqs = _encoder_logit_seqs(params, config, codec, docs,
-                                                 label_mode)
+                logit_seqs = _encoder_logit_seqs(params, config, codec, docs)
                 return _context_free_traces(docs, logit_seqs, [
                     crf_viterbi(model, emissions_from_logits(logits))[0]
                     for logits in logit_seqs])
-            return codec.type_vocab.class_names, decode
+            return codec.type_vocab, decode
         if kind == "bilstm":
             config = BiLstmConfig(**payload["config"])
             tfidf, projector = page_vector_model_from_payload(payload["features"])
@@ -487,7 +485,7 @@ def _restore_model(payload):
                               _page_vector_seqs(matrix, projector, docs)]
                 return _context_free_traces(
                     docs, logit_seqs, [lg.argmax(axis=1) for lg in logit_seqs])
-            return tuple(payload["classes"]), decode
+            return TypeVocabulary(tuple(payload["classes"])), decode
     except KeyError as exc:
         raise ConfigError(f"{kind} checkpoint: missing field {exc}") from None
     except (ValueError, TypeError, AttributeError) as exc:
@@ -499,9 +497,10 @@ def cmd_infer(args) -> int:
     split = load_corpus(args.manifest)
     docs = split.split(args.split)
     payload = _load_artifact("checkpoint", args.checkpoint, load_checkpoint)
-    classes, decode = _restore_model(payload)
-    if tuple(classes) != split.vocabulary.class_names:
-        raise ConfigError("checkpoint classes do not match the corpus manifest")
+    vocabulary, decode = _restore_model(payload)
+    if vocabulary != split.vocabulary:
+        raise ConfigError("checkpoint classes or label mode do not match the "
+                          "corpus manifest")
     traces = decode(docs)
     ref = {"checkpoint_hash": config_hash(payload), "split": args.split}
     provenance = provenance_for("infer", ref, payload.get("seed", 0))
@@ -602,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--outdir", default="runs")
     p.add_argument("--run-id", default=None)
-    p.add_argument("--mode", choices=["oblivious", "recurrent"], default=None,
+    p.add_argument("--mode", choices=MODES, default=None,
                    help="override the config's mode")
     p.add_argument("--epochs", type=int, default=None, help="override train.epochs")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")

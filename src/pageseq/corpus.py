@@ -224,12 +224,11 @@ def _read_text(path: Path, what: str) -> str:
         raise CorpusError(f"{path}: {what} is not UTF-8 text") from None
 
 
-def load_corpus(path: Path | str, vocabulary: TypeVocabulary | None = None) -> CorpusSplit:
+def load_corpus(path: Path | str) -> CorpusSplit:
     """Load a corpus from its manifest file.
 
     The manifest lists the class names, the label mode, and one JSONL path
     per split (relative paths resolved against the manifest's directory).
-    If ``vocabulary`` is given it must agree with the manifest.
     """
     path = Path(path)
     try:
@@ -242,11 +241,6 @@ def load_corpus(path: Path | str, vocabulary: TypeVocabulary | None = None) -> C
         if key not in manifest:
             raise CorpusError(f"{path}: manifest missing field {key!r}")
     vocab = TypeVocabulary(tuple(manifest["classes"]), manifest["label_mode"])
-    if vocabulary is not None and (
-        vocabulary.class_names != vocab.class_names
-        or vocabulary.label_mode != vocab.label_mode
-    ):
-        raise CorpusError(f"{path}: manifest vocabulary does not match the given one")
     splits = {
         name: load_split_file(path.parent / manifest[name], vocab)
         for name in SPLIT_NAMES

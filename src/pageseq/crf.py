@@ -70,16 +70,6 @@ def crf_path_score(model: CrfModel, emissions: np.ndarray,
     return float(s)
 
 
-def crf_log_forward(model: CrfModel, emissions: np.ndarray) -> float:
-    """log Z by the forward recursion (log-sum-exp over all n^l paths)."""
-    emissions = np.asarray(emissions, dtype=np.float64)
-    alpha = model.start + model.emission_scale * emissions[0]
-    for t in range(1, emissions.shape[0]):
-        alpha = model.emission_scale * emissions[t] + \
-            _logsumexp(alpha[:, None] + model.transition, axis=0)
-    return float(_logsumexp(alpha))
-
-
 def crf_viterbi(model: CrfModel, emissions: np.ndarray) -> tuple[list[int], float]:
     """Best label path and its score; ties break toward the lower label index
     at every backpointer (argmax picks the first maximum)."""
@@ -204,8 +194,3 @@ def crf_fit(emission_seqs: Sequence[np.ndarray],
         warnings.warn(f"CRF fit did not converge in {result.nit} iterations "
                       f"({result.message})")
     return unpack(result.x)
-
-
-def decode_documents(model: CrfModel,
-                     emission_seqs: Sequence[np.ndarray]) -> list[list[int]]:
-    return [crf_viterbi(model, e)[0] for e in emission_seqs]

@@ -57,6 +57,8 @@ N_RESERVED = 4
 
 LINEAR = "linear"
 TINY_TRANSFORMER = "tiny-transformer"
+# a checkpoint's mode: whether its model reads previous-page context tokens
+MODES = ("oblivious", "recurrent")
 
 
 class TokenCodec:
@@ -584,11 +586,12 @@ def _one_hot(indices, n):
 
 
 def checkpoint_payload(params: dict, config: EncoderConfig, codec: TokenCodec,
-                       label_mode: str, mode: str, seed: int) -> dict:
+                       mode: str, seed: int) -> dict:
+    """An encoder checkpoint's JSON body; ``restore_encoder`` checks it."""
     return {
         "kind": "encoder",
         "mode": mode,
-        "label_mode": label_mode,
+        "label_mode": codec.type_vocab.label_mode,
         "seed": seed,
         "config": asdict(config),
         "codec": {
@@ -605,21 +608,27 @@ def save_checkpoint(path: Path | str, payload: dict) -> None:
 
 
 def restore_encoder(payload: dict):
-    """Rebuild (params, config, codec, label_mode, mode) from a payload.
+    """Rebuild (params, config, codec, recurrent) from a payload.
 
-    Raises ValueError unless the parameters have exactly the names and
-    shapes that ``init_params`` gives for the payload's config and codec.
+    Raises ValueError unless ``mode`` is one of ``MODES``, the top-level
+    ``label_mode`` is the codec's, and the parameters have exactly the names
+    and shapes that ``init_params`` gives for the payload's config and codec.
     """
     if payload.get("kind") != "encoder":
         raise ValueError("not an encoder checkpoint")
+    if payload["mode"] not in MODES:
+        raise ValueError(f"mode {payload['mode']!r} is not one of {MODES}")
     config = EncoderConfig(**payload["config"])
     vocab = TypeVocabulary(tuple(payload["codec"]["classes"]),
                            payload["codec"]["vocab_label_mode"])
+    if payload["label_mode"] != vocab.label_mode:
+        raise ValueError(f"label_mode {payload['label_mode']!r} differs from the "
+                         f"codec's {vocab.label_mode!r}")
     codec = TokenCodec(vocab, payload["codec"]["text_tokens"])
     params = {name: np.asarray(value, dtype=np.float64)
               for name, value in payload["params"].items()}
     check_params(params, init_params(config, codec))
-    return params, config, codec, payload["label_mode"], payload["mode"]
+    return params, config, codec, payload["mode"] == "recurrent"
 
 
 def check_params(params: dict, expected: dict) -> None:

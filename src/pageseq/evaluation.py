@@ -49,15 +49,13 @@ def _as_label_sets(values) -> list[frozenset[int]]:
     return out
 
 
-def score(preds, golds, vocabulary: TypeVocabulary,
-          label_mode: str | None = None) -> PerClassScores:
-    """Score aligned prediction/gold label sets.
+def score(preds, golds, vocabulary: TypeVocabulary) -> PerClassScores:
+    """Score aligned prediction/gold label sets in the vocabulary's label mode.
 
     Multiclass: standard confusion-matrix precision/recall/F1 per class.
     Multilabel: per-class binary decisions over page-label membership.
     """
-    if label_mode is None:
-        label_mode = vocabulary.label_mode
+    multiclass = vocabulary.label_mode == MULTICLASS
     preds = _as_label_sets(preds)
     golds = _as_label_sets(golds)
     if len(preds) != len(golds):
@@ -67,7 +65,7 @@ def score(preds, golds, vocabulary: TypeVocabulary,
     pred_count = np.zeros(n)
     gold_count = np.zeros(n)
     for p, g in zip(preds, golds):
-        if label_mode == MULTICLASS and (len(p) != 1 or len(g) != 1):
+        if multiclass and (len(p) != 1 or len(g) != 1):
             raise ValueError("multiclass scoring requires singleton label sets")
         for c in p:
             pred_count[c] += 1

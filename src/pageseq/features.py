@@ -107,15 +107,11 @@ class TfIdfModel:
             raise ValueError("idf must be a finite length-V vector")
 
 
-def fit_tfidf(page_tokens: Sequence[Sequence[str]],
-              cap: int = DEFAULT_VOCAB_CAP) -> TfIdfModel:
-    """Vocabulary and idf weights fitted on training pages, one ``tokenize``
-    result per page."""
-    vocabulary = fit_vocabulary(page_tokens, cap)
-    n = len(page_tokens)
+def fit_tfidf(vocabulary: Vocabulary, n_pages: int) -> TfIdfModel:
+    """idf weights of a vocabulary fitted on ``n_pages`` training pages."""
     df = np.asarray(vocabulary.doc_freq, dtype=np.float64)
-    idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
-    return TfIdfModel(vocabulary=vocabulary, idf=idf, n_train_pages=n)
+    idf = np.log((1.0 + n_pages) / (1.0 + df)) + 1.0
+    return TfIdfModel(vocabulary=vocabulary, idf=idf, n_train_pages=n_pages)
 
 
 def tfidf_matrix(page_tokens: Sequence[Sequence[str]],

@@ -144,16 +144,15 @@ def row_lengths(ids: np.ndarray) -> np.ndarray:
 
 
 def page_examples(docs: Sequence[DocumentSequence], teacher_forced: bool,
-                  codec: TokenCodec, max_len: int, label_mode: str,
-                  encoded: EncodedSplit | None = None
+                  codec: TokenCodec, max_len: int, encoded: EncodedSplit | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The input ids (pages x width) and targets of every page, in document
     order; ``encoded`` is ``encode_split(docs, codec, max_len)`` if known.
 
     With teacher forcing the context of page t>1 is the GOLD label set of
     page t-1 (never a model output); without it no context tokens are added.
-    Targets are gold class indices (multiclass) or a (pages x classes) 0/1
-    matrix (multilabel), as ``encoder.loss_and_grad`` takes them.
+    Targets are gold class indices (a multiclass codec) or a (pages x
+    classes) 0/1 matrix (multilabel), as ``encoder.loss_and_grad`` takes them.
     """
     split = encoded or encode_split(docs, codec, max_len)
     contexts = [(doc.pages[t - 1].gold_labels if t else FIRST_PAGE)
@@ -161,7 +160,7 @@ def page_examples(docs: Sequence[DocumentSequence], teacher_forced: bool,
                 for doc in docs for t in range(len(doc))]
     ids = augment_input(split.text, split.lengths, contexts, codec, max_len)
     golds = [page.gold_labels for doc in docs for page in doc.pages]
-    if label_mode == MULTICLASS:
+    if codec.type_vocab.label_mode == MULTICLASS:
         return ids, np.array([next(iter(gold)) for gold in golds], dtype=np.int64)
     targets = np.zeros((len(golds), codec.n_classes))
     for row, gold in enumerate(golds):
@@ -194,8 +193,8 @@ def _score_rows(params: dict, split: EncodedSplit, rows: np.ndarray,
 
 
 def infer_split(params: dict, docs: Sequence[DocumentSequence],
-                config: EncoderConfig, codec: TokenCodec, label_mode: str,
-                recurrent: bool, encoded: EncodedSplit | None = None,
+                config: EncoderConfig, codec: TokenCodec, recurrent: bool,
+                encoded: EncodedSplit | None = None,
                 scratch: encoder.Scratch | None = None) -> list[PredictionTrace]:
     """One trace per document; ``encoded`` is ``encode_split(docs, ...)`` if
     known.  Every encoder call of the split shares ``scratch`` (a fresh pool
@@ -205,6 +204,7 @@ def infer_split(params: dict, docs: Sequence[DocumentSequence],
     conditioned on the model's own decision for page t-1 of its document.
     Oblivious: every page scored from its own text, with no context tokens.
     """
+    label_mode = codec.type_vocab.label_mode
     split = encoded or encode_split(docs, codec, config.max_len)
     if scratch is None:
         scratch = encoder.Scratch()

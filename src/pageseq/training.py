@@ -178,8 +178,8 @@ def fit_adamw(params: dict[str, np.ndarray], n_examples: int, batch_loss,
 
 
 def train_encoder(encoder_config: EncoderConfig, codec: TokenCodec,
-                  train_docs: Sequence[DocumentSequence], label_mode: str,
-                  cfg: TrainConfig, recurrent: bool,
+                  train_docs: Sequence[DocumentSequence], cfg: TrainConfig,
+                  recurrent: bool,
                   val_docs: Sequence[DocumentSequence] | None = None,
                   encoded: EncodedSplit | None = None
                   ) -> tuple[dict, TrainReport]:
@@ -195,8 +195,7 @@ def train_encoder(encoder_config: EncoderConfig, codec: TokenCodec,
     started = time.perf_counter()
     # looked up on the module, so that perfbench's tracer sees the call
     ids, targets = recurrence.page_examples(train_docs, recurrent, codec,
-                                            encoder_config.max_len, label_mode,
-                                            encoded)
+                                            encoder_config.max_len, encoded)
     if len(ids) == 0:
         raise ValueError("no training pages")
     lengths = row_lengths(ids)
@@ -210,16 +209,16 @@ def train_encoder(encoder_config: EncoderConfig, codec: TokenCodec,
                     for epoch in range(cfg.epochs)]
 
     def batch_loss(rows, epoch):
-        return loss_and_grad(params, ids[rows, :lengths[rows].max()],
-                             targets[rows], encoder_config, label_mode,
+        return loss_and_grad(params, ids[rows, :lengths[rows].max()], targets[rows],
+                             encoder_config, codec.type_vocab.label_mode,
                              dropout_rngs[epoch], scratch)
 
     def validate(epoch):
-        traces = infer_split(params, val_docs, encoder_config, codec, label_mode,
-                             recurrent, val_encoded, scratch)
+        traces = infer_split(params, val_docs, encoder_config, codec, recurrent,
+                             val_encoded, scratch)
         preds = [labels for trace in traces for labels in trace.labels()]
         golds = gold_labels(val_docs)
-        scored = score(preds, golds, codec.type_vocab, label_mode)
+        scored = score(preds, golds, codec.type_vocab)
         return {"val_accuracy": sum(p == g for p, g in zip(preds, golds)) / len(golds),
                 "val_macro_f1": scored.macro_f1,
                 "val_weighted_f1": scored.weighted_f1}

@@ -15,6 +15,7 @@ import unicodedata
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 
 # Text a JSONL reader can trip on: line breaks other than "\n" (U+2028,
@@ -492,6 +493,23 @@ def crf_enumerate(transition: np.ndarray, start: np.ndarray,
         for t in range(length - 1):
             pair[t, path[t], path[t + 1]] += p
     return log_z, list(paths[best]), float(scores[best]), unary, pair
+
+
+def crf_log_forward(model, emissions: np.ndarray) -> float:
+    """log Z of a ``CrfModel`` by the forward recursion over its pages."""
+    emissions = np.asarray(emissions, dtype=np.float64)
+    alpha = model.start + model.emission_scale * emissions[0]
+    for t in range(1, emissions.shape[0]):
+        alpha = model.emission_scale * emissions[t] + \
+            logsumexp(alpha[:, None] + model.transition, axis=0)
+    return float(logsumexp(alpha))
+
+
+def decode_documents(model, emission_seqs) -> list[list[int]]:
+    """The Viterbi path of each document's emissions."""
+    from pageseq.crf import crf_viterbi
+
+    return [crf_viterbi(model, e)[0] for e in emission_seqs]
 
 
 # -- dense Jacobi eigensolver ------------------------------------------------

@@ -30,7 +30,6 @@ from pageseq.corpus import (
 from pageseq.crf import (
     CrfModel,
     crf_fit,
-    crf_log_forward,
     crf_log_likelihood_and_grad,
     crf_viterbi,
     emissions_from_logits,
@@ -53,6 +52,7 @@ from pageseq.training import AdamState, TrainConfig, lr_at, optimizer_step, trai
 from oracles import (
     assert_grads_close,
     crf_enumerate,
+    crf_log_forward,
     finite_diff_grads,
     jacobi_eigh,
     reference_batch,
@@ -109,10 +109,8 @@ def _run_models(split, seed, with_crf):
     codec = TokenCodec(split.vocabulary, vocab.tokens)
     enc = EncoderConfig(variant="linear", d=32, max_len=16, init_seed=seed)
     cfg = TrainConfig(epochs=5, batch_size=32, peak_lr=0.02, seed=seed)
-    p_obl, _ = train_encoder(enc, codec, split.train, MULTICLASS, cfg,
-                             recurrent=False)
-    p_rec, _ = train_encoder(enc, codec, split.train, MULTICLASS, cfg,
-                             recurrent=True)
+    p_obl, _ = train_encoder(enc, codec, split.train, cfg, recurrent=False)
+    p_rec, _ = train_encoder(enc, codec, split.train, cfg, recurrent=True)
 
     def macro(preds):
         return 100 * score(preds, gold_labels(split.test),
@@ -122,17 +120,15 @@ def _run_models(split, seed, with_crf):
     if with_crf:
         em, golds = [], []
         for doc, tr in zip(split.train, infer_split(p_obl, split.train, enc, codec,
-                                                    MULTICLASS, recurrent=False)):
+                                                    recurrent=False)):
             em.append(emissions_from_logits(np.stack([p.scores for p in tr.pages])))
             golds.append([next(iter(p.gold_labels)) for p in doc.pages])
         crf_model = crf_fit(em, golds, N_CLASSES, l2=0.01, tol=1e-4,
                             max_iter=500)
 
     preds_obl, preds_rec, preds_crf = [], [], []
-    traces_obl = infer_split(p_obl, split.test, enc, codec, MULTICLASS,
-                             recurrent=False)
-    traces_rec = infer_split(p_rec, split.test, enc, codec, MULTICLASS,
-                             recurrent=True)
+    traces_obl = infer_split(p_obl, split.test, enc, codec, recurrent=False)
+    traces_rec = infer_split(p_rec, split.test, enc, codec, recurrent=True)
     for tr_o, tr_r in zip(traces_obl, traces_rec):
         preds_obl.extend(p.labels for p in tr_o.pages)
         preds_rec.extend(p.labels for p in tr_r.pages)

@@ -470,6 +470,8 @@ class TestBaselineCheckpoints:
             payload["start"] = 0.0
         elif edit == "encoder_list":
             payload["encoder"] = []
+        elif edit == "recurrent_encoder":
+            payload["encoder"]["mode"] = "recurrent"
 
     @staticmethod
     def edit_bilstm(payload, edit):
@@ -491,7 +493,8 @@ class TestBaselineCheckpoints:
     @pytest.mark.parametrize("kind, edit", [
         ("crf", e) for e in ("transition", "start", "encoder", "emission_scale",
                              "2x2_transition", "2_class_crf", "nan_scale",
-                             "text_scale", "scalar_start", "encoder_list")
+                             "text_scale", "scalar_start", "encoder_list",
+                             "recurrent_encoder")
     ] + [
         ("bilstm", e) for e in ("params", "config", "features", "classes",
                                 "missing_param", "narrow_head", "hidden_dim",
@@ -650,6 +653,101 @@ class TestBadArtifacts:
         ckpt = tmp_path / "short-emb.json"
         ckpt.write_text(json.dumps(payload))
         assert self.infer(tmp_path, corpus_dir, ckpt) == 2
+
+    def test_manifest_with_another_label_mode(self, trained, capsys):
+        """A multiclass checkpoint on a multilabel manifest of the same
+        classes must not decode."""
+        tmp_path, corpus_dir, outdir, _ = trained
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        multilabel = corpus_dir / "multilabel.json"
+        multilabel.write_text(json.dumps(dict(manifest, label_mode="multilabel")))
+        capsys.readouterr()
+        assert self.infer(tmp_path, corpus_dir, outdir / "checkpoint.json",
+                          multilabel) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "label mode" in err[0]
+
+    @pytest.mark.parametrize("field, value", [("mode", "recurrnt"),
+                                              ("label_mode", "bogus"),
+                                              ("label_mode", "multilabel")])
+    def test_bad_mode_or_label_mode(self, trained, capsys, field, value):
+        """A mode that is not a decoding mode, or a label_mode other than the
+        codec's, must not decode."""
+        tmp_path, corpus_dir, outdir, _ = trained
+        payload = json.loads((outdir / "checkpoint.json").read_text())
+        payload[field] = value
+        ckpt = tmp_path / "edited.json"
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert self.infer(tmp_path, corpus_dir, ckpt) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert field in err[0] and repr(value) in err[0]
+
+
+# Class order is not alphabetical, so ascending class order shows in traces.
+ML_CLASSES = ["Zeta", "Alpha", "Mid"]
+ML_PAGES = [("zz cover page", ["Zeta", "Mid"]), ("aa body text", ["Alpha", "Mid"]),
+            ("aa solo text", ["Alpha"])]
+ML_TRAIN = {"epochs": 20, "batch_size": 8, "peak_lr": 0.05}
+
+
+@pytest.fixture()
+def multilabel_dir(tmp_path):
+    """A hand-written 3-class multilabel corpus of 4-page documents."""
+    root = tmp_path / "ml"
+    root.mkdir()
+    for name, n_docs in (("train", 10), ("validation", 2), ("test", 3)):
+        (root / f"{name}.jsonl").write_text("".join(
+            json.dumps({"doc_id": f"{name}-{d}", "labels": ML_PAGES[(d + i) % 3][1],
+                        "page_index": i, "text": ML_PAGES[(d + i) % 3][0]}) + "\n"
+            for d in range(n_docs) for i in range(4)))
+    (root / "manifest.json").write_text(json.dumps({
+        "classes": ML_CLASSES, "label_mode": "multilabel", "train": "train.jsonl",
+        "validation": "validation.jsonl", "test": "test.jsonl"}))
+    return root
+
+
+class TestMultilabel:
+    def test_train_infer_eval_compare(self, tmp_path, multilabel_dir):
+        manifest = str(multilabel_dir / "manifest.json")
+        traces = {}
+        for mode in ("oblivious", "recurrent"):
+            outdir = run_train(tmp_path, multilabel_dir, mode, mode=mode,
+                               train=ML_TRAIN)
+            traces[mode] = tmp_path / f"{mode}.jsonl"
+            assert main(["infer", "--checkpoint", str(outdir / "checkpoint.json"),
+                         "--manifest", manifest, "--out", str(traces[mode])]) == 0
+            assert main(["eval", "--traces", str(traces[mode]), "--manifest",
+                         manifest, "--out", str(tmp_path / f"{mode}-eval.json")]) == 0
+        assert main(["compare", "--traces-a", str(traces["recurrent"]),
+                     "--traces-b", str(traces["oblivious"]), "--manifest", manifest,
+                     "--out", str(tmp_path / "compare.json")]) == 0
+        pages = [json.loads(line) for line in
+                 traces["recurrent"].read_text().splitlines()[1:]]
+        for prev, page in zip(pages, pages[1:]):
+            if page["page_index"]:
+                assert page["context"] == prev["labels"]
+                assert page["context"] == sorted(page["context"],
+                                                 key=ML_CLASSES.index)
+        assert ["Zeta", "Mid"] in [page["context"] for page in pages]
+
+    @pytest.mark.parametrize("baseline", ["crf", "bilstm"])
+    def test_baselines_exit_2_before_training(self, tmp_path, multilabel_dir,
+                                              capsys, monkeypatch, baseline):
+        trained = []
+        monkeypatch.setattr(cli, "train_encoder", lambda *a, **k: trained.append(a))
+        cfg_path = tmp_path / "ml-baseline.json"
+        cfg_path.write_text(json.dumps(experiment_cfg(
+            multilabel_dir, baselines={baseline: True},
+            bilstm={"hidden_dim": 8, "svd_k": 2})))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "runs"), "--run-id", "bad"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "multiclass" in err[0]
+        assert trained == [] and not (tmp_path / "runs" / "bad").exists()
 
 
 class TestStats:

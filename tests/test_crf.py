@@ -10,15 +10,13 @@ from pageseq.crf import (
     CrfModel,
     crf_fit,
     crf_forward_backward,
-    crf_log_forward,
     crf_log_likelihood_and_grad,
     crf_path_score,
     crf_viterbi,
-    decode_documents,
     emissions_from_logits,
 )
 
-from oracles import crf_enumerate
+from oracles import crf_enumerate, crf_log_forward, decode_documents
 
 
 def random_model(n, rng, scale=1.0):

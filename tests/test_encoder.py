@@ -515,12 +515,12 @@ class TestCheckpoint:
         config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=1,
                                n_heads=2, max_len=12)
         params = init_params(config, codec)
-        payload = checkpoint_payload(params, config, codec, MULTICLASS,
-                                     mode="recurrent", seed=7)
-        params2, config2, codec2, label_mode, mode = restore_encoder(payload)
+        payload = checkpoint_payload(params, config, codec, mode="recurrent", seed=7)
+        assert payload["label_mode"] == codec.type_vocab.label_mode
+        params2, config2, codec2, recurrent = restore_encoder(payload)
         assert config2 == config
         assert codec2.text_tokens == codec.text_tokens
-        assert label_mode == MULTICLASS and mode == "recurrent"
+        assert codec2.type_vocab == codec.type_vocab and recurrent
         for name in sorted(params):
             np.testing.assert_array_equal(params2[name], params[name])
 
@@ -531,7 +531,7 @@ class TestCheckpoint:
         config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=1,
                                n_heads=2, max_len=12)
         payload = checkpoint_payload(init_params(config, codec), config, codec,
-                                     MULTICLASS, mode="oblivious", seed=0)
+                                     mode="oblivious", seed=0)
         params = payload["params"]
         if edit == "narrow_head":
             params["head_w"] = [row[:2] for row in params["head_w"]]
@@ -542,4 +542,15 @@ class TestCheckpoint:
         else:
             params["layer1/wq"] = params["layer0/wq"]
         with pytest.raises(ValueError, match="parameter"):
+            restore_encoder(payload)
+
+    @pytest.mark.parametrize("field, value", [("mode", "recurrnt"),
+                                              ("label_mode", MULTILABEL)])
+    def test_restore_checks_mode_and_label_mode(self, field, value):
+        codec = make_codec()
+        config = EncoderConfig(variant="linear", d=4, max_len=8)
+        payload = checkpoint_payload(init_params(config, codec), config, codec,
+                                     mode="oblivious", seed=0)
+        payload[field] = value
+        with pytest.raises(ValueError, match=field):
             restore_encoder(payload)

@@ -102,18 +102,23 @@ def tokenized(texts):
     return [tokenize(t) for t in texts]
 
 
+def tfidf_of(pages_tokens):
+    """The TF-IDF model of the vocabulary fitted on tokenized pages."""
+    return fit_tfidf(fit_vocabulary(pages_tokens), len(pages_tokens))
+
+
 def tfidf_row(text, model):
     return tfidf_matrix([tokenize(text)], model)[0]
 
 
 class TestTfIdf:
     def test_idf_table(self):
-        model = fit_tfidf(tokenized(HAND_PAGES))
+        model = tfidf_of(tokenized(HAND_PAGES))
         assert list(model.vocabulary.tokens) == ["bird", "cat", "dog", "fish"]
         np.testing.assert_allclose(model.idf, HAND_IDF, rtol=0, atol=1e-15)
 
     def test_hand_computed_vectors(self):
-        model = fit_tfidf(tokenized(HAND_PAGES))
+        model = tfidf_of(tokenized(HAND_PAGES))
         raw_p2 = np.array([0.0, 2 * (1.0 + LN_5_4), 0.0, 1.0 + LN_5_2])
         np.testing.assert_allclose(
             tfidf_row("cat cat fish", model),
@@ -124,18 +129,18 @@ class TestTfIdf:
             raw_p4 / np.linalg.norm(raw_p4), atol=1e-15)
 
     def test_oov_page_is_zero_vector(self):
-        model = fit_tfidf(tokenized(HAND_PAGES))
+        model = tfidf_of(tokenized(HAND_PAGES))
         vec = tfidf_row("unseen words only", model)
         np.testing.assert_array_equal(vec, np.zeros(4))
 
     def test_single_token_page_is_unit_vector(self):
-        model = fit_tfidf(tokenized(HAND_PAGES))
+        model = tfidf_of(tokenized(HAND_PAGES))
         vec = tfidf_row("cat cat cat", model)
         assert np.linalg.norm(vec) == pytest.approx(1.0)
         assert np.count_nonzero(vec) == 1
 
     def test_token_in_every_page_has_min_idf(self):
-        model = fit_tfidf(tokenized(["the cat", "the dog", "the fish"]))
+        model = tfidf_of(tokenized(["the cat", "the dog", "the fish"]))
         ids = model.vocabulary.token_ids()
         assert model.idf[ids["the"]] == pytest.approx(model.idf.min())
 
@@ -155,7 +160,7 @@ class TestTfIdfMatrix:
         """Rows equal the per-page reference; a page with no in-vocabulary
         token is an all-zero row, and no RuntimeWarning is raised."""
         train = train + ["cat"]  # at least one token to fit on
-        model = fit_tfidf(tokenized(train))
+        model = tfidf_of(tokenized(train))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             matrix = tfidf_matrix(tokenized(pages), model)
@@ -168,7 +173,7 @@ class TestTfIdfMatrix:
                 np.testing.assert_array_equal(row, 0.0)
 
     def test_no_pages(self):
-        model = fit_tfidf(tokenized(HAND_PAGES))
+        model = tfidf_of(tokenized(HAND_PAGES))
         assert tfidf_matrix([], model).shape == (0, 4)
 
 
@@ -225,7 +230,7 @@ class TestSvd:
             class_vocab_size=25, shared_vocab_size=300, ambiguity=0.8,
             docs_per_split=(200, 30, 60)))
         tokens = page_tokens(split.train)
-        matrix = tfidf_matrix(tokens, fit_tfidf(tokens))
+        matrix = tfidf_matrix(tokens, tfidf_of(tokens))
         assert matrix.shape == (2036, 400)
         proj = fit_svd(matrix, k=50)
         expected = np.sqrt(np.linalg.eigvalsh(matrix.T @ matrix)[::-1][:50])
@@ -238,7 +243,7 @@ class TestProject:
     def fitted(self):
         rng = np.random.default_rng(13)
         pages = [" ".join(rng.choice(list("abcdefgh"), size=12)) for _ in range(30)]
-        model = fit_tfidf(tokenized(pages))
+        model = tfidf_of(tokenized(pages))
         matrix = tfidf_matrix(tokenized(pages), model)
         projector = fit_svd(matrix, k=3)
         return pages, model, projector
@@ -276,7 +281,7 @@ class TestPersistence:
         return json.loads(json.dumps(page_vector_payload(model, projector)))
 
     def test_round_trip(self):
-        model = fit_tfidf(tokenized(HAND_PAGES))
+        model = tfidf_of(tokenized(HAND_PAGES))
         matrix = tfidf_matrix(tokenized(HAND_PAGES), model)
         projector = fit_svd(matrix, k=2)
         model2, projector2 = page_vector_model_from_payload(
@@ -288,7 +293,7 @@ class TestPersistence:
                                       projector.singular_values)
 
     def test_version_mismatch_rejected(self):
-        model = fit_tfidf(tokenized(HAND_PAGES))
+        model = tfidf_of(tokenized(HAND_PAGES))
         projector = fit_svd(tfidf_matrix(tokenized(HAND_PAGES), model), k=2)
         payload = self.json_payload(model, projector)
         assert payload["tokenizer_version"] == TOKENIZER_VERSION

@@ -70,17 +70,17 @@ def reference_row(context, text, codec, max_len):
     return ids[:length]
 
 
-def infer_document(params, doc, config, codec, label_mode):
-    (trace,) = infer_split(params, [doc], config, codec, label_mode, recurrent=True)
+def infer_document(params, doc, config, codec):
+    (trace,) = infer_split(params, [doc], config, codec, recurrent=True)
     return trace
 
 
-def infer_context_oblivious(params, doc, config, codec, label_mode):
-    (trace,) = infer_split(params, [doc], config, codec, label_mode, recurrent=False)
+def infer_context_oblivious(params, doc, config, codec):
+    (trace,) = infer_split(params, [doc], config, codec, recurrent=False)
     return trace
 
 
-def reference_traces(params, docs, config, codec, label_mode, recurrent):
+def reference_traces(params, docs, config, codec, recurrent):
     """Per-page reference driver: augment -> forward -> predict, one page at a
     time, each document on its own.  (scores, labels, context) per page."""
     out = []
@@ -90,7 +90,7 @@ def reference_traces(params, docs, config, codec, label_mode, recurrent):
         for page in doc.pages:
             row = reference_row(context, page.text, codec, config.max_len)
             scores = oracles.forward(params, row, config)
-            labels = predict(scores, label_mode)
+            labels = predict(scores, codec.type_vocab.label_mode)
             pages.append((scores, labels, context))
             if recurrent:
                 context = labels
@@ -174,7 +174,7 @@ class TestTeacherForcedBatches:
         """Doc with gold A,B -> examples (FIRST_PAGE, A), ({A}, B)."""
         codec = briefs_codec()
         doc = make_doc("d", [("brief", 0), ("signed", 1)])
-        ids, targets = page_examples([doc], True, codec, 8, MULTICLASS)
+        ids, targets = page_examples([doc], True, codec, 8)
         assert len(ids) == 2
         assert oracles.decode(codec, ids[0])[1] == "[-1]"
         assert targets[0] == 0
@@ -187,7 +187,7 @@ class TestTeacherForcedBatches:
         codec = briefs_codec()
         docs = [make_doc(f"d{i}", [("page", 0)] * 10) for i in range(10)]
         train_encoder(EncoderConfig(variant="linear", d=4, max_len=8), codec,
-                      docs, MULTICLASS, TrainConfig(epochs=1, batch_size=32),
+                      docs, TrainConfig(epochs=1, batch_size=32),
                       recurrent=True)
         assert [len(ids) for ids, _ in batches] == [32, 32, 32, 4]
 
@@ -200,7 +200,7 @@ class TestTeacherForcedBatches:
             make_doc(f"d{i}", [("page", int(c)) for c in rng.integers(0, 3, size=6)])
             for i in range(4)
         ]
-        ids, targets = page_examples(docs, True, codec, 8, MULTICLASS)
+        ids, targets = page_examples(docs, True, codec, 8)
         idx = 0
         for doc in docs:
             for t in range(len(doc.pages)):
@@ -219,8 +219,7 @@ class TestTeacherForcedBatches:
         docs = [make_doc(f"d{i}", [("page", 0)] * 5) for i in range(6)]
         for _ in range(2):
             train_encoder(EncoderConfig(variant="linear", d=4, max_len=8), codec,
-                          docs, MULTICLASS,
-                          TrainConfig(epochs=2, batch_size=4, seed=3),
+                          docs, TrainConfig(epochs=2, batch_size=4, seed=3),
                           recurrent=True)
         first, second = batches[:len(batches) // 2], batches[len(batches) // 2:]
         for (ix, tx), (iy, ty) in zip(first, second):
@@ -230,7 +229,7 @@ class TestTeacherForcedBatches:
     def test_plain_batches_carry_no_context_tokens(self):
         codec = briefs_codec()
         docs = [make_doc("d", [("brief", 0), ("page", 1)])]
-        ids, _ = page_examples(docs, False, codec, 8, MULTICLASS)
+        ids, _ = page_examples(docs, False, codec, 8)
         assert len(ids) == 2
         for row in ids:
             decoded = oracles.decode(codec, row)
@@ -337,7 +336,7 @@ class TestAugmentInputProperties:
             return real(params, ids, targets, *args)
 
         with mock.patch.object(training, "loss_and_grad", recording):
-            train_encoder(config, codec, docs, label_mode, cfg, teacher_forced)
+            train_encoder(config, codec, docs, cfg, teacher_forced)
 
         examples = []
         for doc in docs:
@@ -380,7 +379,7 @@ class TestInferDocument:
         config = EncoderConfig(variant="linear", d=3, max_len=8)
         params = stub_params(codec, config)
         doc = make_doc("d", [("brief", 0)])
-        trace = infer_document(params, doc, config, codec, MULTICLASS)
+        trace = infer_document(params, doc, config, codec)
         assert len(trace) == 1
         assert trace.pages[0].context is FIRST_PAGE
         assert trace.pages[0].labels == frozenset({0})
@@ -391,7 +390,7 @@ class TestInferDocument:
         config = EncoderConfig(variant="linear", d=3, max_len=8)
         params = stub_params(codec, config)
         doc = make_doc("d", [("page", 0)] * 6)
-        trace = infer_document(params, doc, config, codec, MULTICLASS)
+        trace = infer_document(params, doc, config, codec)
         assert [next(iter(p.labels)) for p in trace.pages] == [0, 1, 0, 1, 0, 1]
 
     def test_trace_contexts_chain_decisions(self):
@@ -400,7 +399,7 @@ class TestInferDocument:
         config = EncoderConfig(variant="linear", d=8, max_len=8, init_seed=1)
         params = init_params(config, codec)
         doc = make_doc("d", [("brief of", 0), ("page", 1), ("signed", 2)])
-        trace = infer_document(params, doc, config, codec, MULTICLASS)
+        trace = infer_document(params, doc, config, codec)
         assert trace.pages[0].context is FIRST_PAGE
         for t in range(1, len(trace)):
             assert trace.pages[t].context == trace.pages[t - 1].labels
@@ -413,7 +412,7 @@ class TestInferDocument:
         params = init_params(config, codec)
         doc = make_doc("d", [("brief of appellant", 0), ("page page", 1),
                              ("signed", 2), ("of brief", 1), ("appellant", 0)])
-        trace = infer_document(params, doc, config, codec, MULTICLASS)
+        trace = infer_document(params, doc, config, codec)
 
         context = FIRST_PAGE
         for t, page in enumerate(doc.pages):
@@ -431,7 +430,7 @@ class TestInferDocument:
         config = EncoderConfig(variant="linear", d=4, max_len=8)
         params = init_params(config, codec)
         doc = make_doc("d", [("page", 0)] * 7)
-        infer_document(params, doc, config, codec, MULTICLASS)
+        infer_document(params, doc, config, codec)
         assert rows == [1] * 7
 
     def test_gold_perfect_model_matches_teacher_forced_contexts(self):
@@ -446,7 +445,7 @@ class TestInferDocument:
         for i, tok in enumerate(("ta", "tb", "tc")):
             params["emb"][codec.text_token_id(tok)] = 10.0 * np.eye(3)[i]
         doc = make_doc("d", [("ta", 0), ("tb", 1), ("tb", 1), ("tc", 2)])
-        trace = infer_document(params, doc, config, codec, MULTICLASS)
+        trace = infer_document(params, doc, config, codec)
         assert [p.labels for p in trace.pages] == \
             [page.gold_labels for page in doc.pages]
         assert trace.pages[0].context is FIRST_PAGE
@@ -460,7 +459,7 @@ class TestInferContextOblivious:
         config = EncoderConfig(variant="linear", d=8, max_len=8, init_seed=2)
         params = init_params(config, codec)
         doc = make_doc("d", [("brief of", 0), ("signed page", 1), ("of", 2)])
-        trace = infer_context_oblivious(params, doc, config, codec, MULTICLASS)
+        trace = infer_context_oblivious(params, doc, config, codec)
         for t, page in enumerate(doc.pages):
             row = reference_row(None, page.text, codec, config.max_len)
             # one 3-row call against three 1-row calls: BLAS may round apart
@@ -477,9 +476,8 @@ class TestInferContextOblivious:
         doc = make_doc("d", texts)
         perm = [2, 0, 3, 1]
         doc_perm = make_doc("d", [texts[i] for i in perm])
-        trace = infer_context_oblivious(params, doc, config, codec, MULTICLASS)
-        trace_perm = infer_context_oblivious(params, doc_perm, config, codec,
-                                             MULTICLASS)
+        trace = infer_context_oblivious(params, doc, config, codec)
+        trace_perm = infer_context_oblivious(params, doc_perm, config, codec)
         for new_pos, old_pos in enumerate(perm):
             np.testing.assert_array_equal(trace_perm.pages[new_pos].scores,
                                           trace.pages[old_pos].scores)
@@ -489,7 +487,7 @@ class TestInferContextOblivious:
         config = EncoderConfig(variant="linear", d=8, max_len=8, init_seed=4)
         params = init_params(config, codec)
         doc = make_doc("d", [("brief of", 0), ("brief of", 0)])
-        trace = infer_context_oblivious(params, doc, config, codec, MULTICLASS)
+        trace = infer_context_oblivious(params, doc, config, codec)
         np.testing.assert_array_equal(trace.pages[0].scores, trace.pages[1].scores)
         assert trace.pages[0].labels == trace.pages[1].labels
 
@@ -535,9 +533,8 @@ class TestLockstep:
         codec, config = briefs_codec(), VARIANTS[variant]
         params = random_params(config, codec, 3)
         docs = ragged_split(RAGGED, 4)
-        traces = infer_split(params, docs, config, codec, MULTICLASS, recurrent)
-        expected = reference_traces(params, docs, config, codec, MULTICLASS,
-                                    recurrent)
+        traces = infer_split(params, docs, config, codec, recurrent)
+        expected = reference_traces(params, docs, config, codec, recurrent)
         assert [t.doc_id for t in traces] == [d.doc_id for d in docs]
         decided = set()
         for trace, ref in zip(traces, expected):
@@ -555,12 +552,12 @@ class TestLockstep:
         codec, config = briefs_codec(), VARIANTS[variant]
         params = random_params(config, codec, 7)
         docs = ragged_split(RAGGED, 6)
-        before = infer_split(params, docs, config, codec, MULTICLASS, True)
+        before = infer_split(params, docs, config, codec, True)
         t = 2
         pages = [(p.text, 0) for p in docs[0].pages]
         pages[t + 1] = ("signed signed appellant page of", 0)
         edited = [make_doc("d0", pages)] + docs[1:]
-        after = infer_split(params, edited, config, codec, MULTICLASS, True)
+        after = infer_split(params, edited, config, codec, True)
         for p_before, p_after in zip(before[0].pages[:t + 1], after[0].pages):
             np.testing.assert_array_equal(p_before.scores, p_after.scores)
             assert p_before.labels == p_after.labels
@@ -572,14 +569,14 @@ class TestLockstep:
         codec, config = briefs_codec(), VARIANTS[variant]
         params = random_params(config, codec, 3)
         docs = ragged_split(RAGGED, 8)
-        together = infer_split(params, docs, config, codec, MULTICLASS, True)
-        subset = infer_split(params, docs[1::3], config, codec, MULTICLASS, True)
+        together = infer_split(params, docs, config, codec, True)
+        subset = infer_split(params, docs[1::3], config, codec, True)
         for alone, trace in zip(subset, together[1::3]):
             assert alone.labels() == trace.labels()
             assert [p.context for p in alone.pages] == \
                 [p.context for p in trace.pages]
         for doc, trace in zip(docs[:4], together):
-            (alone,) = infer_split(params, [doc], config, codec, MULTICLASS, True)
+            (alone,) = infer_split(params, [doc], config, codec, True)
             assert alone.labels() == trace.labels()
             for pa, pt in zip(alone.pages, trace.pages):
                 np.testing.assert_allclose(pa.scores, pt.scores, rtol=0, atol=1e-12)
@@ -593,7 +590,7 @@ class TestLockstep:
         calls = count_forward_batch_rows(monkeypatch)
         codec, config = briefs_codec(), VARIANTS["linear"]
         params = init_params(config, codec)
-        infer_split(params, ragged_split(lengths, 9), config, codec, MULTICLASS,
+        infer_split(params, ragged_split(lengths, 9), config, codec,
                     recurrent=True)
         assert calls == rows
 
@@ -601,14 +598,14 @@ class TestLockstep:
         calls = count_forward_batch_rows(monkeypatch)
         codec, config = briefs_codec(), VARIANTS["linear"]
         params = init_params(config, codec)
-        infer_split(params, ragged_split(RAGGED, 10), config, codec, MULTICLASS,
+        infer_split(params, ragged_split(RAGGED, 10), config, codec,
                     recurrent=False)
         assert calls == [32, 24]
 
     def test_empty_split(self):
         codec, config = briefs_codec(), VARIANTS["linear"]
         params = init_params(config, codec)
-        assert infer_split(params, [], config, codec, MULTICLASS, True) == []
+        assert infer_split(params, [], config, codec, True) == []
 
 
 class TestTraceFiles:
@@ -618,7 +615,7 @@ class TestTraceFiles:
         params = init_params(config, codec)
         docs = [make_doc("d1", [("brief", 0), ("page", 1)]),
                 make_doc("d2", [("signed", 2)])]
-        traces = infer_split(params, docs, config, codec, MULTICLASS, recurrent=True)
+        traces = infer_split(params, docs, config, codec, recurrent=True)
         path = tmp_path / "traces.jsonl"
         write_traces(traces, path, BRIEFS, provenance={"seed": 0})
         loaded = read_traces(path, BRIEFS)
@@ -661,7 +658,7 @@ class TestTraceFiles:
         config = EncoderConfig(variant="linear", d=4, max_len=8)
         params = init_params(config, codec)
         doc = make_doc("d", [("brief", 0), ("page", 1)])
-        trace = infer_document(params, doc, config, codec, MULTICLASS)
+        trace = infer_document(params, doc, config, codec)
         path = tmp_path / "t.jsonl"
         write_traces([trace], path, BRIEFS)
         first_line = path.read_text().splitlines()[0]

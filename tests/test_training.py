@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pageseq.corpus import MULTICLASS, SynthConfig, generate_synthetic
+from pageseq.corpus import SynthConfig, generate_synthetic
 from pageseq.encoder import EncoderConfig, TokenCodec
 from pageseq.features import fit_vocabulary
 from pageseq.recurrence import page_tokens
@@ -115,7 +115,7 @@ class TestTrainEncoder:
         enc = EncoderConfig(variant="linear", d=8, max_len=12)
         cfg = TrainConfig(epochs=2, batch_size=32, peak_lr=0.01, seed=1)
         n_pages = sum(len(d) for d in split.train)
-        _, report = train_encoder(enc, codec, split.train, MULTICLASS, cfg,
+        _, report = train_encoder(enc, codec, split.train, cfg,
                                   recurrent=False)
         expected = 2 * ((n_pages + 31) // 32)
         assert report.total_steps == expected
@@ -128,7 +128,7 @@ class TestTrainEncoder:
         codec = codec_for(split)
         enc = EncoderConfig(variant="linear", d=16, max_len=16, init_seed=2)
         cfg = TrainConfig(epochs=5, batch_size=32, peak_lr=0.05, seed=3)
-        _, report = train_encoder(enc, codec, split.train, MULTICLASS, cfg,
+        _, report = train_encoder(enc, codec, split.train, cfg,
                                   recurrent=False, val_docs=split.train)
         assert report.epoch_metrics[-1]["val_accuracy"] >= 0.99
 
@@ -137,10 +137,8 @@ class TestTrainEncoder:
         codec = codec_for(split)
         enc = EncoderConfig(variant="linear", d=8, max_len=12, init_seed=4)
         cfg = TrainConfig(epochs=2, batch_size=16, peak_lr=0.02, seed=9)
-        params1, report1 = train_encoder(enc, codec, split.train, MULTICLASS,
-                                         cfg, recurrent=True)
-        params2, report2 = train_encoder(enc, codec, split.train, MULTICLASS,
-                                         cfg, recurrent=True)
+        params1, report1 = train_encoder(enc, codec, split.train, cfg, recurrent=True)
+        params2, report2 = train_encoder(enc, codec, split.train, cfg, recurrent=True)
         assert report1.step_losses == report2.step_losses
         for name in params1:
             np.testing.assert_array_equal(params1[name], params2[name])
@@ -152,9 +150,9 @@ class TestTrainEncoder:
         codec = codec_for(split)
         enc = EncoderConfig(variant="linear", d=8, max_len=12)
         cfg = TrainConfig(epochs=2, batch_size=16, peak_lr=0.02, seed=5)
-        _, rep_obl = train_encoder(enc, codec, split.train, MULTICLASS, cfg,
+        _, rep_obl = train_encoder(enc, codec, split.train, cfg,
                                    recurrent=False)
-        _, rep_rec = train_encoder(enc, codec, split.train, MULTICLASS, cfg,
+        _, rep_rec = train_encoder(enc, codec, split.train, cfg,
                                    recurrent=True)
         assert rep_obl.total_steps == rep_rec.total_steps
         assert rep_obl.step_lrs == rep_rec.step_lrs
@@ -169,7 +167,7 @@ class TestTrainEncoder:
         cfg = TrainConfig(epochs=3, batch_size=8, peak_lr=1e160,
                           warmup_fraction=0.0, seed=6)
         with pytest.raises(TrainingDiverged, match="step"):
-            train_encoder(enc, codec, split.train, MULTICLASS, cfg,
+            train_encoder(enc, codec, split.train, cfg,
                           recurrent=False)
 
     def test_report_payload_excludes_wall_clock(self):
@@ -177,7 +175,7 @@ class TestTrainEncoder:
         codec = codec_for(split)
         enc = EncoderConfig(variant="linear", d=8, max_len=12)
         cfg = TrainConfig(epochs=1, batch_size=32, peak_lr=0.01)
-        _, report = train_encoder(enc, codec, split.train, MULTICLASS, cfg,
+        _, report = train_encoder(enc, codec, split.train, cfg,
                                   recurrent=False)
         payload = report.to_payload()
         assert "wall_clock_seconds" not in payload
