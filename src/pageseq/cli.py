@@ -465,9 +465,9 @@ def _restore_model(payload):
 
             def decode(docs):
                 logit_seqs = _encoder_logit_seqs(params, config, codec, docs)
-                return _context_free_traces(docs, logit_seqs, [
-                    crf_viterbi(model, emissions_from_logits(logits))[0]
-                    for logits in logit_seqs])
+                paths = [path for path, _ in crf_viterbi(model, [
+                    emissions_from_logits(logits) for logits in logit_seqs])]
+                return _context_free_traces(docs, logit_seqs, paths)
             return codec.type_vocab, decode
         if kind == "bilstm":
             config = BiLstmConfig(**payload["config"])

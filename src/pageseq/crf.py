@@ -6,6 +6,12 @@ transition matrix, and one positive emission scale) are fit (Lafferty et al.,
 2001).  The fit maximizes the regularized sequence log-likelihood with
 scipy's L-BFGS-B (Liu & Nocedal, 1989), whose bound keeps the emission scale
 above a small positive floor.  No gradient ever reaches the encoder.
+
+The objective and Viterbi pad a batch of ragged documents once: a (docs x
+pages x n) emission array, zero past each document's end, and a (docs x
+pages) mask of the real pages.  Each recursion steps once per page position
+over all documents; past a document's end its forward and Viterbi scores
+carry over unchanged and its backward scores stay 0.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import log_softmax
+from scipy.special import log_softmax, logsumexp
 
 _SCALE_FLOOR = 1e-6
 
@@ -33,12 +39,11 @@ class CrfModel:
         self.transition = np.asarray(self.transition, dtype=np.float64)
         self.start = np.asarray(self.start, dtype=np.float64)
         if self.start.ndim != 1 or self.transition.shape != self.start.shape * 2:
-            raise ValueError("start must be a vector of n scores and transition "
-                             "n x n")
+            raise ValueError("start must be a vector of n scores, transition n x n")
         if not (np.all(np.isfinite(self.transition))
                 and np.all(np.isfinite(self.start))
-                and np.isfinite(self.emission_scale)):
-            raise ValueError("CRF parameters must be finite")
+                and np.isfinite(self.emission_scale) and self.emission_scale > 0):
+            raise ValueError("CRF parameters must be finite and the scale positive")
 
     @property
     def n(self) -> int:
@@ -50,67 +55,39 @@ def emissions_from_logits(logits: np.ndarray) -> np.ndarray:
     return log_softmax(np.asarray(logits, dtype=np.float64), axis=-1)
 
 
-def _logsumexp(x, axis=None):
-    if axis is None:
-        m = float(np.max(x))
-        return m + float(np.log(np.sum(np.exp(x - m))))
-    m = np.max(x, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+def _padded(model: CrfModel, emission_seqs: Sequence[np.ndarray]):
+    """Padded (docs x pages x n) emissions and their (docs x pages) mask; an
+    empty batch keeps one page position so that its first page can be indexed."""
+    lengths = np.array([len(e) for e in emission_seqs], dtype=np.int64)
+    if np.any(lengths < 1):
+        raise ValueError("every document needs at least one page")
+    mask = np.arange(lengths.max(initial=1)) < lengths[:, None]
+    emissions = np.zeros(mask.shape + (model.n,))
+    emissions[mask] = np.concatenate([np.zeros((0, model.n)), *emission_seqs])
+    return emissions, mask
 
 
-def crf_path_score(model: CrfModel, emissions: np.ndarray,
-                   labels: Sequence[int]) -> float:
-    """Unnormalized score of one label path."""
-    labels = list(labels)
-    s = model.start[labels[0]] + model.emission_scale * emissions[0, labels[0]]
-    for t in range(1, len(labels)):
-        s += model.transition[labels[t - 1], labels[t]]
-        s += model.emission_scale * emissions[t, labels[t]]
-    return float(s)
-
-
-def crf_viterbi(model: CrfModel, emissions: np.ndarray) -> tuple[list[int], float]:
-    """Best label path and its score; ties break toward the lower label index
-    at every backpointer (argmax picks the first maximum)."""
-    emissions = np.asarray(emissions, dtype=np.float64)
-    length = emissions.shape[0]
-    delta = model.start + model.emission_scale * emissions[0]
-    pointers = np.zeros((length, model.n), dtype=np.int64)
-    for t in range(1, length):
-        candidates = delta[:, None] + model.transition
-        pointers[t] = np.argmax(candidates, axis=0)
-        delta = model.emission_scale * emissions[t] + np.max(candidates, axis=0)
-    best_last = int(np.argmax(delta))
-    path = [best_last]
-    for t in range(length - 1, 0, -1):
-        path.append(int(pointers[t, path[-1]]))
-    path.reverse()
-    return path, float(np.max(delta))
-
-
-def crf_forward_backward(model: CrfModel, emissions: np.ndarray):
-    """Posterior unary marginals (l x n), pairwise marginals ((l-1) x n x n),
-    and log Z, all in a numerically stable log-space recursion."""
-    emissions = np.asarray(emissions, dtype=np.float64)
-    length, n = emissions.shape
+def crf_viterbi(model: CrfModel, emission_seqs: Sequence[np.ndarray]
+                ) -> list[tuple[list[int], float]]:
+    """Best label path and its score of each document; ties break toward the
+    lower label index at every backpointer (argmax picks the first maximum)."""
+    emissions, mask = _padded(model, emission_seqs)
     scaled = model.emission_scale * emissions
-    alpha = np.zeros((length, n))
-    alpha[0] = model.start + scaled[0]
-    for t in range(1, length):
-        alpha[t] = scaled[t] + _logsumexp(alpha[t - 1][:, None] + model.transition,
-                                          axis=0)
-    beta = np.zeros((length, n))
-    for t in range(length - 2, -1, -1):
-        beta[t] = _logsumexp(model.transition + scaled[t + 1] + beta[t + 1],
-                             axis=1)
-    log_z = float(_logsumexp(alpha[-1]))
-    unary = np.exp(alpha + beta - log_z)
-    pair = np.zeros((max(length - 1, 0), n, n))
-    for t in range(length - 1):
-        joint = alpha[t][:, None] + model.transition + scaled[t + 1] + beta[t + 1]
-        pair[t] = np.exp(joint - log_z)
-    return unary, pair, log_z
+    docs, width = mask.shape
+    pointers = np.zeros((docs, width, model.n), dtype=np.int64)
+    delta = model.start + scaled[:, 0]
+    for t in range(1, width):
+        candidates = delta[:, :, None] + model.transition
+        pointers[:, t] = np.argmax(candidates, axis=1)
+        step = scaled[:, t] + np.max(candidates, axis=1)
+        delta = np.where(mask[:, t, None], step, delta)
+    paths = np.zeros((docs, width), dtype=np.int64)
+    paths[:, -1] = np.argmax(delta, axis=1)
+    for t in range(width - 1, 0, -1):
+        back = pointers[np.arange(docs), t, paths[:, t]]
+        paths[:, t - 1] = np.where(mask[:, t], back, paths[:, t])
+    return [(path[:length].tolist(), float(score)) for path, length, score
+            in zip(paths, mask.sum(axis=1), np.max(delta, axis=1))]
 
 
 def crf_log_likelihood_and_grad(model: CrfModel,
@@ -123,30 +100,43 @@ def crf_log_likelihood_and_grad(model: CrfModel,
     The gradient is empirical-minus-expected feature counts from the
     forward-backward marginals.
     """
-    if len(emission_seqs) != len(gold_seqs):
-        raise ValueError("emissions and gold label sequences must align")
-    n = model.n
-    ll = 0.0
-    grad_t = np.zeros((n, n))
-    grad_start = np.zeros(n)
-    grad_scale = 0.0
-    for emissions, gold in zip(emission_seqs, gold_seqs):
-        emissions = np.asarray(emissions, dtype=np.float64)
-        gold = list(gold)
-        if emissions.shape[0] != len(gold):
-            raise ValueError("emission/label length mismatch")
-        unary, pair, log_z = crf_forward_backward(model, emissions)
-        ll += crf_path_score(model, emissions, gold) - log_z
-        grad_start[gold[0]] += 1.0
-        grad_start -= unary[0]
-        for t in range(1, len(gold)):
-            grad_t[gold[t - 1], gold[t]] += 1.0
-        grad_t -= pair.sum(axis=0)
-        gold_emission = sum(emissions[t, y] for t, y in enumerate(gold))
-        grad_scale += gold_emission - float((unary * emissions).sum())
-    ll -= l2 * float((model.transition ** 2).sum())
-    grad_t -= 2.0 * l2 * model.transition
-    return ll, grad_t, grad_start, grad_scale
+    emissions, mask = _padded(model, emission_seqs)
+    if not np.array_equal([len(gold) for gold in gold_seqs], mask.sum(axis=1)):
+        raise ValueError("gold label sequences must match the emissions in length")
+    gold = np.zeros_like(emissions)  # one-hot, zero past each document's end
+    gold[mask] = np.eye(model.n)[np.concatenate([np.zeros(0, dtype=np.int64),
+                                                 *gold_seqs])]
+    scaled = model.emission_scale * emissions
+    width = mask.shape[1]
+
+    alpha = np.zeros_like(scaled)
+    alpha[:, 0] = model.start + scaled[:, 0]
+    for t in range(1, width):
+        step = scaled[:, t] + logsumexp(alpha[:, t - 1, :, None] + model.transition,
+                                        axis=1)
+        alpha[:, t] = np.where(mask[:, t, None], step, alpha[:, t - 1])
+    beta = np.zeros_like(scaled)
+    for t in range(width - 2, -1, -1):
+        step = logsumexp(model.transition + scaled[:, t + 1, None, :]
+                         + beta[:, t + 1, None, :], axis=2)
+        beta[:, t] = np.where(mask[:, t + 1, None], step, 0.0)
+    log_z = logsumexp(alpha[:, -1], axis=1)
+
+    # posterior marginals; a padded position is -inf before exp, so it counts 0
+    unary = np.exp(np.where(mask[:, :, None], alpha + beta, -np.inf)
+                   - log_z[:, None, None])
+    joint = (alpha[:, :-1, :, None] + model.transition + scaled[:, 1:, None, :]
+             + beta[:, 1:, None, :])
+    pair = np.exp(np.where(mask[:, 1:, None, None], joint, -np.inf)
+                  - log_z[:, None, None, None])
+
+    gold_pairs = np.einsum("dti,dtj->ij", gold[:, :-1], gold[:, 1:])
+    ll = ((model.start * gold[:, 0]).sum() + (model.transition * gold_pairs).sum()
+          + (scaled * gold).sum() - log_z.sum() - l2 * (model.transition ** 2).sum())
+    grad_t = gold_pairs - pair.sum(axis=(0, 1)) - 2.0 * l2 * model.transition
+    grad_start = (gold[:, 0] - unary[:, 0]).sum(axis=0)
+    grad_scale = ((gold - unary) * emissions).sum()
+    return float(ll), grad_t, grad_start, float(grad_scale)
 
 
 def check_l2(l2: float) -> None:

@@ -632,7 +632,8 @@ def restore_encoder(payload: dict):
 
 
 def check_params(params: dict, expected: dict) -> None:
-    """Raise ValueError unless ``params`` has the names and shapes of ``expected``."""
+    """Raise ValueError unless ``params`` has the names and shapes of
+    ``expected`` and every value is finite."""
     if params.keys() != expected.keys():
         raise ValueError(
             f"parameter names do not match the config: missing "
@@ -642,6 +643,8 @@ def check_params(params: dict, expected: dict) -> None:
         if params[name].shape != value.shape:
             raise ValueError(f"parameter {name!r} has shape {params[name].shape}, "
                              f"the config gives {value.shape}")
+        if not np.all(np.isfinite(params[name])):
+            raise ValueError(f"parameter {name!r} is not finite")
 
 
 def load_checkpoint(path: Path | str) -> dict:

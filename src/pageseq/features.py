@@ -147,6 +147,8 @@ class SvdProjector:
         object.__setattr__(self, "singular_values", sv)
         if basis.ndim != 2 or sv.shape != (basis.shape[1],):
             raise ValueError("basis must be V x k with k singular values")
+        if not (np.all(np.isfinite(basis)) and np.all(np.isfinite(sv))):
+            raise ValueError("basis and singular values must be finite")
         if np.any(np.diff(sv) > 1e-12):
             raise ValueError("singular values must be non-increasing")
         gram = basis.T @ basis

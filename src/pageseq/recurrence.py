@@ -281,9 +281,13 @@ def read_traces(path: Path | str, vocab: TypeVocabulary) -> list[PredictionTrace
             obj = json.loads(line)
             if "provenance" in obj and "doc_id" not in obj:
                 continue
+            labels = frozenset(vocab.index(name) for name in obj["labels"])
+            if not labels or (vocab.label_mode == MULTICLASS and len(labels) > 1):
+                raise ValueError(f"page {obj['page_index']} of {obj['doc_id']!r} has "
+                                 f"{len(labels)} labels in {vocab.label_mode} mode")
             page = PagePrediction(
                 scores=np.asarray(obj["scores"], dtype=np.float64),
-                labels=frozenset(vocab.index(name) for name in obj["labels"]),
+                labels=labels,
                 context=_context_from_json(obj["context"], vocab),
             )
             traces.setdefault(obj["doc_id"], []).append((obj["page_index"], page))

@@ -462,7 +462,7 @@ def reference_transformer_loss_and_grad(params, ids, targets, config, label_mode
     return loss, grads, scores
 
 
-# -- brute-force linear-chain CRF --------------------------------------------
+# -- linear-chain CRF: brute force and per-document recursions ---------------
 
 def crf_enumerate(transition: np.ndarray, start: np.ndarray,
                   emissions: np.ndarray, scale: float = 1.0):
@@ -495,21 +495,80 @@ def crf_enumerate(transition: np.ndarray, start: np.ndarray,
     return log_z, list(paths[best]), float(scores[best]), unary, pair
 
 
-def crf_log_forward(model, emissions: np.ndarray) -> float:
-    """log Z of a ``CrfModel`` by the forward recursion over its pages."""
+def crf_path_score(model, emissions: np.ndarray, labels) -> float:
+    """Unnormalized score of one label path of a ``CrfModel``."""
+    labels = list(labels)
+    s = model.start[labels[0]] + model.emission_scale * emissions[0, labels[0]]
+    for t in range(1, len(labels)):
+        s += model.transition[labels[t - 1], labels[t]]
+        s += model.emission_scale * emissions[t, labels[t]]
+    return float(s)
+
+
+def crf_viterbi_document(model, emissions: np.ndarray) -> tuple[list[int], float]:
+    """Best label path of one document and its score, page by page; ties
+    break toward the lower label index at every backpointer."""
     emissions = np.asarray(emissions, dtype=np.float64)
-    alpha = model.start + model.emission_scale * emissions[0]
-    for t in range(1, emissions.shape[0]):
-        alpha = model.emission_scale * emissions[t] + \
-            logsumexp(alpha[:, None] + model.transition, axis=0)
-    return float(logsumexp(alpha))
+    length = emissions.shape[0]
+    delta = model.start + model.emission_scale * emissions[0]
+    pointers = np.zeros((length, model.n), dtype=np.int64)
+    for t in range(1, length):
+        candidates = delta[:, None] + model.transition
+        pointers[t] = np.argmax(candidates, axis=0)
+        delta = model.emission_scale * emissions[t] + np.max(candidates, axis=0)
+    path = [int(np.argmax(delta))]
+    for t in range(length - 1, 0, -1):
+        path.append(int(pointers[t, path[-1]]))
+    path.reverse()
+    return path, float(np.max(delta))
 
 
-def decode_documents(model, emission_seqs) -> list[list[int]]:
-    """The Viterbi path of each document's emissions."""
-    from pageseq.crf import crf_viterbi
+def crf_forward_backward(model, emissions: np.ndarray):
+    """Posterior unary marginals (l x n), pairwise marginals ((l-1) x n x n),
+    and log Z of one document, by the log-space forward-backward recursion."""
+    emissions = np.asarray(emissions, dtype=np.float64)
+    length, n = emissions.shape
+    scaled = model.emission_scale * emissions
+    alpha = np.zeros((length, n))
+    alpha[0] = model.start + scaled[0]
+    for t in range(1, length):
+        alpha[t] = scaled[t] + logsumexp(alpha[t - 1][:, None] + model.transition,
+                                         axis=0)
+    beta = np.zeros((length, n))
+    for t in range(length - 2, -1, -1):
+        beta[t] = logsumexp(model.transition + scaled[t + 1] + beta[t + 1], axis=1)
+    log_z = float(logsumexp(alpha[-1]))
+    unary = np.exp(alpha + beta - log_z)
+    pair = np.zeros((max(length - 1, 0), n, n))
+    for t in range(length - 1):
+        joint = alpha[t][:, None] + model.transition + scaled[t + 1] + beta[t + 1]
+        pair[t] = np.exp(joint - log_z)
+    return unary, pair, log_z
 
-    return [crf_viterbi(model, e)[0] for e in emission_seqs]
+
+def crf_log_likelihood_per_document(model, emission_seqs, gold_seqs, l2: float = 0.0):
+    """The regularized CRF log-likelihood and its gradient (transition,
+    start, emission scale), one document at a time from the marginals."""
+    n = model.n
+    ll = 0.0
+    grad_t = np.zeros((n, n))
+    grad_start = np.zeros(n)
+    grad_scale = 0.0
+    for emissions, gold in zip(emission_seqs, gold_seqs):
+        emissions = np.asarray(emissions, dtype=np.float64)
+        gold = list(gold)
+        unary, pair, log_z = crf_forward_backward(model, emissions)
+        ll += crf_path_score(model, emissions, gold) - log_z
+        grad_start[gold[0]] += 1.0
+        grad_start -= unary[0]
+        for t in range(1, len(gold)):
+            grad_t[gold[t - 1], gold[t]] += 1.0
+        grad_t -= pair.sum(axis=0)
+        gold_emission = sum(emissions[t, y] for t, y in enumerate(gold))
+        grad_scale += gold_emission - float((unary * emissions).sum())
+    ll -= l2 * float((model.transition ** 2).sum())
+    grad_t -= 2.0 * l2 * model.transition
+    return ll, grad_t, grad_start, grad_scale
 
 
 # -- dense Jacobi eigensolver ------------------------------------------------

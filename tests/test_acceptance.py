@@ -52,7 +52,6 @@ from pageseq.training import AdamState, TrainConfig, lr_at, optimizer_step, trai
 from oracles import (
     assert_grads_close,
     crf_enumerate,
-    crf_log_forward,
     finite_diff_grads,
     jacobi_eigh,
     reference_batch,
@@ -126,19 +125,18 @@ def _run_models(split, seed, with_crf):
         crf_model = crf_fit(em, golds, N_CLASSES, l2=0.01, tol=1e-4,
                             max_iter=500)
 
-    preds_obl, preds_rec, preds_crf = [], [], []
+    preds_obl, preds_rec = [], []
     traces_obl = infer_split(p_obl, split.test, enc, codec, recurrent=False)
     traces_rec = infer_split(p_rec, split.test, enc, codec, recurrent=True)
     for tr_o, tr_r in zip(traces_obl, traces_rec):
         preds_obl.extend(p.labels for p in tr_o.pages)
         preds_rec.extend(p.labels for p in tr_r.pages)
-        if with_crf:
-            e = emissions_from_logits(np.stack([p.scores for p in tr_o.pages]))
-            path, _ = crf_viterbi(crf_model, e)
-            preds_crf.extend(frozenset({c}) for c in path)
     out = {"oblivious": macro(preds_obl), "recurrent": macro(preds_rec)}
     if with_crf:
-        out["crf"] = macro(preds_crf)
+        decoded = crf_viterbi(crf_model, [
+            emissions_from_logits(np.stack([p.scores for p in tr.pages]))
+            for tr in traces_obl])
+        out["crf"] = macro([frozenset({c}) for path, _ in decoded for c in path])
     return out
 
 
@@ -198,8 +196,11 @@ def test_criterion_3_crf_exactness():
                     e = rng.normal(0, 2, (length, n))
                     log_z, best_path, best_score, _, _ = crf_enumerate(
                         model.transition, model.start, e, model.emission_scale)
-                    assert crf_log_forward(model, e) == pytest.approx(log_z, abs=1e-9)
-                    path, path_score = crf_viterbi(model, e)
+                    # with l2 = 0 the log-likelihood of a path is its score
+                    # minus log Z
+                    ll = crf_log_likelihood_and_grad(model, [e], [best_path])[0]
+                    assert ll == pytest.approx(best_score - log_z, abs=1e-9)
+                    [(path, path_score)] = crf_viterbi(model, [e])
                     assert path == best_path
                     assert path_score == pytest.approx(best_score, abs=1e-9)
                     cases += 1

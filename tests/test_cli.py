@@ -464,6 +464,10 @@ class TestBaselineCheckpoints:
             payload["start"] = payload["start"][:2]
         elif edit == "nan_scale":
             payload["emission_scale"] = float("nan")
+        elif edit == "negative_scale":
+            payload["emission_scale"] = -1.0
+        elif edit == "zero_scale":
+            payload["emission_scale"] = 0.0
         elif edit == "text_scale":
             payload["emission_scale"] = "one"
         elif edit == "scalar_start":
@@ -485,6 +489,12 @@ class TestBaselineCheckpoints:
             payload["config"]["hidden_dim"] = 9
         elif edit == "two_classes":
             payload["classes"] = payload["classes"][:2]
+        elif edit == "nan_param":
+            payload["params"]["fw_w"][0][0] = float("nan")
+        elif edit == "nan_basis":
+            payload["features"]["basis"][0][0] = float("nan")
+        elif edit == "inf_singular_value":
+            payload["features"]["singular_values"][0] = float("inf")
         elif edit == "input_dim":
             payload["config"]["input_dim"] = 5
             payload["params"]["fw_w"] = [row[:5] for row in payload["params"]["fw_w"]]
@@ -493,12 +503,13 @@ class TestBaselineCheckpoints:
     @pytest.mark.parametrize("kind, edit", [
         ("crf", e) for e in ("transition", "start", "encoder", "emission_scale",
                              "2x2_transition", "2_class_crf", "nan_scale",
-                             "text_scale", "scalar_start", "encoder_list",
-                             "recurrent_encoder")
+                             "negative_scale", "zero_scale", "text_scale",
+                             "scalar_start", "encoder_list", "recurrent_encoder")
     ] + [
         ("bilstm", e) for e in ("params", "config", "features", "classes",
                                 "missing_param", "narrow_head", "hidden_dim",
-                                "two_classes", "input_dim")
+                                "two_classes", "input_dim", "nan_param",
+                                "nan_basis", "inf_singular_value")
     ])
     def test_bad_payload_exits_2(self, trained, capsys, kind, edit):
         tmp_path, corpus_dir, outdir = trained
@@ -595,6 +606,40 @@ class TestBadArtifacts:
             assert not out.exists()
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and str(bad) in err[0]
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_trace_page_label_count(self, trained, command, count, capsys):
+        """A multiclass trace page with no label or with two labels."""
+        tmp_path, corpus_dir, _, traces = trained
+        classes = load_corpus(corpus_dir / "manifest.json").vocabulary.class_names
+        lines = traces.read_text().splitlines(keepends=True)
+        page = json.loads(lines[-1])
+        page["labels"] = list(classes[:count])
+        bad = tmp_path / f"labels-{count}.jsonl"
+        bad.write_text("".join(lines[:-1]) + json.dumps(page) + "\n")
+        out = tmp_path / "report.json"
+        if command == "eval":
+            argv = ["eval", "--traces", str(bad)]
+        else:
+            argv = ["compare", "--traces-a", str(traces), "--traces-b", str(bad)]
+        capsys.readouterr()
+        assert main(argv + ["--manifest", str(corpus_dir / "manifest.json"),
+                            "--split", "test", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(bad) in err[0] and f"{count} labels" in err[0]
+
+    def test_non_finite_parameter(self, trained, capsys):
+        tmp_path, corpus_dir, outdir, _ = trained
+        payload = json.loads((outdir / "checkpoint.json").read_text())
+        payload["params"]["head_b"][0] = float("nan")
+        ckpt = tmp_path / "nan-head.json"
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert self.infer(tmp_path, corpus_dir, ckpt) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "head_b" in err[0] and "finite" in err[0]
 
     @pytest.mark.parametrize("command", ["stats", "infer", "eval", "compare", "train"])
     def test_missing_corpus_file(self, trained, command, capsys):

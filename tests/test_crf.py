@@ -1,22 +1,28 @@
 """Tests for the linear-chain CRF: exactness against explicit path
-enumeration, forward-backward marginals, gradient checks, and fitting."""
+enumeration, the padded batch against the per-document reference, gradient
+checks, and fitting."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pageseq.crf import (
     CrfModel,
     crf_fit,
-    crf_forward_backward,
     crf_log_likelihood_and_grad,
-    crf_path_score,
     crf_viterbi,
     emissions_from_logits,
 )
 
-from oracles import crf_enumerate, crf_log_forward, decode_documents
+from oracles import (
+    crf_enumerate,
+    crf_forward_backward,
+    crf_log_likelihood_per_document,
+    crf_path_score,
+    crf_viterbi_document,
+)
 
 
 def random_model(n, rng, scale=1.0):
@@ -25,18 +31,31 @@ def random_model(n, rng, scale=1.0):
                     emission_scale=scale)
 
 
+def log_z(model, e):
+    """log Z of one document from the batched objective: with l2 = 0 the
+    log-likelihood of a path is its score minus log Z."""
+    gold = [0] * len(e)
+    return crf_path_score(model, e, gold) - \
+        crf_log_likelihood_and_grad(model, [e], [gold])[0]
+
+
+def viterbi(model, e):
+    """(path, score) of one document, decoded as a batch of one."""
+    return crf_viterbi(model, [e])[0]
+
+
 class TestLogForward:
     def test_single_page_base_case(self):
         rng = np.random.default_rng(0)
         model = random_model(3, rng)
         e = rng.normal(0, 1, (1, 3))
         expected = math.log(np.exp(model.start + model.emission_scale * e[0]).sum())
-        assert crf_log_forward(model, e) == pytest.approx(expected, rel=1e-12)
+        assert log_z(model, e) == pytest.approx(expected, rel=1e-12)
 
     def test_all_zero_scores_count_paths(self):
         """Zero model, l=2, n=3: every one of the 9 paths scores 0 -> ln 9."""
         model = CrfModel(np.zeros((3, 3)), np.zeros(3))
-        assert crf_log_forward(model, np.zeros((2, 3))) == \
+        assert log_z(model, np.zeros((2, 3))) == \
             pytest.approx(math.log(9), rel=1e-12)
 
     def test_matches_enumeration(self):
@@ -48,10 +67,9 @@ class TestLogForward:
                 for _ in range(12):
                     model = random_model(n, rng, scale=float(rng.uniform(0.5, 2.0)))
                     e = rng.normal(0, 2, (length, n))
-                    log_z, *_ = crf_enumerate(model.transition, model.start, e,
-                                              model.emission_scale)
-                    assert crf_log_forward(model, e) == \
-                        pytest.approx(log_z, abs=1e-9)
+                    expected, *_ = crf_enumerate(model.transition, model.start, e,
+                                                 model.emission_scale)
+                    assert log_z(model, e) == pytest.approx(expected, abs=1e-9)
                     cases += 1
         assert cases >= 200
 
@@ -62,7 +80,7 @@ class TestViterbi:
         n = 4
         model = CrfModel(np.zeros((n, n)), np.zeros(n))
         e = rng.normal(0, 1, (5, n))
-        path, _ = crf_viterbi(model, e)
+        path, _ = viterbi(model, e)
         assert path == list(np.argmax(e, axis=1))
 
     def test_strong_self_transition_corrects_flipped_middle(self):
@@ -72,7 +90,7 @@ class TestViterbi:
         e = np.array([[5.0, 0.0, 0.0],
                       [0.0, 0.5, 0.0],   # weak vote for class 1
                       [5.0, 0.0, 0.0]])
-        path, _ = crf_viterbi(model, e)
+        path, _ = viterbi(model, e)
         assert path == [0, 0, 0]
 
     def test_path_matches_enumeration(self):
@@ -82,7 +100,7 @@ class TestViterbi:
             length = int(rng.integers(1, 7))
             model = random_model(n, rng)
             e = rng.normal(0, 2, (length, n))
-            path, path_score = crf_viterbi(model, e)
+            path, path_score = viterbi(model, e)
             _, best_path, best_score, _, _ = crf_enumerate(
                 model.transition, model.start, e, model.emission_scale)
             assert path == best_path
@@ -92,7 +110,7 @@ class TestViterbi:
 
     def test_ties_break_to_lowest_index(self):
         model = CrfModel(np.zeros((3, 3)), np.zeros(3))
-        path, _ = crf_viterbi(model, np.zeros((4, 3)))
+        path, _ = viterbi(model, np.zeros((4, 3)))
         assert path == [0, 0, 0, 0]
 
     def test_path_score_never_exceeds_log_z(self):
@@ -101,9 +119,8 @@ class TestViterbi:
             n = int(rng.integers(2, 5))
             model = random_model(n, rng)
             e = rng.normal(0, 1, (int(rng.integers(1, 7)), n))
-            _, best = crf_viterbi(model, e)
-            log_z = crf_log_forward(model, e)
-            assert best <= log_z + 1e-12
+            _, best = viterbi(model, e)
+            assert best <= log_z(model, e) + 1e-12
 
     def test_gold_probability_in_unit_interval(self):
         rng = np.random.default_rng(5)
@@ -113,11 +130,13 @@ class TestViterbi:
             model = random_model(n, rng)
             e = rng.normal(0, 1, (length, n))
             gold = rng.integers(0, n, length).tolist()
-            p = math.exp(crf_path_score(model, e, gold) - crf_log_forward(model, e))
+            p = math.exp(crf_log_likelihood_and_grad(model, [e], [gold])[0])
             assert 0.0 < p <= 1.0 + 1e-12
 
 
 class TestForwardBackward:
+    """The per-document reference that the padded batch is compared to."""
+
     def test_unary_marginals_sum_to_one(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
@@ -175,6 +194,79 @@ class TestGradient:
         assert g_e == pytest.approx(fd, abs=1e-5)
 
 
+@st.composite
+def ragged_batches(draw):
+    """(model, emission_seqs, gold_seqs): 0 to 20 documents of 1 to 20 pages
+    and n from 2 to 5, with batches of equal lengths and of one-page
+    documents drawn on purpose."""
+    n = draw(st.integers(2, 5))
+    lengths = draw(st.one_of(
+        st.lists(st.integers(1, 20), max_size=20),
+        st.integers(1, 20).flatmap(lambda l: st.lists(st.just(l), min_size=2,
+                                                       max_size=20)),
+        st.lists(st.just(1), min_size=1, max_size=20)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    model = random_model(n, rng, scale=float(rng.uniform(0.1, 3.0)))
+    seqs = [rng.normal(0, 2, (length, n)) for length in lengths]
+    golds = [rng.integers(0, n, length).tolist() for length in lengths]
+    return model, seqs, golds
+
+
+def assert_close(batched, reference, rel=1e-12):
+    """Within ``rel`` of the reference's largest magnitude (or of 1), so a
+    gradient entry that cancels to near zero is held to its vector's scale."""
+    reference = np.asarray(reference, dtype=np.float64)
+    bound = rel * max(float(np.abs(reference).max(initial=0.0)), 1.0)
+    np.testing.assert_allclose(batched, reference, rtol=0, atol=bound)
+
+
+class TestBatch:
+    """The padded batch against the per-document reference."""
+
+    @settings(max_examples=100)
+    @given(ragged_batches(), st.sampled_from([0.0, 0.03]))
+    def test_objective_matches_per_document(self, batch, l2):
+        model, seqs, golds = batch
+        got = crf_log_likelihood_and_grad(model, seqs, golds, l2)
+        expected = crf_log_likelihood_per_document(model, seqs, golds, l2)
+        for value, reference in zip(got, expected):
+            assert_close(value, reference)
+
+    @settings(max_examples=100)
+    @given(ragged_batches())
+    def test_viterbi_matches_per_document(self, batch):
+        model, seqs, _ = batch
+        decoded = crf_viterbi(model, seqs)
+        assert len(decoded) == len(seqs)
+        for (path, score), e in zip(decoded, seqs):
+            ref_path, ref_score = crf_viterbi_document(model, e)
+            assert path == ref_path
+            assert score == pytest.approx(ref_score, rel=1e-12, abs=1e-12)
+
+    def test_zero_model_ties_break_to_lowest_index(self):
+        model = CrfModel(np.zeros((3, 3)), np.zeros(3))
+        decoded = crf_viterbi(model, [np.zeros((l, 3)) for l in (3, 1, 5, 3)])
+        assert decoded == [([0] * l, 0.0) for l in (3, 1, 5, 3)]
+
+    def test_empty_batch(self):
+        model = random_model(3, np.random.default_rng(3))
+        assert crf_viterbi(model, []) == []
+        ll, g_t, g_s, g_e = crf_log_likelihood_and_grad(model, [], [], 0.1)
+        assert ll == pytest.approx(-0.1 * float((model.transition ** 2).sum()))
+        np.testing.assert_array_equal(g_t, -0.2 * model.transition)
+        assert not g_s.any() and g_e == 0.0
+
+    def test_document_without_pages_is_rejected(self):
+        model = random_model(2, np.random.default_rng(4))
+        with pytest.raises(ValueError, match="at least one page"):
+            crf_viterbi(model, [np.zeros((2, 2)), np.zeros((0, 2))])
+
+    def test_label_lengths_must_match(self):
+        model = random_model(2, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="in length"):
+            crf_log_likelihood_and_grad(model, [np.zeros((3, 2))], [[0, 1]])
+
+
 class TestFit:
     def test_repeating_labels_learn_dominant_diagonal(self):
         """Sign check: T[i][i] > max over j != i of T[i][j] for every class."""
@@ -199,7 +291,7 @@ class TestFit:
         seqs = [rng.normal(0, 0.2, (int(rng.integers(2, 6)), n)) for _ in range(10)]
         golds = [[0] * s.shape[0] for s in seqs]
         model = crf_fit(seqs, golds, n, l2=0.01, tol=1e-3, max_iter=1000)
-        assert decode_documents(model, seqs) == golds
+        assert [path for path, _ in crf_viterbi(model, seqs)] == golds
 
     def test_fit_never_mutates_emissions(self):
         """Frozen-extractor contract: inputs are read-only features."""
@@ -258,3 +350,9 @@ def test_fit_rejects_l2_that_breaks_concavity(l2):
     seqs = [np.zeros((3, 2))]
     with pytest.raises(ValueError, match="l2"):
         crf_fit(seqs, [[0, 1, 0]], 2, l2=l2)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+def test_model_rejects_scale_that_is_not_positive(scale):
+    with pytest.raises(ValueError, match="scale positive"):
+        CrfModel(np.zeros((2, 2)), np.zeros(2), scale)
