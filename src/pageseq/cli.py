@@ -33,7 +33,9 @@ from .corpus import (
     SynthConfig,
     TypeVocabulary,
     class_page_counts,
+    doc_offsets,
     generate_synthetic,
+    gold_labels,
     load_corpus,
     run_length_stats,
     transition_self_prob,
@@ -47,6 +49,7 @@ from .encoder import (
     check_params,
     checkpoint_payload,
     load_checkpoint,
+    predict,
     restore_encoder,
     save_checkpoint,
 )
@@ -54,7 +57,6 @@ from .evaluation import (
     align_traces,
     compare_traces,
     format_score_table,
-    gold_labels,
     score,
     scores_payload,
 )
@@ -69,8 +71,7 @@ from .features import (
     tfidf_matrix,
 )
 from .recurrence import (
-    PagePrediction,
-    PredictionTrace,
+    SplitTrace,
     encode_split,
     infer_split,
     page_tokens,
@@ -215,7 +216,8 @@ def synth_config_from(obj, where: str = "") -> SynthConfig:
 
 def corpus_from(value, base: Path) -> CorpusSplit:
     if isinstance(value, str):
-        return load_corpus(base / value if not Path(value).is_absolute() else value)
+        return load_corpus(base / value if not Path(value).is_absolute() else value,
+                           ("train", "validation"))
     if isinstance(value, dict) and "synthetic" in _block(value, ("synthetic",),
                                                           "corpus"):
         return generate_synthetic(synth_config_from(value["synthetic"],
@@ -280,19 +282,9 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _encoder_logit_seqs(params, config, codec, split_docs, encoded=None):
-    """Frozen per-page logits, one (l, n) array per document."""
-    traces = infer_split(params, split_docs, config, codec, recurrent=False,
-                         encoded=encoded)
-    return [np.stack([p.scores for p in trace.pages]) for trace in traces]
-
-
-def _page_vector_seqs(matrix, projector, docs):
-    """Page vectors ``matrix @ basis`` of the TF-IDF rows of ``docs``' pages,
-    one (l, k) array per document."""
-    vectors = matrix @ projector.basis
-    offsets = np.cumsum([0] + [len(doc) for doc in docs])
-    return [vectors[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+def _doc_rows(matrix: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
+    """The rows of ``matrix`` that each document owns, one array per document."""
+    return [matrix[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
 
 def cmd_train(args) -> int:
@@ -381,9 +373,10 @@ def cmd_train(args) -> int:
 
     if want_crf:
         tick = time.perf_counter()
-        logit_seqs = _encoder_logit_seqs(params, encoder_config, codec,
-                                         split.train, train_encoded)
-        emission_seqs = [emissions_from_logits(lg) for lg in logit_seqs]
+        logits = infer_split(params, split.train, encoder_config, codec,
+                             recurrent=False, encoded=train_encoded).scores
+        emission_seqs = [emissions_from_logits(lg)
+                         for lg in _doc_rows(logits, train_encoded.offsets)]
         crf_model = crf_fit(emission_seqs, golds, split.vocabulary.n, l2=l2)
         crf_payload = {
             "kind": "crf",
@@ -402,7 +395,7 @@ def cmd_train(args) -> int:
         tfidf = fit_tfidf(vocab, len(train_tokens))
         matrix = tfidf_matrix(train_tokens, tfidf)
         projector = fit_svd(matrix, k=svd_k)
-        feats = _page_vector_seqs(matrix, projector, split.train)
+        feats = _doc_rows(matrix @ projector.basis, train_encoded.offsets)
         bl_params, bl_report = bilstm_train(feats, golds, bl_config, train_config)
         write_json(outdir / "bilstm.json", {
             "kind": "bilstm",
@@ -431,14 +424,6 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _context_free_traces(docs, logit_seqs, label_seqs) -> list[PredictionTrace]:
-    """Traces of a decoder that feeds no context: scores and class per page."""
-    return [PredictionTrace(doc_id=doc.doc_id, pages=[
-        PagePrediction(scores=row, labels=frozenset({int(c)}), context=None)
-        for row, c in zip(logits, labels)])
-        for doc, logits, labels in zip(docs, logit_seqs, label_seqs)]
-
-
 def _restore_model(payload):
     """The class vocabulary and the decoder (documents -> traces) of a
     checkpoint payload of any kind.  Kind, fields, modes, class lists and
@@ -464,10 +449,12 @@ def _restore_model(payload):
                                  f"encoder classes")
 
             def decode(docs):
-                logit_seqs = _encoder_logit_seqs(params, config, codec, docs)
-                paths = [path for path, _ in crf_viterbi(model, [
-                    emissions_from_logits(logits) for logits in logit_seqs])]
-                return _context_free_traces(docs, logit_seqs, paths)
+                trace = infer_split(params, docs, config, codec, recurrent=False)
+                paths = crf_viterbi(model, [emissions_from_logits(lg) for lg in
+                                            _doc_rows(trace.scores, trace.offsets)])
+                trace.labels[:] = np.eye(model.n, dtype=bool)[
+                    [c for path, _ in paths for c in path]]
+                return trace
             return codec.type_vocab, decode
         if kind == "bilstm":
             config = BiLstmConfig(**payload["config"])
@@ -480,11 +467,14 @@ def _restore_model(payload):
                 raise ValueError("classes or page vectors do not match the config")
 
             def decode(docs):
-                matrix = tfidf_matrix(page_tokens(docs), tfidf)
-                logit_seqs = [bilstm_forward(params, x) for x in
-                              _page_vector_seqs(matrix, projector, docs)]
-                return _context_free_traces(
-                    docs, logit_seqs, [lg.argmax(axis=1) for lg in logit_seqs])
+                trace = SplitTrace.blank([doc.doc_id for doc in docs],
+                                         doc_offsets(docs), config.n_classes,
+                                         fed=False)
+                vectors = tfidf_matrix(page_tokens(docs), tfidf) @ projector.basis
+                for a, b in zip(trace.offsets[:-1], trace.offsets[1:]):
+                    trace.scores[a:b] = bilstm_forward(params, vectors[a:b])
+                trace.labels[:] = predict(trace.scores, MULTICLASS)
+                return trace
             return TypeVocabulary(tuple(payload["classes"])), decode
     except KeyError as exc:
         raise ConfigError(f"{kind} checkpoint: missing field {exc}") from None
@@ -494,19 +484,19 @@ def _restore_model(payload):
 
 
 def cmd_infer(args) -> int:
-    split = load_corpus(args.manifest)
+    split = load_corpus(args.manifest, (args.split,))
     docs = split.split(args.split)
     payload = _load_artifact("checkpoint", args.checkpoint, load_checkpoint)
     vocabulary, decode = _restore_model(payload)
     if vocabulary != split.vocabulary:
         raise ConfigError("checkpoint classes or label mode do not match the "
                           "corpus manifest")
-    traces = decode(docs)
+    trace = decode(docs)
     ref = {"checkpoint_hash": config_hash(payload), "split": args.split}
     provenance = provenance_for("infer", ref, payload.get("seed", 0))
-    write_traces(traces, args.out, split.vocabulary, provenance=provenance)
-    n_pages = sum(len(t) for t in traces)
-    print(f"wrote {args.out} ({n_pages} pages, {len(traces)} documents)")
+    write_traces(trace, args.out, split.vocabulary, provenance=provenance)
+    print(f"wrote {args.out} ({len(trace.scores)} pages, "
+          f"{len(trace.doc_ids)} documents)")
     return 0
 
 
@@ -515,26 +505,26 @@ def cmd_infer(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_split_traces(path, split: CorpusSplit, docs):
-    """Traces from ``path`` and their labels in gold page order; the file
-    must cover exactly the pages of ``docs``."""
-    traces = _load_artifact("trace file", path, read_traces, split.vocabulary)
+def _read_split_traces(path, vocabulary: TypeVocabulary, docs):
+    """The decided labels of the trace file ``path`` in gold page order, and
+    its text; the file must cover exactly the pages of ``docs``."""
+    text = _load_artifact("trace file", path,
+                          lambda p: Path(p).read_text(encoding="utf-8"))
+    trace = _load_artifact("trace file", path, read_traces, vocabulary, text)
     try:
-        return traces, align_traces(traces, docs)
+        return align_traces(trace, docs), text
     except ValueError as exc:
         raise ConfigError(f"trace file {path}: {exc}") from None
 
 
 def cmd_eval(args) -> int:
-    split = load_corpus(args.manifest)
+    split = load_corpus(args.manifest, (args.split,))
     docs = split.split(args.split)
-    _, preds = _read_split_traces(args.traces, split, docs)
-    golds = gold_labels(docs)
-    scores = score(preds, golds, split.vocabulary)
+    preds, text = _read_split_traces(args.traces, split.vocabulary, docs)
+    scores = score(preds, gold_labels(docs, split.vocabulary.n), split.vocabulary)
     print(format_score_table(scores, split.vocabulary))
     if args.out:
-        ref = {"traces": config_hash(Path(args.traces).read_text()),
-               "split": args.split}
+        ref = {"traces": config_hash(text), "split": args.split}
         write_json(Path(args.out), {
             "provenance": provenance_for("eval", ref, 0),
             **scores_payload(scores, split.vocabulary),
@@ -543,11 +533,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    split = load_corpus(args.manifest)
+    split = load_corpus(args.manifest, (args.split,))
     docs = split.split(args.split)
-    traces_a, _ = _read_split_traces(args.traces_a, split, docs)
-    traces_b, _ = _read_split_traces(args.traces_b, split, docs)
-    report = compare_traces(traces_a, traces_b, docs, split.vocabulary)
+    preds_a, text_a = _read_split_traces(args.traces_a, split.vocabulary, docs)
+    preds_b, text_b = _read_split_traces(args.traces_b, split.vocabulary, docs)
+    report = compare_traces(preds_a, preds_b, gold_labels(docs, split.vocabulary.n),
+                            split.vocabulary)
     names = split.vocabulary.class_names
     print("per-class F1 (A vs B, percent):")
     for c, name in enumerate(names):
@@ -562,8 +553,7 @@ def cmd_compare(args) -> int:
     print(f"McNemar-Bowker: statistic {t.statistic:.4f}, dof {t.dof}, "
           f"p-value {t.p_value:.6g}")
     if args.out:
-        ref = {"traces_a": config_hash(Path(args.traces_a).read_text()),
-               "traces_b": config_hash(Path(args.traces_b).read_text()),
+        ref = {"traces_a": config_hash(text_a), "traces_b": config_hash(text_b),
                "split": args.split}
         write_json(Path(args.out), {
             "provenance": provenance_for("compare", ref, 0),

@@ -123,15 +123,18 @@ class DocumentSequence:
 
 @dataclass(frozen=True)
 class CorpusSplit:
-    """Train/validation/test documents plus the shared type vocabulary."""
+    """Train/validation/test documents plus the shared type vocabulary.  A
+    split that ``load_corpus`` was not asked to read is None."""
 
-    train: tuple[DocumentSequence, ...]
-    validation: tuple[DocumentSequence, ...]
-    test: tuple[DocumentSequence, ...]
+    train: tuple[DocumentSequence, ...] | None
+    validation: tuple[DocumentSequence, ...] | None
+    test: tuple[DocumentSequence, ...] | None
     vocabulary: TypeVocabulary
 
     def __post_init__(self):
         for name in SPLIT_NAMES:
+            if getattr(self, name) is None:
+                continue
             docs = tuple(getattr(self, name))
             object.__setattr__(self, name, docs)
             ids = [d.doc_id for d in docs]
@@ -157,10 +160,28 @@ class CorpusSplit:
     def split(self, name: str) -> tuple[DocumentSequence, ...]:
         if name not in SPLIT_NAMES:
             raise CorpusError(f"unknown split {name!r}")
+        if getattr(self, name) is None:
+            raise CorpusError(f"split {name!r} was not read")
         return getattr(self, name)
 
     def splits(self) -> Iterable[tuple[str, tuple[DocumentSequence, ...]]]:
-        return ((name, getattr(self, name)) for name in SPLIT_NAMES)
+        return ((name, self.split(name)) for name in SPLIT_NAMES)
+
+
+def doc_offsets(docs: Sequence[DocumentSequence]) -> np.ndarray:
+    """Row offsets of ``docs``' pages in document order: document i owns rows
+    ``offsets[i]:offsets[i + 1]``."""
+    return np.cumsum([0] + [len(doc) for doc in docs])
+
+
+def gold_labels(docs: Sequence[DocumentSequence], n: int) -> np.ndarray:
+    """The (pages x n) 0/1 indicator of every page's gold labels, in document
+    order."""
+    sets = [page.gold_labels for doc in docs for page in doc.pages]
+    out = np.zeros((len(sets), n), dtype=bool)
+    out[np.repeat(np.arange(len(sets)), [len(s) for s in sets]),
+        [c for s in sets for c in s]] = True
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +245,13 @@ def _read_text(path: Path, what: str) -> str:
         raise CorpusError(f"{path}: {what} is not UTF-8 text") from None
 
 
-def load_corpus(path: Path | str) -> CorpusSplit:
-    """Load a corpus from its manifest file.
+def load_corpus(path: Path | str,
+                splits: Sequence[str] = SPLIT_NAMES) -> CorpusSplit:
+    """Load a corpus from its manifest file, parsing only the ``splits`` named.
 
     The manifest lists the class names, the label mode, and one JSONL path
     per split (relative paths resolved against the manifest's directory).
+    It is checked whole; a split left out is None in the result.
     """
     path = Path(path)
     try:
@@ -241,11 +264,12 @@ def load_corpus(path: Path | str) -> CorpusSplit:
         if key not in manifest:
             raise CorpusError(f"{path}: manifest missing field {key!r}")
     vocab = TypeVocabulary(tuple(manifest["classes"]), manifest["label_mode"])
-    splits = {
+    read = {
         name: load_split_file(path.parent / manifest[name], vocab)
+        if name in splits else None
         for name in SPLIT_NAMES
     }
-    return CorpusSplit(splits["train"], splits["validation"], splits["test"], vocab)
+    return CorpusSplit(read["train"], read["validation"], read["test"], vocab)
 
 
 def _page_to_json(page: PageRecord, vocab: TypeVocabulary) -> str:
@@ -414,15 +438,9 @@ def generate_synthetic(cfg: SynthConfig) -> CorpusSplit:
 
 def class_page_counts(split: CorpusSplit) -> dict[str, dict[str, int]]:
     """Pages per class per split; a multi-label page increments each of its labels."""
-    counts: dict[str, dict[str, int]] = {}
-    for name, docs in split.splits():
-        per_class = {cls: 0 for cls in split.vocabulary.class_names}
-        for doc in docs:
-            for page in doc.pages:
-                for c in page.gold_labels:
-                    per_class[split.vocabulary.class_names[c]] += 1
-        counts[name] = per_class
-    return counts
+    names = split.vocabulary.class_names
+    return {name: dict(zip(names, gold_labels(docs, len(names)).sum(axis=0).tolist()))
+            for name, docs in split.splits()}
 
 
 def _require_multiclass(docs: Sequence[DocumentSequence]) -> None:

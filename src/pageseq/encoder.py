@@ -517,16 +517,16 @@ def forward_batch(params: dict, ids: np.ndarray, config: EncoderConfig,
     return scores
 
 
-def predict(scores: np.ndarray, label_mode: str) -> frozenset[int]:
-    """Decision rule: argmax (lowest index on ties) for multiclass; sigmoid
-    threshold 0.5 with argmax fallback for multilabel."""
+def predict(scores: np.ndarray, label_mode: str) -> np.ndarray:
+    """The decided classes of each row of a (rows x n) score matrix, as a 0/1
+    indicator.  Multiclass: the argmax, the lowest index on ties.  Multilabel:
+    every class whose sigmoid is at least 0.5, else the argmax."""
     scores = np.asarray(scores)
-    if label_mode == MULTICLASS:
-        return frozenset({int(np.argmax(scores))})
-    chosen = np.nonzero(expit(scores) >= 0.5)[0]
-    if chosen.size == 0:
-        return frozenset({int(np.argmax(scores))})
-    return frozenset(int(i) for i in chosen)
+    chosen = (expit(scores) >= 0.5 if label_mode != MULTICLASS
+              else np.zeros(scores.shape, dtype=bool))
+    rows = np.flatnonzero(~chosen.any(axis=1))
+    chosen[rows, scores[rows].argmax(axis=1)] = True
+    return chosen
 
 
 def loss_and_grad(params: dict, ids: np.ndarray, targets: np.ndarray,

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .corpus import MULTICLASS, DocumentSequence, TypeVocabulary
-from .recurrence import PredictionTrace
+from .recurrence import SplitTrace
 
 
 @dataclass(eq=False)
@@ -39,40 +39,23 @@ def aggregate_f1(f1s: Sequence[float], supports: Sequence[float]) -> tuple[float
     return macro, weighted
 
 
-def _as_label_sets(values) -> list[frozenset[int]]:
-    out = []
-    for v in values:
-        if isinstance(v, (set, frozenset)):
-            out.append(frozenset(v))
-        else:
-            out.append(frozenset({int(v)}))
-    return out
-
-
 def score(preds, golds, vocabulary: TypeVocabulary) -> PerClassScores:
-    """Score aligned prediction/gold label sets in the vocabulary's label mode.
+    """Score aligned (pages x n) boolean prediction and gold indicators in the
+    vocabulary's label mode.
 
-    Multiclass: standard confusion-matrix precision/recall/F1 per class.
-    Multilabel: per-class binary decisions over page-label membership.
+    Multiclass: standard confusion-matrix precision/recall/F1 per class, with
+    one label per page.  Multilabel: per-class binary decisions over
+    page-label membership.
     """
-    multiclass = vocabulary.label_mode == MULTICLASS
-    preds = _as_label_sets(preds)
-    golds = _as_label_sets(golds)
-    if len(preds) != len(golds):
-        raise ValueError(f"length mismatch: {len(preds)} preds vs {len(golds)} golds")
-    n = vocabulary.n
-    tp = np.zeros(n)
-    pred_count = np.zeros(n)
-    gold_count = np.zeros(n)
-    for p, g in zip(preds, golds):
-        if multiclass and (len(p) != 1 or len(g) != 1):
-            raise ValueError("multiclass scoring requires singleton label sets")
-        for c in p:
-            pred_count[c] += 1
-            if c in g:
-                tp[c] += 1
-        for c in g:
-            gold_count[c] += 1
+    if preds.shape != golds.shape or preds.shape[1:] != (vocabulary.n,):
+        raise ValueError(f"shape mismatch: {preds.shape} preds vs {golds.shape} "
+                         f"golds, {vocabulary.n} classes")
+    if vocabulary.label_mode == MULTICLASS and not (
+            (preds.sum(axis=1) == 1).all() and (golds.sum(axis=1) == 1).all()):
+        raise ValueError("multiclass scoring requires singleton label sets")
+    tp = (preds & golds).sum(axis=0)
+    pred_count = preds.sum(axis=0)
+    gold_count = golds.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         precision = np.where(pred_count > 0, tp / pred_count, 0.0)
         recall = np.where(gold_count > 0, tp / gold_count, 0.0)
@@ -129,32 +112,26 @@ def mcnemar_bowker(table: np.ndarray) -> TestResult:
     return TestResult(statistic=stat, dof=dof, p_value=chi2_survival(stat, dof))
 
 
-def paired_table(preds_a, preds_b, n: int) -> np.ndarray:
-    """B[i][j] = # pages where model-1 predicted i and model-2 predicted j."""
-    preds_a = _as_label_sets(preds_a)
-    preds_b = _as_label_sets(preds_b)
-    if len(preds_a) != len(preds_b):
+def paired_table(preds_a, preds_b) -> np.ndarray:
+    """B[i][j] = # pages where model-1 predicted i and model-2 predicted j,
+    from two aligned (pages x n) boolean one-label indicators."""
+    if preds_a.shape != preds_b.shape:
         raise ValueError("paired predictions must align")
-    table = np.zeros((n, n), dtype=np.int64)
-    for a, b in zip(preds_a, preds_b):
-        if len(a) != 1 or len(b) != 1:
-            raise ValueError("paired_table requires multiclass predictions")
-        table[next(iter(a)), next(iter(b))] += 1
-    return table
+    if not ((preds_a.sum(axis=1) == 1).all() and (preds_b.sum(axis=1) == 1).all()):
+        raise ValueError("paired_table requires multiclass predictions")
+    n = preds_a.shape[1]
+    return np.bincount(n * preds_a.argmax(axis=1) + preds_b.argmax(axis=1),
+                       minlength=n * n).reshape(n, n)
 
 
-def paired_binary_table(preds_a, preds_b, n: int) -> np.ndarray:
-    """Per-(page, class) binary decisions of two multilabel models, flattened
-    into one 2x2 table (index 1 = class assigned)."""
-    preds_a = _as_label_sets(preds_a)
-    preds_b = _as_label_sets(preds_b)
-    if len(preds_a) != len(preds_b):
+def paired_binary_table(preds_a, preds_b) -> np.ndarray:
+    """Per-(page, class) binary decisions of two multilabel models, from two
+    aligned (pages x n) boolean indicators, flattened into one 2x2 table
+    (index 1 = class assigned)."""
+    if preds_a.shape != preds_b.shape:
         raise ValueError("paired predictions must align")
-    table = np.zeros((2, 2), dtype=np.int64)
-    for a, b in zip(preds_a, preds_b):
-        for c in range(n):
-            table[int(c in a), int(c in b)] += 1
-    return table
+    return np.bincount(2 * preds_a.ravel() + preds_b.ravel(),
+                       minlength=4).reshape(2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -171,47 +148,38 @@ class ComparisonReport:
     f1_delta: np.ndarray
 
 
-def align_traces(traces: Sequence[PredictionTrace],
-                 docs: Sequence[DocumentSequence]) -> list[frozenset[int]]:
-    """Flatten trace predictions in gold-document page order; errors if the
-    traces do not cover exactly the gold pages."""
-    by_id = {t.doc_id: t for t in traces}
-    if len(by_id) != len(traces):
+def align_traces(trace: SplitTrace, docs: Sequence[DocumentSequence]) -> np.ndarray:
+    """The trace's decided labels, (pages x n), in gold-document page order;
+    errors if the trace does not cover exactly the gold pages."""
+    by_id = {doc_id: i for i, doc_id in enumerate(trace.doc_ids)}
+    if len(by_id) != len(trace.doc_ids):
         raise ValueError("duplicate doc_id among traces")
     missing = [d.doc_id for d in docs if d.doc_id not in by_id]
     extra = set(by_id) - {d.doc_id for d in docs}
     if missing or extra:
         raise ValueError(f"trace/gold page-set mismatch: missing={missing}, "
                          f"extra={sorted(extra)}")
-    preds = []
-    for doc in docs:
-        trace = by_id[doc.doc_id]
-        if len(trace) != len(doc):
-            raise ValueError(f"trace for {doc.doc_id!r} has {len(trace)} pages, "
+    order = np.array([by_id[doc.doc_id] for doc in docs], dtype=np.int64)
+    sizes = np.diff(trace.offsets)[order]
+    for doc, size in zip(docs, sizes.tolist()):
+        if size != len(doc):
+            raise ValueError(f"trace for {doc.doc_id!r} has {size} pages, "
                              f"gold has {len(doc)}")
-        preds.extend(page.labels for page in trace.pages)
-    return preds
+    starts = trace.offsets[order] - (np.cumsum(sizes) - sizes)
+    return trace.labels[np.arange(sizes.sum()) + np.repeat(starts, sizes)]
 
 
-def gold_labels(docs: Sequence[DocumentSequence]) -> list[frozenset[int]]:
-    return [page.gold_labels for doc in docs for page in doc.pages]
-
-
-def compare_traces(traces_a: Sequence[PredictionTrace],
-                   traces_b: Sequence[PredictionTrace],
-                   docs: Sequence[DocumentSequence],
+def compare_traces(preds_a, preds_b, golds,
                    vocabulary: TypeVocabulary) -> ComparisonReport:
-    """Paired comparison of two models on identical pages: contingency table,
-    Bowker test, and per-class F1 deltas (A minus B)."""
-    preds_a = align_traces(traces_a, docs)
-    preds_b = align_traces(traces_b, docs)
-    golds = gold_labels(docs)
+    """Paired comparison of two models' aligned (pages x n) decisions on the
+    same gold pages: contingency table, Bowker test, and per-class F1 deltas
+    (A minus B)."""
     scores_a = score(preds_a, golds, vocabulary)
     scores_b = score(preds_b, golds, vocabulary)
     if vocabulary.label_mode == MULTICLASS:
-        table = paired_table(preds_a, preds_b, vocabulary.n)
+        table = paired_table(preds_a, preds_b)
     else:
-        table = paired_binary_table(preds_a, preds_b, vocabulary.n)
+        table = paired_binary_table(preds_a, preds_b)
     return ComparisonReport(
         table=table,
         test=mcnemar_bowker(table),

@@ -31,9 +31,11 @@ def tokenize(text: str) -> list[str]:
     tokens = []
     for piece in text.lower().split():
         i, j = 0, len(piece)
-        while i < j and _is_punct(piece[i]):
+        # no alphanumeric character is in a Unicode P* category, so isalnum()
+        # ends a strip before the slower category lookup
+        while i < j and not piece[i].isalnum() and _is_punct(piece[i]):
             i += 1
-        while j > i and _is_punct(piece[j - 1]):
+        while j > i and not piece[j - 1].isalnum() and _is_punct(piece[j - 1]):
             j -= 1
         if j > i:
             tokens.append(piece[i:j])

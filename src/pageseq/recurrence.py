@@ -6,7 +6,8 @@ model feeds its own predictions forward.  A split is tokenized once
 Inference decodes every document of a split in lockstep: at page position t
 it scores page t of each document that has one, conditioned on that
 document's own decision at t-1.  No page's input depends on a later page
-(no lookahead) or on another document.
+(no lookahead) or on another document.  Its result is one ``SplitTrace``,
+whose arrays go to the trace file and come back from it unchanged.
 
 The exposure gap is structural: training examples carry the gold labels of
 the previous page, inference traces carry the model's decided labels.
@@ -17,53 +18,47 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from . import encoder
-from .corpus import MULTICLASS, DocumentSequence, TypeVocabulary
+from .corpus import (MULTICLASS, DocumentSequence, TypeVocabulary, doc_offsets,
+                     gold_labels)
 from .encoder import CLS_ID, FIRST_ID, PAD_ID, EncoderConfig, TokenCodec, predict
 from .features import tokenize
 
 
-class _FirstPage:
-    """Sentinel context for the first page of a document."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "FIRST_PAGE"
-
-
-FIRST_PAGE = _FirstPage()
-
-# FIRST_PAGE, a set of previous-page classes, or None for context-oblivious input
-Context = Union[_FirstPage, frozenset, None]
-
-
 @dataclass(eq=False)
-class PagePrediction:
+class SplitTrace:
+    """The predictions for one split, one row per page in document order:
+    document ``doc_ids[i]`` owns rows ``offsets[i]:offsets[i + 1]``.
+
+    ``scores`` are the model's (pages x n) scores and ``labels`` its decided
+    classes as a 0/1 indicator.  If ``fed``, each page was fed the first-page
+    marker (``first``) or the classes of its ``context`` row; otherwise no
+    context was fed and both are all False.
+    """
+
+    doc_ids: list
+    offsets: np.ndarray
     scores: np.ndarray
-    labels: frozenset[int]
-    context: Context
+    labels: np.ndarray
+    first: np.ndarray
+    context: np.ndarray
+    fed: bool
 
-
-@dataclass(eq=False)
-class PredictionTrace:
-    doc_id: str
-    pages: list[PagePrediction]
-
-    def __len__(self) -> int:
-        return len(self.pages)
-
-    def labels(self) -> list[frozenset[int]]:
-        return [p.labels for p in self.pages]
+    @classmethod
+    def blank(cls, doc_ids: Sequence, offsets: np.ndarray, n: int,
+              fed: bool) -> "SplitTrace":
+        """Zero scores and no decisions, to be filled in place; if ``fed``,
+        the first page of each document is marked as such."""
+        pages = int(offsets[-1])
+        first = np.zeros(pages, dtype=bool)
+        first[offsets[:-1]] = fed
+        return cls(list(doc_ids), offsets, np.zeros((pages, n)),
+                   np.zeros((pages, n), dtype=bool), first,
+                   np.zeros((pages, n), dtype=bool), fed)
 
 
 @dataclass(eq=False)
@@ -96,44 +91,42 @@ def encode_split(docs: Sequence[DocumentSequence], codec: TokenCodec,
         ids = [codec.text_token_id(tok) for tok in page[:n_text]]
         text[row, :len(ids)] = ids
         lengths[row] = len(ids)
-    offsets = np.cumsum([0] + [len(doc) for doc in docs])
-    return EncodedSplit(text=text, lengths=lengths, offsets=offsets)
-
-
-def _context_ids(context: Context, codec: TokenCodec) -> list[int]:
-    if context is None:
-        return []
-    if context is FIRST_PAGE:
-        return [FIRST_ID]
-    if not context:
-        raise ValueError("previous-page context must be non-empty")
-    return [codec.class_token_id(c) for c in sorted(context)]
+    return EncodedSplit(text=text, lengths=lengths, offsets=doc_offsets(docs))
 
 
 def augment_input(text: np.ndarray, lengths: np.ndarray,
-                  contexts: Sequence[Context], codec: TokenCodec,
-                  max_len: int) -> np.ndarray:
+                  first: np.ndarray | None, context: np.ndarray | None,
+                  codec: TokenCodec, max_len: int) -> np.ndarray:
     """[CLS] + context tokens + text, one row per page, PAD-padded to the
     longest row.
 
-    ``text`` and ``lengths`` are rows of an ``EncodedSplit``; ``contexts``
-    holds one context per row.  Context tokens are the first-page marker or
-    the special tokens of the previous page's classes in ascending class
-    order; they are never truncated.  Text is truncated from the right so
-    that no row is longer than ``max_len``.
+    ``text`` and ``lengths`` are rows of an ``EncodedSplit``.  ``first`` flags
+    the rows fed the first-page marker and the (rows x n) indicator
+    ``context`` the classes fed to the others; with both None no context
+    tokens are added.  Context tokens are the first-page marker or the
+    special tokens of the fed classes in ascending class order; they are
+    never truncated.  Text is truncated from the right so that no row is
+    longer than ``max_len``.
     """
-    heads = [_context_ids(context, codec) for context in contexts]
-    n_context = np.array([len(head) for head in heads], dtype=np.int64)
+    if context is None:
+        marks = np.zeros((len(text), 0), dtype=bool)
+    else:
+        marks = np.column_stack([first, context])
+        if not marks.any(axis=1).all():
+            raise ValueError("previous-page context must be non-empty")
+    tokens = np.array([FIRST_ID] + [codec.class_token_id(c)
+                                    for c in range(codec.n_classes)])
+    n_context = marks.sum(axis=1)
     if 1 + n_context.max(initial=0) > max_len:
         raise ValueError("max_len too small for CLS plus context tokens")
     full = 1 + n_context + np.minimum(lengths, max_len - 1 - n_context)
     width = int(full.max(initial=1))
-    ids = np.full((len(heads), width), PAD_ID, dtype=np.int64)
+    ids = np.full((len(marks), width), PAD_ID, dtype=np.int64)
     ids[:, 0] = CLS_ID
     for k in np.unique(n_context).tolist():
         rows = np.flatnonzero(n_context == k)
         if k:
-            ids[rows, 1:1 + k] = [heads[r] for r in rows]
+            ids[rows, 1:1 + k] = tokens[np.nonzero(marks[rows])[1].reshape(-1, k)]
         ids[rows, 1 + k:] = text[rows, :width - 1 - k]
     return ids
 
@@ -155,17 +148,16 @@ def page_examples(docs: Sequence[DocumentSequence], teacher_forced: bool,
     classes) 0/1 matrix (multilabel), as ``encoder.loss_and_grad`` takes them.
     """
     split = encoded or encode_split(docs, codec, max_len)
-    contexts = [(doc.pages[t - 1].gold_labels if t else FIRST_PAGE)
-                if teacher_forced else None
-                for doc in docs for t in range(len(doc))]
-    ids = augment_input(split.text, split.lengths, contexts, codec, max_len)
-    golds = [page.gold_labels for doc in docs for page in doc.pages]
+    gold = gold_labels(docs, codec.n_classes)
+    first = context = None
+    if teacher_forced:
+        first = np.zeros(len(gold), dtype=bool)
+        first[split.offsets[:-1]] = True
+        context = np.roll(gold, 1, axis=0) & ~first[:, None]
+    ids = augment_input(split.text, split.lengths, first, context, codec, max_len)
     if codec.type_vocab.label_mode == MULTICLASS:
-        return ids, np.array([next(iter(gold)) for gold in golds], dtype=np.int64)
-    targets = np.zeros((len(golds), codec.n_classes))
-    for row, gold in enumerate(golds):
-        targets[row, list(gold)] = 1.0
-    return ids, targets
+        return ids, gold.argmax(axis=1)
+    return ids, gold.astype(np.float64)
 
 
 # Rows per encoder call.  Blocks of 32 length-sorted rows decoded faster than
@@ -174,29 +166,29 @@ _BLOCK_ROWS = 32
 
 
 def _score_rows(params: dict, split: EncodedSplit, rows: np.ndarray,
-                contexts: Sequence[Context], config: EncoderConfig,
-                codec: TokenCodec, scratch: encoder.Scratch) -> np.ndarray:
-    """Scores of ``rows`` of ``split`` fed ``contexts``, in length-sorted
-    blocks of at most ``_BLOCK_ROWS`` so that a block pads little."""
-    ids = augment_input(split.text[rows], split.lengths[rows], contexts, codec,
-                        config.max_len)
+                first: np.ndarray | None, context: np.ndarray | None,
+                config: EncoderConfig, codec: TokenCodec,
+                scratch: encoder.Scratch, out: np.ndarray) -> None:
+    """Score ``rows`` of ``split`` fed ``first`` and ``context`` into the same
+    rows of ``out``, in length-sorted blocks of at most ``_BLOCK_ROWS`` so
+    that a block pads little."""
+    ids = augment_input(split.text[rows], split.lengths[rows], first, context,
+                        codec, config.max_len)
     lengths = row_lengths(ids)
     order = np.argsort(lengths, kind="stable")
-    scores = np.empty((len(rows), params["head_b"].shape[0]))
     for start in range(0, len(order), _BLOCK_ROWS):
         block = order[start:start + _BLOCK_ROWS]
         # looked up on the module at call time, so that a wrapper installed
         # on pageseq.encoder.forward_batch (perfbench's tracer) sees the call
-        scores[block] = encoder.forward_batch(
+        out[rows[block]] = encoder.forward_batch(
             params, ids[block, :lengths[block[-1]]], config, scratch)
-    return scores
 
 
 def infer_split(params: dict, docs: Sequence[DocumentSequence],
                 config: EncoderConfig, codec: TokenCodec, recurrent: bool,
                 encoded: EncodedSplit | None = None,
-                scratch: encoder.Scratch | None = None) -> list[PredictionTrace]:
-    """One trace per document; ``encoded`` is ``encode_split(docs, ...)`` if
+                scratch: encoder.Scratch | None = None) -> SplitTrace:
+    """The trace of ``docs``; ``encoded`` is ``encode_split(docs, ...)`` if
     known.  Every encoder call of the split shares ``scratch`` (a fresh pool
     if None).
 
@@ -208,30 +200,22 @@ def infer_split(params: dict, docs: Sequence[DocumentSequence],
     split = encoded or encode_split(docs, codec, config.max_len)
     if scratch is None:
         scratch = encoder.Scratch()
-    pages: list[list] = [[None] * len(doc) for doc in docs]
-    if recurrent:
-        sizes = np.diff(split.offsets)
-        contexts: list[Context] = [FIRST_PAGE] * len(docs)
-        for t in range(int(sizes.max(initial=0))):
-            active = np.flatnonzero(sizes > t)
-            fed = [contexts[i] for i in active]
-            scores = _score_rows(params, split, split.offsets[active] + t, fed,
-                                 config, codec, scratch)
-            for i, context, row in zip(active.tolist(), fed, scores):
-                labels = predict(row, label_mode)
-                pages[i][t] = PagePrediction(scores=row, labels=labels,
-                                             context=context)
-                contexts[i] = labels
-    else:
-        where = [(i, t) for i, doc in enumerate(docs) for t in range(len(doc))]
-        scores = _score_rows(params, split, np.arange(len(where)),
-                             [None] * len(where), config, codec, scratch)
-        for (i, t), row in zip(where, scores):
-            pages[i][t] = PagePrediction(scores=row,
-                                         labels=predict(row, label_mode),
-                                         context=None)
-    return [PredictionTrace(doc_id=doc.doc_id, pages=doc_pages)
-            for doc, doc_pages in zip(docs, pages)]
+    trace = SplitTrace.blank([doc.doc_id for doc in docs], split.offsets,
+                             codec.n_classes, recurrent)
+    if not recurrent:
+        _score_rows(params, split, np.arange(len(trace.scores)), None, None,
+                    config, codec, scratch, trace.scores)
+        trace.labels[:] = predict(trace.scores, label_mode)
+        return trace
+    starts, sizes = split.offsets[:-1], np.diff(split.offsets)
+    for t in range(int(sizes.max(initial=0))):
+        rows = starts[sizes > t] + t
+        if t:
+            trace.context[rows] = trace.labels[rows - 1]
+        _score_rows(params, split, rows, trace.first[rows], trace.context[rows],
+                    config, codec, scratch, trace.scores)
+        trace.labels[rows] = predict(trace.scores[rows], label_mode)
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -239,62 +223,98 @@ def infer_split(params: dict, docs: Sequence[DocumentSequence],
 # ---------------------------------------------------------------------------
 
 
-def _context_to_json(context: Context, vocab: TypeVocabulary):
-    if context is None:
-        return None
-    if context is FIRST_PAGE:
-        return [vocab.first_page_token]
-    return [vocab.class_names[c] for c in sorted(context)]
+def _names_json(indicator: np.ndarray, names: Sequence[str]) -> list[str]:
+    """The JSON list of the names of each row's set columns, in column order;
+    each distinct row is encoded once."""
+    distinct, inverse = np.unique(indicator, axis=0, return_inverse=True)
+    strings = [json.dumps([names[c] for c in np.flatnonzero(row)])
+               for row in distinct]
+    return [strings[i] for i in inverse.ravel()]
 
 
-def _context_from_json(value, vocab: TypeVocabulary) -> Context:
-    if value is None:
-        return None
-    if value == [vocab.first_page_token]:
-        return FIRST_PAGE
-    return frozenset(vocab.index(name) for name in value)
-
-
-def write_traces(traces: Sequence[PredictionTrace], path: Path | str,
-                 vocab: TypeVocabulary, provenance: dict | None = None) -> None:
+def write_traces(trace: SplitTrace, path: Path | str, vocab: TypeVocabulary,
+                 provenance: dict | None = None) -> None:
     lines = []
     if provenance is not None:
         lines.append(json.dumps({"provenance": provenance}, sort_keys=True))
-    for trace in traces:
-        for t, page in enumerate(trace.pages):
-            lines.append(json.dumps({
-                "context": _context_to_json(page.context, vocab),
-                "doc_id": trace.doc_id,
-                "labels": [vocab.class_names[c] for c in sorted(page.labels)],
-                "page_index": t,
-                "scores": [float(s) for s in page.scores],
-            }, sort_keys=True))
+    labels = _names_json(trace.labels, vocab.class_names)
+    contexts = (_names_json(np.column_stack([trace.first, trace.context]),
+                            (vocab.first_page_token, *vocab.class_names))
+                if trace.fed else ["null"] * len(labels))
+    # one encoding of the whole matrix, cut into rows: no number holds "], ["
+    scores = (json.dumps(trace.scores.tolist())[2:-2].split("], [")
+              if len(labels) else [])
+    row = 0
+    for doc_id, size in zip(trace.doc_ids, np.diff(trace.offsets).tolist()):
+        doc = json.dumps(doc_id)
+        for t in range(size):
+            lines.append(f'{{"context": {contexts[row]}, "doc_id": {doc}, '
+                         f'"labels": {labels[row]}, "page_index": {t}, '
+                         f'"scores": [{scores[row]}]}}')
+            row += 1
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def read_traces(path: Path | str, vocab: TypeVocabulary) -> list[PredictionTrace]:
-    traces: dict[str, list] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if "provenance" in obj and "doc_id" not in obj:
-                continue
-            labels = frozenset(vocab.index(name) for name in obj["labels"])
-            if not labels or (vocab.label_mode == MULTICLASS and len(labels) > 1):
-                raise ValueError(f"page {obj['page_index']} of {obj['doc_id']!r} has "
-                                 f"{len(labels)} labels in {vocab.label_mode} mode")
-            page = PagePrediction(
-                scores=np.asarray(obj["scores"], dtype=np.float64),
-                labels=labels,
-                context=_context_from_json(obj["context"], vocab),
-            )
-            traces.setdefault(obj["doc_id"], []).append((obj["page_index"], page))
-    out = []
-    for doc_id, pages in traces.items():
-        pages.sort(key=lambda item: item[0])
-        if [i for i, _ in pages] != list(range(len(pages))):
-            raise ValueError(f"trace for {doc_id!r} has missing or duplicate pages")
-        out.append(PredictionTrace(doc_id=doc_id, pages=[p for _, p in pages]))
-    return out
+def _indicator(name_lists: Sequence, vocab: TypeVocabulary) -> np.ndarray:
+    """The (len(name_lists) x n) 0/1 rows of lists of class names; each
+    distinct list is looked up once."""
+    distinct: dict[tuple, int] = {}
+    keys = [distinct.setdefault(tuple(names), len(distinct)) for names in name_lists]
+    table = np.zeros((len(distinct), vocab.n), dtype=bool)
+    for names, key in distinct.items():
+        table[key, [vocab.index(name) for name in names]] = True
+    return table[keys]
+
+
+def _page_name(obj: dict) -> str:
+    return f"page {obj['page_index']} of {obj['doc_id']!r}"
+
+
+def read_traces(path: Path | str, vocab: TypeVocabulary,
+                text: str | None = None) -> SplitTrace:
+    """The trace in a trace file; ``text`` is the file's contents if already
+    read.  Documents come in order of first appearance, and their pages in
+    ``page_index`` order, which must run 0..l-1."""
+    if text is None:
+        text = Path(path).read_text(encoding="utf-8")
+    pages = [obj for obj in map(json.loads, filter(str.strip, text.split("\n")))
+             if "doc_id" in obj or "provenance" not in obj]
+    for obj in pages:
+        if len(obj["scores"]) != vocab.n:
+            raise ValueError(f"{_page_name(obj)} has {len(obj['scores'])} scores "
+                             f"for {vocab.n} classes")
+    scores = np.array([obj["scores"] for obj in pages],
+                      dtype=np.float64).reshape(len(pages), vocab.n)
+    bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{_page_name(pages[bad[0]])} has a score that is not finite")
+    labels = _indicator([obj["labels"] for obj in pages], vocab)
+    counts = labels.sum(axis=1)
+    limit = 1 if vocab.label_mode == MULTICLASS else vocab.n
+    bad = np.flatnonzero((counts == 0) | (counts > limit))
+    if bad.size:
+        raise ValueError(f"{_page_name(pages[bad[0]])} has {counts[bad[0]]} labels "
+                         f"in {vocab.label_mode} mode")
+    contexts = [obj["context"] for obj in pages]
+    fed = any(c is not None for c in contexts)
+    if fed and any(c is None for c in contexts):
+        raise ValueError("some pages were fed a context and some none")
+    first = np.array([c == [vocab.first_page_token] for c in contexts], dtype=bool)
+    context = _indicator([[] if c is None or f else c
+                          for c, f in zip(contexts, first)], vocab)
+
+    doc_rows: dict = {}
+    doc = np.array([doc_rows.setdefault(obj["doc_id"], len(doc_rows))
+                    for obj in pages], dtype=np.int64)
+    # an index that cannot be a page's is -1, which no page expects
+    index = np.array([i if type(i) is int and 0 <= i < len(pages) else -1
+                      for i in (obj["page_index"] for obj in pages)], dtype=np.int64)
+    sizes = np.bincount(doc, minlength=len(doc_rows))
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    order = np.lexsort((index, doc))
+    wrong = index[order] != np.arange(len(order)) - np.repeat(offsets[:-1], sizes)
+    if wrong.any():
+        doc_id = list(doc_rows)[doc[order[wrong.argmax()]]]
+        raise ValueError(f"trace for {doc_id!r} has missing or duplicate pages")
+    return SplitTrace(list(doc_rows), offsets, scores[order], labels[order],
+                      first[order], context[order], fed)

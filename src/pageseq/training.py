@@ -13,9 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import DocumentSequence
+from .corpus import DocumentSequence, gold_labels
 from .encoder import EncoderConfig, Scratch, TokenCodec, init_params, loss_and_grad
-from .evaluation import gold_labels, score
+from .evaluation import score
 from . import recurrence
 from .recurrence import EncodedSplit, encode_split, infer_split, row_lengths
 
@@ -213,13 +213,13 @@ def train_encoder(encoder_config: EncoderConfig, codec: TokenCodec,
                              encoder_config, codec.type_vocab.label_mode,
                              dropout_rngs[epoch], scratch)
 
+    golds = gold_labels(val_docs, codec.n_classes) if val_docs else None
+
     def validate(epoch):
-        traces = infer_split(params, val_docs, encoder_config, codec, recurrent,
-                             val_encoded, scratch)
-        preds = [labels for trace in traces for labels in trace.labels()]
-        golds = gold_labels(val_docs)
+        preds = infer_split(params, val_docs, encoder_config, codec, recurrent,
+                            val_encoded, scratch).labels
         scored = score(preds, golds, codec.type_vocab)
-        return {"val_accuracy": sum(p == g for p, g in zip(preds, golds)) / len(golds),
+        return {"val_accuracy": int((preds == golds).all(axis=1).sum()) / len(golds),
                 "val_macro_f1": scored.macro_f1,
                 "val_weighted_f1": scored.weighted_f1}
 

@@ -10,8 +10,11 @@ code with the package under test.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import unicodedata
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -32,7 +35,8 @@ UNICODE_TEXT = st.text(st.one_of(
 
 def reference_tokenize(text: str) -> list[str]:
     """Second implementation of the tokenizer rule: lowercase, split on
-    Unicode whitespace, strip leading/trailing punctuation, drop empties."""
+    Unicode whitespace, strip leading/trailing punctuation, drop empties.
+    It looks up the category of every character it strips or stops at."""
     out = []
     for raw in text.lower().split():
         start, end = 0, len(raw)
@@ -123,19 +127,110 @@ def tfidf_vector(text: str, model) -> np.ndarray:
     return vec
 
 
+# -- per-page contexts and traces -------------------------------------------
+
+
+class _FirstPage:
+    """The context of a document's first page in the per-page references."""
+
+    def __repr__(self):
+        return "FIRST_PAGE"
+
+
+FIRST_PAGE = _FirstPage()
+
+
+def context_arrays(contexts, n: int):
+    """Per-page contexts (FIRST_PAGE, a non-empty set of classes, or None for
+    all of them) as the ``first`` and ``context`` arrays augment_input
+    takes."""
+    if all(context is None for context in contexts):
+        return None, None
+    first = np.array([context is FIRST_PAGE for context in contexts], dtype=bool)
+    matrix = np.zeros((len(contexts), n), dtype=bool)
+    for row, context in enumerate(contexts):
+        if context is not FIRST_PAGE:
+            matrix[row, sorted(context)] = True
+    return first, matrix
+
+
+class Page(NamedTuple):
+    scores: np.ndarray
+    labels: frozenset
+    context: object  # FIRST_PAGE, a set of classes, or None
+
+
+def trace_pages(trace) -> list[tuple[str, list[Page]]]:
+    """A SplitTrace as per-page records: (doc_id, pages) per document, with
+    contexts as ``context_arrays`` takes them."""
+    out = []
+    for i, doc_id in enumerate(trace.doc_ids):
+        pages = []
+        for r in range(trace.offsets[i], trace.offsets[i + 1]):
+            context = (None if not trace.fed else FIRST_PAGE if trace.first[r]
+                       else frozenset(np.flatnonzero(trace.context[r]).tolist()))
+            pages.append(Page(trace.scores[r],
+                              frozenset(np.flatnonzero(trace.labels[r]).tolist()),
+                              context))
+        out.append((doc_id, pages))
+    return out
+
+
+def write_traces_per_page(trace, path, vocab, provenance=None) -> None:
+    """Reference trace writer: one ``json.dumps`` of each page's record."""
+    lines = []
+    if provenance is not None:
+        lines.append(json.dumps({"provenance": provenance}, sort_keys=True))
+    for doc_id, pages in trace_pages(trace):
+        for t, (scores, labels, context) in enumerate(pages):
+            lines.append(json.dumps({
+                "context": (None if context is None
+                            else [vocab.first_page_token] if context is FIRST_PAGE
+                            else [vocab.class_names[c] for c in sorted(context)]),
+                "doc_id": doc_id,
+                "labels": [vocab.class_names[c] for c in sorted(labels)],
+                "page_index": t,
+                "scores": [float(s) for s in scores],
+            }, sort_keys=True))
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def read_traces_per_page(path, vocab):
+    """Reference trace reader, in the form of ``trace_pages``: documents in
+    order of first appearance, each one's pages in page_index order."""
+    docs: dict = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            obj = json.loads(line)
+            if "provenance" in obj and "doc_id" not in obj:
+                continue
+            context = obj["context"]
+            if context == [vocab.first_page_token]:
+                context = FIRST_PAGE
+            elif context is not None:
+                context = frozenset(vocab.class_names.index(c) for c in context)
+            labels = frozenset(vocab.class_names.index(c) for c in obj["labels"])
+            docs.setdefault(obj["doc_id"], []).append(
+                (obj["page_index"], Page(np.asarray(obj["scores"], dtype=np.float64),
+                                         labels, context)))
+    return [(doc_id, [page for _, page in sorted(pages, key=lambda p: p[0])])
+            for doc_id, pages in docs.items()]
+
+
 # -- per-page input augmentation ---------------------------------------------
 
 def augment_input(context, text: str, codec, max_len: int):
     """Per-page reference of the model input: [CLS] + context tokens + text
     tokens, PAD-padded to ``max_len``.  Returns (ids, length).
 
-    ``context`` is ``recurrence.FIRST_PAGE``, a non-empty set of class
-    indices, or None.  Context tokens (the first-page marker, or the class
-    special tokens in ascending class order) are never truncated; text is
-    truncated from the right.
+    ``context`` is ``FIRST_PAGE``, a non-empty set of class indices, or None.
+    Context tokens (the first-page marker, or the class special tokens in
+    ascending class order) are never truncated; text is truncated from the
+    right.
     """
     from pageseq.encoder import CLS_ID, FIRST_ID, PAD_ID
-    from pageseq.recurrence import FIRST_PAGE
 
     head = [CLS_ID]
     if context is FIRST_PAGE:

@@ -25,6 +25,7 @@ from pageseq.corpus import (
     SynthConfig,
     TypeVocabulary,
     generate_synthetic,
+    gold_labels,
     transition_self_prob,
 )
 from pageseq.crf import (
@@ -44,7 +45,7 @@ from pageseq.encoder import (
     init_params,
     loss_and_grad,
 )
-from pageseq.evaluation import aggregate_f1, gold_labels, mcnemar_bowker, score
+from pageseq.evaluation import aggregate_f1, mcnemar_bowker, score
 from pageseq.features import fit_svd, fit_vocabulary
 from pageseq.recurrence import infer_split, page_tokens
 from pageseq.training import AdamState, TrainConfig, lr_at, optimizer_step, train_encoder
@@ -112,31 +113,27 @@ def _run_models(split, seed, with_crf):
     p_rec, _ = train_encoder(enc, codec, split.train, cfg, recurrent=True)
 
     def macro(preds):
-        return 100 * score(preds, gold_labels(split.test),
+        return 100 * score(preds, gold_labels(split.test, N_CLASSES),
                            split.vocabulary).macro_f1
+
+    def emissions(trace):
+        return [emissions_from_logits(trace.scores[a:b])
+                for a, b in zip(trace.offsets[:-1], trace.offsets[1:])]
 
     crf_model = None
     if with_crf:
-        em, golds = [], []
-        for doc, tr in zip(split.train, infer_split(p_obl, split.train, enc, codec,
-                                                    recurrent=False)):
-            em.append(emissions_from_logits(np.stack([p.scores for p in tr.pages])))
-            golds.append([next(iter(p.gold_labels)) for p in doc.pages])
+        em = emissions(infer_split(p_obl, split.train, enc, codec, recurrent=False))
+        golds = [[next(iter(p.gold_labels)) for p in doc.pages] for doc in split.train]
         crf_model = crf_fit(em, golds, N_CLASSES, l2=0.01, tol=1e-4,
                             max_iter=500)
 
-    preds_obl, preds_rec = [], []
-    traces_obl = infer_split(p_obl, split.test, enc, codec, recurrent=False)
-    traces_rec = infer_split(p_rec, split.test, enc, codec, recurrent=True)
-    for tr_o, tr_r in zip(traces_obl, traces_rec):
-        preds_obl.extend(p.labels for p in tr_o.pages)
-        preds_rec.extend(p.labels for p in tr_r.pages)
-    out = {"oblivious": macro(preds_obl), "recurrent": macro(preds_rec)}
+    trace_obl = infer_split(p_obl, split.test, enc, codec, recurrent=False)
+    trace_rec = infer_split(p_rec, split.test, enc, codec, recurrent=True)
+    out = {"oblivious": macro(trace_obl.labels), "recurrent": macro(trace_rec.labels)}
     if with_crf:
-        decoded = crf_viterbi(crf_model, [
-            emissions_from_logits(np.stack([p.scores for p in tr.pages]))
-            for tr in traces_obl])
-        out["crf"] = macro([frozenset({c}) for path, _ in decoded for c in path])
+        decoded = crf_viterbi(crf_model, emissions(trace_obl))
+        out["crf"] = macro(np.eye(N_CLASSES, dtype=bool)[
+            [c for path, _ in decoded for c in path]])
     return out
 
 

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import pageseq.cli as cli
 from pageseq.cli import _config_from, main
-from pageseq.corpus import SynthConfig, load_corpus
+from pageseq.corpus import SynthConfig, doc_offsets, gold_labels, load_corpus
 from pageseq.encoder import EncoderConfig
-from pageseq.evaluation import align_traces, gold_labels, score
-from pageseq.recurrence import PagePrediction, PredictionTrace, read_traces, write_traces
+from pageseq.evaluation import align_traces, score
+from pageseq.recurrence import SplitTrace, read_traces, write_traces
 from pageseq.training import TrainConfig
 
 
@@ -297,13 +297,11 @@ class TestInferEvalCompare:
     def test_eval_perfect_traces_all_ones(self, trained, capsys):
         tmp_path, corpus_dir, _ = trained
         split = load_corpus(corpus_dir / "manifest.json")
-        traces = []
-        for doc in split.test:
-            pages = [PagePrediction(scores=np.zeros(3), labels=p.gold_labels,
-                                    context=None) for p in doc.pages]
-            traces.append(PredictionTrace(doc_id=doc.doc_id, pages=pages))
+        trace = SplitTrace.blank([doc.doc_id for doc in split.test],
+                                 doc_offsets(split.test), 3, fed=False)
+        trace.labels[:] = gold_labels(split.test, 3)
         path = tmp_path / "gold_traces.jsonl"
-        write_traces(traces, path, split.vocabulary)
+        write_traces(trace, path, split.vocabulary)
         capsys.readouterr()
         rc = main(["eval", "--traces", str(path),
                    "--manifest", str(corpus_dir / "manifest.json"),
@@ -327,9 +325,9 @@ class TestInferEvalCompare:
         assert rc == 0
         report = json.loads(report_path.read_text())
         split = load_corpus(corpus_dir / "manifest.json")
-        traces = read_traces(traces_path, split.vocabulary)
-        preds = align_traces(traces, split.test)
-        expected = score(preds, gold_labels(split.test), split.vocabulary)
+        trace = read_traces(traces_path, split.vocabulary)
+        preds = align_traces(trace, split.test)
+        expected = score(preds, gold_labels(split.test, 3), split.vocabulary)
         assert report["macro_f1"] == pytest.approx(expected.macro_f1)
         assert report["weighted_f1"] == pytest.approx(expected.weighted_f1)
 
@@ -366,8 +364,8 @@ class TestInferEvalCompare:
                        "--manifest", str(corpus_dir / "manifest.json"),
                        "--split", "test", "--out", str(out)])
             assert rc == 0
-            traces = read_traces(out, split.vocabulary)
-            assert sum(len(t) for t in traces) == n_pages
+            trace = read_traces(out, split.vocabulary)
+            assert len(trace.scores) == n_pages
 
     def test_crf_checkpoint_rejects_other_classes(self, tmp_path, corpus_dir):
         outdir = run_train(tmp_path, corpus_dir, "crf3", baselines={"crf": True})
@@ -434,6 +432,55 @@ class TestTokenizeOnce:
                          "--split", "test", "--out", str(tmp_path / "t.jsonl")]) == 0
             assert sorted(calls) == sorted(p.text for d in split.test
                                            for p in d.pages)
+
+
+class TestSplitsRead:
+    """A command parses only the corpus split files it uses."""
+
+    @pytest.fixture()
+    def commands(self, tmp_path, corpus_dir):
+        outdir = run_train(tmp_path, corpus_dir, "s", mode="recurrent")
+        manifest = str(corpus_dir / "manifest.json")
+        traces = str(tmp_path / "traces.jsonl")
+        test = ["--manifest", manifest, "--split", "test"]
+        return {
+            "infer": ["infer", "--checkpoint", str(outdir / "checkpoint.json"),
+                      "--out", traces] + test,
+            "eval": ["eval", "--traces", traces, "--out",
+                     str(tmp_path / "eval.json")] + test,
+            "compare": ["compare", "--traces-a", traces, "--traces-b", traces,
+                        "--out", str(tmp_path / "compare.json")] + test,
+            "stats": ["stats", "--manifest", manifest],
+        }
+
+    def test_test_split_is_enough_for_infer_eval_compare(self, corpus_dir, commands):
+        for name in ("train", "validation"):
+            (corpus_dir / f"{name}.jsonl").unlink()
+        for command in ("infer", "eval", "compare"):
+            assert main(commands[command]) == 0
+
+    @pytest.mark.parametrize("command, files", [
+        ("infer", ["test"]), ("eval", ["test"]), ("compare", ["test"]),
+        ("train", ["train", "validation"]), ("stats", ["train", "validation", "test"]),
+    ])
+    def test_split_files_parsed(self, tmp_path, corpus_dir, commands, monkeypatch,
+                                command, files):
+        import pageseq.corpus as corpus
+
+        assert main(commands["infer"]) == 0
+        parsed = []
+        real = corpus.load_split_file
+
+        def recording(path, vocab):
+            parsed.append(Path(path).stem)
+            return real(path, vocab)
+
+        monkeypatch.setattr(corpus, "load_split_file", recording)
+        if command == "train":
+            run_train(tmp_path, corpus_dir, "again", mode="recurrent")
+        else:
+            assert main(commands[command]) == 0
+        assert parsed == files
 
 
 class TestBaselineCheckpoints:
@@ -607,16 +654,15 @@ class TestBadArtifacts:
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and str(bad) in err[0]
 
-    @pytest.mark.parametrize("command", ["eval", "compare"])
-    @pytest.mark.parametrize("count", [0, 2])
-    def test_trace_page_label_count(self, trained, command, count, capsys):
-        """A multiclass trace page with no label or with two labels."""
+    @staticmethod
+    def run_on_edited_page(trained, command, name, edit, capsys):
+        """``eval`` or ``compare`` on the trace with its last page edited;
+        asserts exit 2 and nothing written, and returns the error lines."""
         tmp_path, corpus_dir, _, traces = trained
-        classes = load_corpus(corpus_dir / "manifest.json").vocabulary.class_names
         lines = traces.read_text().splitlines(keepends=True)
         page = json.loads(lines[-1])
-        page["labels"] = list(classes[:count])
-        bad = tmp_path / f"labels-{count}.jsonl"
+        edit(page)
+        bad = tmp_path / f"{name}.jsonl"
         bad.write_text("".join(lines[:-1]) + json.dumps(page) + "\n")
         out = tmp_path / "report.json"
         if command == "eval":
@@ -628,7 +674,31 @@ class TestBadArtifacts:
                             "--split", "test", "--out", str(out)]) == 2
         assert not out.exists()
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and str(bad) in err[0] and f"{count} labels" in err[0]
+        assert len(err) == 1 and str(bad) in err[0]
+        return err
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_trace_page_label_count(self, trained, command, count, capsys):
+        """A multiclass trace page with no label or with two labels."""
+        classes = load_corpus(trained[1] / "manifest.json").vocabulary.class_names
+        err = self.run_on_edited_page(
+            trained, command, f"labels-{count}",
+            lambda page: page.update(labels=list(classes[:count])), capsys)
+        assert f"{count} labels" in err[0]
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.parametrize("scores, message", [
+        (lambda s: s[:2], "2 scores for 3 classes"),
+        (lambda s: [float("nan")] * len(s), "not finite"),
+        (lambda s: s[:-1] + [float("-inf")], "not finite"),
+    ], ids=["two", "nan", "-inf"])
+    def test_trace_page_scores(self, trained, command, scores, message, capsys):
+        """A trace page with 2 scores on a 3-class corpus, or a non-finite one."""
+        err = self.run_on_edited_page(
+            trained, command, "scores",
+            lambda page: page.update(scores=scores(page["scores"])), capsys)
+        assert message in err[0]
 
     def test_non_finite_parameter(self, trained, capsys):
         tmp_path, corpus_dir, outdir, _ = trained
@@ -643,14 +713,16 @@ class TestBadArtifacts:
 
     @pytest.mark.parametrize("command", ["stats", "infer", "eval", "compare", "train"])
     def test_missing_corpus_file(self, trained, command, capsys):
-        """A missing manifest, or a manifest naming a missing split file."""
+        """A missing manifest, or a manifest naming a missing file for a split
+        the command reads (validation for train, test for the others)."""
         tmp_path, corpus_dir, outdir, traces = trained
         no_split = tmp_path / "no-split" / "manifest.json"
         no_split.parent.mkdir()
         manifest = json.loads((corpus_dir / "manifest.json").read_text())
-        no_split.write_text(json.dumps(dict(
-            manifest, train=str(corpus_dir / manifest["train"]),
-            validation=str(corpus_dir / manifest["validation"]), test="gone.jsonl")))
+        files = {name: str(corpus_dir / manifest[name])
+                 for name in ("train", "validation", "test")}
+        files["validation" if command == "train" else "test"] = "gone.jsonl"
+        no_split.write_text(json.dumps(dict(manifest, **files)))
         cases = [(tmp_path / "nowhere" / "manifest.json",) * 2,
                  (no_split, no_split.parent / "gone.jsonl")]
         for bad, named in cases:

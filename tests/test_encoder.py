@@ -348,21 +348,33 @@ class TestScratchPool:
         assert sizes[first_big:] == [sizes[first_big]] * len(sizes[first_big:])
 
 
+def decided(scores, label_mode):
+    """predict on a one-row batch, as the set of decided classes."""
+    (row,) = predict(np.array([scores]), label_mode)
+    return set(np.flatnonzero(row).tolist())
+
+
 class TestPredict:
     def test_argmax(self):
-        assert predict(np.array([0.1, 2.0, -1.0]), MULTICLASS) == frozenset({1})
+        assert decided([0.1, 2.0, -1.0], MULTICLASS) == {1}
 
     def test_tie_breaks_to_lowest_index(self):
-        assert predict(np.array([1.0, 1.0]), MULTICLASS) == frozenset({0})
+        assert decided([1.0, 1.0], MULTICLASS) == {0}
 
     def test_multilabel_threshold(self):
         # sigmoid values about (0.7, 0.2, 0.6) -> classes 0 and 2
-        logits = np.array([math.log(0.7 / 0.3), math.log(0.2 / 0.8),
-                           math.log(0.6 / 0.4)])
-        assert predict(logits, MULTILABEL) == frozenset({0, 2})
+        logits = [math.log(0.7 / 0.3), math.log(0.2 / 0.8), math.log(0.6 / 0.4)]
+        assert decided(logits, MULTILABEL) == {0, 2}
 
     def test_multilabel_empty_falls_back_to_argmax(self):
-        assert predict(np.array([-3.0, -1.0, -2.0]), MULTILABEL) == frozenset({1})
+        assert decided([-3.0, -1.0, -2.0], MULTILABEL) == {1}
+
+    def test_rows_decided_independently(self):
+        scores = np.array([[0.0, 3.0, 1.0], [2.0, 2.0, -1.0], [-3.0, -1.0, -2.0],
+                           [5.0, -5.0, 5.0]])
+        np.testing.assert_array_equal(predict(scores, MULTICLASS), np.eye(3)[[1, 0, 1, 0]])
+        np.testing.assert_array_equal(predict(scores, MULTILABEL),
+                                      [[1, 1, 1], [1, 1, 0], [0, 1, 0], [1, 0, 1]])
 
 
 class TestLoss:

@@ -4,9 +4,10 @@ and the McNemar-Bowker symmetry test."""
 import numpy as np
 import pytest
 
-from pageseq.corpus import DocumentSequence, PageRecord, TypeVocabulary
+from pageseq.corpus import DocumentSequence, PageRecord, TypeVocabulary, gold_labels
 from pageseq.evaluation import (
     aggregate_f1,
+    align_traces,
     chi2_survival,
     compare_traces,
     format_score_table,
@@ -15,7 +16,7 @@ from pageseq.evaluation import (
     paired_table,
     score,
 )
-from pageseq.recurrence import PagePrediction, PredictionTrace
+from pageseq.recurrence import SplitTrace
 
 from oracles import naive_prf, reference_chi2_sf
 
@@ -45,9 +46,17 @@ class TestAggregateF1:
         assert weighted == 0.0
 
 
+def indicator(label_sets, n):
+    """(pages x n) 0/1 rows of class indices or sets of them."""
+    out = np.zeros((len(label_sets), n), dtype=bool)
+    for row, labels in enumerate(label_sets):
+        out[row, sorted(labels) if isinstance(labels, frozenset) else labels] = True
+    return out
+
+
 class TestScore:
     def test_perfect_predictions(self):
-        golds = [0, 1, 2, 1, 0]
+        golds = indicator([0, 1, 2, 1, 0], 3)
         s = score(golds, golds, TypeVocabulary(("A", "B", "C")))
         np.testing.assert_array_equal(s.precision, np.ones(3))
         np.testing.assert_array_equal(s.recall, np.ones(3))
@@ -59,7 +68,7 @@ class TestScore:
         vocab = TypeVocabulary(("A", "B", "C", "D"))
         golds = rng.integers(0, 4, size=200).tolist()
         preds = rng.integers(0, 4, size=200).tolist()
-        s = score(preds, golds, vocab)
+        s = score(indicator(preds, 4), indicator(golds, 4), vocab)
         ep, er, ef, es = naive_prf(preds, golds, 4)
         np.testing.assert_allclose(s.precision, ep)
         np.testing.assert_allclose(s.recall, er)
@@ -74,8 +83,9 @@ class TestScore:
         golds = rng.integers(0, 3, size=120).tolist()
         preds = rng.integers(0, 3, size=120).tolist()
         perm = [2, 0, 1]
-        s = score(preds, golds, vocab)
-        s_perm = score([perm[p] for p in preds], [perm[g] for g in golds], vocab)
+        s = score(indicator(preds, 3), indicator(golds, 3), vocab)
+        s_perm = score(indicator([perm[p] for p in preds], 3),
+                       indicator([perm[g] for g in golds], 3), vocab)
         assert s_perm.macro_f1 == pytest.approx(s.macro_f1)
         for c in range(3):
             assert s_perm.f1[perm[c]] == pytest.approx(s.f1[c])
@@ -85,7 +95,7 @@ class TestScore:
         vocab = TypeVocabulary(("A", "B", "C"))
         golds = rng.integers(0, 3, size=90).tolist()
         preds = rng.integers(0, 3, size=90).tolist()
-        s = score(preds, golds, vocab)
+        s = score(indicator(preds, 3), indicator(golds, 3), vocab)
         assert s.f1.min() - 1e-12 <= s.macro_f1 <= s.f1.max() + 1e-12
         assert s.f1.min() - 1e-12 <= s.weighted_f1 <= s.f1.max() + 1e-12
 
@@ -93,7 +103,7 @@ class TestScore:
         vocab = TypeVocabulary(("A", "B"), "multilabel")
         golds = [frozenset({0, 1}), frozenset({0}), frozenset({1})]
         preds = [frozenset({0}), frozenset({0, 1}), frozenset({1})]
-        s = score(preds, golds, vocab)
+        s = score(indicator(preds, 2), indicator(golds, 2), vocab)
         # class A: tp=2, pred=2, gold=2 -> P=R=F1=1
         assert s.f1[0] == pytest.approx(1.0)
         # class B: tp=1, pred=2, gold=2 -> P=0.5, R=0.5, F1=0.5
@@ -102,8 +112,8 @@ class TestScore:
         assert s.f1[1] == pytest.approx(0.5)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            score([0], [0, 1], TypeVocabulary(("A", "B")))
+        with pytest.raises(ValueError, match="mismatch"):
+            score(indicator([0], 2), indicator([0, 1], 2), TypeVocabulary(("A", "B")))
 
 
 class TestChiSquareSurvival:
@@ -177,10 +187,13 @@ class TestMcnemarBowker:
             mcnemar_bowker(np.zeros((2, 3)))
 
 
-def trace_from_labels(doc_id, labels):
-    pages = [PagePrediction(scores=np.zeros(3), labels=frozenset({c}), context=None)
-             for c in labels]
-    return PredictionTrace(doc_id=doc_id, pages=pages)
+def trace_of(docs_labels, n=3):
+    """A context-free trace of (doc_id, label sets) pairs, in that order."""
+    sizes = [len(labels) for _, labels in docs_labels]
+    trace = SplitTrace.blank([doc_id for doc_id, _ in docs_labels],
+                             np.cumsum([0] + sizes), n, fed=False)
+    trace.labels[:] = indicator([c for _, labels in docs_labels for c in labels], n)
+    return trace
 
 
 def gold_doc(doc_id, labels):
@@ -189,22 +202,27 @@ def gold_doc(doc_id, labels):
     return DocumentSequence(doc_id, pages)
 
 
+def compare(trace_a, trace_b, docs, vocab):
+    return compare_traces(align_traces(trace_a, docs), align_traces(trace_b, docs),
+                          gold_labels(docs, vocab.n), vocab)
+
+
 class TestCompareTraces:
     VOCAB = TypeVocabulary(("A", "B", "C"))
 
     def test_identical_traces_give_p_one(self):
         docs = [gold_doc("d", [0, 1, 2, 1])]
-        traces = [trace_from_labels("d", [0, 1, 1, 1])]
-        report = compare_traces(traces, traces, docs, self.VOCAB)
+        trace = trace_of([("d", [0, 1, 1, 1])])
+        report = compare(trace, trace, docs, self.VOCAB)
         assert report.test.p_value == 1.0
         assert report.test.statistic == 0.0
         np.testing.assert_array_equal(report.f1_delta, np.zeros(3))
 
     def test_single_discordant_page(self):
         docs = [gold_doc("d", [0, 1, 2])]
-        a = [trace_from_labels("d", [0, 1, 2])]
-        b = [trace_from_labels("d", [0, 1, 1])]
-        report = compare_traces(a, b, docs, self.VOCAB)
+        a = trace_of([("d", [0, 1, 2])])
+        b = trace_of([("d", [0, 1, 1])])
+        report = compare(a, b, docs, self.VOCAB)
         assert report.test.dof == 1
         assert report.test.statistic == pytest.approx(1.0)
 
@@ -214,31 +232,33 @@ class TestCompareTraces:
         for i in range(5):
             labels = rng.integers(0, 3, size=rng.integers(1, 9)).tolist()
             docs.append(gold_doc(f"d{i}", labels))
-            ta.append(trace_from_labels(f"d{i}", rng.integers(0, 3, len(labels))))
-            tb.append(trace_from_labels(f"d{i}", rng.integers(0, 3, len(labels))))
-        report = compare_traces(ta, tb, docs, self.VOCAB)
+            ta.append((f"d{i}", rng.integers(0, 3, len(labels))))
+            tb.append((f"d{i}", rng.integers(0, 3, len(labels))))
+        report = compare(trace_of(ta), trace_of(tb), docs, self.VOCAB)
         assert report.table.sum() == sum(len(d) for d in docs)
 
     def test_page_set_mismatch_rejected(self):
         docs = [gold_doc("d", [0, 1])]
-        a = [trace_from_labels("d", [0, 1])]
-        b = [trace_from_labels("other", [0, 1])]
+        a = trace_of([("d", [0, 1])])
+        b = trace_of([("other", [0, 1])])
         with pytest.raises(ValueError, match="mismatch"):
-            compare_traces(a, b, docs, self.VOCAB)
-        short = [trace_from_labels("d", [0])]
+            compare(a, b, docs, self.VOCAB)
+        short = trace_of([("d", [0])])
         with pytest.raises(ValueError, match="pages"):
-            compare_traces(a, short, docs, self.VOCAB)
+            compare(a, short, docs, self.VOCAB)
+
+    def test_align_follows_gold_document_order(self):
+        docs = [gold_doc("x", [0]), gold_doc("y", [1, 2, 0]), gold_doc("z", [2, 2])]
+        trace = trace_of([("z", [1, 0]), ("x", [2]), ("y", [0, 1, 2])])
+        np.testing.assert_array_equal(align_traces(trace, docs),
+                                      indicator([2, 0, 1, 2, 1, 0], 3))
 
     def test_multilabel_uses_flattened_binary_table(self):
         vocab = TypeVocabulary(("A", "B"), "multilabel")
         docs = [gold_doc("d", [0, 1])]
-        ta = [PredictionTrace("d", [
-            PagePrediction(np.zeros(2), frozenset({0, 1}), None),
-            PagePrediction(np.zeros(2), frozenset({1}), None)])]
-        tb = [PredictionTrace("d", [
-            PagePrediction(np.zeros(2), frozenset({0}), None),
-            PagePrediction(np.zeros(2), frozenset({1}), None)])]
-        report = compare_traces(ta, tb, docs, vocab)
+        ta = trace_of([("d", [frozenset({0, 1}), frozenset({1})])], n=2)
+        tb = trace_of([("d", [frozenset({0}), frozenset({1})])], n=2)
+        report = compare(ta, tb, docs, vocab)
         assert report.table.shape == (2, 2)
         assert report.table.sum() == 4  # 2 pages x 2 classes
         assert report.test.dof == 1
@@ -246,7 +266,7 @@ class TestCompareTraces:
 
 class TestPairedTables:
     def test_paired_table_counts(self):
-        table = paired_table([0, 0, 1, 2], [0, 1, 1, 0], 3)
+        table = paired_table(indicator([0, 0, 1, 2], 3), indicator([0, 1, 1, 0], 3))
         expected = np.zeros((3, 3), dtype=np.int64)
         expected[0, 0] = 1
         expected[0, 1] = 1
@@ -255,9 +275,9 @@ class TestPairedTables:
         np.testing.assert_array_equal(table, expected)
 
     def test_paired_binary_table_counts(self):
-        a = [frozenset({0}), frozenset({0, 1})]
-        b = [frozenset({1}), frozenset({0, 1})]
-        table = paired_binary_table(a, b, 2)
+        a = indicator([frozenset({0}), frozenset({0, 1})], 2)
+        b = indicator([frozenset({1}), frozenset({0, 1})], 2)
+        table = paired_binary_table(a, b)
         # page 1: class0 (a=1,b=0), class1 (a=0,b=1); page 2: both (1,1)
         np.testing.assert_array_equal(table, np.array([[0, 1], [1, 2]]))
 
@@ -265,7 +285,7 @@ class TestPairedTables:
 class TestFormatting:
     def test_table_contains_classes_and_aggregates(self):
         vocab = TypeVocabulary(("A", "B"))
-        s = score([0, 1, 1], [0, 1, 0], vocab)
+        s = score(indicator([0, 1, 1], 2), indicator([0, 1, 0], 2), vocab)
         text = format_score_table(s, vocab)
         assert "macro-avg" in text and "weighted-avg" in text
         assert text.splitlines()[0].startswith("class")

@@ -1,6 +1,8 @@
 """Tests for tokenization, vocabulary fitting, TF-IDF, and truncated SVD."""
 
 import json
+import sys
+import unicodedata
 import warnings
 
 import numpy as np
@@ -22,7 +24,7 @@ from pageseq.features import (
 )
 from pageseq.recurrence import page_tokens
 
-from oracles import jacobi_eigh, reference_tokenize, tfidf_vector
+from oracles import UNICODE_TEXT, jacobi_eigh, reference_tokenize, tfidf_vector
 
 
 class TestTokenize:
@@ -50,6 +52,15 @@ class TestTokenize:
             length = int(rng.integers(0, 40))
             s = "".join(rng.choice(pool) for _ in range(length))
             assert tokenize(s) == reference_tokenize(s)
+
+    @given(UNICODE_TEXT)
+    def test_matches_reference_on_any_unicode_text(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    def test_no_alphanumeric_character_is_punctuation(self):
+        """What lets ``isalnum()`` end a strip before the category lookup."""
+        assert [c for c in map(chr, range(sys.maxunicode + 1))
+                if c.isalnum() and unicodedata.category(c).startswith("P")] == []
 
 
 class TestVocabulary:

@@ -41,7 +41,7 @@ def test_label_mode_never_next_to_its_source():
     functions = dict(package_functions())
     for name in ("training.train_encoder", "recurrence.page_examples",
                  "recurrence.infer_split", "evaluation.score",
-                 "encoder.checkpoint_payload", "cli._encoder_logit_seqs"):
+                 "encoder.checkpoint_payload", "cli._restore_model"):
         assert name in functions  # the walk reaches every codec holder
     takers = {name: set(inspect.signature(fn).parameters)
               for name, fn in functions.items()
