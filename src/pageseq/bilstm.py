@@ -1,9 +1,15 @@
 """BiLSTM sequence classifier over fixed-size page vectors.
 
-One forward and one backward LSTM pass over a document's page vectors; each
-page's logits come from a linear head over the concatenated directional
+One forward and one backward LSTM pass over each document's page vectors;
+each page's logits come from a linear head over the concatenated directional
 hidden states.  Handwritten backpropagation through time, trained with the
 same optimizer and schedule machinery as the encoders (batched by document).
+
+A batch is padded once, as for the CRF (``corpus.padded_documents``), and
+each direction steps once per page position over all documents.  The
+backward direction reads every document reversed within its own length, so
+in both directions the padding comes after the last real page: a padded step
+never feeds a real page, and as it carries no loss its gradient is exactly 0.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit, log_softmax
 
+from .corpus import padded_documents
 from .training import TrainConfig, TrainReport, fit_adamw
 
 # gate row order inside the stacked weight matrices: input, forget, cell, output
@@ -48,116 +55,106 @@ def init_bilstm(config: BiLstmConfig) -> dict[str, np.ndarray]:
     return params
 
 
+def _reversed_within(a: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each document's rows of a padded (docs x pages x ...) array reversed
+    within its own length; the padding stays at the end.  Its own inverse."""
+    t = np.arange(a.shape[1])
+    order = np.where(t < lengths[:, None], lengths[:, None] - 1 - t, t)
+    return a[np.arange(len(a))[:, None], order]
+
+
 def _lstm_run(x, w, u, b):
-    """One direction over (l, k) inputs; returns (l, h) hidden states + caches."""
-    length = x.shape[0]
+    """One direction over padded (docs, pages, k) inputs, one step per page
+    position; returns the (docs, pages, h) states and the tape for BPTT."""
+    docs, width, _ = x.shape
     h_dim = u.shape[1]
-    h_prev = np.zeros(h_dim)
-    c_prev = np.zeros(h_dim)
-    states = np.zeros((length, h_dim))
-    caches = []
-    for t in range(length):
-        z = w @ x[t] + u @ h_prev + b
-        i = expit(z[:h_dim])
-        f = expit(z[h_dim:2 * h_dim])
-        g = np.tanh(z[2 * h_dim:3 * h_dim])
-        o = expit(z[3 * h_dim:])
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        states[t] = o * tc
-        caches.append((x[t], h_prev, c_prev, i, f, g, o, tc))
-        h_prev, c_prev = states[t], c
-    return states, caches
+    xw = x @ w.T
+    # position t + 1 holds the state after page t; position 0 the zero state
+    hs = np.zeros((docs, width + 1, h_dim))
+    cs = np.zeros((docs, width + 1, h_dim))
+    gates = np.empty((docs, width, 4 * h_dim))
+    for t in range(width):
+        z = xw[:, t] + hs[:, t] @ u.T + b
+        gates[:, t] = expit(z)
+        gates[:, t, 2 * h_dim:3 * h_dim] = np.tanh(z[:, 2 * h_dim:3 * h_dim])
+        i, f, g, o = np.split(gates[:, t], 4, axis=1)
+        cs[:, t + 1] = f * cs[:, t] + i * g
+        hs[:, t + 1] = o * np.tanh(cs[:, t + 1])
+    return hs[:, 1:], (x, hs, cs, gates)
 
 
-def _lstm_backward(dstates, caches, w, u):
-    """BPTT for one direction; returns (dx, dw, du, db)."""
-    length, h_dim = dstates.shape
-    dw = np.zeros_like(w)
-    du = np.zeros_like(u)
-    db = np.zeros(4 * h_dim)
-    dx = np.zeros((length, w.shape[1]))
-    dh_next = np.zeros(h_dim)
-    dc_next = np.zeros(h_dim)
-    for t in range(length - 1, -1, -1):
-        x_t, h_prev, c_prev, i, f, g, o, tc = caches[t]
-        dh = dstates[t] + dh_next
+def _lstm_backward(dstates, tape, u):
+    """BPTT for one direction; returns (dw, du, db), each one contraction
+    over every step's gate gradients."""
+    x, hs, cs, gates = tape
+    docs, width, h_dim = dstates.shape
+    dz = np.empty_like(gates)
+    dh_next = np.zeros((docs, h_dim))
+    dc_next = np.zeros((docs, h_dim))
+    for t in range(width - 1, -1, -1):
+        i, f, g, o = np.split(gates[:, t], 4, axis=1)
+        tc = np.tanh(cs[:, t + 1])
+        dh = dstates[:, t] + dh_next
         do = dh * tc
         dc = dc_next + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
         dc_next = dc * f
-        dz = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ])
-        dw += np.outer(dz, x_t)
-        du += np.outer(dz, h_prev)
-        db += dz
-        dx[t] = w.T @ dz
-        dh_next = u.T @ dz
-    return dx, dw, du, db
+        dz[:, t] = np.concatenate([dc * g * i * (1.0 - i), dc * cs[:, t] * f * (1.0 - f),
+                                   dc * i * (1.0 - g * g), do * o * (1.0 - o)], axis=1)
+        dh_next = dz[:, t] @ u
+    dz = dz.reshape(-1, 4 * h_dim)
+    return (dz.T @ x.reshape(len(dz), -1),
+            dz.T @ hs[:, :-1].reshape(len(dz), h_dim), dz.sum(axis=0))
 
 
-def _forward(params: dict, x: np.ndarray):
-    """Logits (l, n), the concatenated hidden states (l, 2h) and the caches
-    of both directions."""
-    fw, fw_cache = _lstm_run(x, params["fw_w"], params["fw_u"], params["fw_b"])
-    bw_rev, bw_cache = _lstm_run(x[::-1], params["bw_w"], params["bw_u"],
-                                 params["bw_b"])
-    both = np.concatenate([fw, bw_rev[::-1]], axis=1)
-    return both @ params["head_w"] + params["head_b"], both, fw_cache, bw_cache
+def _forward(params: dict, seqs: Sequence[np.ndarray]):
+    """Logits (pages, n) in document order, and the tape of both directions."""
+    x, mask = padded_documents(seqs, params["fw_w"].shape[1])
+    lengths = mask.sum(axis=1)
+    fw, fw_tape = _lstm_run(x, params["fw_w"], params["fw_u"], params["fw_b"])
+    bw, bw_tape = _lstm_run(_reversed_within(x, lengths), params["bw_w"],
+                            params["bw_u"], params["bw_b"])
+    both = np.concatenate([fw, _reversed_within(bw, lengths)], axis=2)[mask]
+    logits = both @ params["head_w"] + params["head_b"]
+    return logits, (mask, lengths, both, fw_tape, bw_tape)
 
 
-def bilstm_forward(params: dict, x: np.ndarray) -> np.ndarray:
-    """Per-page logits (l, n) for one document's page vectors (l, k)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("need a non-empty (l, k) vector sequence")
-    return _forward(params, x)[0]
+def bilstm_forward(params: dict, seqs: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-page logits (pages, n), in document order, of documents given as
+    (l, k) page-vector arrays; every document needs at least one page."""
+    return _forward(params, seqs)[0]
 
 
 def bilstm_loss_and_grad(params: dict,
                          batch: Sequence[tuple[np.ndarray, Sequence[int]]]
                          ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean softmax cross-entropy over every page of the batch documents,
-    with exact gradients through both directions."""
+    with exact gradients through both directions.  Each document needs one
+    label per page."""
     if not batch:
         raise ValueError("batch must be non-empty")
-    grads = {name: np.zeros_like(value) for name, value in params.items()}
-    h2 = params["head_w"].shape[0]
-    h_dim = h2 // 2
-    total_pages = sum(len(labels) for _, labels in batch)
-    loss = 0.0
-    for x, labels in batch:
-        x = np.asarray(x, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
-        logits, both, fw_cache, bw_cache = _forward(params, x)
-        logp = log_softmax(logits, axis=1)
-        page_losses = -logp[np.arange(len(labels)), labels]
-        if not np.all(np.isfinite(page_losses)):
-            raise FloatingPointError("non-finite page loss")
-        loss += float(page_losses.sum())
-        dlogits = np.exp(logp)
-        dlogits[np.arange(len(labels)), labels] -= 1.0
-        dlogits /= total_pages
-        grads["head_w"] += both.T @ dlogits
-        grads["head_b"] += dlogits.sum(axis=0)
-        dboth = dlogits @ params["head_w"].T
-        dx_f, dw, du, db = _lstm_backward(dboth[:, :h_dim], fw_cache,
-                                          params["fw_w"], params["fw_u"])
-        grads["fw_w"] += dw
-        grads["fw_u"] += du
-        grads["fw_b"] += db
-        dx_b, dw, du, db = _lstm_backward(dboth[::-1, h_dim:], bw_cache,
-                                          params["bw_w"], params["bw_u"])
-        grads["bw_w"] += dw
-        grads["bw_u"] += du
-        grads["bw_b"] += db
-    return loss / total_pages, grads
+    seqs, label_seqs = zip(*batch)
+    if [len(labels) for labels in label_seqs] != [len(x) for x in seqs]:
+        raise ValueError("every document needs exactly one label per page")
+    labels = np.concatenate([np.asarray(y, dtype=np.int64) for y in label_seqs])
+    logits, (mask, lengths, both, fw_tape, bw_tape) = _forward(params, seqs)
+    rows = np.arange(len(labels))
+    logp = log_softmax(logits, axis=1)
+    page_losses = -logp[rows, labels]
+    if not np.all(np.isfinite(page_losses)):
+        raise FloatingPointError("non-finite page loss")
+    dlogits = np.exp(logp)
+    dlogits[rows, labels] -= 1.0
+    dlogits /= len(labels)
+    grads = {"head_w": both.T @ dlogits, "head_b": dlogits.sum(axis=0)}
+    dboth = np.zeros(mask.shape + (both.shape[1],))
+    dboth[mask] = dlogits @ params["head_w"].T
+    h_dim = both.shape[1] // 2
+    for direction, dstates, tape in (
+            ("fw", dboth[..., :h_dim], fw_tape),
+            ("bw", _reversed_within(dboth[..., h_dim:], lengths), bw_tape)):
+        grads[f"{direction}_w"], grads[f"{direction}_u"], grads[f"{direction}_b"] = \
+            _lstm_backward(dstates, tape, params[f"{direction}_u"])
+    return float(page_losses.sum()) / len(labels), grads
 
 
 def bilstm_train(sequences: Sequence[np.ndarray],

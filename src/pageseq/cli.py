@@ -471,8 +471,8 @@ def _restore_model(payload):
                                          doc_offsets(docs), config.n_classes,
                                          fed=False)
                 vectors = tfidf_matrix(page_tokens(docs), tfidf) @ projector.basis
-                for a, b in zip(trace.offsets[:-1], trace.offsets[1:]):
-                    trace.scores[a:b] = bilstm_forward(params, vectors[a:b])
+                trace.scores[:] = bilstm_forward(params,
+                                                 _doc_rows(vectors, trace.offsets))
                 trace.labels[:] = predict(trace.scores, MULTICLASS)
                 return trace
             return TypeVocabulary(tuple(payload["classes"])), decode

@@ -174,6 +174,20 @@ def doc_offsets(docs: Sequence[DocumentSequence]) -> np.ndarray:
     return np.cumsum([0] + [len(doc) for doc in docs])
 
 
+def padded_documents(seqs: Sequence[np.ndarray], k: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged per-document (pages x k) rows as one zero-padded (docs x pages
+    x k) array and its (docs x pages) mask of the real pages.  An empty batch
+    keeps one page position, so that its first page can be indexed."""
+    lengths = np.array([len(rows) for rows in seqs], dtype=np.int64)
+    if np.any(lengths < 1):
+        raise ValueError("every document needs at least one page")
+    mask = np.arange(lengths.max(initial=1)) < lengths[:, None]
+    padded = np.zeros(mask.shape + (k,))
+    padded[mask] = np.concatenate([np.zeros((0, k)), *seqs])
+    return padded, mask
+
+
 def gold_labels(docs: Sequence[DocumentSequence], n: int) -> np.ndarray:
     """The (pages x n) 0/1 indicator of every page's gold labels, in document
     order."""

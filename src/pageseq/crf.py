@@ -7,11 +7,10 @@ transition matrix, and one positive emission scale) are fit (Lafferty et al.,
 scipy's L-BFGS-B (Liu & Nocedal, 1989), whose bound keeps the emission scale
 above a small positive floor.  No gradient ever reaches the encoder.
 
-The objective and Viterbi pad a batch of ragged documents once: a (docs x
-pages x n) emission array, zero past each document's end, and a (docs x
-pages) mask of the real pages.  Each recursion steps once per page position
-over all documents; past a document's end its forward and Viterbi scores
-carry over unchanged and its backward scores stay 0.
+The objective and Viterbi pad a batch of ragged documents once
+(``corpus.padded_documents``), and each recursion steps once per page
+position over all documents; past a document's end its forward and Viterbi
+scores carry over unchanged and its backward scores stay 0.
 """
 
 from __future__ import annotations
@@ -23,6 +22,8 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import log_softmax, logsumexp
+
+from .corpus import padded_documents
 
 _SCALE_FLOOR = 1e-6
 
@@ -55,23 +56,11 @@ def emissions_from_logits(logits: np.ndarray) -> np.ndarray:
     return log_softmax(np.asarray(logits, dtype=np.float64), axis=-1)
 
 
-def _padded(model: CrfModel, emission_seqs: Sequence[np.ndarray]):
-    """Padded (docs x pages x n) emissions and their (docs x pages) mask; an
-    empty batch keeps one page position so that its first page can be indexed."""
-    lengths = np.array([len(e) for e in emission_seqs], dtype=np.int64)
-    if np.any(lengths < 1):
-        raise ValueError("every document needs at least one page")
-    mask = np.arange(lengths.max(initial=1)) < lengths[:, None]
-    emissions = np.zeros(mask.shape + (model.n,))
-    emissions[mask] = np.concatenate([np.zeros((0, model.n)), *emission_seqs])
-    return emissions, mask
-
-
 def crf_viterbi(model: CrfModel, emission_seqs: Sequence[np.ndarray]
                 ) -> list[tuple[list[int], float]]:
     """Best label path and its score of each document; ties break toward the
     lower label index at every backpointer (argmax picks the first maximum)."""
-    emissions, mask = _padded(model, emission_seqs)
+    emissions, mask = padded_documents(emission_seqs, model.n)
     scaled = model.emission_scale * emissions
     docs, width = mask.shape
     pointers = np.zeros((docs, width, model.n), dtype=np.int64)
@@ -100,7 +89,7 @@ def crf_log_likelihood_and_grad(model: CrfModel,
     The gradient is empirical-minus-expected feature counts from the
     forward-backward marginals.
     """
-    emissions, mask = _padded(model, emission_seqs)
+    emissions, mask = padded_documents(emission_seqs, model.n)
     if not np.array_equal([len(gold) for gold in gold_seqs], mask.sum(axis=1)):
         raise ValueError("gold label sequences must match the emissions in length")
     gold = np.zeros_like(emissions)  # one-hot, zero past each document's end

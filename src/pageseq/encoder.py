@@ -48,6 +48,7 @@ import numpy as np
 from scipy.special import expit, log_softmax
 
 from .corpus import MULTICLASS, TypeVocabulary
+from .features import TOKENIZER_VERSION, check_tokenizer_version
 
 PAD_ID = 0
 UNK_ID = 1
@@ -554,7 +555,7 @@ def loss_and_grad(params: dict, ids: np.ndarray, targets: np.ndarray,
     if label_mode == MULTICLASS:
         logp = log_softmax(scores, axis=-1)
         per_example = -logp[np.arange(n_examples), targets]
-        dscores = (np.exp(logp) - _one_hot(targets, n_classes)) / n_examples
+        dscores = (np.exp(logp) - np.eye(n_classes)[targets]) / n_examples
     else:
         # stable BCE-with-logits: max(y,0) - y*t + log(1 + exp(-|y|))
         per_class = np.maximum(scores, 0.0) - scores * targets + \
@@ -574,12 +575,6 @@ def loss_and_grad(params: dict, ids: np.ndarray, targets: np.ndarray,
     return loss, grads
 
 
-def _one_hot(indices, n):
-    out = np.zeros((indices.shape[0], n))
-    out[np.arange(indices.shape[0]), indices] = 1.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
@@ -593,6 +588,7 @@ def checkpoint_payload(params: dict, config: EncoderConfig, codec: TokenCodec,
         "mode": mode,
         "label_mode": codec.type_vocab.label_mode,
         "seed": seed,
+        "tokenizer_version": TOKENIZER_VERSION,
         "config": asdict(config),
         "codec": {
             "classes": list(codec.type_vocab.class_names),
@@ -610,12 +606,13 @@ def save_checkpoint(path: Path | str, payload: dict) -> None:
 def restore_encoder(payload: dict):
     """Rebuild (params, config, codec, recurrent) from a payload.
 
-    Raises ValueError unless ``mode`` is one of ``MODES``, the top-level
-    ``label_mode`` is the codec's, and the parameters have exactly the names
-    and shapes that ``init_params`` gives for the payload's config and codec.
+    Raises ValueError unless the payload records ``TOKENIZER_VERSION``,
+    ``mode`` is one of ``MODES``, the top-level ``label_mode`` is the codec's,
+    and the parameters have exactly the names and shapes ``init_params`` gives.
     """
     if payload.get("kind") != "encoder":
         raise ValueError("not an encoder checkpoint")
+    check_tokenizer_version(payload)
     if payload["mode"] not in MODES:
         raise ValueError(f"mode {payload['mode']!r} is not one of {MODES}")
     config = EncoderConfig(**payload["config"])

@@ -1,9 +1,10 @@
 """Page-text features: tokenization, bounded vocabulary, TF-IDF weighting,
 and a truncated-SVD projection to fixed-size page vectors.
 
-The tokenizer rule is versioned (``TOKENIZER_VERSION``) and stored alongside
-persisted models so stale artifacts are rejected instead of silently
-producing shifted vocabularies.
+The tokenizer rule is versioned (``TOKENIZER_VERSION``) and stored in every
+persisted model that tokenizes page text (encoder checkpoints, the encoder a
+CRF checkpoint embeds, and BiLSTM page-vector models), so stale artifacts
+are rejected instead of silently producing shifted vocabularies.
 """
 
 from __future__ import annotations
@@ -157,10 +158,6 @@ class SvdProjector:
         if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-6:
             raise ValueError("basis columns are not orthonormal")
 
-    @property
-    def k(self) -> int:
-        return self.basis.shape[1]
-
 
 def fit_svd(matrix: np.ndarray, k: int = DEFAULT_SVD_DIM) -> SvdProjector:
     """The top-k right-singular vectors and values of ``matrix``, from one
@@ -177,6 +174,15 @@ def fit_svd(matrix: np.ndarray, k: int = DEFAULT_SVD_DIM) -> SvdProjector:
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
+
+
+def check_tokenizer_version(payload: dict) -> None:
+    """Raise ValueError unless ``payload`` records ``TOKENIZER_VERSION``."""
+    if payload.get("tokenizer_version") != TOKENIZER_VERSION:
+        raise ValueError(
+            f"tokenizer version mismatch: artifact has "
+            f"{payload.get('tokenizer_version')!r}, expected {TOKENIZER_VERSION!r}"
+        )
 
 
 def page_vector_payload(model: TfIdfModel, projector: SvdProjector) -> dict:
@@ -197,11 +203,7 @@ def page_vector_payload(model: TfIdfModel, projector: SvdProjector) -> dict:
 def page_vector_model_from_payload(payload: dict) -> tuple[TfIdfModel, SvdProjector]:
     """Inverse of ``page_vector_payload``; raises ValueError on a tokenizer
     version mismatch."""
-    if payload.get("tokenizer_version") != TOKENIZER_VERSION:
-        raise ValueError(
-            f"tokenizer version mismatch: artifact has "
-            f"{payload.get('tokenizer_version')!r}, expected {TOKENIZER_VERSION!r}"
-        )
+    check_tokenizer_version(payload)
     vocab = Vocabulary(tuple(payload["tokens"]), tuple(payload["doc_freq"]),
                        payload["cap"])
     model = TfIdfModel(vocabulary=vocab, idf=np.asarray(payload["idf"]),

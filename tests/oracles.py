@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 
 # Text a JSONL reader can trip on: line breaks other than "\n" (U+2028,
@@ -664,6 +664,97 @@ def crf_log_likelihood_per_document(model, emission_seqs, gold_seqs, l2: float =
     ll -= l2 * float((model.transition ** 2).sum())
     grad_t -= 2.0 * l2 * model.transition
     return ll, grad_t, grad_start, grad_scale
+
+
+# -- BiLSTM: one document at a time, one page at a time ----------------------
+
+def _lstm_run_document(x, w, u, b):
+    """One LSTM direction over one document's (l, k) inputs (gate rows:
+    input, forget, cell, output); returns (l, h) states and per-page caches."""
+    h_dim = u.shape[1]
+    h_prev = np.zeros(h_dim)
+    c_prev = np.zeros(h_dim)
+    states = np.zeros((x.shape[0], h_dim))
+    caches = []
+    for t in range(x.shape[0]):
+        z = w @ x[t] + u @ h_prev + b
+        i = expit(z[:h_dim])
+        f = expit(z[h_dim:2 * h_dim])
+        g = np.tanh(z[2 * h_dim:3 * h_dim])
+        o = expit(z[3 * h_dim:])
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        states[t] = o * tc
+        caches.append((x[t], h_prev, c_prev, i, f, g, o, tc))
+        h_prev, c_prev = states[t], c
+    return states, caches
+
+
+def _lstm_backward_document(dstates, caches, w, u):
+    """BPTT for one direction of one document; returns (dw, du, db)."""
+    h_dim = dstates.shape[1]
+    dw = np.zeros_like(w)
+    du = np.zeros_like(u)
+    db = np.zeros(4 * h_dim)
+    dh_next = np.zeros(h_dim)
+    dc_next = np.zeros(h_dim)
+    for t in range(dstates.shape[0] - 1, -1, -1):
+        x_t, h_prev, c_prev, i, f, g, o, tc = caches[t]
+        dh = dstates[t] + dh_next
+        do = dh * tc
+        dc = dc_next + dh * o * (1.0 - tc * tc)
+        dc_next = dc * f
+        dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                             dc * i * (1.0 - g * g), do * o * (1.0 - o)])
+        dw += np.outer(dz, x_t)
+        du += np.outer(dz, h_prev)
+        db += dz
+        dh_next = u.T @ dz
+    return dw, du, db
+
+
+def _bilstm_document(params, x):
+    """Logits, concatenated states and both directions' caches of one
+    document; the backward direction runs over the reversed pages."""
+    fw, fw_cache = _lstm_run_document(x, params["fw_w"], params["fw_u"],
+                                      params["fw_b"])
+    bw, bw_cache = _lstm_run_document(x[::-1], params["bw_w"], params["bw_u"],
+                                      params["bw_b"])
+    both = np.concatenate([fw, bw[::-1]], axis=1)
+    return both @ params["head_w"] + params["head_b"], both, fw_cache, bw_cache
+
+
+def bilstm_logits_per_document(params, xs) -> np.ndarray:
+    """Per-page BiLSTM logits of every document, stacked in document order."""
+    return np.concatenate([_bilstm_document(params, np.asarray(x, dtype=np.float64))[0]
+                           for x in xs])
+
+
+def bilstm_loss_and_grad_per_document(params, batch):
+    """Mean page cross-entropy of a batch of (x, labels) documents and its
+    gradient, by per-document backpropagation through time."""
+    grads = {name: np.zeros_like(value) for name, value in params.items()}
+    h_dim = params["head_w"].shape[0] // 2
+    total_pages = sum(len(labels) for _, labels in batch)
+    loss = 0.0
+    for x, labels in batch:
+        logits, both, fw_cache, bw_cache = _bilstm_document(
+            params, np.asarray(x, dtype=np.float64))
+        rows = np.arange(len(labels))
+        p = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+        loss -= float(np.log(p[rows, labels]).sum())
+        p[rows, labels] -= 1.0
+        dlogits = p / total_pages
+        grads["head_w"] += both.T @ dlogits
+        grads["head_b"] += dlogits.sum(axis=0)
+        dboth = dlogits @ params["head_w"].T
+        for direction, dstates, cache in (("fw", dboth[:, :h_dim], fw_cache),
+                                          ("bw", dboth[::-1, h_dim:], bw_cache)):
+            for name, grad in zip("wub", _lstm_backward_document(
+                    dstates, cache, params[f"{direction}_w"],
+                    params[f"{direction}_u"])):
+                grads[f"{direction}_{name}"] += grad
+    return loss / total_pages, grads
 
 
 # -- dense Jacobi eigensolver ------------------------------------------------

@@ -246,7 +246,9 @@ def test_criterion_5_gradient_suites():
         bl_params = init_bilstm(bl_config)
         for name in bl_params:
             bl_params[name] = rng.normal(0, 0.5, bl_params[name].shape)
-        bl_batch = [(rng.normal(0, 1, (3, 4)), [0, 2, 1]),
+        # ragged: the longest document is not first, and one has a single page
+        bl_batch = [(rng.normal(0, 1, (2, 4)), [2, 0]),
+                    (rng.normal(0, 1, (3, 4)), [0, 2, 1]),
                     (rng.normal(0, 1, (1, 4)), [1])]
         _, bl_grads = bilstm_loss_and_grad(bl_params, bl_batch)
         bl_numeric = finite_diff_grads(

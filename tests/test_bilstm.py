@@ -12,11 +12,27 @@ from pageseq.bilstm import (
 )
 from pageseq.training import TrainConfig, TrainingDiverged
 
-from oracles import assert_grads_close, finite_diff_grads
+from oracles import (
+    assert_grads_close,
+    bilstm_logits_per_document,
+    bilstm_loss_and_grad_per_document,
+    finite_diff_grads,
+)
 
 
 def small_config(k=4, h=5, n=3, seed=0):
     return BiLstmConfig(input_dim=k, n_classes=n, hidden_dim=h, init_seed=seed)
+
+
+def random_params(config, rng, scale=0.5):
+    params = init_bilstm(config)
+    for name in params:
+        params[name] = rng.normal(0, scale, params[name].shape)
+    return params
+
+
+# ragged batches whose longest document is not first, each with a 1-page one
+RAGGED_LENGTHS = [[2, 5, 1, 3], [1, 4], [3, 1, 7, 7, 2], [2, 1, 6]]
 
 
 class TestForward:
@@ -26,18 +42,17 @@ class TestForward:
         for name in params:
             params[name][:] = 0.0
         params["head_b"] = np.array([0.3, -0.7, 1.1])
-        logits = bilstm_forward(params, np.random.default_rng(0).normal(0, 1, (4, 4)))
-        np.testing.assert_allclose(logits, np.tile(params["head_b"], (4, 1)),
+        rng = np.random.default_rng(0)
+        logits = bilstm_forward(params, [rng.normal(0, 1, (l, 4)) for l in (2, 4, 1)])
+        np.testing.assert_allclose(logits, np.tile(params["head_b"], (7, 1)),
                                    atol=1e-15)
 
     def test_mirror_model_on_reversed_input(self):
         """Swapping directional weights (and the head halves) and reversing
-        the input reverses the per-page logits."""
+        every document reverses each document's per-page logits."""
         config = small_config(seed=3)
-        params = init_bilstm(config)
         rng = np.random.default_rng(1)
-        for name in params:
-            params[name] = rng.normal(0, 0.4, params[name].shape)
+        params = random_params(config, rng, scale=0.4)
         h = config.hidden_dim
         mirrored = {
             "fw_w": params["bw_w"], "fw_u": params["bw_u"], "fw_b": params["bw_b"],
@@ -45,25 +60,77 @@ class TestForward:
             "head_w": np.concatenate([params["head_w"][h:], params["head_w"][:h]]),
             "head_b": params["head_b"],
         }
-        x = rng.normal(0, 1, (6, config.input_dim))
-        logits = bilstm_forward(params, x)
-        logits_mirror = bilstm_forward(mirrored, x[::-1])
-        np.testing.assert_allclose(logits_mirror, logits[::-1], atol=1e-12)
+        xs = [rng.normal(0, 1, (l, config.input_dim)) for l in (2, 6, 1, 4)]
+        offsets = np.cumsum([0] + [len(x) for x in xs])
+        logits = bilstm_forward(params, xs)
+        logits_mirror = bilstm_forward(mirrored, [x[::-1] for x in xs])
+        for a, b in zip(offsets[:-1], offsets[1:]):
+            np.testing.assert_allclose(logits_mirror[a:b], logits[a:b][::-1],
+                                       atol=1e-12)
 
     def test_empty_sequence_rejected(self):
         params = init_bilstm(small_config())
-        with pytest.raises(ValueError):
-            bilstm_forward(params, np.zeros((0, 4)))
+        for lengths in ([0], [3, 0]):
+            with pytest.raises(ValueError):
+                bilstm_forward(params, [np.zeros((l, 4)) for l in lengths])
+
+    def test_empty_batch_gives_no_rows(self):
+        assert bilstm_forward(init_bilstm(small_config()), []).shape == (0, 3)
+
+
+class TestReference:
+    """The padded batch against the per-document, per-page recursion."""
+
+    @pytest.mark.parametrize("lengths", RAGGED_LENGTHS)
+    def test_logits_loss_and_gradients_match(self, lengths):
+        rng = np.random.default_rng(sum(lengths))
+        params = random_params(small_config(), rng)
+        batch = [(rng.normal(0, 1, (l, 4)), rng.integers(0, 3, l).tolist())
+                 for l in lengths]
+        xs = [x for x, _ in batch]
+        np.testing.assert_allclose(bilstm_forward(params, xs),
+                                   bilstm_logits_per_document(params, xs),
+                                   rtol=0, atol=1e-12)
+        loss, grads = bilstm_loss_and_grad(params, batch)
+        ref_loss, ref_grads = bilstm_loss_and_grad_per_document(params, batch)
+        assert abs(loss - ref_loss) <= 1e-12
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            np.testing.assert_allclose(grads[name], ref_grads[name],
+                                       rtol=0, atol=1e-12, err_msg=name)
+
+    def test_logits_independent_of_batch_mates(self):
+        """A document's logits do not depend on the documents padded with it."""
+        rng = np.random.default_rng(2)
+        params = random_params(small_config(), rng)
+        short, long = rng.normal(0, 1, (2, 4)), rng.normal(0, 1, (6, 4))
+        alone = bilstm_forward(params, [short])
+        np.testing.assert_allclose(bilstm_forward(params, [short, long])[:2],
+                                   alone, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bilstm_forward(params, [long, short])[6:],
+                                   alone, rtol=0, atol=1e-12)
+
+
+class TestLabelCounts:
+    @pytest.mark.parametrize("lengths, label_seqs", [
+        ([3], [[0, 1]]), ([3], [[0, 1, 2, 0]]), ([3], [[]]),
+        ([2, 4], [[0, 1], [0, 1, 2]]),
+    ])
+    def test_mismatch_rejected(self, lengths, label_seqs):
+        rng = np.random.default_rng(3)
+        params = init_bilstm(small_config())
+        batch = [(rng.normal(0, 1, (l, 4)), labels)
+                 for l, labels in zip(lengths, label_seqs)]
+        with pytest.raises(ValueError, match="one label per page"):
+            bilstm_loss_and_grad(params, batch)
 
 
 class TestGradients:
     def test_bptt_matches_finite_differences(self):
-        config = small_config()
-        params = init_bilstm(config)
         rng = np.random.default_rng(7)
-        for name in params:
-            params[name] = rng.normal(0, 0.5, params[name].shape)
+        params = random_params(small_config(), rng)
         batch = [
+            (rng.normal(0, 1, (2, 4)), [2, 0]),
             (rng.normal(0, 1, (3, 4)), [0, 2, 1]),
             (rng.normal(0, 1, (1, 4)), [1]),
         ]
@@ -118,12 +185,8 @@ class TestTraining:
         config = BiLstmConfig(input_dim=6, n_classes=3, hidden_dim=16, init_seed=1)
         cfg = TrainConfig(epochs=20, batch_size=8, peak_lr=0.02, seed=2)
         params, _ = bilstm_train(xs, ys, config, cfg)
-        correct = total = 0
-        for x, labels in zip(xs, ys):
-            preds = bilstm_forward(params, x).argmax(axis=1)
-            correct += sum(p == g for p, g in zip(preds, labels))
-            total += len(labels)
-        assert correct / total >= 0.99
+        preds = bilstm_forward(params, xs).argmax(axis=1)
+        assert np.mean(preds == np.concatenate(ys)) >= 0.99
 
     def test_context_only_task_beats_oblivious_linear(self):
         """Labels repeat the previous page and only page 1 is informative:
@@ -135,19 +198,12 @@ class TestTraining:
         cfg = TrainConfig(epochs=30, batch_size=8, peak_lr=0.02, seed=6)
         params, _ = bilstm_train(train_x, train_y, config, cfg)
 
-        def accuracy_bilstm():
-            hits = total = 0
-            for x, labels in zip(test_x, test_y):
-                preds = bilstm_forward(params, x).argmax(axis=1)
-                hits += sum(p == g for p, g in zip(preds, labels))
-                total += len(labels)
-            return hits / total
-
         w, b = train_softmax_regression(train_x, train_y, 3)
         flat_x = np.concatenate(test_x)
         flat_y = np.concatenate(test_y)
         linear_acc = float(np.mean(np.argmax(flat_x @ w + b, axis=1) == flat_y))
-        bilstm_acc = accuracy_bilstm()
+        bilstm_acc = float(np.mean(
+            bilstm_forward(params, test_x).argmax(axis=1) == flat_y))
         assert bilstm_acc > linear_acc
         assert bilstm_acc >= 0.9
         assert linear_acc <= 0.6

@@ -16,8 +16,11 @@ from pageseq.cli import _config_from, main
 from pageseq.corpus import SynthConfig, doc_offsets, gold_labels, load_corpus
 from pageseq.encoder import EncoderConfig
 from pageseq.evaluation import align_traces, score
-from pageseq.recurrence import SplitTrace, read_traces, write_traces
+from pageseq.features import page_vector_model_from_payload, tfidf_matrix
+from pageseq.recurrence import SplitTrace, page_tokens, read_traces, write_traces
 from pageseq.training import TrainConfig
+
+from oracles import bilstm_logits_per_document
 
 
 def sha(path):
@@ -220,9 +223,10 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_readme_walkthrough_bilstm(self, tmp_path):
-        """The README walkthrough corpus (2036 train pages, 400 tokens) with
-        its BiLSTM's svd_k of 100; a small hidden size and one epoch keep
-        it quick."""
+        """The README walkthrough corpus (2036 train pages, 400 tokens) and
+        its BiLSTM (hidden_dim 128, svd_k 100), trained for one epoch; then
+        ``infer`` with that checkpoint decodes the test split in one padded
+        batch, as the per-document recursion would."""
         synth = {"n_classes": 4, "self_transition": 0.85,
                  "pages_per_doc": [6, 14], "tokens_per_page": [1, 6],
                  "class_vocab_size": 25, "shared_vocab_size": 300,
@@ -236,10 +240,26 @@ class TestTrain:
                            encoder={"variant": "linear", "d": 32, "max_len": 16},
                            train={"epochs": 1, "batch_size": 32, "peak_lr": 0.02},
                            vocab_cap=60000, baselines={"bilstm": True},
-                           bilstm={"hidden_dim": 4, "svd_k": 100})
+                           bilstm={"hidden_dim": 128, "svd_k": 100})
         payload = json.loads((outdir / "bilstm.json").read_text())
         assert payload["config"]["input_dim"] == 100
         assert np.array(payload["features"]["basis"]).shape == (400, 100)
+
+        out = tmp_path / "bilstm-test.jsonl"
+        assert main(["infer", "--checkpoint", str(outdir / "bilstm.json"),
+                     "--manifest", str(corpus_dir / "manifest.json"),
+                     "--split", "test", "--out", str(out)]) == 0
+        split = load_corpus(corpus_dir / "manifest.json")
+        trace = read_traces(out, split.vocabulary)
+        tfidf, projector = page_vector_model_from_payload(payload["features"])
+        vectors = tfidf_matrix(page_tokens(split.test), tfidf) @ projector.basis
+        params = {name: np.array(value) for name, value in payload["params"].items()}
+        offsets = doc_offsets(split.test)
+        expected = bilstm_logits_per_document(
+            params, [vectors[a:b] for a, b in zip(offsets[:-1], offsets[1:])])
+        np.testing.assert_allclose(trace.scores, expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(trace.labels.argmax(axis=1),
+                                      expected.argmax(axis=1))
 
     def test_codec_fitted_on_train_split_only(self, tmp_path, corpus_dir):
         outdir = run_train(tmp_path, corpus_dir, "sep")
@@ -574,6 +594,30 @@ class TestBaselineCheckpoints:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "crf"])
+    @pytest.mark.parametrize("edit", ["stale", "missing"])
+    def test_tokenizer_version_exits_2(self, trained, capsys, kind, edit):
+        """An encoder checkpoint, or the encoder a CRF checkpoint embeds, made
+        under another tokenizer version (or recording none) is refused."""
+        tmp_path, corpus_dir, outdir = trained
+        payload = json.loads((outdir / f"{kind}.json").read_text())
+        encoder = payload if kind == "checkpoint" else payload["encoder"]
+        if edit == "missing":
+            encoder.pop("tokenizer_version", None)
+        else:
+            encoder["tokenizer_version"] = "other/0"
+        ckpt = tmp_path / f"{kind}-tokenizer-{edit}.json"
+        ckpt.write_text(json.dumps(payload))
+        out = tmp_path / f"{kind}-tokenizer-{edit}.jsonl"
+        capsys.readouterr()
+        assert main(["infer", "--checkpoint", str(ckpt),
+                     "--manifest", str(corpus_dir / "manifest.json"),
+                     "--split", "test", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "tokenizer version mismatch" in err[0]
 
     @pytest.mark.parametrize("kind", ["checkpoint", "crf", "bilstm"])
     def test_empty_split_infers(self, trained, kind):

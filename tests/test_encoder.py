@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import pageseq.encoder as encoder
 from pageseq.corpus import MULTICLASS, MULTILABEL, TypeVocabulary
+from pageseq.features import TOKENIZER_VERSION
 from pageseq.encoder import (
     CLS_ID,
     FIRST_ID,
@@ -529,6 +530,7 @@ class TestCheckpoint:
         params = init_params(config, codec)
         payload = checkpoint_payload(params, config, codec, mode="recurrent", seed=7)
         assert payload["label_mode"] == codec.type_vocab.label_mode
+        assert payload["tokenizer_version"] == TOKENIZER_VERSION
         params2, config2, codec2, recurrent = restore_encoder(payload)
         assert config2 == config
         assert codec2.text_tokens == codec.text_tokens
@@ -554,6 +556,16 @@ class TestCheckpoint:
         else:
             params["layer1/wq"] = params["layer0/wq"]
         with pytest.raises(ValueError, match="parameter"):
+            restore_encoder(payload)
+
+    @pytest.mark.parametrize("version", ["other/0", None])
+    def test_restore_checks_tokenizer_version(self, version):
+        codec = make_codec()
+        config = EncoderConfig(variant="linear", d=4, max_len=8)
+        payload = checkpoint_payload(init_params(config, codec), config, codec,
+                                     mode="oblivious", seed=0)
+        payload["tokenizer_version"] = version
+        with pytest.raises(ValueError, match="tokenizer version mismatch"):
             restore_encoder(payload)
 
     @pytest.mark.parametrize("field, value", [("mode", "recurrnt"),
