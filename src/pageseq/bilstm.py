@@ -136,6 +136,9 @@ def bilstm_loss_and_grad(params: dict,
     if [len(labels) for labels in label_seqs] != [len(x) for x in seqs]:
         raise ValueError("every document needs exactly one label per page")
     labels = np.concatenate([np.asarray(y, dtype=np.int64) for y in label_seqs])
+    n = params["head_b"].shape[0]
+    if np.any((labels < 0) | (labels >= n)):
+        raise ValueError(f"labels must be class indices in 0..{n - 1}")
     logits, (mask, lengths, both, fw_tape, bw_tape) = _forward(params, seqs)
     rows = np.arange(len(labels))
     logp = log_softmax(logits, axis=1)

@@ -33,9 +33,7 @@ from .corpus import (
     SynthConfig,
     TypeVocabulary,
     class_page_counts,
-    doc_offsets,
     generate_synthetic,
-    gold_labels,
     load_corpus,
     run_length_stats,
     transition_self_prob,
@@ -239,12 +237,17 @@ def _print_corpus_summary(split: CorpusSplit) -> None:
         total = sum(per.values())
         parts = ", ".join(f"{cls}={cnt}" for cls, cnt in per.items())
         print(f"  {name} ({total} labels): {parts}")
-    if split.vocabulary.label_mode == MULTICLASS and split.train:
-        stats = transition_self_prob(split.train)
-        per = ", ".join(
-            f"{split.vocabulary.class_names[c]}={p:.4f}"
-            for c, p in stats.per_class.items())
-        print(f"train self-transition: {per} (macro {stats.macro:.4f})")
+    if split.vocabulary.label_mode != MULTICLASS or not split.train:
+        return
+    if len(split.train.texts) == len(split.train):
+        print("train self-transition: no page transitions (every document "
+              "has one page)")
+        return
+    stats = transition_self_prob(split.train)
+    per = ", ".join(
+        f"{split.vocabulary.class_names[c]}={p:.4f}"
+        for c, p in stats.per_class.items())
+    print(f"train self-transition: {per} (macro {stats.macro:.4f})")
 
 
 def cmd_synth(args) -> int:
@@ -369,7 +372,7 @@ def cmd_train(args) -> int:
     timings["encode_seconds"] += encode_seconds
     timings["checkpoint_seconds"] = time.perf_counter() - tick
     timings["train_seconds"] = report.wall_clock_seconds
-    golds = [[next(iter(p.gold_labels)) for p in doc.pages] for doc in split.train]
+    golds = _doc_rows(split.train.gold.argmax(axis=1), split.train.offsets)
 
     if want_crf:
         tick = time.perf_counter()
@@ -467,9 +470,8 @@ def _restore_model(payload):
                 raise ValueError("classes or page vectors do not match the config")
 
             def decode(docs):
-                trace = SplitTrace.blank([doc.doc_id for doc in docs],
-                                         doc_offsets(docs), config.n_classes,
-                                         fed=False)
+                trace = SplitTrace.blank(docs.doc_ids, docs.offsets,
+                                         config.n_classes, fed=False)
                 vectors = tfidf_matrix(page_tokens(docs), tfidf) @ projector.basis
                 trace.scores[:] = bilstm_forward(params,
                                                  _doc_rows(vectors, trace.offsets))
@@ -521,7 +523,7 @@ def cmd_eval(args) -> int:
     split = load_corpus(args.manifest, (args.split,))
     docs = split.split(args.split)
     preds, text = _read_split_traces(args.traces, split.vocabulary, docs)
-    scores = score(preds, gold_labels(docs, split.vocabulary.n), split.vocabulary)
+    scores = score(preds, docs.gold, split.vocabulary)
     print(format_score_table(scores, split.vocabulary))
     if args.out:
         ref = {"traces": config_hash(text), "split": args.split}
@@ -537,8 +539,7 @@ def cmd_compare(args) -> int:
     docs = split.split(args.split)
     preds_a, text_a = _read_split_traces(args.traces_a, split.vocabulary, docs)
     preds_b, text_b = _read_split_traces(args.traces_b, split.vocabulary, docs)
-    report = compare_traces(preds_a, preds_b, gold_labels(docs, split.vocabulary.n),
-                            split.vocabulary)
+    report = compare_traces(preds_a, preds_b, docs.gold, split.vocabulary)
     names = split.vocabulary.class_names
     print("per-class F1 (A vs B, percent):")
     for c, name in enumerate(names):

@@ -2,7 +2,9 @@
 and descriptive statistics (page counts, label runs, self-transition rates).
 
 A corpus is a three-way split of documents; each document is an ordered list
-of pages carrying raw text and one or more gold page-type labels.  The single
+of pages carrying raw text and one or more gold page-type labels.  In memory
+each split is one ``Documents`` record of columns: doc ids, document offsets
+into the page rows, page texts and a (pages x n) gold indicator.  The single
 on-disk format is a manifest JSON pointing at one JSONL file per split, one
 page per line:
 
@@ -12,10 +14,9 @@ page per line:
 from __future__ import annotations
 
 import json
-import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -70,108 +71,80 @@ class TypeVocabulary:
             raise CorpusError(f"unknown label name {name!r}") from None
 
 
-@dataclass(frozen=True)
-class PageRecord:
-    """One page of one document.  ``page_index`` is 0-based position in the doc."""
+class Documents:
+    """The documents of one split as columns, one row per page in document
+    order: document ``doc_ids[i]`` owns rows ``offsets[i]:offsets[i + 1]``,
+    ``texts`` holds each page's text and ``gold`` is the (pages x n) 0/1
+    indicator of its gold classes, read in the vocabulary's ``label_mode``.
+    ``len`` is the number of documents.
 
-    doc_id: str
-    page_index: int
-    text: str
-    gold_labels: frozenset[int]
+    Built from each document's id and page count and each page's text and
+    gold class indices, checked against the class vocabulary.  This is the
+    one place a split is checked: no document is empty, no doc_id repeats,
+    every label is a class index (a non-bool int in 0..n-1), every page has
+    a label, and a multiclass page has exactly one.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "gold_labels", frozenset(self.gold_labels))
-        if not self.gold_labels:
-            raise CorpusError(
-                f"page ({self.doc_id!r}, {self.page_index}) has no labels"
-            )
-        for c in self.gold_labels:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                raise CorpusError(
-                    f"page ({self.doc_id!r}, {self.page_index}): label {c!r} "
-                    f"is not a class index"
-                )
-        if self.page_index < 0:
-            raise CorpusError("page_index must be >= 0")
+    def __init__(self, vocab: TypeVocabulary, doc_ids: Sequence[str],
+                 sizes: Sequence[int], texts: Sequence[str],
+                 labels: Sequence[Collection[int]]):
+        self.doc_ids = tuple(doc_ids)
+        self.offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        self.texts = tuple(texts)
+        self.label_mode = vocab.label_mode
+        if not (len(self.offsets) == len(self.doc_ids) + 1
+                and self.offsets[-1] == len(self.texts) == len(labels)):
+            raise CorpusError("doc_ids, sizes, texts and labels do not align")
+        empty = np.flatnonzero(np.diff(self.offsets) < 1)
+        if empty.size:
+            raise CorpusError(f"document {self.doc_ids[empty[0]]!r} is empty")
+        if len(set(self.doc_ids)) != len(self.doc_ids):
+            raise CorpusError("duplicate doc_id in split")
+        rows = np.repeat(np.arange(len(labels)), [len(page) for page in labels])
+        flat = [c for page in labels for c in page]
+        n = vocab.n
+        for row, c in zip(rows.tolist(), flat):
+            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < n:
+                raise CorpusError(f"{self._page(row)}: label {c!r} is not a class "
+                                  f"index; a label index is an int in 0..{n - 1}")
+        self.gold = np.zeros((len(labels), n), dtype=bool)
+        self.gold[rows, np.array(flat, dtype=np.int64)] = True
+        counts = self.gold.sum(axis=1)
+        limit = 1 if self.label_mode == MULTICLASS else n
+        bad = np.flatnonzero((counts == 0) | (counts > limit))
+        if bad.size:
+            row = int(bad[0])
+            raise CorpusError(f"{self._page(row)} has no labels" if not counts[row]
+                              else f"{self._page(row)} carries {counts[row]} "
+                                   f"labels in multiclass mode")
 
-
-@dataclass(frozen=True)
-class DocumentSequence:
-    """Ordered pages of one document; page_index values are exactly 0..l-1."""
-
-    doc_id: str
-    pages: tuple[PageRecord, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pages", tuple(self.pages))
-        if not self.pages:
-            raise CorpusError(f"document {self.doc_id!r} is empty")
-        for i, page in enumerate(self.pages):
-            if page.doc_id != self.doc_id:
-                raise CorpusError(
-                    f"page doc_id {page.doc_id!r} != document {self.doc_id!r}"
-                )
-            if page.page_index != i:
-                raise CorpusError(
-                    f"document {self.doc_id!r}: page_index {page.page_index} "
-                    f"at position {i} (expected contiguous 0..l-1)"
-                )
+    def _page(self, row: int) -> str:
+        doc = int(np.searchsorted(self.offsets, row, side="right")) - 1
+        return f"page ({self.doc_ids[doc]!r}, {row - int(self.offsets[doc])})"
 
     def __len__(self) -> int:
-        return len(self.pages)
+        return len(self.doc_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorpusSplit:
     """Train/validation/test documents plus the shared type vocabulary.  A
     split that ``load_corpus`` was not asked to read is None."""
 
-    train: tuple[DocumentSequence, ...] | None
-    validation: tuple[DocumentSequence, ...] | None
-    test: tuple[DocumentSequence, ...] | None
+    train: Documents | None
+    validation: Documents | None
+    test: Documents | None
     vocabulary: TypeVocabulary
 
-    def __post_init__(self):
-        for name in SPLIT_NAMES:
-            if getattr(self, name) is None:
-                continue
-            docs = tuple(getattr(self, name))
-            object.__setattr__(self, name, docs)
-            ids = [d.doc_id for d in docs]
-            if len(set(ids)) != len(ids):
-                raise CorpusError(f"duplicate doc_id in split {name!r}")
-            for doc in docs:
-                for page in doc.pages:
-                    self._check_labels(page)
-
-    def _check_labels(self, page: PageRecord) -> None:
-        n = self.vocabulary.n
-        if any(c < 0 or c >= n for c in page.gold_labels):
-            raise CorpusError(
-                f"page ({page.doc_id!r}, {page.page_index}) has a label index "
-                f"outside 0..{n - 1}"
-            )
-        if self.vocabulary.label_mode == MULTICLASS and len(page.gold_labels) != 1:
-            raise CorpusError(
-                f"page ({page.doc_id!r}, {page.page_index}) carries "
-                f"{len(page.gold_labels)} labels in multiclass mode"
-            )
-
-    def split(self, name: str) -> tuple[DocumentSequence, ...]:
+    def split(self, name: str) -> Documents:
         if name not in SPLIT_NAMES:
             raise CorpusError(f"unknown split {name!r}")
         if getattr(self, name) is None:
             raise CorpusError(f"split {name!r} was not read")
         return getattr(self, name)
 
-    def splits(self) -> Iterable[tuple[str, tuple[DocumentSequence, ...]]]:
+    def splits(self) -> Iterable[tuple[str, Documents]]:
         return ((name, self.split(name)) for name in SPLIT_NAMES)
-
-
-def doc_offsets(docs: Sequence[DocumentSequence]) -> np.ndarray:
-    """Row offsets of ``docs``' pages in document order: document i owns rows
-    ``offsets[i]:offsets[i + 1]``."""
-    return np.cumsum([0] + [len(doc) for doc in docs])
 
 
 def padded_documents(seqs: Sequence[np.ndarray], k: int
@@ -188,22 +161,15 @@ def padded_documents(seqs: Sequence[np.ndarray], k: int
     return padded, mask
 
 
-def gold_labels(docs: Sequence[DocumentSequence], n: int) -> np.ndarray:
-    """The (pages x n) 0/1 indicator of every page's gold labels, in document
-    order."""
-    sets = [page.gold_labels for doc in docs for page in doc.pages]
-    out = np.zeros((len(sets), n), dtype=bool)
-    out[np.repeat(np.arange(len(sets)), [len(s) for s in sets]),
-        [c for s in sets for c in s]] = True
-    return out
-
-
 # ---------------------------------------------------------------------------
 # JSONL ingestion / emission
 # ---------------------------------------------------------------------------
 
 
-def _parse_page_line(line: str, lineno: int, path: str, vocab: TypeVocabulary) -> PageRecord:
+def _parse_page_line(line: str, lineno: int, path: Path,
+                     index: Mapping[str, int]) -> tuple[str, int, str, list[int]]:
+    """The doc_id, page_index, text and class indices of one JSONL page line;
+    ``index`` maps each class name to its index."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -215,38 +181,44 @@ def _parse_page_line(line: str, lineno: int, path: str, vocab: TypeVocabulary) -
             raise CorpusError(f"{path}:{lineno}: missing field {key!r}")
         if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
             raise CorpusError(f"{path}:{lineno}: field {key!r} has wrong type")
-    labels = set()
+    labels = []
     for name in obj["labels"]:
         if not isinstance(name, str):
             raise CorpusError(f"{path}:{lineno}: labels must be strings")
-        try:
-            labels.add(vocab.index(name))
-        except CorpusError:
-            raise CorpusError(
-                f"{path}:{lineno}: unknown label {name!r}"
-            ) from None
-    if not labels:
-        raise CorpusError(f"{path}:{lineno}: page has no labels")
-    return PageRecord(obj["doc_id"], obj["page_index"], obj["text"], frozenset(labels))
+        if name not in index:
+            raise CorpusError(f"{path}:{lineno}: unknown label {name!r}")
+        labels.append(index[name])
+    return obj["doc_id"], obj["page_index"], obj["text"], labels
 
 
-def load_split_file(path: Path | str, vocab: TypeVocabulary) -> tuple[DocumentSequence, ...]:
-    """Load one JSONL page file into documents, grouped by doc_id in file order."""
+def load_split_file(path: Path | str, vocab: TypeVocabulary) -> Documents:
+    """Load one JSONL page file into documents, grouped by doc_id in order of
+    first appearance; each document's pages must come in page_index order
+    0..l-1."""
     path = Path(path)
-    by_doc: dict[str, list[PageRecord]] = {}
-    seen: set[tuple[str, int]] = set()
+    index = {name: c for c, name in enumerate(vocab.class_names)}
+    pages: dict[str, list[tuple[str, list[int]]]] = {}
     # split on "\n" only: a JSON string may hold U+2028 and the like raw
     for lineno, line in enumerate(_read_text(path, "split file").split("\n"),
                                   start=1):
         if not line.strip():
             continue
-        page = _parse_page_line(line, lineno, str(path), vocab)
-        key = (page.doc_id, page.page_index)
-        if key in seen:
-            raise CorpusError(f"{path}:{lineno}: duplicate page {key}")
-        seen.add(key)
-        by_doc.setdefault(page.doc_id, []).append(page)
-    return tuple(DocumentSequence(doc_id, tuple(pages)) for doc_id, pages in by_doc.items())
+        doc_id, page_index, text, labels = _parse_page_line(line, lineno, path, index)
+        doc = pages.setdefault(doc_id, [])
+        if page_index != len(doc):
+            if 0 <= page_index < len(doc):
+                raise CorpusError(f"{path}:{lineno}: duplicate page "
+                                  f"{(doc_id, page_index)}")
+            raise CorpusError(f"{path}:{lineno}: page_index {page_index} of "
+                              f"document {doc_id!r}, expected {len(doc)} (pages "
+                              f"run 0..l-1 in file order)")
+        doc.append((text, labels))
+    rows = [page for doc in pages.values() for page in doc]
+    try:
+        return Documents(vocab, list(pages), [len(doc) for doc in pages.values()],
+                         [text for text, _ in rows], [labels for _, labels in rows])
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 def _read_text(path: Path, what: str) -> str:
@@ -277,6 +249,13 @@ def load_corpus(path: Path | str,
     for key in ("classes", "label_mode", *SPLIT_NAMES):
         if key not in manifest:
             raise CorpusError(f"{path}: manifest missing field {key!r}")
+        if key == "classes":
+            if not (isinstance(manifest[key], list)
+                    and all(isinstance(name, str) for name in manifest[key])):
+                raise CorpusError(f"{path}: manifest field 'classes' must be a "
+                                  f"list of strings")
+        elif not isinstance(manifest[key], str):
+            raise CorpusError(f"{path}: manifest field {key!r} must be a string")
     vocab = TypeVocabulary(tuple(manifest["classes"]), manifest["label_mode"])
     read = {
         name: load_split_file(path.parent / manifest[name], vocab)
@@ -284,16 +263,6 @@ def load_corpus(path: Path | str,
         for name in SPLIT_NAMES
     }
     return CorpusSplit(read["train"], read["validation"], read["test"], vocab)
-
-
-def _page_to_json(page: PageRecord, vocab: TypeVocabulary) -> str:
-    obj = {
-        "doc_id": page.doc_id,
-        "labels": [vocab.class_names[c] for c in sorted(page.gold_labels)],
-        "page_index": page.page_index,
-        "text": page.text,
-    }
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False)
 
 
 def write_corpus(split: CorpusSplit, directory: Path | str,
@@ -304,12 +273,18 @@ def write_corpus(split: CorpusSplit, directory: Path | str,
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    names = split.vocabulary.class_names
     for name, docs in split.splits():
-        lines = [
-            _page_to_json(page, split.vocabulary)
-            for doc in docs
-            for page in doc.pages
-        ]
+        lines = []
+        for doc_id, start, end in zip(docs.doc_ids, docs.offsets.tolist(),
+                                      docs.offsets[1:].tolist()):
+            for t, row in enumerate(range(start, end)):
+                lines.append(json.dumps({
+                    "doc_id": doc_id,
+                    "labels": [names[c] for c in np.flatnonzero(docs.gold[row])],
+                    "page_index": t,
+                    "text": docs.texts[row],
+                }, sort_keys=True, ensure_ascii=False))
         (directory / f"{name}.jsonl").write_text(
             "".join(line + "\n" for line in lines), encoding="utf-8"
         )
@@ -408,12 +383,14 @@ class SynthConfig:
         return cls(n_classes, matrix, start, seed=seed, **kwargs)
 
 
-def _generate_document(doc_id: str, cfg: SynthConfig, rng: np.random.Generator) -> DocumentSequence:
+def _generate_document(cfg: SynthConfig, rng: np.random.Generator
+                       ) -> tuple[list[str], list[int]]:
+    """The page texts and page classes of one document."""
     trans = np.asarray(cfg.transition_matrix)
     start = np.asarray(cfg.start_distribution)
     lo, hi = cfg.pages_per_doc
     length = int(rng.integers(lo, hi + 1))
-    pages = []
+    texts, classes = [], []
     cls_idx = int(rng.choice(cfg.n_classes, p=start))
     for t in range(length):
         if t > 0:
@@ -428,9 +405,9 @@ def _generate_document(doc_id: str, cfg: SynthConfig, rng: np.random.Generator) 
             for k in rng.integers(0, cfg.class_vocab_size, size=n_tokens - n_shared)
         ]
         order = rng.permutation(n_tokens)
-        text = " ".join(tokens[i] for i in order)
-        pages.append(PageRecord(doc_id, t, text, frozenset({cls_idx})))
-    return DocumentSequence(doc_id, tuple(pages))
+        texts.append(" ".join(tokens[i] for i in order))
+        classes.append(cls_idx)
+    return texts, classes
 
 
 def generate_synthetic(cfg: SynthConfig) -> CorpusSplit:
@@ -439,9 +416,12 @@ def generate_synthetic(cfg: SynthConfig) -> CorpusSplit:
     vocab = TypeVocabulary(tuple(f"c{i}" for i in range(cfg.n_classes)), MULTICLASS)
     splits = []
     for name, count in zip(SPLIT_NAMES, cfg.docs_per_split):
-        splits.append(tuple(
-            _generate_document(f"{name}-{i:04d}", cfg, rng) for i in range(count)
-        ))
+        docs = [_generate_document(cfg, rng) for _ in range(count)]
+        splits.append(Documents(
+            vocab, [f"{name}-{i:04d}" for i in range(count)],
+            [len(texts) for texts, _ in docs],
+            [text for texts, _ in docs for text in texts],
+            [[c] for _, classes in docs for c in classes]))
     return CorpusSplit(splits[0], splits[1], splits[2], vocab)
 
 
@@ -453,18 +433,15 @@ def generate_synthetic(cfg: SynthConfig) -> CorpusSplit:
 def class_page_counts(split: CorpusSplit) -> dict[str, dict[str, int]]:
     """Pages per class per split; a multi-label page increments each of its labels."""
     names = split.vocabulary.class_names
-    return {name: dict(zip(names, gold_labels(docs, len(names)).sum(axis=0).tolist()))
+    return {name: dict(zip(names, docs.gold.sum(axis=0).tolist()))
             for name, docs in split.splits()}
 
 
-def _require_multiclass(docs: Sequence[DocumentSequence]) -> None:
-    for doc in docs:
-        for page in doc.pages:
-            if len(page.gold_labels) != 1:
-                raise CorpusError(
-                    f"page ({doc.doc_id!r}, {page.page_index}) is multi-labeled; "
-                    "run/transition statistics require multiclass labels"
-                )
+def _page_classes(docs: Documents) -> np.ndarray:
+    """The class of every page of a multiclass split."""
+    if docs.label_mode != MULTICLASS:
+        raise CorpusError("run/transition statistics require multiclass labels")
+    return docs.gold.argmax(axis=1)
 
 
 @dataclass(frozen=True)
@@ -474,29 +451,25 @@ class RunLengthStats:
     total_pages: int
 
 
-def run_length_stats(docs: Sequence[DocumentSequence]) -> dict[int, RunLengthStats]:
+def run_length_stats(docs: Documents) -> dict[int, RunLengthStats]:
     """Per-class stats over maximal runs of consecutive same-label pages.
 
     Runs never cross document boundaries.  The median of an even-length run
     set is the mean of the two middle values.
     """
-    _require_multiclass(docs)
-    runs: dict[int, list[int]] = {}
-    for doc in docs:
-        labels = [next(iter(p.gold_labels)) for p in doc.pages]
-        start = 0
-        for i in range(1, len(labels) + 1):
-            if i == len(labels) or labels[i] != labels[start]:
-                runs.setdefault(labels[start], []).append(i - start)
-                start = i
-    return {
-        c: RunLengthStats(
-            median_run=float(statistics.median(lengths)),
-            max_run=max(lengths),
-            total_pages=sum(lengths),
-        )
-        for c, lengths in sorted(runs.items())
-    }
+    classes = _page_classes(docs)
+    # a run starts on a document's first page and on every change of class
+    starts = np.ones(len(classes), dtype=bool)
+    starts[1:] = classes[1:] != classes[:-1]
+    starts[docs.offsets[:-1]] = True
+    begins = np.flatnonzero(starts)
+    lengths = np.diff(np.append(begins, len(classes)))
+    stats = {}
+    for c in np.unique(classes[begins]).tolist():
+        runs = lengths[classes[begins] == c]
+        stats[c] = RunLengthStats(median_run=float(np.median(runs)),
+                                  max_run=int(runs.max()), total_pages=int(runs.sum()))
+    return stats
 
 
 @dataclass(frozen=True)
@@ -508,17 +481,16 @@ class SelfTransitionStats:
     macro: float
 
 
-def transition_self_prob(docs: Sequence[DocumentSequence]) -> SelfTransitionStats:
+def transition_self_prob(docs: Documents) -> SelfTransitionStats:
     """P(next page has the same class) per class, over pages with a successor."""
-    _require_multiclass(docs)
-    same: dict[int, int] = {}
-    total: dict[int, int] = {}
-    for doc in docs:
-        labels = [next(iter(p.gold_labels)) for p in doc.pages]
-        for a, b in zip(labels, labels[1:]):
-            total[a] = total.get(a, 0) + 1
-            same[a] = same.get(a, 0) + (1 if a == b else 0)
-    per_class = {c: same.get(c, 0) / total[c] for c in sorted(total)}
+    classes = _page_classes(docs)
+    # every page but each document's last has a successor
+    rows = np.setdiff1d(np.arange(len(classes)), docs.offsets[1:] - 1)
+    n = docs.gold.shape[1]
+    total = np.bincount(classes[rows], minlength=n).tolist()
+    same = np.bincount(classes[rows][classes[rows + 1] == classes[rows]],
+                       minlength=n).tolist()
+    per_class = {c: same[c] / total[c] for c in range(n) if total[c]}
     if not per_class:
         raise CorpusError("no page transitions found")
     macro = sum(per_class.values()) / len(per_class)

@@ -92,9 +92,11 @@ def crf_log_likelihood_and_grad(model: CrfModel,
     emissions, mask = padded_documents(emission_seqs, model.n)
     if not np.array_equal([len(gold) for gold in gold_seqs], mask.sum(axis=1)):
         raise ValueError("gold label sequences must match the emissions in length")
+    labels = np.concatenate([np.zeros(0, dtype=np.int64), *gold_seqs])
+    if np.any((labels < 0) | (labels >= model.n)):
+        raise ValueError(f"gold labels must be class indices in 0..{model.n - 1}")
     gold = np.zeros_like(emissions)  # one-hot, zero past each document's end
-    gold[mask] = np.eye(model.n)[np.concatenate([np.zeros(0, dtype=np.int64),
-                                                 *gold_seqs])]
+    gold[mask] = np.eye(model.n)[labels]
     scaled = model.emission_scale * emissions
     width = mask.shape[1]
 

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from .corpus import MULTICLASS, DocumentSequence, TypeVocabulary
+from .corpus import MULTICLASS, Documents, TypeVocabulary
 from .recurrence import SplitTrace
 
 
@@ -148,24 +148,25 @@ class ComparisonReport:
     f1_delta: np.ndarray
 
 
-def align_traces(trace: SplitTrace, docs: Sequence[DocumentSequence]) -> np.ndarray:
+def align_traces(trace: SplitTrace, docs: Documents) -> np.ndarray:
     """The trace's decided labels, (pages x n), in gold-document page order;
     errors if the trace does not cover exactly the gold pages."""
     by_id = {doc_id: i for i, doc_id in enumerate(trace.doc_ids)}
     if len(by_id) != len(trace.doc_ids):
         raise ValueError("duplicate doc_id among traces")
-    missing = [d.doc_id for d in docs if d.doc_id not in by_id]
-    extra = set(by_id) - {d.doc_id for d in docs}
+    missing = [doc_id for doc_id in docs.doc_ids if doc_id not in by_id]
+    extra = set(by_id) - set(docs.doc_ids)
     if missing or extra:
         raise ValueError(f"trace/gold page-set mismatch: missing={missing}, "
                          f"extra={sorted(extra)}")
-    order = np.array([by_id[doc.doc_id] for doc in docs], dtype=np.int64)
-    sizes = np.diff(trace.offsets)[order]
-    for doc, size in zip(docs, sizes.tolist()):
-        if size != len(doc):
-            raise ValueError(f"trace for {doc.doc_id!r} has {size} pages, "
-                             f"gold has {len(doc)}")
-    starts = trace.offsets[order] - (np.cumsum(sizes) - sizes)
+    order = np.array([by_id[doc_id] for doc_id in docs.doc_ids], dtype=np.int64)
+    sizes, gold_sizes = np.diff(trace.offsets)[order], np.diff(docs.offsets)
+    wrong = np.flatnonzero(sizes != gold_sizes)
+    if wrong.size:
+        i = wrong[0]
+        raise ValueError(f"trace for {docs.doc_ids[i]!r} has {sizes[i]} pages, "
+                         f"gold has {gold_sizes[i]}")
+    starts = trace.offsets[order] - docs.offsets[:-1]
     return trace.labels[np.arange(sizes.sum()) + np.repeat(starts, sizes)]
 
 

@@ -23,8 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import encoder
-from .corpus import (MULTICLASS, DocumentSequence, TypeVocabulary, doc_offsets,
-                     gold_labels)
+from .corpus import MULTICLASS, Documents, TypeVocabulary
 from .encoder import CLS_ID, FIRST_ID, PAD_ID, EncoderConfig, TokenCodec, predict
 from .features import tokenize
 
@@ -72,12 +71,12 @@ class EncodedSplit:
     offsets: np.ndarray
 
 
-def page_tokens(docs: Sequence[DocumentSequence]) -> list[list[str]]:
+def page_tokens(docs: Documents) -> list[list[str]]:
     """The tokens of every page of ``docs``, in document order."""
-    return [tokenize(page.text) for doc in docs for page in doc.pages]
+    return [tokenize(text) for text in docs.texts]
 
 
-def encode_split(docs: Sequence[DocumentSequence], codec: TokenCodec,
+def encode_split(docs: Documents, codec: TokenCodec,
                  max_len: int,
                  tokens: Sequence[list[str]] | None = None) -> EncodedSplit:
     """The text ids of every page of ``docs``; ``tokens`` is
@@ -91,7 +90,7 @@ def encode_split(docs: Sequence[DocumentSequence], codec: TokenCodec,
         ids = [codec.text_token_id(tok) for tok in page[:n_text]]
         text[row, :len(ids)] = ids
         lengths[row] = len(ids)
-    return EncodedSplit(text=text, lengths=lengths, offsets=doc_offsets(docs))
+    return EncodedSplit(text=text, lengths=lengths, offsets=docs.offsets)
 
 
 def augment_input(text: np.ndarray, lengths: np.ndarray,
@@ -136,7 +135,7 @@ def row_lengths(ids: np.ndarray) -> np.ndarray:
     return np.count_nonzero(ids != PAD_ID, axis=1)
 
 
-def page_examples(docs: Sequence[DocumentSequence], teacher_forced: bool,
+def page_examples(docs: Documents, teacher_forced: bool,
                   codec: TokenCodec, max_len: int, encoded: EncodedSplit | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The input ids (pages x width) and targets of every page, in document
@@ -148,7 +147,7 @@ def page_examples(docs: Sequence[DocumentSequence], teacher_forced: bool,
     classes) 0/1 matrix (multilabel), as ``encoder.loss_and_grad`` takes them.
     """
     split = encoded or encode_split(docs, codec, max_len)
-    gold = gold_labels(docs, codec.n_classes)
+    gold = docs.gold
     first = context = None
     if teacher_forced:
         first = np.zeros(len(gold), dtype=bool)
@@ -184,7 +183,7 @@ def _score_rows(params: dict, split: EncodedSplit, rows: np.ndarray,
             params, ids[block, :lengths[block[-1]]], config, scratch)
 
 
-def infer_split(params: dict, docs: Sequence[DocumentSequence],
+def infer_split(params: dict, docs: Documents,
                 config: EncoderConfig, codec: TokenCodec, recurrent: bool,
                 encoded: EncodedSplit | None = None,
                 scratch: encoder.Scratch | None = None) -> SplitTrace:
@@ -200,7 +199,7 @@ def infer_split(params: dict, docs: Sequence[DocumentSequence],
     split = encoded or encode_split(docs, codec, config.max_len)
     if scratch is None:
         scratch = encoder.Scratch()
-    trace = SplitTrace.blank([doc.doc_id for doc in docs], split.offsets,
+    trace = SplitTrace.blank(docs.doc_ids, split.offsets,
                              codec.n_classes, recurrent)
     if not recurrent:
         _score_rows(params, split, np.arange(len(trace.scores)), None, None,

@@ -9,11 +9,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .corpus import DocumentSequence, gold_labels
+from .corpus import Documents
 from .encoder import EncoderConfig, Scratch, TokenCodec, init_params, loss_and_grad
 from .evaluation import score
 from . import recurrence
@@ -178,9 +177,9 @@ def fit_adamw(params: dict[str, np.ndarray], n_examples: int, batch_loss,
 
 
 def train_encoder(encoder_config: EncoderConfig, codec: TokenCodec,
-                  train_docs: Sequence[DocumentSequence], cfg: TrainConfig,
+                  train_docs: Documents, cfg: TrainConfig,
                   recurrent: bool,
-                  val_docs: Sequence[DocumentSequence] | None = None,
+                  val_docs: Documents | None = None,
                   encoded: EncodedSplit | None = None
                   ) -> tuple[dict, TrainReport]:
     """Train one encoder; deterministic given the two configs.
@@ -213,7 +212,7 @@ def train_encoder(encoder_config: EncoderConfig, codec: TokenCodec,
                              encoder_config, codec.type_vocab.label_mode,
                              dropout_rngs[epoch], scratch)
 
-    golds = gold_labels(val_docs, codec.n_classes) if val_docs else None
+    golds = val_docs.gold if val_docs else None
 
     def validate(epoch):
         preds = infer_split(params, val_docs, encoder_config, codec, recurrent,

@@ -1,6 +1,6 @@
 """Independent reference implementations used as test oracles, the
-test-only helpers that read the package's id rows, and the text strategy of
-the JSONL round-trip tests.
+test-only helpers that read the package's id rows and view its columnar
+splits page by page, and the text strategy of the JSONL round-trip tests.
 
 The oracles are written directly from the stated rules (brute force,
 enumeration, finite differences, textbook series) and deliberately share no
@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import unicodedata
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,6 +30,52 @@ UNICODE_TEXT = st.text(st.one_of(
     st.sampled_from(["\n", "\r", "\u2028", "\u2029", "\x85", "\x00", "!", " ",
                      "\U0001F600", "\U00010348"]),
     st.characters(exclude_categories=("Cs",))))
+
+
+# -- documents page by page ---------------------------------------------------
+
+class GoldPage(NamedTuple):
+    text: str
+    gold_labels: frozenset
+
+
+@dataclass(frozen=True)
+class GoldDoc:
+    """One document as per-page records; ``len`` is its page count."""
+
+    doc_id: str
+    pages: tuple
+
+    def __len__(self) -> int:
+        return len(self.pages)
+
+
+def split_of(docs, vocab):
+    """The columnar ``corpus.Documents`` of a list of ``GoldDoc``s."""
+    from pageseq.corpus import Documents
+
+    pages = [page for doc in docs for page in doc.pages]
+    return Documents(vocab, [doc.doc_id for doc in docs], [len(doc) for doc in docs],
+                     [page.text for page in pages],
+                     [page.gold_labels for page in pages])
+
+
+def docs_of(split) -> list[GoldDoc]:
+    """A columnar split as a list of ``GoldDoc``s."""
+    bounds = split.offsets.tolist()
+    return [GoldDoc(doc_id, tuple(
+                GoldPage(split.texts[r], frozenset(np.flatnonzero(split.gold[r]).tolist()))
+                for r in range(start, end)))
+            for doc_id, start, end in zip(split.doc_ids, bounds, bounds[1:])]
+
+
+def same_corpus(a, b) -> bool:
+    """Whether two corpora have the same vocabulary and, split by split, the
+    same doc ids, offsets, texts, label mode and gold indicator."""
+    return a.vocabulary == b.vocabulary and all(
+        x.doc_ids == y.doc_ids and x.texts == y.texts and x.label_mode == y.label_mode
+        and np.array_equal(x.offsets, y.offsets) and np.array_equal(x.gold, y.gold)
+        for (_, x), (_, y) in zip(a.splits(), b.splits()))
 
 
 # -- tokenizer ---------------------------------------------------------------

@@ -25,7 +25,6 @@ from pageseq.corpus import (
     SynthConfig,
     TypeVocabulary,
     generate_synthetic,
-    gold_labels,
     transition_self_prob,
 )
 from pageseq.crf import (
@@ -113,8 +112,7 @@ def _run_models(split, seed, with_crf):
     p_rec, _ = train_encoder(enc, codec, split.train, cfg, recurrent=True)
 
     def macro(preds):
-        return 100 * score(preds, gold_labels(split.test, N_CLASSES),
-                           split.vocabulary).macro_f1
+        return 100 * score(preds, split.test.gold, split.vocabulary).macro_f1
 
     def emissions(trace):
         return [emissions_from_logits(trace.scores[a:b])
@@ -123,7 +121,7 @@ def _run_models(split, seed, with_crf):
     crf_model = None
     if with_crf:
         em = emissions(infer_split(p_obl, split.train, enc, codec, recurrent=False))
-        golds = [[next(iter(p.gold_labels)) for p in doc.pages] for doc in split.train]
+        golds = np.split(split.train.gold.argmax(axis=1), split.train.offsets[1:-1])
         crf_model = crf_fit(em, golds, N_CLASSES, l2=0.01, tol=1e-4,
                             max_iter=500)
 
@@ -325,7 +323,7 @@ def test_criterion_6_statistics():
         cfg = SynthConfig.uniform(4, 0.85, seed=606, pages_per_doc=(200, 260),
                                   docs_per_split=(60, 1, 1))
         split = generate_synthetic(cfg)
-        assert sum(len(d) - 1 for d in split.train) > 10_000
+        assert len(split.train.texts) - len(split.train) > 10_000
         stats = transition_self_prob(split.train)
         for c in range(4):
             assert stats.per_class[c] == pytest.approx(0.85, abs=0.02)

@@ -124,6 +124,16 @@ class TestLabelCounts:
         with pytest.raises(ValueError, match="one label per page"):
             bilstm_loss_and_grad(params, batch)
 
+    @pytest.mark.parametrize("labels", [[-1, 0, 1], [0, 3, 1]],
+                             ids=["negative", "past-last"])
+    def test_labels_must_be_class_indices(self, labels):
+        """A label outside 0..n-1 is an error, not a class read from the end
+        of the class axis."""
+        params = init_bilstm(small_config())
+        x = np.random.default_rng(4).normal(0, 1, (3, 4))
+        with pytest.raises(ValueError, match="class indices"):
+            bilstm_loss_and_grad(params, [(x, labels)])
+
 
 class TestGradients:
     def test_bptt_matches_finite_differences(self):

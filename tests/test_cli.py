@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import pageseq.cli as cli
 from pageseq.cli import _config_from, main
-from pageseq.corpus import SynthConfig, doc_offsets, gold_labels, load_corpus
+from pageseq.corpus import SynthConfig, load_corpus
 from pageseq.encoder import EncoderConfig
 from pageseq.evaluation import align_traces, score
 from pageseq.features import page_vector_model_from_payload, tfidf_matrix
@@ -103,6 +103,22 @@ class TestSynth:
         out = capsys.readouterr().out
         assert "macro 1.0000" in out
 
+    def test_one_page_documents(self, tmp_path, capsys):
+        """A corpus without page transitions: synth and stats say so and
+        succeed."""
+        cfg_path = tmp_path / "synth.json"
+        cfg_path.write_text(json.dumps({
+            "n_classes": 3, "self_transition": 0.5, "pages_per_doc": [1, 1],
+            "docs_per_split": [5, 2, 2]}))
+        for argv in (["synth", "--config", str(cfg_path), "--outdir",
+                      str(tmp_path / "runs"), "--run-id", "one"],
+                     ["stats", "--manifest",
+                      str(tmp_path / "runs" / "one" / "manifest.json")]):
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert "train self-transition: no page transitions" in captured.out
+
     def test_invalid_config_exits_2(self, tmp_path):
         cfg = dict(SYNTH_CFG, self_transition=1.5)
         cfg_path = tmp_path / "bad.json"
@@ -146,7 +162,7 @@ class TestTrain:
         assert "provenance" in ckpt
         report = json.loads((outdir / "report.json").read_text())
         split = load_corpus(corpus_dir / "manifest.json")
-        n_pages = sum(len(d) for d in split.train)
+        n_pages = len(split.train.texts)
         expected_steps = 2 * ((n_pages + 15) // 16)
         assert report["total_steps"] == expected_steps
         assert len(report["step_losses"]) == expected_steps
@@ -254,7 +270,7 @@ class TestTrain:
         tfidf, projector = page_vector_model_from_payload(payload["features"])
         vectors = tfidf_matrix(page_tokens(split.test), tfidf) @ projector.basis
         params = {name: np.array(value) for name, value in payload["params"].items()}
-        offsets = doc_offsets(split.test)
+        offsets = split.test.offsets
         expected = bilstm_logits_per_document(
             params, [vectors[a:b] for a, b in zip(offsets[:-1], offsets[1:])])
         np.testing.assert_allclose(trace.scores, expected, rtol=0, atol=1e-12)
@@ -266,9 +282,8 @@ class TestTrain:
         ckpt = json.loads((outdir / "checkpoint.json").read_text())
         split = load_corpus(corpus_dir / "manifest.json")
         train_tokens = set()
-        for doc in split.train:
-            for page in doc.pages:
-                train_tokens.update(page.text.split())
+        for text in split.train.texts:
+            train_tokens.update(text.split())
         assert set(ckpt["codec"]["text_tokens"]) <= train_tokens
 
     def test_deterministic_artifacts(self, tmp_path, corpus_dir):
@@ -296,7 +311,7 @@ class TestInferEvalCompare:
                    "--split", "test", "--out", str(traces_path)])
         assert rc == 0
         split = load_corpus(corpus_dir / "manifest.json")
-        n_pages = sum(len(d) for d in split.test)
+        n_pages = len(split.test.texts)
         lines = [json.loads(l) for l in traces_path.read_text().splitlines()]
         assert "provenance" in lines[0]
         pages = [l for l in lines if "doc_id" in l]
@@ -317,9 +332,9 @@ class TestInferEvalCompare:
     def test_eval_perfect_traces_all_ones(self, trained, capsys):
         tmp_path, corpus_dir, _ = trained
         split = load_corpus(corpus_dir / "manifest.json")
-        trace = SplitTrace.blank([doc.doc_id for doc in split.test],
-                                 doc_offsets(split.test), 3, fed=False)
-        trace.labels[:] = gold_labels(split.test, 3)
+        trace = SplitTrace.blank(split.test.doc_ids, split.test.offsets, 3,
+                                 fed=False)
+        trace.labels[:] = split.test.gold
         path = tmp_path / "gold_traces.jsonl"
         write_traces(trace, path, split.vocabulary)
         capsys.readouterr()
@@ -347,7 +362,7 @@ class TestInferEvalCompare:
         split = load_corpus(corpus_dir / "manifest.json")
         trace = read_traces(traces_path, split.vocabulary)
         preds = align_traces(trace, split.test)
-        expected = score(preds, gold_labels(split.test, 3), split.vocabulary)
+        expected = score(preds, split.test.gold, split.vocabulary)
         assert report["macro_f1"] == pytest.approx(expected.macro_f1)
         assert report["weighted_f1"] == pytest.approx(expected.weighted_f1)
 
@@ -370,14 +385,14 @@ class TestInferEvalCompare:
         assert cmp["statistic"] == 0.0
         split = load_corpus(corpus_dir / "manifest.json")
         assert sum(sum(row) for row in cmp["contingency_table"]) == \
-            sum(len(d) for d in split.test)
+            len(split.test.texts)
 
     def test_crf_and_bilstm_checkpoints_infer(self, tmp_path, corpus_dir):
         outdir = run_train(tmp_path, corpus_dir, "base2",
                            baselines={"crf": True, "bilstm": True},
                            bilstm={"hidden_dim": 8, "svd_k": 6})
         split = load_corpus(corpus_dir / "manifest.json")
-        n_pages = sum(len(d) for d in split.test)
+        n_pages = len(split.test.texts)
         for ckpt in ("crf.json", "bilstm.json"):
             out = tmp_path / f"traces-{ckpt}.jsonl"
             rc = main(["infer", "--checkpoint", str(outdir / ckpt),
@@ -442,16 +457,14 @@ class TestTokenizeOnce:
         outdir = run_train(tmp_path, corpus_dir, "once",
                            baselines={"crf": True, "bilstm": True},
                            bilstm={"hidden_dim": 8, "svd_k": 6})
-        pages = [p.text for docs in (split.train, split.validation)
-                 for d in docs for p in d.pages]
+        pages = [*split.train.texts, *split.validation.texts]
         assert sorted(calls) == sorted(pages)
         for ckpt in ("checkpoint.json", "crf.json", "bilstm.json"):
             calls.clear()
             assert main(["infer", "--checkpoint", str(outdir / ckpt),
                          "--manifest", str(corpus_dir / "manifest.json"),
                          "--split", "test", "--out", str(tmp_path / "t.jsonl")]) == 0
-            assert sorted(calls) == sorted(p.text for d in split.test
-                                           for p in d.pages)
+            assert sorted(calls) == sorted(split.test.texts)
 
 
 class TestSplitsRead:
@@ -792,6 +805,23 @@ class TestBadArtifacts:
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and err[0].startswith("error: ")
             assert str(named) in err[0]
+
+    @pytest.mark.parametrize("field, value", [
+        ("classes", 5), ("classes", "ABC"), ("classes", [0, 1, 2]),
+        ("label_mode", 5), ("test", 5), ("validation", ["validation.jsonl"]),
+    ], ids=["int-classes", "string-classes", "int-class-names", "int-label-mode",
+            "int-split", "list-split"])
+    def test_manifest_field_types(self, tmp_path, corpus_dir, capsys, field, value):
+        """A manifest field of the wrong type names the field; a string of
+        class names is not read as one class per character."""
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        bad = corpus_dir / "bad.json"
+        bad.write_text(json.dumps(dict(manifest, **{field: value})))
+        capsys.readouterr()
+        assert main(["stats", "--manifest", str(bad)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"manifest field {field!r} must be" in err[0]
 
     def test_head_narrower_than_manifest_classes(self, trained):
         """A 3-column head relabelled with a 4-class codec must not infer."""

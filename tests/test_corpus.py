@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from pageseq.corpus import (
     CorpusError,
     CorpusSplit,
-    DocumentSequence,
-    PageRecord,
+    Documents,
     RunLengthStats,
     SynthConfig,
     TypeVocabulary,
@@ -24,7 +23,16 @@ from pageseq.corpus import (
     write_corpus,
 )
 
-from oracles import UNICODE_TEXT, count_self_transitions, scan_runs
+from oracles import (
+    UNICODE_TEXT,
+    GoldDoc,
+    GoldPage,
+    count_self_transitions,
+    docs_of,
+    same_corpus,
+    scan_runs,
+    split_of,
+)
 
 
 def make_doc(doc_id, labels, vocab_n=None):
@@ -32,15 +40,28 @@ def make_doc(doc_id, labels, vocab_n=None):
     pages = []
     for i, lab in enumerate(labels):
         lab = lab if isinstance(lab, (set, frozenset)) else {lab}
-        pages.append(PageRecord(doc_id, i, f"page {i} text", frozenset(lab)))
-    return DocumentSequence(doc_id, tuple(pages))
+        pages.append(GoldPage(f"page {i} text", frozenset(lab)))
+    return GoldDoc(doc_id, tuple(pages))
 
 
 def simple_split(train_docs, vocab, validation=(), test=()):
-    return CorpusSplit(tuple(train_docs), tuple(validation), tuple(test), vocab)
+    return CorpusSplit(split_of(train_docs, vocab), split_of(validation, vocab),
+                       split_of(test, vocab), vocab)
+
+
+def write_corpus_dir(tmp_path, train_lines, classes=("A", "B"), mode="multiclass"):
+    (tmp_path / "train.jsonl").write_text(
+        "".join(json.dumps(obj) + "\n" for obj in train_lines))
+    (tmp_path / "validation.jsonl").write_text("")
+    (tmp_path / "test.jsonl").write_text("")
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "classes": list(classes), "label_mode": mode,
+        "train": "train.jsonl", "validation": "validation.jsonl",
+        "test": "test.jsonl"}))
 
 
 AB = TypeVocabulary(("A", "B"))
+ABCD = TypeVocabulary(("A", "B", "C", "D"))
 
 
 class TestTypeVocabulary:
@@ -66,17 +87,24 @@ class TestTypeVocabulary:
 
 
 class TestDataModel:
-    def test_page_index_must_be_contiguous(self):
-        pages = (
-            PageRecord("d", 0, "x", frozenset({0})),
-            PageRecord("d", 2, "y", frozenset({0})),
-        )
-        with pytest.raises(CorpusError, match="page_index"):
-            DocumentSequence("d", pages)
+    def test_page_index_must_be_contiguous(self, tmp_path):
+        write_corpus_dir(tmp_path, [
+            {"doc_id": "d", "page_index": 0, "text": "x", "labels": ["A"]},
+            {"doc_id": "d", "page_index": 2, "text": "y", "labels": ["A"]},
+        ])
+        with pytest.raises(CorpusError, match=r"train\.jsonl:2: page_index"):
+            load_corpus(tmp_path / "manifest.json")
 
     def test_empty_document_rejected(self):
         with pytest.raises(CorpusError, match="empty"):
-            DocumentSequence("d", ())
+            Documents(AB, ["d"], [0], [], [])
+
+    def test_page_without_labels_rejected(self, tmp_path):
+        write_corpus_dir(tmp_path, [
+            {"doc_id": "d", "page_index": 0, "text": "x", "labels": []}])
+        with pytest.raises(CorpusError,
+                           match=r"train\.jsonl: page \('d', 0\) has no labels"):
+            load_corpus(tmp_path / "manifest.json")
 
     def test_multiclass_single_label_enforced(self):
         doc = make_doc("d", [{0, 1}])
@@ -92,7 +120,7 @@ class TestDataModel:
                              ids=["frozenset", "str", "bool", "negative", "float"])
     def test_label_must_be_class_index(self, label):
         with pytest.raises(CorpusError, match="not a class index"):
-            PageRecord("d", 0, "x", frozenset({label}))
+            Documents(AB, ["d"], [1], ["x"], [frozenset({label})])
 
     def test_duplicate_doc_ids_rejected(self):
         docs = [make_doc("d", [0]), make_doc("d", [1])]
@@ -108,31 +136,20 @@ class TestLoadWrite:
             {"doc_id": "d1", "page_index": 1, "text": "second", "labels": ["A"]},
             {"doc_id": "d1", "page_index": 2, "text": "third", "labels": ["B"]},
         ]
-        self._write_corpus_dir(tmp_path, lines)
+        write_corpus_dir(tmp_path, lines)
         split = load_corpus(tmp_path / "manifest.json")
         assert len(split.train) == 1
-        doc = split.train[0]
+        doc = docs_of(split.train)[0]
         assert len(doc) == 3
         assert [p.gold_labels for p in doc.pages] == [
             frozenset({0}), frozenset({0}), frozenset({1})]
-
-    def _write_corpus_dir(self, tmp_path, train_lines, classes=("A", "B"),
-                          mode="multiclass"):
-        (tmp_path / "train.jsonl").write_text(
-            "".join(json.dumps(obj) + "\n" for obj in train_lines))
-        (tmp_path / "validation.jsonl").write_text("")
-        (tmp_path / "test.jsonl").write_text("")
-        (tmp_path / "manifest.json").write_text(json.dumps({
-            "classes": list(classes), "label_mode": mode,
-            "train": "train.jsonl", "validation": "validation.jsonl",
-            "test": "test.jsonl"}))
 
     def test_unknown_label_reports_name_and_line(self, tmp_path):
         lines = [
             {"doc_id": "d1", "page_index": 0, "text": "x", "labels": ["A"]},
             {"doc_id": "d1", "page_index": 1, "text": "y", "labels": ["Zebra"]},
         ]
-        self._write_corpus_dir(tmp_path, lines)
+        write_corpus_dir(tmp_path, lines)
         with pytest.raises(CorpusError, match=r"train\.jsonl:2.*Zebra"):
             load_corpus(tmp_path / "manifest.json")
 
@@ -151,7 +168,7 @@ class TestLoadWrite:
 
     def test_duplicate_page_rejected(self, tmp_path):
         line = {"doc_id": "d", "page_index": 0, "text": "x", "labels": ["A"]}
-        self._write_corpus_dir(tmp_path, [line, line])
+        write_corpus_dir(tmp_path, [line, line])
         with pytest.raises(CorpusError, match="duplicate page"):
             load_corpus(tmp_path / "manifest.json")
 
@@ -160,14 +177,14 @@ class TestLoadWrite:
             {"doc_id": "d", "page_index": 1, "text": "x", "labels": ["A"]},
             {"doc_id": "d", "page_index": 0, "text": "y", "labels": ["A"]},
         ]
-        self._write_corpus_dir(tmp_path, lines)
+        write_corpus_dir(tmp_path, lines)
         with pytest.raises(CorpusError, match="page_index"):
             load_corpus(tmp_path / "manifest.json")
 
     def test_unreadable_files_are_corpus_errors(self, tmp_path):
         """A manifest or split file that cannot be read or decoded, or a
         manifest that is not an object, is a CorpusError naming the file."""
-        self._write_corpus_dir(tmp_path, [])
+        write_corpus_dir(tmp_path, [])
         manifest = tmp_path / "manifest.json"
         with pytest.raises(CorpusError, match="cannot read manifest"):
             load_corpus(tmp_path)                       # a directory
@@ -183,10 +200,9 @@ class TestLoadWrite:
 
     def test_line_separators_inside_text_round_trip(self, tmp_path):
         """Only "\\n" ends a JSONL record; U+2028 and U+0085 stay in the text."""
-        doc = DocumentSequence("d", (
-            PageRecord("d", 0, "a\u2028b\x85c\rd", frozenset({0})),))
-        split = CorpusSplit((doc,), (), (), AB)
-        assert load_corpus(write_corpus(split, tmp_path)) == split
+        doc = GoldDoc("d", (GoldPage("a\u2028b\x85c\rd", frozenset({0})),))
+        split = simple_split([doc], AB)
+        assert same_corpus(load_corpus(write_corpus(split, tmp_path)), split)
 
     @given(st.lists(st.tuples(UNICODE_TEXT,
                               st.lists(st.tuples(UNICODE_TEXT, st.integers(0, 1)),
@@ -197,12 +213,12 @@ class TestLoadWrite:
     def test_unicode_round_trip(self, docs):
         """Any surrogate-free doc ids and page texts survive a write and a
         load, in every split file."""
-        docs = tuple(DocumentSequence(doc_id, tuple(
-            PageRecord(doc_id, i, text, frozenset({c}))
-            for i, (text, c) in enumerate(pages))) for doc_id, pages in docs)
-        split = CorpusSplit(docs, docs[::-1], docs[:1], AB)
+        docs = [GoldDoc(doc_id, tuple(GoldPage(text, frozenset({c}))
+                                      for text, c in pages))
+                for doc_id, pages in docs]
+        split = simple_split(docs, AB, docs[::-1], docs[:1])
         with tempfile.TemporaryDirectory() as tmp:
-            assert load_corpus(write_corpus(split, tmp)) == split
+            assert same_corpus(load_corpus(write_corpus(split, tmp)), split)
 
     def test_round_trip_identity(self, tmp_path):
         """load_corpus . write_corpus is the identity on valid splits."""
@@ -211,7 +227,7 @@ class TestLoadWrite:
         split = generate_synthetic(cfg)
         manifest = write_corpus(split, tmp_path)
         reloaded = load_corpus(manifest)
-        assert reloaded == split
+        assert same_corpus(reloaded, split)
 
     def test_writer_is_deterministic(self, tmp_path):
         cfg = SynthConfig.uniform(2, 0.5, seed=1, docs_per_split=(3, 1, 1))
@@ -224,13 +240,13 @@ class TestLoadWrite:
 
     def test_multilabel_round_trip(self, tmp_path):
         vocab = TypeVocabulary(("A", "B", "C"), "multilabel")
-        doc = DocumentSequence("d", (
-            PageRecord("d", 0, "x", frozenset({0, 2})),
-            PageRecord("d", 1, "y", frozenset({1})),
+        doc = GoldDoc("d", (
+            GoldPage("x", frozenset({0, 2})),
+            GoldPage("y", frozenset({1})),
         ))
-        split = CorpusSplit((doc,), (), (), vocab)
+        split = simple_split([doc], vocab)
         manifest = write_corpus(split, tmp_path)
-        assert load_corpus(manifest) == split
+        assert same_corpus(load_corpus(manifest), split)
 
 
 class TestGenerateSynthetic:
@@ -242,7 +258,7 @@ class TestGenerateSynthetic:
                           docs_per_split=(10, 2, 2))
         split = generate_synthetic(cfg)
         for _, docs in split.splits():
-            for doc in docs:
+            for doc in docs_of(docs):
                 labels = {next(iter(p.gold_labels)) for p in doc.pages}
                 assert len(labels) == 1
 
@@ -253,7 +269,7 @@ class TestGenerateSynthetic:
                                   docs_per_split=(20, 2, 2))
         split = generate_synthetic(cfg)
         tokens_by_class = {}
-        for doc in split.train:
+        for doc in docs_of(split.train):
             for page in doc.pages:
                 c = next(iter(page.gold_labels))
                 tokens_by_class.setdefault(c, set()).update(page.text.split())
@@ -268,7 +284,7 @@ class TestGenerateSynthetic:
         cfg = SynthConfig.uniform(2, 0.5, seed=5, ambiguity=0.8,
                                   tokens_per_page=(5, 5), docs_per_split=(5, 1, 1))
         split = generate_synthetic(cfg)
-        for doc in split.train:
+        for doc in docs_of(split.train):
             for page in doc.pages:
                 toks = page.text.split()
                 assert len(toks) == 5
@@ -276,12 +292,12 @@ class TestGenerateSynthetic:
 
     def test_same_seed_same_corpus(self):
         cfg = SynthConfig.uniform(3, 0.7, seed=42, docs_per_split=(5, 2, 2))
-        assert generate_synthetic(cfg) == generate_synthetic(cfg)
+        assert same_corpus(generate_synthetic(cfg), generate_synthetic(cfg))
 
     def test_different_seed_differs(self):
         a = generate_synthetic(SynthConfig.uniform(3, 0.7, seed=1))
         b = generate_synthetic(SynthConfig.uniform(3, 0.7, seed=2))
-        assert a != b
+        assert not same_corpus(a, b)
 
     def test_self_transition_matches_config(self):
         """Empirical per-class self-transition within +-0.02 of the configured
@@ -289,7 +305,7 @@ class TestGenerateSynthetic:
         cfg = SynthConfig.uniform(4, 0.85, seed=9, pages_per_doc=(200, 260),
                                   docs_per_split=(60, 1, 1))
         split = generate_synthetic(cfg)
-        total_pages = sum(len(d) for d in split.train)
+        total_pages = len(split.train.texts)
         assert total_pages > 10_000
         stats = transition_self_prob(split.train)
         for c in range(4):
@@ -313,11 +329,9 @@ class TestClassPageCounts:
         vocab = TypeVocabulary(("Caption", "Body"))
 
         def block(split_name, n_caption):
-            pages = [PageRecord(f"{split_name}-doc", i, "t", frozenset({0}))
-                     for i in range(n_caption)]
-            pages.append(PageRecord(f"{split_name}-doc", n_caption, "t",
-                                    frozenset({1})))
-            return (DocumentSequence(f"{split_name}-doc", tuple(pages)),)
+            pages = [GoldPage("t", frozenset({0})) for i in range(n_caption)]
+            pages.append(GoldPage("t", frozenset({1})))
+            return split_of([GoldDoc(f"{split_name}-doc", tuple(pages))], vocab)
 
         split = CorpusSplit(block("train", 772), block("validation", 90),
                             block("test", 103), vocab)
@@ -350,34 +364,35 @@ class TestRunLengthStats:
             labels.extend([0, 1])
         labels.extend([0] * 5)
         doc = make_doc("d", labels)
-        stats = run_length_stats([doc])
+        stats = run_length_stats(split_of([doc], AB))
         assert stats[0] == RunLengthStats(median_run=1.0, max_run=5, total_pages=273)
 
     def test_hand_countable(self):
         """A,A,B,A: class-A runs {2,1} -> median 1.5, max 2, total 3."""
         doc = make_doc("d", [0, 0, 1, 0])
-        stats = run_length_stats([doc])
+        stats = run_length_stats(split_of([doc], AB))
         assert stats[0] == RunLengthStats(median_run=1.5, max_run=2, total_pages=3)
         assert stats[1] == RunLengthStats(median_run=1.0, max_run=1, total_pages=1)
 
     def test_matches_brute_force_scanner(self):
+        """Random documents, one-page documents alone, and an empty split."""
         rng = np.random.default_rng(123)
-        docs, label_seqs = [], []
-        for d in range(30):
-            labels = rng.integers(0, 3, size=rng.integers(1, 20)).tolist()
-            docs.append(make_doc(f"d{d}", labels))
-            label_seqs.append(labels)
-        stats = run_length_stats(docs)
-        expected = scan_runs(label_seqs)
-        assert set(stats) == set(expected)
-        for c, lengths in expected.items():
-            assert stats[c].max_run == max(lengths)
-            assert stats[c].total_pages == sum(lengths)
-            assert stats[c].median_run == float(np.median(lengths))
+        random_seqs = [rng.integers(0, 3, size=rng.integers(1, 20)).tolist()
+                       for _ in range(30)]
+        one_page = [[int(c)] for c in rng.integers(0, 3, size=7)]
+        for label_seqs in (random_seqs, one_page, []):
+            docs = [make_doc(f"d{d}", labels) for d, labels in enumerate(label_seqs)]
+            stats = run_length_stats(split_of(docs, ABCD))
+            expected = scan_runs(label_seqs)
+            assert set(stats) == set(expected)
+            for c, lengths in expected.items():
+                assert stats[c].max_run == max(lengths)
+                assert stats[c].total_pages == sum(lengths)
+                assert stats[c].median_run == float(np.median(lengths))
 
     def test_runs_do_not_cross_documents(self):
         docs = [make_doc("d1", [0, 0]), make_doc("d2", [0])]
-        stats = run_length_stats(docs)
+        stats = run_length_stats(split_of(docs, AB))
         assert stats[0].max_run == 2
         assert stats[0].total_pages == 3
 
@@ -393,7 +408,7 @@ class TestRunLengthStats:
         vocab = TypeVocabulary(("A", "B"), "multilabel")
         doc = make_doc("d", [{0, 1}, {0}])
         with pytest.raises(CorpusError, match="multiclass"):
-            run_length_stats([doc])
+            run_length_stats(split_of([doc], vocab))
 
 
 class TestTransitionSelfProb:
@@ -405,15 +420,16 @@ class TestTransitionSelfProb:
         labels.extend([0] * 235 + [1])
         assert labels.count(0) == 10_000
         doc = make_doc("d", labels)
-        stats = transition_self_prob([doc])
+        stats = transition_self_prob(split_of([doc], AB))
         assert stats.per_class[0] == pytest.approx(0.8914, abs=1e-12)
 
     def test_all_same(self):
-        assert transition_self_prob([make_doc("d", [0, 0, 0])]).per_class[0] == 1.0
+        assert transition_self_prob(
+            split_of([make_doc("d", [0, 0, 0])], AB)).per_class[0] == 1.0
 
     def test_class_without_successors_excluded(self):
         # B only appears as the final page: undefined, excluded from macro.
-        stats = transition_self_prob([make_doc("d", [0, 0, 1])])
+        stats = transition_self_prob(split_of([make_doc("d", [0, 0, 1])], AB))
         assert 1 not in stats.per_class
         assert stats.per_class[0] == 0.5  # successors: 0->0 (same), 0->1
         assert stats.macro == 0.5
@@ -429,17 +445,26 @@ class TestTransitionSelfProb:
         assert stats.macro == 1.0
 
     def test_matches_brute_force_counts(self):
+        """Random documents with one-page documents among them, one-page
+        documents alone and an empty split; the last two have no
+        transitions."""
         rng = np.random.default_rng(99)
-        docs, seqs = [], []
-        for d in range(20):
-            labels = rng.integers(0, 4, size=rng.integers(2, 15)).tolist()
-            docs.append(make_doc(f"d{d}", labels))
-            seqs.append(labels)
-        stats = transition_self_prob(docs)
-        expected = count_self_transitions(seqs)
-        for c, (same, total) in expected.items():
-            assert stats.per_class[c] == pytest.approx(same / total)
-        assert set(stats.per_class) == set(expected)
+        seqs = [rng.integers(0, 4, size=rng.integers(2, 15)).tolist()
+                for _ in range(20)]
+        one_page = [[int(c)] for c in rng.integers(0, 4, size=6)]
+        mixed = one_page[:2] + seqs[:10] + one_page[2:4] + seqs[10:] + one_page[4:]
+        for label_seqs in (mixed, one_page, []):
+            docs = split_of([make_doc(f"d{d}", labels)
+                             for d, labels in enumerate(label_seqs)], ABCD)
+            expected = count_self_transitions(label_seqs)
+            if not expected:
+                with pytest.raises(CorpusError, match="no page transitions"):
+                    transition_self_prob(docs)
+                continue
+            stats = transition_self_prob(docs)
+            for c, (same, total) in expected.items():
+                assert stats.per_class[c] == pytest.approx(same / total)
+            assert set(stats.per_class) == set(expected)
 
     def test_values_in_unit_interval(self):
         cfg = SynthConfig.uniform(3, 0.3, seed=21, docs_per_split=(10, 1, 1))

@@ -266,6 +266,15 @@ class TestBatch:
         with pytest.raises(ValueError, match="in length"):
             crf_log_likelihood_and_grad(model, [np.zeros((3, 2))], [[0, 1]])
 
+    @pytest.mark.parametrize("labels", [[-1, 0, 1], [0, 3, 1]],
+                             ids=["negative", "past-last"])
+    def test_labels_must_be_class_indices(self, labels):
+        """A label outside 0..n-1 is an error, not a class read from the end
+        of the class axis."""
+        model = random_model(3, np.random.default_rng(6))
+        with pytest.raises(ValueError, match="class indices"):
+            crf_log_likelihood_and_grad(model, [np.zeros((3, 3))], [labels])
+
 
 class TestFit:
     def test_repeating_labels_learn_dominant_diagonal(self):

@@ -4,7 +4,7 @@ and the McNemar-Bowker symmetry test."""
 import numpy as np
 import pytest
 
-from pageseq.corpus import DocumentSequence, PageRecord, TypeVocabulary, gold_labels
+from pageseq.corpus import TypeVocabulary
 from pageseq.evaluation import (
     aggregate_f1,
     align_traces,
@@ -18,7 +18,7 @@ from pageseq.evaluation import (
 )
 from pageseq.recurrence import SplitTrace
 
-from oracles import naive_prf, reference_chi2_sf
+from oracles import GoldDoc, GoldPage, naive_prf, reference_chi2_sf, split_of
 
 # Published per-class F1 percentages and test-set supports of a six-class
 # page-type benchmark; the aggregates below are the reported table values.
@@ -197,14 +197,13 @@ def trace_of(docs_labels, n=3):
 
 
 def gold_doc(doc_id, labels):
-    pages = tuple(PageRecord(doc_id, i, "t", frozenset({c}))
-                  for i, c in enumerate(labels))
-    return DocumentSequence(doc_id, pages)
+    return GoldDoc(doc_id, tuple(GoldPage("t", frozenset({c})) for c in labels))
 
 
 def compare(trace_a, trace_b, docs, vocab):
-    return compare_traces(align_traces(trace_a, docs), align_traces(trace_b, docs),
-                          gold_labels(docs, vocab.n), vocab)
+    gold = split_of(docs, vocab)
+    return compare_traces(align_traces(trace_a, gold), align_traces(trace_b, gold),
+                          gold.gold, vocab)
 
 
 class TestCompareTraces:
@@ -250,7 +249,7 @@ class TestCompareTraces:
     def test_align_follows_gold_document_order(self):
         docs = [gold_doc("x", [0]), gold_doc("y", [1, 2, 0]), gold_doc("z", [2, 2])]
         trace = trace_of([("z", [1, 0]), ("x", [2]), ("y", [0, 1, 2])])
-        np.testing.assert_array_equal(align_traces(trace, docs),
+        np.testing.assert_array_equal(align_traces(trace, split_of(docs, self.VOCAB)),
                                       indicator([2, 0, 1, 2, 1, 0], 3))
 
     def test_multilabel_uses_flattened_binary_table(self):

@@ -11,13 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pageseq.encoder as encoder
-from pageseq.corpus import (
-    MULTICLASS,
-    MULTILABEL,
-    DocumentSequence,
-    PageRecord,
-    TypeVocabulary,
-)
+from pageseq.corpus import MULTICLASS, MULTILABEL, TypeVocabulary
 from pageseq.encoder import (
     EncoderConfig,
     TokenCodec,
@@ -38,7 +32,7 @@ import pageseq.training as training
 from pageseq.training import TrainConfig, train_encoder
 
 import oracles
-from oracles import FIRST_PAGE, UNICODE_TEXT
+from oracles import FIRST_PAGE, UNICODE_TEXT, GoldDoc, GoldPage
 
 BRIEFS = TypeVocabulary(("Caption", "Body", "Signature"))
 
@@ -49,15 +43,19 @@ def briefs_codec():
 
 def make_doc(doc_id, texts_and_labels):
     pages = tuple(
-        PageRecord(doc_id, i, text, frozenset(lab if isinstance(lab, set) else {lab}))
-        for i, (text, lab) in enumerate(texts_and_labels)
+        GoldPage(text, frozenset(lab if isinstance(lab, set) else {lab}))
+        for text, lab in texts_and_labels
     )
-    return DocumentSequence(doc_id, pages)
+    return GoldDoc(doc_id, pages)
+
+
+def split_of(docs, vocab=BRIEFS):
+    return oracles.split_of(docs, vocab)
 
 
 def augment(context, text, codec, max_len):
     """The batched augment_input on one page: its id row."""
-    split = encode_split([make_doc("d", [(text, 0)])], codec, max_len)
+    split = encode_split(split_of([make_doc("d", [(text, 0)])]), codec, max_len)
     (row,) = augment_input(split.text, split.lengths,
                            *oracles.context_arrays([context], codec.n_classes),
                            codec, max_len)
@@ -73,13 +71,13 @@ def reference_row(context, text, codec, max_len):
 def infer_document(params, doc, config, codec):
     """The per-page records of a lone document's recurrent trace."""
     ((_, pages),) = oracles.trace_pages(
-        infer_split(params, [doc], config, codec, recurrent=True))
+        infer_split(params, split_of([doc]), config, codec, recurrent=True))
     return pages
 
 
 def infer_context_oblivious(params, doc, config, codec):
     ((_, pages),) = oracles.trace_pages(
-        infer_split(params, [doc], config, codec, recurrent=False))
+        infer_split(params, split_of([doc]), config, codec, recurrent=False))
     return pages
 
 
@@ -183,7 +181,7 @@ class TestTeacherForcedBatches:
         """Doc with gold A,B -> examples (FIRST_PAGE, A), ({A}, B)."""
         codec = briefs_codec()
         doc = make_doc("d", [("brief", 0), ("signed", 1)])
-        ids, targets = page_examples([doc], True, codec, 8)
+        ids, targets = page_examples(split_of([doc]), True, codec, 8)
         assert len(ids) == 2
         assert oracles.decode(codec, ids[0])[1] == "[-1]"
         assert targets[0] == 0
@@ -196,7 +194,7 @@ class TestTeacherForcedBatches:
         codec = briefs_codec()
         docs = [make_doc(f"d{i}", [("page", 0)] * 10) for i in range(10)]
         train_encoder(EncoderConfig(variant="linear", d=4, max_len=8), codec,
-                      docs, TrainConfig(epochs=1, batch_size=32),
+                      split_of(docs), TrainConfig(epochs=1, batch_size=32),
                       recurrent=True)
         assert [len(ids) for ids, _ in batches] == [32, 32, 32, 4]
 
@@ -209,7 +207,7 @@ class TestTeacherForcedBatches:
             make_doc(f"d{i}", [("page", int(c)) for c in rng.integers(0, 3, size=6)])
             for i in range(4)
         ]
-        ids, targets = page_examples(docs, True, codec, 8)
+        ids, targets = page_examples(split_of(docs), True, codec, 8)
         idx = 0
         for doc in docs:
             for t in range(len(doc.pages)):
@@ -228,7 +226,7 @@ class TestTeacherForcedBatches:
         docs = [make_doc(f"d{i}", [("page", 0)] * 5) for i in range(6)]
         for _ in range(2):
             train_encoder(EncoderConfig(variant="linear", d=4, max_len=8), codec,
-                          docs, TrainConfig(epochs=2, batch_size=4, seed=3),
+                          split_of(docs), TrainConfig(epochs=2, batch_size=4, seed=3),
                           recurrent=True)
         first, second = batches[:len(batches) // 2], batches[len(batches) // 2:]
         for (ix, tx), (iy, ty) in zip(first, second):
@@ -238,7 +236,7 @@ class TestTeacherForcedBatches:
     def test_plain_batches_carry_no_context_tokens(self):
         codec = briefs_codec()
         docs = [make_doc("d", [("brief", 0), ("page", 1)])]
-        ids, _ = page_examples(docs, False, codec, 8)
+        ids, _ = page_examples(split_of(docs), False, codec, 8)
         assert len(ids) == 2
         for row in ids:
             decoded = oracles.decode(codec, row)
@@ -311,7 +309,7 @@ class TestAugmentInputProperties:
     def test_rows_equal_per_page_oracle(self, case):
         codec, docs, contexts, max_len, block = case
         texts = [page.text for doc in docs for page in doc.pages]
-        split = encode_split(docs, codec, max_len)
+        split = encode_split(split_of(docs, codec.type_vocab), codec, max_len)
         fed = [contexts[r] for r in block]
         arrays = oracles.context_arrays(fed, codec.n_classes)
         if max_len < 1 + max(map(context_size, fed)):
@@ -346,7 +344,8 @@ class TestAugmentInputProperties:
             return real(params, ids, targets, *args)
 
         with mock.patch.object(training, "loss_and_grad", recording):
-            train_encoder(config, codec, docs, cfg, teacher_forced)
+            train_encoder(config, codec, split_of(docs, codec.type_vocab), cfg,
+                          teacher_forced)
 
         examples = []
         for doc in docs:
@@ -542,8 +541,8 @@ class TestLockstep:
         codec, config = briefs_codec(), VARIANTS[variant]
         params = random_params(config, codec, 3)
         docs = ragged_split(RAGGED, 4)
-        traces = oracles.trace_pages(infer_split(params, docs, config, codec,
-                                                 recurrent))
+        traces = oracles.trace_pages(infer_split(params, split_of(docs), config,
+                                                 codec, recurrent))
         expected = reference_traces(params, docs, config, codec, recurrent)
         assert [doc_id for doc_id, _ in traces] == [d.doc_id for d in docs]
         seen = set()
@@ -563,13 +562,13 @@ class TestLockstep:
         params = random_params(config, codec, 7)
         docs = ragged_split(RAGGED, 6)
         (_, before), *_ = oracles.trace_pages(
-            infer_split(params, docs, config, codec, True))
+            infer_split(params, split_of(docs), config, codec, True))
         t = 2
         pages = [(p.text, 0) for p in docs[0].pages]
         pages[t + 1] = ("signed signed appellant page of", 0)
         edited = [make_doc("d0", pages)] + docs[1:]
         (_, after), *_ = oracles.trace_pages(
-            infer_split(params, edited, config, codec, True))
+            infer_split(params, split_of(edited), config, codec, True))
         for p_before, p_after in zip(before[:t + 1], after):
             np.testing.assert_array_equal(p_before.scores, p_after.scores)
             assert p_before.labels == p_after.labels
@@ -580,10 +579,10 @@ class TestLockstep:
         codec, config = briefs_codec(), VARIANTS[variant]
         params = random_params(config, codec, 3)
         docs = ragged_split(RAGGED, 8)
-        together = oracles.trace_pages(infer_split(params, docs, config, codec,
-                                                   True))
-        subset = oracles.trace_pages(infer_split(params, docs[1::3], config,
-                                                 codec, True))
+        together = oracles.trace_pages(infer_split(params, split_of(docs), config,
+                                                   codec, True))
+        subset = oracles.trace_pages(infer_split(params, split_of(docs[1::3]),
+                                                 config, codec, True))
         for (_, alone), (_, pages) in zip(subset, together[1::3]):
             assert [p.labels for p in alone] == [p.labels for p in pages]
             assert [p.context for p in alone] == [p.context for p in pages]
@@ -602,7 +601,7 @@ class TestLockstep:
         calls = count_forward_batch_rows(monkeypatch)
         codec, config = briefs_codec(), VARIANTS["linear"]
         params = init_params(config, codec)
-        infer_split(params, ragged_split(lengths, 9), config, codec,
+        infer_split(params, split_of(ragged_split(lengths, 9)), config, codec,
                     recurrent=True)
         assert calls == rows
 
@@ -610,14 +609,14 @@ class TestLockstep:
         calls = count_forward_batch_rows(monkeypatch)
         codec, config = briefs_codec(), VARIANTS["linear"]
         params = init_params(config, codec)
-        infer_split(params, ragged_split(RAGGED, 10), config, codec,
+        infer_split(params, split_of(ragged_split(RAGGED, 10)), config, codec,
                     recurrent=False)
         assert calls == [32, 24]
 
     def test_empty_split(self):
         codec, config = briefs_codec(), VARIANTS["linear"]
         params = init_params(config, codec)
-        trace = infer_split(params, [], config, codec, True)
+        trace = infer_split(params, split_of([]), config, codec, True)
         assert trace.doc_ids == [] and trace.scores.shape == (0, BRIEFS.n)
 
 
@@ -673,7 +672,7 @@ class TestTraceFiles:
         params = init_params(config, codec)
         docs = [make_doc("d1", [("brief", 0), ("page", 1)]),
                 make_doc("d2", [("signed", 2)])]
-        trace = infer_split(params, docs, config, codec, recurrent=True)
+        trace = infer_split(params, split_of(docs), config, codec, recurrent=True)
         path = tmp_path / "traces.jsonl"
         write_traces(trace, path, BRIEFS, provenance={"seed": 0})
         loaded = read_traces(path, BRIEFS)
@@ -728,7 +727,7 @@ class TestTraceFiles:
         config = EncoderConfig(variant="linear", d=4, max_len=8)
         params = init_params(config, codec)
         doc = make_doc("d", [("brief", 0), ("page", 1)])
-        trace = infer_split(params, [doc], config, codec, recurrent=True)
+        trace = infer_split(params, split_of([doc]), config, codec, recurrent=True)
         path = tmp_path / "t.jsonl"
         write_traces(trace, path, BRIEFS)
         first_line = path.read_text().splitlines()[0]

@@ -114,7 +114,7 @@ class TestTrainEncoder:
         codec = codec_for(split)
         enc = EncoderConfig(variant="linear", d=8, max_len=12)
         cfg = TrainConfig(epochs=2, batch_size=32, peak_lr=0.01, seed=1)
-        n_pages = sum(len(d) for d in split.train)
+        n_pages = len(split.train.texts)
         _, report = train_encoder(enc, codec, split.train, cfg,
                                   recurrent=False)
         expected = 2 * ((n_pages + 31) // 32)
