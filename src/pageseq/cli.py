@@ -380,13 +380,16 @@ def cmd_train(args) -> int:
                              recurrent=False, encoded=train_encoded).scores
         emission_seqs = [emissions_from_logits(lg)
                          for lg in _doc_rows(logits, train_encoded.offsets)]
-        crf_model = crf_fit(emission_seqs, golds, split.vocabulary.n, l2=l2)
+        fit = crf_fit(emission_seqs, golds, split.vocabulary.n, l2=l2)
         crf_payload = {
             "kind": "crf",
             "l2": l2,
-            "transition": crf_model.transition.tolist(),
-            "start": crf_model.start.tolist(),
-            "emission_scale": crf_model.emission_scale,
+            "transition": fit.model.transition.tolist(),
+            "start": fit.model.start.tolist(),
+            "emission_scale": fit.model.emission_scale,
+            "converged": fit.converged,
+            "iterations": fit.iterations,
+            "projected_gradient_max": fit.projected_gradient_max,
             "encoder": ckpt,
             "provenance": provenance,
         }

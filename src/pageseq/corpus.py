@@ -14,6 +14,8 @@ page per line:
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
@@ -265,29 +267,37 @@ def load_corpus(path: Path | str,
     return CorpusSplit(read["train"], read["validation"], read["test"], vocab)
 
 
+# the string encoder of json.dumps(..., ensure_ascii=False), built once
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def write_corpus(split: CorpusSplit, directory: Path | str,
                  provenance: Mapping | None = None) -> Path:
     """Write the three JSONL split files plus a manifest; returns the manifest path.
 
-    Writer is deterministic: keys sorted, docs and pages in corpus order.
+    Writer is deterministic: docs and pages in corpus order, and each page
+    line is the bytes ``json.dumps(page, sort_keys=True, ensure_ascii=False)``
+    gives, built from pieces encoded once: the doc id per document, the label
+    list per distinct gold row, the text per page.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = split.vocabulary.class_names
+    encode = _ENCODER.encode
+    quoted = [encode(name) for name in split.vocabulary.class_names]
     for name, docs in split.splits():
+        rows = list(map(tuple, docs.gold.tolist()))
+        # the label list as json.dumps writes it, once per distinct gold row
+        label_lists = {row: "[" + ", ".join(q for q, on in zip(quoted, row) if on) + "]"
+                       for row in set(rows)}
+        labels = [label_lists[row] for row in rows]
+        texts, bounds = docs.texts, docs.offsets.tolist()
         lines = []
-        for doc_id, start, end in zip(docs.doc_ids, docs.offsets.tolist(),
-                                      docs.offsets[1:].tolist()):
+        for doc_id, start, end in zip(docs.doc_ids, bounds, bounds[1:]):
+            head = '{"doc_id": ' + encode(doc_id) + ', "labels": '
             for t, row in enumerate(range(start, end)):
-                lines.append(json.dumps({
-                    "doc_id": doc_id,
-                    "labels": [names[c] for c in np.flatnonzero(docs.gold[row])],
-                    "page_index": t,
-                    "text": docs.texts[row],
-                }, sort_keys=True, ensure_ascii=False))
-        (directory / f"{name}.jsonl").write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8"
-        )
+                lines.append(f'{head}{labels[row]}, "page_index": {t}, '
+                             f'"text": {encode(texts[row])}}}\n')
+        (directory / f"{name}.jsonl").write_text("".join(lines), encoding="utf-8")
     manifest = {
         "classes": list(split.vocabulary.class_names),
         "label_mode": split.vocabulary.label_mode,
@@ -307,6 +317,10 @@ def write_corpus(split: CorpusSplit, directory: Path | str,
 # ---------------------------------------------------------------------------
 # Synthetic generation
 # ---------------------------------------------------------------------------
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -340,31 +354,34 @@ class SynthConfig:
             tuple(float(x) for x in self.start_distribution),
         )
         n = self.n_classes
+        if not _is_int(n):
+            raise CorpusError("n_classes must be an integer")
         if n < 2:
             raise CorpusError("n_classes must be >= 2")
         if len(self.transition_matrix) != n or any(len(r) != n for r in self.transition_matrix):
             raise CorpusError("transition_matrix must be n x n")
-        for i, row in enumerate(self.transition_matrix):
-            if any(p < 0 for p in row) or abs(sum(row) - 1.0) > 1e-9:
-                raise CorpusError(f"transition_matrix row {i} is not stochastic")
         if len(self.start_distribution) != n:
             raise CorpusError("start_distribution must have length n")
-        if any(p < 0 for p in self.start_distribution) or \
-                abs(sum(self.start_distribution) - 1.0) > 1e-9:
-            raise CorpusError("start_distribution is not stochastic")
+        for what, dist in [*((f"transition_matrix row {i}", row)
+                             for i, row in enumerate(self.transition_matrix)),
+                           ("start_distribution", self.start_distribution)]:
+            if not all(math.isfinite(p) for p in dist):
+                raise CorpusError(f"{what} has a non-finite entry")
+            if any(p < 0 for p in dist) or abs(sum(dist) - 1.0) > 1e-9:
+                raise CorpusError(f"{what} is not stochastic")
         if not 0.0 <= self.ambiguity <= 1.0:
             raise CorpusError("ambiguity must be in [0, 1]")
         for field_name, size in (("pages_per_doc", 2), ("tokens_per_page", 2),
                                  ("docs_per_split", 3)):
             value = getattr(self, field_name)
-            if len(value) != size or not all(
-                    isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-                    for x in value):
+            if len(value) != size or not all(_is_int(x) for x in value):
                 raise CorpusError(f"{field_name} must be {size} integers")
             if size == 2 and not 1 <= value[0] <= value[1]:
                 raise CorpusError(f"invalid {field_name} range {tuple(value)}")
-        if self.class_vocab_size < 1 or self.shared_vocab_size < 1:
-            raise CorpusError("vocab sizes must be >= 1")
+        for field_name in ("class_vocab_size", "shared_vocab_size"):
+            value = getattr(self, field_name)
+            if not _is_int(value) or value < 1:
+                raise CorpusError(f"{field_name} must be an integer >= 1")
         if any(d < 1 for d in self.docs_per_split):
             raise CorpusError("docs_per_split entries must be >= 1")
 
@@ -383,45 +400,69 @@ class SynthConfig:
         return cls(n_classes, matrix, start, seed=seed, **kwargs)
 
 
-def _generate_document(cfg: SynthConfig, rng: np.random.Generator
-                       ) -> tuple[list[str], list[int]]:
-    """The page texts and page classes of one document."""
-    trans = np.asarray(cfg.transition_matrix)
-    start = np.asarray(cfg.start_distribution)
-    lo, hi = cfg.pages_per_doc
-    length = int(rng.integers(lo, hi + 1))
-    texts, classes = [], []
-    cls_idx = int(rng.choice(cfg.n_classes, p=start))
-    for t in range(length):
-        if t > 0:
-            cls_idx = int(rng.choice(cfg.n_classes, p=trans[cls_idx]))
-        t_lo, t_hi = cfg.tokens_per_page
-        n_tokens = int(rng.integers(t_lo, t_hi + 1))
-        n_shared = int(cfg.ambiguity * n_tokens + 0.5)
-        tokens = [
-            f"sh_w{k}" for k in rng.integers(0, cfg.shared_vocab_size, size=n_shared)
-        ] + [
-            f"c{cls_idx}_w{k}"
-            for k in rng.integers(0, cfg.class_vocab_size, size=n_tokens - n_shared)
-        ]
-        order = rng.permutation(n_tokens)
-        texts.append(" ".join(tokens[i] for i in order))
-        classes.append(cls_idx)
-    return texts, classes
+def _cdf(p: Sequence[float]) -> list[float]:
+    """The cumulative distribution ``Generator.choice(n, p=p)`` draws from:
+    ``p.cumsum()`` divided by its last element.  ``bisect_right(cdf, u)``
+    of a uniform ``u`` is then the class ``choice`` picks for that ``u``."""
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+class _Tokens(dict):
+    """Token strings by id, each formatted on its first lookup."""
+
+    def __init__(self, prefix: str):
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, k: int) -> str:
+        token = self[k] = f"{self.prefix}{k}"
+        return token
 
 
 def generate_synthetic(cfg: SynthConfig) -> CorpusSplit:
-    """Generate a multiclass corpus; a pure function of the config (seed included)."""
+    """Generate a multiclass corpus; a pure function of the config (seed included).
+
+    One generator seeded with ``cfg.seed`` makes the train, validation and
+    test documents in turn.  Each document draws its page count, then each
+    page draws, in this order: its class (from ``start_distribution`` on the
+    first page, else from the previous class's ``transition_matrix`` row),
+    its token count, the shared-pool token ids, the class-pool token ids,
+    and the permutation that interleaves them.  That order and the seed fix
+    the corpus bytes.
+    """
     rng = np.random.default_rng(cfg.seed)
+    integers, uniform, permutation = rng.integers, rng.random, rng.permutation
+    start = _cdf(cfg.start_distribution)
+    successor = [_cdf(row) for row in cfg.transition_matrix]
+    shared = _Tokens("sh_w")
+    own = [_Tokens(f"c{c}_w") for c in range(cfg.n_classes)]
+    lo, hi = cfg.pages_per_doc
+    t_lo, t_hi = cfg.tokens_per_page
     vocab = TypeVocabulary(tuple(f"c{i}" for i in range(cfg.n_classes)), MULTICLASS)
     splits = []
     for name, count in zip(SPLIT_NAMES, cfg.docs_per_split):
-        docs = [_generate_document(cfg, rng) for _ in range(count)]
-        splits.append(Documents(
-            vocab, [f"{name}-{i:04d}" for i in range(count)],
-            [len(texts) for texts, _ in docs],
-            [text for texts, _ in docs for text in texts],
-            [[c] for _, classes in docs for c in classes]))
+        sizes, texts, labels = [], [], []
+        for _ in range(count):
+            length = int(integers(lo, hi + 1))
+            cdf = start
+            for _ in range(length):
+                c = bisect_right(cdf, uniform())
+                cdf = successor[c]
+                n_tokens = int(integers(t_lo, t_hi + 1))
+                n_shared = int(cfg.ambiguity * n_tokens + 0.5)
+                pool = own[c]
+                tokens = [shared[k] for k in integers(
+                    0, cfg.shared_vocab_size, size=n_shared).tolist()]
+                tokens += [pool[k] for k in integers(
+                    0, cfg.class_vocab_size, size=n_tokens - n_shared).tolist()]
+                texts.append(" ".join([tokens[i] for i in
+                                       permutation(n_tokens).tolist()]))
+                labels.append((c,))
+            sizes.append(length)
+        splits.append(Documents(vocab, [f"{name}-{i:04d}" for i in range(count)],
+                                sizes, texts, labels))
     return CorpusSplit(splits[0], splits[1], splits[2], vocab)
 
 

@@ -51,6 +51,18 @@ class CrfModel:
         return self.start.shape[0]
 
 
+@dataclass(frozen=True, eq=False)
+class CrfFit:
+    """A fitted CRF and how its L-BFGS-B run ended: whether it converged,
+    how many iterations it took, and the max-norm of the projected gradient
+    at the returned parameters, the quantity the fit's ``tol`` bounds."""
+
+    model: CrfModel
+    converged: bool
+    iterations: int
+    projected_gradient_max: float
+
+
 def emissions_from_logits(logits: np.ndarray) -> np.ndarray:
     """Log-softmax emissions from frozen per-page score vectors (l x n)."""
     return log_softmax(np.asarray(logits, dtype=np.float64), axis=-1)
@@ -142,14 +154,15 @@ def crf_fit(emission_seqs: Sequence[np.ndarray],
             n_classes: int,
             l2: float = 0.0,
             tol: float = 1e-6,
-            max_iter: int = 1000) -> CrfModel:
+            max_iter: int = 1000) -> CrfFit:
     """Maximize the regularized log-likelihood with L-BFGS-B (Liu & Nocedal,
     1989), starting from zero scores and an emission scale of 1.
 
     The objective is concave, so its negation is minimized.  The emission
     scale is bounded below by a small positive floor.  The fit converges when
     the projected gradient's max-norm falls under ``tol``; otherwise a
-    non-convergence warning is emitted and the last iterate returned.
+    non-convergence warning is emitted and the last iterate returned.  The
+    model comes back in a ``CrfFit`` that also says how the run ended.
     Concavity needs ``l2 >= 0``; any other ``l2`` is a ValueError.
     """
     check_l2(l2)
@@ -174,4 +187,11 @@ def crf_fit(emission_seqs: Sequence[np.ndarray],
     if not result.success:
         warnings.warn(f"CRF fit did not converge in {result.nit} iterations "
                       f"({result.message})")
-    return unpack(result.x)
+    # L-BFGS-B's projected gradient: a descent step the scale's floor blocks
+    # shrinks to the distance left to that floor
+    projected = result.jac.copy()
+    if projected[-1] > 0:
+        projected[-1] = min(projected[-1], result.x[-1] - _SCALE_FLOOR)
+    return CrfFit(unpack(result.x), converged=bool(result.success),
+                  iterations=int(result.nit),
+                  projected_gradient_max=float(np.abs(projected).max()))

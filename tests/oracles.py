@@ -4,7 +4,10 @@ splits page by page, and the text strategy of the JSONL round-trip tests.
 
 The oracles are written directly from the stated rules (brute force,
 enumeration, finite differences, textbook series) and deliberately share no
-code with the package under test.
+code with the package under test.  The synthetic-corpus generator and the
+JSONL writer are kept here in their plain per-page form (one
+``Generator.choice`` per page class, one ``json.dumps`` per page line), which
+the package's versions must match byte for byte.
 """
 
 from __future__ import annotations
@@ -76,6 +79,89 @@ def same_corpus(a, b) -> bool:
         x.doc_ids == y.doc_ids and x.texts == y.texts and x.label_mode == y.label_mode
         and np.array_equal(x.offsets, y.offsets) and np.array_equal(x.gold, y.gold)
         for (_, x), (_, y) in zip(a.splits(), b.splits()))
+
+
+# -- corpus generator and writer, one numpy draw and one json.dumps per page ---
+
+def _reference_document(cfg, rng) -> tuple[list[str], list[int]]:
+    """The page texts and classes of one synthetic document, each class
+    drawn with ``Generator.choice``."""
+    trans = np.asarray(cfg.transition_matrix)
+    start = np.asarray(cfg.start_distribution)
+    lo, hi = cfg.pages_per_doc
+    length = int(rng.integers(lo, hi + 1))
+    texts, classes = [], []
+    cls_idx = int(rng.choice(cfg.n_classes, p=start))
+    for t in range(length):
+        if t > 0:
+            cls_idx = int(rng.choice(cfg.n_classes, p=trans[cls_idx]))
+        t_lo, t_hi = cfg.tokens_per_page
+        n_tokens = int(rng.integers(t_lo, t_hi + 1))
+        n_shared = int(cfg.ambiguity * n_tokens + 0.5)
+        tokens = [
+            f"sh_w{k}" for k in rng.integers(0, cfg.shared_vocab_size, size=n_shared)
+        ] + [
+            f"c{cls_idx}_w{k}"
+            for k in rng.integers(0, cfg.class_vocab_size, size=n_tokens - n_shared)
+        ]
+        order = rng.permutation(n_tokens)
+        texts.append(" ".join(tokens[i] for i in order))
+        classes.append(cls_idx)
+    return texts, classes
+
+
+def reference_generate_synthetic(cfg):
+    """The synthetic corpus of ``cfg``, one ``Generator.choice`` call per page
+    class and one string per drawn token."""
+    from pageseq.corpus import MULTICLASS, CorpusSplit, Documents, TypeVocabulary
+
+    rng = np.random.default_rng(cfg.seed)
+    vocab = TypeVocabulary(tuple(f"c{i}" for i in range(cfg.n_classes)), MULTICLASS)
+    splits = []
+    for name, count in zip(("train", "validation", "test"), cfg.docs_per_split):
+        docs = [_reference_document(cfg, rng) for _ in range(count)]
+        splits.append(Documents(
+            vocab, [f"{name}-{i:04d}" for i in range(count)],
+            [len(texts) for texts, _ in docs],
+            [text for texts, _ in docs for text in texts],
+            [[c] for _, classes in docs for c in classes]))
+    return CorpusSplit(splits[0], splits[1], splits[2], vocab)
+
+
+def reference_write_corpus(split, directory, provenance=None) -> Path:
+    """Write a corpus as three JSONL split files and a manifest, one
+    ``json.dumps(page, sort_keys=True, ensure_ascii=False)`` per page line."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    names = split.vocabulary.class_names
+    for name, docs in split.splits():
+        lines = []
+        for doc_id, start, end in zip(docs.doc_ids, docs.offsets.tolist(),
+                                      docs.offsets[1:].tolist()):
+            for t, row in enumerate(range(start, end)):
+                lines.append(json.dumps({
+                    "doc_id": doc_id,
+                    "labels": [names[c] for c in np.flatnonzero(docs.gold[row])],
+                    "page_index": t,
+                    "text": docs.texts[row],
+                }, sort_keys=True, ensure_ascii=False))
+        (directory / f"{name}.jsonl").write_text(
+            "".join(line + "\n" for line in lines), encoding="utf-8"
+        )
+    manifest = {
+        "classes": list(split.vocabulary.class_names),
+        "label_mode": split.vocabulary.label_mode,
+        "train": "train.jsonl",
+        "validation": "validation.jsonl",
+        "test": "test.jsonl",
+    }
+    if provenance is not None:
+        manifest["provenance"] = dict(provenance)
+    manifest_path = directory / "manifest.json"
+    manifest_path.write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+    return manifest_path
 
 
 # -- tokenizer ---------------------------------------------------------------

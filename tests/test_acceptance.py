@@ -123,7 +123,7 @@ def _run_models(split, seed, with_crf):
         em = emissions(infer_split(p_obl, split.train, enc, codec, recurrent=False))
         golds = np.split(split.train.gold.argmax(axis=1), split.train.offsets[1:-1])
         crf_model = crf_fit(em, golds, N_CLASSES, l2=0.01, tol=1e-4,
-                            max_iter=500)
+                            max_iter=500).model
 
     trace_obl = infer_split(p_obl, split.test, enc, codec, recurrent=False)
     trace_rec = infer_split(p_rec, split.test, enc, codec, recurrent=True)

@@ -20,7 +20,11 @@ from pageseq.features import page_vector_model_from_payload, tfidf_matrix
 from pageseq.recurrence import SplitTrace, page_tokens, read_traces, write_traces
 from pageseq.training import TrainConfig
 
-from oracles import bilstm_logits_per_document
+from oracles import (
+    bilstm_logits_per_document,
+    reference_generate_synthetic,
+    reference_write_corpus,
+)
 
 
 def sha(path):
@@ -37,6 +41,20 @@ SYNTH_CFG = {
     "ambiguity": 0.3,
     "seed": 11,
     "docs_per_split": [12, 3, 5],
+}
+
+
+# The synth config of the README walkthrough.
+README_SYNTH_CFG = {
+    "n_classes": 4,
+    "self_transition": 0.85,
+    "pages_per_doc": [6, 14],
+    "tokens_per_page": [1, 6],
+    "class_vocab_size": 25,
+    "shared_vocab_size": 300,
+    "ambiguity": 0.8,
+    "seed": 100,
+    "docs_per_split": [200, 30, 60],
 }
 
 
@@ -89,6 +107,21 @@ class TestSynth:
                      "manifest.json"):
             assert sha(tmp_path / "a" / "x" / name) == \
                 sha(tmp_path / "b" / "x" / name)
+
+    def test_readme_corpus_matches_per_page_reference(self, tmp_path):
+        """``pageseq synth`` on the README walkthrough config writes the bytes
+        of the per-page reference generator and writer."""
+        cfg_path = tmp_path / "synth.json"
+        cfg_path.write_text(json.dumps(README_SYNTH_CFG))
+        assert main(["synth", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "runs"), "--run-id", "corpus"]) == 0
+        cfg = cli.synth_config_from(README_SYNTH_CFG)
+        reference_write_corpus(reference_generate_synthetic(cfg), tmp_path / "ref",
+                               cli.provenance_for("synth", README_SYNTH_CFG, cfg.seed))
+        for name in ("train.jsonl", "validation.jsonl", "test.jsonl",
+                     "manifest.json"):
+            assert sha(tmp_path / "runs" / "corpus" / name) == \
+                sha(tmp_path / "ref" / name)
 
     def test_identity_transition_summary(self, tmp_path, capsys):
         cfg = dict(SYNTH_CFG)
@@ -226,6 +259,25 @@ class TestTrain:
         assert json.loads((outdir / "bilstm.json").read_text())["kind"] == "bilstm"
         assert (outdir / "bilstm_report.json").exists()
 
+    def test_crf_checkpoint_records_fit_diagnostics(self, tmp_path, corpus_dir):
+        """crf.json says how the fit ended, the same way on every run, and
+        ``infer`` still reads it."""
+        first = run_train(tmp_path, corpus_dir, "crf-a", baselines={"crf": True})
+        again = run_train(tmp_path, corpus_dir, "crf-b", baselines={"crf": True})
+        assert sha(first / "crf.json") == sha(again / "crf.json")
+        payload = json.loads((first / "crf.json").read_text())
+        assert isinstance(payload["converged"], bool)
+        assert isinstance(payload["iterations"], int) and payload["iterations"] > 0
+        assert payload["projected_gradient_max"] >= 0
+        if payload["converged"]:
+            assert payload["projected_gradient_max"] <= 1e-6  # crf_fit's tol
+        out = tmp_path / "traces.jsonl"
+        assert main(["infer", "--checkpoint", str(first / "crf.json"),
+                     "--manifest", str(corpus_dir / "manifest.json"),
+                     "--split", "test", "--out", str(out)]) == 0
+        split = load_corpus(corpus_dir / "manifest.json")
+        assert len(read_traces(out, split.vocabulary).scores) == len(split.test.texts)
+
     @pytest.mark.parametrize("field", ["svd_k", "hidden_dim"])
     def test_bad_bilstm_config_exits_2(self, tmp_path, corpus_dir, capsys, field):
         bilstm = dict({"hidden_dim": 8, "svd_k": 6}, **{field: 0})
@@ -243,12 +295,8 @@ class TestTrain:
         its BiLSTM (hidden_dim 128, svd_k 100), trained for one epoch; then
         ``infer`` with that checkpoint decodes the test split in one padded
         batch, as the per-document recursion would."""
-        synth = {"n_classes": 4, "self_transition": 0.85,
-                 "pages_per_doc": [6, 14], "tokens_per_page": [1, 6],
-                 "class_vocab_size": 25, "shared_vocab_size": 300,
-                 "ambiguity": 0.8, "seed": 100, "docs_per_split": [200, 30, 60]}
         cfg_path = tmp_path / "synth.json"
-        cfg_path.write_text(json.dumps(synth))
+        cfg_path.write_text(json.dumps(README_SYNTH_CFG))
         assert main(["synth", "--config", str(cfg_path),
                      "--outdir", str(tmp_path / "runs"), "--run-id", "corpus"]) == 0
         corpus_dir = tmp_path / "runs" / "corpus"

@@ -29,6 +29,8 @@ from oracles import (
     GoldPage,
     count_self_transitions,
     docs_of,
+    reference_generate_synthetic,
+    reference_write_corpus,
     same_corpus,
     scan_runs,
     split_of,
@@ -249,6 +251,86 @@ class TestLoadWrite:
         assert same_corpus(load_corpus(manifest), split)
 
 
+# Text a JSON string encoder must escape or keep raw: quotes, backslashes,
+# control characters, U+2028 and non-ASCII.
+JSON_TEXT = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\u2028", "\x00", "\x1f", "\x7f", "\t", "\n",
+                     "\u00e9", "\U0001F600"]),
+    st.characters(exclude_categories=("Cs",))), max_size=8)
+
+
+@st.composite
+def labelled_splits(draw):
+    """A corpus of any label mode whose class names, doc ids and page texts
+    hold characters JSON escapes; a multilabel page carries any non-empty
+    set of labels."""
+    mode = draw(st.sampled_from(["multiclass", "multilabel"]))
+    names = draw(st.lists(st.sampled_from(["A", "b\u00e9", 'q"\\', "\u2028", "\x01z"]),
+                          min_size=2, max_size=4, unique=True))
+    vocab = TypeVocabulary(tuple(names), mode)
+    one_page = st.tuples(
+        JSON_TEXT,
+        st.sets(st.integers(0, len(names) - 1), min_size=1,
+                max_size=1 if mode == "multiclass" else len(names)))
+    splits = []
+    for _ in range(3):
+        docs = draw(st.lists(st.tuples(JSON_TEXT, st.lists(one_page, min_size=1,
+                                                           max_size=3)),
+                             max_size=3, unique_by=lambda doc: doc[0]))
+        splits.append(split_of([GoldDoc(doc_id, tuple(GoldPage(text, frozenset(labels))
+                                                      for text, labels in pages))
+                                for doc_id, pages in docs], vocab))
+    return CorpusSplit(*splits, vocab)
+
+
+def probabilities(n):
+    """n probabilities summing to 1, zeros included."""
+    weights = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                       min_size=n, max_size=n).filter(any)
+    return weights.map(lambda w: tuple(x / sum(w) for x in w))
+
+
+@st.composite
+def synth_configs(draw):
+    """Generator configs with zero-probability transitions, absorbing
+    chains, fixed token counts and the ambiguity extremes."""
+    n = draw(st.integers(2, 4))
+    unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    lo = draw(st.integers(1, 6))
+    tokens = (lo, lo + draw(st.one_of(st.just(0), st.integers(1, 8))))
+    pages = draw(st.integers(1, 4))
+    kwargs = dict(pages_per_doc=(pages, pages + draw(st.integers(0, 5))),
+                  tokens_per_page=tokens,
+                  class_vocab_size=draw(st.integers(1, 40)),
+                  shared_vocab_size=draw(st.integers(1, 40)),
+                  ambiguity=draw(unit), seed=draw(st.integers(0, 2**32)),
+                  docs_per_split=tuple(draw(st.lists(st.integers(1, 4),
+                                                     min_size=3, max_size=3))))
+    if draw(st.booleans()):
+        return SynthConfig.uniform(n, draw(unit), **kwargs)
+    matrix = tuple(draw(probabilities(n)) for _ in range(n))
+    return SynthConfig(n, matrix, draw(probabilities(n)), **kwargs)
+
+
+class TestAgainstPerPageReference:
+    """The generator and the writer against their per-page references: one
+    ``Generator.choice`` per page class, one ``json.dumps`` per page line."""
+
+    @given(synth_configs())
+    def test_generator_matches_reference(self, cfg):
+        assert same_corpus(generate_synthetic(cfg), reference_generate_synthetic(cfg))
+
+    @given(labelled_splits())
+    def test_writer_matches_reference_bytes(self, split):
+        provenance = {"command": "synth", "note": "\u00e9\u2028\"", "seed": 3}
+        with tempfile.TemporaryDirectory() as tmp:
+            ours = write_corpus(split, f"{tmp}/ours", provenance).parent
+            ref = reference_write_corpus(split, f"{tmp}/ref", provenance).parent
+            for name in ("train.jsonl", "validation.jsonl", "test.jsonl",
+                         "manifest.json"):
+                assert (ours / name).read_bytes() == (ref / name).read_bytes()
+
+
 class TestGenerateSynthetic:
     def test_identity_transition_yields_constant_docs(self):
         """Absorbing chain: every document stays in its first class."""
@@ -321,6 +403,34 @@ class TestGenerateSynthetic:
             SynthConfig.uniform(2, 0.5, ambiguity=1.5)
         with pytest.raises(CorpusError, match="pages_per_doc"):
             SynthConfig.uniform(2, 0.5, pages_per_doc=(0, 3))
+
+    def test_non_finite_transition_row_rejected(self):
+        """NaN sums pass the stochastic test (abs(nan - 1) > tol is False),
+        so the finite check must catch them."""
+        nan = float("nan")
+        with pytest.raises(CorpusError, match="row 0 has a non-finite entry"):
+            SynthConfig(2, ((nan, nan), (0.5, 0.5)), (0.5, 0.5))
+
+    def test_non_finite_start_distribution_rejected(self):
+        nan = float("nan")
+        with pytest.raises(CorpusError, match="start_distribution has a non-finite"):
+            SynthConfig(2, ((0.5, 0.5), (0.5, 0.5)), (nan, nan))
+
+    @pytest.mark.parametrize("field", ["class_vocab_size", "shared_vocab_size"])
+    @pytest.mark.parametrize("size", [2.5, 3.0, True, "3"])
+    def test_vocab_size_must_be_an_integer(self, field, size):
+        with pytest.raises(CorpusError, match=f"{field} must be an integer"):
+            SynthConfig.uniform(2, 0.5, **{field: size})
+
+    def test_n_classes_must_be_an_integer(self):
+        with pytest.raises(CorpusError, match="n_classes must be an integer"):
+            SynthConfig(2.0, ((0.5, 0.5), (0.5, 0.5)), (0.5, 0.5))
+
+    def test_numpy_integer_vocab_sizes_accepted(self):
+        cfg = SynthConfig.uniform(2, 0.5, class_vocab_size=np.int64(3),
+                                  shared_vocab_size=np.int32(4),
+                                  docs_per_split=(2, 1, 1))
+        assert same_corpus(generate_synthetic(cfg), reference_generate_synthetic(cfg))
 
 
 class TestClassPageCounts:

@@ -287,7 +287,7 @@ class TestFit:
             length = int(rng.integers(4, 9))
             seqs.append(rng.normal(0, 0.1, (length, n)))  # uninformative emissions
             golds.append([c] * length)
-        model = crf_fit(seqs, golds, n, l2=0.05, tol=1e-4, max_iter=1000)
+        model = crf_fit(seqs, golds, n, l2=0.05, tol=1e-4, max_iter=1000).model
         for i in range(n):
             off = [model.transition[i, j] for j in range(n) if j != i]
             assert model.transition[i, i] > max(off)
@@ -299,7 +299,7 @@ class TestFit:
         n = 2
         seqs = [rng.normal(0, 0.2, (int(rng.integers(2, 6)), n)) for _ in range(10)]
         golds = [[0] * s.shape[0] for s in seqs]
-        model = crf_fit(seqs, golds, n, l2=0.01, tol=1e-3, max_iter=1000)
+        model = crf_fit(seqs, golds, n, l2=0.01, tol=1e-3, max_iter=1000).model
         assert [path for path, _ in crf_viterbi(model, seqs)] == golds
 
     def test_fit_never_mutates_emissions(self):
@@ -317,7 +317,7 @@ class TestFit:
         logits = [rng.normal(0, 1, (5, 3)) for _ in range(8)]
         seqs = [emissions_from_logits(lg) for lg in logits]
         golds = [rng.integers(0, 3, 5).tolist() for _ in range(8)]
-        model = crf_fit(seqs, golds, 3, l2=0.1, max_iter=200)
+        model = crf_fit(seqs, golds, 3, l2=0.1, max_iter=200).model
         assert model.emission_scale > 0.0
 
     def test_returned_model_meets_gradient_tolerance(self):
@@ -326,18 +326,36 @@ class TestFit:
         seqs = [emissions_from_logits(lg) for lg in logits]
         golds = [rng.integers(0, 3, s.shape[0]).tolist() for s in seqs]
         tol = 1e-6
-        model = crf_fit(seqs, golds, 3, l2=0.05, tol=tol)
+        fit = crf_fit(seqs, golds, 3, l2=0.05, tol=tol)
+        model = fit.model
         _, g_t, g_s, g_e = crf_log_likelihood_and_grad(model, seqs, golds, 0.05)
         if model.emission_scale <= 1e-6:
             g_e = max(g_e, 0.0)  # at the floor only an upward step is feasible
-        assert max(np.abs(g_t).max(), np.abs(g_s).max(), abs(g_e)) <= tol
+        projected = max(np.abs(g_t).max(), np.abs(g_s).max(), abs(g_e))
+        assert projected <= tol
+        assert fit.converged and fit.iterations > 0
+        assert fit.projected_gradient_max == pytest.approx(projected, rel=1e-12, abs=0)
 
     def test_non_convergence_warns(self):
         rng = np.random.default_rng(37)
         seqs = [rng.normal(0, 1, (5, 3)) for _ in range(5)]
         golds = [rng.integers(0, 3, 5).tolist() for _ in range(5)]
         with pytest.warns(UserWarning, match="did not converge"):
-            crf_fit(seqs, golds, 3, max_iter=1)
+            fit = crf_fit(seqs, golds, 3, max_iter=1)
+        assert not fit.converged and fit.iterations == 1
+        assert fit.projected_gradient_max > 1e-6
+
+    def test_projected_gradient_at_the_scale_floor(self):
+        """Emissions that point away from the gold labels push the scale
+        down to its floor; there the blocked descent step does not count."""
+        seqs = [np.log(np.array([[0.1, 0.9], [0.9, 0.1], [0.1, 0.9]]))] * 4
+        golds = [[0, 1, 0]] * 4
+        fit = crf_fit(seqs, golds, 2, l2=0.1)
+        assert fit.converged and fit.model.emission_scale == 1e-6
+        _, g_t, g_s, g_e = crf_log_likelihood_and_grad(fit.model, seqs, golds, 0.1)
+        assert g_e < -1e-6  # the objective would rise below the floor
+        assert fit.projected_gradient_max == pytest.approx(
+            max(np.abs(g_t).max(), np.abs(g_s).max()), rel=1e-12, abs=0)
 
 
 class TestEmissions:
