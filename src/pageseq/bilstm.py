@@ -5,23 +5,24 @@ each page's logits come from a linear head over the concatenated directional
 hidden states.  Handwritten backpropagation through time, trained with the
 same optimizer and schedule machinery as the encoders (batched by document).
 
-A batch is padded once, as for the CRF (``corpus.padded_documents``), and
-each direction steps once per page position over all documents.  The
-backward direction reads every document reversed within its own length, so
-in both directions the padding comes after the last real page: a padded step
-never feeds a real page, and as it carries no loss its gradient is exactly 0.
+Page vectors come as (pages x k) rows in document order with the document
+offsets; a training batch gathers its documents' rows.  The rows are padded
+once, as for the CRF (``corpus.padded_documents``), and each direction steps
+once per page position over all documents.  The backward direction reads
+every document reversed within its own length, so in both directions the
+padding comes after the last real page: a padded step never feeds a real
+page, and as it carries no loss its gradient is exactly 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import expit, log_softmax
 
-from .corpus import padded_documents
+from .corpus import document_rows, padded_documents
 from .training import TrainConfig, TrainReport, fit_adamw
 
 # gate row order inside the stacked weight matrices: input, forget, cell, output
@@ -53,14 +54,6 @@ def init_bilstm(config: BiLstmConfig) -> dict[str, np.ndarray]:
     params["head_w"] = rng.uniform(-scale, scale, size=(2 * h, n))
     params["head_b"] = np.zeros(n)
     return params
-
-
-def _reversed_within(a: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Each document's rows of a padded (docs x pages x ...) array reversed
-    within its own length; the padding stays at the end.  Its own inverse."""
-    t = np.arange(a.shape[1])
-    order = np.where(t < lengths[:, None], lengths[:, None] - 1 - t, t)
-    return a[np.arange(len(a))[:, None], order]
 
 
 def _lstm_run(x, w, u, b):
@@ -106,40 +99,41 @@ def _lstm_backward(dstates, tape, u):
             dz.T @ hs[:, :-1].reshape(len(dz), h_dim), dz.sum(axis=0))
 
 
-def _forward(params: dict, seqs: Sequence[np.ndarray]):
+def _forward(params: dict, vectors: np.ndarray, offsets: np.ndarray):
     """Logits (pages, n) in document order, and the tape of both directions."""
-    x, mask = padded_documents(seqs, params["fw_w"].shape[1])
+    x, mask = padded_documents(vectors, offsets)
     lengths = mask.sum(axis=1)
+    # backward row order: row r of a document on rows s..e-1 reads row s+e-1-r
+    rev = (np.repeat(2 * np.cumsum(lengths) - lengths - 1, lengths)
+           - np.arange(len(vectors)))
     fw, fw_tape = _lstm_run(x, params["fw_w"], params["fw_u"], params["fw_b"])
-    bw, bw_tape = _lstm_run(_reversed_within(x, lengths), params["bw_w"],
-                            params["bw_u"], params["bw_b"])
-    both = np.concatenate([fw, _reversed_within(bw, lengths)], axis=2)[mask]
+    bw, bw_tape = _lstm_run(padded_documents(vectors[rev], offsets)[0],
+                            params["bw_w"], params["bw_u"], params["bw_b"])
+    both = np.concatenate([fw[mask], bw[mask][rev]], axis=1)
     logits = both @ params["head_w"] + params["head_b"]
-    return logits, (mask, lengths, both, fw_tape, bw_tape)
+    return logits, (rev, both, fw_tape, bw_tape)
 
 
-def bilstm_forward(params: dict, seqs: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-page logits (pages, n), in document order, of documents given as
-    (l, k) page-vector arrays; every document needs at least one page."""
-    return _forward(params, seqs)[0]
+def bilstm_forward(params: dict, vectors: np.ndarray,
+                   offsets: np.ndarray) -> np.ndarray:
+    """Per-page logits (pages, n) of the (pages, k) page vectors of the
+    documents laid out by ``offsets``; each document needs at least one page."""
+    return _forward(params, vectors, offsets)[0]
 
 
-def bilstm_loss_and_grad(params: dict,
-                         batch: Sequence[tuple[np.ndarray, Sequence[int]]]
+def bilstm_loss_and_grad(params: dict, vectors: np.ndarray, labels: np.ndarray,
+                         offsets: np.ndarray
                          ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean softmax cross-entropy over every page of the batch documents,
-    with exact gradients through both directions.  Each document needs one
-    label per page."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    seqs, label_seqs = zip(*batch)
-    if [len(labels) for labels in label_seqs] != [len(x) for x in seqs]:
-        raise ValueError("every document needs exactly one label per page")
-    labels = np.concatenate([np.asarray(y, dtype=np.int64) for y in label_seqs])
+    """Mean softmax cross-entropy over every page of the documents laid out
+    by ``offsets``, with exact gradients through both directions; ``labels``
+    holds one class index per page."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (len(vectors),) or not len(labels):
+        raise ValueError("labels must hold one label per page of a non-empty batch")
     n = params["head_b"].shape[0]
     if np.any((labels < 0) | (labels >= n)):
         raise ValueError(f"labels must be class indices in 0..{n - 1}")
-    logits, (mask, lengths, both, fw_tape, bw_tape) = _forward(params, seqs)
+    logits, (rev, both, fw_tape, bw_tape) = _forward(params, vectors, offsets)
     rows = np.arange(len(labels))
     logp = log_softmax(logits, axis=1)
     page_losses = -logp[rows, labels]
@@ -149,28 +143,29 @@ def bilstm_loss_and_grad(params: dict,
     dlogits[rows, labels] -= 1.0
     dlogits /= len(labels)
     grads = {"head_w": both.T @ dlogits, "head_b": dlogits.sum(axis=0)}
-    dboth = np.zeros(mask.shape + (both.shape[1],))
-    dboth[mask] = dlogits @ params["head_w"].T
+    dboth = dlogits @ params["head_w"].T
     h_dim = both.shape[1] // 2
-    for direction, dstates, tape in (
-            ("fw", dboth[..., :h_dim], fw_tape),
-            ("bw", _reversed_within(dboth[..., h_dim:], lengths), bw_tape)):
+    for direction, dstates, tape in (("fw", dboth[:, :h_dim], fw_tape),
+                                     ("bw", dboth[rev, h_dim:], bw_tape)):
         grads[f"{direction}_w"], grads[f"{direction}_u"], grads[f"{direction}_b"] = \
-            _lstm_backward(dstates, tape, params[f"{direction}_u"])
+            _lstm_backward(padded_documents(dstates, offsets)[0], tape,
+                           params[f"{direction}_u"])
     return float(page_losses.sum()) / len(labels), grads
 
 
-def bilstm_train(sequences: Sequence[np.ndarray],
-                 label_seqs: Sequence[Sequence[int]],
+def bilstm_train(vectors: np.ndarray, labels: np.ndarray, offsets: np.ndarray,
                  config: BiLstmConfig, cfg: TrainConfig) -> tuple[dict, TrainReport]:
     """Train over documents (one batch element = one document), reusing the
-    AdamW step and linear warmup/decay schedule."""
-    if len(sequences) != len(label_seqs):
-        raise ValueError("sequences and labels must align")
+    AdamW step and linear warmup/decay schedule; the arguments are those of
+    ``bilstm_loss_and_grad`` for the whole training split."""
+    if not len(vectors) == len(labels) == offsets[-1]:
+        raise ValueError("vectors, labels and offsets must align")
+    sizes = np.diff(offsets)
     params = init_bilstm(config)
 
-    def batch_loss(rows, epoch):
-        return bilstm_loss_and_grad(
-            params, [(sequences[i], label_seqs[i]) for i in rows])
+    def batch_loss(chosen, epoch):
+        rows = document_rows(offsets, chosen)
+        return bilstm_loss_and_grad(params, vectors[rows], labels[rows],
+                                    np.concatenate(([0], np.cumsum(sizes[chosen]))))
 
-    return params, fit_adamw(params, len(sequences), batch_loss, cfg)
+    return params, fit_adamw(params, len(sizes), batch_loss, cfg)

@@ -285,11 +285,6 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _doc_rows(matrix: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
-    """The rows of ``matrix`` that each document owns, one array per document."""
-    return [matrix[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
-
-
 def cmd_train(args) -> int:
     cfg_obj = _block(_load_config_file(args.config),
                      ("corpus", "mode", "seed", "encoder", "train", "vocab_cap",
@@ -372,15 +367,13 @@ def cmd_train(args) -> int:
     timings["encode_seconds"] += encode_seconds
     timings["checkpoint_seconds"] = time.perf_counter() - tick
     timings["train_seconds"] = report.wall_clock_seconds
-    golds = _doc_rows(split.train.gold.argmax(axis=1), split.train.offsets)
+    golds, offsets = split.train.gold.argmax(axis=1), split.train.offsets
 
     if want_crf:
         tick = time.perf_counter()
         logits = infer_split(params, split.train, encoder_config, codec,
                              recurrent=False, encoded=train_encoded).scores
-        emission_seqs = [emissions_from_logits(lg)
-                         for lg in _doc_rows(logits, train_encoded.offsets)]
-        fit = crf_fit(emission_seqs, golds, split.vocabulary.n, l2=l2)
+        fit = crf_fit(emissions_from_logits(logits), golds, offsets, l2=l2)
         crf_payload = {
             "kind": "crf",
             "l2": l2,
@@ -401,8 +394,8 @@ def cmd_train(args) -> int:
         tfidf = fit_tfidf(vocab, len(train_tokens))
         matrix = tfidf_matrix(train_tokens, tfidf)
         projector = fit_svd(matrix, k=svd_k)
-        feats = _doc_rows(matrix @ projector.basis, train_encoded.offsets)
-        bl_params, bl_report = bilstm_train(feats, golds, bl_config, train_config)
+        bl_params, bl_report = bilstm_train(matrix @ projector.basis, golds, offsets,
+                                            bl_config, train_config)
         write_json(outdir / "bilstm.json", {
             "kind": "bilstm",
             "config": asdict(bl_config),
@@ -456,10 +449,9 @@ def _restore_model(payload):
 
             def decode(docs):
                 trace = infer_split(params, docs, config, codec, recurrent=False)
-                paths = crf_viterbi(model, [emissions_from_logits(lg) for lg in
-                                            _doc_rows(trace.scores, trace.offsets)])
-                trace.labels[:] = np.eye(model.n, dtype=bool)[
-                    [c for path, _ in paths for c in path]]
+                paths, _ = crf_viterbi(model, emissions_from_logits(trace.scores),
+                                       trace.offsets)
+                trace.labels[:] = np.eye(model.n, dtype=bool)[paths]
                 return trace
             return codec.type_vocab, decode
         if kind == "bilstm":
@@ -476,8 +468,7 @@ def _restore_model(payload):
                 trace = SplitTrace.blank(docs.doc_ids, docs.offsets,
                                          config.n_classes, fed=False)
                 vectors = tfidf_matrix(page_tokens(docs), tfidf) @ projector.basis
-                trace.scores[:] = bilstm_forward(params,
-                                                 _doc_rows(vectors, trace.offsets))
+                trace.scores[:] = bilstm_forward(params, vectors, trace.offsets)
                 trace.labels[:] = predict(trace.scores, MULTICLASS)
                 return trace
             return TypeVocabulary(tuple(payload["classes"])), decode

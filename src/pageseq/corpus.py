@@ -149,18 +149,31 @@ class CorpusSplit:
         return ((name, self.split(name)) for name in SPLIT_NAMES)
 
 
-def padded_documents(seqs: Sequence[np.ndarray], k: int
+def padded_documents(rows: np.ndarray, offsets: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Ragged per-document (pages x k) rows as one zero-padded (docs x pages
-    x k) array and its (docs x pages) mask of the real pages.  An empty batch
-    keeps one page position, so that its first page can be indexed."""
-    lengths = np.array([len(rows) for rows in seqs], dtype=np.int64)
+    """(pages x k) ``rows`` of the documents ``offsets[i]:offsets[i + 1]`` as
+    one zero-padded (docs x pages x k) array and its (docs x pages) page
+    mask; with no documents it keeps one page position, so that the first
+    page can be indexed.  This is the one check of offsets: they run from 0
+    to ``len(rows)`` and give every document at least one page."""
+    offsets = np.asarray(offsets)
+    if not (len(offsets) and offsets[0] == 0 and offsets[-1] == len(rows)):
+        raise ValueError("document offsets must run from 0 to the number of rows")
+    lengths = np.diff(offsets)
     if np.any(lengths < 1):
         raise ValueError("every document needs at least one page")
     mask = np.arange(lengths.max(initial=1)) < lengths[:, None]
-    padded = np.zeros(mask.shape + (k,))
-    padded[mask] = np.concatenate([np.zeros((0, k)), *seqs])
+    padded = np.zeros(mask.shape + rows.shape[1:])
+    padded[mask] = rows
     return padded, mask
+
+
+def document_rows(offsets: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """The row indices of documents ``chosen`` (an int array: in that order,
+    repeats allowed) of a split laid out by ``offsets``, each in row order."""
+    starts, sizes = offsets[chosen], offsets[chosen + 1] - offsets[chosen]
+    return np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes,
+                                              sizes)
 
 
 # ---------------------------------------------------------------------------

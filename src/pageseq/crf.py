@@ -7,17 +7,17 @@ transition matrix, and one positive emission scale) are fit (Lafferty et al.,
 scipy's L-BFGS-B (Liu & Nocedal, 1989), whose bound keeps the emission scale
 above a small positive floor.  No gradient ever reaches the encoder.
 
-The objective and Viterbi pad a batch of ragged documents once
-(``corpus.padded_documents``), and each recursion steps once per page
-position over all documents; past a document's end its forward and Viterbi
-scores carry over unchanged and its backward scores stay 0.
+Emissions come as (pages x n) rows in document order with the document
+offsets, gold labels as one class index per page.  The objective and Viterbi
+pad the rows once (``corpus.padded_documents``), and each recursion steps
+once per page position over all documents; past a document's end its forward
+and Viterbi scores carry over unchanged and its backward scores stay 0.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -68,12 +68,13 @@ def emissions_from_logits(logits: np.ndarray) -> np.ndarray:
     return log_softmax(np.asarray(logits, dtype=np.float64), axis=-1)
 
 
-def crf_viterbi(model: CrfModel, emission_seqs: Sequence[np.ndarray]
-                ) -> list[tuple[list[int], float]]:
-    """Best label path and its score of each document; ties break toward the
+def crf_viterbi(model: CrfModel, emissions: np.ndarray, offsets: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The best label path of every document, as the (pages,) class indices
+    in document order, and the (docs,) path scores; ties break toward the
     lower label index at every backpointer (argmax picks the first maximum)."""
-    emissions, mask = padded_documents(emission_seqs, model.n)
-    scaled = model.emission_scale * emissions
+    padded, mask = padded_documents(emissions, offsets)
+    scaled = model.emission_scale * padded
     docs, width = mask.shape
     pointers = np.zeros((docs, width, model.n), dtype=np.int64)
     delta = model.start + scaled[:, 0]
@@ -87,29 +88,27 @@ def crf_viterbi(model: CrfModel, emission_seqs: Sequence[np.ndarray]
     for t in range(width - 1, 0, -1):
         back = pointers[np.arange(docs), t, paths[:, t]]
         paths[:, t - 1] = np.where(mask[:, t], back, paths[:, t])
-    return [(path[:length].tolist(), float(score)) for path, length, score
-            in zip(paths, mask.sum(axis=1), np.max(delta, axis=1))]
+    return paths[mask], np.max(delta, axis=1)
 
 
-def crf_log_likelihood_and_grad(model: CrfModel,
-                                emission_seqs: Sequence[np.ndarray],
-                                gold_seqs: Sequence[Sequence[int]],
+def crf_log_likelihood_and_grad(model: CrfModel, emissions: np.ndarray,
+                                labels: np.ndarray, offsets: np.ndarray,
                                 l2: float = 0.0):
-    """Sum over sequences of [gold path score - log Z] minus l2 * ||T||^2,
-    with its gradient w.r.t. (transition, start, emission_scale).
+    """Sum over documents of [gold path score - log Z] minus l2 * ||T||^2,
+    with its gradient w.r.t. (transition, start, emission_scale); ``labels``
+    holds each page's gold class index.
 
     The gradient is empirical-minus-expected feature counts from the
     forward-backward marginals.
     """
-    emissions, mask = padded_documents(emission_seqs, model.n)
-    if not np.array_equal([len(gold) for gold in gold_seqs], mask.sum(axis=1)):
-        raise ValueError("gold label sequences must match the emissions in length")
-    labels = np.concatenate([np.zeros(0, dtype=np.int64), *gold_seqs])
+    padded, mask = padded_documents(emissions, offsets)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (len(emissions),):
+        raise ValueError("gold labels must match the emissions in length")
     if np.any((labels < 0) | (labels >= model.n)):
         raise ValueError(f"gold labels must be class indices in 0..{model.n - 1}")
-    gold = np.zeros_like(emissions)  # one-hot, zero past each document's end
-    gold[mask] = np.eye(model.n)[labels]
-    scaled = model.emission_scale * emissions
+    gold = padded_documents(np.eye(model.n)[labels], offsets)[0]  # one-hot
+    scaled = model.emission_scale * padded
     width = mask.shape[1]
 
     alpha = np.zeros_like(scaled)
@@ -138,7 +137,7 @@ def crf_log_likelihood_and_grad(model: CrfModel,
           + (scaled * gold).sum() - log_z.sum() - l2 * (model.transition ** 2).sum())
     grad_t = gold_pairs - pair.sum(axis=(0, 1)) - 2.0 * l2 * model.transition
     grad_start = (gold[:, 0] - unary[:, 0]).sum(axis=0)
-    grad_scale = ((gold - unary) * emissions).sum()
+    grad_scale = ((gold - unary) * padded).sum()
     return float(ll), grad_t, grad_start, float(grad_scale)
 
 
@@ -149,14 +148,15 @@ def check_l2(l2: float) -> None:
         raise ValueError("l2 must be >= 0 and finite")
 
 
-def crf_fit(emission_seqs: Sequence[np.ndarray],
-            gold_seqs: Sequence[Sequence[int]],
-            n_classes: int,
+def crf_fit(emissions: np.ndarray,
+            labels: np.ndarray,
+            offsets: np.ndarray,
             l2: float = 0.0,
             tol: float = 1e-6,
             max_iter: int = 1000) -> CrfFit:
     """Maximize the regularized log-likelihood with L-BFGS-B (Liu & Nocedal,
-    1989), starting from zero scores and an emission scale of 1.
+    1989), starting from zero scores and an emission scale of 1, on the
+    arguments of ``crf_log_likelihood_and_grad``.
 
     The objective is concave, so its negation is minimized.  The emission
     scale is bounded below by a small positive floor.  The fit converges when
@@ -166,6 +166,7 @@ def crf_fit(emission_seqs: Sequence[np.ndarray],
     Concavity needs ``l2 >= 0``; any other ``l2`` is a ValueError.
     """
     check_l2(l2)
+    n_classes = emissions.shape[1]
     size = n_classes * n_classes
 
     def unpack(x):
@@ -174,7 +175,7 @@ def crf_fit(emission_seqs: Sequence[np.ndarray],
 
     def negated(x):
         ll, g_t, g_s, g_e = crf_log_likelihood_and_grad(
-            unpack(x), emission_seqs, gold_seqs, l2)
+            unpack(x), emissions, labels, offsets, l2)
         return -ll, -np.concatenate([g_t.ravel(), g_s, [g_e]])
 
     x0 = np.zeros(size + n_classes + 1)

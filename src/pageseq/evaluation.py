@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from .corpus import MULTICLASS, Documents, TypeVocabulary
+from .corpus import MULTICLASS, Documents, TypeVocabulary, document_rows
 from .recurrence import SplitTrace
 
 
@@ -166,8 +166,7 @@ def align_traces(trace: SplitTrace, docs: Documents) -> np.ndarray:
         i = wrong[0]
         raise ValueError(f"trace for {docs.doc_ids[i]!r} has {sizes[i]} pages, "
                          f"gold has {gold_sizes[i]}")
-    starts = trace.offsets[order] - docs.offsets[:-1]
-    return trace.labels[np.arange(sizes.sum()) + np.repeat(starts, sizes)]
+    return trace.labels[document_rows(trace.offsets, order)]
 
 
 def compare_traces(preds_a, preds_b, golds,

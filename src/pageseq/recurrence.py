@@ -63,12 +63,10 @@ class SplitTrace:
 @dataclass(eq=False)
 class EncodedSplit:
     """The text ids of a split's pages in document order: ``text`` is (pages,
-    max_len - 1), PAD-padded, ``lengths`` each row's text length, and
-    document i owns rows ``offsets[i]:offsets[i + 1]``."""
+    max_len - 1), PAD-padded, and ``lengths`` each row's text length."""
 
     text: np.ndarray
     lengths: np.ndarray
-    offsets: np.ndarray
 
 
 def page_tokens(docs: Documents) -> list[list[str]]:
@@ -90,7 +88,7 @@ def encode_split(docs: Documents, codec: TokenCodec,
         ids = [codec.text_token_id(tok) for tok in page[:n_text]]
         text[row, :len(ids)] = ids
         lengths[row] = len(ids)
-    return EncodedSplit(text=text, lengths=lengths, offsets=docs.offsets)
+    return EncodedSplit(text=text, lengths=lengths)
 
 
 def augment_input(text: np.ndarray, lengths: np.ndarray,
@@ -151,7 +149,7 @@ def page_examples(docs: Documents, teacher_forced: bool,
     first = context = None
     if teacher_forced:
         first = np.zeros(len(gold), dtype=bool)
-        first[split.offsets[:-1]] = True
+        first[docs.offsets[:-1]] = True
         context = np.roll(gold, 1, axis=0) & ~first[:, None]
     ids = augment_input(split.text, split.lengths, first, context, codec, max_len)
     if codec.type_vocab.label_mode == MULTICLASS:
@@ -199,14 +197,14 @@ def infer_split(params: dict, docs: Documents,
     split = encoded or encode_split(docs, codec, config.max_len)
     if scratch is None:
         scratch = encoder.Scratch()
-    trace = SplitTrace.blank(docs.doc_ids, split.offsets,
+    trace = SplitTrace.blank(docs.doc_ids, docs.offsets,
                              codec.n_classes, recurrent)
     if not recurrent:
         _score_rows(params, split, np.arange(len(trace.scores)), None, None,
                     config, codec, scratch, trace.scores)
         trace.labels[:] = predict(trace.scores, label_mode)
         return trace
-    starts, sizes = split.offsets[:-1], np.diff(split.offsets)
+    starts, sizes = docs.offsets[:-1], np.diff(docs.offsets)
     for t in range(int(sizes.max(initial=0))):
         rows = starts[sizes > t] + t
         if t:
@@ -276,8 +274,27 @@ def read_traces(path: Path | str, vocab: TypeVocabulary,
     ``page_index`` order, which must run 0..l-1."""
     if text is None:
         text = Path(path).read_text(encoding="utf-8")
-    pages = [obj for obj in map(json.loads, filter(str.strip, text.split("\n")))
-             if "doc_id" in obj or "provenance" not in obj]
+    lines = text.split("\n")
+    try:
+        parsed = list(map(json.loads, filter(str.strip, lines)))
+    except json.JSONDecodeError as exc:  # exc.doc is the line that failed
+        raise ValueError(f"{path}:{lines.index(exc.doc) + 1}: malformed JSON "
+                         f"({exc.msg} at column {exc.colno})") from None
+    pages = [obj for obj in parsed if "doc_id" in obj or "provenance" not in obj]
+    # field types, one comprehension per field; a score is a JSON number,
+    # so neither a string nor a bool
+    for field, kinds, what in (("doc_id", {str}, "a string"),
+                               ("labels", {list}, "a list"),
+                               ("context", {list, type(None)}, "null or a list"),
+                               ("scores", {list}, "a list")):
+        ok = [type(obj[field]) in kinds for obj in pages]
+        if not all(ok):
+            raise ValueError(f"{_page_name(pages[ok.index(False)])}: field "
+                             f"{field!r} must be {what}")
+    if not {type(x) for obj in pages for x in obj["scores"]} <= {int, float}:
+        ok = [{type(x) for x in obj["scores"]} <= {int, float} for obj in pages]
+        raise ValueError(f"{_page_name(pages[ok.index(False)])} has a score that "
+                         f"is not a number")
     for obj in pages:
         if len(obj["scores"]) != vocab.n:
             raise ValueError(f"{_page_name(obj)} has {len(obj['scores'])} scores "

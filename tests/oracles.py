@@ -81,6 +81,18 @@ def same_corpus(a, b) -> bool:
         for (_, x), (_, y) in zip(a.splits(), b.splits()))
 
 
+def columns(docs, width=None):
+    """A list of per-document arrays or label lists in the layout the
+    package's batched code takes: the rows stacked in document order, and
+    the document offsets.  An empty list gives (0, width) float rows, or (0,)
+    int labels if ``width`` is None."""
+    offsets = np.cumsum([0] + [len(doc) for doc in docs])
+    if not docs:
+        return (np.zeros((0, width)) if width is not None
+                else np.zeros(0, dtype=np.int64)), offsets
+    return np.concatenate([np.asarray(doc) for doc in docs]), offsets
+
+
 # -- corpus generator and writer, one numpy draw and one json.dumps per page ---
 
 def _reference_document(cfg, rng) -> tuple[list[str], list[int]]:

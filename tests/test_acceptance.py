@@ -51,6 +51,7 @@ from pageseq.training import AdamState, TrainConfig, lr_at, optimizer_step, trai
 
 from oracles import (
     assert_grads_close,
+    columns,
     crf_enumerate,
     finite_diff_grads,
     jacobi_eigh,
@@ -114,24 +115,20 @@ def _run_models(split, seed, with_crf):
     def macro(preds):
         return 100 * score(preds, split.test.gold, split.vocabulary).macro_f1
 
-    def emissions(trace):
-        return [emissions_from_logits(trace.scores[a:b])
-                for a, b in zip(trace.offsets[:-1], trace.offsets[1:])]
-
     crf_model = None
     if with_crf:
-        em = emissions(infer_split(p_obl, split.train, enc, codec, recurrent=False))
-        golds = np.split(split.train.gold.argmax(axis=1), split.train.offsets[1:-1])
-        crf_model = crf_fit(em, golds, N_CLASSES, l2=0.01, tol=1e-4,
-                            max_iter=500).model
+        logits = infer_split(p_obl, split.train, enc, codec, recurrent=False).scores
+        crf_model = crf_fit(emissions_from_logits(logits),
+                            split.train.gold.argmax(axis=1), split.train.offsets,
+                            l2=0.01, tol=1e-4, max_iter=500).model
 
     trace_obl = infer_split(p_obl, split.test, enc, codec, recurrent=False)
     trace_rec = infer_split(p_rec, split.test, enc, codec, recurrent=True)
     out = {"oblivious": macro(trace_obl.labels), "recurrent": macro(trace_rec.labels)}
     if with_crf:
-        decoded = crf_viterbi(crf_model, emissions(trace_obl))
-        out["crf"] = macro(np.eye(N_CLASSES, dtype=bool)[
-            [c for path, _ in decoded for c in path]])
+        paths, _ = crf_viterbi(crf_model, emissions_from_logits(trace_obl.scores),
+                               trace_obl.offsets)
+        out["crf"] = macro(np.eye(N_CLASSES, dtype=bool)[paths])
     return out
 
 
@@ -193,10 +190,11 @@ def test_criterion_3_crf_exactness():
                         model.transition, model.start, e, model.emission_scale)
                     # with l2 = 0 the log-likelihood of a path is its score
                     # minus log Z
-                    ll = crf_log_likelihood_and_grad(model, [e], [best_path])[0]
+                    ll = crf_log_likelihood_and_grad(model, e, best_path,
+                                                     [0, length])[0]
                     assert ll == pytest.approx(best_score - log_z, abs=1e-9)
-                    [(path, path_score)] = crf_viterbi(model, [e])
-                    assert path == best_path
+                    path, (path_score,) = crf_viterbi(model, e, [0, length])
+                    assert path.tolist() == best_path
                     assert path_score == pytest.approx(best_score, abs=1e-9)
                     cases += 1
         assert cases >= 200
@@ -245,12 +243,12 @@ def test_criterion_5_gradient_suites():
         for name in bl_params:
             bl_params[name] = rng.normal(0, 0.5, bl_params[name].shape)
         # ragged: the longest document is not first, and one has a single page
-        bl_batch = [(rng.normal(0, 1, (2, 4)), [2, 0]),
-                    (rng.normal(0, 1, (3, 4)), [0, 2, 1]),
-                    (rng.normal(0, 1, (1, 4)), [1])]
-        _, bl_grads = bilstm_loss_and_grad(bl_params, bl_batch)
+        vectors, offsets = columns([rng.normal(0, 1, (2, 4)), rng.normal(0, 1, (3, 4)),
+                                    rng.normal(0, 1, (1, 4))])
+        bl_batch = vectors, [2, 0, 0, 2, 1, 1], offsets
+        _, bl_grads = bilstm_loss_and_grad(bl_params, *bl_batch)
         bl_numeric = finite_diff_grads(
-            lambda p: bilstm_loss_and_grad(p, bl_batch)[0], bl_params)
+            lambda p: bilstm_loss_and_grad(p, *bl_batch)[0], bl_params)
         assert_grads_close(bl_grads, bl_numeric, rel_tol=1e-4)
 
         n = 3
@@ -258,11 +256,15 @@ def test_criterion_5_gradient_suites():
                          start=rng.normal(0, 1, n), emission_scale=1.2)
         seqs = [rng.normal(0, 1, (int(rng.integers(1, 6)), n)) for _ in range(4)]
         golds = [rng.integers(0, n, s.shape[0]).tolist() for s in seqs]
-        _, g_t, g_s, g_e = crf_log_likelihood_and_grad(model, seqs, golds, l2=0.03)
+        emissions, offsets = columns(seqs)
+        labels = columns(golds)[0]
+        _, g_t, g_s, g_e = crf_log_likelihood_and_grad(model, emissions, labels,
+                                                       offsets, l2=0.03)
 
         def ll(p):
             m = CrfModel(p["t"], p["s"], float(p["e"][0]))
-            return crf_log_likelihood_and_grad(m, seqs, golds, l2=0.03)[0]
+            return crf_log_likelihood_and_grad(m, emissions, labels, offsets,
+                                               l2=0.03)[0]
 
         packed = {"t": model.transition.copy(), "s": model.start.copy(),
                   "e": np.array([model.emission_scale])}

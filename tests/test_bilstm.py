@@ -14,6 +14,7 @@ from pageseq.training import TrainConfig, TrainingDiverged
 
 from oracles import (
     assert_grads_close,
+    columns,
     bilstm_logits_per_document,
     bilstm_loss_and_grad_per_document,
     finite_diff_grads,
@@ -31,6 +32,13 @@ def random_params(config, rng, scale=0.5):
     return params
 
 
+def flat(batch):
+    """(vectors, labels, offsets) of (vectors, labels) documents."""
+    batch = list(batch)
+    vectors, offsets = columns([x for x, _ in batch])
+    return vectors, columns([y for _, y in batch])[0], offsets
+
+
 # ragged batches whose longest document is not first, each with a 1-page one
 RAGGED_LENGTHS = [[2, 5, 1, 3], [1, 4], [3, 1, 7, 7, 2], [2, 1, 6]]
 
@@ -43,7 +51,8 @@ class TestForward:
             params[name][:] = 0.0
         params["head_b"] = np.array([0.3, -0.7, 1.1])
         rng = np.random.default_rng(0)
-        logits = bilstm_forward(params, [rng.normal(0, 1, (l, 4)) for l in (2, 4, 1)])
+        logits = bilstm_forward(params, *columns([rng.normal(0, 1, (l, 4))
+                                                  for l in (2, 4, 1)]))
         np.testing.assert_allclose(logits, np.tile(params["head_b"], (7, 1)),
                                    atol=1e-15)
 
@@ -61,9 +70,9 @@ class TestForward:
             "head_b": params["head_b"],
         }
         xs = [rng.normal(0, 1, (l, config.input_dim)) for l in (2, 6, 1, 4)]
-        offsets = np.cumsum([0] + [len(x) for x in xs])
-        logits = bilstm_forward(params, xs)
-        logits_mirror = bilstm_forward(mirrored, [x[::-1] for x in xs])
+        x, offsets = columns(xs)
+        logits = bilstm_forward(params, x, offsets)
+        logits_mirror = bilstm_forward(mirrored, *columns([x[::-1] for x in xs]))
         for a, b in zip(offsets[:-1], offsets[1:]):
             np.testing.assert_allclose(logits_mirror[a:b], logits[a:b][::-1],
                                        atol=1e-12)
@@ -71,11 +80,12 @@ class TestForward:
     def test_empty_sequence_rejected(self):
         params = init_bilstm(small_config())
         for lengths in ([0], [3, 0]):
-            with pytest.raises(ValueError):
-                bilstm_forward(params, [np.zeros((l, 4)) for l in lengths])
+            with pytest.raises(ValueError, match="at least one page"):
+                bilstm_forward(params, *columns([np.zeros((l, 4)) for l in lengths]))
 
     def test_empty_batch_gives_no_rows(self):
-        assert bilstm_forward(init_bilstm(small_config()), []).shape == (0, 3)
+        assert bilstm_forward(init_bilstm(small_config()), np.zeros((0, 4)),
+                              [0]).shape == (0, 3)
 
 
 class TestReference:
@@ -87,11 +97,12 @@ class TestReference:
         params = random_params(small_config(), rng)
         batch = [(rng.normal(0, 1, (l, 4)), rng.integers(0, 3, l).tolist())
                  for l in lengths]
-        xs = [x for x, _ in batch]
-        np.testing.assert_allclose(bilstm_forward(params, xs),
-                                   bilstm_logits_per_document(params, xs),
+        vectors, labels, offsets = flat(batch)
+        np.testing.assert_allclose(bilstm_forward(params, vectors, offsets),
+                                   bilstm_logits_per_document(
+                                       params, [x for x, _ in batch]),
                                    rtol=0, atol=1e-12)
-        loss, grads = bilstm_loss_and_grad(params, batch)
+        loss, grads = bilstm_loss_and_grad(params, vectors, labels, offsets)
         ref_loss, ref_grads = bilstm_loss_and_grad_per_document(params, batch)
         assert abs(loss - ref_loss) <= 1e-12
         assert grads.keys() == ref_grads.keys()
@@ -104,10 +115,10 @@ class TestReference:
         rng = np.random.default_rng(2)
         params = random_params(small_config(), rng)
         short, long = rng.normal(0, 1, (2, 4)), rng.normal(0, 1, (6, 4))
-        alone = bilstm_forward(params, [short])
-        np.testing.assert_allclose(bilstm_forward(params, [short, long])[:2],
+        alone = bilstm_forward(params, *columns([short]))
+        np.testing.assert_allclose(bilstm_forward(params, *columns([short, long]))[:2],
                                    alone, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(bilstm_forward(params, [long, short])[6:],
+        np.testing.assert_allclose(bilstm_forward(params, *columns([long, short]))[6:],
                                    alone, rtol=0, atol=1e-12)
 
 
@@ -122,7 +133,7 @@ class TestLabelCounts:
         batch = [(rng.normal(0, 1, (l, 4)), labels)
                  for l, labels in zip(lengths, label_seqs)]
         with pytest.raises(ValueError, match="one label per page"):
-            bilstm_loss_and_grad(params, batch)
+            bilstm_loss_and_grad(params, *flat(batch))
 
     @pytest.mark.parametrize("labels", [[-1, 0, 1], [0, 3, 1]],
                              ids=["negative", "past-last"])
@@ -132,7 +143,7 @@ class TestLabelCounts:
         params = init_bilstm(small_config())
         x = np.random.default_rng(4).normal(0, 1, (3, 4))
         with pytest.raises(ValueError, match="class indices"):
-            bilstm_loss_and_grad(params, [(x, labels)])
+            bilstm_loss_and_grad(params, x, labels, [0, 3])
 
 
 class TestGradients:
@@ -144,9 +155,9 @@ class TestGradients:
             (rng.normal(0, 1, (3, 4)), [0, 2, 1]),
             (rng.normal(0, 1, (1, 4)), [1]),
         ]
-        _, grads = bilstm_loss_and_grad(params, batch)
+        _, grads = bilstm_loss_and_grad(params, *flat(batch))
         numeric = finite_diff_grads(
-            lambda p: bilstm_loss_and_grad(p, batch)[0], params)
+            lambda p: bilstm_loss_and_grad(p, *flat(batch))[0], params)
         assert_grads_close(grads, numeric, rel_tol=1e-4)
 
 
@@ -194,9 +205,10 @@ class TestTraining:
             ys.append(labels.tolist())
         config = BiLstmConfig(input_dim=6, n_classes=3, hidden_dim=16, init_seed=1)
         cfg = TrainConfig(epochs=20, batch_size=8, peak_lr=0.02, seed=2)
-        params, _ = bilstm_train(xs, ys, config, cfg)
-        preds = bilstm_forward(params, xs).argmax(axis=1)
-        assert np.mean(preds == np.concatenate(ys)) >= 0.99
+        vectors, labels, offsets = flat(zip(xs, ys))
+        params, _ = bilstm_train(vectors, labels, offsets, config, cfg)
+        preds = bilstm_forward(params, vectors, offsets).argmax(axis=1)
+        assert np.mean(preds == labels) >= 0.99
 
     def test_context_only_task_beats_oblivious_linear(self):
         """Labels repeat the previous page and only page 1 is informative:
@@ -206,14 +218,14 @@ class TestTraining:
         test_x, test_y = constant_label_docs(rng, 25, 6, 3, 8)
         config = BiLstmConfig(input_dim=8, n_classes=3, hidden_dim=16, init_seed=4)
         cfg = TrainConfig(epochs=30, batch_size=8, peak_lr=0.02, seed=6)
-        params, _ = bilstm_train(train_x, train_y, config, cfg)
+        params, _ = bilstm_train(*flat(zip(train_x, train_y)), config, cfg)
 
         w, b = train_softmax_regression(train_x, train_y, 3)
         flat_x = np.concatenate(test_x)
         flat_y = np.concatenate(test_y)
         linear_acc = float(np.mean(np.argmax(flat_x @ w + b, axis=1) == flat_y))
         bilstm_acc = float(np.mean(
-            bilstm_forward(params, test_x).argmax(axis=1) == flat_y))
+            bilstm_forward(params, *columns(test_x)).argmax(axis=1) == flat_y))
         assert bilstm_acc > linear_acc
         assert bilstm_acc >= 0.9
         assert linear_acc <= 0.6
@@ -223,8 +235,8 @@ class TestTraining:
         xs, ys = constant_label_docs(rng, 10, 4, 3, 5)
         config = small_config(k=5, h=8, n=3, seed=2)
         cfg = TrainConfig(epochs=3, batch_size=4, peak_lr=0.01, seed=7)
-        params1, report1 = bilstm_train(xs, ys, config, cfg)
-        params2, report2 = bilstm_train(xs, ys, config, cfg)
+        params1, report1 = bilstm_train(*flat(zip(xs, ys)), config, cfg)
+        params2, report2 = bilstm_train(*flat(zip(xs, ys)), config, cfg)
         assert report1.step_losses == report2.step_losses
         for name in params1:
             np.testing.assert_array_equal(params1[name], params2[name])
@@ -234,7 +246,7 @@ class TestTraining:
         xs, ys = constant_label_docs(rng, 10, 3, 3, 5)
         config = small_config(k=5)
         cfg = TrainConfig(epochs=2, batch_size=4, peak_lr=0.01)
-        _, report = bilstm_train(xs, ys, config, cfg)
+        _, report = bilstm_train(*flat(zip(xs, ys)), config, cfg)
         assert report.total_steps == 2 * 3  # ceil(10/4) = 3 per epoch
         assert len(report.step_losses) == 6
 
@@ -247,4 +259,4 @@ class TestTraining:
         cfg = TrainConfig(epochs=2, batch_size=2, peak_lr=1e308,
                           warmup_fraction=0.0)
         with pytest.raises(TrainingDiverged):
-            bilstm_train(xs, ys, config, cfg)
+            bilstm_train(*flat(zip(xs, ys)), config, cfg)

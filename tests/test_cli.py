@@ -805,6 +805,42 @@ class TestBadArtifacts:
             lambda page: page.update(scores=scores(page["scores"])), capsys)
         assert message in err[0]
 
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda page: page.update(labels=page["labels"][0]),
+         "field 'labels' must be a list"),
+        (lambda page: page.update(context=page["context"][0]),
+         "field 'context' must be null or a list"),
+        (lambda page: page["scores"].__setitem__(0, str(page["scores"][0])),
+         "a score that is not a number"),
+        (lambda page: page["scores"].__setitem__(0, True),
+         "a score that is not a number"),
+        (lambda page: page.update(doc_id=7), "field 'doc_id' must be a string"),
+    ], ids=["labels-string", "context-string", "score-string", "score-bool",
+            "doc-id-int"])
+    def test_trace_field_types(self, trained, command, edit, message, capsys):
+        """A string where a list of names belongs, a string or bool where a
+        score belongs, or a doc_id that is not a string, on the last page."""
+        last = json.loads(trained[3].read_text().splitlines()[-1])
+        err = self.run_on_edited_page(trained, command, "field-type", edit, capsys)
+        assert f"page {last['page_index']} of " in err[0] and message in err[0]
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_trace_json_error_names_its_line(self, trained, command, capsys):
+        """Each line is parsed on its own, but the error names the file's line."""
+        tmp_path, corpus_dir, _, traces = trained
+        lines = traces.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace('"labels"', '"labels', 1)
+        bad = tmp_path / "bad-line.jsonl"
+        bad.write_text("".join(lines))
+        argv = (["eval", "--traces", str(bad)] if command == "eval" else
+                ["compare", "--traces-a", str(traces), "--traces-b", str(bad)])
+        capsys.readouterr()
+        assert main(argv + ["--manifest", str(corpus_dir / "manifest.json"),
+                            "--split", "test"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{bad}:4: malformed JSON" in err[0]
+
     def test_non_finite_parameter(self, trained, capsys):
         tmp_path, corpus_dir, outdir, _ = trained
         payload = json.loads((outdir / "checkpoint.json").read_text())

@@ -16,8 +16,10 @@ from pageseq.corpus import (
     SynthConfig,
     TypeVocabulary,
     class_page_counts,
+    document_rows,
     generate_synthetic,
     load_corpus,
+    padded_documents,
     run_length_stats,
     transition_self_prob,
     write_corpus,
@@ -27,6 +29,7 @@ from oracles import (
     UNICODE_TEXT,
     GoldDoc,
     GoldPage,
+    columns,
     count_self_transitions,
     docs_of,
     reference_generate_synthetic,
@@ -64,6 +67,56 @@ def write_corpus_dir(tmp_path, train_lines, classes=("A", "B"), mode="multiclass
 
 AB = TypeVocabulary(("A", "B"))
 ABCD = TypeVocabulary(("A", "B", "C", "D"))
+
+
+@st.composite
+def document_selections(draw):
+    """(document sizes, chosen document indices): up to 8 documents and up to
+    12 choices, repeats allowed."""
+    sizes = draw(st.lists(st.integers(1, 6), max_size=8))
+    chosen = (draw(st.lists(st.integers(0, len(sizes) - 1), max_size=12))
+              if sizes else [])
+    return sizes, chosen
+
+
+class TestDocumentLayout:
+    """Rows plus document offsets: padding a batch and gathering documents."""
+
+    def test_padded_documents_match_per_document_rows(self):
+        docs = [np.arange(6.0).reshape(3, 2), np.array([[6.0, 7.0]]),
+                np.arange(8.0, 12.0).reshape(2, 2)]
+        padded, mask = padded_documents(*columns(docs))
+        assert padded.shape == (3, 3, 2)
+        np.testing.assert_array_equal(mask, [[1, 1, 1], [1, 0, 0], [1, 1, 0]])
+        for i, doc in enumerate(docs):
+            np.testing.assert_array_equal(padded[i, :len(doc)], doc)
+        assert not padded[~mask].any()
+
+    def test_no_documents_keep_one_position(self):
+        padded, mask = padded_documents(np.zeros((0, 4)), [0])
+        assert padded.shape == (0, 1, 4) and mask.shape == (0, 1)
+
+    @pytest.mark.parametrize("offsets, message", [
+        ([1, 3, 5], "run from 0"), ([0, 2, 4], "run from 0"),
+        ([0, 2, 6], "run from 0"), ([], "run from 0"),
+        ([0, 2, 2, 5], "at least one page"),
+    ], ids=["not-from-0", "short", "past-end", "no-offsets", "empty-document"])
+    def test_padded_documents_check_offsets(self, offsets, message):
+        with pytest.raises(ValueError, match=message):
+            padded_documents(np.zeros((5, 2)), np.array(offsets, dtype=np.int64))
+
+    @given(document_selections())
+    @example(([3, 1, 2], []))
+    @example(([3, 1, 2], [2, 0, 2, 2]))
+    @example(([], []))
+    def test_document_rows_match_slicing(self, case):
+        """Any selection, empty or with repeats, gathers each chosen
+        document's rows in order."""
+        sizes, chosen = case
+        offsets = np.cumsum([0] + sizes)
+        expected = [r for i in chosen for r in range(offsets[i], offsets[i + 1])]
+        assert document_rows(offsets, np.array(chosen, dtype=np.int64)).tolist() \
+            == expected
 
 
 class TestTypeVocabulary:

@@ -17,6 +17,7 @@ from pageseq.crf import (
 )
 
 from oracles import (
+    columns,
     crf_enumerate,
     crf_forward_backward,
     crf_log_likelihood_per_document,
@@ -36,12 +37,19 @@ def log_z(model, e):
     log-likelihood of a path is its score minus log Z."""
     gold = [0] * len(e)
     return crf_path_score(model, e, gold) - \
-        crf_log_likelihood_and_grad(model, [e], [gold])[0]
+        crf_log_likelihood_and_grad(model, e, gold, [0, len(e)])[0]
 
 
 def viterbi(model, e):
     """(path, score) of one document, decoded as a batch of one."""
-    return crf_viterbi(model, [e])[0]
+    paths, scores = crf_viterbi(model, e, [0, len(e)])
+    return paths.tolist(), float(scores[0])
+
+
+def flat(seqs, golds, n):
+    """(emissions, labels, offsets) of per-document emissions and labels."""
+    emissions, offsets = columns(seqs, n)
+    return emissions, columns(golds)[0], offsets
 
 
 class TestLogForward:
@@ -130,7 +138,7 @@ class TestViterbi:
             model = random_model(n, rng)
             e = rng.normal(0, 1, (length, n))
             gold = rng.integers(0, n, length).tolist()
-            p = math.exp(crf_log_likelihood_and_grad(model, [e], [gold])[0])
+            p = math.exp(crf_log_likelihood_and_grad(model, e, gold, [0, length])[0])
             assert 0.0 < p <= 1.0 + 1e-12
 
 
@@ -169,11 +177,12 @@ class TestGradient:
         seqs = [rng.normal(0, 1, (int(rng.integers(1, 6)), n)) for _ in range(4)]
         golds = [rng.integers(0, n, s.shape[0]).tolist() for s in seqs]
         l2 = 0.05
-        _, g_t, g_s, g_e = crf_log_likelihood_and_grad(model, seqs, golds, l2)
+        batch = flat(seqs, golds, n)
+        _, g_t, g_s, g_e = crf_log_likelihood_and_grad(model, *batch, l2)
 
         def ll_of(transition, start, scale):
             m = CrfModel(transition, start, scale)
-            return crf_log_likelihood_and_grad(m, seqs, golds, l2)[0]
+            return crf_log_likelihood_and_grad(m, *batch, l2)[0]
 
         h = 1e-6
         for i in range(n):
@@ -227,7 +236,7 @@ class TestBatch:
     @given(ragged_batches(), st.sampled_from([0.0, 0.03]))
     def test_objective_matches_per_document(self, batch, l2):
         model, seqs, golds = batch
-        got = crf_log_likelihood_and_grad(model, seqs, golds, l2)
+        got = crf_log_likelihood_and_grad(model, *flat(seqs, golds, model.n), l2)
         expected = crf_log_likelihood_per_document(model, seqs, golds, l2)
         for value, reference in zip(got, expected):
             assert_close(value, reference)
@@ -236,22 +245,25 @@ class TestBatch:
     @given(ragged_batches())
     def test_viterbi_matches_per_document(self, batch):
         model, seqs, _ = batch
-        decoded = crf_viterbi(model, seqs)
-        assert len(decoded) == len(seqs)
-        for (path, score), e in zip(decoded, seqs):
+        emissions, offsets = columns(seqs, model.n)
+        paths, scores = crf_viterbi(model, emissions, offsets)
+        assert paths.shape == (len(emissions),) and scores.shape == (len(seqs),)
+        for i, e in enumerate(seqs):
             ref_path, ref_score = crf_viterbi_document(model, e)
-            assert path == ref_path
-            assert score == pytest.approx(ref_score, rel=1e-12, abs=1e-12)
+            assert paths[offsets[i]:offsets[i + 1]].tolist() == ref_path
+            assert scores[i] == pytest.approx(ref_score, rel=1e-12, abs=1e-12)
 
     def test_zero_model_ties_break_to_lowest_index(self):
         model = CrfModel(np.zeros((3, 3)), np.zeros(3))
-        decoded = crf_viterbi(model, [np.zeros((l, 3)) for l in (3, 1, 5, 3)])
-        assert decoded == [([0] * l, 0.0) for l in (3, 1, 5, 3)]
+        paths, scores = crf_viterbi(model, np.zeros((12, 3)), [0, 3, 4, 9, 12])
+        assert paths.tolist() == [0] * 12 and scores.tolist() == [0.0] * 4
 
     def test_empty_batch(self):
         model = random_model(3, np.random.default_rng(3))
-        assert crf_viterbi(model, []) == []
-        ll, g_t, g_s, g_e = crf_log_likelihood_and_grad(model, [], [], 0.1)
+        paths, scores = crf_viterbi(model, np.zeros((0, 3)), [0])
+        assert paths.shape == scores.shape == (0,)
+        ll, g_t, g_s, g_e = crf_log_likelihood_and_grad(model, np.zeros((0, 3)), [],
+                                                        [0], 0.1)
         assert ll == pytest.approx(-0.1 * float((model.transition ** 2).sum()))
         np.testing.assert_array_equal(g_t, -0.2 * model.transition)
         assert not g_s.any() and g_e == 0.0
@@ -259,12 +271,12 @@ class TestBatch:
     def test_document_without_pages_is_rejected(self):
         model = random_model(2, np.random.default_rng(4))
         with pytest.raises(ValueError, match="at least one page"):
-            crf_viterbi(model, [np.zeros((2, 2)), np.zeros((0, 2))])
+            crf_viterbi(model, np.zeros((2, 2)), [0, 2, 2])
 
     def test_label_lengths_must_match(self):
         model = random_model(2, np.random.default_rng(5))
         with pytest.raises(ValueError, match="in length"):
-            crf_log_likelihood_and_grad(model, [np.zeros((3, 2))], [[0, 1]])
+            crf_log_likelihood_and_grad(model, np.zeros((3, 2)), [0, 1], [0, 3])
 
     @pytest.mark.parametrize("labels", [[-1, 0, 1], [0, 3, 1]],
                              ids=["negative", "past-last"])
@@ -273,7 +285,7 @@ class TestBatch:
         of the class axis."""
         model = random_model(3, np.random.default_rng(6))
         with pytest.raises(ValueError, match="class indices"):
-            crf_log_likelihood_and_grad(model, [np.zeros((3, 3))], [labels])
+            crf_log_likelihood_and_grad(model, np.zeros((3, 3)), labels, [0, 3])
 
 
 class TestFit:
@@ -287,7 +299,7 @@ class TestFit:
             length = int(rng.integers(4, 9))
             seqs.append(rng.normal(0, 0.1, (length, n)))  # uninformative emissions
             golds.append([c] * length)
-        model = crf_fit(seqs, golds, n, l2=0.05, tol=1e-4, max_iter=1000).model
+        model = crf_fit(*flat(seqs, golds, n), l2=0.05, tol=1e-4, max_iter=1000).model
         for i in range(n):
             off = [model.transition[i, j] for j in range(n) if j != i]
             assert model.transition[i, i] > max(off)
@@ -299,36 +311,40 @@ class TestFit:
         n = 2
         seqs = [rng.normal(0, 0.2, (int(rng.integers(2, 6)), n)) for _ in range(10)]
         golds = [[0] * s.shape[0] for s in seqs]
-        model = crf_fit(seqs, golds, n, l2=0.01, tol=1e-3, max_iter=1000).model
-        assert [path for path, _ in crf_viterbi(model, seqs)] == golds
+        emissions, labels, offsets = flat(seqs, golds, n)
+        model = crf_fit(emissions, labels, offsets, l2=0.01, tol=1e-3,
+                        max_iter=1000).model
+        np.testing.assert_array_equal(crf_viterbi(model, emissions, offsets)[0], labels)
 
     def test_fit_never_mutates_emissions(self):
         """Frozen-extractor contract: inputs are read-only features."""
         rng = np.random.default_rng(29)
         seqs = [rng.normal(0, 1, (4, 2)) for _ in range(5)]
-        copies = [s.copy() for s in seqs]
         golds = [rng.integers(0, 2, 4).tolist() for _ in range(5)]
-        crf_fit(seqs, golds, 2, l2=0.1, max_iter=50)
-        for s, c in zip(seqs, copies):
-            np.testing.assert_array_equal(s, c)
+        emissions, labels, offsets = flat(seqs, golds, 2)
+        copy = emissions.copy()
+        crf_fit(emissions, labels, offsets, l2=0.1, max_iter=50)
+        np.testing.assert_array_equal(emissions, copy)
 
     def test_emission_scale_stays_positive(self):
         rng = np.random.default_rng(31)
         logits = [rng.normal(0, 1, (5, 3)) for _ in range(8)]
-        seqs = [emissions_from_logits(lg) for lg in logits]
         golds = [rng.integers(0, 3, 5).tolist() for _ in range(8)]
-        model = crf_fit(seqs, golds, 3, l2=0.1, max_iter=200).model
+        logits, labels, offsets = flat(logits, golds, 3)
+        model = crf_fit(emissions_from_logits(logits), labels, offsets,
+                        l2=0.1, max_iter=200).model
         assert model.emission_scale > 0.0
 
     def test_returned_model_meets_gradient_tolerance(self):
         rng = np.random.default_rng(43)
         logits = [rng.normal(0, 2, (int(rng.integers(2, 8)), 3)) for _ in range(12)]
-        seqs = [emissions_from_logits(lg) for lg in logits]
-        golds = [rng.integers(0, 3, s.shape[0]).tolist() for s in seqs]
+        golds = [rng.integers(0, 3, lg.shape[0]).tolist() for lg in logits]
+        logits, labels, offsets = flat(logits, golds, 3)
+        batch = emissions_from_logits(logits), labels, offsets
         tol = 1e-6
-        fit = crf_fit(seqs, golds, 3, l2=0.05, tol=tol)
+        fit = crf_fit(*batch, l2=0.05, tol=tol)
         model = fit.model
-        _, g_t, g_s, g_e = crf_log_likelihood_and_grad(model, seqs, golds, 0.05)
+        _, g_t, g_s, g_e = crf_log_likelihood_and_grad(model, *batch, 0.05)
         if model.emission_scale <= 1e-6:
             g_e = max(g_e, 0.0)  # at the floor only an upward step is feasible
         projected = max(np.abs(g_t).max(), np.abs(g_s).max(), abs(g_e))
@@ -341,18 +357,18 @@ class TestFit:
         seqs = [rng.normal(0, 1, (5, 3)) for _ in range(5)]
         golds = [rng.integers(0, 3, 5).tolist() for _ in range(5)]
         with pytest.warns(UserWarning, match="did not converge"):
-            fit = crf_fit(seqs, golds, 3, max_iter=1)
+            fit = crf_fit(*flat(seqs, golds, 3), max_iter=1)
         assert not fit.converged and fit.iterations == 1
         assert fit.projected_gradient_max > 1e-6
 
     def test_projected_gradient_at_the_scale_floor(self):
         """Emissions that point away from the gold labels push the scale
         down to its floor; there the blocked descent step does not count."""
-        seqs = [np.log(np.array([[0.1, 0.9], [0.9, 0.1], [0.1, 0.9]]))] * 4
-        golds = [[0, 1, 0]] * 4
-        fit = crf_fit(seqs, golds, 2, l2=0.1)
+        batch = flat([np.log(np.array([[0.1, 0.9], [0.9, 0.1], [0.1, 0.9]]))] * 4,
+                     [[0, 1, 0]] * 4, 2)
+        fit = crf_fit(*batch, l2=0.1)
         assert fit.converged and fit.model.emission_scale == 1e-6
-        _, g_t, g_s, g_e = crf_log_likelihood_and_grad(fit.model, seqs, golds, 0.1)
+        _, g_t, g_s, g_e = crf_log_likelihood_and_grad(fit.model, *batch, 0.1)
         assert g_e < -1e-6  # the objective would rise below the floor
         assert fit.projected_gradient_max == pytest.approx(
             max(np.abs(g_t).max(), np.abs(g_s).max()), rel=1e-12, abs=0)
@@ -374,9 +390,8 @@ class TestEmissions:
 
 @pytest.mark.parametrize("l2", [-1.0, float("nan"), float("inf")])
 def test_fit_rejects_l2_that_breaks_concavity(l2):
-    seqs = [np.zeros((3, 2))]
     with pytest.raises(ValueError, match="l2"):
-        crf_fit(seqs, [[0, 1, 0]], 2, l2=l2)
+        crf_fit(np.zeros((3, 2)), [0, 1, 0], [0, 3], l2=l2)
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])

@@ -6,6 +6,9 @@ package takes ``label_mode`` next to one of them.
 
 Each numeric helper exists once: logsumexp, log-softmax and the sigmoid come
 from ``scipy.special``, and no module defines its own copy.
+
+A split has one layout: rows in document order plus document offsets.  No
+function of the package takes a list of per-document arrays.
 """
 
 import ast
@@ -51,6 +54,19 @@ def test_label_mode_never_next_to_its_source():
     # the encoder's loss and decision rule take it as a value
     assert sorted(takers) == ["corpus.TypeVocabulary.__init__",
                               "encoder.loss_and_grad", "encoder.predict"]
+
+
+PER_DOCUMENT_LIST = re.compile(r"seqs|\w+_seqs|sequences|batch")
+
+
+def test_no_function_takes_a_list_of_documents():
+    functions = dict(package_functions())
+    for name in ("crf.crf_fit", "bilstm.bilstm_train", "corpus.padded_documents"):
+        assert name in functions  # the walk reaches the baselines
+    found = [f"{name}({param})" for name, fn in functions.items()
+             for param in inspect.signature(fn).parameters
+             if PER_DOCUMENT_LIST.fullmatch(param)]
+    assert found == []
 
 
 NUMERIC_HELPER = re.compile(r"log_?sum_?exp|log_?softmax|sigmoid|expit", re.IGNORECASE)
