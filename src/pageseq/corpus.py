@@ -13,10 +13,14 @@ page per line:
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -102,13 +106,16 @@ class Documents:
             raise CorpusError(f"document {self.doc_ids[empty[0]]!r} is empty")
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise CorpusError("duplicate doc_id in split")
-        rows = np.repeat(np.arange(len(labels)), [len(page) for page in labels])
-        flat = [c for page in labels for c in page]
+        rows = np.repeat(np.arange(len(labels)), list(map(len, labels)))
+        flat = list(chain.from_iterable(labels))
         n = vocab.n
-        for row, c in zip(rows.tolist(), flat):
-            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < n:
-                raise CorpusError(f"{self._page(row)}: label {c!r} is not a class "
-                                  f"index; a label index is an int in 0..{n - 1}")
+        if not (set(map(type, flat)) <= {int}
+                and (not flat or 0 <= min(flat) and max(flat) < n)):
+            for row, c in zip(rows.tolist(), flat):
+                if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < n:
+                    raise CorpusError(f"{self._page(row)}: label {c!r} is not a "
+                                      f"class index; a label index is an int in "
+                                      f"0..{n - 1}")
         self.gold = np.zeros((len(labels), n), dtype=bool)
         self.gold[rows, np.array(flat, dtype=np.int64)] = True
         counts = self.gold.sum(axis=1)
@@ -181,57 +188,161 @@ def document_rows(offsets: np.ndarray, chosen: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _parse_page_line(line: str, lineno: int, path: Path,
-                     index: Mapping[str, int]) -> tuple[str, int, str, list[int]]:
-    """The doc_id, page_index, text and class indices of one JSONL page line;
-    ``index`` maps each class name to its index."""
+@contextmanager
+def gc_paused():
+    """The cyclic garbage collector paused, as a context or a decorator.
+    Parsed JSON holds no reference cycles, so a collection while a file is
+    parsed and checked frees none of it: it only walks the parsed values and
+    moves them on to the oldest generation, whose collections walk the whole
+    heap."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-    if not isinstance(obj, dict):
-        raise CorpusError(f"{path}:{lineno}: expected a JSON object")
-    for key, kind in (("doc_id", str), ("page_index", int), ("text", str), ("labels", list)):
-        if key not in obj:
-            raise CorpusError(f"{path}:{lineno}: missing field {key!r}")
-        if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
-            raise CorpusError(f"{path}:{lineno}: field {key!r} has wrong type")
-    labels = []
-    for name in obj["labels"]:
-        if not isinstance(name, str):
-            raise CorpusError(f"{path}:{lineno}: labels must be strings")
-        if name not in index:
-            raise CorpusError(f"{path}:{lineno}: unknown label {name!r}")
-        labels.append(index[name])
-    return obj["doc_id"], obj["page_index"], obj["text"], labels
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
+# the scanner json.loads decodes with: one JSON value starting at an index,
+# with no whitespace skipped and nothing checked after the value
+_SCAN = json.JSONDecoder().scan_once
+
+
+def read_jsonl(text: str) -> tuple[list[int], list]:
+    """The line number and JSON value of each non-blank line of ``text``,
+    split on "\\n" only: a JSON string may hold U+2028 and the like raw.
+
+    Each value, and each error, is the one ``json.loads(line)`` gives.  A
+    line the scanner reads whole keeps the scanner's value; any other line
+    (whitespace around the value, a BOM, a second value, a syntax error)
+    goes to ``json.loads``.  A malformed line raises ``JSONDecodeError`` at
+    its position in ``text``, so that its ``lineno`` is the file's line.
+    """
+    linenos, values = [], []
+    lines = text.split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            value, end = _SCAN(line, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(line):  # blank, or not one value read whole
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                start = sum(map(len, lines[:lineno - 1])) + lineno - 1
+                raise json.JSONDecodeError(exc.msg, text, start + exc.pos) from None
+        linenos.append(lineno)
+        values.append(value)
+    return linenos, values
+
+
+def first_appearance(keys: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct hashable ``keys`` in order of first appearance, and the
+    index of each key among them."""
+    distinct = dict.fromkeys(keys)
+    code = dict(zip(distinct, range(len(distinct))))
+    return list(distinct), np.fromiter(map(code.__getitem__, keys),
+                                       dtype=np.int64, count=len(keys))
+
+
+# the fields of a page line and the one type each must have (a bool is no int)
+_PAGE_FIELDS = {"doc_id": str, "page_index": int, "text": str, "labels": list}
+
+
+def _page_columns(pages: list, index: Mapping[str, int]) -> tuple | None:
+    """The doc ids (in order of first appearance), page counts, texts and
+    class index tuples of the documents of parsed page lines, checked a
+    column at a time; None if some line breaks a rule of ``_line_fault``."""
+    if not pages:
+        return [], [], [], []
+    if set(map(type, pages)) != {dict}:
+        return None
+    # one list per field: per-page tuples would live long enough to be
+    # promoted to the oldest GC generation, and bring on full collections
+    try:
+        columns = [list(map(itemgetter(key), pages)) for key in _PAGE_FIELDS]
+    except KeyError:
+        return None
+    if any(set(map(type, column)) != {kind}
+           for column, kind in zip(columns, _PAGE_FIELDS.values())):
+        return None
+    doc_ids, page_indices, texts, name_lists = columns
+    keys = list(map(tuple, name_lists))
+    try:  # an unknown label, or one that is not a string, is no key of index
+        classes = {key: tuple(map(index.__getitem__, key)) for key in set(keys)}
+    except (KeyError, TypeError):
+        return None
+    # each page's row among its document's, in file order
+    docs, doc = first_appearance(doc_ids)
+    order = np.argsort(doc, kind="stable")
+    sizes = np.bincount(doc)
+    rank = np.empty_like(doc)
+    rank[order] = np.arange(len(doc)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    if rank.tolist() != page_indices:
+        return None
+    rows = order.tolist()
+    return (docs, sizes.tolist(), list(map(texts.__getitem__, rows)),
+            list(map(classes.__getitem__, map(keys.__getitem__, rows))))
+
+
+def _line_fault(path: Path, linenos: Sequence[int], pages: list,
+                index: Mapping[str, int]) -> str:
+    """The error of the first line, in file order, that is not a page object
+    with fields of the right types and known label names, or whose
+    page_index is not its document's next.  Called once a column check of
+    ``_page_columns`` has failed, so some line breaks a rule."""
+    seen: dict[str, int] = {}
+    for lineno, obj in zip(linenos, pages):
+        where = f"{path}:{lineno}"
+        if not isinstance(obj, dict):
+            return f"{where}: expected a JSON object"
+        for key, kind in _PAGE_FIELDS.items():
+            if key not in obj:
+                return f"{where}: missing field {key!r}"
+            if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
+                return f"{where}: field {key!r} has wrong type"
+        for name in obj["labels"]:
+            if not isinstance(name, str):
+                return f"{where}: labels must be strings"
+            if name not in index:
+                return f"{where}: unknown label {name!r}"
+        doc_id, page_index = obj["doc_id"], obj["page_index"]
+        expected = seen.get(doc_id, 0)
+        if page_index != expected:
+            if 0 <= page_index < expected:
+                return f"{where}: duplicate page {(doc_id, page_index)}"
+            return (f"{where}: page_index {page_index} of document {doc_id!r}, "
+                    f"expected {expected} (pages run 0..l-1 in file order)")
+        seen[doc_id] = expected + 1
+    raise AssertionError("a column check failed but every line keeps the rules")
+
+
+@gc_paused()
 def load_split_file(path: Path | str, vocab: TypeVocabulary) -> Documents:
     """Load one JSONL page file into documents, grouped by doc_id in order of
     first appearance; each document's pages must come in page_index order
-    0..l-1."""
+    0..l-1.
+
+    The lines are checked a column at a time.  Only once a column check
+    fails does a pass over the lines name the first bad line, with the error
+    a line-by-line reader gives.  In a file with several faults that reader
+    may stop at a bad line before a malformed JSON one; here the malformed
+    JSON line is reported first, as the whole file is parsed before any
+    check."""
     path = Path(path)
-    index = {name: c for c, name in enumerate(vocab.class_names)}
-    pages: dict[str, list[tuple[str, list[int]]]] = {}
-    # split on "\n" only: a JSON string may hold U+2028 and the like raw
-    for lineno, line in enumerate(_read_text(path, "split file").split("\n"),
-                                  start=1):
-        if not line.strip():
-            continue
-        doc_id, page_index, text, labels = _parse_page_line(line, lineno, path, index)
-        doc = pages.setdefault(doc_id, [])
-        if page_index != len(doc):
-            if 0 <= page_index < len(doc):
-                raise CorpusError(f"{path}:{lineno}: duplicate page "
-                                  f"{(doc_id, page_index)}")
-            raise CorpusError(f"{path}:{lineno}: page_index {page_index} of "
-                              f"document {doc_id!r}, expected {len(doc)} (pages "
-                              f"run 0..l-1 in file order)")
-        doc.append((text, labels))
-    rows = [page for doc in pages.values() for page in doc]
     try:
-        return Documents(vocab, list(pages), [len(doc) for doc in pages.values()],
-                         [text for text, _ in rows], [labels for _, labels in rows])
+        linenos, pages = read_jsonl(_read_text(path, "split file"))
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}:{exc.lineno}: malformed JSON ({exc.msg})") from None
+    index = {name: c for c, name in enumerate(vocab.class_names)}
+    columns = _page_columns(pages, index)
+    if columns is None:
+        raise CorpusError(_line_fault(path, linenos, pages, index))
+    try:
+        return Documents(vocab, *columns)
     except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from None
 

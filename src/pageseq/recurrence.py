@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import encoder
-from .corpus import MULTICLASS, Documents, TypeVocabulary
+from .corpus import (MULTICLASS, Documents, TypeVocabulary, first_appearance,
+                     gc_paused, read_jsonl)
 from .encoder import CLS_ID, FIRST_ID, PAD_ID, EncoderConfig, TokenCodec, predict
 from .features import tokenize
 
@@ -222,11 +225,13 @@ def infer_split(params: dict, docs: Documents,
 
 def _names_json(indicator: np.ndarray, names: Sequence[str]) -> list[str]:
     """The JSON list of the names of each row's set columns, in column order;
-    each distinct row is encoded once."""
-    distinct, inverse = np.unique(indicator, axis=0, return_inverse=True)
-    strings = [json.dumps([names[c] for c in np.flatnonzero(row)])
-               for row in distinct]
-    return [strings[i] for i in inverse.ravel()]
+    each distinct row, packed into one bytes code, is encoded once."""
+    packed = np.packbits(indicator, axis=1)
+    codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, rows, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    strings = [json.dumps([names[c] for c in np.flatnonzero(indicator[row])])
+               for row in rows.tolist()]
+    return list(map(strings.__getitem__, inverse.ravel().tolist()))
 
 
 def write_traces(trace: SplitTrace, path: Path | str, vocab: TypeVocabulary,
@@ -252,85 +257,119 @@ def write_traces(trace: SplitTrace, path: Path | str, vocab: TypeVocabulary,
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def _indicator(name_lists: Sequence, vocab: TypeVocabulary) -> np.ndarray:
-    """The (len(name_lists) x n) 0/1 rows of lists of class names; each
-    distinct list is looked up once."""
-    distinct: dict[tuple, int] = {}
-    keys = [distinct.setdefault(tuple(names), len(distinct)) for names in name_lists]
-    table = np.zeros((len(distinct), vocab.n), dtype=bool)
-    for names, key in distinct.items():
-        table[key, [vocab.index(name) for name in names]] = True
-    return table[keys]
-
-
 def _page_name(obj: dict) -> str:
     return f"page {obj['page_index']} of {obj['doc_id']!r}"
 
 
+def _first(column: Sequence, bad) -> int:
+    """The index of the first entry of ``column`` for which ``bad`` holds."""
+    return next(i for i, x in enumerate(column) if bad(x))
+
+
+def _indicator(name_lists: Sequence[list], field: str, pages: list,
+               vocab: TypeVocabulary, blank: tuple = ()) -> np.ndarray:
+    """The (pages x n) 0/1 rows of the lists of class names in ``field`` of
+    each page, each distinct list looked up once; the list ``blank`` gives
+    an all-False row.  A name that is not a string, or no class's, is
+    reported with its page."""
+    if not set(map(type, chain.from_iterable(name_lists))) <= {str}:
+        row = _first(name_lists, lambda names: not set(map(type, names)) <= {str})
+        raise ValueError(f"{_page_name(pages[row])}: field {field!r} holds a "
+                         f"label name that is not a string")
+    distinct, keys = first_appearance(list(map(tuple, name_lists)))
+    index = dict(zip(vocab.class_names, range(vocab.n)))
+    table = np.zeros((len(distinct), vocab.n), dtype=bool)
+    for key, names in enumerate(distinct):
+        if names == blank:
+            continue
+        unknown = [name for name in names if name not in index]
+        if unknown:
+            raise ValueError(f"{_page_name(pages[np.argmax(keys == key)])}: "
+                             f"unknown label name {unknown[0]!r} in field {field!r}")
+        table[key, list(map(index.__getitem__, names))] = True
+    return table[keys]
+
+
+# the fields of a trace page line, in the order their types are checked
+_TRACE_FIELDS = ("doc_id", "labels", "context", "scores")
+
+
+@gc_paused()
 def read_traces(path: Path | str, vocab: TypeVocabulary,
                 text: str | None = None) -> SplitTrace:
     """The trace in a trace file; ``text`` is the file's contents if already
     read.  Documents come in order of first appearance, and their pages in
-    ``page_index`` order, which must run 0..l-1."""
+    ``page_index`` order, which must run 0..l-1.
+
+    The fields are checked a column at a time; only once a check has failed
+    does a pass over the pages name the first bad one.  In a file with
+    several faults, the one reported may not be the first in file order."""
     if text is None:
         text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
     try:
-        parsed = list(map(json.loads, filter(str.strip, lines)))
-    except json.JSONDecodeError as exc:  # exc.doc is the line that failed
-        raise ValueError(f"{path}:{lines.index(exc.doc) + 1}: malformed JSON "
-                         f"({exc.msg} at column {exc.colno})") from None
-    pages = [obj for obj in parsed if "doc_id" in obj or "provenance" not in obj]
-    # field types, one comprehension per field; a score is a JSON number,
-    # so neither a string nor a bool
-    for field, kinds, what in (("doc_id", {str}, "a string"),
-                               ("labels", {list}, "a list"),
-                               ("context", {list, type(None)}, "null or a list"),
-                               ("scores", {list}, "a list")):
-        ok = [type(obj[field]) in kinds for obj in pages]
-        if not all(ok):
-            raise ValueError(f"{_page_name(pages[ok.index(False)])}: field "
-                             f"{field!r} must be {what}")
-    if not {type(x) for obj in pages for x in obj["scores"]} <= {int, float}:
-        ok = [{type(x) for x in obj["scores"]} <= {int, float} for obj in pages]
-        raise ValueError(f"{_page_name(pages[ok.index(False)])} has a score that "
-                         f"is not a number")
-    for obj in pages:
-        if len(obj["scores"]) != vocab.n:
-            raise ValueError(f"{_page_name(obj)} has {len(obj['scores'])} scores "
-                             f"for {vocab.n} classes")
-    scores = np.array([obj["scores"] for obj in pages],
-                      dtype=np.float64).reshape(len(pages), vocab.n)
+        objs = read_jsonl(text)[1]
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: malformed JSON ({exc.msg} at "
+                         f"column {exc.colno})") from None
+    pages = [obj for obj in objs if "doc_id" in obj or "provenance" not in obj]
+    if not pages:
+        return SplitTrace.blank([], np.zeros(1, dtype=np.int64), vocab.n, False)
+    # one list per field: per-page tuples would live long enough to be
+    # promoted to the oldest GC generation, and bring on full collections
+    columns = [list(map(itemgetter(key), pages))
+               for key in (*_TRACE_FIELDS, "page_index")]
+    # a score is a JSON number, so neither a string nor a bool
+    for field, column, kinds, what in zip(
+            _TRACE_FIELDS, columns,
+            ({str}, {list}, {list, type(None)}, {list}),
+            ("a string", "a list", "null or a list", "a list")):
+        if not set(map(type, column)) <= kinds:
+            row = _first(column, lambda x: type(x) not in kinds)
+            raise ValueError(f"{_page_name(pages[row])}: field {field!r} must "
+                             f"be {what}")
+    doc_ids, labels, contexts, scores, page_indices = columns
+    if not set(map(type, chain.from_iterable(scores))) <= {int, float}:
+        row = _first(scores, lambda s: not set(map(type, s)) <= {int, float})
+        raise ValueError(f"{_page_name(pages[row])} has a score that is not a "
+                         f"number")
+    if set(map(len, scores)) != {vocab.n}:
+        row = _first(scores, lambda s: len(s) != vocab.n)
+        raise ValueError(f"{_page_name(pages[row])} has {len(scores[row])} "
+                         f"scores for {vocab.n} classes")
+    scores = np.fromiter(chain.from_iterable(scores), dtype=np.float64,
+                         count=len(pages) * vocab.n).reshape(len(pages), vocab.n)
     bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
     if bad.size:
         raise ValueError(f"{_page_name(pages[bad[0]])} has a score that is not finite")
-    labels = _indicator([obj["labels"] for obj in pages], vocab)
+    labels = _indicator(labels, "labels", pages, vocab)
     counts = labels.sum(axis=1)
     limit = 1 if vocab.label_mode == MULTICLASS else vocab.n
     bad = np.flatnonzero((counts == 0) | (counts > limit))
     if bad.size:
         raise ValueError(f"{_page_name(pages[bad[0]])} has {counts[bad[0]]} labels "
                          f"in {vocab.label_mode} mode")
-    contexts = [obj["context"] for obj in pages]
-    fed = any(c is not None for c in contexts)
-    if fed and any(c is None for c in contexts):
+    fed = list in set(map(type, contexts))
+    if fed and None in contexts:
         raise ValueError("some pages were fed a context and some none")
-    first = np.array([c == [vocab.first_page_token] for c in contexts], dtype=bool)
-    context = _indicator([[] if c is None or f else c
-                          for c, f in zip(contexts, first)], vocab)
+    marker = [vocab.first_page_token]
+    first = np.fromiter(map(eq, contexts, repeat(marker)), dtype=bool,
+                        count=len(pages))
+    context = (_indicator(contexts, "context", pages, vocab, tuple(marker)) if fed
+               else np.zeros_like(labels))
 
-    doc_rows: dict = {}
-    doc = np.array([doc_rows.setdefault(obj["doc_id"], len(doc_rows))
-                    for obj in pages], dtype=np.int64)
-    # an index that cannot be a page's is -1, which no page expects
-    index = np.array([i if type(i) is int and 0 <= i < len(pages) else -1
-                      for i in (obj["page_index"] for obj in pages)], dtype=np.int64)
+    doc_rows, doc = first_appearance(doc_ids)
+    if set(map(type, page_indices)) == {int} and (
+            0 <= min(page_indices) and max(page_indices) < len(pages)):
+        index = np.array(page_indices, dtype=np.int64)
+    else:  # an index that cannot be a page's is -1, which no page expects
+        index = np.array([i if type(i) is int and 0 <= i < len(pages) else -1
+                          for i in page_indices], dtype=np.int64)
     sizes = np.bincount(doc, minlength=len(doc_rows))
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     order = np.lexsort((index, doc))
     wrong = index[order] != np.arange(len(order)) - np.repeat(offsets[:-1], sizes)
     if wrong.any():
-        doc_id = list(doc_rows)[doc[order[wrong.argmax()]]]
+        doc_id = doc_rows[doc[order[wrong.argmax()]]]
         raise ValueError(f"trace for {doc_id!r} has missing or duplicate pages")
-    return SplitTrace(list(doc_rows), offsets, scores[order], labels[order],
+    return SplitTrace(doc_rows, offsets, scores[order], labels[order],
                       first[order], context[order], fed)

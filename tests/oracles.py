@@ -72,13 +72,19 @@ def docs_of(split) -> list[GoldDoc]:
             for doc_id, start, end in zip(split.doc_ids, bounds, bounds[1:])]
 
 
+def same_documents(x, y) -> bool:
+    """Whether two splits have the same doc ids, offsets, texts, label mode
+    and gold indicator."""
+    return (x.doc_ids == y.doc_ids and x.texts == y.texts
+            and x.label_mode == y.label_mode and np.array_equal(x.offsets, y.offsets)
+            and np.array_equal(x.gold, y.gold))
+
+
 def same_corpus(a, b) -> bool:
     """Whether two corpora have the same vocabulary and, split by split, the
-    same doc ids, offsets, texts, label mode and gold indicator."""
+    same documents."""
     return a.vocabulary == b.vocabulary and all(
-        x.doc_ids == y.doc_ids and x.texts == y.texts and x.label_mode == y.label_mode
-        and np.array_equal(x.offsets, y.offsets) and np.array_equal(x.gold, y.gold)
-        for (_, x), (_, y) in zip(a.splits(), b.splits()))
+        same_documents(x, y) for (_, x), (_, y) in zip(a.splits(), b.splits()))
 
 
 def columns(docs, width=None):
@@ -174,6 +180,56 @@ def reference_write_corpus(split, directory, provenance=None) -> Path:
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     return manifest_path
+
+
+def reference_load_split_file(path, vocab):
+    """One JSONL split file as ``corpus.Documents``, one ``json.loads`` and
+    one set of checks per line, in file order: the first bad line is the one
+    reported.  Documents are grouped by doc_id in order of first appearance,
+    and each one's pages must come in page_index order 0..l-1."""
+    from pageseq.corpus import CorpusError, Documents
+
+    index = {name: c for c, name in enumerate(vocab.class_names)}
+    pages: dict[str, list[tuple[str, list[int]]]] = {}
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+        if not isinstance(obj, dict):
+            raise CorpusError(f"{path}:{lineno}: expected a JSON object")
+        for key, kind in (("doc_id", str), ("page_index", int), ("text", str),
+                          ("labels", list)):
+            if key not in obj:
+                raise CorpusError(f"{path}:{lineno}: missing field {key!r}")
+            if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
+                raise CorpusError(f"{path}:{lineno}: field {key!r} has wrong type")
+        labels = []
+        for name in obj["labels"]:
+            if not isinstance(name, str):
+                raise CorpusError(f"{path}:{lineno}: labels must be strings")
+            if name not in index:
+                raise CorpusError(f"{path}:{lineno}: unknown label {name!r}")
+            labels.append(index[name])
+        doc_id, page_index = obj["doc_id"], obj["page_index"]
+        doc = pages.setdefault(doc_id, [])
+        if page_index != len(doc):
+            if 0 <= page_index < len(doc):
+                raise CorpusError(f"{path}:{lineno}: duplicate page "
+                                  f"{(doc_id, page_index)}")
+            raise CorpusError(f"{path}:{lineno}: page_index {page_index} of "
+                              f"document {doc_id!r}, expected {len(doc)} (pages "
+                              f"run 0..l-1 in file order)")
+        doc.append((obj["text"], labels))
+    rows = [page for doc in pages.values() for page in doc]
+    try:
+        return Documents(vocab, list(pages), [len(doc) for doc in pages.values()],
+                         [text for text, _ in rows], [labels for _, labels in rows])
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -340,26 +396,72 @@ def write_traces_per_page(trace, path, vocab, provenance=None) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def _class_names(names, field, page, vocab) -> frozenset:
+    """The class indices of one page's list of names in ``field``."""
+    if not all(type(name) is str for name in names):
+        raise ValueError(f"{page}: field {field!r} holds a label name that is "
+                         f"not a string")
+    for name in names:
+        if name not in vocab.class_names:
+            raise ValueError(f"{page}: unknown label name {name!r} in field "
+                             f"{field!r}")
+    return frozenset(vocab.class_names.index(name) for name in names)
+
+
 def read_traces_per_page(path, vocab):
     """Reference trace reader, in the form of ``trace_pages``: documents in
-    order of first appearance, each one's pages in page_index order."""
+    order of first appearance, each one's pages in page_index order.  One
+    ``json.loads`` per line and every check page by page, with the errors
+    ``recurrence.read_traces`` gives: a file with one fault gets its
+    message."""
     docs: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
+    fed = set()
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
             obj = json.loads(line)
-            if "provenance" in obj and "doc_id" not in obj:
-                continue
-            context = obj["context"]
-            if context == [vocab.first_page_token]:
-                context = FIRST_PAGE
-            elif context is not None:
-                context = frozenset(vocab.class_names.index(c) for c in context)
-            labels = frozenset(vocab.class_names.index(c) for c in obj["labels"])
-            docs.setdefault(obj["doc_id"], []).append(
-                (obj["page_index"], Page(np.asarray(obj["scores"], dtype=np.float64),
-                                         labels, context)))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg} at "
+                             f"column {exc.colno})") from None
+        if "provenance" in obj and "doc_id" not in obj:
+            continue
+        page = f"page {obj['page_index']} of {obj['doc_id']!r}"
+        for field, kinds, what in (("doc_id", (str,), "a string"),
+                                   ("labels", (list,), "a list"),
+                                   ("context", (list, type(None)), "null or a list"),
+                                   ("scores", (list,), "a list")):
+            if type(obj[field]) not in kinds:
+                raise ValueError(f"{page}: field {field!r} must be {what}")
+        if not all(type(s) in (int, float) for s in obj["scores"]):
+            raise ValueError(f"{page} has a score that is not a number")
+        if len(obj["scores"]) != vocab.n:
+            raise ValueError(f"{page} has {len(obj['scores'])} scores for "
+                             f"{vocab.n} classes")
+        scores = np.asarray(obj["scores"], dtype=np.float64)
+        if not np.isfinite(scores).all():
+            raise ValueError(f"{page} has a score that is not finite")
+        labels = _class_names(obj["labels"], "labels", page, vocab)
+        limit = 1 if vocab.label_mode == "multiclass" else vocab.n
+        if not 1 <= len(labels) <= limit:
+            raise ValueError(f"{page} has {len(labels)} labels in "
+                             f"{vocab.label_mode} mode")
+        context = obj["context"]
+        fed.add(context is not None)
+        if context == [vocab.first_page_token]:
+            context = FIRST_PAGE
+        elif context is not None:
+            context = _class_names(context, "context", page, vocab)
+        docs.setdefault(obj["doc_id"], []).append(
+            (obj["page_index"], Page(scores, labels, context)))
+    if len(fed) > 1:
+        raise ValueError("some pages were fed a context and some none")
+    for doc_id, pages in docs.items():
+        indices = [index for index, _ in pages]
+        if not (all(type(i) is int for i in indices)
+                and sorted(indices) == list(range(len(pages)))):
+            raise ValueError(f"trace for {doc_id!r} has missing or duplicate pages")
     return [(doc_id, [page for _, page in sorted(pages, key=lambda p: p[0])])
             for doc_id, pages in docs.items()]
 

@@ -816,11 +816,23 @@ class TestBadArtifacts:
         (lambda page: page["scores"].__setitem__(0, True),
          "a score that is not a number"),
         (lambda page: page.update(doc_id=7), "field 'doc_id' must be a string"),
+        (lambda page: page["labels"].append(5),
+         "field 'labels' holds a label name that is not a string"),
+        (lambda page: page["labels"].append(page["labels"][:1]),
+         "field 'labels' holds a label name that is not a string"),
+        (lambda page: page["context"].append(5),
+         "field 'context' holds a label name that is not a string"),
+        (lambda page: page["labels"].append("no such class"),
+         "unknown label name 'no such class' in field 'labels'"),
+        (lambda page: page["context"].insert(0, "no such class"),
+         "unknown label name 'no such class' in field 'context'"),
     ], ids=["labels-string", "context-string", "score-string", "score-bool",
-            "doc-id-int"])
+            "doc-id-int", "label-int", "label-list", "context-int",
+            "label-unknown", "context-unknown"])
     def test_trace_field_types(self, trained, command, edit, message, capsys):
         """A string where a list of names belongs, a string or bool where a
-        score belongs, or a doc_id that is not a string, on the last page."""
+        score belongs, a doc_id that is not a string, or a label name that is
+        not a string or no class's, on the last page."""
         last = json.loads(trained[3].read_text().splitlines()[-1])
         err = self.run_on_edited_page(trained, command, "field-type", edit, capsys)
         assert f"page {last['page_index']} of " in err[0] and message in err[0]

@@ -1,7 +1,9 @@
 """Tests for the corpus data model, JSONL round-trip, generator, and statistics."""
 
 import json
+import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +21,14 @@ from pageseq.corpus import (
     document_rows,
     generate_synthetic,
     load_corpus,
+    load_split_file,
     padded_documents,
+    read_jsonl,
     run_length_stats,
     transition_self_prob,
     write_corpus,
 )
+from pageseq.recurrence import SplitTrace, read_traces, write_traces
 
 from oracles import (
     UNICODE_TEXT,
@@ -32,11 +37,15 @@ from oracles import (
     columns,
     count_self_transitions,
     docs_of,
+    read_traces_per_page,
     reference_generate_synthetic,
+    reference_load_split_file,
     reference_write_corpus,
     same_corpus,
+    same_documents,
     scan_runs,
     split_of,
+    trace_pages,
 )
 
 
@@ -382,6 +391,239 @@ class TestAgainstPerPageReference:
             for name in ("train.jsonl", "validation.jsonl", "test.jsonl",
                          "manifest.json"):
                 assert (ours / name).read_bytes() == (ref / name).read_bytes()
+
+
+CLASS_NAMES = ["A", "b\u00e9", 'q"\\', "\u2028", "\x01z"]
+UNKNOWN = "no such class"
+
+
+@st.composite
+def page_files(draw, min_pages=0):
+    """(vocab, pages): the page objects of a split file of either label mode,
+    with the pages of up to 4 documents interleaved in any order that keeps
+    each document's own; a multilabel page may name a class twice."""
+    mode = draw(st.sampled_from(["multiclass", "multilabel"]))
+    names = draw(st.lists(st.sampled_from(CLASS_NAMES), min_size=2, max_size=4,
+                          unique=True))
+    labels = st.lists(st.sampled_from(names), min_size=1,
+                      max_size=1 if mode == "multiclass" else len(names) + 1)
+    doc_ids = draw(st.lists(JSON_TEXT, min_size=1 if min_pages else 0,
+                            max_size=4, unique=True))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=len(doc_ids),
+                          max_size=len(doc_ids)).filter(
+                              lambda sizes: sum(sizes) >= min_pages))
+    owners = draw(st.permutations([d for d, size in enumerate(sizes)
+                                   for _ in range(size)]))
+    seen = [0] * len(doc_ids)
+    pages = []
+    for d in owners:
+        pages.append({"doc_id": doc_ids[d], "labels": draw(labels),
+                      "page_index": seen[d], "text": draw(JSON_TEXT)})
+        seen[d] += 1
+    return TypeVocabulary(tuple(names), mode), pages
+
+
+WRONG_TYPE = {"doc_id": [3, None, ["d"]], "page_index": ["0", 1.5, None],
+              "text": [3, None, ["t"]], "labels": ["A", None, {"A": 1}]}
+# one fault each; only "json" leaves a line that does not parse
+FAULTS = ("json", "object", "missing", "type", "bool", "nonstring", "unknown",
+          "duplicate", "order", "empty")
+
+
+class Faulty(dict):
+    """A page object that already holds a fault."""
+
+
+def add_fault(entries: list, fault: str, draw) -> None:
+    """Put ``fault`` into a drawn page of ``entries`` that holds none yet (a
+    page object, not a ``Faulty`` one or a line already broken), in place."""
+    i = draw(st.sampled_from([k for k, e in enumerate(entries) if type(e) is dict]))
+    page = Faulty(entries[i], labels=list(entries[i]["labels"]))
+    if fault == "json":
+        line = json.dumps(page)
+        page = line[:draw(st.integers(1, len(line) - 1))]
+    elif fault == "object":
+        page = draw(st.sampled_from(["3", "null", "true", "[1, 2]", '"doc_id"']))
+    elif fault == "missing":
+        del page[draw(st.sampled_from(sorted(page)))]
+    elif fault == "type":
+        key = draw(st.sampled_from(sorted(WRONG_TYPE)))
+        page[key] = draw(st.sampled_from(WRONG_TYPE[key]))
+    elif fault == "bool":
+        page["page_index"] = draw(st.booleans())
+    elif fault in ("nonstring", "unknown"):
+        label = (UNKNOWN if fault == "unknown"
+                 else draw(st.sampled_from([5, None, 1.5, ["A"]])))
+        page["labels"].insert(draw(st.integers(0, len(page["labels"]))), label)
+    elif fault == "duplicate":
+        entries.insert(i + 1, page)
+        return
+    elif fault == "order":
+        page["page_index"] += draw(st.sampled_from([-2, -1, 1, 2]))
+    elif fault == "empty":
+        page["labels"] = []
+    entries[i] = page
+
+
+def jsonl(entries) -> str:
+    return "".join((e if isinstance(e, str) else json.dumps(e)) + "\n"
+                   for e in entries)
+
+
+def load_both(text: str, vocab):
+    """The errors ``load_split_file`` and its per-line reference raise on a
+    split file holding ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "split.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusError) as ours:
+            load_split_file(path, vocab)
+        with pytest.raises(CorpusError) as ref:
+            reference_load_split_file(path, vocab)
+    return str(ours.value), str(ref.value)
+
+
+class TestLoaderAgainstPerLineReference:
+    """The column-wise split loader against the per-line reference: one
+    ``json.loads`` and one set of checks per line."""
+
+    @given(page_files(), st.lists(st.sampled_from(["", "  ", "\t"]), max_size=2))
+    def test_same_documents(self, case, blanks):
+        vocab, pages = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "split.jsonl"
+            path.write_text(jsonl(pages + blanks), encoding="utf-8")
+            assert same_documents(load_split_file(path, vocab),
+                                  reference_load_split_file(path, vocab))
+
+    @given(page_files(min_pages=1), st.sampled_from(FAULTS), st.data())
+    def test_single_fault_gets_the_reference_message(self, case, fault, data):
+        vocab, entries = case
+        add_fault(entries, fault, data.draw)
+        ours, ref = load_both(jsonl(entries), vocab)
+        assert ours == ref
+
+    @given(page_files(min_pages=3),
+           st.lists(st.sampled_from(FAULTS[1:]), min_size=2, max_size=3), st.data())
+    def test_several_faults_get_the_first_lines_message(self, case, faults, data):
+        """Faults other than malformed JSON are reported in file order, as
+        the reference reports them."""
+        vocab, entries = case
+        for fault in faults:
+            add_fault(entries, fault, data.draw)
+        ours, ref = load_both(jsonl(entries), vocab)
+        assert ours == ref
+
+    @given(page_files(min_pages=3), st.sampled_from(FAULTS[1:]), st.data())
+    def test_malformed_json_is_reported_before_other_faults(self, case, fault, data):
+        vocab, entries = case
+        add_fault(entries, fault, data.draw)
+        add_fault(entries, "json", data.draw)
+        # the cut line; a line that is no object is whole
+        lineno = next(k for k, e in enumerate(entries, 1)
+                      if isinstance(e, str) and e.startswith("{"))
+        ours, _ = load_both(jsonl(entries), vocab)
+        assert re.search(rf"split\.jsonl:{lineno}: malformed JSON \(", ours)
+
+
+def with_number(line: str, literal: str) -> str:
+    """``line`` with its first score, or else its page_index, written as
+    ``literal``."""
+    key = '"scores": [' if '"scores": [' in line else '"page_index": '
+    head, _, tail = line.partition(key)
+    number = re.match(r"[-+.0-9eE]+", tail).group()
+    return head + key + literal + tail[len(number):]
+
+
+# Lines the scanner does not read whole, each made from the file's lines and
+# the index of its last one, a page line
+LINE_CASES = {
+    "leading-spaces": lambda lines, k: lines[:k] + ["  " + lines[k]],
+    "trailing-spaces": lambda lines, k: lines[:k] + [lines[k] + " \t "],
+    "crlf": lambda lines, k: [line + "\r" for line in lines],
+    "bom": lambda lines, k: ["\ufeff" + lines[0]] + lines[1:],
+    "two-values": lambda lines, k: lines[:k - 1] + [lines[k - 1] + lines[k]],
+    "two-values-spaced": lambda lines, k: lines[:k - 1] + [lines[k - 1] + " " + lines[k]],
+    "split-object": lambda lines, k: lines[:k] + ['{"a": [{}', "{}]}"] + lines[k:],
+    "nan": lambda lines, k: lines[:k] + [with_number(lines[k], "NaN")],
+    "infinity": lambda lines, k: lines[:k] + [with_number(lines[k], "Infinity")],
+    "minus-infinity": lambda lines, k: lines[:k] + [with_number(lines[k], "-Infinity")],
+}
+
+
+def trace_file_lines() -> list[str]:
+    vocab = TypeVocabulary(("A", "B"))
+    trace = SplitTrace.blank(["d", "e"], np.array([0, 2, 3]), 2, True)
+    trace.scores[:] = [[0.5, -1.25], [2.0, 1e-3], [-0.0, 3.0]]
+    trace.labels[[0, 1, 2], [0, 1, 1]] = True
+    trace.context[1, 0] = True
+    with tempfile.TemporaryDirectory() as tmp:
+        write_traces(trace, Path(tmp) / "t.jsonl", vocab, provenance={"seed": 1})
+        return (Path(tmp) / "t.jsonl").read_text(encoding="utf-8").splitlines()
+
+
+def outcome(read, path):
+    """("ok", what ``read(path)`` returns) or ("error", its error's type and
+    message)."""
+    try:
+        return "ok", read(path)
+    except (ValueError, KeyError, TypeError) as exc:
+        return "error", (type(exc), str(exc))
+
+
+def per_line_json(path):
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    values = []
+    for lineno, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                values.append((lineno, json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{lineno}: {exc.msg}") from None
+    return values
+
+
+def line_reader(path):
+    try:
+        return list(zip(*read_jsonl(Path(path).read_text(encoding="utf-8"))))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{exc.lineno}: {exc.msg}") from None
+
+
+def same_trace_pages(a, b) -> bool:
+    def plain(docs):
+        return [(doc_id, [(p.scores.tobytes(), p.labels, repr(p.context))
+                          for p in pages]) for doc_id, pages in docs]
+    return plain(a) == plain(b)
+
+
+AB_PAGES = [json.dumps({"doc_id": d, "labels": [c], "page_index": t, "text": "x"})
+            for d, t, c in (("d", 0, "A"), ("e", 0, "B"), ("d", 1, "B"))]
+# (lines, the reader under test, its per-line reference, whether what they
+# return is the same)
+READERS = {
+    "split-file": (AB_PAGES, lambda p: load_split_file(p, AB),
+                   lambda p: reference_load_split_file(p, AB), same_documents),
+    "trace-file": (trace_file_lines(), lambda p: trace_pages(read_traces(p, AB)),
+                   lambda p: read_traces_per_page(p, AB), same_trace_pages),
+    "line-reader": (AB_PAGES, line_reader, per_line_json, lambda a, b: a == b),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("case", sorted(LINE_CASES))
+def test_line_reader_matches_json_loads_per_line(tmp_path, case, reader):
+    """Each reader's objects, or its error and the ``path:lineno`` it names,
+    are those of ``json.loads`` on each line."""
+    lines, read, reference, same = READERS[reader]
+    path = tmp_path / "file.jsonl"
+    path.write_text("\n".join(LINE_CASES[case](lines, len(lines) - 1)) + "\n",
+                    encoding="utf-8")
+    (kind, ours), (ref_kind, ref) = outcome(read, path), outcome(reference, path)
+    assert kind == ref_kind
+    assert ours == ref if kind == "error" else same(ours, ref)
+    if reader == "trace-file" and case in ("nan", "infinity", "minus-infinity"):
+        assert kind == "error" and "not finite" in ours[1]
 
 
 class TestGenerateSynthetic:

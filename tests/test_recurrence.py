@@ -1,5 +1,6 @@
 """Tests for context-token augmentation, teacher forcing, and sequential inference."""
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -665,6 +666,62 @@ def unicode_example():
     return BRIEFS, trace
 
 
+UNKNOWN = "no such class"
+TRACE_WRONG_TYPE = {"doc_id": [7, None, ["d"]], "labels": ["x", None, {}],
+                    "context": ["x", 5, {}], "scores": ["x", None, {}]}
+
+
+def add_trace_fault(pages: list, vocab, fed: bool, draw) -> None:
+    """Put one drawn fault into a drawn page of a trace's page objects, in
+    place; the page becomes a line that does not parse, or that is no
+    object, or an object holding the fault."""
+    faults = ["json", "object", "missing", "type", "score-type", "score-count",
+              "not-finite", "label-type", "label-unknown", "label-count",
+              "duplicate", "index"]
+    if fed:
+        faults += ["context-type", "context-unknown"]
+    if len(pages) > 1:
+        faults.append("fed")
+    fault = draw(st.sampled_from(faults))
+    i = draw(st.integers(0, len(pages) - 1))
+    page = pages[i]
+    labels, scores, context = page["labels"], page["scores"], page["context"]
+    if fault == "json":
+        line = json.dumps(page)
+        page = line[:draw(st.integers(1, len(line) - 1))]
+    elif fault == "object":
+        page = draw(st.sampled_from(["3", "null", "true", "[1, 2]", '"doc_id"']))
+    elif fault == "missing":
+        del page[draw(st.sampled_from(sorted(page)))]
+    elif fault == "type":
+        key = draw(st.sampled_from(sorted(TRACE_WRONG_TYPE)))
+        page[key] = draw(st.sampled_from(TRACE_WRONG_TYPE[key]))
+    elif fault == "score-type":
+        scores[draw(st.integers(0, len(scores) - 1))] = draw(
+            st.sampled_from(["1.5", True, None, [1.0]]))
+    elif fault == "score-count":
+        page["scores"] = scores[:-1] if draw(st.booleans()) else scores + [0.5]
+    elif fault == "not-finite":
+        scores[draw(st.integers(0, len(scores) - 1))] = draw(
+            st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    elif fault in ("label-type", "label-unknown", "context-type", "context-unknown"):
+        names = labels if fault.startswith("label") else context
+        name = (UNKNOWN if fault.endswith("unknown")
+                else draw(st.sampled_from([5, None, 1.5, [vocab.class_names[0]]])))
+        names.insert(draw(st.integers(0, len(names))), name)
+    elif fault == "label-count":
+        page["labels"] = ([] if vocab.label_mode == MULTILABEL or draw(st.booleans())
+                          else list(vocab.class_names[:2]))
+    elif fault == "fed":
+        page["context"] = None if fed else [vocab.class_names[0]]
+    elif fault == "duplicate":
+        pages.insert(i + 1, dict(page))
+    elif fault == "index":
+        page["page_index"] = draw(st.sampled_from(
+            [-1, page["page_index"] + 1, 10**6, True, False, "0", 1.5, None]))
+    pages[i] = page
+
+
 class TestTraceFiles:
     def test_round_trip(self, tmp_path):
         codec = briefs_codec()
@@ -721,6 +778,42 @@ class TestTraceFiles:
             assert [p[1:] for p in doc_pages] == [p[1:] for p in ref_pages]
             for page, ref in zip(doc_pages, ref_pages):
                 assert page.scores.tobytes() == ref.scores.tobytes()
+
+    def test_writer_matches_per_page_oracle_with_many_classes(self, tmp_path):
+        """Label and context rows of 70 classes, more than one 64-bit code
+        holds, are written as the per-page writer writes them."""
+        vocab = TypeVocabulary(tuple(f"k{c}" for c in range(70)), MULTILABEL)
+        rng = np.random.default_rng(0)
+        trace = SplitTrace.blank(["a", "b"], np.array([0, 30, 60]), vocab.n, True)
+        trace.labels[:] = rng.random((60, vocab.n)) < 0.05
+        trace.labels[np.arange(60), rng.integers(64, 70, size=60)] = True
+        trace.context[1:30] = trace.labels[:29]
+        trace.context[31:] = trace.labels[30:59]
+        ours, reference = tmp_path / "ours.jsonl", tmp_path / "reference.jsonl"
+        write_traces(trace, ours, vocab)
+        oracles.write_traces_per_page(trace, reference, vocab)
+        assert ours.read_bytes() == reference.read_bytes()
+
+    @settings(max_examples=300)
+    @given(split_traces().filter(lambda case: len(case[1].scores)), st.data())
+    def test_single_fault_gets_the_per_page_oracles_error(self, case, data):
+        """A trace file with one fault raises the error, type and message,
+        that the per-page reader raises for it."""
+        vocab, trace = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.jsonl"
+            write_traces(trace, path, vocab, provenance={"seed": 0})
+            header, *lines = path.read_text().splitlines()
+            pages = [json.loads(line) for line in lines]
+            add_trace_fault(pages, vocab, trace.fed, data.draw)
+            path.write_text("".join(line + "\n" for line in [header] + [
+                page if isinstance(page, str) else json.dumps(page)
+                for page in pages]))
+            with pytest.raises((ValueError, KeyError, TypeError)) as ours:
+                read_traces(path, vocab)
+            with pytest.raises((ValueError, KeyError, TypeError)) as ref:
+                oracles.read_traces_per_page(path, vocab)
+        assert (type(ours.value), str(ours.value)) == (type(ref.value), str(ref.value))
 
     def test_first_page_context_serialized_as_reserved_token(self, tmp_path):
         codec = briefs_codec()

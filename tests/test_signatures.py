@@ -9,6 +9,10 @@ from ``scipy.special``, and no module defines its own copy.
 
 A split has one layout: rows in document order plus document offsets.  No
 function of the package takes a list of per-document arrays.
+
+JSONL files have one line reader.  ``json.loads`` is used only by it and by
+the loaders of whole JSON files (manifest, config, checkpoint), so no other
+reader parses a file line by line.
 """
 
 import ast
@@ -86,3 +90,37 @@ def test_no_module_defines_its_own_numeric_helper():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if NUMERIC_HELPER.search(name)]
     assert found == []
+
+
+# the one JSONL line reader and the loaders of whole JSON files
+JSON_LOADS_USERS = {"corpus.read_jsonl", "corpus.load_corpus",
+                    "cli._load_config_file", "encoder.load_checkpoint"}
+
+
+def json_loads_users() -> list[str]:
+    """module.function (nested names joined by dots) of every use of
+    ``json.loads`` in the package: a call, a reference such as
+    ``map(json.loads, ...)``, or ``from json import loads``."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = (f"{where}.{child.name}" if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                else where)
+            if ((isinstance(child, ast.Attribute) and child.attr == "loads"
+                 and isinstance(child.value, ast.Name) and child.value.id == "json")
+                    or (isinstance(child, ast.ImportFrom) and child.module == "json"
+                        and any(alias.name == "loads" for alias in child.names))):
+                found.append(inner)
+            visit(child, inner)
+
+    for path in sorted(Path(pageseq.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_json_loads_only_in_the_line_reader_and_whole_file_loaders():
+    found = json_loads_users()
+    assert sorted(set(found) - JSON_LOADS_USERS) == []
+    assert "corpus.read_jsonl" in found  # the walk reaches the line reader
