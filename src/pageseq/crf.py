@@ -159,10 +159,11 @@ def crf_fit(emissions: np.ndarray,
     arguments of ``crf_log_likelihood_and_grad``.
 
     The objective is concave, so its negation is minimized.  The emission
-    scale is bounded below by a small positive floor.  The fit converges when
-    the projected gradient's max-norm falls under ``tol``; otherwise a
-    non-convergence warning is emitted and the last iterate returned.  The
-    model comes back in a ``CrfFit`` that also says how the run ended.
+    scale is bounded below by a small positive floor.  The fit converged if
+    the projected gradient's max-norm at the returned parameters is at most
+    ``tol``, however L-BFGS-B stopped; otherwise a non-convergence warning is
+    emitted and the last iterate returned.  The model comes back in a
+    ``CrfFit`` that also says how the run ended.
     Concavity needs ``l2 >= 0``; any other ``l2`` is a ValueError.
     """
     check_l2(l2)
@@ -185,14 +186,18 @@ def crf_fit(emissions: np.ndarray,
     # reporting success on a small objective change before tol is reached
     result = minimize(negated, x0, jac=True, method="L-BFGS-B", bounds=bounds,
                       options={"gtol": tol, "ftol": 0.0, "maxiter": max_iter})
-    if not result.success:
-        warnings.warn(f"CRF fit did not converge in {result.nit} iterations "
-                      f"({result.message})")
     # L-BFGS-B's projected gradient: a descent step the scale's floor blocks
     # shrinks to the distance left to that floor
     projected = result.jac.copy()
     if projected[-1] > 0:
         projected[-1] = min(projected[-1], result.x[-1] - _SCALE_FLOOR)
-    return CrfFit(unpack(result.x), converged=bool(result.success),
-                  iterations=int(result.nit),
-                  projected_gradient_max=float(np.abs(projected).max()))
+    gradient_max = float(np.abs(projected).max())
+    # not result.success: L-BFGS-B also reports success when f stops
+    # decreasing, whatever the gradient
+    converged = gradient_max <= tol
+    if not converged:
+        warnings.warn(f"CRF fit did not converge in {result.nit} iterations: "
+                      f"projected gradient {gradient_max:.3g} > tol {tol:g} "
+                      f"({result.message})")
+    return CrfFit(unpack(result.x), converged=converged, iterations=int(result.nit),
+                  projected_gradient_max=gradient_max)

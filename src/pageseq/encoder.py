@@ -16,6 +16,11 @@ embedding gets no gradient.  The last layer computes the B CLS rows only (its
 keys and values still see every row), in the forward and the backward pass
 alike.
 
+Both variants form the embedding gradient with one ``np.bincount`` over the
+flat bins ``token * d + column``, weighted by the gradient rows of the
+tokens read, which sums each bin in the order and with the bits of a
+row-by-row ``np.add.at``.
+
 Every per-token or per-grid temporary of the transformer's forward and
 backward passes is written with ``out=`` into a ``Scratch`` pool: flat
 float64 buffers keyed by call site (and layer, for what the backward pass
@@ -248,13 +253,27 @@ def _linear_fwd(params, ids):
 
 def _linear_bwd(dscores, params, cache):
     ids, weights, counts, bag = cache
-    grads = {name: np.zeros_like(value) for name, value in params.items()}
-    grads["head_w"] = bag.T @ dscores
-    grads["head_b"] = dscores.sum(axis=0)
     dbag = dscores @ params["head_w"].T                 # (B, d)
-    demb_pos = (dbag / counts[:, None])[:, None, :] * weights[:, :, None]
-    np.add.at(grads["emb"], ids, demb_pos)
-    return grads
+    # each content position gets its row's dbag / count (times a weight of
+    # 1.0); the zero-weight PAD and CLS positions would add only zeros
+    example, position = np.nonzero(weights)
+    return {"emb": _embedding_grad(ids[example, position],
+                                   (dbag / counts[:, None])[example],
+                                   params["emb"].shape[0]),
+            "head_w": bag.T @ dscores,
+            "head_b": dscores.sum(axis=0)}
+
+
+def _embedding_grad(tokens, rows, n_ids):
+    """The (n_ids, d) sums of the (N, d) ``rows`` by their ``tokens``: one
+    ``bincount`` over the flat bins ``token * d + column``.  It adds each
+    row into its bins in input order, starting from +0.0, so each sum is the
+    one a row-by-row scatter (``np.add.at``) gives, bit for bit."""
+    d = rows.shape[1]
+    bins = (tokens[:, None] * d + np.arange(d)).ravel()
+    # bincount of no bins gives int64 zeros, whatever the weights
+    return np.bincount(bins, weights=rows.ravel(), minlength=n_ids * d
+                       ).astype(np.float64, copy=False).reshape(n_ids, d)
 
 
 class _Packing(NamedTuple):
@@ -458,7 +477,8 @@ def _dropout_fwd(x, rate, rng, shape, rows, scratch, key):
 def _transformer_bwd(dscores, params, cache, config, scratch):
     pack, tokens, caches, lnf_cache, cls_out = cache
     slots, cls, mask = pack
-    grads = {name: np.zeros_like(value) for name, value in params.items()}
+    grads = {name: np.zeros_like(value) for name, value in params.items()
+             if name != "emb"}
     grads["head_w"] += cls_out.T @ dscores
     grads["head_b"] += dscores.sum(axis=0)
     dx, dg, db = _layernorm_bwd(dscores @ params["head_w"].T, lnf_cache,  # (B, d)
@@ -492,7 +512,7 @@ def _transformer_bwd(dscores, params, cache, config, scratch):
         dx = dx_ln1
     if not config.n_layers:                 # no layers: only CLS was read
         tokens, slots = tokens[cls], slots[cls]
-    np.add.at(grads["emb"], tokens, dx)
+    grads["emb"] = _embedding_grad(tokens, dx, params["emb"].shape[0])
     b, l = mask.shape
     grads["pos"][:l] += _padded(dx, slots, b, l, scratch, "pos.grid").sum(axis=0)
     return grads

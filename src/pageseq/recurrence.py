@@ -266,6 +266,15 @@ def _first(column: Sequence, bad) -> int:
     return next(i for i, x in enumerate(column) if bad(x))
 
 
+def _all_floats(numbers: list) -> bool:
+    """Whether every number converts to a float: an int too large does not."""
+    try:
+        list(map(float, numbers))
+    except OverflowError:
+        return False
+    return True
+
+
 def _indicator(name_lists: Sequence[list], field: str, pages: list,
                vocab: TypeVocabulary, blank: tuple = ()) -> np.ndarray:
     """The (pages x n) 0/1 rows of the lists of class names in ``field`` of
@@ -336,8 +345,13 @@ def read_traces(path: Path | str, vocab: TypeVocabulary,
         row = _first(scores, lambda s: len(s) != vocab.n)
         raise ValueError(f"{_page_name(pages[row])} has {len(scores[row])} "
                          f"scores for {vocab.n} classes")
-    scores = np.fromiter(chain.from_iterable(scores), dtype=np.float64,
-                         count=len(pages) * vocab.n).reshape(len(pages), vocab.n)
+    try:
+        scores = np.fromiter(chain.from_iterable(scores), dtype=np.float64,
+                             count=len(pages) * vocab.n).reshape(len(pages), vocab.n)
+    except OverflowError:
+        row = _first(scores, lambda s: not _all_floats(s))
+        raise ValueError(f"{_page_name(pages[row])} has a score too large for a "
+                         f"float") from None
     bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
     if bad.size:
         raise ValueError(f"{_page_name(pages[bad[0]])} has a score that is not finite")
@@ -356,6 +370,11 @@ def read_traces(path: Path | str, vocab: TypeVocabulary,
                         count=len(pages))
     context = (_indicator(contexts, "context", pages, vocab, tuple(marker)) if fed
                else np.zeros_like(labels))
+    # a fed page was fed the first-page marker or at least one class
+    named = first | context.any(axis=1)
+    if fed and not named.all():
+        raise ValueError(f"{_page_name(pages[named.argmin()])}: field 'context' "
+                         f"names no class")
 
     doc_rows, doc = first_appearance(doc_ids)
     if set(map(type, page_indices)) == {int} and (

@@ -88,7 +88,11 @@ class AdamState:
 def optimizer_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                    state: AdamState, lr: float, cfg: TrainConfig) -> None:
     """One in-place AdamW update: bias-corrected moments, decoupled decay
-    applied to the pre-update parameters (never through the gradient)."""
+    applied to the pre-update parameters (never through the gradient).  The
+    moments are updated in place, and each parameter's step allocates only
+    two temporaries; the operations run in the order ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + ((1 - b2) g) g``,
+    ``p -= lr ((m / bias1) / (sqrt(v / bias2) + eps) + wd p)``."""
     for name in sorted(params):
         if grads[name].shape != params[name].shape:
             raise ValueError(f"gradient shape mismatch for {name}")
@@ -100,15 +104,23 @@ def optimizer_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
     for name in sorted(params):
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / bias1
-        v_hat = state.v[name] / bias2
-        update = m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        g, m, v, p = grads[name], state.m[name], state.v[name], params[name]
+        term = np.multiply(g, 1.0 - b1, out=np.empty_like(m))  # an array at 0-d too
+        m *= b1
+        m += term
+        np.multiply(g, 1.0 - b2, out=term)
+        term *= g
+        v *= b2
+        v += term
+        np.divide(v, bias2, out=term)                   # sqrt(v_hat) + eps
+        np.sqrt(term, out=term)
+        term += cfg.epsilon
+        update = np.divide(m, bias1)                    # m_hat / ...
+        update /= term
         if cfg.weight_decay:
-            update = update + cfg.weight_decay * params[name]
-        params[name] -= lr * update
+            update += np.multiply(p, cfg.weight_decay, out=term)
+        update *= lr
+        p -= update
 
 
 @dataclass

@@ -439,7 +439,10 @@ def read_traces_per_page(path, vocab):
         if len(obj["scores"]) != vocab.n:
             raise ValueError(f"{page} has {len(obj['scores'])} scores for "
                              f"{vocab.n} classes")
-        scores = np.asarray(obj["scores"], dtype=np.float64)
+        try:
+            scores = np.asarray(obj["scores"], dtype=np.float64)
+        except OverflowError:
+            raise ValueError(f"{page} has a score too large for a float") from None
         if not np.isfinite(scores).all():
             raise ValueError(f"{page} has a score that is not finite")
         labels = _class_names(obj["labels"], "labels", page, vocab)
@@ -453,6 +456,8 @@ def read_traces_per_page(path, vocab):
             context = FIRST_PAGE
         elif context is not None:
             context = _class_names(context, "context", page, vocab)
+            if not context:
+                raise ValueError(f"{page}: field 'context' names no class")
         docs.setdefault(obj["doc_id"], []).append(
             (obj["page_index"], Page(scores, labels, context)))
     if len(fed) > 1:
@@ -802,6 +807,53 @@ def reference_transformer_loss_and_grad(params, ids, targets, config, label_mode
     np.add.at(grads["emb"], ids, dx)
     grads["pos"][:l] += dx.sum(axis=0)
     return loss, grads, scores
+
+
+# -- the embedding scatter and the AdamW step, array by array ----------------
+
+def scatter_embedding_grad(tokens, rows, n_ids) -> np.ndarray:
+    """The (n_ids, d) sums of the (N, d) ``rows`` by token id, added row by
+    row with ``np.add.at`` into zeros."""
+    grad = np.zeros((n_ids, rows.shape[1]))
+    np.add.at(grad, tokens, rows)
+    return grad
+
+
+def scatter_linear_bwd(dscores, params, cache) -> dict[str, np.ndarray]:
+    """The linear bag's gradients with every (example, position) of the id
+    matrix scattered into the embedding table, its zero-weight PAD and CLS
+    positions included."""
+    ids, weights, counts, bag = cache
+    grads = {name: np.zeros_like(value) for name, value in params.items()}
+    grads["head_w"] = bag.T @ dscores
+    grads["head_b"] = dscores.sum(axis=0)
+    dbag = dscores @ params["head_w"].T
+    demb_pos = (dbag / counts[:, None])[:, None, :] * weights[:, :, None]
+    np.add.at(grads["emb"], ids, demb_pos)
+    return grads
+
+
+def allocating_optimizer_step(params, grads, state, lr, cfg) -> None:
+    """One AdamW step with a new array for every intermediate and new moment
+    arrays in ``state``; the parameters are updated in place."""
+    for name in sorted(params):
+        if grads[name].shape != params[name].shape:
+            raise ValueError(f"gradient shape mismatch for {name}")
+        if not np.all(np.isfinite(grads[name])):
+            raise ValueError(f"non-finite gradient for {name}")
+    b1, b2 = cfg.betas
+    state.step += 1
+    bias1 = 1.0 - b1 ** state.step
+    bias2 = 1.0 - b2 ** state.step
+    for name in sorted(params):
+        g = grads[name]
+        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
+        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
+        update = (state.m[name] / bias1) / (np.sqrt(state.v[name] / bias2)
+                                            + cfg.epsilon)
+        if cfg.weight_decay:
+            update = update + cfg.weight_decay * params[name]
+        params[name] -= lr * update
 
 
 # -- linear-chain CRF: brute force and per-document recursions ---------------

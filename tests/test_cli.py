@@ -12,6 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pageseq.cli as cli
+import pageseq.encoder as encoder
+import pageseq.training as training
 from pageseq.cli import _config_from, main
 from pageseq.corpus import SynthConfig, load_corpus
 from pageseq.encoder import EncoderConfig
@@ -21,9 +23,12 @@ from pageseq.recurrence import SplitTrace, page_tokens, read_traces, write_trace
 from pageseq.training import TrainConfig
 
 from oracles import (
+    allocating_optimizer_step,
     bilstm_logits_per_document,
     reference_generate_synthetic,
     reference_write_corpus,
+    scatter_embedding_grad,
+    scatter_linear_bwd,
 )
 
 
@@ -200,6 +205,33 @@ class TestTrain:
         assert report["total_steps"] == expected_steps
         assert len(report["step_losses"]) == expected_steps
         assert (outdir / "timing.json").exists()
+
+    @pytest.mark.parametrize("mode, encoder_cfg", [
+        ("recurrent", {"variant": "linear", "d": 8, "max_len": 16}),
+        ("oblivious", {"variant": "tiny-transformer", "d": 8, "n_layers": 2,
+                       "n_heads": 2, "max_len": 16, "dropout": 0.1})])
+    def test_same_bytes_as_scatter_and_allocating_adamw(
+            self, tmp_path, corpus_dir, monkeypatch, mode, encoder_cfg):
+        """``train`` writes the checkpoint and report bytes it writes with the
+        embedding gradient scattered by ``np.add.at`` and an AdamW step that
+        allocates every intermediate."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(experiment_cfg(
+            corpus_dir, mode=mode, encoder=encoder_cfg,
+            train={"epochs": 2, "batch_size": 8, "peak_lr": 0.02,
+                   "weight_decay": 0.01})))
+
+        def train(outdir):
+            assert main(["train", "--config", str(cfg_path), "--outdir",
+                         str(tmp_path / outdir), "--run-id", "run"]) == 0
+            return [(tmp_path / outdir / "run" / name).read_bytes()
+                    for name in ("checkpoint.json", "report.json")]
+
+        shipped = train("shipped")
+        monkeypatch.setattr(encoder, "_linear_bwd", scatter_linear_bwd)
+        monkeypatch.setattr(encoder, "_embedding_grad", scatter_embedding_grad)
+        monkeypatch.setattr(training, "optimizer_step", allocating_optimizer_step)
+        assert train("oracles") == shipped
 
     def test_timing_sidecar_has_stage_seconds(self, tmp_path, corpus_dir):
         outdir = run_train(tmp_path, corpus_dir, "timed")
@@ -826,13 +858,17 @@ class TestBadArtifacts:
          "unknown label name 'no such class' in field 'labels'"),
         (lambda page: page["context"].insert(0, "no such class"),
          "unknown label name 'no such class' in field 'context'"),
+        (lambda page: page["scores"].__setitem__(0, 10**400),
+         "a score too large for a float"),
+        (lambda page: page.update(context=[]), "field 'context' names no class"),
     ], ids=["labels-string", "context-string", "score-string", "score-bool",
             "doc-id-int", "label-int", "label-list", "context-int",
-            "label-unknown", "context-unknown"])
+            "label-unknown", "context-unknown", "score-huge-int", "context-empty"])
     def test_trace_field_types(self, trained, command, edit, message, capsys):
         """A string where a list of names belongs, a string or bool where a
-        score belongs, a doc_id that is not a string, or a label name that is
-        not a string or no class's, on the last page."""
+        score belongs, a doc_id that is not a string, a label name that is
+        not a string or no class's, an integer score no float can hold, or a
+        fed context that names nothing, on the last page."""
         last = json.loads(trained[3].read_text().splitlines()[-1])
         err = self.run_on_edited_page(trained, command, "field-type", edit, capsys)
         assert f"page {last['page_index']} of " in err[0] and message in err[0]

@@ -361,6 +361,20 @@ class TestFit:
         assert not fit.converged and fit.iterations == 1
         assert fit.projected_gradient_max > 1e-6
 
+    def test_stop_on_flat_objective_above_tol_is_not_converged(self):
+        """L-BFGS-B stops, and reports success, once the objective no longer
+        decreases; with the projected gradient still above ``tol`` the fit
+        has not converged."""
+        rng = np.random.default_rng(0)
+        sizes = rng.integers(1, 10, 25)
+        logits = rng.normal(0, 3, (sizes.sum(), 3))
+        labels = rng.integers(0, 3, sizes.sum())
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        with pytest.warns(UserWarning, match="did not converge"):
+            fit = crf_fit(emissions_from_logits(logits), labels, offsets, tol=1e-9)
+        assert fit.projected_gradient_max > 1e-9 and not fit.converged
+        assert fit.iterations < 1000        # the stop was not the iteration cap
+
     def test_projected_gradient_at_the_scale_floor(self):
         """Emissions that point away from the gold labels push the scale
         down to its floor; there the blocked descent step does not count."""

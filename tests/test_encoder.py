@@ -36,6 +36,8 @@ from oracles import (
     reference_batch,
     reference_transformer_loss_and_grad,
     reference_transformer_scores,
+    scatter_embedding_grad,
+    scatter_linear_bwd,
 )
 
 VOCAB3 = TypeVocabulary(("A", "B", "C"))
@@ -520,6 +522,94 @@ class TestGradients:
         _, grads = loss_and_grad(params, ids, targets, config, MULTICLASS)
         assert np.any(grads["emb"][FIRST_ID] != 0.0)
         assert np.any(grads["emb"][codec.class_token_id(1)] != 0.0)
+
+
+def same_bits(x, y) -> bool:
+    """Equal as float64 bit patterns: -0.0 differs from +0.0."""
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.dtype == y.dtype == np.float64 and x.shape == y.shape
+            and np.array_equal(x.view(np.int64), y.view(np.int64)))
+
+
+class TestEmbeddingGradientAgainstScatter:
+    """The embedding gradient by one bincount against ``np.add.at`` into
+    zeros, compared bit for bit."""
+
+    def test_sums_in_input_order(self):
+        """Repeated tokens whose sums depend on the order of addition, -0.0
+        rows, a token in every row, and ids that get no row."""
+        rows = np.array([[1e16, -0.0, 3.0], [1.0, -0.0, -3.0], [1.0, 0.0, 1e-300],
+                         [-1e16, -0.0, 0.0], [1.0, -0.0, 5e-324], [-0.0, -0.0, -0.0],
+                         [2.5, 1.0, -2.5]])
+        tokens = np.array([4, 4, 4, 4, 2, 2, 7])
+        got = encoder._embedding_grad(tokens, rows, 9)
+        assert same_bits(got, scatter_embedding_grad(tokens, rows, 9))
+        assert got[4, 0] == 0.0     # ((1e16 + 1) + 1) - 1e16; the 1s first give 2
+
+    def test_one_token_in_every_row(self):
+        rng = np.random.default_rng(3)
+        rows = rng.normal(0.0, 1.0, (50, 4)) * 10.0 ** rng.integers(-8, 9, (50, 1))
+        tokens = np.full(50, CLS_ID)
+        assert same_bits(encoder._embedding_grad(tokens, rows, 6),
+                         scatter_embedding_grad(tokens, rows, 6))
+
+    def test_no_rows(self):
+        assert same_bits(encoder._embedding_grad(np.zeros(0, dtype=np.int64),
+                                                 np.zeros((0, 3)), 5),
+                         np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("label_mode", [MULTICLASS, MULTILABEL])
+    def test_linear_matches_scatter_over_every_position(self, label_mode):
+        """The linear bag's gradients against a scatter that also adds the
+        zero-weight PAD and CLS positions: rows with PAD, a CLS-only row, a
+        token on every row, and -0.0 score gradients."""
+        codec = make_codec()
+        config = EncoderConfig(variant="linear", d=5, max_len=8)
+        rng = np.random.default_rng(7)
+        params = {name: rng.normal(0.0, 0.5, size=value.shape)
+                  for name, value in init_params(config, codec).items()}
+        ids, _ = as_batch([(seq([CLS_ID, 7, 7, 8, 9, 7]), frozenset({0})),
+                           (seq([CLS_ID, 7]), frozenset({1})),
+                           (seq([CLS_ID]), frozenset({2})),
+                           (seq([CLS_ID, FIRST_ID, 7, UNK_ID]), frozenset({0}))])
+        _, cache = encoder._linear_fwd(params, ids)
+        dscores = rng.normal(0.0, 1.0, (len(ids), 3))
+        dscores[1] = -0.0
+        got = encoder._linear_bwd(dscores, params, cache)
+        want = scatter_linear_bwd(dscores, params, cache)
+        assert got.keys() == want.keys()
+        assert all(same_bits(got[name], want[name]) for name in want)
+
+    def test_linear_batch_without_content(self):
+        """Every row is CLS alone: the embedding gradient is float zeros."""
+        codec = make_codec()
+        config = EncoderConfig(variant="linear", d=4, max_len=8)
+        params = init_params(config, codec)
+        ids = np.full((3, 1), CLS_ID)
+        _, cache = encoder._linear_fwd(params, ids)
+        dscores = np.ones((3, 3))
+        assert same_bits(encoder._linear_bwd(dscores, params, cache)["emb"],
+                         scatter_linear_bwd(dscores, params, cache)["emb"])
+
+    @pytest.mark.parametrize("n_layers", [0, 2])
+    def test_transformer_matches_scatter(self, n_layers, monkeypatch):
+        codec = make_codec()
+        config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=n_layers,
+                               n_heads=2, max_len=8, dropout=0.1)
+        rng = np.random.default_rng(13)
+        params = {name: rng.normal(0.0, 0.4, size=value.shape)
+                  for name, value in init_params(config, codec).items()}
+        ids, targets = fd_batch(codec)
+
+        def grads():
+            return loss_and_grad(params, ids, targets, config, MULTICLASS,
+                                 np.random.default_rng(5))[1]
+
+        got = grads()
+        monkeypatch.setattr(encoder, "_embedding_grad", scatter_embedding_grad)
+        want = grads()
+        assert got.keys() == want.keys()
+        assert all(same_bits(got[name], want[name]) for name in want)
 
 
 class TestCheckpoint:

@@ -676,10 +676,10 @@ def add_trace_fault(pages: list, vocab, fed: bool, draw) -> None:
     place; the page becomes a line that does not parse, or that is no
     object, or an object holding the fault."""
     faults = ["json", "object", "missing", "type", "score-type", "score-count",
-              "not-finite", "label-type", "label-unknown", "label-count",
-              "duplicate", "index"]
+              "not-finite", "score-huge", "label-type", "label-unknown",
+              "label-count", "duplicate", "index"]
     if fed:
-        faults += ["context-type", "context-unknown"]
+        faults += ["context-type", "context-unknown", "context-empty"]
     if len(pages) > 1:
         faults.append("fed")
     fault = draw(st.sampled_from(faults))
@@ -704,6 +704,11 @@ def add_trace_fault(pages: list, vocab, fed: bool, draw) -> None:
     elif fault == "not-finite":
         scores[draw(st.integers(0, len(scores) - 1))] = draw(
             st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    elif fault == "score-huge":             # an int no float can hold
+        scores[draw(st.integers(0, len(scores) - 1))] = draw(
+            st.sampled_from([10**400, -(10**309)]))
+    elif fault == "context-empty":
+        page["context"] = []
     elif fault in ("label-type", "label-unknown", "context-type", "context-unknown"):
         names = labels if fault.startswith("label") else context
         name = (UNKNOWN if fault.endswith("unknown")

@@ -16,6 +16,8 @@ from pageseq.training import (
     train_encoder,
 )
 
+from oracles import allocating_optimizer_step
+
 
 class TestLrSchedule:
     def test_published_recipe_anchors(self):
@@ -91,6 +93,48 @@ class TestOptimizerStep:
         optimizer_step(params, {"w": np.zeros(1)}, state, 0.01, cfg)
         assert state.m["w"][0] == 0.0
         assert state.v["w"][0] == 0.0
+
+
+class TestOptimizerStepAgainstAllocating:
+    """The in-place AdamW step against one that allocates every
+    intermediate, compared bit for bit over several steps."""
+
+    @staticmethod
+    def bits(x):
+        return np.asarray(x, dtype=np.float64).view(np.int64)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_same_bits_over_steps(self, weight_decay):
+        cfg = TrainConfig(weight_decay=weight_decay, betas=(0.8, 0.99))
+        rng = np.random.default_rng(19)
+        start = {"w": rng.normal(0.0, 1.0, (4, 3)), "b": np.array([0.0, -0.0, 2.0]),
+                 "s": np.array(1.5)}
+        params = {name: value.copy() for name, value in start.items()}
+        ref_params = {name: value.copy() for name, value in start.items()}
+        state, ref_state = AdamState.for_params(params), AdamState.for_params(params)
+        for step in range(6):
+            grads = {name: np.asarray(rng.normal(0.0, 10.0 ** rng.integers(-6, 3),
+                                                 value.shape))
+                     for name, value in start.items()}
+            grads["b"][step % 3] = -0.0     # a -0.0 gradient entry
+            lr = 0.05 * (step + 1)
+            optimizer_step(params, grads, state, lr, cfg)
+            allocating_optimizer_step(ref_params, grads, ref_state, lr, cfg)
+            assert state.step == ref_state.step
+            for name in start:
+                for got, want in ((params, ref_params), (state.m, ref_state.m),
+                                  (state.v, ref_state.v)):
+                    assert np.array_equal(self.bits(got[name]),
+                                          self.bits(want[name])), name
+
+    def test_moments_updated_in_place(self):
+        params = {"w": np.array([1.0, 2.0])}
+        state = AdamState.for_params(params)
+        m, v = state.m["w"], state.v["w"]
+        optimizer_step(params, {"w": np.array([0.5, -1.0])}, state, 0.1,
+                       TrainConfig())
+        assert state.m["w"] is m and state.v["w"] is v
+        assert np.all(m != 0.0) and np.all(v > 0.0)
 
 
 def tiny_corpus(seed=0, ambiguity=0.0, n_classes=3, self_prob=0.5):
