@@ -3,8 +3,11 @@ baselines, run inference, evaluate, and compare.
 
 Every command is deterministic given its config file: seeds live in configs,
 run directories are derived from the config hash, and all artifacts carry a
-provenance header (config hash, toolkit version, seed).  Wall-clock timings
-go to a separate ``timing.json`` sidecar so re-runs stay bit-identical.
+provenance header (config hash, toolkit version, seed).  ``infer``, ``eval``
+and ``compare`` hash, in place of a config, the split name and the SHA-256
+of each input file's bytes; ``infer`` records the seed its checkpoint was
+trained with.  Wall-clock timings go to a separate ``timing.json`` sidecar
+so re-runs stay bit-identical.
 
 Exit codes: 0 success, 1 runtime failure (e.g. divergence), 2 invalid
 arguments or config.
@@ -35,6 +38,7 @@ from .corpus import (
     class_page_counts,
     generate_synthetic,
     load_corpus,
+    read_text_sha256,
     run_length_stats,
     transition_self_prob,
     write_corpus,
@@ -479,17 +483,27 @@ def _restore_model(payload):
     raise ConfigError(f"unknown checkpoint kind {kind!r}")
 
 
+def _trained_seed(payload: dict):
+    """The seed a checkpoint's model was trained with: its provenance's,
+    which every ``train`` output records, else the encoder's own."""
+    provenance = payload.get("provenance")
+    if isinstance(provenance, dict) and "seed" in provenance:
+        return provenance["seed"]
+    return payload.get("seed", 0)
+
+
 def cmd_infer(args) -> int:
     split = load_corpus(args.manifest, (args.split,))
     docs = split.split(args.split)
-    payload = _load_artifact("checkpoint", args.checkpoint, load_checkpoint)
+    payload, digest = _load_artifact("checkpoint", args.checkpoint,
+                                     load_checkpoint)
     vocabulary, decode = _restore_model(payload)
     if vocabulary != split.vocabulary:
         raise ConfigError("checkpoint classes or label mode do not match the "
                           "corpus manifest")
     trace = decode(docs)
-    ref = {"checkpoint_hash": config_hash(payload), "split": args.split}
-    provenance = provenance_for("infer", ref, payload.get("seed", 0))
+    ref = {"checkpoint_sha256": digest, "split": args.split}
+    provenance = provenance_for("infer", ref, _trained_seed(payload))
     write_traces(trace, args.out, split.vocabulary, provenance=provenance)
     print(f"wrote {args.out} ({len(trace.scores)} pages, "
           f"{len(trace.doc_ids)} documents)")
@@ -503,12 +517,12 @@ def cmd_infer(args) -> int:
 
 def _read_split_traces(path, vocabulary: TypeVocabulary, docs):
     """The decided labels of the trace file ``path`` in gold page order, and
-    its text; the file must cover exactly the pages of ``docs``."""
-    text = _load_artifact("trace file", path,
-                          lambda p: Path(p).read_text(encoding="utf-8"))
+    the SHA-256 of its bytes; the file must cover exactly the pages of
+    ``docs``."""
+    text, digest = _load_artifact("trace file", path, read_text_sha256)
     trace = _load_artifact("trace file", path, read_traces, vocabulary, text)
     try:
-        return align_traces(trace, docs), text
+        return align_traces(trace, docs), digest
     except ValueError as exc:
         raise ConfigError(f"trace file {path}: {exc}") from None
 
@@ -516,11 +530,11 @@ def _read_split_traces(path, vocabulary: TypeVocabulary, docs):
 def cmd_eval(args) -> int:
     split = load_corpus(args.manifest, (args.split,))
     docs = split.split(args.split)
-    preds, text = _read_split_traces(args.traces, split.vocabulary, docs)
+    preds, digest = _read_split_traces(args.traces, split.vocabulary, docs)
     scores = score(preds, docs.gold, split.vocabulary)
     print(format_score_table(scores, split.vocabulary))
     if args.out:
-        ref = {"traces": config_hash(text), "split": args.split}
+        ref = {"traces_sha256": digest, "split": args.split}
         write_json(Path(args.out), {
             "provenance": provenance_for("eval", ref, 0),
             **scores_payload(scores, split.vocabulary),
@@ -531,8 +545,8 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     split = load_corpus(args.manifest, (args.split,))
     docs = split.split(args.split)
-    preds_a, text_a = _read_split_traces(args.traces_a, split.vocabulary, docs)
-    preds_b, text_b = _read_split_traces(args.traces_b, split.vocabulary, docs)
+    preds_a, digest_a = _read_split_traces(args.traces_a, split.vocabulary, docs)
+    preds_b, digest_b = _read_split_traces(args.traces_b, split.vocabulary, docs)
     report = compare_traces(preds_a, preds_b, docs.gold, split.vocabulary)
     names = split.vocabulary.class_names
     print("per-class F1 (A vs B, percent):")
@@ -548,7 +562,7 @@ def cmd_compare(args) -> int:
     print(f"McNemar-Bowker: statistic {t.statistic:.4f}, dof {t.dof}, "
           f"p-value {t.p_value:.6g}")
     if args.out:
-        ref = {"traces_a": config_hash(text_a), "traces_b": config_hash(text_b),
+        ref = {"traces_a_sha256": digest_a, "traces_b_sha256": digest_b,
                "split": args.split}
         write_json(Path(args.out), {
             "provenance": provenance_for("compare", ref, 0),

@@ -14,6 +14,7 @@ page per line:
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import math
 from bisect import bisect_right
@@ -345,6 +346,17 @@ def load_split_file(path: Path | str, vocab: TypeVocabulary) -> Documents:
         return Documents(vocab, *columns)
     except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from None
+
+
+def read_text_sha256(path: Path | str) -> tuple[str, str]:
+    """The text of a file as ``Path.read_text(encoding="utf-8")`` gives it
+    (strict UTF-8, "\\r\\n" and "\\r" read as "\\n"), and the SHA-256 of its
+    bytes: what a provenance names the file by."""
+    data = Path(path).read_bytes()
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text, hashlib.sha256(data).hexdigest()
 
 
 def _read_text(path: Path, what: str) -> str:

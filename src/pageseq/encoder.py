@@ -46,13 +46,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit, log_softmax
 
-from .corpus import MULTICLASS, TypeVocabulary
+from .corpus import MULTICLASS, TypeVocabulary, read_text_sha256
 from .features import TOKENIZER_VERSION, check_tokenizer_version
 
 PAD_ID = 0
@@ -93,6 +94,10 @@ class TokenCodec:
 
     def text_token_id(self, token: str) -> int:
         return self._text_ids.get(token, UNK_ID)
+
+    def text_token_ids(self, tokens: Iterable[str]) -> Iterator[int]:
+        """``text_token_id`` of each of ``tokens``, lazily."""
+        return map(self._text_ids.get, tokens, repeat(UNK_ID))
 
 
 @dataclass(frozen=True)
@@ -664,5 +669,8 @@ def check_params(params: dict, expected: dict) -> None:
             raise ValueError(f"parameter {name!r} is not finite")
 
 
-def load_checkpoint(path: Path | str) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def load_checkpoint(path: Path | str) -> tuple[dict, str]:
+    """The payload of a checkpoint file of any kind and the SHA-256 of the
+    file's bytes; the file is read once."""
+    text, digest = read_text_sha256(path)
+    return json.loads(text), digest

@@ -85,12 +85,13 @@ def encode_split(docs: Documents, codec: TokenCodec,
     if tokens is None:
         tokens = page_tokens(docs)
     n_text = max_len - 1
-    text = np.full((len(tokens), n_text), PAD_ID, dtype=np.int64)
-    lengths = np.zeros(len(tokens), dtype=np.int64)
-    for row, page in enumerate(tokens):
-        ids = [codec.text_token_id(tok) for tok in page[:n_text]]
-        text[row, :len(ids)] = ids
-        lengths[row] = len(ids)
+    pages = list(map(itemgetter(slice(n_text)), tokens))
+    lengths = np.fromiter(map(len, pages), dtype=np.int64, count=len(pages))
+    text = np.full((len(pages), n_text), PAD_ID, dtype=np.int64)
+    # the mask's cells in row-major order are the truncated tokens in order
+    text[np.arange(n_text) < lengths[:, None]] = np.fromiter(
+        codec.text_token_ids(chain.from_iterable(pages)), dtype=np.int64,
+        count=int(lengths.sum()))
     return EncodedSplit(text=text, lengths=lengths)
 
 

@@ -251,6 +251,24 @@ def reference_tokenize(text: str) -> list[str]:
     return out
 
 
+# -- a split's text ids, one page at a time ------------------------------------
+
+def loop_encode_split(tokens, codec, max_len: int):
+    """(text ids, lengths) of pages given as token lists: one id lookup per
+    token and one row written per page, each row truncated to
+    ``max_len - 1`` tokens and PAD-padded to that width."""
+    from pageseq.encoder import PAD_ID
+
+    n_text = max_len - 1
+    text = np.full((len(tokens), n_text), PAD_ID, dtype=np.int64)
+    lengths = np.zeros(len(tokens), dtype=np.int64)
+    for row, page in enumerate(tokens):
+        ids = [codec.text_token_id(tok) for tok in page[:n_text]]
+        text[row, :len(ids)] = ids
+        lengths[row] = len(ids)
+    return text, lengths
+
+
 # -- one id row: scoring, decoding, structure ---------------------------------
 
 def forward(params, ids, config) -> np.ndarray:

@@ -509,6 +509,136 @@ class TestInferEvalCompare:
         assert rc == 2
 
 
+def trace_lines(path):
+    return Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+def record_hashed(monkeypatch):
+    """What ``cli.config_hash`` and ``cli.canonical_json`` are called with."""
+    hashed = []
+    for name in ("config_hash", "canonical_json"):
+        real = getattr(cli, name)
+
+        def recording(obj, real=real):
+            hashed.append(obj)
+            return real(obj)
+        monkeypatch.setattr(cli, name, recording)
+    return hashed
+
+
+class TestInputDigests:
+    """``infer``, ``eval`` and ``compare`` name each input file by the
+    SHA-256 of its bytes, and ``infer`` records the seed its checkpoint was
+    trained with."""
+
+    CHECKPOINTS = ("checkpoint.json", "crf.json", "bilstm.json")
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("digests")
+        cfg_path = tmp_path / "synth.json"
+        cfg_path.write_text(json.dumps(SYNTH_CFG))
+        assert main(["synth", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "runs"), "--run-id", "corpus"]) == 0
+        corpus_dir = tmp_path / "runs" / "corpus"
+        outdir = run_train(tmp_path, corpus_dir, "seed1", seed=1,
+                           baselines={"crf": True, "bilstm": True},
+                           bilstm={"hidden_dim": 8, "svd_k": 6})
+        return tmp_path, corpus_dir, outdir
+
+    @staticmethod
+    def infer(trained, checkpoint, out):
+        _, corpus_dir, _ = trained
+        return main(["infer", "--checkpoint", str(checkpoint),
+                     "--manifest", str(corpus_dir / "manifest.json"),
+                     "--split", "test", "--out", str(out)])
+
+    @pytest.mark.parametrize("name", CHECKPOINTS)
+    def test_header_names_checkpoint_bytes_and_seed(self, trained, name):
+        """The training seed, 1, for CRF and BiLSTM checkpoints too, which
+        have it only in their provenance."""
+        tmp_path, _, outdir = trained
+        out = tmp_path / f"header-{name}.jsonl"
+        assert self.infer(trained, outdir / name, out) == 0
+        header = json.loads(trace_lines(out)[0])["provenance"]
+        assert header["seed"] == 1
+        ref = {"checkpoint_sha256": sha(outdir / name), "split": "test"}
+        assert header == cli.provenance_for("infer", ref, 1)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("name", CHECKPOINTS)
+    def test_resaved_checkpoint_changes_only_the_header(self, trained, name,
+                                                        newline):
+        """Re-saved with indent=2, with LF or CRLF line breaks: the same page
+        lines under a header naming the new bytes."""
+        tmp_path, _, outdir = trained
+        resaved = tmp_path / f"indented-{name}"
+        text = json.dumps(json.loads((outdir / name).read_text()), indent=2)
+        resaved.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        a, b = tmp_path / f"a-{name}.jsonl", tmp_path / f"b-{name}.jsonl"
+        assert self.infer(trained, outdir / name, a) == 0
+        assert self.infer(trained, resaved, b) == 0
+        lines_a, lines_b = trace_lines(a), trace_lines(b)
+        assert lines_a[1:] == lines_b[1:] and len(lines_a) > 1
+        ref = {"checkpoint_sha256": sha(resaved), "split": "test"}
+        assert json.loads(lines_b[0]) == {
+            "provenance": cli.provenance_for("infer", ref, 1)}
+        assert lines_a[0] != lines_b[0]
+
+    @pytest.mark.parametrize("encode", [
+        lambda text: text.encode("utf-16"),
+        lambda text: b"\xef\xbb\xbf" + text.encode("utf-8"),
+        lambda text: text.replace(",", ",\r\n").encode("utf-8")[:-30],
+        lambda text: text.replace(",", ",\r").encode("utf-8")[:-30],
+    ], ids=["utf-16", "bom", "crlf-truncated", "cr-truncated"])
+    def test_checkpoint_error_matches_read_text(self, trained, capsys, encode):
+        """A checkpoint in UTF-16, with a BOM, or cut short with CRLF or CR
+        line breaks exits 2 with the message that reading it with
+        ``Path.read_text`` and parsing it gives."""
+        tmp_path, _, outdir = trained
+        bad = tmp_path / "encoded.json"
+        bad.write_bytes(encode((outdir / "checkpoint.json").read_text()))
+        with pytest.raises(ValueError) as exc:
+            json.loads(bad.read_text(encoding="utf-8"))
+        out = tmp_path / "encoded.jsonl"
+        capsys.readouterr()
+        assert self.infer(trained, bad, out) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: checkpoint {bad}: {exc.value}"]
+
+    def test_checkpoint_payload_is_never_hashed(self, trained, monkeypatch):
+        """A wide encoder's checkpoint: only the small reference to its
+        bytes reaches the JSON hash."""
+        tmp_path, corpus_dir, _ = trained
+        outdir = run_train(tmp_path, corpus_dir, "wide", seed=1,
+                           encoder={"variant": "linear", "d": 512, "max_len": 16})
+        checkpoint = outdir / "checkpoint.json"
+        hashed = record_hashed(monkeypatch)
+        assert self.infer(trained, checkpoint, tmp_path / "wide.jsonl") == 0
+        ref = {"checkpoint_sha256": sha(checkpoint), "split": "test"}
+        assert hashed and all(obj == ref for obj in hashed)
+
+    def test_eval_and_compare_name_trace_bytes(self, trained, monkeypatch):
+        tmp_path, corpus_dir, outdir = trained
+        a, b = tmp_path / "eval-a.jsonl", tmp_path / "eval-b.jsonl"
+        assert self.infer(trained, outdir / "checkpoint.json", a) == 0
+        assert self.infer(trained, outdir / "crf.json", b) == 0
+        hashed = record_hashed(monkeypatch)
+        test = ["--manifest", str(corpus_dir / "manifest.json"), "--split", "test"]
+        assert main(["eval", "--traces", str(a), "--out",
+                     str(tmp_path / "eval.json")] + test) == 0
+        assert main(["compare", "--traces-a", str(a), "--traces-b", str(b),
+                     "--out", str(tmp_path / "compare.json")] + test) == 0
+        refs = {"eval": {"traces_sha256": sha(a), "split": "test"},
+                "compare": {"traces_a_sha256": sha(a), "traces_b_sha256": sha(b),
+                            "split": "test"}}
+        for command, ref in refs.items():
+            report = json.loads((tmp_path / f"{command}.json").read_text())
+            assert report["provenance"] == cli.provenance_for(command, ref, 0)
+        assert hashed and all(obj in refs.values() for obj in hashed)
+
+
 def count_tokenize_calls(monkeypatch):
     """Count calls of the tokenizer under every name the program calls it by."""
     import pageseq.features as features

@@ -302,6 +302,39 @@ def augment_cases(draw):
     return codec, docs, contexts, max_len, block
 
 
+class TestEncodeSplit:
+    """The one-pass encode_split against the per-page loop it replaced: the
+    same ids, lengths and dtypes."""
+
+    @staticmethod
+    def assert_matches_loop(docs, codec, max_len):
+        split = split_of(docs, codec.type_vocab)
+        encoded = encode_split(split, codec, max_len)
+        text, lengths = oracles.loop_encode_split(
+            list(map(oracles.reference_tokenize, split.texts)), codec, max_len)
+        assert (encoded.text.dtype, encoded.lengths.dtype) == (text.dtype,
+                                                               lengths.dtype)
+        np.testing.assert_array_equal(encoded.text, text)
+        np.testing.assert_array_equal(encoded.lengths, lengths)
+        return encoded
+
+    @settings(max_examples=200)
+    @given(labelled_splits(max_docs=6, max_pages=6), st.integers(1, 12))
+    def test_ids_and_lengths_equal_per_page_loop(self, case, max_len):
+        codec, docs = case
+        self.assert_matches_loop(docs, codec, max_len)
+
+    def test_unknown_long_empty_and_punctuated_pages(self):
+        codec = briefs_codec()
+        doc = make_doc("d", [("«Brief» of ¿appellant?", 0), ("", 1),
+                             (" \u3000 ", 1), ("zzz brief „signed“ unknown", 2),
+                             ("page " * 9, 1), ("… — «»", 2)])
+        encoded = self.assert_matches_loop([doc], codec, max_len=6)
+        assert encoded.lengths.tolist() == [3, 0, 0, 4, 5, 0]
+        assert encoded.text[3, [0, 3]].tolist() == [encoder.UNK_ID] * 2
+        assert (encoded.text[[1, 2, 5]] == encoder.PAD_ID).all()
+
+
 class TestAugmentInputProperties:
     """The batched augment_input against the per-page oracle."""
 

@@ -17,6 +17,10 @@ encoder's ``loss_and_grad``.
 JSONL files have one line reader.  ``json.loads`` is used only by it and by
 the loaders of whole JSON files (manifest, config, checkpoint), so no other
 reader parses a file line by line.
+
+``cli.config_hash`` (canonical JSON, then SHA-256) hashes configs only.  A
+file a command reads (checkpoint, trace) is named by the SHA-256 of its
+bytes, so no command re-serializes what it loaded to hash it.
 """
 
 import ast
@@ -112,11 +116,14 @@ def test_no_add_at():
 JSON_LOADS_USERS = {"corpus.read_jsonl", "corpus.load_corpus",
                     "cli._load_config_file", "encoder.load_checkpoint"}
 
+# the JSON hash is for configs: an artifact a command reads is named by the
+# SHA-256 of its bytes, never re-serialized to be hashed
+CONFIG_HASH_USERS = {"cli.provenance_for", "cli.cmd_synth", "cli.cmd_train"}
 
-def json_loads_users() -> list[str]:
-    """module.function (nested names joined by dots) of every use of
-    ``json.loads`` in the package: a call, a reference such as
-    ``map(json.loads, ...)``, or ``from json import loads``."""
+
+def users_of(is_use) -> list[str]:
+    """module.function (nested names joined by dots) of every node of the
+    package's code for which ``is_use(node)`` holds."""
     found = []
 
     def visit(node, where):
@@ -124,10 +131,7 @@ def json_loads_users() -> list[str]:
             inner = (f"{where}.{child.name}" if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                 else where)
-            if ((isinstance(child, ast.Attribute) and child.attr == "loads"
-                 and isinstance(child.value, ast.Name) and child.value.id == "json")
-                    or (isinstance(child, ast.ImportFrom) and child.module == "json"
-                        and any(alias.name == "loads" for alias in child.names))):
+            if is_use(child):
                 found.append(inner)
             visit(child, inner)
 
@@ -136,7 +140,33 @@ def json_loads_users() -> list[str]:
     return found
 
 
+def json_loads_users() -> list[str]:
+    """Every use of ``json.loads``: a call, a reference such as
+    ``map(json.loads, ...)``, or ``from json import loads``."""
+    return users_of(lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "loads"
+        and isinstance(node.value, ast.Name) and node.value.id == "json"
+        or isinstance(node, ast.ImportFrom) and node.module == "json"
+        and any(alias.name == "loads" for alias in node.names)))
+
+
+def config_hash_users() -> list[str]:
+    """Every use of ``config_hash`` by name, called or passed on, other than
+    its definition."""
+    return users_of(lambda node: (
+        isinstance(node, ast.Name) and node.id == "config_hash"
+        or isinstance(node, ast.Attribute) and node.attr == "config_hash"
+        or isinstance(node, ast.ImportFrom)
+        and any(alias.name == "config_hash" for alias in node.names)))
+
+
 def test_json_loads_only_in_the_line_reader_and_whole_file_loaders():
     found = json_loads_users()
     assert sorted(set(found) - JSON_LOADS_USERS) == []
     assert "corpus.read_jsonl" in found  # the walk reaches the line reader
+
+
+def test_config_hash_only_hashes_configs():
+    found = config_hash_users()
+    assert sorted(set(found) - CONFIG_HASH_USERS) == []
+    assert set(found) == CONFIG_HASH_USERS  # the walk reaches every user
