@@ -92,11 +92,8 @@ class TokenCodec:
             raise ValueError(f"class index {c} out of range")
         return N_RESERVED + c
 
-    def text_token_id(self, token: str) -> int:
-        return self._text_ids.get(token, UNK_ID)
-
     def text_token_ids(self, tokens: Iterable[str]) -> Iterator[int]:
-        """``text_token_id`` of each of ``tokens``, lazily."""
+        """The id of each of ``tokens``, lazily; UNK for an unknown one."""
         return map(self._text_ids.get, tokens, repeat(UNK_ID))
 
 

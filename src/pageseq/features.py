@@ -29,13 +29,8 @@ def _is_punct(ch: str) -> bool:
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on Unicode whitespace, strip leading/trailing
     punctuation, drop empty tokens."""
-    pieces = text.lower().split()
-    # a piece that starts and ends with an alphanumeric character is a token
-    # as it is, and on most pages every piece does
-    if all(piece[0].isalnum() and piece[-1].isalnum() for piece in pieces):
-        return pieces
     tokens = []
-    for piece in pieces:
+    for piece in text.lower().split():
         i, j = 0, len(piece)
         # no alphanumeric character is in a Unicode P* category, so isalnum()
         # ends a strip before the slower category lookup

@@ -253,6 +253,17 @@ def reference_tokenize(text: str) -> list[str]:
 
 # -- a split's text ids, one page at a time ------------------------------------
 
+def text_token_id(codec, token: str) -> int:
+    """The id of text ``token`` by the codec's id layout: the reserved ids,
+    one id per class, then the text tokens in order; UNK for any other
+    token."""
+    from pageseq.encoder import N_RESERVED, UNK_ID
+
+    if token not in codec.text_tokens:
+        return UNK_ID
+    return N_RESERVED + codec.n_classes + codec.text_tokens.index(token)
+
+
 def loop_encode_split(tokens, codec, max_len: int):
     """(text ids, lengths) of pages given as token lists: one id lookup per
     token and one row written per page, each row truncated to
@@ -263,7 +274,7 @@ def loop_encode_split(tokens, codec, max_len: int):
     text = np.full((len(tokens), n_text), PAD_ID, dtype=np.int64)
     lengths = np.zeros(len(tokens), dtype=np.int64)
     for row, page in enumerate(tokens):
-        ids = [codec.text_token_id(tok) for tok in page[:n_text]]
+        ids = [text_token_id(codec, tok) for tok in page[:n_text]]
         text[row, :len(ids)] = ids
         lengths[row] = len(ids)
     return text, lengths
@@ -511,7 +522,7 @@ def augment_input(context, text: str, codec, max_len: int):
         head.extend(codec.class_token_id(c) for c in sorted(context))
     if len(head) > max_len:
         raise ValueError("max_len too small for CLS plus context tokens")
-    text_ids = [codec.text_token_id(tok) for tok in reference_tokenize(text)]
+    text_ids = [text_token_id(codec, tok) for tok in reference_tokenize(text)]
     body = text_ids[: max_len - len(head)]
     ids = np.full(max_len, PAD_ID, dtype=np.int64)
     ids[: len(head) + len(body)] = head + body

@@ -38,6 +38,7 @@ from oracles import (
     reference_transformer_scores,
     scatter_embedding_grad,
     scatter_linear_bwd,
+    text_token_id,
 )
 
 VOCAB3 = TypeVocabulary(("A", "B", "C"))
@@ -72,21 +73,21 @@ class TestTokenCodec:
         codec = make_codec()
         assert codec.n_ids == 4 + 3 + 6
         assert codec.class_token_id(0) == 4
-        assert codec.text_token_id("alpha") == 7
-        assert codec.text_token_id("nope") == UNK_ID
+        assert list(codec.text_token_ids(["alpha", "nope"])) == [7, UNK_ID]
+        assert text_token_id(codec, "alpha") == 7
 
     def test_decode_round_trip(self):
         codec = make_codec()
-        ids = [CLS_ID, FIRST_ID, codec.text_token_id("beta")]
+        ids = [CLS_ID, FIRST_ID, text_token_id(codec, "beta")]
         assert decode(codec, ids) == ["[CLS]", "[-1]", "beta"]
         assert decode(codec, [CLS_ID, codec.class_token_id(1)]) == \
             ["[CLS]", "[type_B]"]
 
     def test_check_sequence_invariant(self):
         codec = make_codec()
-        good = seq([CLS_ID, codec.class_token_id(0), codec.text_token_id("alpha")])
+        good = seq([CLS_ID, codec.class_token_id(0), text_token_id(codec, "alpha")])
         check_sequence(good, codec)
-        bad = seq([CLS_ID, codec.text_token_id("alpha"), codec.class_token_id(0)])
+        bad = seq([CLS_ID, text_token_id(codec, "alpha"), codec.class_token_id(0)])
         with pytest.raises(ValueError, match="control token"):
             check_sequence(bad, codec)
         with pytest.raises(ValueError, match="CLS"):
@@ -103,14 +104,14 @@ class TestLinearForward:
         params = init_params(config, codec)
         params["head_w"][:] = 0.0
         params["head_b"][:] = 0.0
-        s = forward(params, seq([CLS_ID, codec.text_token_id("alpha"), 9]), config)
+        s = forward(params, seq([CLS_ID, text_token_id(codec, "alpha"), 9]), config)
         np.testing.assert_array_equal(s, np.zeros(3))
 
     def test_one_token_input_is_head_of_embedding(self):
         codec = make_codec()
         config = EncoderConfig(variant="linear", d=8, max_len=12)
         params = init_params(config, codec)
-        tok = codec.text_token_id("gamma")
+        tok = text_token_id(codec, "gamma")
         s = forward(params, seq([CLS_ID, tok]), config)
         expected = params["emb"][tok] @ params["head_w"] + params["head_b"]
         np.testing.assert_array_equal(s, expected)
@@ -119,7 +120,7 @@ class TestLinearForward:
         codec = make_codec()
         config = EncoderConfig(variant="linear", d=8, max_len=12)
         params = init_params(config, codec)
-        tokens = [codec.text_token_id(t) for t in ("alpha", "beta", "gamma", "beta")]
+        tokens = [text_token_id(codec, t) for t in ("alpha", "beta", "gamma", "beta")]
         s1 = forward(params, seq([CLS_ID] + tokens), config)
         s2 = forward(params, seq([CLS_ID] + tokens[::-1]), config)
         np.testing.assert_allclose(s1, s2, atol=1e-12)
@@ -399,7 +400,7 @@ class TestLoss:
         params = init_params(config, codec)
         for name in params:
             params[name][:] = 0.0
-        tok = codec.text_token_id("tok")
+        tok = text_token_id(codec, "tok")
         params["emb"][tok] = np.array([50.0, 0.0, 0.0])
         params["head_w"] = np.eye(3)
         ids, targets = as_batch([(seq([CLS_ID, tok]), frozenset({0}))])

@@ -486,7 +486,7 @@ class TestInferDocument:
             params[name][:] = 0.0
         params["head_w"] = np.eye(3)
         for i, tok in enumerate(("ta", "tb", "tc")):
-            params["emb"][codec.text_token_id(tok)] = 10.0 * np.eye(3)[i]
+            params["emb"][oracles.text_token_id(codec, tok)] = 10.0 * np.eye(3)[i]
         doc = make_doc("d", [("ta", 0), ("tb", 1), ("tb", 1), ("tc", 2)])
         pages = infer_document(params, doc, config, codec)
         assert [p.labels for p in pages] == [page.gold_labels for page in doc.pages]
