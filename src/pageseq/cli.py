@@ -470,7 +470,7 @@ def _restore_model(payload):
 
             def decode(docs):
                 trace = SplitTrace.blank(docs.doc_ids, docs.offsets,
-                                         config.n_classes, fed=False)
+                                         config.n_classes)
                 vectors = tfidf_matrix(page_tokens(docs), tfidf) @ projector.basis
                 trace.scores[:] = bilstm_forward(params, vectors, trace.offsets)
                 trace.labels[:] = predict(trace.scores, MULTICLASS)

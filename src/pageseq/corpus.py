@@ -40,7 +40,7 @@ class CorpusError(ValueError):
 
 @dataclass(frozen=True)
 class TypeVocabulary:
-    """The n page-type classes, their special tokens, and the first-page marker."""
+    """The n page-type classes; none may be named the first-page marker."""
 
     class_names: tuple[str, ...]
     label_mode: str = MULTICLASS
@@ -55,27 +55,13 @@ class TypeVocabulary:
             raise CorpusError("class names must be non-empty")
         if len(set(self.class_names)) != len(self.class_names):
             raise CorpusError("class names must be unique")
-        tokens = [self.special_token(c) for c in range(self.n)]
-        if len(set(tokens)) != len(tokens) or self.first_page_token in tokens:
-            raise CorpusError("special tokens must be pairwise distinct")
+        if FIRST_PAGE_TOKEN in self.class_names:
+            raise CorpusError(f"class name {FIRST_PAGE_TOKEN!r} is reserved for "
+                              f"the first-page marker")
 
     @property
     def n(self) -> int:
         return len(self.class_names)
-
-    @property
-    def first_page_token(self) -> str:
-        return FIRST_PAGE_TOKEN
-
-    def special_token(self, c: int) -> str:
-        """Special input token for class index c, of the form ``[type_<name>]``."""
-        return f"[type_{self.class_names[c]}]"
-
-    def index(self, name: str) -> int:
-        try:
-            return self.class_names.index(name)
-        except ValueError:
-            raise CorpusError(f"unknown label name {name!r}") from None
 
 
 class Documents:

@@ -36,8 +36,8 @@ the pool, so the next call cannot change them.
 
 Token id layout (one combined table of size V + n + 4):
 
-    0 PAD   1 UNK   2 CLS   3 first-page marker
-    4 .. n+3          class special tokens
+    0 PAD   1 UNK   2 CLS   3 first-page marker (FIRST_ID)
+    FIRST_ID + 1 + c  the context token of class c, for c in 0..n-1
     n+4 .. n+3+V      text tokens
 """
 
@@ -69,7 +69,7 @@ MODES = ("oblivious", "recurrent")
 
 
 class TokenCodec:
-    """Maps control tokens, class special tokens, and text tokens to dense ids."""
+    """Maps text tokens to dense ids, after the reserved and class ids."""
 
     def __init__(self, type_vocab: TypeVocabulary, text_tokens: Sequence[str]):
         self.type_vocab = type_vocab
@@ -86,11 +86,6 @@ class TokenCodec:
     @property
     def n_ids(self) -> int:
         return N_RESERVED + self.type_vocab.n + len(self.text_tokens)
-
-    def class_token_id(self, c: int) -> int:
-        if not 0 <= c < self.type_vocab.n:
-            raise ValueError(f"class index {c} out of range")
-        return N_RESERVED + c
 
     def text_token_ids(self, tokens: Iterable[str]) -> Iterator[int]:
         """The id of each of ``tokens``, lazily; UNK for an unknown one."""

@@ -1,4 +1,4 @@
-"""Previous-page type conditioning: input augmentation with special tokens,
+"""Previous-page type conditioning: input augmentation with context tokens,
 teacher-forced training examples, and left-to-right inference where the
 model feeds its own predictions forward.  A split is tokenized once
 (``encode_split``); only the context tokens written before its text change.
@@ -9,6 +9,11 @@ document's own decision at t-1.  No page's input depends on a later page
 (no lookahead) or on another document.  Its result is one ``SplitTrace``,
 whose arrays go to the trace file and come back from it unchanged.
 
+The contexts fed are one (pages x 1+n) indicator from training examples and
+inference through input augmentation to the trace file: column 0 is the
+first-page marker (``FIRST_PAGE_TOKEN``, token ``FIRST_ID``) and column 1+c
+class c (token ``FIRST_ID + 1 + c``).
+
 The exposure gap is structural: training examples carry the gold labels of
 the previous page, inference traces carry the model's decided labels.
 """
@@ -17,16 +22,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import eq, itemgetter
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import encoder
-from .corpus import (MULTICLASS, Documents, TypeVocabulary, first_appearance,
-                     gc_paused, read_jsonl)
+from .corpus import (FIRST_PAGE_TOKEN, MULTICLASS, Documents, TypeVocabulary,
+                     first_appearance, gc_paused, read_jsonl)
 from .encoder import CLS_ID, FIRST_ID, PAD_ID, EncoderConfig, TokenCodec, predict
 from .features import tokenize
 
@@ -37,30 +42,25 @@ class SplitTrace:
     document ``doc_ids[i]`` owns rows ``offsets[i]:offsets[i + 1]``.
 
     ``scores`` are the model's (pages x n) scores and ``labels`` its decided
-    classes as a 0/1 indicator.  If ``fed``, each page was fed the first-page
-    marker (``first``) or the classes of its ``context`` row; otherwise no
-    context was fed and both are all False.
+    classes as a 0/1 indicator.  ``context`` is the (pages x 1+n) indicator
+    of the context tokens each page was fed: column 0 the first-page marker,
+    column 1+c class c.  A trace was fed a context exactly when some cell of
+    it is set.
     """
 
     doc_ids: list
     offsets: np.ndarray
     scores: np.ndarray
     labels: np.ndarray
-    first: np.ndarray
     context: np.ndarray
-    fed: bool
 
     @classmethod
-    def blank(cls, doc_ids: Sequence, offsets: np.ndarray, n: int,
-              fed: bool) -> "SplitTrace":
-        """Zero scores and no decisions, to be filled in place; if ``fed``,
-        the first page of each document is marked as such."""
+    def blank(cls, doc_ids: Sequence, offsets: np.ndarray, n: int) -> "SplitTrace":
+        """Zero scores, no decisions and no context fed, to be filled in place."""
         pages = int(offsets[-1])
-        first = np.zeros(pages, dtype=bool)
-        first[offsets[:-1]] = fed
         return cls(list(doc_ids), offsets, np.zeros((pages, n)),
-                   np.zeros((pages, n), dtype=bool), first,
-                   np.zeros((pages, n), dtype=bool), fed)
+                   np.zeros((pages, n), dtype=bool),
+                   np.zeros((pages, 1 + n), dtype=bool))
 
 
 @dataclass(eq=False)
@@ -96,38 +96,32 @@ def encode_split(docs: Documents, codec: TokenCodec,
 
 
 def augment_input(text: np.ndarray, lengths: np.ndarray,
-                  first: np.ndarray | None, context: np.ndarray | None,
-                  codec: TokenCodec, max_len: int) -> np.ndarray:
+                  context: np.ndarray | None, max_len: int) -> np.ndarray:
     """[CLS] + context tokens + text, one row per page, PAD-padded to the
     longest row.
 
-    ``text`` and ``lengths`` are rows of an ``EncodedSplit``.  ``first`` flags
-    the rows fed the first-page marker and the (rows x n) indicator
-    ``context`` the classes fed to the others; with both None no context
-    tokens are added.  Context tokens are the first-page marker or the
-    special tokens of the fed classes in ascending class order; they are
-    never truncated.  Text is truncated from the right so that no row is
-    longer than ``max_len``.
+    ``text`` and ``lengths`` are rows of an ``EncodedSplit``, and ``context``
+    the (rows x 1+n) indicator of the context tokens fed to each; with None
+    no context tokens are added.  Each set column j writes token id
+    ``FIRST_ID + j``, in column order; context tokens are never truncated.
+    Text is truncated from the right so that no row is longer than
+    ``max_len``.
     """
     if context is None:
-        marks = np.zeros((len(text), 0), dtype=bool)
-    else:
-        marks = np.column_stack([first, context])
-        if not marks.any(axis=1).all():
-            raise ValueError("previous-page context must be non-empty")
-    tokens = np.array([FIRST_ID] + [codec.class_token_id(c)
-                                    for c in range(codec.n_classes)])
-    n_context = marks.sum(axis=1)
+        context = np.zeros((len(text), 0), dtype=bool)
+    elif not context.any(axis=1).all():
+        raise ValueError("previous-page context must be non-empty")
+    n_context = context.sum(axis=1)
     if 1 + n_context.max(initial=0) > max_len:
         raise ValueError("max_len too small for CLS plus context tokens")
     full = 1 + n_context + np.minimum(lengths, max_len - 1 - n_context)
     width = int(full.max(initial=1))
-    ids = np.full((len(marks), width), PAD_ID, dtype=np.int64)
+    ids = np.full((len(context), width), PAD_ID, dtype=np.int64)
     ids[:, 0] = CLS_ID
     for k in np.unique(n_context).tolist():
         rows = np.flatnonzero(n_context == k)
         if k:
-            ids[rows, 1:1 + k] = tokens[np.nonzero(marks[rows])[1].reshape(-1, k)]
+            ids[rows, 1:1 + k] = FIRST_ID + np.nonzero(context[rows])[1].reshape(-1, k)
         ids[rows, 1 + k:] = text[rows, :width - 1 - k]
     return ids
 
@@ -143,19 +137,20 @@ def page_examples(docs: Documents, teacher_forced: bool,
     """The input ids (pages x width) and targets of every page, in document
     order; ``encoded`` is ``encode_split(docs, codec, max_len)`` if known.
 
-    With teacher forcing the context of page t>1 is the GOLD label set of
-    page t-1 (never a model output); without it no context tokens are added.
+    With teacher forcing page 1 is fed the first-page marker and page t>1
+    the GOLD label set of page t-1 (never a model output); without it no
+    context tokens are added.
     Targets are gold class indices (a multiclass codec) or a (pages x
     classes) 0/1 matrix (multilabel), as ``encoder.loss_and_grad`` takes them.
     """
     split = encoded or encode_split(docs, codec, max_len)
     gold = docs.gold
-    first = context = None
+    context = None
     if teacher_forced:
-        first = np.zeros(len(gold), dtype=bool)
+        first = np.zeros((len(gold), 1), dtype=bool)
         first[docs.offsets[:-1]] = True
-        context = np.roll(gold, 1, axis=0) & ~first[:, None]
-    ids = augment_input(split.text, split.lengths, first, context, codec, max_len)
+        context = np.hstack([first, np.roll(gold, 1, axis=0) & ~first])
+    ids = augment_input(split.text, split.lengths, context, max_len)
     if codec.type_vocab.label_mode == MULTICLASS:
         return ids, gold.argmax(axis=1)
     return ids, gold.astype(np.float64)
@@ -167,14 +162,13 @@ _BLOCK_ROWS = 32
 
 
 def _score_rows(params: dict, split: EncodedSplit, rows: np.ndarray,
-                first: np.ndarray | None, context: np.ndarray | None,
-                config: EncoderConfig, codec: TokenCodec,
+                context: np.ndarray | None, config: EncoderConfig,
                 scratch: encoder.Scratch, out: np.ndarray) -> None:
-    """Score ``rows`` of ``split`` fed ``first`` and ``context`` into the same
-    rows of ``out``, in length-sorted blocks of at most ``_BLOCK_ROWS`` so
-    that a block pads little."""
-    ids = augment_input(split.text[rows], split.lengths[rows], first, context,
-                        codec, config.max_len)
+    """Score ``rows`` of ``split`` fed ``context`` into the same rows of
+    ``out``, in length-sorted blocks of at most ``_BLOCK_ROWS`` so that a
+    block pads little."""
+    ids = augment_input(split.text[rows], split.lengths[rows], context,
+                        config.max_len)
     lengths = row_lengths(ids)
     order = np.argsort(lengths, kind="stable")
     for start in range(0, len(order), _BLOCK_ROWS):
@@ -201,20 +195,20 @@ def infer_split(params: dict, docs: Documents,
     split = encoded or encode_split(docs, codec, config.max_len)
     if scratch is None:
         scratch = encoder.Scratch()
-    trace = SplitTrace.blank(docs.doc_ids, docs.offsets,
-                             codec.n_classes, recurrent)
+    trace = SplitTrace.blank(docs.doc_ids, docs.offsets, codec.n_classes)
     if not recurrent:
-        _score_rows(params, split, np.arange(len(trace.scores)), None, None,
-                    config, codec, scratch, trace.scores)
+        _score_rows(params, split, np.arange(len(trace.scores)), None, config,
+                    scratch, trace.scores)
         trace.labels[:] = predict(trace.scores, label_mode)
         return trace
     starts, sizes = docs.offsets[:-1], np.diff(docs.offsets)
+    trace.context[starts, 0] = True
     for t in range(int(sizes.max(initial=0))):
         rows = starts[sizes > t] + t
         if t:
-            trace.context[rows] = trace.labels[rows - 1]
-        _score_rows(params, split, rows, trace.first[rows], trace.context[rows],
-                    config, codec, scratch, trace.scores)
+            trace.context[rows, 1:] = trace.labels[rows - 1]
+        _score_rows(params, split, rows, trace.context[rows], config, scratch,
+                    trace.scores)
         trace.labels[rows] = predict(trace.scores[rows], label_mode)
     return trace
 
@@ -241,9 +235,8 @@ def write_traces(trace: SplitTrace, path: Path | str, vocab: TypeVocabulary,
     if provenance is not None:
         lines.append(json.dumps({"provenance": provenance}, sort_keys=True))
     labels = _names_json(trace.labels, vocab.class_names)
-    contexts = (_names_json(np.column_stack([trace.first, trace.context]),
-                            (vocab.first_page_token, *vocab.class_names))
-                if trace.fed else ["null"] * len(labels))
+    contexts = (_names_json(trace.context, (FIRST_PAGE_TOKEN, *vocab.class_names))
+                if trace.context.any() else ["null"] * len(labels))
     # one encoding of the whole matrix, cut into rows: no number holds "], ["
     scores = (json.dumps(trace.scores.tolist())[2:-2].split("], [")
               if len(labels) else [])
@@ -277,26 +270,25 @@ def _all_floats(numbers: list) -> bool:
 
 
 def _indicator(name_lists: Sequence[list], field: str, pages: list,
-               vocab: TypeVocabulary, blank: tuple = ()) -> np.ndarray:
-    """The (pages x n) 0/1 rows of the lists of class names in ``field`` of
-    each page, each distinct list looked up once; the list ``blank`` gives
-    an all-False row.  A name that is not a string, or no class's, is
-    reported with its page."""
+               names: Sequence[str]) -> np.ndarray:
+    """The (pages x len(names)) 0/1 rows of the lists of column ``names`` in
+    ``field`` of each page, each distinct list looked up once.  A name that
+    is not a string, or no column's, is reported with its page; so is the
+    first-page marker in a list with other names, as it is fed alone."""
     if not set(map(type, chain.from_iterable(name_lists))) <= {str}:
         row = _first(name_lists, lambda names: not set(map(type, names)) <= {str})
         raise ValueError(f"{_page_name(pages[row])}: field {field!r} holds a "
                          f"label name that is not a string")
     distinct, keys = first_appearance(list(map(tuple, name_lists)))
-    index = dict(zip(vocab.class_names, range(vocab.n)))
-    table = np.zeros((len(distinct), vocab.n), dtype=bool)
-    for key, names in enumerate(distinct):
-        if names == blank:
-            continue
-        unknown = [name for name in names if name not in index]
+    index = dict(zip(names, range(len(names))))
+    table = np.zeros((len(distinct), len(names)), dtype=bool)
+    for key, row in enumerate(distinct):
+        unknown = [name for name in row if name not in index
+                   or name == FIRST_PAGE_TOKEN and len(row) > 1]
         if unknown:
             raise ValueError(f"{_page_name(pages[np.argmax(keys == key)])}: "
                              f"unknown label name {unknown[0]!r} in field {field!r}")
-        table[key, list(map(index.__getitem__, names))] = True
+        table[key, list(map(index.__getitem__, row))] = True
     return table[keys]
 
 
@@ -323,7 +315,7 @@ def read_traces(path: Path | str, vocab: TypeVocabulary,
                          f"column {exc.colno})") from None
     pages = [obj for obj in objs if "doc_id" in obj or "provenance" not in obj]
     if not pages:
-        return SplitTrace.blank([], np.zeros(1, dtype=np.int64), vocab.n, False)
+        return SplitTrace.blank([], np.zeros(1, dtype=np.int64), vocab.n)
     # one list per field: per-page tuples would live long enough to be
     # promoted to the oldest GC generation, and bring on full collections
     columns = [list(map(itemgetter(key), pages))
@@ -356,7 +348,7 @@ def read_traces(path: Path | str, vocab: TypeVocabulary,
     bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
     if bad.size:
         raise ValueError(f"{_page_name(pages[bad[0]])} has a score that is not finite")
-    labels = _indicator(labels, "labels", pages, vocab)
+    labels = _indicator(labels, "labels", pages, vocab.class_names)
     counts = labels.sum(axis=1)
     limit = 1 if vocab.label_mode == MULTICLASS else vocab.n
     bad = np.flatnonzero((counts == 0) | (counts > limit))
@@ -366,16 +358,21 @@ def read_traces(path: Path | str, vocab: TypeVocabulary,
     fed = list in set(map(type, contexts))
     if fed and None in contexts:
         raise ValueError("some pages were fed a context and some none")
-    marker = [vocab.first_page_token]
-    first = np.fromiter(map(eq, contexts, repeat(marker)), dtype=bool,
-                        count=len(pages))
-    context = (_indicator(contexts, "context", pages, vocab, tuple(marker)) if fed
-               else np.zeros_like(labels))
-    # a fed page was fed the first-page marker or at least one class
-    named = first | context.any(axis=1)
-    if fed and not named.all():
-        raise ValueError(f"{_page_name(pages[named.argmin()])}: field 'context' "
-                         f"names no class")
+    if not fed:
+        context = np.zeros((len(pages), 1 + vocab.n), dtype=bool)
+    else:
+        context = _indicator(contexts, "context", pages,
+                             (FIRST_PAGE_TOKEN, *vocab.class_names))
+        # a fed page was fed the first-page marker alone, or as many classes
+        # as a page may have labels: 1 to ``limit``
+        counts = context.sum(axis=1)
+        if not counts.all():
+            raise ValueError(f"{_page_name(pages[counts.argmin()])}: field "
+                             f"'context' names no class")
+        bad = np.flatnonzero(counts > limit)
+        if bad.size:
+            raise ValueError(f"{_page_name(pages[bad[0]])} has {counts[bad[0]]} "
+                             f"context labels in {vocab.label_mode} mode")
 
     doc_rows, doc = first_appearance(doc_ids)
     if set(map(type, page_indices)) == {int} and (
@@ -392,4 +389,4 @@ def read_traces(path: Path | str, vocab: TypeVocabulary,
         doc_id = doc_rows[doc[order[wrong.argmax()]]]
         raise ValueError(f"trace for {doc_id!r} has missing or duplicate pages")
     return SplitTrace(doc_rows, offsets, scores[order], labels[order],
-                      first[order], context[order], fed)
+                      context[order])

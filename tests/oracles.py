@@ -264,6 +264,16 @@ def text_token_id(codec, token: str) -> int:
     return N_RESERVED + codec.n_classes + codec.text_tokens.index(token)
 
 
+def class_token_id(codec, c: int) -> int:
+    """The id of class ``c``'s context token by the codec's id layout: the
+    one after the first-page marker's, plus ``c``."""
+    from pageseq.encoder import FIRST_ID
+
+    if not 0 <= c < codec.n_classes:
+        raise ValueError(f"class index {c} out of range")
+    return FIRST_ID + 1 + c
+
+
 def loop_encode_split(tokens, codec, max_len: int):
     """(text ids, lengths) of pages given as token lists: one id lookup per
     token and one row written per page, each row truncated to
@@ -290,13 +300,16 @@ def forward(params, ids, config) -> np.ndarray:
 
 
 def is_control_id(codec, i: int) -> bool:
-    """Control ids: CLS, the first-page marker, and class special tokens."""
+    """Control ids: CLS, the first-page marker, and class context tokens."""
     from pageseq.encoder import CLS_ID, FIRST_ID, N_RESERVED
 
     return i == CLS_ID or i == FIRST_ID or N_RESERVED <= i < N_RESERVED + codec.n_classes
 
 
 def id_to_string(codec, i: int) -> str:
+    """The token an id stands for; the context token of class ``name`` reads
+    ``[type_<name>]``."""
+    from pageseq.corpus import FIRST_PAGE_TOKEN
     from pageseq.encoder import CLS_ID, FIRST_ID, N_RESERVED, PAD_ID, UNK_ID
 
     if i == PAD_ID:
@@ -306,9 +319,9 @@ def id_to_string(codec, i: int) -> str:
     if i == CLS_ID:
         return "[CLS]"
     if i == FIRST_ID:
-        return codec.type_vocab.first_page_token
+        return FIRST_PAGE_TOKEN
     if i < N_RESERVED + codec.n_classes:
-        return codec.type_vocab.special_token(i - N_RESERVED)
+        return f"[type_{codec.type_vocab.class_names[i - FIRST_ID - 1]}]"
     return codec.text_tokens[i - N_RESERVED - codec.n_classes]
 
 
@@ -372,16 +385,17 @@ FIRST_PAGE = _FirstPage()
 
 def context_arrays(contexts, n: int):
     """Per-page contexts (FIRST_PAGE, a non-empty set of classes, or None for
-    all of them) as the ``first`` and ``context`` arrays augment_input
-    takes."""
+    all of them) as the (pages x 1+n) ``context`` indicator augment_input
+    takes: column 0 the first-page marker, column 1+c class c."""
     if all(context is None for context in contexts):
-        return None, None
-    first = np.array([context is FIRST_PAGE for context in contexts], dtype=bool)
-    matrix = np.zeros((len(contexts), n), dtype=bool)
+        return None
+    matrix = np.zeros((len(contexts), 1 + n), dtype=bool)
     for row, context in enumerate(contexts):
-        if context is not FIRST_PAGE:
-            matrix[row, sorted(context)] = True
-    return first, matrix
+        if context is FIRST_PAGE:
+            matrix[row, 0] = True
+        else:
+            matrix[row, [1 + c for c in context]] = True
+    return matrix
 
 
 class Page(NamedTuple):
@@ -392,13 +406,15 @@ class Page(NamedTuple):
 
 def trace_pages(trace) -> list[tuple[str, list[Page]]]:
     """A SplitTrace as per-page records: (doc_id, pages) per document, with
-    contexts as ``context_arrays`` takes them."""
+    contexts as ``context_arrays`` takes them; a trace with no context cell
+    set was fed none."""
+    fed = trace.context.any()
     out = []
     for i, doc_id in enumerate(trace.doc_ids):
         pages = []
         for r in range(trace.offsets[i], trace.offsets[i + 1]):
-            context = (None if not trace.fed else FIRST_PAGE if trace.first[r]
-                       else frozenset(np.flatnonzero(trace.context[r]).tolist()))
+            context = (None if not fed else FIRST_PAGE if trace.context[r, 0]
+                       else frozenset(np.flatnonzero(trace.context[r, 1:]).tolist()))
             pages.append(Page(trace.scores[r],
                               frozenset(np.flatnonzero(trace.labels[r]).tolist()),
                               context))
@@ -408,6 +424,8 @@ def trace_pages(trace) -> list[tuple[str, list[Page]]]:
 
 def write_traces_per_page(trace, path, vocab, provenance=None) -> None:
     """Reference trace writer: one ``json.dumps`` of each page's record."""
+    from pageseq.corpus import FIRST_PAGE_TOKEN
+
     lines = []
     if provenance is not None:
         lines.append(json.dumps({"provenance": provenance}, sort_keys=True))
@@ -415,7 +433,7 @@ def write_traces_per_page(trace, path, vocab, provenance=None) -> None:
         for t, (scores, labels, context) in enumerate(pages):
             lines.append(json.dumps({
                 "context": (None if context is None
-                            else [vocab.first_page_token] if context is FIRST_PAGE
+                            else [FIRST_PAGE_TOKEN] if context is FIRST_PAGE
                             else [vocab.class_names[c] for c in sorted(context)]),
                 "doc_id": doc_id,
                 "labels": [vocab.class_names[c] for c in sorted(labels)],
@@ -443,6 +461,8 @@ def read_traces_per_page(path, vocab):
     ``json.loads`` per line and every check page by page, with the errors
     ``recurrence.read_traces`` gives: a file with one fault gets its
     message."""
+    from pageseq.corpus import FIRST_PAGE_TOKEN
+
     docs: dict = {}
     fed = set()
     text = Path(path).read_text(encoding="utf-8")
@@ -481,12 +501,15 @@ def read_traces_per_page(path, vocab):
                              f"{vocab.label_mode} mode")
         context = obj["context"]
         fed.add(context is not None)
-        if context == [vocab.first_page_token]:
+        if context == [FIRST_PAGE_TOKEN]:
             context = FIRST_PAGE
         elif context is not None:
             context = _class_names(context, "context", page, vocab)
             if not context:
                 raise ValueError(f"{page}: field 'context' names no class")
+            if len(context) > limit:
+                raise ValueError(f"{page} has {len(context)} context labels in "
+                                 f"{vocab.label_mode} mode")
         docs.setdefault(obj["doc_id"], []).append(
             (obj["page_index"], Page(scores, labels, context)))
     if len(fed) > 1:
@@ -507,7 +530,7 @@ def augment_input(context, text: str, codec, max_len: int):
     tokens, PAD-padded to ``max_len``.  Returns (ids, length).
 
     ``context`` is ``FIRST_PAGE``, a non-empty set of class indices, or None.
-    Context tokens (the first-page marker, or the class special tokens in
+    Context tokens (the first-page marker, or the class context tokens in
     ascending class order) are never truncated; text is truncated from the
     right.
     """
@@ -519,7 +542,7 @@ def augment_input(context, text: str, codec, max_len: int):
     elif context is not None:
         if not context:
             raise ValueError("previous-page context must be non-empty")
-        head.extend(codec.class_token_id(c) for c in sorted(context))
+        head.extend(class_token_id(codec, c) for c in sorted(context))
     if len(head) > max_len:
         raise ValueError("max_len too small for CLS plus context tokens")
     text_ids = [text_token_id(codec, tok) for tok in reference_tokenize(text)]

@@ -51,6 +51,7 @@ from pageseq.training import AdamState, TrainConfig, lr_at, optimizer_step, trai
 
 from oracles import (
     assert_grads_close,
+    class_token_id,
     columns,
     crf_enumerate,
     finite_diff_grads,
@@ -206,7 +207,7 @@ def test_criterion_3_crf_exactness():
 
 
 def _fd_batch(codec, max_len, label_mode):
-    a, c = codec.class_token_id(0), codec.class_token_id(2)
+    a, c = class_token_id(codec, 0), class_token_id(codec, 2)
     examples = []
     for ids, gold in (([CLS_ID, FIRST_ID, 7, 8], frozenset({0})),
                       ([CLS_ID, a, 9, UNK_ID], frozenset({1})),

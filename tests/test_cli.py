@@ -412,8 +412,7 @@ class TestInferEvalCompare:
     def test_eval_perfect_traces_all_ones(self, trained, capsys):
         tmp_path, corpus_dir, _ = trained
         split = load_corpus(corpus_dir / "manifest.json")
-        trace = SplitTrace.blank(split.test.doc_ids, split.test.offsets, 3,
-                                 fed=False)
+        trace = SplitTrace.blank(split.test.doc_ids, split.test.offsets, 3)
         trace.labels[:] = split.test.gold
         path = tmp_path / "gold_traces.jsonl"
         write_traces(trace, path, split.vocabulary)
@@ -1211,6 +1210,22 @@ class TestStats:
         assert "pages per class" in out
         assert "label runs in train" in out
         assert "self-transition" in out
+
+    def test_class_named_like_the_first_page_marker(self, tmp_path, capsys):
+        """Its contexts would read back as first pages, so the manifest is
+        refused before any split is read."""
+        page = {"doc_id": "d", "labels": ["b"], "page_index": 0, "text": "x"}
+        for name in ("train", "validation", "test"):
+            (tmp_path / f"{name}.jsonl").write_text(json.dumps(page) + "\n")
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "classes": ["[-1]", "b"], "label_mode": "multiclass",
+            "train": "train.jsonl", "validation": "validation.jsonl",
+            "test": "test.jsonl"}))
+        capsys.readouterr()
+        assert main(["stats", "--manifest", str(tmp_path / "manifest.json")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "'[-1]'" in err[0]
 
 
 def _chain_cfg(matrix):

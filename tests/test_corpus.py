@@ -129,13 +129,6 @@ class TestDocumentLayout:
 
 
 class TestTypeVocabulary:
-    def test_special_tokens(self):
-        vocab = TypeVocabulary(("Caption", "Body"))
-        assert vocab.special_token(0) == "[type_Caption]"
-        assert vocab.special_token(1) == "[type_Body]"
-        assert vocab.first_page_token == "[-1]"
-        assert vocab.n == 2
-
     def test_rejects_duplicates_and_small(self):
         with pytest.raises(CorpusError):
             TypeVocabulary(("A", "A"))
@@ -143,11 +136,8 @@ class TestTypeVocabulary:
             TypeVocabulary(("A",))
         with pytest.raises(CorpusError):
             TypeVocabulary(("A", ""))
-
-    def test_index_lookup(self):
-        assert AB.index("B") == 1
-        with pytest.raises(CorpusError, match="Nope"):
-            AB.index("Nope")
+        with pytest.raises(CorpusError, match=re.escape("'[-1]' is reserved")):
+            TypeVocabulary(("[-1]", "b"))  # the first-page marker
 
 
 class TestDataModel:
@@ -553,10 +543,11 @@ LINE_CASES = {
 
 def trace_file_lines() -> list[str]:
     vocab = TypeVocabulary(("A", "B"))
-    trace = SplitTrace.blank(["d", "e"], np.array([0, 2, 3]), 2, True)
+    trace = SplitTrace.blank(["d", "e"], np.array([0, 2, 3]), 2)
     trace.scores[:] = [[0.5, -1.25], [2.0, 1e-3], [-0.0, 3.0]]
     trace.labels[[0, 1, 2], [0, 1, 1]] = True
-    trace.context[1, 0] = True
+    trace.context[[0, 2], 0] = True
+    trace.context[1, 1] = True
     with tempfile.TemporaryDirectory() as tmp:
         write_traces(trace, Path(tmp) / "t.jsonl", vocab, provenance={"seed": 1})
         return (Path(tmp) / "t.jsonl").read_text(encoding="utf-8").splitlines()

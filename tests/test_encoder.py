@@ -30,6 +30,7 @@ from pageseq.encoder import (
 from oracles import (
     assert_grads_close,
     check_sequence,
+    class_token_id,
     decode,
     finite_diff_grads,
     forward,
@@ -72,7 +73,7 @@ class TestTokenCodec:
     def test_id_layout(self):
         codec = make_codec()
         assert codec.n_ids == 4 + 3 + 6
-        assert codec.class_token_id(0) == 4
+        assert class_token_id(codec, 0) == FIRST_ID + 1 == 4
         assert list(codec.text_token_ids(["alpha", "nope"])) == [7, UNK_ID]
         assert text_token_id(codec, "alpha") == 7
 
@@ -80,14 +81,14 @@ class TestTokenCodec:
         codec = make_codec()
         ids = [CLS_ID, FIRST_ID, text_token_id(codec, "beta")]
         assert decode(codec, ids) == ["[CLS]", "[-1]", "beta"]
-        assert decode(codec, [CLS_ID, codec.class_token_id(1)]) == \
+        assert decode(codec, [CLS_ID, class_token_id(codec, 1)]) == \
             ["[CLS]", "[type_B]"]
 
     def test_check_sequence_invariant(self):
         codec = make_codec()
-        good = seq([CLS_ID, codec.class_token_id(0), text_token_id(codec, "alpha")])
+        good = seq([CLS_ID, class_token_id(codec, 0), text_token_id(codec, "alpha")])
         check_sequence(good, codec)
-        bad = seq([CLS_ID, text_token_id(codec, "alpha"), codec.class_token_id(0)])
+        bad = seq([CLS_ID, text_token_id(codec, "alpha"), class_token_id(codec, 0)])
         with pytest.raises(ValueError, match="control token"):
             check_sequence(bad, codec)
         with pytest.raises(ValueError, match="CLS"):
@@ -432,8 +433,8 @@ class TestLoss:
 
 def fd_batch(codec, label_mode=MULTICLASS):
     """Batch exercising special tokens, UNK, and text tokens."""
-    a = codec.class_token_id(0)
-    c = codec.class_token_id(2)
+    a = class_token_id(codec, 0)
+    c = class_token_id(codec, 2)
     return as_batch([
         (seq([CLS_ID, FIRST_ID, 7, 8]), frozenset({0})),
         (seq([CLS_ID, a, 9, UNK_ID, 7]), frozenset({1})),
@@ -519,10 +520,10 @@ class TestGradients:
         params = init_params(config, codec)
         ids, targets = as_batch([
             (seq([CLS_ID, FIRST_ID, 7]), frozenset({0})),
-            (seq([CLS_ID, codec.class_token_id(1), 8]), frozenset({1}))])
+            (seq([CLS_ID, class_token_id(codec, 1), 8]), frozenset({1}))])
         _, grads = loss_and_grad(params, ids, targets, config, MULTICLASS)
         assert np.any(grads["emb"][FIRST_ID] != 0.0)
-        assert np.any(grads["emb"][codec.class_token_id(1)] != 0.0)
+        assert np.any(grads["emb"][class_token_id(codec, 1)] != 0.0)
 
 
 def same_bits(x, y) -> bool:

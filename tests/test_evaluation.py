@@ -191,7 +191,7 @@ def trace_of(docs_labels, n=3):
     """A context-free trace of (doc_id, label sets) pairs, in that order."""
     sizes = [len(labels) for _, labels in docs_labels]
     trace = SplitTrace.blank([doc_id for doc_id, _ in docs_labels],
-                             np.cumsum([0] + sizes), n, fed=False)
+                             np.cumsum([0] + sizes), n)
     trace.labels[:] = indicator([c for _, labels in docs_labels for c in labels], n)
     return trace
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pageseq.encoder as encoder
-from pageseq.corpus import MULTICLASS, MULTILABEL, TypeVocabulary
+from pageseq.corpus import FIRST_PAGE_TOKEN, MULTICLASS, MULTILABEL, TypeVocabulary
 from pageseq.encoder import (
     EncoderConfig,
     TokenCodec,
@@ -58,8 +58,8 @@ def augment(context, text, codec, max_len):
     """The batched augment_input on one page: its id row."""
     split = encode_split(split_of([make_doc("d", [(text, 0)])]), codec, max_len)
     (row,) = augment_input(split.text, split.lengths,
-                           *oracles.context_arrays([context], codec.n_classes),
-                           codec, max_len)
+                           oracles.context_arrays([context], codec.n_classes),
+                           max_len)
     return row
 
 
@@ -217,7 +217,8 @@ class TestTeacherForcedBatches:
                     assert decoded[1] == "[-1]"
                 else:
                     prev_gold = next(iter(doc.pages[t - 1].gold_labels))
-                    assert decoded[1] == BRIEFS.special_token(prev_gold)
+                    assert decoded[1] == oracles.id_to_string(
+                        codec, oracles.class_token_id(codec, prev_gold))
                 assert {int(targets[idx])} == doc.pages[t].gold_labels
                 idx += 1
 
@@ -345,13 +346,13 @@ class TestAugmentInputProperties:
         texts = [page.text for doc in docs for page in doc.pages]
         split = encode_split(split_of(docs, codec.type_vocab), codec, max_len)
         fed = [contexts[r] for r in block]
-        arrays = oracles.context_arrays(fed, codec.n_classes)
+        context = oracles.context_arrays(fed, codec.n_classes)
         if max_len < 1 + max(map(context_size, fed)):
             with pytest.raises(ValueError, match="max_len"):
-                augment_input(split.text[block], split.lengths[block], *arrays,
-                              codec, max_len)
+                augment_input(split.text[block], split.lengths[block], context,
+                              max_len)
             return
-        ids = augment_input(split.text[block], split.lengths[block], *arrays, codec,
+        ids = augment_input(split.text[block], split.lengths[block], context,
                             max_len)
         expected = [oracles.augment_input(context, texts[r], codec, max_len)
                     for r, context in zip(block, fed)]
@@ -411,8 +412,8 @@ def stub_params(codec, config):
         params[name][:] = 0.0
     params["head_w"] = np.eye(3)
     params["emb"][3] = np.array([1.0, 0.0, 0.0])                    # FIRST -> Caption
-    params["emb"][codec.class_token_id(0)] = np.array([0.0, 1.0, 0.0])  # Caption -> Body
-    params["emb"][codec.class_token_id(1)] = np.array([1.0, 0.0, 0.0])  # Body -> Caption
+    params["emb"][oracles.class_token_id(codec, 0)] = np.array([0.0, 1.0, 0.0])  # Caption -> Body
+    params["emb"][oracles.class_token_id(codec, 1)] = np.array([1.0, 0.0, 0.0])  # Body -> Caption
     return params
 
 
@@ -657,7 +658,8 @@ class TestLockstep:
 # class names that JSON must escape, or that hold the "], [" between rows of
 # a JSON matrix
 CLASS_NAMES = st.one_of(st.sampled_from(['"', "\\", "], [", '"], ["', "a\\b"]),
-                        st.text(min_size=1, max_size=4)).filter(lambda s: s != "[-1]")
+                        st.text(min_size=1, max_size=4)).filter(
+                            lambda s: s != FIRST_PAGE_TOKEN)
 SCORES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308,
                                     -1e308]))
@@ -675,7 +677,9 @@ def split_traces(draw):
     doc_ids = draw(st.lists(UNICODE_TEXT, max_size=4, unique=True))
     sizes = draw(st.lists(st.integers(1, 4), min_size=len(doc_ids),
                           max_size=len(doc_ids)))
-    trace = SplitTrace.blank(doc_ids, np.cumsum([0] + sizes), n, draw(st.booleans()))
+    trace = SplitTrace.blank(doc_ids, np.cumsum([0] + sizes), n)
+    fed = draw(st.booleans())
+    trace.context[trace.offsets[:-1], 0] = fed
     pages = len(trace.scores)
     trace.scores[:] = np.reshape(draw(st.lists(SCORES, min_size=pages * n,
                                                max_size=pages * n)), (pages, n))
@@ -683,8 +687,8 @@ def split_traces(draw):
                          max_size=1 if vocab.label_mode == MULTICLASS else n)
     for r in range(pages):
         trace.labels[r, sorted(draw(label_sets))] = True
-        if trace.fed and not trace.first[r]:
-            trace.context[r, sorted(draw(label_sets))] = True
+        if fed and not trace.context[r, 0]:
+            trace.context[r, [1 + c for c in sorted(draw(label_sets))]] = True
     return vocab, trace
 
 
@@ -692,10 +696,11 @@ def unicode_example():
     """Doc ids with line breaks other than "\\n", an astral character and the
     empty string, and scores at the edges of the float range."""
     trace = SplitTrace.blank(["\u2028", "d\x85", "\U0001F600", ""],
-                             np.array([0, 1, 3, 4, 5]), BRIEFS.n, True)
+                             np.array([0, 1, 3, 4, 5]), BRIEFS.n)
     trace.scores[:] = [-0.0, 5e-324, -1e308]
     trace.labels[:, 1] = True
-    trace.context[~trace.first, 1] = True
+    trace.context[trace.offsets[:-1], 0] = True
+    trace.context[~trace.context[:, 0], 2] = True
     return BRIEFS, trace
 
 
@@ -715,6 +720,10 @@ def add_trace_fault(pages: list, vocab, fed: bool, draw) -> None:
         faults += ["context-type", "context-unknown", "context-empty"]
     if len(pages) > 1:
         faults.append("fed")
+    if fed:
+        faults.append("context-marker")
+        if vocab.label_mode == MULTICLASS:
+            faults.append("context-count")
     fault = draw(st.sampled_from(faults))
     i = draw(st.integers(0, len(pages) - 1))
     page = pages[i]
@@ -742,6 +751,12 @@ def add_trace_fault(pages: list, vocab, fed: bool, draw) -> None:
             st.sampled_from([10**400, -(10**309)]))
     elif fault == "context-empty":
         page["context"] = []
+    elif fault == "context-marker":         # the marker is only ever fed alone
+        marked = [FIRST_PAGE_TOKEN, draw(st.sampled_from(vocab.class_names))]
+        page["context"] = marked if draw(st.booleans()) else marked[::-1]
+    elif fault == "context-count":          # more classes than a page has labels
+        page["context"] = draw(st.lists(st.sampled_from(vocab.class_names),
+                                        min_size=2, max_size=vocab.n, unique=True))
     elif fault in ("label-type", "label-unknown", "context-type", "context-unknown"):
         names = labels if fault.startswith("label") else context
         name = (UNKNOWN if fault.endswith("unknown")
@@ -771,8 +786,8 @@ class TestTraceFiles:
         path = tmp_path / "traces.jsonl"
         write_traces(trace, path, BRIEFS, provenance={"seed": 0})
         loaded = read_traces(path, BRIEFS)
-        assert loaded.doc_ids == ["d1", "d2"] and loaded.fed
-        for name in ("offsets", "scores", "labels", "first", "context"):
+        assert loaded.doc_ids == ["d1", "d2"] and loaded.context.any()
+        for name in ("offsets", "scores", "labels", "context"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(trace, name))
 
     @settings(max_examples=200)
@@ -787,9 +802,8 @@ class TestTraceFiles:
             write_traces(trace, path, vocab, provenance={"doc_ids": trace.doc_ids})
             back = read_traces(path, vocab)
         assert back.doc_ids == trace.doc_ids
-        assert back.fed == (trace.fed and len(trace.scores) > 0)
         assert back.scores.tobytes() == trace.scores.tobytes()
-        for name in ("offsets", "labels", "first", "context"):
+        for name in ("offsets", "labels", "context"):
             np.testing.assert_array_equal(getattr(back, name), getattr(trace, name))
 
     @settings(max_examples=200)
@@ -822,11 +836,12 @@ class TestTraceFiles:
         holds, are written as the per-page writer writes them."""
         vocab = TypeVocabulary(tuple(f"k{c}" for c in range(70)), MULTILABEL)
         rng = np.random.default_rng(0)
-        trace = SplitTrace.blank(["a", "b"], np.array([0, 30, 60]), vocab.n, True)
+        trace = SplitTrace.blank(["a", "b"], np.array([0, 30, 60]), vocab.n)
         trace.labels[:] = rng.random((60, vocab.n)) < 0.05
         trace.labels[np.arange(60), rng.integers(64, 70, size=60)] = True
-        trace.context[1:30] = trace.labels[:29]
-        trace.context[31:] = trace.labels[30:59]
+        trace.context[[0, 30], 0] = True
+        trace.context[1:30, 1:] = trace.labels[:29]
+        trace.context[31:, 1:] = trace.labels[30:59]
         ours, reference = tmp_path / "ours.jsonl", tmp_path / "reference.jsonl"
         write_traces(trace, ours, vocab)
         oracles.write_traces_per_page(trace, reference, vocab)
@@ -843,7 +858,7 @@ class TestTraceFiles:
             write_traces(trace, path, vocab, provenance={"seed": 0})
             header, *lines = path.read_text().splitlines()
             pages = [json.loads(line) for line in lines]
-            add_trace_fault(pages, vocab, trace.fed, data.draw)
+            add_trace_fault(pages, vocab, trace.context.any(), data.draw)
             path.write_text("".join(line + "\n" for line in [header] + [
                 page if isinstance(page, str) else json.dumps(page)
                 for page in pages]))

@@ -21,6 +21,11 @@ reader parses a file line by line.
 ``cli.config_hash`` (canonical JSON, then SHA-256) hashes configs only.  A
 file a command reads (checkpoint, trace) is named by the SHA-256 of its
 bytes, so no command re-serializes what it loaded to hash it.
+
+The context a page is fed has one shape: a (pages x 1+n) indicator whose
+column 0 is the first-page marker.  No function takes the marker as a
+separate ``first`` flag or whether anything was ``fed``, and the marker's
+string is spelled once, as the value of ``corpus.FIRST_PAGE_TOKEN``.
 """
 
 import ast
@@ -37,13 +42,15 @@ CARRIERS = {"codec", "vocabulary", "vocab", "type_vocab"}
 
 def package_functions():
     """(qualified name, function) for every function and method defined in
-    a ``pageseq`` module, private ones included."""
+    a ``pageseq`` module, private ones, class methods and static methods
+    included."""
     for info in pkgutil.iter_modules(pageseq.__path__):
         module = importlib.import_module(f"pageseq.{info.name}")
         for name, obj in vars(module).items():
             if inspect.isclass(obj) and obj.__module__ == module.__name__:
-                members = [(f"{name}.{m}", f) for m, f in vars(obj).items()
-                           if inspect.isfunction(f)]
+                members = [(f"{name}.{m}", getattr(f, "__func__", f))
+                           for m, f in vars(obj).items()
+                           if inspect.isfunction(getattr(f, "__func__", f))]
             elif inspect.isfunction(obj) and obj.__module__ == module.__name__:
                 members = [(name, obj)]
             else:
@@ -170,3 +177,21 @@ def test_config_hash_only_hashes_configs():
     found = config_hash_users()
     assert sorted(set(found) - CONFIG_HASH_USERS) == []
     assert set(found) == CONFIG_HASH_USERS  # the walk reaches every user
+
+
+def test_context_has_one_shape():
+    functions = dict(package_functions())
+    for name in ("recurrence.augment_input", "recurrence._score_rows",
+                 "recurrence.SplitTrace.blank"):
+        assert name in functions  # the walk reaches the context's users
+    found = [f"{name}({param})" for name, fn in functions.items()
+             for param in inspect.signature(fn).parameters
+             if param in ("first", "fed")]
+    assert found == []
+    spelled = users_of(lambda node: isinstance(node, ast.Constant)
+                       and node.value == "[-1]")
+    defined = users_of(lambda node: isinstance(node, ast.Assign)
+                       and [ast.unparse(t) for t in node.targets] == ["FIRST_PAGE_TOKEN"]
+                       and isinstance(node.value, ast.Constant)
+                       and node.value.value == "[-1]")
+    assert spelled == defined == ["corpus"]
