@@ -6,12 +6,12 @@ hidden states.  Handwritten backpropagation through time, trained with the
 same optimizer and schedule machinery as the encoders (batched by document).
 
 Page vectors come as (pages x k) rows in document order with the document
-offsets; a training batch gathers its documents' rows.  The rows are padded
-once, as for the CRF (``corpus.padded_documents``), and each direction steps
-once per page position over all documents.  The backward direction reads
-every document reversed within its own length, so in both directions the
-padding comes after the last real page: a padded step never feeds a real
-page, and as it carries no loss its gradient is exactly 0.
+offsets; a training batch gathers its documents' rows.  Each direction keeps
+(pages x h) states and steps once per page position over all documents
+(``corpus.page_positions``), as the CRF does: a page reads its incoming state
+from its predecessor, one row up, or starts from zero on a first page.  The
+backward direction runs the same steps over every document's rows reversed
+within its own length.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_softmax
 
-from .corpus import document_rows, padded_documents
+from .corpus import document_rows, page_positions
 from .training import TrainConfig, TrainReport, fit_adamw
 
 # gate row order inside the stacked weight matrices: input, forget, cell, output
@@ -38,6 +38,8 @@ class BiLstmConfig:
     def __post_init__(self):
         if min(self.input_dim, self.n_classes, self.hidden_dim) < 1:
             raise ValueError("dimensions must be >= 1")
+        if self.init_seed < 0:
+            raise ValueError("init_seed must be >= 0")
 
 
 def init_bilstm(config: BiLstmConfig) -> dict[str, np.ndarray]:
@@ -56,60 +58,60 @@ def init_bilstm(config: BiLstmConfig) -> dict[str, np.ndarray]:
     return params
 
 
-def _lstm_run(x, w, u, b):
-    """One direction over padded (docs, pages, k) inputs, one step per page
-    position; returns the (docs, pages, h) states and the tape for BPTT."""
-    docs, width, _ = x.shape
+def _lstm_run(x, positions, w, u, b):
+    """One direction over (pages, k) inputs, one step per entry of
+    ``positions``; returns the (pages, h) states and the tape for BPTT."""
     h_dim = u.shape[1]
     xw = x @ w.T
-    # position t + 1 holds the state after page t; position 0 the zero state
-    hs = np.zeros((docs, width + 1, h_dim))
-    cs = np.zeros((docs, width + 1, h_dim))
-    gates = np.empty((docs, width, 4 * h_dim))
-    for t in range(width):
-        z = xw[:, t] + hs[:, t] @ u.T + b
-        gates[:, t] = expit(z)
-        gates[:, t, 2 * h_dim:3 * h_dim] = np.tanh(z[:, 2 * h_dim:3 * h_dim])
-        i, f, g, o = np.split(gates[:, t], 4, axis=1)
-        cs[:, t + 1] = f * cs[:, t] + i * g
-        hs[:, t + 1] = o * np.tanh(cs[:, t + 1])
-    return hs[:, 1:], (x, hs, cs, gates)
+    hs = np.zeros((len(x), h_dim))
+    cs = np.zeros((len(x), h_dim))
+    gates = np.empty((len(x), 4 * h_dim))
+    for t, rows in enumerate(positions):
+        z = xw[rows] + (hs[rows - 1] @ u.T if t else 0.0) + b
+        step = expit(z)
+        step[:, 2 * h_dim:3 * h_dim] = np.tanh(z[:, 2 * h_dim:3 * h_dim])
+        gates[rows] = step
+        i, f, g, o = np.split(step, 4, axis=1)
+        cs[rows] = c = f * (cs[rows - 1] if t else 0.0) + i * g
+        hs[rows] = o * np.tanh(c)
+    return hs, (x, positions, hs, cs, gates)
 
 
 def _lstm_backward(dstates, tape, u):
     """BPTT for one direction; returns (dw, du, db), each one contraction
-    over every step's gate gradients."""
-    x, hs, cs, gates = tape
-    docs, width, h_dim = dstates.shape
+    over every page's gate gradients."""
+    x, positions, hs, cs, gates = tape
     dz = np.empty_like(gates)
-    dh_next = np.zeros((docs, h_dim))
-    dc_next = np.zeros((docs, h_dim))
-    for t in range(width - 1, -1, -1):
-        i, f, g, o = np.split(gates[:, t], 4, axis=1)
-        tc = np.tanh(cs[:, t + 1])
-        dh = dstates[:, t] + dh_next
-        do = dh * tc
-        dc = dc_next + dh * o * (1.0 - tc * tc)
-        dc_next = dc * f
-        dz[:, t] = np.concatenate([dc * g * i * (1.0 - i), dc * cs[:, t] * f * (1.0 - f),
-                                   dc * i * (1.0 - g * g), do * o * (1.0 - o)], axis=1)
-        dh_next = dz[:, t] @ u
-    dz = dz.reshape(-1, 4 * h_dim)
-    return (dz.T @ x.reshape(len(dz), -1),
-            dz.T @ hs[:, :-1].reshape(len(dz), h_dim), dz.sum(axis=0))
+    dh = dstates.copy()
+    dc_next = np.zeros_like(cs)
+    for t, rows in reversed(list(enumerate(positions))):
+        i, f, g, o = np.split(gates[rows], 4, axis=1)
+        tc = np.tanh(cs[rows])
+        do = dh[rows] * tc
+        dc = dc_next[rows] + dh[rows] * o * (1.0 - tc * tc)
+        c_prev = cs[rows - 1] if t else 0.0
+        dz[rows] = step = np.concatenate(
+            [dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+             dc * i * (1.0 - g * g), do * o * (1.0 - o)], axis=1)
+        if t:
+            dc_next[rows - 1] = dc * f
+            dh[rows - 1] += step @ u
+    later = np.delete(np.arange(len(x)), positions[0])
+    return dz.T @ x, dz[later].T @ hs[later - 1], dz.sum(axis=0)
 
 
 def _forward(params: dict, vectors: np.ndarray, offsets: np.ndarray):
     """Logits (pages, n) in document order, and the tape of both directions."""
-    x, mask = padded_documents(vectors, offsets)
-    lengths = mask.sum(axis=1)
+    positions = page_positions(offsets, len(vectors))
+    lengths = np.diff(offsets)
     # backward row order: row r of a document on rows s..e-1 reads row s+e-1-r
     rev = (np.repeat(2 * np.cumsum(lengths) - lengths - 1, lengths)
            - np.arange(len(vectors)))
-    fw, fw_tape = _lstm_run(x, params["fw_w"], params["fw_u"], params["fw_b"])
-    bw, bw_tape = _lstm_run(padded_documents(vectors[rev], offsets)[0],
+    fw, fw_tape = _lstm_run(vectors, positions,
+                            params["fw_w"], params["fw_u"], params["fw_b"])
+    bw, bw_tape = _lstm_run(vectors[rev], positions,
                             params["bw_w"], params["bw_u"], params["bw_b"])
-    both = np.concatenate([fw[mask], bw[mask][rev]], axis=1)
+    both = np.concatenate([fw, bw[rev]], axis=1)
     logits = both @ params["head_w"] + params["head_b"]
     return logits, (rev, both, fw_tape, bw_tape)
 
@@ -148,8 +150,7 @@ def bilstm_loss_and_grad(params: dict, vectors: np.ndarray, labels: np.ndarray,
     for direction, dstates, tape in (("fw", dboth[:, :h_dim], fw_tape),
                                      ("bw", dboth[rev, h_dim:], bw_tape)):
         grads[f"{direction}_w"], grads[f"{direction}_u"], grads[f"{direction}_b"] = \
-            _lstm_backward(padded_documents(dstates, offsets)[0], tape,
-                           params[f"{direction}_u"])
+            _lstm_backward(dstates, tape, params[f"{direction}_u"])
     return float(page_losses.sum()) / len(labels), grads
 
 

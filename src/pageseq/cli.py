@@ -48,6 +48,7 @@ from .encoder import (
     MODES,
     EncoderConfig,
     TokenCodec,
+    check_max_len,
     check_params,
     checkpoint_payload,
     load_checkpoint,
@@ -351,6 +352,10 @@ def cmd_train(args) -> int:
                 f"bilstm.svd_k={svd_k} exceeds min(train pages, vocabulary) "
                 f"= {min(len(train_tokens), vocab.size)}")
     codec = TokenCodec(split.vocabulary, vocab.tokens)
+    try:
+        check_max_len(encoder_config, codec)
+    except ValueError as exc:  # "max_len must be ..."
+        raise ConfigError(f"encoder.{exc}") from None
     train_encoded = encode_split(split.train, codec, encoder_config.max_len,
                                  train_tokens)
     encode_seconds = time.perf_counter() - started

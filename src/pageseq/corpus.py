@@ -143,23 +143,18 @@ class CorpusSplit:
         return ((name, self.split(name)) for name in SPLIT_NAMES)
 
 
-def padded_documents(rows: np.ndarray, offsets: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(pages x k) ``rows`` of the documents ``offsets[i]:offsets[i + 1]`` as
-    one zero-padded (docs x pages x k) array and its (docs x pages) page
-    mask; with no documents it keeps one page position, so that the first
-    page can be indexed.  This is the one check of offsets: they run from 0
-    to ``len(rows)`` and give every document at least one page."""
+def page_positions(offsets: np.ndarray, n_rows: int) -> list[np.ndarray]:
+    """Entry t holds, in document order, the row of page t of every document
+    ``offsets[i]:offsets[i + 1]`` with more than t pages; so a page's
+    predecessor is one row up.  This is the one check of offsets: they run
+    from 0 to ``n_rows`` and give every document at least one page."""
     offsets = np.asarray(offsets)
-    if not (len(offsets) and offsets[0] == 0 and offsets[-1] == len(rows)):
+    if not (len(offsets) and offsets[0] == 0 and offsets[-1] == n_rows):
         raise ValueError("document offsets must run from 0 to the number of rows")
-    lengths = np.diff(offsets)
-    if np.any(lengths < 1):
+    starts, sizes = offsets[:-1], np.diff(offsets)
+    if np.any(sizes < 1):
         raise ValueError("every document needs at least one page")
-    mask = np.arange(lengths.max(initial=1)) < lengths[:, None]
-    padded = np.zeros(mask.shape + rows.shape[1:])
-    padded[mask] = rows
-    return padded, mask
+    return [starts[sizes > t] + t for t in range(int(sizes.max(initial=0)))]
 
 
 def document_rows(offsets: np.ndarray, chosen: np.ndarray) -> np.ndarray:
@@ -506,6 +501,8 @@ class SynthConfig:
                 raise CorpusError(f"{field_name} must be an integer >= 1")
         if any(d < 1 for d in self.docs_per_split):
             raise CorpusError("docs_per_split entries must be >= 1")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise CorpusError("seed must be an integer >= 0")
 
     @classmethod
     def uniform(cls, n_classes: int, self_prob: float, seed: int = 0, **kwargs) -> "SynthConfig":

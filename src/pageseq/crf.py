@@ -8,10 +8,12 @@ scipy's L-BFGS-B (Liu & Nocedal, 1989), whose bound keeps the emission scale
 above a small positive floor.  No gradient ever reaches the encoder.
 
 Emissions come as (pages x n) rows in document order with the document
-offsets, gold labels as one class index per page.  The objective and Viterbi
-pad the rows once (``corpus.padded_documents``), and each recursion steps
-once per page position over all documents; past a document's end its forward
-and Viterbi scores carry over unchanged and its backward scores stay 0.
+offsets, gold labels as one class index per page.  Every recursion keeps one
+(pages x n) array and steps once per page position over all documents
+(``corpus.page_positions``), as ``recurrence.infer_split`` does: page t's
+forward and Viterbi scores come from its predecessor's, one row up, and the
+predecessor's backward scores from page t's.  A document's log Z is read at
+its last row.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import log_softmax, logsumexp
 
-from .corpus import padded_documents
+from .corpus import page_positions
 
 _SCALE_FLOOR = 1e-6
 
@@ -73,22 +75,20 @@ def crf_viterbi(model: CrfModel, emissions: np.ndarray, offsets: np.ndarray
     """The best label path of every document, as the (pages,) class indices
     in document order, and the (docs,) path scores; ties break toward the
     lower label index at every backpointer (argmax picks the first maximum)."""
-    padded, mask = padded_documents(emissions, offsets)
-    scaled = model.emission_scale * padded
-    docs, width = mask.shape
-    pointers = np.zeros((docs, width, model.n), dtype=np.int64)
-    delta = model.start + scaled[:, 0]
-    for t in range(1, width):
-        candidates = delta[:, :, None] + model.transition
-        pointers[:, t] = np.argmax(candidates, axis=1)
-        step = scaled[:, t] + np.max(candidates, axis=1)
-        delta = np.where(mask[:, t, None], step, delta)
-    paths = np.zeros((docs, width), dtype=np.int64)
-    paths[:, -1] = np.argmax(delta, axis=1)
-    for t in range(width - 1, 0, -1):
-        back = pointers[np.arange(docs), t, paths[:, t]]
-        paths[:, t - 1] = np.where(mask[:, t], back, paths[:, t])
-    return paths[mask], np.max(delta, axis=1)
+    positions = page_positions(offsets, len(emissions))
+    scaled = model.emission_scale * emissions
+    delta = model.start + scaled  # first pages; the walk overwrites the rest
+    pointers = np.zeros(scaled.shape, dtype=np.int64)
+    for rows in positions[1:]:
+        candidates = delta[rows - 1, :, None] + model.transition
+        pointers[rows] = np.argmax(candidates, axis=1)
+        delta[rows] = scaled[rows] + np.max(candidates, axis=1)
+    last = np.asarray(offsets)[1:] - 1
+    paths = np.zeros(len(emissions), dtype=np.int64)
+    paths[last] = np.argmax(delta[last], axis=1)
+    for rows in reversed(positions[1:]):
+        paths[rows - 1] = pointers[rows, paths[rows]]
+    return paths, np.max(delta[last], axis=1)
 
 
 def crf_log_likelihood_and_grad(model: CrfModel, emissions: np.ndarray,
@@ -101,43 +101,42 @@ def crf_log_likelihood_and_grad(model: CrfModel, emissions: np.ndarray,
     The gradient is empirical-minus-expected feature counts from the
     forward-backward marginals.
     """
-    padded, mask = padded_documents(emissions, offsets)
+    positions = page_positions(offsets, len(emissions))
+    offsets = np.asarray(offsets)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (len(emissions),):
         raise ValueError("gold labels must match the emissions in length")
     if np.any((labels < 0) | (labels >= model.n)):
         raise ValueError(f"gold labels must be class indices in 0..{model.n - 1}")
-    gold = padded_documents(np.eye(model.n)[labels], offsets)[0]  # one-hot
-    scaled = model.emission_scale * padded
-    width = mask.shape[1]
+    gold = np.eye(model.n)[labels]  # one-hot
+    scaled = model.emission_scale * emissions
+    first, last = offsets[:-1], offsets[1:] - 1
+    # the rows of every page but a first one, each the successor of row - 1
+    later = np.delete(np.arange(len(emissions)), first)
 
-    alpha = np.zeros_like(scaled)
-    alpha[:, 0] = model.start + scaled[:, 0]
-    for t in range(1, width):
-        step = scaled[:, t] + logsumexp(alpha[:, t - 1, :, None] + model.transition,
-                                        axis=1)
-        alpha[:, t] = np.where(mask[:, t, None], step, alpha[:, t - 1])
+    alpha = model.start + scaled  # first pages; the walk overwrites the rest
+    for rows in positions[1:]:
+        alpha[rows] = scaled[rows] + logsumexp(alpha[rows - 1, :, None]
+                                               + model.transition, axis=1)
     beta = np.zeros_like(scaled)
-    for t in range(width - 2, -1, -1):
-        step = logsumexp(model.transition + scaled[:, t + 1, None, :]
-                         + beta[:, t + 1, None, :], axis=2)
-        beta[:, t] = np.where(mask[:, t + 1, None], step, 0.0)
-    log_z = logsumexp(alpha[:, -1], axis=1)
+    for rows in reversed(positions[1:]):
+        beta[rows - 1] = logsumexp(model.transition + scaled[rows, None, :]
+                                   + beta[rows, None, :], axis=2)
+    log_z = logsumexp(alpha[last], axis=1)
 
-    # posterior marginals; a padded position is -inf before exp, so it counts 0
-    unary = np.exp(np.where(mask[:, :, None], alpha + beta, -np.inf)
-                   - log_z[:, None, None])
-    joint = (alpha[:, :-1, :, None] + model.transition + scaled[:, 1:, None, :]
-             + beta[:, 1:, None, :])
-    pair = np.exp(np.where(mask[:, 1:, None, None], joint, -np.inf)
-                  - log_z[:, None, None, None])
+    # posterior marginals, each page's normalized by its document's log Z
+    page_z = np.repeat(log_z, np.diff(offsets))
+    unary = np.exp(alpha + beta - page_z[:, None])
+    pair = np.exp(alpha[later - 1, :, None] + model.transition
+                  + scaled[later, None, :] + beta[later, None, :]
+                  - page_z[later, None, None])
 
-    gold_pairs = np.einsum("dti,dtj->ij", gold[:, :-1], gold[:, 1:])
-    ll = ((model.start * gold[:, 0]).sum() + (model.transition * gold_pairs).sum()
+    gold_pairs = gold[later - 1].T @ gold[later]
+    ll = ((model.start * gold[first]).sum() + (model.transition * gold_pairs).sum()
           + (scaled * gold).sum() - log_z.sum() - l2 * (model.transition ** 2).sum())
-    grad_t = gold_pairs - pair.sum(axis=(0, 1)) - 2.0 * l2 * model.transition
-    grad_start = (gold[:, 0] - unary[:, 0]).sum(axis=0)
-    grad_scale = ((gold - unary) * padded).sum()
+    grad_t = gold_pairs - pair.sum(axis=0) - 2.0 * l2 * model.transition
+    grad_start = (gold[first] - unary[first]).sum(axis=0)
+    grad_scale = ((gold - unary) * emissions).sum()
     return float(ll), grad_t, grad_start, float(grad_scale)
 
 

@@ -107,16 +107,29 @@ class EncoderConfig:
             raise ValueError(f"unknown encoder variant {self.variant!r}")
         if self.d < 1 or self.max_len < 3:
             raise ValueError("d and max_len must be positive (max_len >= 3)")
+        if self.n_heads < 1 or self.n_layers < 0:
+            raise ValueError("n_heads must be >= 1 and n_layers >= 0")
         if self.variant == TINY_TRANSFORMER and self.d % self.n_heads != 0:
             raise ValueError("d must be divisible by n_heads")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if self.init_seed < 0:
+            raise ValueError("init_seed must be >= 0")
+
+
+def check_max_len(config: EncoderConfig, codec: TokenCodec) -> None:
+    """Raise ValueError unless ``max_len`` holds CLS, the most context tokens
+    a page is fed (one on a multiclass corpus, one per class on a multilabel
+    one) and one text token."""
+    context = 1 if codec.type_vocab.label_mode == MULTICLASS else codec.n_classes
+    if config.max_len < 2 + context:
+        raise ValueError(f"max_len must be >= {2 + context} (CLS, {context} "
+                         f"context token(s) and one text token)")
 
 
 def init_params(config: EncoderConfig, codec: TokenCodec) -> dict[str, np.ndarray]:
     """Seeded parameter initialization; shapes follow the config and codec."""
-    if config.max_len < codec.n_classes + 2:
-        raise ValueError("max_len must be >= n_classes + 2 (CLS plus special tokens)")
+    check_max_len(config, codec)
     rng = np.random.default_rng(config.init_seed)
     d, n = config.d, codec.n_classes
     scale = 0.02

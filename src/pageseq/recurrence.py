@@ -31,7 +31,7 @@ import numpy as np
 
 from . import encoder
 from .corpus import (FIRST_PAGE_TOKEN, MULTICLASS, Documents, TypeVocabulary,
-                     first_appearance, gc_paused, read_jsonl)
+                     first_appearance, gc_paused, page_positions, read_jsonl)
 from .encoder import CLS_ID, FIRST_ID, PAD_ID, EncoderConfig, TokenCodec, predict
 from .features import tokenize
 
@@ -201,10 +201,8 @@ def infer_split(params: dict, docs: Documents,
                     scratch, trace.scores)
         trace.labels[:] = predict(trace.scores, label_mode)
         return trace
-    starts, sizes = docs.offsets[:-1], np.diff(docs.offsets)
-    trace.context[starts, 0] = True
-    for t in range(int(sizes.max(initial=0))):
-        rows = starts[sizes > t] + t
+    trace.context[docs.offsets[:-1], 0] = True
+    for t, rows in enumerate(page_positions(docs.offsets, len(trace.scores))):
         if t:
             trace.context[rows, 1:] = trace.labels[rows - 1]
         _score_rows(params, split, rows, trace.context[rows], config, scratch,

@@ -51,6 +51,8 @@ class TrainConfig:
             raise ValueError("betas must be in [0, 1)")
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @classmethod
     def published(cls, **overrides) -> "TrainConfig":

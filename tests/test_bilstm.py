@@ -1,5 +1,7 @@
 """Tests for the BiLSTM page-sequence classifier and its BPTT gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,9 +89,24 @@ class TestForward:
         assert bilstm_forward(init_bilstm(small_config()), np.zeros((0, 4)),
                               [0]).shape == (0, 3)
 
+    def test_one_long_document_costs_its_own_pages(self):
+        """29 ten-page documents and one 1,000-page one: the states are
+        kept per page, not per document times the longest document."""
+        params = init_bilstm(small_config(k=100, h=32, n=4))
+        sizes = [10] * 29 + [1000]
+        vectors = np.random.default_rng(0).normal(0, 1, (sum(sizes), 100))
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        tracemalloc.start()
+        try:
+            bilstm_forward(params, vectors, offsets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
 
 class TestReference:
-    """The padded batch against the per-document, per-page recursion."""
+    """The page-position walk against the per-document, per-page recursion."""
 
     @pytest.mark.parametrize("lengths", RAGGED_LENGTHS)
     def test_logits_loss_and_gradients_match(self, lengths):
@@ -111,7 +128,7 @@ class TestReference:
                                        rtol=0, atol=1e-12, err_msg=name)
 
     def test_logits_independent_of_batch_mates(self):
-        """A document's logits do not depend on the documents padded with it."""
+        """A document's logits do not depend on the documents walked with it."""
         rng = np.random.default_rng(2)
         params = random_params(small_config(), rng)
         short, long = rng.normal(0, 1, (2, 4)), rng.normal(0, 1, (6, 4))

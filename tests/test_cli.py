@@ -325,8 +325,8 @@ class TestTrain:
     def test_readme_walkthrough_bilstm(self, tmp_path):
         """The README walkthrough corpus (2036 train pages, 400 tokens) and
         its BiLSTM (hidden_dim 128, svd_k 100), trained for one epoch; then
-        ``infer`` with that checkpoint decodes the test split in one padded
-        batch, as the per-document recursion would."""
+        ``infer`` with that checkpoint decodes the test split in one walk over
+        page positions, as the per-document recursion would."""
         cfg_path = tmp_path / "synth.json"
         cfg_path.write_text(json.dumps(README_SYNTH_CFG))
         assert main(["synth", "--config", str(cfg_path),
@@ -1202,6 +1202,45 @@ class TestMultilabel:
         assert trained == [] and not (tmp_path / "runs" / "bad").exists()
 
 
+def twenty_class_dir(tmp_path, label_mode):
+    """A hand-written 20-class corpus of 3-page documents, one class a page."""
+    root = tmp_path / label_mode
+    root.mkdir()
+    for name, n_docs in (("train", 8), ("validation", 2), ("test", 2)):
+        (root / f"{name}.jsonl").write_text("".join(
+            json.dumps({"doc_id": f"{name}-{d}", "labels": [f"C{(3 * d + i) % 20}"],
+                        "page_index": i, "text": f"w{(3 * d + i) % 20} body"}) + "\n"
+            for d in range(n_docs) for i in range(3)))
+    (root / "manifest.json").write_text(json.dumps({
+        "classes": [f"C{c}" for c in range(20)], "label_mode": label_mode,
+        "train": "train.jsonl", "validation": "validation.jsonl",
+        "test": "test.jsonl"}))
+    return root
+
+
+class TestMaxLen:
+    """A multiclass page is fed one context token, a multilabel page up to
+    one per class; max_len must hold CLS, those and one text token."""
+
+    def test_twenty_class_multiclass_fits_max_len_16(self, tmp_path):
+        corpus = twenty_class_dir(tmp_path, "multiclass")
+        outdir = run_train(tmp_path, corpus, "recurrent", mode="recurrent")
+        assert main(["infer", "--checkpoint", str(outdir / "checkpoint.json"),
+                     "--manifest", str(corpus / "manifest.json"),
+                     "--out", str(tmp_path / "traces.jsonl")]) == 0
+
+    def test_twenty_class_multilabel_at_max_len_16_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "ml.json"
+        cfg_path.write_text(json.dumps(experiment_cfg(
+            twenty_class_dir(tmp_path, "multilabel"), mode="recurrent")))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "encoder.max_len" in err[0] and ">= 22" in err[0]
+
+
 class TestStats:
     def test_stats_prints_counts_and_runs(self, corpus_dir, capsys):
         rc = main(["stats", "--manifest", str(corpus_dir / "manifest.json")])
@@ -1235,6 +1274,9 @@ def _chain_cfg(matrix):
 
 
 IDENTITY = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+TINY = {"variant": "tiny-transformer", "d": 8, "n_layers": 1, "n_heads": 2,
+        "max_len": 16}
 
 
 class TestConfigReader:
@@ -1281,6 +1323,24 @@ class TestConfigReader:
                      ["'transition_matrix[1][1]'"], id="matrix-entry-string"),
         pytest.param("train", lambda c: experiment_cfg(c, train=5),
                      ["--epochs", "1"], ["'train'"], id="epochs-override-train-5"),
+        pytest.param("train", lambda c: experiment_cfg(c, encoder=dict(TINY, n_heads=0)),
+                     [], ["n_heads"], id="n_heads-0"),
+        pytest.param("train", lambda c: experiment_cfg(c, encoder=dict(TINY, n_heads=-2)),
+                     [], ["n_heads"], id="n_heads-negative"),
+        pytest.param("train", lambda c: experiment_cfg(c, encoder=dict(TINY, n_layers=-1)),
+                     [], ["n_layers"], id="n_layers-negative"),
+        pytest.param("train", lambda c: experiment_cfg(c, seed=-1), [], ["seed"],
+                     id="seed-negative"),
+        pytest.param("train", experiment_cfg, ["--seed", "-1"], ["seed"],
+                     id="seed-override-negative"),
+        pytest.param("train", lambda c: experiment_cfg(
+            c, encoder=dict(TINY, init_seed=-1)), [], ["init_seed"],
+            id="encoder.init_seed-negative"),
+        pytest.param("train", lambda c: experiment_cfg(
+            c, train={"epochs": 1, "seed": -1}), [], ["train", "seed"],
+            id="train.seed-negative"),
+        pytest.param("synth", lambda c: dict(SYNTH_CFG, seed=-1), [], ["seed"],
+                     id="synth-seed-negative"),
     ])
     def test_bad_config_exits_2_naming_the_field(self, tmp_path, corpus_dir, capsys,
                                                  command, make_cfg, argv, expected):

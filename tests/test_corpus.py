@@ -22,7 +22,7 @@ from pageseq.corpus import (
     generate_synthetic,
     load_corpus,
     load_split_file,
-    padded_documents,
+    page_positions,
     read_jsonl,
     run_length_stats,
     transition_self_prob,
@@ -34,7 +34,6 @@ from oracles import (
     UNICODE_TEXT,
     GoldDoc,
     GoldPage,
-    columns,
     count_self_transitions,
     docs_of,
     read_traces_per_page,
@@ -89,30 +88,25 @@ def document_selections(draw):
 
 
 class TestDocumentLayout:
-    """Rows plus document offsets: padding a batch and gathering documents."""
+    """Rows plus document offsets: walking pages by position and gathering
+    documents."""
 
-    def test_padded_documents_match_per_document_rows(self):
-        docs = [np.arange(6.0).reshape(3, 2), np.array([[6.0, 7.0]]),
-                np.arange(8.0, 12.0).reshape(2, 2)]
-        padded, mask = padded_documents(*columns(docs))
-        assert padded.shape == (3, 3, 2)
-        np.testing.assert_array_equal(mask, [[1, 1, 1], [1, 0, 0], [1, 1, 0]])
-        for i, doc in enumerate(docs):
-            np.testing.assert_array_equal(padded[i, :len(doc)], doc)
-        assert not padded[~mask].any()
+    def test_page_positions_of_a_ragged_split(self):
+        """Documents of 3, 1 and 2 pages on rows 0-2, 3 and 4-5."""
+        positions = page_positions(np.array([0, 3, 4, 6]), 6)
+        assert [rows.tolist() for rows in positions] == [[0, 3, 4], [1, 5], [2]]
 
-    def test_no_documents_keep_one_position(self):
-        padded, mask = padded_documents(np.zeros((0, 4)), [0])
-        assert padded.shape == (0, 1, 4) and mask.shape == (0, 1)
+    def test_no_documents_have_no_positions(self):
+        assert page_positions([0], 0) == []
 
     @pytest.mark.parametrize("offsets, message", [
         ([1, 3, 5], "run from 0"), ([0, 2, 4], "run from 0"),
         ([0, 2, 6], "run from 0"), ([], "run from 0"),
         ([0, 2, 2, 5], "at least one page"),
     ], ids=["not-from-0", "short", "past-end", "no-offsets", "empty-document"])
-    def test_padded_documents_check_offsets(self, offsets, message):
+    def test_page_positions_check_offsets(self, offsets, message):
         with pytest.raises(ValueError, match=message):
-            padded_documents(np.zeros((5, 2)), np.array(offsets, dtype=np.int64))
+            page_positions(np.array(offsets, dtype=np.int64), 5)
 
     @given(document_selections())
     @example(([3, 1, 2], []))

@@ -1,6 +1,6 @@
 """Tests for the linear-chain CRF: exactness against explicit path
-enumeration, the padded batch against the per-document reference, gradient
-checks, and fitting."""
+enumeration, the page-position walk against the per-document reference,
+gradient checks, and fitting."""
 
 import math
 
@@ -143,7 +143,7 @@ class TestViterbi:
 
 
 class TestForwardBackward:
-    """The per-document reference that the padded batch is compared to."""
+    """The per-document reference that the page-position walk is compared to."""
 
     def test_unary_marginals_sum_to_one(self):
         rng = np.random.default_rng(11)
@@ -230,7 +230,7 @@ def assert_close(batched, reference, rel=1e-12):
 
 
 class TestBatch:
-    """The padded batch against the per-document reference."""
+    """The page-position walk against the per-document reference."""
 
     @settings(max_examples=100)
     @given(ragged_batches(), st.sampled_from([0.0, 0.03]))

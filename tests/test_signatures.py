@@ -8,7 +8,11 @@ Each numeric helper exists once: logsumexp, log-softmax and the sigmoid come
 from ``scipy.special``, and no module defines its own copy.
 
 A split has one layout: rows in document order plus document offsets.  No
-function of the package takes a list of per-document arrays.
+function of the package takes a list of per-document arrays.  A recursion
+over pages (the recurrent decoder, the CRF, the BiLSTM) walks those rows by
+page position (``corpus.page_positions``) and reads a page's predecessor one
+row up, so outside the encoder, whose attention pads tokens, no module binds
+a name ``padded`` or ``mask``: no docs x pages grid and no page mask.
 
 Rows are summed by index with ``np.bincount``, never with ``np.add.at``:
 both add in index order, and ``add.at`` took about half of the linear
@@ -80,12 +84,29 @@ PER_DOCUMENT_LIST = re.compile(r"seqs|\w+_seqs|sequences|batch")
 
 def test_no_function_takes_a_list_of_documents():
     functions = dict(package_functions())
-    for name in ("crf.crf_fit", "bilstm.bilstm_train", "corpus.padded_documents"):
+    for name in ("crf.crf_fit", "bilstm.bilstm_train", "corpus.page_positions"):
         assert name in functions  # the walk reaches the baselines
     found = [f"{name}({param})" for name, fn in functions.items()
              for param in inspect.signature(fn).parameters
              if PER_DOCUMENT_LIST.fullmatch(param)]
     assert found == []
+
+
+PAGE_GRID = re.compile(r"(^|_)(padded|mask)(_|$)")
+
+
+def test_pages_are_walked_by_position():
+    """An assignment, loop or ``with`` target, a parameter, a definition or an
+    import, at any depth."""
+    found = users_of(lambda node: any(PAGE_GRID.search(name) for name in (
+        [node.id] if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        else [node.arg] if isinstance(node, ast.arg)
+        else [node.name] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                              ast.ClassDef))
+        else [node.asname or node.name] if isinstance(node, ast.alias)
+        else [])))
+    assert [where for where in found if where.split(".")[0] != "encoder"] == []
+    assert any(where.startswith("encoder.") for where in found)  # the walk sees it
 
 
 NUMERIC_HELPER = re.compile(r"log_?sum_?exp|log_?softmax|sigmoid|expit", re.IGNORECASE)
