@@ -22,6 +22,7 @@ import json
 import sys
 import time
 import typing
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
@@ -105,9 +106,20 @@ def provenance_for(command: str, cfg_obj, seed: int) -> dict:
     }
 
 
+@contextmanager
+def _writing(path):
+    """An OSError raised while ``path`` is written, or its directory made,
+    reported as a ConfigError (exit 2) that names the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    with _writing(path):
+        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
+                        encoding="utf-8")
 
 
 def _load_artifact(what: str, path, load, *args):
@@ -262,7 +274,8 @@ def cmd_synth(args) -> int:
     run_id = args.run_id or f"synth-{config_hash(cfg_obj)[:12]}"
     outdir = Path(args.outdir) / run_id
     provenance = provenance_for("synth", cfg_obj, cfg.seed)
-    manifest = write_corpus(split, outdir, provenance=provenance)
+    with _writing(outdir):
+        manifest = write_corpus(split, outdir, provenance=provenance)
     print(f"wrote {manifest}")
     _print_corpus_summary(split)
     return 0
@@ -332,7 +345,8 @@ def cmd_train(args) -> int:
 
     run_id = args.run_id or f"train-{config_hash(cfg_obj)[:12]}"
     outdir = Path(args.outdir) / run_id
-    outdir.mkdir(parents=True, exist_ok=True)
+    with _writing(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
     provenance = provenance_for("train", cfg_obj, seed)
 
     started = time.perf_counter()
@@ -509,7 +523,8 @@ def cmd_infer(args) -> int:
     trace = decode(docs)
     ref = {"checkpoint_sha256": digest, "split": args.split}
     provenance = provenance_for("infer", ref, _trained_seed(payload))
-    write_traces(trace, args.out, split.vocabulary, provenance=provenance)
+    with _writing(args.out):
+        write_traces(trace, args.out, split.vocabulary, provenance=provenance)
     print(f"wrote {args.out} ({len(trace.scores)} pages, "
           f"{len(trace.doc_ids)} documents)")
     return 0

@@ -495,10 +495,13 @@ class SynthConfig:
                 raise CorpusError(f"{field_name} must be {size} integers")
             if size == 2 and not 1 <= value[0] <= value[1]:
                 raise CorpusError(f"invalid {field_name} range {tuple(value)}")
+            # numpy draws from int64: its upper end + 1 must be at most 2**63
+            if size == 2 and value[1] >= 2**63:
+                raise CorpusError(f"{field_name} must end below 2**63")
         for field_name in ("class_vocab_size", "shared_vocab_size"):
             value = getattr(self, field_name)
-            if not _is_int(value) or value < 1:
-                raise CorpusError(f"{field_name} must be an integer >= 1")
+            if not _is_int(value) or not 1 <= value <= 2**63:
+                raise CorpusError(f"{field_name} must be an integer in 1..2**63")
         if any(d < 1 for d in self.docs_per_split):
             raise CorpusError("docs_per_split entries must be >= 1")
         if not _is_int(self.seed) or self.seed < 0:
@@ -528,16 +531,16 @@ def _cdf(p: Sequence[float]) -> list[float]:
     return cdf.tolist()
 
 
-class _Tokens(dict):
-    """Token strings by id, each formatted on its first lookup."""
+class _Memo(dict):
+    """``make(k)`` by key, each made on its first lookup."""
 
-    def __init__(self, prefix: str):
+    def __init__(self, make):
         super().__init__()
-        self.prefix = prefix
+        self.make = make
 
-    def __missing__(self, k: int) -> str:
-        token = self[k] = f"{self.prefix}{k}"
-        return token
+    def __missing__(self, k):
+        value = self[k] = self.make(k)
+        return value
 
 
 def generate_synthetic(cfg: SynthConfig) -> CorpusSplit:
@@ -549,14 +552,26 @@ def generate_synthetic(cfg: SynthConfig) -> CorpusSplit:
     first page, else from the previous class's ``transition_matrix`` row),
     its token count, the shared-pool token ids, the class-pool token ids,
     and the permutation that interleaves them.  That order and the seed fix
-    the corpus bytes.
+    the corpus bytes.  A page makes them in four calls: one ``integers``
+    call, bounded by each id's pool size, draws the ids of both pools as a
+    sized call per pool would, and ``shuffle`` on the page's tokens makes
+    the swaps of ``permutation``.
     """
     rng = np.random.default_rng(cfg.seed)
-    integers, uniform, permutation = rng.integers, rng.random, rng.permutation
+    integers, uniform, shuffle = rng.integers, rng.random, rng.shuffle
     start = _cdf(cfg.start_distribution)
     successor = [_cdf(row) for row in cfg.transition_matrix]
-    shared = _Tokens("sh_w")
-    own = [_Tokens(f"c{c}_w") for c in range(cfg.n_classes)]
+    shared = _Memo("sh_w{}".format)
+    own = [_Memo(f"c{c}_w{{}}".format) for c in range(cfg.n_classes)]
+    pools = (cfg.shared_vocab_size, cfg.class_vocab_size)
+    # int64 bounds draw fastest; a pool of 2**63 ids needs uint64
+    pool_sizes = np.array(pools, dtype=np.int64 if max(pools) < 2**63 else np.uint64)
+
+    def id_bounds(n_tokens: int) -> tuple[int, np.ndarray]:
+        n_shared = int(cfg.ambiguity * n_tokens + 0.5)
+        return n_shared, np.repeat(pool_sizes, (n_shared, n_tokens - n_shared))
+
+    bounds = _Memo(id_bounds)  # by token count, as each count is first drawn
     lo, hi = cfg.pages_per_doc
     t_lo, t_hi = cfg.tokens_per_page
     vocab = TypeVocabulary(tuple(f"c{i}" for i in range(cfg.n_classes)), MULTICLASS)
@@ -569,15 +584,12 @@ def generate_synthetic(cfg: SynthConfig) -> CorpusSplit:
             for _ in range(length):
                 c = bisect_right(cdf, uniform())
                 cdf = successor[c]
-                n_tokens = int(integers(t_lo, t_hi + 1))
-                n_shared = int(cfg.ambiguity * n_tokens + 0.5)
-                pool = own[c]
-                tokens = [shared[k] for k in integers(
-                    0, cfg.shared_vocab_size, size=n_shared).tolist()]
-                tokens += [pool[k] for k in integers(
-                    0, cfg.class_vocab_size, size=n_tokens - n_shared).tolist()]
-                texts.append(" ".join([tokens[i] for i in
-                                       permutation(n_tokens).tolist()]))
+                n_shared, high = bounds[int(integers(t_lo, t_hi + 1))]
+                ids = integers(0, high).tolist()
+                tokens = list(map(shared.__getitem__, ids[:n_shared]))
+                tokens += map(own[c].__getitem__, ids[n_shared:])
+                shuffle(tokens)
+                texts.append(" ".join(tokens))
                 labels.append((c,))
             sizes.append(length)
         splits.append(Documents(vocab, [f"{name}-{i:04d}" for i in range(count)],

@@ -1160,6 +1160,51 @@ def multilabel_dir(tmp_path):
     return root
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written, or whose directory cannot be
+    made, exits 2 with one ``error:`` line naming it."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("unwritable")
+        (tmp_path / "synth.json").write_text(json.dumps(SYNTH_CFG))
+        assert main(["synth", "--config", str(tmp_path / "synth.json"),
+                     "--outdir", str(tmp_path / "runs"), "--run-id", "corpus"]) == 0
+        corpus_dir = tmp_path / "runs" / "corpus"
+        outdir = run_train(tmp_path, corpus_dir, "m")
+        traces = tmp_path / "traces.jsonl"
+        assert main(["infer", "--checkpoint", str(outdir / "checkpoint.json"),
+                     "--manifest", str(corpus_dir / "manifest.json"),
+                     "--out", str(traces)]) == 0
+        (tmp_path / "file").write_text("")
+        return tmp_path, corpus_dir, outdir, traces
+
+    @pytest.mark.parametrize("command", ["synth", "train", "infer", "eval", "compare"])
+    def test_exits_2_naming_the_path(self, trained, command, capsys):
+        tmp_path, corpus_dir, outdir, traces = trained
+        manifest = ["--manifest", str(corpus_dir / "manifest.json")]
+        below_file = tmp_path / "file" / "runs"
+        in_missing_dir = tmp_path / "missing" / "out.json"
+        argv, path = {
+            "synth": (["synth", "--config", str(tmp_path / "synth.json"),
+                       "--outdir", str(below_file)], below_file),
+            "train": (["train", "--config", str(tmp_path / "m.json"),
+                       "--outdir", str(below_file)], below_file),
+            "infer": (["infer", "--checkpoint", str(outdir / "checkpoint.json"),
+                       *manifest, "--out", str(in_missing_dir)], in_missing_dir),
+            "eval": (["eval", "--traces", str(traces), *manifest,
+                      "--out", str(in_missing_dir)], in_missing_dir),
+            "compare": (["compare", "--traces-a", str(traces), "--traces-b",
+                         str(traces), *manifest, "--out", str(tmp_path)], tmp_path),
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write ")
+        assert str(path) in err[0]
+        assert not (tmp_path / "missing").exists()
+
+
 class TestMultilabel:
     def test_train_infer_eval_compare(self, tmp_path, multilabel_dir):
         manifest = str(multilabel_dir / "manifest.json")
@@ -1341,6 +1386,14 @@ class TestConfigReader:
             id="train.seed-negative"),
         pytest.param("synth", lambda c: dict(SYNTH_CFG, seed=-1), [], ["seed"],
                      id="synth-seed-negative"),
+        pytest.param("synth", lambda c: dict(SYNTH_CFG, shared_vocab_size=2**64), [],
+                     ["shared_vocab_size"], id="shared_vocab_size-2**64"),
+        pytest.param("synth", lambda c: dict(SYNTH_CFG, class_vocab_size=2**63 + 1),
+                     [], ["class_vocab_size"], id="class_vocab_size-2**63+1"),
+        pytest.param("synth", lambda c: dict(SYNTH_CFG, tokens_per_page=[1, 2**64]),
+                     [], ["tokens_per_page"], id="tokens_per_page-2**64"),
+        pytest.param("synth", lambda c: dict(SYNTH_CFG, pages_per_doc=[1, 2**63]), [],
+                     ["pages_per_doc"], id="pages_per_doc-2**63"),
     ])
     def test_bad_config_exits_2_naming_the_field(self, tmp_path, corpus_dir, capsys,
                                                  command, make_cfg, argv, expected):

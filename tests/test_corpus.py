@@ -3,6 +3,7 @@
 import json
 import re
 import tempfile
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,15 @@ def synth_configs(draw):
     return SynthConfig(n, matrix, draw(probabilities(n)), **kwargs)
 
 
+# write_corpus of the config of test_corpus_bytes_are_pinned
+PINNED_SHA256 = {
+    "train.jsonl": "84b7355a41c70dfe71f864203c00bc8527f2810489a5a8bf38e98322936522ca",
+    "validation.jsonl": "f87ccf8863b5b3977b63e7f05e3b9c0f3d4e7b5e862f7a3458ebabbde56e4ae3",
+    "test.jsonl": "e1ef2b0b976d09e85335ad10eb4360898401e80a83b8d0fbcbc1570141fb43f4",
+    "manifest.json": "a1835717725a9632334be576514591febf060035288746b13dc670b24b4493cc",
+}
+
+
 class TestAgainstPerPageReference:
     """The generator and the writer against their per-page references: one
     ``Generator.choice`` per page class, one ``json.dumps`` per page line."""
@@ -365,6 +375,71 @@ class TestAgainstPerPageReference:
     @given(synth_configs())
     def test_generator_matches_reference(self, cfg):
         assert same_corpus(generate_synthetic(cfg), reference_generate_synthetic(cfg))
+
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param(dict(shared_vocab_size=1), id="shared-1"),
+        pytest.param(dict(class_vocab_size=1), id="class-1"),
+        pytest.param(dict(shared_vocab_size=1, class_vocab_size=1), id="both-1"),
+        *(pytest.param({field: size}, id=f"{field.split('_')[0]}-{label}")
+          for field in ("shared_vocab_size", "class_vocab_size")
+          for size, label in ((2**32 - 1, "2**32-1"), (2**32, "2**32"),
+                              (2**32 + 1, "2**32+1"), (2**63, "2**63"))),
+        pytest.param(dict(shared_vocab_size=2**63, class_vocab_size=2**32 - 1),
+                     id="2**63-and-2**32-1"),
+        pytest.param(dict(ambiguity=0.0), id="ambiguity-0"),
+        pytest.param(dict(ambiguity=1.0), id="ambiguity-1"),
+        pytest.param(dict(tokens_per_page=(1, 1)), id="one-token"),
+        pytest.param(dict(tokens_per_page=(1, 1), ambiguity=0.0), id="one-class-token"),
+        pytest.param(dict(shared_vocab_size=np.uint64(2**63),
+                          class_vocab_size=np.int32(7)), id="numpy-uint64-int32"),
+        pytest.param(dict(shared_vocab_size=np.int64(2**32),
+                          class_vocab_size=np.uint8(1)), id="numpy-int64-uint8"),
+    ])
+    def test_generator_matches_reference_at_draw_boundaries(self, kwargs):
+        """A pool of one id draws nothing; 2**32 ids and more draw 64-bit
+        values; an empty pool, or a one-token page's shuffle, draws nothing."""
+        kwargs = {"tokens_per_page": (1, 9), "docs_per_split": (4, 2, 2), **kwargs}
+        cfg = SynthConfig.uniform(3, 0.6, seed=17, pages_per_doc=(1, 5), **kwargs)
+        assert same_corpus(generate_synthetic(cfg), reference_generate_synthetic(cfg))
+
+    def test_corpus_bytes_are_pinned(self, tmp_path):
+        """The SHA-256 of each written file of one fixed config, so that a
+        change of the random stream (a refactor or a numpy upgrade) shows
+        even where the reference generator shifts with it."""
+        cfg = SynthConfig.uniform(3, 0.7, seed=2024, pages_per_doc=(1, 6),
+                                  tokens_per_page=(1, 9), class_vocab_size=40,
+                                  shared_vocab_size=70_000, ambiguity=0.6,
+                                  docs_per_split=(6, 2, 3))
+        directory = write_corpus(generate_synthetic(cfg), tmp_path).parent
+        assert {name: sha256((directory / name).read_bytes()).hexdigest()
+                for name in PINNED_SHA256} == PINNED_SHA256
+
+    def test_four_generator_calls_per_page(self, monkeypatch):
+        """Each page costs at most four calls on the generator (class, token
+        count, token ids, shuffle) and each document one (its page count)."""
+        calls = []
+        real = np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return method(*args, **kwargs)
+                return counted
+
+        cfg = SynthConfig.uniform(3, 0.6, seed=4, pages_per_doc=(1, 6),
+                                  docs_per_split=(5, 3, 2))
+        expected = generate_synthetic(cfg)
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        split = generate_synthetic(cfg)
+        assert same_corpus(split, expected)
+        pages = sum(len(docs.texts) for _, docs in split.splits())
+        assert len(calls) <= 4 * pages + sum(cfg.docs_per_split)
 
     @given(labelled_splits())
     def test_writer_matches_reference_bytes(self, split):
@@ -701,6 +776,19 @@ class TestGenerateSynthetic:
     def test_vocab_size_must_be_an_integer(self, field, size):
         with pytest.raises(CorpusError, match=f"{field} must be an integer"):
             SynthConfig.uniform(2, 0.5, **{field: size})
+
+    @pytest.mark.parametrize("field, ok, bad", [
+        ("class_vocab_size", 2**63, 2**63 + 1),
+        ("shared_vocab_size", np.uint64(2**63), 2**64),
+        ("tokens_per_page", (1, 2**63 - 1), (1, 2**63)),
+        ("pages_per_doc", (2**63 - 1, 2**63 - 1), (1, 2**64)),
+    ])
+    def test_sizes_numpy_cannot_draw_rejected(self, field, ok, bad):
+        """numpy draws from int64: a pool may hold 2**63 ids, and a range
+        may end at 2**63 - 1."""
+        SynthConfig.uniform(2, 0.5, **{field: ok})
+        with pytest.raises(CorpusError, match=field):
+            SynthConfig.uniform(2, 0.5, **{field: bad})
 
     def test_n_classes_must_be_an_integer(self):
         with pytest.raises(CorpusError, match="n_classes must be an integer"):
