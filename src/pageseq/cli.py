@@ -31,14 +31,18 @@ import numpy as np
 from . import __version__
 from .bilstm import BiLstmConfig, bilstm_forward, bilstm_train, init_bilstm
 from .corpus import (
+    CHECKPOINT_FORMAT,
     MULTICLASS,
     CorpusError,
     CorpusSplit,
     SynthConfig,
     TypeVocabulary,
+    check_checkpoint_format,
     class_page_counts,
+    float_block,
     generate_synthetic,
     load_corpus,
+    read_float_block,
     read_text_sha256,
     run_length_stats,
     transition_self_prob,
@@ -399,6 +403,7 @@ def cmd_train(args) -> int:
         fit = crf_fit(emissions_from_logits(logits), golds, offsets, l2=l2)
         crf_payload = {
             "kind": "crf",
+            "format": CHECKPOINT_FORMAT,
             "l2": l2,
             "transition": fit.model.transition.tolist(),
             "start": fit.model.start.tolist(),
@@ -421,9 +426,10 @@ def cmd_train(args) -> int:
                                             bl_config, train_config)
         write_json(outdir / "bilstm.json", {
             "kind": "bilstm",
+            "format": CHECKPOINT_FORMAT,
             "config": asdict(bl_config),
             "classes": list(split.vocabulary.class_names),
-            "params": {k: v.tolist() for k, v in sorted(bl_params.items())},
+            "params": {k: float_block(v) for k, v in sorted(bl_params.items())},
             "features": page_vector_payload(tfidf, projector),
             "provenance": provenance,
         })
@@ -446,14 +452,27 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _only_numbers(value) -> bool:
+    """Whether ``value`` is a JSON number a float can hold, or a list that
+    nests only such numbers; a bool, which numpy and ``float`` read as 0 or
+    1, is none."""
+    if isinstance(value, list):
+        return all(map(_only_numbers, value))
+    return type(value) is float or type(value) is int and \
+        abs(value) <= sys.float_info.max
+
+
 def _restore_model(payload):
     """The class vocabulary and the decoder (documents -> traces) of a
-    checkpoint payload of any kind.  Kind, fields, modes, class lists and
-    parameter shapes are checked here; a malformed payload is a ConfigError."""
+    checkpoint payload of any kind.  Kind, format, fields, modes, class lists
+    and parameter shapes are checked here; a malformed payload is a
+    ConfigError."""
     if not isinstance(payload, dict):
         raise ConfigError("checkpoint is not a JSON object")
     kind = payload.get("kind")
     try:
+        if kind in ("crf", "bilstm"):
+            check_checkpoint_format(payload, kind)
         if kind == "encoder":
             params, config, codec, recurrent = restore_encoder(payload)
 
@@ -464,6 +483,10 @@ def _restore_model(payload):
             params, config, codec, recurrent = restore_encoder(payload["encoder"])
             if recurrent:
                 raise ValueError("its encoder must be context-oblivious")
+            for field in ("transition", "start", "emission_scale"):
+                if not _only_numbers(payload[field]):
+                    raise ValueError(f"{field} holds a value that is not a "
+                                     f"number a float can hold")
             model = CrfModel(payload["transition"], payload["start"],
                              float(payload["emission_scale"]))
             if model.n != codec.n_classes:
@@ -480,8 +503,8 @@ def _restore_model(payload):
         if kind == "bilstm":
             config = BiLstmConfig(**payload["config"])
             tfidf, projector = page_vector_model_from_payload(payload["features"])
-            params = {name: np.asarray(value, dtype=np.float64)
-                      for name, value in payload["params"].items()}
+            params = {name: read_float_block(block, f"parameter {name!r}")
+                      for name, block in payload["params"].items()}
             check_params(params, init_bilstm(config))
             if len(payload["classes"]) != config.n_classes or projector.basis.shape \
                     != (tfidf.vocabulary.size, config.input_dim):
@@ -502,13 +525,18 @@ def _restore_model(payload):
     raise ConfigError(f"unknown checkpoint kind {kind!r}")
 
 
-def _trained_seed(payload: dict):
+def _trained_seed(payload: dict) -> int:
     """The seed a checkpoint's model was trained with: its provenance's,
-    which every ``train`` output records, else the encoder's own."""
+    which every ``train`` output records, else the encoder's own; it must
+    be a non-negative int."""
     provenance = payload.get("provenance")
     if isinstance(provenance, dict) and "seed" in provenance:
-        return provenance["seed"]
-    return payload.get("seed", 0)
+        seed, field = provenance["seed"], "provenance.seed"
+    else:
+        seed, field = payload.get("seed", 0), "seed"
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"checkpoint field {field!r} must be a non-negative int")
+    return seed
 
 
 def cmd_infer(args) -> int:
@@ -520,9 +548,10 @@ def cmd_infer(args) -> int:
     if vocabulary != split.vocabulary:
         raise ConfigError("checkpoint classes or label mode do not match the "
                           "corpus manifest")
+    seed = _trained_seed(payload)
     trace = decode(docs)
     ref = {"checkpoint_sha256": digest, "split": args.split}
-    provenance = provenance_for("infer", ref, _trained_seed(payload))
+    provenance = provenance_for("infer", ref, seed)
     with _writing(args.out):
         write_traces(trace, args.out, split.vocabulary, provenance=provenance)
     print(f"wrote {args.out} ({len(trace.scores)} pages, "

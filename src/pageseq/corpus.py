@@ -1,5 +1,6 @@
 """Corpus data model, JSONL ingestion, synthetic Markov-document generation,
-and descriptive statistics (page counts, label runs, self-transition rates).
+and descriptive statistics (page counts, label runs, self-transition rates);
+also the one encoding of float arrays in checkpoint files.
 
 A corpus is a three-way split of documents; each document is an ordered list
 of pages carrying raw text and one or more gold page-type labels.  In memory
@@ -13,6 +14,7 @@ page per line:
 
 from __future__ import annotations
 
+import base64
 import gc
 import hashlib
 import json
@@ -338,6 +340,60 @@ def read_text_sha256(path: Path | str) -> tuple[str, str]:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text, hashlib.sha256(data).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint float arrays
+# ---------------------------------------------------------------------------
+
+# the layout of every checkpoint kind (encoder, CRF, BiLSTM): the encoder's
+# and the BiLSTM's float arrays are ``float_block``s.  A CRF's own (n x n)
+# transition and n start scores stay lists of numbers, the form in which
+# perfbench/checks.py reads them.
+CHECKPOINT_FORMAT = "f8le-blocks/1"
+
+
+def check_checkpoint_format(payload: dict, kind: str) -> None:
+    """Raise ValueError unless ``payload`` records ``CHECKPOINT_FORMAT``."""
+    if payload.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"{kind} format {payload.get('format')!r} is not "
+                         f"{CHECKPOINT_FORMAT!r}; re-run `train` to write it anew")
+
+
+def float_block(array) -> dict:
+    """A float array as a checkpoint writes it: its shape and the base64 of
+    its C-order little-endian float64 bytes, which ``read_float_block``
+    turns back into the same bits."""
+    array = np.asarray(array, dtype="<f8")
+    return {"shape": list(array.shape),
+            "f8le": base64.b64encode(array.tobytes()).decode("ascii")}
+
+
+def read_float_block(block, field: str) -> np.ndarray:
+    """The writable float64 array of a ``float_block``; ValueError, naming
+    ``field``, unless ``block`` is an object with exactly the keys "shape"
+    (a list of non-negative ints) and "f8le" (strict base64 of 8 bytes per
+    element)."""
+    try:
+        if not isinstance(block, dict) or block.keys() != {"shape", "f8le"}:
+            raise ValueError("must be an object with exactly the keys 'shape' "
+                             "and 'f8le'")
+        shape, data = block["shape"], block["f8le"]
+        if not (isinstance(shape, list)
+                and all(type(n) is int and n >= 0 for n in shape)):
+            raise ValueError("'shape' must be a list of non-negative ints")
+        if not isinstance(data, str):
+            raise ValueError("'f8le' must be a base64 string")
+        try:
+            raw = base64.b64decode(data, validate=True)
+        except ValueError as exc:
+            raise ValueError(f"'f8le' is not strict base64 ({exc})") from None
+        if len(raw) != 8 * math.prod(shape):
+            raise ValueError(f"'f8le' holds {len(raw)} bytes, shape {shape} "
+                             f"needs {8 * math.prod(shape)}")
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
 
 
 def _read_text(path: Path, what: str) -> str:

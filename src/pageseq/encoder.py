@@ -53,7 +53,15 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 from scipy.special import expit, log_softmax
 
-from .corpus import MULTICLASS, TypeVocabulary, read_text_sha256
+from .corpus import (
+    CHECKPOINT_FORMAT,
+    MULTICLASS,
+    TypeVocabulary,
+    check_checkpoint_format,
+    float_block,
+    read_float_block,
+    read_text_sha256,
+)
 from .features import TOKENIZER_VERSION, check_tokenizer_version
 
 PAD_ID = 0
@@ -615,6 +623,7 @@ def checkpoint_payload(params: dict, config: EncoderConfig, codec: TokenCodec,
     """An encoder checkpoint's JSON body; ``restore_encoder`` checks it."""
     return {
         "kind": "encoder",
+        "format": CHECKPOINT_FORMAT,
         "mode": mode,
         "label_mode": codec.type_vocab.label_mode,
         "seed": seed,
@@ -625,7 +634,7 @@ def checkpoint_payload(params: dict, config: EncoderConfig, codec: TokenCodec,
             "vocab_label_mode": codec.type_vocab.label_mode,
             "text_tokens": list(codec.text_tokens),
         },
-        "params": {name: params[name].tolist() for name in sorted(params)},
+        "params": {name: float_block(params[name]) for name in sorted(params)},
     }
 
 
@@ -636,12 +645,14 @@ def save_checkpoint(path: Path | str, payload: dict) -> None:
 def restore_encoder(payload: dict):
     """Rebuild (params, config, codec, recurrent) from a payload.
 
-    Raises ValueError unless the payload records ``TOKENIZER_VERSION``,
-    ``mode`` is one of ``MODES``, the top-level ``label_mode`` is the codec's,
-    and the parameters have exactly the names and shapes ``init_params`` gives.
+    Raises ValueError unless the payload records ``CHECKPOINT_FORMAT`` and
+    ``TOKENIZER_VERSION``, ``mode`` is one of ``MODES``, the top-level
+    ``label_mode`` is the codec's, and the parameters are float blocks of
+    exactly the names and shapes ``init_params`` gives.
     """
     if payload.get("kind") != "encoder":
         raise ValueError("not an encoder checkpoint")
+    check_checkpoint_format(payload, "encoder")
     check_tokenizer_version(payload)
     if payload["mode"] not in MODES:
         raise ValueError(f"mode {payload['mode']!r} is not one of {MODES}")
@@ -652,8 +663,8 @@ def restore_encoder(payload: dict):
         raise ValueError(f"label_mode {payload['label_mode']!r} differs from the "
                          f"codec's {vocab.label_mode!r}")
     codec = TokenCodec(vocab, payload["codec"]["text_tokens"])
-    params = {name: np.asarray(value, dtype=np.float64)
-              for name, value in payload["params"].items()}
+    params = {name: read_float_block(block, f"parameter {name!r}")
+              for name, block in payload["params"].items()}
     check_params(params, init_params(config, codec))
     return params, config, codec, payload["mode"] == "recurrent"
 

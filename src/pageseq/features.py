@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .corpus import float_block, read_float_block
+
 TOKENIZER_VERSION = "lower-wssplit-punctstrip/1"
 
 DEFAULT_VOCAB_CAP = 60_000
@@ -187,16 +189,16 @@ def check_tokenizer_version(payload: dict) -> None:
 
 def page_vector_payload(model: TfIdfModel, projector: SvdProjector) -> dict:
     """JSON-ready dict of a fitted TF-IDF model and SVD projector, tagged with
-    the tokenizer version."""
+    the tokenizer version; its float arrays are float blocks."""
     return {
         "tokenizer_version": TOKENIZER_VERSION,
         "cap": model.vocabulary.cap,
         "tokens": list(model.vocabulary.tokens),
         "doc_freq": list(model.vocabulary.doc_freq),
-        "idf": model.idf.tolist(),
+        "idf": float_block(model.idf),
         "n_train_pages": model.n_train_pages,
-        "basis": projector.basis.tolist(),
-        "singular_values": projector.singular_values.tolist(),
+        "basis": float_block(projector.basis),
+        "singular_values": float_block(projector.singular_values),
     }
 
 
@@ -206,8 +208,11 @@ def page_vector_model_from_payload(payload: dict) -> tuple[TfIdfModel, SvdProjec
     check_tokenizer_version(payload)
     vocab = Vocabulary(tuple(payload["tokens"]), tuple(payload["doc_freq"]),
                        payload["cap"])
-    model = TfIdfModel(vocabulary=vocab, idf=np.asarray(payload["idf"]),
+    model = TfIdfModel(vocabulary=vocab,
+                       idf=read_float_block(payload["idf"], "features.idf"),
                        n_train_pages=payload["n_train_pages"])
-    projector = SvdProjector(basis=np.asarray(payload["basis"]),
-                             singular_values=np.asarray(payload["singular_values"]))
+    projector = SvdProjector(
+        basis=read_float_block(payload["basis"], "features.basis"),
+        singular_values=read_float_block(payload["singular_values"],
+                                         "features.singular_values"))
     return model, projector

@@ -15,7 +15,13 @@ import pageseq.cli as cli
 import pageseq.encoder as encoder
 import pageseq.training as training
 from pageseq.cli import _config_from, main
-from pageseq.corpus import SynthConfig, load_corpus
+from pageseq.corpus import (
+    CHECKPOINT_FORMAT,
+    SynthConfig,
+    float_block,
+    load_corpus,
+    read_float_block,
+)
 from pageseq.encoder import EncoderConfig
 from pageseq.evaluation import align_traces, score
 from pageseq.features import page_vector_model_from_payload, tfidf_matrix
@@ -34,6 +40,15 @@ from oracles import (
 
 def sha(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def edit_block(blocks, name, edit):
+    """Replace the float block ``blocks[name]`` by the block of its array
+    after ``edit(array)``, which edits the array in place (returning None)
+    or returns the new array."""
+    array = read_float_block(blocks[name], name)
+    edited = edit(array)
+    blocks[name] = float_block(array if edited is None else edited)
 
 
 SYNTH_CFG = {
@@ -339,7 +354,8 @@ class TestTrain:
                            bilstm={"hidden_dim": 128, "svd_k": 100})
         payload = json.loads((outdir / "bilstm.json").read_text())
         assert payload["config"]["input_dim"] == 100
-        assert np.array(payload["features"]["basis"]).shape == (400, 100)
+        assert read_float_block(payload["features"]["basis"], "basis").shape \
+            == (400, 100)
 
         out = tmp_path / "bilstm-test.jsonl"
         assert main(["infer", "--checkpoint", str(outdir / "bilstm.json"),
@@ -349,7 +365,8 @@ class TestTrain:
         trace = read_traces(out, split.vocabulary)
         tfidf, projector = page_vector_model_from_payload(payload["features"])
         vectors = tfidf_matrix(page_tokens(split.test), tfidf) @ projector.basis
-        params = {name: np.array(value) for name, value in payload["params"].items()}
+        params = {name: read_float_block(block, name)
+                  for name, block in payload["params"].items()}
         offsets = split.test.offsets
         expected = bilstm_logits_per_document(
             params, [vectors[a:b] for a, b in zip(offsets[:-1], offsets[1:])])
@@ -759,6 +776,18 @@ class TestBaselineCheckpoints:
             payload["emission_scale"] = 0.0
         elif edit == "text_scale":
             payload["emission_scale"] = "one"
+        elif edit == "bool_scale":
+            payload["emission_scale"] = True
+        elif edit == "numeral_scale":
+            payload["emission_scale"] = "1"
+        elif edit == "bool_transition":
+            payload["transition"][0][0] = True
+        elif edit == "numeral_start":
+            payload["start"][0] = "1"
+        elif edit == "huge_int_start":
+            payload["start"][0] = 10**400
+        elif edit == "huge_int_scale":
+            payload["emission_scale"] = 10**400
         elif edit == "scalar_start":
             payload["start"] = 0.0
         elif edit == "encoder_list":
@@ -773,26 +802,49 @@ class TestBaselineCheckpoints:
         elif edit == "missing_param":
             del payload["params"]["fw_u"]
         elif edit == "narrow_head":
-            payload["params"]["head_w"] = [row[:2] for row in payload["params"]["head_w"]]
+            edit_block(payload["params"], "head_w", lambda a: a[:, :2])
         elif edit == "hidden_dim":
             payload["config"]["hidden_dim"] = 9
         elif edit == "two_classes":
             payload["classes"] = payload["classes"][:2]
         elif edit == "nan_param":
-            payload["params"]["fw_w"][0][0] = float("nan")
+            edit_block(payload["params"], "fw_w", lambda a: np.put(a, 0, np.nan))
         elif edit == "nan_basis":
-            payload["features"]["basis"][0][0] = float("nan")
+            edit_block(payload["features"], "basis", lambda a: np.put(a, 0, np.nan))
         elif edit == "inf_singular_value":
-            payload["features"]["singular_values"][0] = float("inf")
+            edit_block(payload["features"], "singular_values",
+                       lambda a: np.put(a, 0, np.inf))
         elif edit == "input_dim":
             payload["config"]["input_dim"] = 5
-            payload["params"]["fw_w"] = [row[:5] for row in payload["params"]["fw_w"]]
-            payload["params"]["bw_w"] = [row[:5] for row in payload["params"]["bw_w"]]
+            edit_block(payload["params"], "fw_w", lambda a: a[:, :5])
+            edit_block(payload["params"], "bw_w", lambda a: a[:, :5])
+
+    @staticmethod
+    def infer_edited(trained, capsys, name, edit, tag):
+        """``infer`` with checkpoint ``name`` edited by ``edit(payload)``;
+        asserts exit 2, nothing written and one ``error:`` line, and
+        returns that line."""
+        tmp_path, corpus_dir, outdir = trained
+        payload = json.loads((outdir / name).read_text())
+        edit(payload)
+        ckpt = tmp_path / f"{tag}-{name}"
+        ckpt.write_text(json.dumps(payload))
+        out = tmp_path / f"{tag}-{name}.jsonl"
+        capsys.readouterr()
+        assert main(["infer", "--checkpoint", str(ckpt),
+                     "--manifest", str(corpus_dir / "manifest.json"),
+                     "--split", "test", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        return err[0]
 
     @pytest.mark.parametrize("kind, edit", [
         ("crf", e) for e in ("transition", "start", "encoder", "emission_scale",
                              "2x2_transition", "2_class_crf", "nan_scale",
                              "negative_scale", "zero_scale", "text_scale",
+                             "bool_scale", "numeral_scale", "bool_transition",
+                             "numeral_start", "huge_int_start", "huge_int_scale",
                              "scalar_start", "encoder_list", "recurrent_encoder")
     ] + [
         ("bilstm", e) for e in ("params", "config", "features", "classes",
@@ -801,45 +853,105 @@ class TestBaselineCheckpoints:
                                 "nan_basis", "inf_singular_value")
     ])
     def test_bad_payload_exits_2(self, trained, capsys, kind, edit):
-        tmp_path, corpus_dir, outdir = trained
-        payload = json.loads((outdir / f"{kind}.json").read_text())
-        getattr(self, f"edit_{kind}")(payload, edit)
-        ckpt = tmp_path / f"{kind}-{edit}.json"
-        ckpt.write_text(json.dumps(payload))
-        out = tmp_path / f"{kind}-{edit}.jsonl"
-        capsys.readouterr()
-        rc = main(["infer", "--checkpoint", str(ckpt),
-                   "--manifest", str(corpus_dir / "manifest.json"),
-                   "--split", "test", "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        self.infer_edited(trained, capsys, f"{kind}.json",
+                          lambda payload: getattr(self, f"edit_{kind}")(payload, edit),
+                          edit)
 
+    # each checkpoint kind, and the encoder a CRF checkpoint embeds
+    FORMATTED = [("checkpoint.json", "encoder", lambda p: p),
+                 ("crf.json", "crf", lambda p: p),
+                 ("crf.json", "crf", lambda p: p["encoder"]),
+                 ("bilstm.json", "bilstm", lambda p: p)]
+
+    @staticmethod
+    def as_parent_wrote(value):
+        """``value`` with every float block turned back into nested lists and
+        no ``format`` field: the layout of a checkpoint written before
+        float blocks."""
+        if isinstance(value, dict) and value.keys() == {"shape", "f8le"}:
+            return read_float_block(value, "block").tolist()
+        if isinstance(value, dict):
+            return {k: TestBaselineCheckpoints.as_parent_wrote(v)
+                    for k, v in value.items() if k != "format"}
+        return value
+
+    @pytest.mark.parametrize("name, kind, part", FORMATTED,
+                             ids=["encoder", "crf", "crf-encoder", "bilstm"])
+    @pytest.mark.parametrize("edit", ["unknown", "missing", "lists"])
+    def test_format_exits_2(self, trained, capsys, name, kind, part, edit):
+        """A checkpoint of another format, of none, or laid out as one
+        written before float blocks is refused with a line that names its
+        kind and says to re-run ``train``."""
+        def change(payload):
+            if edit == "unknown":
+                part(payload)["format"] = "f8le-blocks/0"
+            elif edit == "missing":
+                del part(payload)["format"]
+            else:
+                part(payload).update(self.as_parent_wrote(part(payload)))
+                part(payload).pop("format")
+        assert part(json.loads((trained[2] / name).read_text()))["format"] \
+            == CHECKPOINT_FORMAT
+        line = self.infer_edited(trained, capsys, name, change, f"format-{edit}")
+        assert line.startswith(f"error: {kind} checkpoint: ")
+        assert "format" in line and "re-run `train`" in line
+
+    KEYS = "must be an object with exactly the keys 'shape' and 'f8le'"
+    SHAPE = "'shape' must be a list of non-negative ints"
+    # each malformed block: the edit of a good one, and what the error says
+    BLOCK_EDITS = {
+        "list": (lambda b: [0.0], KEYS),
+        "missing-key": (lambda b: {"shape": b["shape"]}, KEYS),
+        "extra-key": (lambda b: dict(b, dtype="<f8"), KEYS),
+        "shape-int": (lambda b: dict(b, shape=b["shape"][0]), SHAPE),
+        "shape-negative": (lambda b: dict(b, shape=[-1] + b["shape"][1:]), SHAPE),
+        "shape-bool": (lambda b: dict(b, shape=[True] * len(b["shape"])), SHAPE),
+        "shape-float": (lambda b: dict(b, shape=[float(n) for n in b["shape"]]),
+                        SHAPE),
+        "data-number": (lambda b: dict(b, f8le=0), "'f8le' must be a base64 string"),
+        "data-not-base64": (lambda b: dict(b, f8le="*" + b["f8le"][1:]),
+                            "'f8le' is not strict base64"),
+        "data-padding": (lambda b: dict(b, f8le=b["f8le"].rstrip("=")[:-1]),
+                         "'f8le' is not strict base64"),
+        "byte-count": (lambda b: dict(b, shape=b["shape"] + [2]), "'f8le' holds "),
+    }
+
+    # a block of each checkpoint kind: the path of keys to it, and its name
+    BLOCKS = [("checkpoint.json", "encoder", ("params", "head_b"), "'head_b'"),
+              ("crf.json", "crf", ("encoder", "params", "emb"), "'emb'"),
+              ("bilstm.json", "bilstm", ("params", "fw_w"), "'fw_w'"),
+              ("bilstm.json", "bilstm", ("features", "idf"), "features.idf")]
+
+    @pytest.mark.parametrize("name, kind, path, field", BLOCKS,
+                             ids=["encoder", "crf", "bilstm", "bilstm-features"])
+    @pytest.mark.parametrize("case", BLOCK_EDITS)
+    def test_malformed_block_exits_2(self, trained, capsys, name, kind, path, field,
+                                     case):
+        edit, message = self.BLOCK_EDITS[case]
+
+        def change(payload):
+            *outer, last = path
+            for key in outer:
+                payload = payload[key]
+            payload[last] = edit(payload[last])
+        line = self.infer_edited(trained, capsys, name, change, f"block-{case}")
+        assert line.startswith(f"error: {kind} checkpoint: ")
+        assert f"{field}: {message}" in line
 
     @pytest.mark.parametrize("kind", ["checkpoint", "crf"])
     @pytest.mark.parametrize("edit", ["stale", "missing"])
     def test_tokenizer_version_exits_2(self, trained, capsys, kind, edit):
         """An encoder checkpoint, or the encoder a CRF checkpoint embeds, made
         under another tokenizer version (or recording none) is refused."""
-        tmp_path, corpus_dir, outdir = trained
-        payload = json.loads((outdir / f"{kind}.json").read_text())
-        encoder = payload if kind == "checkpoint" else payload["encoder"]
-        if edit == "missing":
-            encoder.pop("tokenizer_version", None)
-        else:
-            encoder["tokenizer_version"] = "other/0"
-        ckpt = tmp_path / f"{kind}-tokenizer-{edit}.json"
-        ckpt.write_text(json.dumps(payload))
-        out = tmp_path / f"{kind}-tokenizer-{edit}.jsonl"
-        capsys.readouterr()
-        assert main(["infer", "--checkpoint", str(ckpt),
-                     "--manifest", str(corpus_dir / "manifest.json"),
-                     "--split", "test", "--out", str(out)]) == 2
-        assert not out.exists()
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "tokenizer version mismatch" in err[0]
+        def change(payload):
+            encoder = payload if kind == "checkpoint" else payload["encoder"]
+            if edit == "missing":
+                encoder.pop("tokenizer_version", None)
+            else:
+                encoder["tokenizer_version"] = "other/0"
+        line = self.infer_edited(trained, capsys, f"{kind}.json", change,
+                                 f"tokenizer-{edit}")
+        assert "tokenizer version mismatch" in line
 
     @pytest.mark.parametrize("kind", ["checkpoint", "crf", "bilstm"])
     def test_empty_split_infers(self, trained, kind):
@@ -1021,7 +1133,7 @@ class TestBadArtifacts:
     def test_non_finite_parameter(self, trained, capsys):
         tmp_path, corpus_dir, outdir, _ = trained
         payload = json.loads((outdir / "checkpoint.json").read_text())
-        payload["params"]["head_b"][0] = float("nan")
+        edit_block(payload["params"], "head_b", lambda a: np.put(a, 0, np.nan))
         ckpt = tmp_path / "nan-head.json"
         ckpt.write_text(json.dumps(payload))
         capsys.readouterr()
@@ -1098,10 +1210,32 @@ class TestBadArtifacts:
         ckpt.write_text(json.dumps(payload))
         assert self.infer(tmp_path, corpus_dir, ckpt, manifest) == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["provenance"].update(seed=["x", {"y": 1}]),
+        lambda p: p["provenance"].update(seed=-1),
+        lambda p: p["provenance"].update(seed=True),
+        lambda p: p["provenance"].update(seed=1.0),
+        lambda p: p.update(seed="1") or p.pop("provenance"),
+    ], ids=["list", "negative", "bool", "float", "top-level-string"])
+    def test_trained_seed_must_be_a_non_negative_int(self, trained, capsys, edit):
+        """The seed a trace header records comes from the checkpoint's
+        provenance, else its own ``seed``; anything but a non-negative int
+        there is refused."""
+        tmp_path, corpus_dir, outdir, _ = trained
+        payload = json.loads((outdir / "checkpoint.json").read_text())
+        edit(payload)
+        ckpt = tmp_path / "bad-seed.json"
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert self.infer(tmp_path, corpus_dir, ckpt) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: checkpoint field ")
+        assert "seed' must be a non-negative int" in err[0]
+
     def test_short_embedding_table(self, trained):
         tmp_path, corpus_dir, outdir, _ = trained
         payload = json.loads((outdir / "checkpoint.json").read_text())
-        payload["params"]["emb"] = payload["params"]["emb"][:5]
+        edit_block(payload["params"], "emb", lambda a: a[:5])
         ckpt = tmp_path / "short-emb.json"
         ckpt.write_text(json.dumps(payload))
         assert self.infer(tmp_path, corpus_dir, ckpt) == 2

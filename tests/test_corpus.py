@@ -1,5 +1,6 @@
 """Tests for the corpus data model, JSONL round-trip, generator, and statistics."""
 
+import base64
 import json
 import re
 import tempfile
@@ -10,20 +11,25 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pageseq.corpus import (
+    CHECKPOINT_FORMAT,
     CorpusError,
     CorpusSplit,
     Documents,
     RunLengthStats,
     SynthConfig,
     TypeVocabulary,
+    check_checkpoint_format,
     class_page_counts,
     document_rows,
+    float_block,
     generate_synthetic,
     load_corpus,
     load_split_file,
     page_positions,
+    read_float_block,
     read_jsonl,
     run_length_stats,
     transition_self_prob,
@@ -953,3 +959,73 @@ class TestTransitionSelfProb:
 def test_uniform_with_one_class_raises_corpus_error():
     with pytest.raises(CorpusError, match="n_classes must be >= 2"):
         SynthConfig.uniform(1, 0.5)
+
+
+# -0.0, the smallest and largest subnormals, the largest finite magnitudes
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.79e308,
+               -1.79e308, np.finfo(np.float64).max, np.inf, -np.inf, np.nan]
+
+
+def block_round_trip(array):
+    """``array`` through its float block and JSON text, as a checkpoint
+    file carries it."""
+    return read_float_block(json.loads(json.dumps(float_block(array))), "x")
+
+
+class TestFloatBlocks:
+    @given(hnp.arrays(np.float64,
+                      hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+                      elements=st.floats(allow_subnormal=True)
+                      | st.sampled_from(EDGE_FLOATS)))
+    @example(np.array(EDGE_FLOATS))
+    @example(np.zeros((3, 0, 2)))
+    @example(np.zeros((0,)))
+    def test_round_trip_keeps_every_bit(self, array):
+        back = block_round_trip(array)
+        assert back.shape == array.shape
+        assert np.array_equal(back, array, equal_nan=True)
+        assert np.array_equal(np.signbit(back), np.signbit(array))
+        assert back.tobytes() == array.tobytes()
+        assert back.dtype == np.float64 and back.dtype.isnative
+        assert back.flags.writeable and back.flags.c_contiguous
+
+    def test_layout_is_c_order_little_endian(self):
+        array = np.array([[1.0, -0.0], [5e-324, 2.5]])
+        block = float_block(array.T)  # any memory order: written C-order
+        assert block["shape"] == [2, 2]
+        assert base64.b64decode(block["f8le"]) == array.T.astype("<f8").tobytes()
+        assert float_block(array.astype(">f8")) == float_block(array)
+
+    @pytest.mark.parametrize("block, message", [
+        ([0.0], "must be an object with exactly the keys"),
+        ({"shape": [1]}, "must be an object with exactly the keys"),
+        ({"shape": [1], "f8le": "AAAAAAAAAAA=", "dtype": "<f8"},
+         "must be an object with exactly the keys"),
+        ({"shape": 1, "f8le": "AAAAAAAAAAA="}, "'shape' must be a list"),
+        ({"shape": [-1], "f8le": ""}, "'shape' must be a list of non-negative ints"),
+        ({"shape": [True], "f8le": "AAAAAAAAAAA="}, "'shape' must be a list"),
+        ({"shape": [1.0], "f8le": "AAAAAAAAAAA="}, "'shape' must be a list"),
+        ({"shape": [1], "f8le": None}, "'f8le' must be a base64 string"),
+        ({"shape": [1], "f8le": [0.0]}, "'f8le' must be a base64 string"),
+        ({"shape": [1], "f8le": "AAAAAAAAAAA=\n"}, "not strict base64"),
+        ({"shape": [1], "f8le": "AAAAAAAAAAA"}, "not strict base64"),
+        ({"shape": [1], "f8le": "AAAA AAAAAA="}, "not strict base64"),
+        ({"shape": [1], "f8le": "\u00e9AAAAAAAAAA="}, "not strict base64"),
+        ({"shape": [2], "f8le": "AAAAAAAAAAA="}, "holds 8 bytes, shape [2] needs 16"),
+        ({"shape": [], "f8le": ""}, "holds 0 bytes, shape [] needs 8"),
+        ({"shape": [0, 2**64], "f8le": ""}, "field"),
+    ], ids=["list", "missing-key", "extra-key", "shape-int", "shape-negative",
+            "shape-bool", "shape-float", "data-null", "data-list", "data-newline",
+            "data-padding", "data-space", "data-non-ascii", "byte-count",
+            "scalar-byte-count", "huge-empty-shape"])
+    def test_malformed_block_names_its_field(self, block, message):
+        with pytest.raises(ValueError, match=re.escape(message)) as exc:
+            read_float_block(block, "field")
+        assert str(exc.value).startswith("field")
+
+    @pytest.mark.parametrize("value", [None, "f8le-blocks/0", 1])
+    def test_checkpoint_format(self, value):
+        check_checkpoint_format({"format": CHECKPOINT_FORMAT}, "encoder")
+        payload = {} if value is None else {"format": value}
+        with pytest.raises(ValueError, match="crf format .* re-run `train`"):
+            check_checkpoint_format(payload, "crf")

@@ -9,7 +9,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import pageseq.encoder as encoder
-from pageseq.corpus import MULTICLASS, MULTILABEL, TypeVocabulary
+from pageseq.corpus import (
+    MULTICLASS,
+    MULTILABEL,
+    TypeVocabulary,
+    float_block,
+    read_float_block,
+)
 from pageseq.features import TOKENIZER_VERSION
 from pageseq.encoder import (
     CLS_ID,
@@ -640,9 +646,10 @@ class TestCheckpoint:
                                      mode="oblivious", seed=0)
         params = payload["params"]
         if edit == "narrow_head":
-            params["head_w"] = [row[:2] for row in params["head_w"]]
+            params["head_w"] = float_block(
+                read_float_block(params["head_w"], "head_w")[:, :2])
         elif edit == "short_emb":
-            params["emb"] = params["emb"][:-1]
+            params["emb"] = float_block(read_float_block(params["emb"], "emb")[:-1])
         elif edit == "missing":
             del params["layer0/wq"]
         else:

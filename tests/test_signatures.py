@@ -26,6 +26,12 @@ reader parses a file line by line.
 file a command reads (checkpoint, trace) is named by the SHA-256 of its
 bytes, so no command re-serializes what it loaded to hash it.
 
+Checkpoints carry float arrays one way: as the exact binary blocks of
+``corpus.float_block``, read back by ``corpus.read_float_block``.  The
+writer and the reader of each checkpoint kind are the only functions that
+use the pair, and every checkpoint payload (a dict literal with a "kind")
+is built by one of them and records its ``format``.
+
 The context a page is fed has one shape: a (pages x 1+n) indicator whose
 column 0 is the first-page marker.  No function takes the marker as a
 separate ``first`` flag or whether anything was ``fed``, and the marker's
@@ -149,6 +155,14 @@ JSON_LOADS_USERS = {"corpus.read_jsonl", "corpus.load_corpus",
 CONFIG_HASH_USERS = {"cli.provenance_for", "cli.cmd_synth", "cli.cmd_train"}
 
 
+# the writer and the reader of each checkpoint kind: encoder, CRF (which
+# embeds an encoder checkpoint) and BiLSTM (with its page-vector model)
+FLOAT_BLOCK_USERS = {"encoder.checkpoint_payload", "encoder.restore_encoder",
+                     "features.page_vector_payload",
+                     "features.page_vector_model_from_payload",
+                     "cli.cmd_train", "cli._restore_model"}
+
+
 def users_of(is_use) -> list[str]:
     """module.function (nested names joined by dots) of every node of the
     package's code for which ``is_use(node)`` holds."""
@@ -192,6 +206,29 @@ def test_json_loads_only_in_the_line_reader_and_whole_file_loaders():
     found = json_loads_users()
     assert sorted(set(found) - JSON_LOADS_USERS) == []
     assert "corpus.read_jsonl" in found  # the walk reaches the line reader
+
+
+def float_block_users() -> list[str]:
+    """Every use of the block encoder or decoder by name, called or passed
+    on; imports and the definitions are not uses."""
+    names = {"float_block", "read_float_block"}
+    return users_of(lambda node: (
+        isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.Attribute) and node.attr in names))
+
+
+def dict_literals_with(*keys) -> list[str]:
+    """Where each dict literal that holds all of the string ``keys`` is built."""
+    return users_of(lambda node: isinstance(node, ast.Dict) and set(keys) <= {
+        key.value for key in node.keys if isinstance(key, ast.Constant)})
+
+
+def test_checkpoints_carry_floats_as_blocks():
+    assert set(float_block_users()) == FLOAT_BLOCK_USERS  # none other, none bypassed
+    payloads = dict_literals_with("kind")
+    assert len(payloads) == 3  # the walk sees the encoder, CRF and BiLSTM payloads
+    assert set(payloads) <= FLOAT_BLOCK_USERS
+    assert dict_literals_with("kind", "format") == payloads
 
 
 def test_config_hash_only_hashes_configs():
