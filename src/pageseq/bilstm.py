@@ -4,6 +4,10 @@ One forward and one backward LSTM pass over each document's page vectors;
 each page's logits come from a linear head over the concatenated directional
 hidden states.  Handwritten backpropagation through time, trained with the
 same optimizer and schedule machinery as the encoders (batched by document).
+The CLI's BiLSTM baseline reads the frozen context-oblivious encoder's
+log-softmax scores as its page vectors (k = n classes), the representation
+the CRF reads too: a stacked labeller over a page classifier, as in Huang,
+Xu & Yu (2015, arXiv 1508.01991).
 
 Page vectors come as (pages x k) rows in document order with the document
 offsets; a training batch gathers its documents' rows.  Each direction keeps

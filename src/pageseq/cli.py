@@ -9,6 +9,14 @@ of each input file's bytes; ``infer`` records the seed its checkpoint was
 trained with.  Wall-clock timings go to a separate ``timing.json`` sidecar
 so re-runs stay bit-identical.
 
+Both sequence baselines are heads over one page representation, the frozen
+context-oblivious encoder's log-softmax scores (emissions): ``train``
+computes the train split's emissions once, for the CRF and the BiLSTM
+alike, and each baseline checkpoint embeds that encoder's checkpoint.
+``infer`` therefore decodes every checkpoint kind one way: one encoder pass
+over the split, then, for a baseline, its head over the emissions and the
+document offsets.
+
 Exit codes: 0 success, 1 runtime failure (e.g. divergence), 2 invalid
 arguments or config.
 """
@@ -57,7 +65,6 @@ from .encoder import (
     check_params,
     checkpoint_payload,
     load_checkpoint,
-    predict,
     restore_encoder,
     save_checkpoint,
 )
@@ -68,24 +75,8 @@ from .evaluation import (
     score,
     scores_payload,
 )
-from .features import (
-    DEFAULT_SVD_DIM,
-    DEFAULT_VOCAB_CAP,
-    fit_svd,
-    fit_tfidf,
-    fit_vocabulary,
-    page_vector_model_from_payload,
-    page_vector_payload,
-    tfidf_matrix,
-)
-from .recurrence import (
-    SplitTrace,
-    encode_split,
-    infer_split,
-    page_tokens,
-    read_traces,
-    write_traces,
-)
+from .features import DEFAULT_VOCAB_CAP, fit_vocabulary
+from .recurrence import encode_split, infer_split, page_tokens, read_traces, write_traces
 from .training import TrainConfig, TrainingDiverged, train_encoder
 
 
@@ -144,8 +135,11 @@ def _load_artifact(what: str, path, load, *args):
 
 
 def _load_config_file(path: str):
-    return _load_artifact("config file", path, lambda p: json.loads(
-        Path(p).read_text(encoding="utf-8")))
+    try:
+        return _load_artifact("config file", path, lambda p: json.loads(
+            Path(p).read_text(encoding="utf-8")))
+    except RecursionError:  # JSON nested deeper than the recursion limit
+        raise ConfigError(f"config file {path}: nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +320,10 @@ def cmd_train(args) -> int:
     baselines = _block(cfg_obj.get("baselines", {}), ("crf", "bilstm"), "baselines")
     want_crf = _typed(baselines.get("crf", False), bool, "baselines.crf")
     want_bilstm = _typed(baselines.get("bilstm", False), bool, "baselines.bilstm")
-    if want_crf and mode != "oblivious":
-        raise ConfigError("baselines.crf requires mode 'oblivious' "
-                          "(the CRF consumes a frozen context-oblivious checkpoint)")
+    for name, wanted in (("crf", want_crf), ("bilstm", want_bilstm)):
+        if wanted and mode != "oblivious":
+            raise ConfigError(f"baselines.{name} requires mode 'oblivious' (the "
+                              f"baselines read a frozen context-oblivious encoder)")
     encoder_config = _config_from(EncoderConfig, cfg_obj.get("encoder", {}),
                                   "encoder", init_seed=seed)
     train_config = _config_from(TrainConfig, cfg_obj.get("train", {}), "train",
@@ -340,12 +335,14 @@ def cmd_train(args) -> int:
         check_l2(l2)
     except ValueError as exc:
         raise ConfigError(f"crf: {exc}") from None
-    bl_obj = dict(_block(cfg_obj.get("bilstm", {}), ("hidden_dim", "svd_k"),
-                         "bilstm"))
-    svd_k = _typed(bl_obj.pop("svd_k", DEFAULT_SVD_DIM), int, "bilstm.svd_k")
+    bl_obj = _block(cfg_obj.get("bilstm", {}), ("hidden_dim",), "bilstm")
     split = corpus_from(cfg_obj.get("corpus"), Path(args.config).parent)
     if (want_crf or want_bilstm) and split.vocabulary.label_mode != MULTICLASS:
         raise ConfigError("baselines.crf and baselines.bilstm need a multiclass corpus")
+    if want_bilstm:  # it reads the encoder's n scores per page
+        n = split.vocabulary.n
+        bl_config = _config_from(BiLstmConfig, bl_obj, "bilstm", input_dim=n,
+                                 n_classes=n, init_seed=seed)
 
     run_id = args.run_id or f"train-{config_hash(cfg_obj)[:12]}"
     outdir = Path(args.outdir) / run_id
@@ -354,22 +351,14 @@ def cmd_train(args) -> int:
     provenance = provenance_for("train", cfg_obj, seed)
 
     started = time.perf_counter()
-    # the train split is tokenized once, for the vocabulary, the encoder and
-    # the BiLSTM's page vectors
+    # the train split is tokenized once, for the vocabulary and the encoder
     train_tokens = page_tokens(split.train)
     try:
         vocab = fit_vocabulary(train_tokens, cap)
     except ValueError as exc:
         raise ConfigError(f"cannot fit a vocabulary with vocab_cap={cap}: {exc}") \
             from None
-    if want_bilstm:
-        bl_config = _config_from(BiLstmConfig, bl_obj, "bilstm", input_dim=svd_k,
-                                 n_classes=split.vocabulary.n, init_seed=seed)
-        if svd_k > min(len(train_tokens), vocab.size):
-            raise ConfigError(
-                f"bilstm.svd_k={svd_k} exceeds min(train pages, vocabulary) "
-                f"= {min(len(train_tokens), vocab.size)}")
-    codec = TokenCodec(split.vocabulary, vocab.tokens)
+    codec = TokenCodec(split.vocabulary, vocab)
     try:
         check_max_len(encoder_config, codec)
     except ValueError as exc:  # "max_len must be ..."
@@ -396,11 +385,17 @@ def cmd_train(args) -> int:
     timings["train_seconds"] = report.wall_clock_seconds
     golds, offsets = split.train.gold.argmax(axis=1), split.train.offsets
 
+    if want_crf or want_bilstm:
+        # both baselines read the frozen encoder's train-split emissions
+        tick = time.perf_counter()
+        emissions = emissions_from_logits(infer_split(
+            params, split.train, encoder_config, codec, recurrent=False,
+            encoded=train_encoded).scores)
+        timings["emissions_seconds"] = time.perf_counter() - tick
+
     if want_crf:
         tick = time.perf_counter()
-        logits = infer_split(params, split.train, encoder_config, codec,
-                             recurrent=False, encoded=train_encoded).scores
-        fit = crf_fit(emissions_from_logits(logits), golds, offsets, l2=l2)
+        fit = crf_fit(emissions, golds, offsets, l2=l2)
         crf_payload = {
             "kind": "crf",
             "format": CHECKPOINT_FORMAT,
@@ -419,18 +414,14 @@ def cmd_train(args) -> int:
 
     if want_bilstm:
         tick = time.perf_counter()
-        tfidf = fit_tfidf(vocab, len(train_tokens))
-        matrix = tfidf_matrix(train_tokens, tfidf)
-        projector = fit_svd(matrix, k=svd_k)
-        bl_params, bl_report = bilstm_train(matrix @ projector.basis, golds, offsets,
-                                            bl_config, train_config)
+        bl_params, bl_report = bilstm_train(emissions, golds, offsets, bl_config,
+                                            train_config)
         write_json(outdir / "bilstm.json", {
             "kind": "bilstm",
             "format": CHECKPOINT_FORMAT,
             "config": asdict(bl_config),
-            "classes": list(split.vocabulary.class_names),
             "params": {k: float_block(v) for k, v in sorted(bl_params.items())},
-            "features": page_vector_payload(tfidf, projector),
+            "encoder": ckpt,
             "provenance": provenance,
         })
         write_json(outdir / "bilstm_report.json",
@@ -462,67 +453,83 @@ def _only_numbers(value) -> bool:
         abs(value) <= sys.float_info.max
 
 
+def _crf_head(payload: dict, n: int):
+    """The Viterbi decoder of a CRF checkpoint over ``n`` classes: it keeps
+    the encoder's scores and decides each page's class."""
+    for field in ("transition", "start", "emission_scale"):
+        if not _only_numbers(payload[field]):
+            raise ValueError(f"{field} holds a value that is not a "
+                             f"number a float can hold")
+    model = CrfModel(payload["transition"], payload["start"],
+                     float(payload["emission_scale"]))
+    if model.n != n:
+        raise ValueError(f"{model.n} CRF classes, {n} encoder classes")
+
+    def head(emissions, offsets):
+        return None, crf_viterbi(model, emissions, offsets)[0]
+    return head
+
+
+def _bilstm_head(payload: dict, n: int):
+    """The BiLSTM of a checkpoint over ``n`` classes: it scores each page
+    and decides the argmax."""
+    config = BiLstmConfig(**payload["config"])
+    params = {name: read_float_block(block, f"parameter {name!r}")
+              for name, block in payload["params"].items()}
+    check_params(params, init_bilstm(config))
+    if (config.input_dim, config.n_classes) != (n, n):
+        raise ValueError(f"input_dim {config.input_dim} and n_classes "
+                         f"{config.n_classes} must both be the encoder's {n} classes")
+
+    def head(emissions, offsets):
+        scores = bilstm_forward(params, emissions, offsets)
+        return scores, scores.argmax(axis=1)
+    return head
+
+
+_HEADS = {"crf": _crf_head, "bilstm": _bilstm_head}
+
+
 def _restore_model(payload):
     """The class vocabulary and the decoder (documents -> traces) of a
     checkpoint payload of any kind.  Kind, format, fields, modes, class lists
     and parameter shapes are checked here; a malformed payload is a
-    ConfigError."""
+    ConfigError.
+
+    Every kind decodes one way: one encoder, the payload itself or the
+    context-oblivious one a CRF or BiLSTM checkpoint embeds, runs over the
+    split once; a baseline's head then reads only that trace's emissions and
+    document offsets, and writes the decided labels (and, for the BiLSTM, its
+    own scores)."""
     if not isinstance(payload, dict):
         raise ConfigError("checkpoint is not a JSON object")
     kind = payload.get("kind")
+    if kind not in ("encoder", *_HEADS):
+        raise ConfigError(f"unknown checkpoint kind {kind!r}")
+    head = None
     try:
-        if kind in ("crf", "bilstm"):
-            check_checkpoint_format(payload, kind)
         if kind == "encoder":
             params, config, codec, recurrent = restore_encoder(payload)
-
-            def decode(docs):
-                return infer_split(params, docs, config, codec, recurrent)
-            return codec.type_vocab, decode
-        if kind == "crf":
+        else:
+            check_checkpoint_format(payload, kind)
             params, config, codec, recurrent = restore_encoder(payload["encoder"])
             if recurrent:
                 raise ValueError("its encoder must be context-oblivious")
-            for field in ("transition", "start", "emission_scale"):
-                if not _only_numbers(payload[field]):
-                    raise ValueError(f"{field} holds a value that is not a "
-                                     f"number a float can hold")
-            model = CrfModel(payload["transition"], payload["start"],
-                             float(payload["emission_scale"]))
-            if model.n != codec.n_classes:
-                raise ValueError(f"{model.n} CRF classes, {codec.n_classes} "
-                                 f"encoder classes")
-
-            def decode(docs):
-                trace = infer_split(params, docs, config, codec, recurrent=False)
-                paths, _ = crf_viterbi(model, emissions_from_logits(trace.scores),
-                                       trace.offsets)
-                trace.labels[:] = np.eye(model.n, dtype=bool)[paths]
-                return trace
-            return codec.type_vocab, decode
-        if kind == "bilstm":
-            config = BiLstmConfig(**payload["config"])
-            tfidf, projector = page_vector_model_from_payload(payload["features"])
-            params = {name: read_float_block(block, f"parameter {name!r}")
-                      for name, block in payload["params"].items()}
-            check_params(params, init_bilstm(config))
-            if len(payload["classes"]) != config.n_classes or projector.basis.shape \
-                    != (tfidf.vocabulary.size, config.input_dim):
-                raise ValueError("classes or page vectors do not match the config")
-
-            def decode(docs):
-                trace = SplitTrace.blank(docs.doc_ids, docs.offsets,
-                                         config.n_classes)
-                vectors = tfidf_matrix(page_tokens(docs), tfidf) @ projector.basis
-                trace.scores[:] = bilstm_forward(params, vectors, trace.offsets)
-                trace.labels[:] = predict(trace.scores, MULTICLASS)
-                return trace
-            return TypeVocabulary(tuple(payload["classes"])), decode
+            head = _HEADS[kind](payload, codec.n_classes)
     except KeyError as exc:
         raise ConfigError(f"{kind} checkpoint: missing field {exc}") from None
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, RecursionError) as exc:
         raise ConfigError(f"{kind} checkpoint: {exc}") from None
-    raise ConfigError(f"unknown checkpoint kind {kind!r}")
+
+    def decode(docs):
+        trace = infer_split(params, docs, config, codec, recurrent)
+        if head is not None:
+            scores, paths = head(emissions_from_logits(trace.scores), trace.offsets)
+            if scores is not None:
+                trace.scores[:] = scores
+            trace.labels[:] = np.eye(codec.n_classes, dtype=bool)[paths]
+        return trace
+    return codec.type_vocab, decode
 
 
 def _trained_seed(payload: dict) -> int:

@@ -201,23 +201,27 @@ def read_jsonl(text: str) -> tuple[list[int], list]:
     line the scanner reads whole keeps the scanner's value; any other line
     (whitespace around the value, a BOM, a second value, a syntax error)
     goes to ``json.loads``.  A malformed line raises ``JSONDecodeError`` at
-    its position in ``text``, so that its ``lineno`` is the file's line.
+    its position in ``text``, so that its ``lineno`` is the file's line; so
+    does a line nested deeper than the interpreter's recursion limit, at the
+    line's start.
     """
     linenos, values = [], []
     lines = text.split("\n")
     for lineno, line in enumerate(lines, start=1):
         try:
             value, end = _SCAN(line, 0)
-        except (StopIteration, ValueError):
+        except (StopIteration, ValueError, RecursionError):
             end = -1
         if end != len(line):  # blank, or not one value read whole
             if not line.strip():
                 continue
             try:
                 value = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
+                msg, pos = ((exc.msg, exc.pos) if isinstance(exc, json.JSONDecodeError)
+                            else ("nested too deeply", 0))
                 start = sum(map(len, lines[:lineno - 1])) + lineno - 1
-                raise json.JSONDecodeError(exc.msg, text, start + exc.pos) from None
+                raise json.JSONDecodeError(msg, text, start + pos) from None
         linenos.append(lineno)
         values.append(value)
     return linenos, values
@@ -419,6 +423,8 @@ def load_corpus(path: Path | str,
         manifest = json.loads(_read_text(path, "manifest"))
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: malformed manifest ({exc.msg})") from None
+    except RecursionError:
+        raise CorpusError(f"{path}: malformed manifest (nested too deeply)") from None
     if not isinstance(manifest, dict):
         raise CorpusError(f"{path}: manifest must be a JSON object")
     for key in ("classes", "label_mode", *SPLIT_NAMES):

@@ -647,8 +647,9 @@ def restore_encoder(payload: dict):
 
     Raises ValueError unless the payload records ``CHECKPOINT_FORMAT`` and
     ``TOKENIZER_VERSION``, ``mode`` is one of ``MODES``, the top-level
-    ``label_mode`` is the codec's, and the parameters are float blocks of
-    exactly the names and shapes ``init_params`` gives.
+    ``label_mode`` is the codec's, the codec's text tokens are distinct
+    strings, and the parameters are float blocks of exactly the names and
+    shapes ``init_params`` gives.
     """
     if payload.get("kind") != "encoder":
         raise ValueError("not an encoder checkpoint")
@@ -662,7 +663,12 @@ def restore_encoder(payload: dict):
     if payload["label_mode"] != vocab.label_mode:
         raise ValueError(f"label_mode {payload['label_mode']!r} differs from the "
                          f"codec's {vocab.label_mode!r}")
-    codec = TokenCodec(vocab, payload["codec"]["text_tokens"])
+    tokens = payload["codec"]["text_tokens"]
+    if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str}:
+        raise ValueError("codec.text_tokens must be a list of strings")
+    if len(set(tokens)) != len(tokens):
+        raise ValueError("codec.text_tokens holds a token twice")
+    codec = TokenCodec(vocab, tokens)
     params = {name: read_float_block(block, f"parameter {name!r}")
               for name, block in payload["params"].items()}
     check_params(params, init_params(config, codec))
@@ -687,6 +693,10 @@ def check_params(params: dict, expected: dict) -> None:
 
 def load_checkpoint(path: Path | str) -> tuple[dict, str]:
     """The payload of a checkpoint file of any kind and the SHA-256 of the
-    file's bytes; the file is read once."""
+    file's bytes; the file is read once.  JSON nested deeper than the
+    interpreter's recursion limit is a JSONDecodeError, as a syntax error is."""
     text, digest = read_text_sha256(path)
-    return json.loads(text), digest
+    try:
+        return json.loads(text), digest
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None

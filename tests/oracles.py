@@ -353,23 +353,6 @@ def check_sequence(ids, codec) -> None:
             raise ValueError(f"control token at position {j}, outside the front block")
 
 
-# -- per-page TF-IDF ---------------------------------------------------------
-
-def tfidf_vector(text: str, model) -> np.ndarray:
-    """Per-page reference TF-IDF: tf x idf entries over the vocabulary,
-    L2-normalized unless all-zero; out-of-vocabulary tokens are ignored."""
-    ids = {tok: i for i, tok in enumerate(model.vocabulary.tokens)}
-    vec = np.zeros(len(model.vocabulary.tokens), dtype=np.float64)
-    for tok in reference_tokenize(text):
-        if tok in ids:
-            vec[ids[tok]] += 1.0
-    vec *= model.idf
-    norm = math.sqrt(float(vec @ vec))
-    if norm > 0.0:
-        vec /= norm
-    return vec
-
-
 # -- per-page contexts and traces -------------------------------------------
 
 

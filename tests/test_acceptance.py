@@ -17,7 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pageseq.bilstm import BiLstmConfig, bilstm_loss_and_grad, init_bilstm
+from pageseq.bilstm import (
+    BiLstmConfig,
+    bilstm_forward,
+    bilstm_loss_and_grad,
+    bilstm_train,
+    init_bilstm,
+)
 from pageseq.cli import main
 from pageseq.corpus import (
     MULTICLASS,
@@ -103,11 +109,11 @@ def _experiment_corpus(self_prob, seed):
     return generate_synthetic(cfg)
 
 
-def _run_models(split, seed, with_crf):
-    """Train oblivious + recurrent (and optionally fit the CRF on the frozen
-    oblivious train scores); return test macro-F1 percentages."""
-    vocab = fit_vocabulary(page_tokens(split.train))
-    codec = TokenCodec(split.vocabulary, vocab.tokens)
+def _run_models(split, seed, with_baselines):
+    """Train oblivious + recurrent (and optionally fit the CRF and train the
+    BiLSTM on the frozen oblivious train scores, as ``pageseq train`` does);
+    return test macro-F1 percentages."""
+    codec = TokenCodec(split.vocabulary, fit_vocabulary(page_tokens(split.train)))
     enc = EncoderConfig(variant="linear", d=32, max_len=16, init_seed=seed)
     cfg = TrainConfig(epochs=5, batch_size=32, peak_lr=0.02, seed=seed)
     p_obl, _ = train_encoder(enc, codec, split.train, cfg, recurrent=False)
@@ -116,33 +122,37 @@ def _run_models(split, seed, with_crf):
     def macro(preds):
         return 100 * score(preds, split.test.gold, split.vocabulary).macro_f1
 
-    crf_model = None
-    if with_crf:
-        logits = infer_split(p_obl, split.train, enc, codec, recurrent=False).scores
-        crf_model = crf_fit(emissions_from_logits(logits),
-                            split.train.gold.argmax(axis=1), split.train.offsets,
-                            l2=0.01, tol=1e-4, max_iter=500).model
-
     trace_obl = infer_split(p_obl, split.test, enc, codec, recurrent=False)
     trace_rec = infer_split(p_rec, split.test, enc, codec, recurrent=True)
     out = {"oblivious": macro(trace_obl.labels), "recurrent": macro(trace_rec.labels)}
-    if with_crf:
-        paths, _ = crf_viterbi(crf_model, emissions_from_logits(trace_obl.scores),
-                               trace_obl.offsets)
+    if with_baselines:
+        emissions = emissions_from_logits(
+            infer_split(p_obl, split.train, enc, codec, recurrent=False).scores)
+        golds, offsets = split.train.gold.argmax(axis=1), split.train.offsets
+        crf_model = crf_fit(emissions, golds, offsets,
+                            l2=0.01, tol=1e-4, max_iter=500).model
+        bl_params, _ = bilstm_train(
+            emissions, golds, offsets,
+            BiLstmConfig(N_CLASSES, N_CLASSES, hidden_dim=128, init_seed=seed), cfg)
+        test_emissions = emissions_from_logits(trace_obl.scores)
+        paths, _ = crf_viterbi(crf_model, test_emissions, trace_obl.offsets)
         out["crf"] = macro(np.eye(N_CLASSES, dtype=bool)[paths])
+        logits = bilstm_forward(bl_params, test_emissions, trace_obl.offsets)
+        out["bilstm"] = macro(np.eye(N_CLASSES, dtype=bool)[logits.argmax(axis=1)])
     return out
 
 
 @pytest.fixture(scope="module")
 def recurrence_experiment():
     started = time.perf_counter()
-    high = {name: [] for name in ("oblivious", "crf", "recurrent")}
+    high = {name: [] for name in ("oblivious", "crf", "bilstm", "recurrent")}
     low = {name: [] for name in ("oblivious", "recurrent")}
     for seed in SEEDS:
-        result = _run_models(_experiment_corpus(0.85, seed), seed, with_crf=True)
+        result = _run_models(_experiment_corpus(0.85, seed), seed, with_baselines=True)
         for name, value in result.items():
             high[name].append(value)
-        result = _run_models(_experiment_corpus(0.25, seed), seed, with_crf=False)
+        result = _run_models(_experiment_corpus(0.25, seed), seed,
+                             with_baselines=False)
         for name, value in result.items():
             low[name].append(value)
     elapsed = time.perf_counter() - started
@@ -169,6 +179,15 @@ def test_criterion_4_context_method_ordering(recurrence_experiment):
     with criterion(4, "recurrent >= frozen+CRF >= oblivious ordering"):
         high, _ = recurrence_experiment
         assert high["recurrent"] >= high["crf"] >= high["oblivious"], high
+
+
+def test_bilstm_baseline_beats_oblivious(recurrence_experiment):
+    """The BiLSTM over the frozen oblivious scores, the ones the CRF fits, is
+    a context-aware baseline: on the high-self corpus it beats the
+    context-oblivious encoder it reads, averaged over SEEDS."""
+    with criterion("4b", "frozen+BiLSTM > oblivious"):
+        high, _ = recurrence_experiment
+        assert high["bilstm"] > high["oblivious"], high
 
 
 # ---------------------------------------------------------------------------

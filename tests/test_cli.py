@@ -3,6 +3,8 @@ determinism of every artifact."""
 
 import hashlib
 import json
+import re
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -22,10 +24,10 @@ from pageseq.corpus import (
     load_corpus,
     read_float_block,
 )
+from pageseq.crf import emissions_from_logits
 from pageseq.encoder import EncoderConfig
 from pageseq.evaluation import align_traces, score
-from pageseq.features import page_vector_model_from_payload, tfidf_matrix
-from pageseq.recurrence import SplitTrace, page_tokens, read_traces, write_traces
+from pageseq.recurrence import SplitTrace, read_traces, write_traces
 from pageseq.training import TrainConfig
 
 from oracles import (
@@ -64,18 +66,34 @@ SYNTH_CFG = {
 }
 
 
-# The synth config of the README walkthrough.
-README_SYNTH_CFG = {
-    "n_classes": 4,
-    "self_transition": 0.85,
-    "pages_per_doc": [6, 14],
-    "tokens_per_page": [1, 6],
-    "class_vocab_size": 25,
-    "shared_vocab_size": 300,
-    "ambiguity": 0.8,
-    "seed": 100,
-    "docs_per_split": [200, 30, 60],
-}
+def readme_configs():
+    """Each ``cat > X.json <<'EOF'`` config of README.md, by file name."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    return {name: json.loads(body) for name, body in
+            re.findall(r"cat > (\S+\.json) <<'EOF'\n(.*?)\nEOF\n", text, re.S)}
+
+
+@pytest.fixture(scope="module")
+def readme_walkthrough(tmp_path_factory):
+    """The README walkthrough run as it reads, in a fresh directory: ``synth``,
+    then both ``train`` runs with ``--epochs 1``.  The configs name the
+    corpus relative to their own directory, so it is the one made here."""
+    tmp_path = tmp_path_factory.mktemp("readme")
+    configs = readme_configs()
+    for name, cfg in configs.items():
+        (tmp_path / name).write_text(json.dumps(cfg))
+    runs = str(tmp_path / "runs")
+    assert main(["synth", "--config", str(tmp_path / "synth.json"),
+                 "--outdir", runs, "--run-id", "corpus"]) == 0
+    # the CRF over a one-epoch encoder may stop short of its tolerance; its
+    # crf.json records that, and the warning is not what this run checks
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "CRF fit did not converge", UserWarning)
+        for name, run_id in (("exp.json", "oblivious"), ("rec.json", "recurrent")):
+            assert main(["train", "--config", str(tmp_path / name), "--outdir",
+                         runs, "--run-id", run_id, "--epochs", "1"]) == 0
+    return tmp_path, configs
 
 
 @pytest.fixture()
@@ -128,19 +146,18 @@ class TestSynth:
             assert sha(tmp_path / "a" / "x" / name) == \
                 sha(tmp_path / "b" / "x" / name)
 
-    def test_readme_corpus_matches_per_page_reference(self, tmp_path):
+    def test_readme_corpus_matches_per_page_reference(self, tmp_path,
+                                                      readme_walkthrough):
         """``pageseq synth`` on the README walkthrough config writes the bytes
         of the per-page reference generator and writer."""
-        cfg_path = tmp_path / "synth.json"
-        cfg_path.write_text(json.dumps(README_SYNTH_CFG))
-        assert main(["synth", "--config", str(cfg_path),
-                     "--outdir", str(tmp_path / "runs"), "--run-id", "corpus"]) == 0
-        cfg = cli.synth_config_from(README_SYNTH_CFG)
+        walk_dir, configs = readme_walkthrough
+        cfg = cli.synth_config_from(configs["synth.json"])
         reference_write_corpus(reference_generate_synthetic(cfg), tmp_path / "ref",
-                               cli.provenance_for("synth", README_SYNTH_CFG, cfg.seed))
+                               cli.provenance_for("synth", configs["synth.json"],
+                                                  cfg.seed))
         for name in ("train.jsonl", "validation.jsonl", "test.jsonl",
                      "manifest.json"):
-            assert sha(tmp_path / "runs" / "corpus" / name) == \
+            assert sha(walk_dir / "runs" / "corpus" / name) == \
                 sha(tmp_path / "ref" / name)
 
     def test_identity_transition_summary(self, tmp_path, capsys):
@@ -298,10 +315,24 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path),
                      "--outdir", str(tmp_path / "runs")]) == 2
 
+    def test_bilstm_requires_oblivious_mode(self, tmp_path, corpus_dir, capsys):
+        """The BiLSTM reads a frozen context-oblivious encoder, as the CRF does."""
+        cfg = experiment_cfg(corpus_dir, mode="recurrent",
+                             baselines={"bilstm": True})
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "runs"), "--run-id", "bad"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: baselines.bilstm requires mode 'oblivious' (the "
+                       "baselines read a frozen context-oblivious encoder)"]
+        assert not (tmp_path / "runs" / "bad").exists()
+
     def test_baselines_produce_checkpoints(self, tmp_path, corpus_dir):
         outdir = run_train(tmp_path, corpus_dir, "base",
                            baselines={"crf": True, "bilstm": True},
-                           bilstm={"hidden_dim": 8, "svd_k": 6})
+                           bilstm={"hidden_dim": 8})
         assert json.loads((outdir / "crf.json").read_text())["kind"] == "crf"
         assert json.loads((outdir / "bilstm.json").read_text())["kind"] == "bilstm"
         assert (outdir / "bilstm_report.json").exists()
@@ -325,9 +356,12 @@ class TestTrain:
         split = load_corpus(corpus_dir / "manifest.json")
         assert len(read_traces(out, split.vocabulary).scores) == len(split.test.texts)
 
+    BAD_BILSTM = {"svd_k": "error: unknown config field 'bilstm.svd_k'",
+                  "hidden_dim": "error: bilstm: dimensions must be >= 1"}
+
     @pytest.mark.parametrize("field", ["svd_k", "hidden_dim"])
     def test_bad_bilstm_config_exits_2(self, tmp_path, corpus_dir, capsys, field):
-        bilstm = dict({"hidden_dim": 8, "svd_k": 6}, **{field: 0})
+        bilstm = dict({"hidden_dim": 8}, **{field: 0})
         cfg = experiment_cfg(corpus_dir, baselines={"bilstm": True}, bilstm=bilstm)
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -335,44 +369,92 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path),
                      "--outdir", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err) == 1 and err[0].startswith(self.BAD_BILSTM[field])
 
-    def test_readme_walkthrough_bilstm(self, tmp_path):
-        """The README walkthrough corpus (2036 train pages, 400 tokens) and
-        its BiLSTM (hidden_dim 128, svd_k 100), trained for one epoch; then
-        ``infer`` with that checkpoint decodes the test split in one walk over
-        page positions, as the per-document recursion would."""
-        cfg_path = tmp_path / "synth.json"
-        cfg_path.write_text(json.dumps(README_SYNTH_CFG))
-        assert main(["synth", "--config", str(cfg_path),
-                     "--outdir", str(tmp_path / "runs"), "--run-id", "corpus"]) == 0
-        corpus_dir = tmp_path / "runs" / "corpus"
-        outdir = run_train(tmp_path, corpus_dir, "walk",
-                           encoder={"variant": "linear", "d": 32, "max_len": 16},
-                           train={"epochs": 1, "batch_size": 32, "peak_lr": 0.02},
-                           vocab_cap=60000, baselines={"bilstm": True},
-                           bilstm={"hidden_dim": 128, "svd_k": 100})
-        payload = json.loads((outdir / "bilstm.json").read_text())
-        assert payload["config"]["input_dim"] == 100
-        assert read_float_block(payload["features"]["basis"], "basis").shape \
-            == (400, 100)
+    def test_readme_walkthrough_runs(self, readme_walkthrough):
+        """Every command of the README walkthrough runs on the README's own
+        configs (trained for one epoch here), so a README config that the
+        CLI no longer takes fails this test."""
+        walk_dir, configs = readme_walkthrough
+        assert {"synth.json", "exp.json", "rec.json"} <= configs.keys()
+        runs = walk_dir / "runs"
+        manifest = str(runs / "corpus" / "manifest.json")
+        for ckpt in ("oblivious/checkpoint.json", "oblivious/crf.json",
+                     "oblivious/bilstm.json", "recurrent/checkpoint.json"):
+            out = walk_dir / f"{ckpt.replace('/', '-')}.jsonl"
+            assert main(["infer", "--checkpoint", str(runs / ckpt),
+                         "--manifest", manifest, "--split", "test",
+                         "--out", str(out)]) == 0
+            assert main(["eval", "--traces", str(out), "--manifest", manifest,
+                         "--split", "test"]) == 0
 
-        out = tmp_path / "bilstm-test.jsonl"
-        assert main(["infer", "--checkpoint", str(outdir / "bilstm.json"),
-                     "--manifest", str(corpus_dir / "manifest.json"),
-                     "--split", "test", "--out", str(out)]) == 0
-        split = load_corpus(corpus_dir / "manifest.json")
-        trace = read_traces(out, split.vocabulary)
-        tfidf, projector = page_vector_model_from_payload(payload["features"])
-        vectors = tfidf_matrix(page_tokens(split.test), tfidf) @ projector.basis
+    def test_readme_walkthrough_bilstm(self, readme_walkthrough):
+        """The README walkthrough's BiLSTM (hidden_dim 128), trained for one
+        epoch, embeds the walkthrough's oblivious encoder checkpoint and reads
+        its emissions: ``infer`` with bilstm.json gives the per-document
+        BiLSTM recursion over the log-softmax scores of that encoder's own
+        oblivious trace."""
+        walk_dir, _ = readme_walkthrough
+        runs = walk_dir / "runs"
+        payload = json.loads((runs / "oblivious" / "bilstm.json").read_text())
+        assert payload.keys() == {"kind", "format", "config", "params", "encoder",
+                                  "provenance"}
+        assert payload["config"]["input_dim"] == payload["config"]["n_classes"] == 4
+        assert payload["config"]["hidden_dim"] == 128
+        assert payload["encoder"] == json.loads(
+            (runs / "oblivious" / "checkpoint.json").read_text())
+
+        manifest = str(runs / "corpus" / "manifest.json")
+        embedded = walk_dir / "embedded-encoder.json"
+        embedded.write_text(json.dumps(payload["encoder"]))
+        for ckpt, out in ((runs / "oblivious" / "bilstm.json", "bilstm-test.jsonl"),
+                          (embedded, "encoder-test.jsonl")):
+            assert main(["infer", "--checkpoint", str(ckpt), "--manifest", manifest,
+                         "--split", "test", "--out", str(walk_dir / out)]) == 0
+        split = load_corpus(manifest, ("test",))
+        trace = read_traces(walk_dir / "bilstm-test.jsonl", split.vocabulary)
+        emissions = emissions_from_logits(
+            read_traces(walk_dir / "encoder-test.jsonl", split.vocabulary).scores)
         params = {name: read_float_block(block, name)
                   for name, block in payload["params"].items()}
         offsets = split.test.offsets
         expected = bilstm_logits_per_document(
-            params, [vectors[a:b] for a, b in zip(offsets[:-1], offsets[1:])])
+            params, [emissions[a:b] for a, b in zip(offsets[:-1], offsets[1:])])
         np.testing.assert_allclose(trace.scores, expected, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(trace.labels.argmax(axis=1),
                                       expected.argmax(axis=1))
+
+    # the SHA-256 of each artifact of the pinned run below
+    PINNED = {
+        "checkpoint.json":
+            "d0df3bf7e8536fda5816dd7c696ffb717970c258a8ef8adc7a4326be4537262a",
+        "crf.json": "8d6fe6f912d68e4bb5158a87b0ee6610a76e56a09e4c997e56087c253cbcfc90",
+        "checkpoint.json test traces":
+            "46cffa8fc15fb8ae4e46a31c44fd3533e0a7160afb700e0c895c9329694340e0",
+        "crf.json test traces":
+            "786c38f1addbdefa0125f78dadd370083d928824793f249bab3def0a0025a4c8",
+    }
+
+    def test_encoder_and_crf_bytes_are_pinned(self, tmp_path, corpus_dir):
+        """One fixed config (the corpus named relative to the config, so that
+        the config hash in every provenance header is fixed too): the encoder
+        checkpoint, the CRF checkpoint and their test-split traces keep these
+        bytes."""
+        cfg = experiment_cfg(corpus_dir, corpus="runs/corpus/manifest.json",
+                             baselines={"crf": True})
+        (tmp_path / "pinned.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(tmp_path / "pinned.json"),
+                     "--outdir", str(tmp_path / "runs"), "--run-id", "pinned"]) == 0
+        found = {}
+        for name in ("checkpoint.json", "crf.json"):
+            ckpt = tmp_path / "runs" / "pinned" / name
+            found[name] = sha(ckpt)
+            out = tmp_path / f"{name}.jsonl"
+            assert main(["infer", "--checkpoint", str(ckpt),
+                         "--manifest", str(corpus_dir / "manifest.json"),
+                         "--split", "test", "--out", str(out)]) == 0
+            found[f"{name} test traces"] = sha(out)
+        assert found == self.PINNED
 
     def test_codec_fitted_on_train_split_only(self, tmp_path, corpus_dir):
         outdir = run_train(tmp_path, corpus_dir, "sep")
@@ -486,7 +568,7 @@ class TestInferEvalCompare:
     def test_crf_and_bilstm_checkpoints_infer(self, tmp_path, corpus_dir):
         outdir = run_train(tmp_path, corpus_dir, "base2",
                            baselines={"crf": True, "bilstm": True},
-                           bilstm={"hidden_dim": 8, "svd_k": 6})
+                           bilstm={"hidden_dim": 8})
         split = load_corpus(corpus_dir / "manifest.json")
         n_pages = len(split.test.texts)
         for ckpt in ("crf.json", "bilstm.json"):
@@ -514,9 +596,9 @@ class TestInferEvalCompare:
     def test_bilstm_tokenizer_mismatch_exits_2(self, tmp_path, corpus_dir):
         outdir = run_train(tmp_path, corpus_dir, "bl",
                            baselines={"bilstm": True},
-                           bilstm={"hidden_dim": 8, "svd_k": 6})
+                           bilstm={"hidden_dim": 8})
         payload = json.loads((outdir / "bilstm.json").read_text())
-        payload["features"]["tokenizer_version"] = "other/0"
+        payload["encoder"]["tokenizer_version"] = "other/0"
         ckpt = tmp_path / "stale.json"
         ckpt.write_text(json.dumps(payload))
         rc = main(["infer", "--checkpoint", str(ckpt),
@@ -559,7 +641,7 @@ class TestInputDigests:
         corpus_dir = tmp_path / "runs" / "corpus"
         outdir = run_train(tmp_path, corpus_dir, "seed1", seed=1,
                            baselines={"crf": True, "bilstm": True},
-                           bilstm={"hidden_dim": 8, "svd_k": 6})
+                           bilstm={"hidden_dim": 8})
         return tmp_path, corpus_dir, outdir
 
     @staticmethod
@@ -682,7 +764,7 @@ class TestTokenizeOnce:
         calls = count_tokenize_calls(monkeypatch)
         outdir = run_train(tmp_path, corpus_dir, "once",
                            baselines={"crf": True, "bilstm": True},
-                           bilstm={"hidden_dim": 8, "svd_k": 6})
+                           bilstm={"hidden_dim": 8})
         pages = [*split.train.texts, *split.validation.texts]
         assert sorted(calls) == sorted(pages)
         for ckpt in ("checkpoint.json", "crf.json", "bilstm.json"):
@@ -756,7 +838,7 @@ class TestBaselineCheckpoints:
         corpus_dir = tmp_path / "runs" / "corpus"
         outdir = run_train(tmp_path, corpus_dir, "b",
                            baselines={"crf": True, "bilstm": True},
-                           bilstm={"hidden_dim": 8, "svd_k": 6})
+                           bilstm={"hidden_dim": 8})
         return tmp_path, corpus_dir, outdir
 
     @staticmethod
@@ -794,11 +876,23 @@ class TestBaselineCheckpoints:
             payload["encoder"] = []
         elif edit == "recurrent_encoder":
             payload["encoder"]["mode"] = "recurrent"
+        elif edit == "deep_transition":  # parses, but nests past the recursion limit
+            for _ in range(600):
+                payload["transition"] = [payload["transition"]]
 
     @staticmethod
     def edit_bilstm(payload, edit):
-        if edit in ("params", "config", "features", "classes"):
+        if edit in ("params", "config", "encoder"):
             del payload[edit]
+        elif edit == "features":
+            # the layout of a BiLSTM over TF-IDF/SVD page vectors: a
+            # page-vector model and a class list in place of an encoder
+            encoder = payload.pop("encoder")
+            payload["classes"] = encoder["codec"]["classes"]
+            payload["features"] = {"tokenizer_version": encoder["tokenizer_version"],
+                                   "tokens": encoder["codec"]["text_tokens"]}
+        elif edit == "classes":
+            del payload["encoder"]["codec"]["classes"]
         elif edit == "missing_param":
             del payload["params"]["fw_u"]
         elif edit == "narrow_head":
@@ -806,18 +900,25 @@ class TestBaselineCheckpoints:
         elif edit == "hidden_dim":
             payload["config"]["hidden_dim"] = 9
         elif edit == "two_classes":
-            payload["classes"] = payload["classes"][:2]
+            payload["encoder"]["codec"]["classes"] = \
+                payload["encoder"]["codec"]["classes"][:2]
         elif edit == "nan_param":
             edit_block(payload["params"], "fw_w", lambda a: np.put(a, 0, np.nan))
-        elif edit == "nan_basis":
-            edit_block(payload["features"], "basis", lambda a: np.put(a, 0, np.nan))
-        elif edit == "inf_singular_value":
-            edit_block(payload["features"], "singular_values",
-                       lambda a: np.put(a, 0, np.inf))
-        elif edit == "input_dim":
-            payload["config"]["input_dim"] = 5
-            edit_block(payload["params"], "fw_w", lambda a: a[:, :5])
-            edit_block(payload["params"], "bw_w", lambda a: a[:, :5])
+        elif edit == "nan_encoder_param":
+            edit_block(payload["encoder"]["params"], "emb",
+                       lambda a: np.put(a, 0, np.nan))
+        elif edit == "input_dim":  # consistent params, not the encoder's width
+            payload["config"]["input_dim"] = 2
+            edit_block(payload["params"], "fw_w", lambda a: a[:, :2])
+            edit_block(payload["params"], "bw_w", lambda a: a[:, :2])
+        elif edit == "n_classes":
+            payload["config"]["n_classes"] = 2
+            edit_block(payload["params"], "head_w", lambda a: a[:, :2])
+            edit_block(payload["params"], "head_b", lambda a: a[:2])
+        elif edit == "encoder_list":
+            payload["encoder"] = []
+        elif edit == "recurrent_encoder":
+            payload["encoder"]["mode"] = "recurrent"
 
     @staticmethod
     def infer_edited(trained, capsys, name, edit, tag):
@@ -845,23 +946,26 @@ class TestBaselineCheckpoints:
                              "negative_scale", "zero_scale", "text_scale",
                              "bool_scale", "numeral_scale", "bool_transition",
                              "numeral_start", "huge_int_start", "huge_int_scale",
-                             "scalar_start", "encoder_list", "recurrent_encoder")
+                             "scalar_start", "encoder_list", "recurrent_encoder",
+                             "deep_transition")
     ] + [
         ("bilstm", e) for e in ("params", "config", "features", "classes",
                                 "missing_param", "narrow_head", "hidden_dim",
                                 "two_classes", "input_dim", "nan_param",
-                                "nan_basis", "inf_singular_value")
+                                "encoder", "nan_encoder_param", "n_classes",
+                                "encoder_list", "recurrent_encoder")
     ])
     def test_bad_payload_exits_2(self, trained, capsys, kind, edit):
         self.infer_edited(trained, capsys, f"{kind}.json",
                           lambda payload: getattr(self, f"edit_{kind}")(payload, edit),
                           edit)
 
-    # each checkpoint kind, and the encoder a CRF checkpoint embeds
+    # each checkpoint kind, and the encoder a CRF or BiLSTM checkpoint embeds
     FORMATTED = [("checkpoint.json", "encoder", lambda p: p),
                  ("crf.json", "crf", lambda p: p),
                  ("crf.json", "crf", lambda p: p["encoder"]),
-                 ("bilstm.json", "bilstm", lambda p: p)]
+                 ("bilstm.json", "bilstm", lambda p: p),
+                 ("bilstm.json", "bilstm", lambda p: p["encoder"])]
 
     @staticmethod
     def as_parent_wrote(value):
@@ -876,7 +980,8 @@ class TestBaselineCheckpoints:
         return value
 
     @pytest.mark.parametrize("name, kind, part", FORMATTED,
-                             ids=["encoder", "crf", "crf-encoder", "bilstm"])
+                             ids=["encoder", "crf", "crf-encoder", "bilstm",
+                                  "bilstm-encoder"])
     @pytest.mark.parametrize("edit", ["unknown", "missing", "lists"])
     def test_format_exits_2(self, trained, capsys, name, kind, part, edit):
         """A checkpoint of another format, of none, or laid out as one
@@ -920,10 +1025,10 @@ class TestBaselineCheckpoints:
     BLOCKS = [("checkpoint.json", "encoder", ("params", "head_b"), "'head_b'"),
               ("crf.json", "crf", ("encoder", "params", "emb"), "'emb'"),
               ("bilstm.json", "bilstm", ("params", "fw_w"), "'fw_w'"),
-              ("bilstm.json", "bilstm", ("features", "idf"), "features.idf")]
+              ("bilstm.json", "bilstm", ("encoder", "params", "emb"), "'emb'")]
 
     @pytest.mark.parametrize("name, kind, path, field", BLOCKS,
-                             ids=["encoder", "crf", "bilstm", "bilstm-features"])
+                             ids=["encoder", "crf", "bilstm", "bilstm-encoder"])
     @pytest.mark.parametrize("case", BLOCK_EDITS)
     def test_malformed_block_exits_2(self, trained, capsys, name, kind, path, field,
                                      case):
@@ -938,11 +1043,12 @@ class TestBaselineCheckpoints:
         assert line.startswith(f"error: {kind} checkpoint: ")
         assert f"{field}: {message}" in line
 
-    @pytest.mark.parametrize("kind", ["checkpoint", "crf"])
+    @pytest.mark.parametrize("kind", ["checkpoint", "crf", "bilstm"])
     @pytest.mark.parametrize("edit", ["stale", "missing"])
     def test_tokenizer_version_exits_2(self, trained, capsys, kind, edit):
-        """An encoder checkpoint, or the encoder a CRF checkpoint embeds, made
-        under another tokenizer version (or recording none) is refused."""
+        """An encoder checkpoint, or the encoder a CRF or BiLSTM checkpoint
+        embeds, made under another tokenizer version (or recording none) is
+        refused."""
         def change(payload):
             encoder = payload if kind == "checkpoint" else payload["encoder"]
             if edit == "missing":
@@ -952,6 +1058,28 @@ class TestBaselineCheckpoints:
         line = self.infer_edited(trained, capsys, f"{kind}.json", change,
                                  f"tokenizer-{edit}")
         assert "tokenizer version mismatch" in line
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "crf", "bilstm"])
+    @pytest.mark.parametrize("edit, message", [
+        ("int", "codec.text_tokens must be a list of strings"),
+        ("repeated", "codec.text_tokens holds a token twice"),
+        ("not-a-list", "codec.text_tokens must be a list of strings")])
+    def test_text_tokens_must_be_distinct_strings(self, trained, capsys, kind,
+                                                  edit, message):
+        """The text tokens of an encoder checkpoint, or of the encoder a CRF
+        or BiLSTM checkpoint embeds, give the ids of page text: a token that
+        is not a string, or one listed twice, would shift them silently."""
+        def change(payload):
+            codec = (payload if kind == "checkpoint" else payload["encoder"])["codec"]
+            if edit == "int":
+                codec["text_tokens"][0] = 7
+            elif edit == "repeated":
+                codec["text_tokens"][1] = codec["text_tokens"][0]
+            else:
+                codec["text_tokens"] = "".join(codec["text_tokens"])
+        line = self.infer_edited(trained, capsys, f"{kind}.json", change,
+                                 f"tokens-{edit}")
+        assert message in line
 
     @pytest.mark.parametrize("kind", ["checkpoint", "crf", "bilstm"])
     def test_empty_split_infers(self, trained, kind):
@@ -1294,6 +1422,46 @@ def multilabel_dir(tmp_path):
     return root
 
 
+class TestDeepJson:
+    """JSON nested deeper than the interpreter's recursion limit, in any file
+    a command parses, exits 2 with one ``error:`` line, as malformed JSON
+    does."""
+
+    DEEP = "[" * 100_000
+
+    @pytest.fixture()
+    def files(self, tmp_path, corpus_dir):
+        deep = tmp_path / "deep.json"
+        deep.write_text(self.DEEP)
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        first = (corpus_dir / manifest["test"]).read_text().splitlines()[0]
+        (corpus_dir / "deep-test.jsonl").write_text(f"{first}\n{self.DEEP}\n")
+        manifest["test"] = "deep-test.jsonl"
+        (corpus_dir / "deep-line.json").write_text(json.dumps(manifest))
+        return str(deep), str(corpus_dir / "manifest.json"), \
+            str(corpus_dir / "deep-line.json"), str(tmp_path / "out")
+
+    @pytest.mark.parametrize("case", ["train-config", "synth-config",
+                                      "infer-checkpoint", "eval-traces",
+                                      "stats-manifest", "split-file-line"])
+    def test_exits_2_with_one_line(self, files, capsys, case):
+        deep, manifest, deep_line, out = files
+        argv = {
+            "train-config": ["train", "--config", deep, "--outdir", out],
+            "synth-config": ["synth", "--config", deep, "--outdir", out],
+            "infer-checkpoint": ["infer", "--checkpoint", deep, "--manifest",
+                                 manifest, "--out", out],
+            "eval-traces": ["eval", "--traces", deep, "--manifest", manifest],
+            "stats-manifest": ["stats", "--manifest", deep],
+            "split-file-line": ["stats", "--manifest", deep_line],
+        }[case]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "nested too deeply" in err[0]
+
+
 class TestUnwritableOutput:
     """An output path that cannot be written, or whose directory cannot be
     made, exits 2 with one ``error:`` line naming it."""
@@ -1371,7 +1539,7 @@ class TestMultilabel:
         cfg_path = tmp_path / "ml-baseline.json"
         cfg_path.write_text(json.dumps(experiment_cfg(
             multilabel_dir, baselines={baseline: True},
-            bilstm={"hidden_dim": 8, "svd_k": 2})))
+            bilstm={"hidden_dim": 8})))
         capsys.readouterr()
         assert main(["train", "--config", str(cfg_path),
                      "--outdir", str(tmp_path / "runs"), "--run-id", "bad"]) == 2

@@ -155,12 +155,10 @@ JSON_LOADS_USERS = {"corpus.read_jsonl", "corpus.load_corpus",
 CONFIG_HASH_USERS = {"cli.provenance_for", "cli.cmd_synth", "cli.cmd_train"}
 
 
-# the writer and the reader of each checkpoint kind: encoder, CRF (which
-# embeds an encoder checkpoint) and BiLSTM (with its page-vector model)
+# the writer and the reader of each checkpoint kind: encoder, and CRF and
+# BiLSTM (each embeds an encoder checkpoint)
 FLOAT_BLOCK_USERS = {"encoder.checkpoint_payload", "encoder.restore_encoder",
-                     "features.page_vector_payload",
-                     "features.page_vector_model_from_payload",
-                     "cli.cmd_train", "cli._restore_model"}
+                     "cli.cmd_train", "cli._bilstm_head"}
 
 
 def users_of(is_use) -> list[str]:

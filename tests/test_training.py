@@ -148,8 +148,7 @@ def tiny_corpus(seed=0, ambiguity=0.0, n_classes=3, self_prob=0.5):
 
 
 def codec_for(split, cap=60_000):
-    vocab = fit_vocabulary(page_tokens(split.train), cap)
-    return TokenCodec(split.vocabulary, vocab.tokens)
+    return TokenCodec(split.vocabulary, fit_vocabulary(page_tokens(split.train), cap))
 
 
 class TestTrainEncoder:
