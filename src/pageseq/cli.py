@@ -24,14 +24,12 @@ arguments or config.
 from __future__ import annotations
 
 import argparse
-import difflib
 import hashlib
 import json
 import sys
 import time
-import typing
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -41,15 +39,21 @@ from .bilstm import BiLstmConfig, bilstm_forward, bilstm_train, init_bilstm
 from .corpus import (
     CHECKPOINT_FORMAT,
     MULTICLASS,
+    ConfigError,
     CorpusError,
     CorpusSplit,
     SynthConfig,
     TypeVocabulary,
-    check_checkpoint_format,
+    _block,
+    _config_from,
+    _label,
+    _typed,
+    check_format,
     class_page_counts,
     float_block,
     generate_synthetic,
     load_corpus,
+    parse_json,
     read_float_block,
     read_text_sha256,
     run_length_stats,
@@ -78,10 +82,6 @@ from .evaluation import (
 from .features import DEFAULT_VOCAB_CAP, fit_vocabulary
 from .recurrence import encode_split, infer_split, page_tokens, read_traces, write_traces
 from .training import TrainConfig, TrainingDiverged, train_encoder
-
-
-class ConfigError(ValueError):
-    """Invalid config file or invalid command arguments."""
 
 
 def canonical_json(obj) -> str:
@@ -117,6 +117,12 @@ def write_json(path: Path, payload: dict) -> None:
                         encoding="utf-8")
 
 
+def _save(path: Path, payload: dict) -> None:
+    """A checkpoint of any kind, written as ``save_checkpoint`` writes it."""
+    with _writing(path):
+        save_checkpoint(path, payload)
+
+
 def _load_artifact(what: str, path, load, *args):
     """``load(path, *args)`` with a missing, unreadable or malformed file
     reported as a ConfigError (exit 2) that names the file."""
@@ -135,76 +141,14 @@ def _load_artifact(what: str, path, load, *args):
 
 
 def _load_config_file(path: str):
-    try:
-        return _load_artifact("config file", path, lambda p: json.loads(
-            Path(p).read_text(encoding="utf-8")))
-    except RecursionError:  # JSON nested deeper than the recursion limit
-        raise ConfigError(f"config file {path}: nested too deeply") from None
+    return _load_artifact("config file", path, lambda p: parse_json(
+        Path(p).read_text(encoding="utf-8")))
 
 
 # ---------------------------------------------------------------------------
 # Config parsing: each JSON block is read against the dataclass it configures
+# (``corpus._config_from``, the reader of checkpoint blocks too)
 # ---------------------------------------------------------------------------
-
-
-def _label(where: str, name: str) -> str:
-    return f"{where}.{name}" if where else name
-
-
-def _block(obj, keys, where: str) -> dict:
-    """``obj`` as a JSON object whose keys are all among ``keys``; an unknown
-    key is reported with the nearest valid one."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config field {where!r} must be an object" if where
-                          else "config must be a JSON object")
-    for key in obj:
-        if key not in keys:
-            near = difflib.get_close_matches(key, keys, n=1)
-            hint = f"; did you mean {near[0]!r}?" if near else ""
-            raise ConfigError(f"unknown config field {_label(where, key)!r}{hint}")
-    return obj
-
-
-def _typed(value, hint, label: str):
-    """``value`` checked against ``hint``: int, float, str, bool, or a tuple
-    of them, which a JSON array becomes.  An int is accepted as a float;
-    NaN and +-Infinity, which Python's json reads, are not."""
-    if typing.get_origin(hint) is tuple:
-        args = typing.get_args(hint)
-        if not isinstance(value, list):
-            raise ConfigError(f"config field {label!r} must be a list")
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ConfigError(f"config field {label!r} must be a list of "
-                              f"{len(args)} values")
-        return tuple(_typed(v, a, f"{label}[{i}]")
-                     for i, (v, a) in enumerate(zip(value, args)))
-    if hint is float and type(value) is int:  # too large for a float: inf
-        value = float(value) if abs(value) <= sys.float_info.max else np.inf
-    if type(value) is not hint:
-        raise ConfigError(f"config field {label!r} must be {hint.__name__}")
-    if hint is float and not np.isfinite(value):
-        raise ConfigError(f"config field {label!r} must be finite")
-    return value
-
-
-def _config_from(cls, obj, where: str, **given):
-    """Dataclass ``cls`` from the JSON object ``obj``, whose keys must be
-    fields of ``cls`` holding values of their types.  A field that ``obj``
-    leaves out takes its value from ``given`` (what the CLI derives, such as
-    seeds), else the dataclass default."""
-    hints = typing.get_type_hints(cls)
-    values = dict(given)
-    for name, value in _block(obj, [f.name for f in fields(cls)], where).items():
-        values[name] = _typed(value, hints[name], _label(where, name))
-    for f in fields(cls):
-        if f.name not in values and f.default is MISSING:
-            raise ConfigError(f"missing config field {_label(where, f.name)!r}")
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{where or 'config'}: {exc}") from None
 
 
 def synth_config_from(obj, where: str = "") -> SynthConfig:
@@ -371,9 +315,9 @@ def cmd_train(args) -> int:
                                    val_docs=split.validation,
                                    encoded=train_encoded)
     tick = time.perf_counter()
-    ckpt = checkpoint_payload(params, encoder_config, codec, mode=mode, seed=seed)
+    ckpt = checkpoint_payload(params, encoder_config, codec, mode=mode)
     ckpt["provenance"] = provenance
-    save_checkpoint(outdir / "checkpoint.json", ckpt)
+    _save(outdir / "checkpoint.json", ckpt)
     write_json(outdir / "report.json",
                {"provenance": provenance, **report.to_payload()})
     # wall clock by stage; encode covers tokenizing, the vocabulary and the
@@ -409,17 +353,19 @@ def cmd_train(args) -> int:
             "encoder": ckpt,
             "provenance": provenance,
         }
-        write_json(outdir / "crf.json", crf_payload)
+        _save(outdir / "crf.json", crf_payload)
         timings["crf_seconds"] = time.perf_counter() - tick
 
     if want_bilstm:
         tick = time.perf_counter()
         bl_params, bl_report = bilstm_train(emissions, golds, offsets, bl_config,
                                             train_config)
-        write_json(outdir / "bilstm.json", {
+        _save(outdir / "bilstm.json", {
             "kind": "bilstm",
             "format": CHECKPOINT_FORMAT,
-            "config": asdict(bl_config),
+            # its input and class counts are the embedded encoder's classes
+            "config": {"hidden_dim": bl_config.hidden_dim,
+                       "init_seed": bl_config.init_seed},
             "params": {k: float_block(v) for k, v in sorted(bl_params.items())},
             "encoder": ckpt,
             "provenance": provenance,
@@ -443,25 +389,13 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _only_numbers(value) -> bool:
-    """Whether ``value`` is a JSON number a float can hold, or a list that
-    nests only such numbers; a bool, which numpy and ``float`` read as 0 or
-    1, is none."""
-    if isinstance(value, list):
-        return all(map(_only_numbers, value))
-    return type(value) is float or type(value) is int and \
-        abs(value) <= sys.float_info.max
-
-
 def _crf_head(payload: dict, n: int):
     """The Viterbi decoder of a CRF checkpoint over ``n`` classes: it keeps
     the encoder's scores and decides each page's class."""
-    for field in ("transition", "start", "emission_scale"):
-        if not _only_numbers(payload[field]):
-            raise ValueError(f"{field} holds a value that is not a "
-                             f"number a float can hold")
-    model = CrfModel(payload["transition"], payload["start"],
-                     float(payload["emission_scale"]))
+    model = CrfModel(
+        _typed(payload["transition"], tuple[tuple[float, ...], ...], "transition"),
+        _typed(payload["start"], tuple[float, ...], "start"),
+        _typed(payload["emission_scale"], float, "emission_scale"))
     if model.n != n:
         raise ValueError(f"{model.n} CRF classes, {n} encoder classes")
 
@@ -471,15 +405,14 @@ def _crf_head(payload: dict, n: int):
 
 
 def _bilstm_head(payload: dict, n: int):
-    """The BiLSTM of a checkpoint over ``n`` classes: it scores each page
-    and decides the argmax."""
-    config = BiLstmConfig(**payload["config"])
+    """The BiLSTM of a checkpoint over ``n`` classes: it reads and scores
+    the encoder's ``n`` classes, and decides the argmax."""
+    config = _config_from(
+        BiLstmConfig, _block(payload["config"], ("hidden_dim", "init_seed"), "config"),
+        "config", complete=True, input_dim=n, n_classes=n)
     params = {name: read_float_block(block, f"parameter {name!r}")
               for name, block in payload["params"].items()}
     check_params(params, init_bilstm(config))
-    if (config.input_dim, config.n_classes) != (n, n):
-        raise ValueError(f"input_dim {config.input_dim} and n_classes "
-                         f"{config.n_classes} must both be the encoder's {n} classes")
 
     def head(emissions, offsets):
         scores = bilstm_forward(params, emissions, offsets)
@@ -511,14 +444,14 @@ def _restore_model(payload):
         if kind == "encoder":
             params, config, codec, recurrent = restore_encoder(payload)
         else:
-            check_checkpoint_format(payload, kind)
+            check_format(payload, kind)
             params, config, codec, recurrent = restore_encoder(payload["encoder"])
             if recurrent:
                 raise ValueError("its encoder must be context-oblivious")
             head = _HEADS[kind](payload, codec.n_classes)
     except KeyError as exc:
         raise ConfigError(f"{kind} checkpoint: missing field {exc}") from None
-    except (ValueError, TypeError, AttributeError, RecursionError) as exc:
+    except (ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"{kind} checkpoint: {exc}") from None
 
     def decode(docs):
@@ -533,16 +466,14 @@ def _restore_model(payload):
 
 
 def _trained_seed(payload: dict) -> int:
-    """The seed a checkpoint's model was trained with: its provenance's,
-    which every ``train`` output records, else the encoder's own; it must
-    be a non-negative int."""
+    """The seed a checkpoint's model was trained with, as the provenance
+    that every ``train`` output records names it; it must be a non-negative
+    int."""
     provenance = payload.get("provenance")
-    if isinstance(provenance, dict) and "seed" in provenance:
-        seed, field = provenance["seed"], "provenance.seed"
-    else:
-        seed, field = payload.get("seed", 0), "seed"
+    seed = provenance.get("seed") if isinstance(provenance, dict) else None
     if type(seed) is not int or seed < 0:
-        raise ConfigError(f"checkpoint field {field!r} must be a non-negative int")
+        raise ConfigError("checkpoint field 'provenance.seed' must be a "
+                          "non-negative int")
     return seed
 
 

@@ -1,6 +1,8 @@
 """Corpus data model, JSONL ingestion, synthetic Markov-document generation,
 and descriptive statistics (page counts, label runs, self-transition rates);
-also the one encoding of float arrays in checkpoint files.
+also the readers every JSON file shares: one whole-file parse, the typed
+reader of config and checkpoint blocks, the format check, and the one
+encoding of float arrays in checkpoint files.
 
 A corpus is a three-way split of documents; each document is an ordered list
 of pages carrying raw text and one or more gold page-type labels.  In memory
@@ -15,13 +17,16 @@ page per line:
 from __future__ import annotations
 
 import base64
+import difflib
 import gc
 import hashlib
 import json
 import math
+import sys
+import typing
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -64,6 +69,12 @@ class TypeVocabulary:
     @property
     def n(self) -> int:
         return len(self.class_names)
+
+    @property
+    def max_labels(self) -> int:
+        """The most classes one page may carry: 1 on a multiclass corpus, n
+        on a multilabel one."""
+        return 1 if self.label_mode == MULTICLASS else self.n
 
 
 class Documents:
@@ -108,8 +119,7 @@ class Documents:
         self.gold = np.zeros((len(labels), n), dtype=bool)
         self.gold[rows, np.array(flat, dtype=np.int64)] = True
         counts = self.gold.sum(axis=1)
-        limit = 1 if self.label_mode == MULTICLASS else n
-        bad = np.flatnonzero((counts == 0) | (counts > limit))
+        bad = np.flatnonzero((counts == 0) | (counts > vocab.max_labels))
         if bad.size:
             row = int(bad[0])
             raise CorpusError(f"{self._page(row)} has no labels" if not counts[row]
@@ -347,21 +357,101 @@ def read_text_sha256(path: Path | str) -> tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint float arrays
+# Whole JSON files, typed blocks, formats and checkpoint float arrays
 # ---------------------------------------------------------------------------
 
-# the layout of every checkpoint kind (encoder, CRF, BiLSTM): the encoder's
-# and the BiLSTM's float arrays are ``float_block``s.  A CRF's own (n x n)
-# transition and n start scores stay lists of numbers, the form in which
-# perfbench/checks.py reads them.
-CHECKPOINT_FORMAT = "f8le-blocks/1"
+
+class ConfigError(ValueError):
+    """Invalid config file or invalid command arguments."""
 
 
-def check_checkpoint_format(payload: dict, kind: str) -> None:
-    """Raise ValueError unless ``payload`` records ``CHECKPOINT_FORMAT``."""
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{kind} format {payload.get('format')!r} is not "
-                         f"{CHECKPOINT_FORMAT!r}; re-run `train` to write it anew")
+def parse_json(text: str):
+    """``json.loads(text)`` of a whole file; JSON nested deeper than the
+    interpreter's recursion limit is a JSONDecodeError ("nested too
+    deeply"), as a syntax error is."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+
+
+def _label(where: str, name: str) -> str:
+    return f"{where}.{name}" if where else name
+
+
+def _block(obj, keys, where: str) -> dict:
+    """``obj`` as a JSON object whose keys are all among ``keys``; an unknown
+    key is reported with the nearest valid one."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config field {where!r} must be an object" if where
+                          else "config must be a JSON object")
+    for key in obj:
+        if key not in keys:
+            near = difflib.get_close_matches(key, keys, n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise ConfigError(f"unknown config field {_label(where, key)!r}{hint}")
+    return obj
+
+
+def _typed(value, hint, label: str):
+    """``value`` checked against ``hint``: int, float, str, bool, or a tuple
+    of them, which a JSON array becomes.  An int is accepted as a float;
+    NaN and +-Infinity, which Python's json reads, are not."""
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        if not isinstance(value, list):
+            raise ConfigError(f"config field {label!r} must be a list")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"config field {label!r} must be a list of "
+                              f"{len(args)} values")
+        return tuple(_typed(v, a, f"{label}[{i}]")
+                     for i, (v, a) in enumerate(zip(value, args)))
+    if hint is float and type(value) is int:  # too large for a float: inf
+        value = float(value) if abs(value) <= sys.float_info.max else np.inf
+    if type(value) is not hint:
+        raise ConfigError(f"config field {label!r} must be {hint.__name__}")
+    if hint is float and not np.isfinite(value):
+        raise ConfigError(f"config field {label!r} must be finite")
+    return value
+
+
+def _config_from(cls, obj, where: str, complete: bool = False, **given):
+    """Dataclass ``cls`` from the JSON object ``obj``, whose keys must be
+    fields of ``cls`` holding values of their types.  A field that ``obj``
+    leaves out takes its value from ``given`` (what the caller derives, such
+    as seeds), else the dataclass default; with ``complete`` (a checkpoint,
+    which records every field) it must be in one of them."""
+    hints = typing.get_type_hints(cls)
+    values = dict(given)
+    for name, value in _block(obj, [f.name for f in fields(cls)], where).items():
+        values[name] = _typed(value, hints[name], _label(where, name))
+    for f in fields(cls):
+        if f.name not in values and (complete or f.default is MISSING):
+            raise ConfigError(f"missing config field {_label(where, f.name)!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where or 'config'}: {exc}") from None
+
+
+# the layout of every checkpoint kind (encoder, CRF, BiLSTM): each fact is
+# stored once, and the encoder's and the BiLSTM's float arrays are
+# ``float_block``s.  A CRF's own (n x n) transition and n start scores stay
+# lists of numbers, the form in which perfbench/checks.py reads them.
+CHECKPOINT_FORMAT = "f8le-blocks/2"
+
+
+def check_format(obj, what: str, expected: str = CHECKPOINT_FORMAT,
+                 command: str = "train") -> None:
+    """Raise ValueError unless the JSON object ``obj`` records the format
+    ``expected``; the message names ``what`` and the ``command`` that
+    writes it anew."""
+    found = obj.get("format") if isinstance(obj, dict) else None
+    if found != expected:
+        raise ValueError(f"{what} format {found!r} is not {expected!r}; "
+                         f"re-run `{command}` to write it anew")
 
 
 def float_block(array) -> dict:
@@ -420,11 +510,9 @@ def load_corpus(path: Path | str,
     """
     path = Path(path)
     try:
-        manifest = json.loads(_read_text(path, "manifest"))
+        manifest = parse_json(_read_text(path, "manifest"))
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: malformed manifest ({exc.msg})") from None
-    except RecursionError:
-        raise CorpusError(f"{path}: malformed manifest (nested too deeply)") from None
     if not isinstance(manifest, dict):
         raise CorpusError(f"{path}: manifest must be a JSON object")
     for key in ("classes", "label_mode", *SPLIT_NAMES):

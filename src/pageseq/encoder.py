@@ -57,8 +57,10 @@ from .corpus import (
     CHECKPOINT_FORMAT,
     MULTICLASS,
     TypeVocabulary,
-    check_checkpoint_format,
+    _config_from,
+    check_format,
     float_block,
+    parse_json,
     read_float_block,
     read_text_sha256,
 )
@@ -117,6 +119,9 @@ class EncoderConfig:
             raise ValueError("d and max_len must be positive (max_len >= 3)")
         if self.n_heads < 1 or self.n_layers < 0:
             raise ValueError("n_heads must be >= 1 and n_layers >= 0")
+        if self.variant == TINY_TRANSFORMER and self.n_layers < 1:
+            # without a layer the CLS row never reads the text
+            raise ValueError("the tiny transformer needs n_layers >= 1")
         if self.variant == TINY_TRANSFORMER and self.d % self.n_heads != 0:
             raise ValueError("d must be divisible by n_heads")
         if not 0.0 <= self.dropout < 1.0:
@@ -127,9 +132,8 @@ class EncoderConfig:
 
 def check_max_len(config: EncoderConfig, codec: TokenCodec) -> None:
     """Raise ValueError unless ``max_len`` holds CLS, the most context tokens
-    a page is fed (one on a multiclass corpus, one per class on a multilabel
-    one) and one text token."""
-    context = 1 if codec.type_vocab.label_mode == MULTICLASS else codec.n_classes
+    a page is fed (one per class it may carry) and one text token."""
+    context = codec.type_vocab.max_labels
     if config.max_len < 2 + context:
         raise ValueError(f"max_len must be >= {2 + context} (CLS, {context} "
                          f"context token(s) and one text token)")
@@ -467,8 +471,6 @@ def _transformer_fwd(params, ids, config, dropout_rng, scratch):
                           p + "drop2/")
         x += h2
         caches.append((ln1_cache, attn_cache, m1, ln2_cache, f, gelu_cache, u, m2))
-    if not config.n_layers:
-        x = x[cls]
     cls_out, lnf_cache = _layernorm_fwd(x, params["lnf_g"], params["lnf_b"], scratch,
                                         "lnf/")
     scores = cls_out @ params["head_w"] + params["head_b"]
@@ -528,8 +530,6 @@ def _transformer_bwd(dscores, params, cache, config, scratch):
         grads[p + "ln1_b"] += db1
         dx_ln1[cls if layer == config.n_layers - 1 else slice(None)] += dx  # residual
         dx = dx_ln1
-    if not config.n_layers:                 # no layers: only CLS was read
-        tokens, slots = tokens[cls], slots[cls]
     grads["emb"] = _embedding_grad(tokens, dx, params["emb"].shape[0])
     b, l = mask.shape
     grads["pos"][:l] += _padded(dx, slots, b, l, scratch, "pos.grid").sum(axis=0)
@@ -619,14 +619,14 @@ def loss_and_grad(params: dict, ids: np.ndarray, targets: np.ndarray,
 
 
 def checkpoint_payload(params: dict, config: EncoderConfig, codec: TokenCodec,
-                       mode: str, seed: int) -> dict:
-    """An encoder checkpoint's JSON body; ``restore_encoder`` checks it."""
+                       mode: str) -> dict:
+    """An encoder checkpoint's JSON body; ``restore_encoder`` checks it.  The
+    label mode is the codec's ``vocab_label_mode``; the seed is the one the
+    ``train`` provenance records."""
     return {
         "kind": "encoder",
         "format": CHECKPOINT_FORMAT,
         "mode": mode,
-        "label_mode": codec.type_vocab.label_mode,
-        "seed": seed,
         "tokenizer_version": TOKENIZER_VERSION,
         "config": asdict(config),
         "codec": {
@@ -639,6 +639,7 @@ def checkpoint_payload(params: dict, config: EncoderConfig, codec: TokenCodec,
 
 
 def save_checkpoint(path: Path | str, payload: dict) -> None:
+    """Write a checkpoint of any kind: compact JSON, keys sorted."""
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
@@ -646,23 +647,20 @@ def restore_encoder(payload: dict):
     """Rebuild (params, config, codec, recurrent) from a payload.
 
     Raises ValueError unless the payload records ``CHECKPOINT_FORMAT`` and
-    ``TOKENIZER_VERSION``, ``mode`` is one of ``MODES``, the top-level
-    ``label_mode`` is the codec's, the codec's text tokens are distinct
-    strings, and the parameters are float blocks of exactly the names and
-    shapes ``init_params`` gives.
+    ``TOKENIZER_VERSION``, ``mode`` is one of ``MODES``, ``config`` holds
+    every ``EncoderConfig`` field with a value of its type, the codec's text
+    tokens are distinct strings, and the parameters are float blocks of
+    exactly the names and shapes ``init_params`` gives.
     """
     if payload.get("kind") != "encoder":
         raise ValueError("not an encoder checkpoint")
-    check_checkpoint_format(payload, "encoder")
+    check_format(payload, "encoder")
     check_tokenizer_version(payload)
     if payload["mode"] not in MODES:
         raise ValueError(f"mode {payload['mode']!r} is not one of {MODES}")
-    config = EncoderConfig(**payload["config"])
+    config = _config_from(EncoderConfig, payload["config"], "config", complete=True)
     vocab = TypeVocabulary(tuple(payload["codec"]["classes"]),
                            payload["codec"]["vocab_label_mode"])
-    if payload["label_mode"] != vocab.label_mode:
-        raise ValueError(f"label_mode {payload['label_mode']!r} differs from the "
-                         f"codec's {vocab.label_mode!r}")
     tokens = payload["codec"]["text_tokens"]
     if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str}:
         raise ValueError("codec.text_tokens must be a list of strings")
@@ -693,10 +691,6 @@ def check_params(params: dict, expected: dict) -> None:
 
 def load_checkpoint(path: Path | str) -> tuple[dict, str]:
     """The payload of a checkpoint file of any kind and the SHA-256 of the
-    file's bytes; the file is read once.  JSON nested deeper than the
-    interpreter's recursion limit is a JSONDecodeError, as a syntax error is."""
+    file's bytes; the file is read once."""
     text, digest = read_text_sha256(path)
-    try:
-        return json.loads(text), digest
-    except RecursionError:
-        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+    return parse_json(text), digest

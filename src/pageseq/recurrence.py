@@ -31,7 +31,8 @@ import numpy as np
 
 from . import encoder
 from .corpus import (FIRST_PAGE_TOKEN, MULTICLASS, Documents, TypeVocabulary,
-                     first_appearance, gc_paused, page_positions, read_jsonl)
+                     check_format, first_appearance, gc_paused, page_positions,
+                     read_jsonl)
 from .encoder import CLS_ID, FIRST_ID, PAD_ID, EncoderConfig, TokenCodec, predict
 from .features import tokenize
 
@@ -215,6 +216,10 @@ def infer_split(params: dict, docs: Documents,
 # Trace files: one JSONL line per page with scores, decision, and context fed
 # ---------------------------------------------------------------------------
 
+# the layout of a trace file, recorded in its header line (a file written
+# without provenance has no header, and is read as this layout)
+TRACE_FORMAT = "pageseq-trace/1"
+
 
 def _names_json(indicator: np.ndarray, names: Sequence[str]) -> list[str]:
     """The JSON list of the names of each row's set columns, in column order;
@@ -231,7 +236,8 @@ def write_traces(trace: SplitTrace, path: Path | str, vocab: TypeVocabulary,
                  provenance: dict | None = None) -> None:
     lines = []
     if provenance is not None:
-        lines.append(json.dumps({"provenance": provenance}, sort_keys=True))
+        lines.append(json.dumps({"format": TRACE_FORMAT, "provenance": provenance},
+                                sort_keys=True))
     labels = _names_json(trace.labels, vocab.class_names)
     contexts = (_names_json(trace.context, (FIRST_PAGE_TOKEN, *vocab.class_names))
                 if trace.context.any() else ["null"] * len(labels))
@@ -301,9 +307,11 @@ def read_traces(path: Path | str, vocab: TypeVocabulary,
     read.  Documents come in order of first appearance, and their pages in
     ``page_index`` order, which must run 0..l-1.
 
-    The fields are checked a column at a time; only once a check has failed
-    does a pass over the pages name the first bad one.  In a file with
-    several faults, the one reported may not be the first in file order."""
+    A header line (one with a provenance and no doc_id) must record
+    ``TRACE_FORMAT``.  The fields are checked a column at a time; only once a
+    check has failed does a pass over the pages name the first bad one.  In a
+    file with several faults, the one reported may not be the first in file
+    order."""
     if text is None:
         text = Path(path).read_text(encoding="utf-8")
     try:
@@ -311,7 +319,12 @@ def read_traces(path: Path | str, vocab: TypeVocabulary,
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: malformed JSON ({exc.msg} at "
                          f"column {exc.colno})") from None
-    pages = [obj for obj in objs if "doc_id" in obj or "provenance" not in obj]
+    pages = []
+    for obj in objs:
+        if "doc_id" in obj or "provenance" not in obj:
+            pages.append(obj)
+        else:  # a header
+            check_format(obj, "trace", TRACE_FORMAT, "infer")
     if not pages:
         return SplitTrace.blank([], np.zeros(1, dtype=np.int64), vocab.n)
     # one list per field: per-page tuples would live long enough to be
@@ -348,7 +361,7 @@ def read_traces(path: Path | str, vocab: TypeVocabulary,
         raise ValueError(f"{_page_name(pages[bad[0]])} has a score that is not finite")
     labels = _indicator(labels, "labels", pages, vocab.class_names)
     counts = labels.sum(axis=1)
-    limit = 1 if vocab.label_mode == MULTICLASS else vocab.n
+    limit = vocab.max_labels
     bad = np.flatnonzero((counts == 0) | (counts > limit))
     if bad.size:
         raise ValueError(f"{_page_name(pages[bad[0]])} has {counts[bad[0]]} labels "

@@ -406,12 +406,15 @@ def trace_pages(trace) -> list[tuple[str, list[Page]]]:
 
 
 def write_traces_per_page(trace, path, vocab, provenance=None) -> None:
-    """Reference trace writer: one ``json.dumps`` of each page's record."""
+    """Reference trace writer: one ``json.dumps`` of each page's record,
+    after a header of the trace format and the provenance."""
     from pageseq.corpus import FIRST_PAGE_TOKEN
+    from pageseq.recurrence import TRACE_FORMAT
 
     lines = []
     if provenance is not None:
-        lines.append(json.dumps({"provenance": provenance}, sort_keys=True))
+        lines.append(json.dumps({"format": TRACE_FORMAT, "provenance": provenance},
+                                sort_keys=True))
     for doc_id, pages in trace_pages(trace):
         for t, (scores, labels, context) in enumerate(pages):
             lines.append(json.dumps({
@@ -445,6 +448,7 @@ def read_traces_per_page(path, vocab):
     ``recurrence.read_traces`` gives: a file with one fault gets its
     message."""
     from pageseq.corpus import FIRST_PAGE_TOKEN
+    from pageseq.recurrence import TRACE_FORMAT
 
     docs: dict = {}
     fed = set()
@@ -458,6 +462,10 @@ def read_traces_per_page(path, vocab):
             raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg} at "
                              f"column {exc.colno})") from None
         if "provenance" in obj and "doc_id" not in obj:
+            found = obj.get("format") if isinstance(obj, dict) else None
+            if found != TRACE_FORMAT:
+                raise ValueError(f"trace format {found!r} is not {TRACE_FORMAT!r}; "
+                                 f"re-run `infer` to write it anew")
             continue
         page = f"page {obj['page_index']} of {obj['doc_id']!r}"
         for field, kinds, what in (("doc_id", (str,), "a string"),

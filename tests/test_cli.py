@@ -27,7 +27,7 @@ from pageseq.corpus import (
 from pageseq.crf import emissions_from_logits
 from pageseq.encoder import EncoderConfig
 from pageseq.evaluation import align_traces, score
-from pageseq.recurrence import SplitTrace, read_traces, write_traces
+from pageseq.recurrence import TRACE_FORMAT, SplitTrace, read_traces, write_traces
 from pageseq.training import TrainConfig
 
 from oracles import (
@@ -399,8 +399,7 @@ class TestTrain:
         payload = json.loads((runs / "oblivious" / "bilstm.json").read_text())
         assert payload.keys() == {"kind", "format", "config", "params", "encoder",
                                   "provenance"}
-        assert payload["config"]["input_dim"] == payload["config"]["n_classes"] == 4
-        assert payload["config"]["hidden_dim"] == 128
+        assert payload["config"] == {"hidden_dim": 128, "init_seed": 0}
         assert payload["encoder"] == json.loads(
             (runs / "oblivious" / "checkpoint.json").read_text())
 
@@ -427,12 +426,12 @@ class TestTrain:
     # the SHA-256 of each artifact of the pinned run below
     PINNED = {
         "checkpoint.json":
-            "d0df3bf7e8536fda5816dd7c696ffb717970c258a8ef8adc7a4326be4537262a",
-        "crf.json": "8d6fe6f912d68e4bb5158a87b0ee6610a76e56a09e4c997e56087c253cbcfc90",
+            "37208a3b75b3f58829b02c85bc5ecc171b14d29810c012836154849f2a15475e",
+        "crf.json": "b5ccb360919ebc1530b31afabf224e70a12ebe22ea539313d999494b79b829e5",
         "checkpoint.json test traces":
-            "46cffa8fc15fb8ae4e46a31c44fd3533e0a7160afb700e0c895c9329694340e0",
+            "16a0e7ffeedd7b2aa8cd10d04ef48c892fbc97c228692c1c032fe63f7b543b5c",
         "crf.json test traces":
-            "786c38f1addbdefa0125f78dadd370083d928824793f249bab3def0a0025a4c8",
+            "4566a58291d01f06bb8eddf85afd212bb69b3f6e6d092bc5be90684cf7ad76b5",
     }
 
     def test_encoder_and_crf_bytes_are_pinned(self, tmp_path, corpus_dir):
@@ -680,7 +679,7 @@ class TestInputDigests:
         assert lines_a[1:] == lines_b[1:] and len(lines_a) > 1
         ref = {"checkpoint_sha256": sha(resaved), "split": "test"}
         assert json.loads(lines_b[0]) == {
-            "provenance": cli.provenance_for("infer", ref, 1)}
+            "format": TRACE_FORMAT, "provenance": cli.provenance_for("infer", ref, 1)}
         assert lines_a[0] != lines_b[0]
 
     @pytest.mark.parametrize("encode", [
@@ -841,6 +840,35 @@ class TestBaselineCheckpoints:
                            bilstm={"hidden_dim": 8})
         return tmp_path, corpus_dir, outdir
 
+    # the top-level keys of each checkpoint kind
+    ENCODER_KEYS = {"kind", "format", "mode", "tokenizer_version", "config", "codec",
+                    "params", "provenance"}
+    CRF_KEYS = {"kind", "format", "l2", "transition", "start", "emission_scale",
+                "converged", "iterations", "projected_gradient_max", "encoder",
+                "provenance"}
+    BILSTM_KEYS = {"kind", "format", "config", "params", "encoder", "provenance"}
+
+    def test_each_fact_is_stored_once(self, trained):
+        """The label mode is the codec's alone, the seed the provenance's
+        alone, and the BiLSTM's input and class counts are the embedded
+        encoder's classes, stored nowhere.  Every kind is the compact JSON of
+        ``save_checkpoint`` and records the checkpoint format."""
+        outdir = trained[2]
+        texts = {name: (outdir / name).read_text()
+                 for name in ("checkpoint.json", "crf.json", "bilstm.json")}
+        encoder, crf, bilstm = (json.loads(text) for text in texts.values())
+        assert encoder.keys() == self.ENCODER_KEYS
+        assert encoder["codec"].keys() == {"classes", "vocab_label_mode",
+                                           "text_tokens"}
+        assert crf.keys() == self.CRF_KEYS
+        assert bilstm.keys() == self.BILSTM_KEYS
+        assert bilstm["config"].keys() == {"hidden_dim", "init_seed"}
+        assert crf["encoder"] == bilstm["encoder"] == encoder
+        for text in texts.values():
+            payload = json.loads(text)
+            assert payload["format"] == CHECKPOINT_FORMAT == "f8le-blocks/2"
+            assert text == json.dumps(payload, sort_keys=True)
+
     @staticmethod
     def edit_crf(payload, edit):
         if edit in ("transition", "start", "encoder", "emission_scale"):
@@ -907,14 +935,19 @@ class TestBaselineCheckpoints:
         elif edit == "nan_encoder_param":
             edit_block(payload["encoder"]["params"], "emb",
                        lambda a: np.put(a, 0, np.nan))
-        elif edit == "input_dim":  # consistent params, not the encoder's width
-            payload["config"]["input_dim"] = 2
+        elif edit == "input_dim":  # a BiLSTM over 2 inputs, not the encoder's 3
             edit_block(payload["params"], "fw_w", lambda a: a[:, :2])
             edit_block(payload["params"], "bw_w", lambda a: a[:, :2])
         elif edit == "n_classes":
-            payload["config"]["n_classes"] = 2
             edit_block(payload["params"], "head_w", lambda a: a[:, :2])
             edit_block(payload["params"], "head_b", lambda a: a[:2])
+        elif edit in ("config_input_dim", "config_n_classes"):
+            # set by the head from the encoder, never read from the file
+            payload["config"][edit.removeprefix("config_")] = 3
+        elif edit == "float_hidden_dim":
+            payload["config"]["hidden_dim"] = 8.0
+        elif edit == "no_hidden_dim":  # not filled with the default
+            del payload["config"]["hidden_dim"]
         elif edit == "encoder_list":
             payload["encoder"] = []
         elif edit == "recurrent_encoder":
@@ -953,7 +986,9 @@ class TestBaselineCheckpoints:
                                 "missing_param", "narrow_head", "hidden_dim",
                                 "two_classes", "input_dim", "nan_param",
                                 "encoder", "nan_encoder_param", "n_classes",
-                                "encoder_list", "recurrent_encoder")
+                                "encoder_list", "recurrent_encoder",
+                                "config_input_dim", "config_n_classes",
+                                "float_hidden_dim", "no_hidden_dim")
     ])
     def test_bad_payload_exits_2(self, trained, capsys, kind, edit):
         self.infer_edited(trained, capsys, f"{kind}.json",
@@ -982,14 +1017,17 @@ class TestBaselineCheckpoints:
     @pytest.mark.parametrize("name, kind, part", FORMATTED,
                              ids=["encoder", "crf", "crf-encoder", "bilstm",
                                   "bilstm-encoder"])
-    @pytest.mark.parametrize("edit", ["unknown", "missing", "lists"])
+    @pytest.mark.parametrize("edit", ["unknown", "previous", "missing", "lists"])
     def test_format_exits_2(self, trained, capsys, name, kind, part, edit):
-        """A checkpoint of another format, of none, or laid out as one
-        written before float blocks is refused with a line that names its
-        kind and says to re-run ``train``."""
+        """A checkpoint of another format (such as ``f8le-blocks/1``, which
+        stored the label mode and the seed twice), of none, or laid out as
+        one written before float blocks is refused with a line that names
+        its kind and says to re-run ``train``."""
         def change(payload):
             if edit == "unknown":
                 part(payload)["format"] = "f8le-blocks/0"
+            elif edit == "previous":
+                part(payload)["format"] = "f8le-blocks/1"
             elif edit == "missing":
                 del part(payload)["format"]
             else:
@@ -1243,6 +1281,31 @@ class TestBadArtifacts:
         assert f"page {last['page_index']} of " in err[0] and message in err[0]
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.parametrize("header", [
+        lambda h: h.update(format="pageseq-trace/0"),
+        lambda h: h.pop("format"),
+    ], ids=["other", "none"])
+    def test_trace_header_format(self, trained, command, header, capsys):
+        """A trace whose header names another format, or none (as ``infer``
+        wrote it before traces recorded one), is refused with a line that
+        says to re-run ``infer``."""
+        tmp_path, corpus_dir, _, traces = trained
+        first, *pages = traces.read_text().splitlines(keepends=True)
+        assert json.loads(first)["format"] == TRACE_FORMAT
+        edited = json.loads(first)
+        header(edited)
+        bad = tmp_path / "old-header.jsonl"
+        bad.write_text(json.dumps(edited) + "\n" + "".join(pages))
+        argv = (["eval", "--traces", str(bad)] if command == "eval" else
+                ["compare", "--traces-a", str(traces), "--traces-b", str(bad)])
+        capsys.readouterr()
+        assert main(argv + ["--manifest", str(corpus_dir / "manifest.json"),
+                            "--split", "test"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: trace file {bad}: ")
+        assert "trace format" in err[0] and "re-run `infer`" in err[0]
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
     def test_trace_json_error_names_its_line(self, trained, command, capsys):
         """Each line is parsed on its own, but the error names the file's line."""
         tmp_path, corpus_dir, _, traces = trained
@@ -1257,6 +1320,20 @@ class TestBadArtifacts:
                             "--split", "test"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"{bad}:4: malformed JSON" in err[0]
+
+    @pytest.mark.parametrize("value", [16.0, "16", None])
+    def test_checkpoint_config_of_another_type(self, trained, capsys, value):
+        """A linear checkpoint whose ``config.max_len`` is no int is read by
+        the typed reader of config files, and refused with one line."""
+        tmp_path, corpus_dir, outdir, _ = trained
+        payload = json.loads((outdir / "checkpoint.json").read_text())
+        payload["config"]["max_len"] = value
+        ckpt = tmp_path / "float-max-len.json"
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert self.infer(tmp_path, corpus_dir, ckpt) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: encoder checkpoint: config field 'config.max_len' must be int"]
 
     def test_non_finite_parameter(self, trained, capsys):
         tmp_path, corpus_dir, outdir, _ = trained
@@ -1343,12 +1420,12 @@ class TestBadArtifacts:
         lambda p: p["provenance"].update(seed=-1),
         lambda p: p["provenance"].update(seed=True),
         lambda p: p["provenance"].update(seed=1.0),
-        lambda p: p.update(seed="1") or p.pop("provenance"),
-    ], ids=["list", "negative", "bool", "float", "top-level-string"])
+        lambda p: p.update(seed=1) or p.pop("provenance"),
+    ], ids=["list", "negative", "bool", "float", "top-level-only"])
     def test_trained_seed_must_be_a_non_negative_int(self, trained, capsys, edit):
         """The seed a trace header records comes from the checkpoint's
-        provenance, else its own ``seed``; anything but a non-negative int
-        there is refused."""
+        provenance alone (a top-level ``seed`` is not read); anything but a
+        non-negative int there is refused."""
         tmp_path, corpus_dir, outdir, _ = trained
         payload = json.loads((outdir / "checkpoint.json").read_text())
         edit(payload)
@@ -1357,8 +1434,8 @@ class TestBadArtifacts:
         capsys.readouterr()
         assert self.infer(tmp_path, corpus_dir, ckpt) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: checkpoint field ")
-        assert "seed' must be a non-negative int" in err[0]
+        assert err == ["error: checkpoint field 'provenance.seed' must be a "
+                       "non-negative int"]
 
     def test_short_embedding_table(self, trained):
         tmp_path, corpus_dir, outdir, _ = trained
@@ -1381,22 +1458,28 @@ class TestBadArtifacts:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "label mode" in err[0]
 
-    @pytest.mark.parametrize("field, value", [("mode", "recurrnt"),
-                                              ("label_mode", "bogus"),
-                                              ("label_mode", "multilabel")])
-    def test_bad_mode_or_label_mode(self, trained, capsys, field, value):
-        """A mode that is not a decoding mode, or a label_mode other than the
-        codec's, must not decode."""
+    @pytest.mark.parametrize("field, value, message", [
+        ("mode", "recurrnt", "mode 'recurrnt'"),
+        ("label_mode", "bogus", "label_mode 'bogus'"),
+        ("label_mode", "multilabel", "label mode do not match"),
+    ], ids=["mode-recurrnt", "label_mode-bogus", "label_mode-multilabel"])
+    def test_bad_mode_or_label_mode(self, trained, capsys, field, value, message):
+        """A mode that is not a decoding mode, or a label mode (the codec's
+        ``vocab_label_mode``, its one record) that is none or not the
+        manifest's, must not decode."""
         tmp_path, corpus_dir, outdir, _ = trained
         payload = json.loads((outdir / "checkpoint.json").read_text())
-        payload[field] = value
+        if field == "mode":
+            payload["mode"] = value
+        else:
+            payload["codec"]["vocab_label_mode"] = value
         ckpt = tmp_path / "edited.json"
         ckpt.write_text(json.dumps(payload))
         capsys.readouterr()
         assert self.infer(tmp_path, corpus_dir, ckpt) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert field in err[0] and repr(value) in err[0]
+        assert message in err[0]
 
 
 # Class order is not alphabetical, so ascending class order shows in traces.
@@ -1505,6 +1588,23 @@ class TestUnwritableOutput:
         assert len(err) == 1 and err[0].startswith("error: cannot write ")
         assert str(path) in err[0]
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("name", ["checkpoint.json", "crf.json", "bilstm.json"])
+    def test_train_checkpoint_path_is_a_directory(self, trained, name, capsys):
+        """Every checkpoint kind is written one way: a path that cannot be
+        written exits 2 with one line naming it."""
+        tmp_path, corpus_dir, _, _ = trained
+        cfg = tmp_path / "baselines.json"
+        cfg.write_text(json.dumps(experiment_cfg(
+            corpus_dir, baselines={"crf": True, "bilstm": True},
+            bilstm={"hidden_dim": 8})))
+        blocked = tmp_path / "runs" / f"dir-{name}" / name
+        blocked.mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--outdir",
+                     str(tmp_path / "runs"), "--run-id", f"dir-{name}"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: cannot write {blocked}: Is a directory"]
 
 
 class TestMultilabel:
@@ -1676,6 +1776,9 @@ class TestConfigReader:
                      [], ["n_heads"], id="n_heads-negative"),
         pytest.param("train", lambda c: experiment_cfg(c, encoder=dict(TINY, n_layers=-1)),
                      [], ["n_layers"], id="n_layers-negative"),
+        # without a layer the CLS row never reads the text
+        pytest.param("train", lambda c: experiment_cfg(c, encoder=dict(TINY, n_layers=0)),
+                     [], ["n_layers"], id="n_layers-zero"),
         pytest.param("train", lambda c: experiment_cfg(c, seed=-1), [], ["seed"],
                      id="seed-negative"),
         pytest.param("train", experiment_cfg, ["--seed", "-1"], ["seed"],

@@ -21,7 +21,7 @@ from pageseq.corpus import (
     RunLengthStats,
     SynthConfig,
     TypeVocabulary,
-    check_checkpoint_format,
+    check_format,
     class_page_counts,
     document_rows,
     float_block,
@@ -1025,7 +1025,7 @@ class TestFloatBlocks:
 
     @pytest.mark.parametrize("value", [None, "f8le-blocks/0", 1])
     def test_checkpoint_format(self, value):
-        check_checkpoint_format({"format": CHECKPOINT_FORMAT}, "encoder")
+        check_format({"format": CHECKPOINT_FORMAT}, "encoder")
         payload = {} if value is None else {"format": value}
         with pytest.raises(ValueError, match="crf format .* re-run `train`"):
-            check_checkpoint_format(payload, "crf")
+            check_format(payload, "crf")

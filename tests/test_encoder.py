@@ -231,7 +231,7 @@ class TestTransformerAgainstFullSequence:
     """forward_batch computes only the CLS row in the last layer; the oracle
     computes every row in every layer."""
 
-    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_random_ragged_batches(self, n_layers):
         codec = make_codec()
         config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=n_layers,
@@ -257,7 +257,7 @@ def transformer_cases(draw):
     rows = draw(st.lists(
         st.lists(st.integers(1, 12), max_size=8).map(lambda t: [CLS_ID] + t),
         min_size=1, max_size=6))
-    return (draw(st.integers(0, 3)), draw(st.sampled_from([MULTICLASS, MULTILABEL])),
+    return (draw(st.integers(1, 3)), draw(st.sampled_from([MULTICLASS, MULTILABEL])),
             draw(st.sampled_from([0.0, 0.1])), draw(st.integers(0, 2**16)),
             rows, draw(st.integers(0, 2)))
 
@@ -309,7 +309,7 @@ def pool_cases(draw):
     id rows (CLS first) for one shared pool."""
     batch = st.lists(st.lists(st.integers(1, 12), max_size=10).map(lambda t: [CLS_ID] + t),
                      min_size=1, max_size=5)
-    return (draw(st.integers(0, 3)), draw(st.sampled_from([0.0, 0.1])),
+    return (draw(st.integers(1, 3)), draw(st.sampled_from([0.0, 0.1])),
             draw(st.integers(0, 2**16)), draw(st.lists(batch, min_size=1, max_size=4)))
 
 
@@ -506,20 +506,6 @@ class TestGradients:
             np.testing.assert_allclose(numeric.pop(name), 0.0, atol=1e-10)
         assert_grads_close(grads, numeric, rel_tol=1e-4)
 
-    def test_transformer_without_layers_gradients(self):
-        """No layers: the final layernorm reads the CLS embedding alone."""
-        codec = make_codec()
-        config = EncoderConfig(variant="tiny-transformer", d=6, n_layers=0,
-                               max_len=8, init_seed=8)
-        rng = np.random.default_rng(31)
-        params = {name: rng.normal(0.0, 0.4, size=value.shape)
-                  for name, value in init_params(config, codec).items()}
-        batch = fd_batch(codec)
-        _, grads = loss_and_grad(params, *batch, config, MULTICLASS)
-        numeric = finite_diff_grads(
-            lambda p: loss_and_grad(p, *batch, config, MULTICLASS)[0], params)
-        assert_grads_close(grads, numeric, rel_tol=1e-4)
-
     def test_special_token_embeddings_receive_gradient(self):
         codec = make_codec()
         config = EncoderConfig(variant="linear", d=6, max_len=8)
@@ -599,7 +585,7 @@ class TestEmbeddingGradientAgainstScatter:
         assert same_bits(encoder._linear_bwd(dscores, params, cache)["emb"],
                          scatter_linear_bwd(dscores, params, cache)["emb"])
 
-    @pytest.mark.parametrize("n_layers", [0, 2])
+    @pytest.mark.parametrize("n_layers", [1, 2])
     def test_transformer_matches_scatter(self, n_layers, monkeypatch):
         codec = make_codec()
         config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=n_layers,
@@ -626,8 +612,9 @@ class TestCheckpoint:
         config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=1,
                                n_heads=2, max_len=12)
         params = init_params(config, codec)
-        payload = checkpoint_payload(params, config, codec, mode="recurrent", seed=7)
-        assert payload["label_mode"] == codec.type_vocab.label_mode
+        payload = checkpoint_payload(params, config, codec, mode="recurrent")
+        assert payload["codec"]["vocab_label_mode"] == codec.type_vocab.label_mode
+        assert "label_mode" not in payload and "seed" not in payload
         assert payload["tokenizer_version"] == TOKENIZER_VERSION
         params2, config2, codec2, recurrent = restore_encoder(payload)
         assert config2 == config
@@ -643,7 +630,7 @@ class TestCheckpoint:
         config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=1,
                                n_heads=2, max_len=12)
         payload = checkpoint_payload(init_params(config, codec), config, codec,
-                                     mode="oblivious", seed=0)
+                                     mode="oblivious")
         params = payload["params"]
         if edit == "narrow_head":
             params["head_w"] = float_block(
@@ -662,18 +649,48 @@ class TestCheckpoint:
         codec = make_codec()
         config = EncoderConfig(variant="linear", d=4, max_len=8)
         payload = checkpoint_payload(init_params(config, codec), config, codec,
-                                     mode="oblivious", seed=0)
+                                     mode="oblivious")
         payload["tokenizer_version"] = version
         with pytest.raises(ValueError, match="tokenizer version mismatch"):
             restore_encoder(payload)
 
     @pytest.mark.parametrize("field, value", [("mode", "recurrnt"),
-                                              ("label_mode", MULTILABEL)])
+                                              ("label_mode", "bogus")])
     def test_restore_checks_mode_and_label_mode(self, field, value):
+        """A mode that is not a decoding mode, or a label mode that is no
+        label mode (the codec's ``vocab_label_mode``, its one record)."""
         codec = make_codec()
         config = EncoderConfig(variant="linear", d=4, max_len=8)
         payload = checkpoint_payload(init_params(config, codec), config, codec,
-                                     mode="oblivious", seed=0)
-        payload[field] = value
-        with pytest.raises(ValueError, match=field):
+                                     mode="oblivious")
+        if field == "mode":
+            payload["mode"] = value
+        else:
+            payload["codec"]["vocab_label_mode"] = value
+        with pytest.raises(ValueError, match=f"{field} {value!r}"):
+            restore_encoder(payload)
+
+    @pytest.mark.parametrize("value", [16.0, "16", True, None])
+    def test_restore_reads_config_with_types(self, value):
+        """``config`` is read by the typed reader of config files: a field
+        of the wrong type is a ValueError naming it."""
+        codec = make_codec()
+        config = EncoderConfig(variant="linear", d=4, max_len=8)
+        payload = checkpoint_payload(init_params(config, codec), config, codec,
+                                     mode="oblivious")
+        payload["config"]["max_len"] = value
+        with pytest.raises(ValueError, match="'config.max_len' must be int"):
+            restore_encoder(payload)
+
+    @pytest.mark.parametrize("field", ["max_len", "d", "init_seed"])
+    def test_restore_needs_every_config_field(self, field):
+        """A checkpoint records every config field: one left out is refused,
+        not filled with its default (a linear encoder restored with the
+        default ``max_len`` would truncate its pages elsewhere)."""
+        codec = make_codec()
+        config = EncoderConfig(variant="linear", d=4, max_len=8)
+        payload = checkpoint_payload(init_params(config, codec), config, codec,
+                                     mode="oblivious")
+        del payload["config"][field]
+        with pytest.raises(ValueError, match=f"missing config field 'config.{field}'"):
             restore_encoder(payload)

@@ -20,6 +20,7 @@ from pageseq.encoder import (
     predict,
 )
 from pageseq.recurrence import (
+    TRACE_FORMAT,
     SplitTrace,
     augment_input,
     encode_split,
@@ -867,6 +868,24 @@ class TestTraceFiles:
             with pytest.raises((ValueError, KeyError, TypeError)) as ref:
                 oracles.read_traces_per_page(path, vocab)
         assert (type(ours.value), str(ours.value)) == (type(ref.value), str(ref.value))
+
+    def test_header_records_the_trace_format(self, tmp_path):
+        """A header names ``TRACE_FORMAT``; a header of another format or of
+        none is refused, and a trace written without provenance, which has
+        no header, is read."""
+        vocab, trace = unicode_example()
+        path = tmp_path / "t.jsonl"
+        write_traces(trace, path, vocab, provenance={"seed": 0})
+        header, *pages = path.read_text().splitlines(keepends=True)
+        assert json.loads(header) == {"format": TRACE_FORMAT, "provenance": {"seed": 0}}
+        for edited in ({"provenance": {"seed": 0}},
+                       {"format": "pageseq-trace/0", "provenance": {"seed": 0}}):
+            path.write_text(json.dumps(edited) + "\n" + "".join(pages))
+            with pytest.raises(ValueError, match=r"trace format .* re-run `infer`"):
+                read_traces(path, vocab)
+        write_traces(trace, path, vocab)
+        assert "provenance" not in path.read_text()
+        np.testing.assert_array_equal(read_traces(path, vocab).labels, trace.labels)
 
     def test_first_page_context_serialized_as_reserved_token(self, tmp_path):
         codec = briefs_codec()

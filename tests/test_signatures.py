@@ -18,9 +18,14 @@ Rows are summed by index with ``np.bincount``, never with ``np.add.at``:
 both add in index order, and ``add.at`` took about half of the linear
 encoder's ``loss_and_grad``.
 
-JSONL files have one line reader.  ``json.loads`` is used only by it and by
-the loaders of whole JSON files (manifest, config, checkpoint), so no other
-reader parses a file line by line.
+JSON files have two parsers: the JSONL line reader, and ``corpus.parse_json``
+for a whole file (manifest, config, checkpoint), the one place that a JSON
+value nested too deeply becomes a decode error.  ``json.loads`` is used only
+by them.
+
+A JSON object becomes a dataclass only through the typed reader of config
+files (``corpus._config_from``), which checks each field's type: no function
+of the package splats a JSON value into a call (``Cls(**payload[...])``).
 
 ``cli.config_hash`` (canonical JSON, then SHA-256) hashes configs only.  A
 file a command reads (checkpoint, trace) is named by the SHA-256 of its
@@ -146,9 +151,8 @@ def test_no_add_at():
     assert found == []
 
 
-# the one JSONL line reader and the loaders of whole JSON files
-JSON_LOADS_USERS = {"corpus.read_jsonl", "corpus.load_corpus",
-                    "cli._load_config_file", "encoder.load_checkpoint"}
+# the one JSONL line reader and the one parser of whole JSON files
+JSON_LOADS_USERS = {"corpus.read_jsonl", "corpus.parse_json"}
 
 # the JSON hash is for configs: an artifact a command reads is named by the
 # SHA-256 of its bytes, never re-serialized to be hashed
@@ -204,6 +208,20 @@ def test_json_loads_only_in_the_line_reader_and_whole_file_loaders():
     found = json_loads_users()
     assert sorted(set(found) - JSON_LOADS_USERS) == []
     assert "corpus.read_jsonl" in found  # the walk reaches the line reader
+
+
+def splatted_subscripts() -> list[str]:
+    """Every call that splats an indexed value, ``f(**obj[key])``."""
+    return users_of(lambda node: isinstance(node, ast.Call) and any(
+        kw.arg is None and isinstance(kw.value, ast.Subscript)
+        for kw in node.keywords))
+
+
+def test_no_call_splats_a_json_value():
+    assert splatted_subscripts() == []
+    # the typed reader splats its checked values, a name, into the dataclass
+    assert "corpus._config_from" in users_of(lambda node: isinstance(
+        node, ast.Call) and any(kw.arg is None for kw in node.keywords))
 
 
 def float_block_users() -> list[str]:
