@@ -80,7 +80,8 @@ from .evaluation import (
     scores_payload,
 )
 from .features import DEFAULT_VOCAB_CAP, fit_vocabulary
-from .recurrence import encode_split, infer_split, page_tokens, read_traces, write_traces
+from .recurrence import (encode_split, infer_split, read_traces, split_tokens,
+                         write_traces)
 from .training import TrainConfig, TrainingDiverged, train_encoder
 
 
@@ -295,10 +296,11 @@ def cmd_train(args) -> int:
     provenance = provenance_for("train", cfg_obj, seed)
 
     started = time.perf_counter()
-    # the train split is tokenized once, for the vocabulary and the encoder
-    train_tokens = page_tokens(split.train)
+    # the train split is tokenized once, for the vocabulary and the encoder;
+    # a collection frequency counts the split's tokens as one sequence
+    train_tokens = split_tokens(split.train)
     try:
-        vocab = fit_vocabulary(train_tokens, cap)
+        vocab = fit_vocabulary((train_tokens.flat(),), cap)
     except ValueError as exc:
         raise ConfigError(f"cannot fit a vocabulary with vocab_cap={cap}: {exc}") \
             from None
@@ -393,9 +395,10 @@ def _crf_head(payload: dict, n: int):
     """The Viterbi decoder of a CRF checkpoint over ``n`` classes: it keeps
     the encoder's scores and decides each page's class."""
     model = CrfModel(
-        _typed(payload["transition"], tuple[tuple[float, ...], ...], "transition"),
-        _typed(payload["start"], tuple[float, ...], "start"),
-        _typed(payload["emission_scale"], float, "emission_scale"))
+        _typed(payload["transition"], tuple[tuple[float, ...], ...], "transition",
+               "checkpoint"),
+        _typed(payload["start"], tuple[float, ...], "start", "checkpoint"),
+        _typed(payload["emission_scale"], float, "emission_scale", "checkpoint"))
     if model.n != n:
         raise ValueError(f"{model.n} CRF classes, {n} encoder classes")
 
@@ -408,7 +411,8 @@ def _bilstm_head(payload: dict, n: int):
     """The BiLSTM of a checkpoint over ``n`` classes: it reads and scores
     the encoder's ``n`` classes, and decides the argmax."""
     config = _config_from(
-        BiLstmConfig, _block(payload["config"], ("hidden_dim", "init_seed"), "config"),
+        BiLstmConfig, _block(payload["config"], ("hidden_dim", "init_seed"), "config",
+                             "checkpoint"),
         "config", complete=True, input_dim=n, n_classes=n)
     params = {name: read_float_block(block, f"parameter {name!r}")
               for name, block in payload["params"].items()}
@@ -420,14 +424,21 @@ def _bilstm_head(payload: dict, n: int):
     return head
 
 
-_HEADS = {"crf": _crf_head, "bilstm": _bilstm_head}
+# each baseline kind: its head, and the top-level keys its ``train`` writes
+_HEADS = {
+    "crf": (_crf_head, ("kind", "format", "l2", "transition", "start",
+                        "emission_scale", "converged", "iterations",
+                        "projected_gradient_max", "encoder", "provenance")),
+    "bilstm": (_bilstm_head, ("kind", "format", "config", "params", "encoder",
+                              "provenance")),
+}
 
 
 def _restore_model(payload):
     """The class vocabulary and the decoder (documents -> traces) of a
     checkpoint payload of any kind.  Kind, format, fields, modes, class lists
-    and parameter shapes are checked here; a malformed payload is a
-    ConfigError.
+    and parameter shapes are checked here; a key its kind does not write, or
+    a malformed payload, is a ConfigError.
 
     Every kind decodes one way: one encoder, the payload itself or the
     context-oblivious one a CRF or BiLSTM checkpoint embeds, runs over the
@@ -444,11 +455,14 @@ def _restore_model(payload):
         if kind == "encoder":
             params, config, codec, recurrent = restore_encoder(payload)
         else:
+            make_head, keys = _HEADS[kind]
             check_format(payload, kind)
-            params, config, codec, recurrent = restore_encoder(payload["encoder"])
+            _block(payload, keys, "", "checkpoint")
+            params, config, codec, recurrent = restore_encoder(payload["encoder"],
+                                                               "encoder")
             if recurrent:
                 raise ValueError("its encoder must be context-oblivious")
-            head = _HEADS[kind](payload, codec.n_classes)
+            head = make_head(payload, codec.n_classes)
     except KeyError as exc:
         raise ConfigError(f"{kind} checkpoint: missing field {exc}") from None
     except (ValueError, TypeError, AttributeError) as exc:
@@ -487,7 +501,14 @@ def cmd_infer(args) -> int:
         raise ConfigError("checkpoint classes or label mode do not match the "
                           "corpus manifest")
     seed = _trained_seed(payload)
-    trace = decode(docs)
+    # a score that overflows, or is not a number, is refused below
+    with np.errstate(all="ignore"):
+        trace = decode(docs)
+    bad = np.flatnonzero(~np.isfinite(trace.scores).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"checkpoint {args.checkpoint}: "
+                          f"{trace.page_name(int(bad[0]))} has a score that is "
+                          f"not finite")
     ref = {"checkpoint_sha256": digest, "split": args.split}
     provenance = provenance_for("infer", ref, seed)
     with _writing(args.out):

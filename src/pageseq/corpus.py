@@ -379,41 +379,43 @@ def _label(where: str, name: str) -> str:
     return f"{where}.{name}" if where else name
 
 
-def _block(obj, keys, where: str) -> dict:
+def _block(obj, keys, where: str, noun: str = "config") -> dict:
     """``obj`` as a JSON object whose keys are all among ``keys``; an unknown
-    key is reported with the nearest valid one."""
+    key is reported with the nearest valid one.  ``noun`` names what the
+    object is read from, in every message."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"config field {where!r} must be an object" if where
-                          else "config must be a JSON object")
+        raise ConfigError(f"{noun} field {where!r} must be an object" if where
+                          else f"{noun} must be a JSON object")
     for key in obj:
         if key not in keys:
             near = difflib.get_close_matches(key, keys, n=1)
             hint = f"; did you mean {near[0]!r}?" if near else ""
-            raise ConfigError(f"unknown config field {_label(where, key)!r}{hint}")
+            raise ConfigError(f"unknown {noun} field {_label(where, key)!r}{hint}")
     return obj
 
 
-def _typed(value, hint, label: str):
+def _typed(value, hint, label: str, noun: str = "config"):
     """``value`` checked against ``hint``: int, float, str, bool, or a tuple
     of them, which a JSON array becomes.  An int is accepted as a float;
-    NaN and +-Infinity, which Python's json reads, are not."""
+    NaN and +-Infinity, which Python's json reads, are not.  ``noun`` names
+    what the value is read from, in every message."""
+    what = f"{noun} field {label!r}"
     if typing.get_origin(hint) is tuple:
         args = typing.get_args(hint)
         if not isinstance(value, list):
-            raise ConfigError(f"config field {label!r} must be a list")
+            raise ConfigError(f"{what} must be a list")
         if args[-1] is Ellipsis:
             args = args[:1] * len(value)
         elif len(value) != len(args):
-            raise ConfigError(f"config field {label!r} must be a list of "
-                              f"{len(args)} values")
-        return tuple(_typed(v, a, f"{label}[{i}]")
+            raise ConfigError(f"{what} must be a list of {len(args)} values")
+        return tuple(_typed(v, a, f"{label}[{i}]", noun)
                      for i, (v, a) in enumerate(zip(value, args)))
     if hint is float and type(value) is int:  # too large for a float: inf
         value = float(value) if abs(value) <= sys.float_info.max else np.inf
     if type(value) is not hint:
-        raise ConfigError(f"config field {label!r} must be {hint.__name__}")
+        raise ConfigError(f"{what} must be {hint.__name__}")
     if hint is float and not np.isfinite(value):
-        raise ConfigError(f"config field {label!r} must be finite")
+        raise ConfigError(f"{what} must be finite")
     return value
 
 
@@ -422,14 +424,17 @@ def _config_from(cls, obj, where: str, complete: bool = False, **given):
     fields of ``cls`` holding values of their types.  A field that ``obj``
     leaves out takes its value from ``given`` (what the caller derives, such
     as seeds), else the dataclass default; with ``complete`` (a checkpoint,
-    which records every field) it must be in one of them."""
+    which records every field, and is named in messages) it must be in one
+    of them."""
+    noun = "checkpoint" if complete else "config"
     hints = typing.get_type_hints(cls)
     values = dict(given)
-    for name, value in _block(obj, [f.name for f in fields(cls)], where).items():
-        values[name] = _typed(value, hints[name], _label(where, name))
+    for name, value in _block(obj, [f.name for f in fields(cls)], where,
+                              noun).items():
+        values[name] = _typed(value, hints[name], _label(where, name), noun)
     for f in fields(cls):
         if f.name not in values and (complete or f.default is MISSING):
-            raise ConfigError(f"missing config field {_label(where, f.name)!r}")
+            raise ConfigError(f"missing {noun} field {_label(where, f.name)!r}")
     try:
         return cls(**values)
     except ValueError as exc:

@@ -57,7 +57,9 @@ from .corpus import (
     CHECKPOINT_FORMAT,
     MULTICLASS,
     TypeVocabulary,
+    _block,
     _config_from,
+    _label,
     check_format,
     float_block,
     parse_json,
@@ -618,6 +620,12 @@ def loss_and_grad(params: dict, ids: np.ndarray, targets: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+# the top-level keys of an encoder checkpoint: ``checkpoint_payload``'s and
+# the provenance ``train`` adds
+CHECKPOINT_KEYS = ("kind", "format", "mode", "tokenizer_version", "config",
+                   "codec", "params", "provenance")
+
+
 def checkpoint_payload(params: dict, config: EncoderConfig, codec: TokenCodec,
                        mode: str) -> dict:
     """An encoder checkpoint's JSON body; ``restore_encoder`` checks it.  The
@@ -643,25 +651,31 @@ def save_checkpoint(path: Path | str, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
-def restore_encoder(payload: dict):
-    """Rebuild (params, config, codec, recurrent) from a payload.
+def restore_encoder(payload: dict, where: str = ""):
+    """Rebuild (params, config, codec, recurrent) from a payload; ``where``
+    is the field that holds it in a checkpoint that embeds it, and prefixes
+    the fields a message names.
 
     Raises ValueError unless the payload records ``CHECKPOINT_FORMAT`` and
-    ``TOKENIZER_VERSION``, ``mode`` is one of ``MODES``, ``config`` holds
-    every ``EncoderConfig`` field with a value of its type, the codec's text
-    tokens are distinct strings, and the parameters are float blocks of
+    ``TOKENIZER_VERSION``, holds no key but ``CHECKPOINT_KEYS`` (its codec
+    none but the three it writes), ``mode`` is one of ``MODES``, ``config``
+    holds every ``EncoderConfig`` field with a value of its type, the codec's
+    text tokens are distinct strings, and the parameters are float blocks of
     exactly the names and shapes ``init_params`` gives.
     """
     if payload.get("kind") != "encoder":
         raise ValueError("not an encoder checkpoint")
     check_format(payload, "encoder")
+    _block(payload, CHECKPOINT_KEYS, where, "checkpoint")
     check_tokenizer_version(payload)
     if payload["mode"] not in MODES:
         raise ValueError(f"mode {payload['mode']!r} is not one of {MODES}")
-    config = _config_from(EncoderConfig, payload["config"], "config", complete=True)
-    vocab = TypeVocabulary(tuple(payload["codec"]["classes"]),
-                           payload["codec"]["vocab_label_mode"])
-    tokens = payload["codec"]["text_tokens"]
+    config = _config_from(EncoderConfig, payload["config"],
+                          _label(where, "config"), complete=True)
+    codec = _block(payload["codec"], ("classes", "vocab_label_mode", "text_tokens"),
+                   _label(where, "codec"), "checkpoint")
+    vocab = TypeVocabulary(tuple(codec["classes"]), codec["vocab_label_mode"])
+    tokens = codec["text_tokens"]
     if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str}:
         raise ValueError("codec.text_tokens must be a list of strings")
     if len(set(tokens)) != len(tokens):

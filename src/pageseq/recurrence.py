@@ -1,7 +1,9 @@
 """Previous-page type conditioning: input augmentation with context tokens,
 teacher-forced training examples, and left-to-right inference where the
 model feeds its own predictions forward.  A split is tokenized once
-(``encode_split``); only the context tokens written before its text change.
+(``split_tokens``, each distinct whitespace piece stripped once) and turned
+into text ids once (``encode_split``); only the context tokens written before
+its text change.
 
 Inference decodes every document of a split in lockstep: at page position t
 it scores page t of each document that has one, conditioned on that
@@ -31,9 +33,10 @@ import numpy as np
 
 from . import encoder
 from .corpus import (FIRST_PAGE_TOKEN, MULTICLASS, Documents, TypeVocabulary,
-                     check_format, first_appearance, gc_paused, page_positions,
-                     read_jsonl)
-from .encoder import CLS_ID, FIRST_ID, PAD_ID, EncoderConfig, TokenCodec, predict
+                     _Memo, check_format, first_appearance, gc_paused,
+                     page_positions, read_jsonl)
+from .encoder import (CLS_ID, FIRST_ID, LINEAR, PAD_ID, TINY_TRANSFORMER,
+                      EncoderConfig, TokenCodec, predict)
 from .features import tokenize
 
 
@@ -63,6 +66,27 @@ class SplitTrace:
                    np.zeros((pages, n), dtype=bool),
                    np.zeros((pages, 1 + n), dtype=bool))
 
+    def page_name(self, row: int) -> str:
+        """Row ``row`` as a message names a page: its index and document."""
+        doc = int(np.searchsorted(self.offsets, row, side="right")) - 1
+        return f"page {row - int(self.offsets[doc])} of {self.doc_ids[doc]!r}"
+
+
+@dataclass(eq=False)
+class SplitTokens:
+    """The tokens of a split's pages in document order: ``distinct`` holds
+    each distinct token once, in order of first appearance; ``index`` is the
+    position in ``distinct`` of every token, page after page; ``counts`` is
+    each page's token count."""
+
+    distinct: list
+    index: np.ndarray
+    counts: np.ndarray
+
+    def flat(self) -> list[str]:
+        """Every token, page after page."""
+        return list(map(self.distinct.__getitem__, self.index.tolist()))
+
 
 @dataclass(eq=False)
 class EncodedSplit:
@@ -73,26 +97,48 @@ class EncodedSplit:
     lengths: np.ndarray
 
 
-def page_tokens(docs: Documents) -> list[list[str]]:
-    """The tokens of every page of ``docs``, in document order."""
-    return [tokenize(text) for text in docs.texts]
+def split_tokens(docs: Documents) -> SplitTokens:
+    """The ``tokenize`` tokens of every page of ``docs``, with each distinct
+    whitespace piece stripped once.
+
+    Lowercasing commutes with splitting on whitespace (it is idempotent, maps
+    no other character to whitespace, and decides a final sigma at a
+    whitespace boundary either way), so a lowercased piece tokenizes on its
+    own to the token it yields in its page, or to none."""
+    pieces = list(map(str.split, map(str.lower, docs.texts)))
+    counts = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
+    distinct = _Memo(lambda token: len(distinct))  # a new token: the next index
+
+    def strip(piece):
+        # looked up on the module at call time, so that a wrapper installed
+        # on pageseq.recurrence.tokenize (perfbench's counter) sees the call
+        kept = tokenize(piece)
+        return distinct[kept[0]] if kept else -1
+
+    index = np.fromiter(map(_Memo(strip).__getitem__, chain.from_iterable(pieces)),
+                        dtype=np.int64, count=int(counts.sum()))
+    kept = index >= 0
+    page = np.repeat(np.arange(len(pieces)), counts)
+    return SplitTokens(list(distinct), index[kept],
+                       np.bincount(page[kept], minlength=len(pieces)))
 
 
-def encode_split(docs: Documents, codec: TokenCodec,
-                 max_len: int,
-                 tokens: Sequence[list[str]] | None = None) -> EncodedSplit:
+def encode_split(docs: Documents, codec: TokenCodec, max_len: int,
+                 tokens: SplitTokens | None = None) -> EncodedSplit:
     """The text ids of every page of ``docs``; ``tokens`` is
-    ``page_tokens(docs)`` when the caller already has it."""
+    ``split_tokens(docs)`` when the caller already has it."""
     if tokens is None:
-        tokens = page_tokens(docs)
+        tokens = split_tokens(docs)
     n_text = max_len - 1
-    pages = list(map(itemgetter(slice(n_text)), tokens))
-    lengths = np.fromiter(map(len, pages), dtype=np.int64, count=len(pages))
-    text = np.full((len(pages), n_text), PAD_ID, dtype=np.int64)
-    # the mask's cells in row-major order are the truncated tokens in order
-    text[np.arange(n_text) < lengths[:, None]] = np.fromiter(
-        codec.text_token_ids(chain.from_iterable(pages)), dtype=np.int64,
-        count=int(lengths.sum()))
+    ids = np.fromiter(codec.text_token_ids(tokens.distinct), dtype=np.int64,
+                      count=len(tokens.distinct))[tokens.index]
+    # each token's position in its page: the first n_text of a page are kept
+    starts = np.cumsum(tokens.counts) - tokens.counts
+    position = np.arange(len(ids)) - np.repeat(starts, tokens.counts)
+    lengths = np.minimum(tokens.counts, n_text)
+    text = np.full((len(lengths), n_text), PAD_ID, dtype=np.int64)
+    # the mask's cells in row-major order are the kept tokens in order
+    text[np.arange(n_text) < lengths[:, None]] = ids[position < n_text]
     return EncodedSplit(text=text, lengths=lengths)
 
 
@@ -157,23 +203,27 @@ def page_examples(docs: Documents, teacher_forced: bool,
     return ids, gold.astype(np.float64)
 
 
-# Rows per encoder call.  Blocks of 32 length-sorted rows decoded faster than
-# 8, 100, 400 or 1600 on the tiny transformer.
-_BLOCK_ROWS = 32
+# Rows per encoder call, by variant.  Blocks of 32 length-sorted rows decoded
+# faster than 8, 100, 400 or 1600 on the tiny transformer.  The linear bag has
+# no attention grid to bound, only its (rows x max_len x d) embedding gather:
+# on a 2,940-page split at max_len 16 and d 32, 256 rows per call (a 1 MB
+# gather) scored it in 3.4 ms, against 3.6 at 1024, 4.3 at 4096 and 6.1 at 32.
+_BLOCK_ROWS = {TINY_TRANSFORMER: 32, LINEAR: 256}
 
 
 def _score_rows(params: dict, split: EncodedSplit, rows: np.ndarray,
                 context: np.ndarray | None, config: EncoderConfig,
                 scratch: encoder.Scratch, out: np.ndarray) -> None:
     """Score ``rows`` of ``split`` fed ``context`` into the same rows of
-    ``out``, in length-sorted blocks of at most ``_BLOCK_ROWS`` so that a
-    block pads little."""
+    ``out``, in length-sorted blocks of at most ``_BLOCK_ROWS[variant]`` so
+    that a block pads little."""
     ids = augment_input(split.text[rows], split.lengths[rows], context,
                         config.max_len)
     lengths = row_lengths(ids)
     order = np.argsort(lengths, kind="stable")
-    for start in range(0, len(order), _BLOCK_ROWS):
-        block = order[start:start + _BLOCK_ROWS]
+    size = _BLOCK_ROWS[config.variant]
+    for start in range(0, len(order), size):
+        block = order[start:start + size]
         # looked up on the module at call time, so that a wrapper installed
         # on pageseq.encoder.forward_batch (perfbench's tracer) sees the call
         out[rows[block]] = encoder.forward_batch(

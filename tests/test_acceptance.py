@@ -51,8 +51,8 @@ from pageseq.encoder import (
     loss_and_grad,
 )
 from pageseq.evaluation import aggregate_f1, mcnemar_bowker, score
-from pageseq.features import fit_svd, fit_vocabulary
-from pageseq.recurrence import infer_split, page_tokens
+from pageseq.features import fit_svd, fit_vocabulary, tokenize
+from pageseq.recurrence import infer_split
 from pageseq.training import AdamState, TrainConfig, lr_at, optimizer_step, train_encoder
 
 from oracles import (
@@ -113,7 +113,7 @@ def _run_models(split, seed, with_baselines):
     """Train oblivious + recurrent (and optionally fit the CRF and train the
     BiLSTM on the frozen oblivious train scores, as ``pageseq train`` does);
     return test macro-F1 percentages."""
-    codec = TokenCodec(split.vocabulary, fit_vocabulary(page_tokens(split.train)))
+    codec = TokenCodec(split.vocabulary, fit_vocabulary(map(tokenize, split.train.texts)))
     enc = EncoderConfig(variant="linear", d=32, max_len=16, init_seed=seed)
     cfg = TrainConfig(epochs=5, batch_size=32, peak_lr=0.02, seed=seed)
     p_obl, _ = train_encoder(enc, codec, split.train, cfg, recurrent=False)

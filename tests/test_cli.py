@@ -753,25 +753,53 @@ def count_tokenize_calls(monkeypatch):
     return calls
 
 
+def distinct_pieces(texts):
+    """The distinct lowercased whitespace pieces of ``texts``."""
+    return sorted({piece for text in texts for piece in text.lower().split()})
+
+
 class TestTokenizeOnce:
-    def test_each_page_tokenized_once_per_command(self, tmp_path, corpus_dir,
-                                                  monkeypatch):
-        """train (with both baselines) tokenizes every train and validation
-        page once, for the vocabulary, every epoch, the CRF and the BiLSTM
-        alike; infer every page of its split once."""
+    def test_each_piece_tokenized_once_per_split_per_command(
+            self, tmp_path, corpus_dir, monkeypatch):
+        """train (with both baselines) strips each distinct whitespace piece
+        of the train split, and of the validation split, once: for the
+        vocabulary, every epoch, the CRF and the BiLSTM alike; infer each
+        distinct piece of its split once."""
         split = load_corpus(corpus_dir / "manifest.json")
         calls = count_tokenize_calls(monkeypatch)
         outdir = run_train(tmp_path, corpus_dir, "once",
                            baselines={"crf": True, "bilstm": True},
                            bilstm={"hidden_dim": 8})
-        pages = [*split.train.texts, *split.validation.texts]
-        assert sorted(calls) == sorted(pages)
+        assert sorted(calls) == sorted(distinct_pieces(split.train.texts)
+                                       + distinct_pieces(split.validation.texts))
         for ckpt in ("checkpoint.json", "crf.json", "bilstm.json"):
             calls.clear()
             assert main(["infer", "--checkpoint", str(outdir / ckpt),
                          "--manifest", str(corpus_dir / "manifest.json"),
                          "--split", "test", "--out", str(tmp_path / "t.jsonl")]) == 0
-            assert sorted(calls) == sorted(split.test.texts)
+            assert sorted(calls) == distinct_pieces(split.test.texts)
+
+
+class TestTracedSites:
+    def test_infer_reaches_the_traced_functions(self, tmp_path, corpus_dir,
+                                                monkeypatch):
+        """One infer calls the tokenizer, the input augmentation and the
+        encoder under the module names perfbench wraps them by."""
+        import pageseq.recurrence as recurrence
+
+        outdir = run_train(tmp_path, corpus_dir, "sites")
+        calls = {name: 0 for name in ("tokenize", "augment_input", "forward_batch")}
+        for module, name in ((recurrence, "tokenize"),
+                             (recurrence, "augment_input"),
+                             (encoder, "forward_batch")):
+            def counting(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(module, name, counting)
+        assert main(["infer", "--checkpoint", str(outdir / "checkpoint.json"),
+                     "--manifest", str(corpus_dir / "manifest.json"),
+                     "--split", "test", "--out", str(tmp_path / "t.jsonl")]) == 0
+        assert min(calls.values()) >= 1, calls
 
 
 class TestSplitsRead:
@@ -1038,6 +1066,47 @@ class TestBaselineCheckpoints:
         line = self.infer_edited(trained, capsys, name, change, f"format-{edit}")
         assert line.startswith(f"error: {kind} checkpoint: ")
         assert "format" in line and "re-run `train`" in line
+
+    @pytest.mark.parametrize("name, kind, part, field", [
+        ("checkpoint.json", "encoder", lambda p: p, "label_mode"),
+        ("checkpoint.json", "encoder", lambda p: p["codec"], "codec.seed"),
+        ("crf.json", "crf", lambda p: p, "label_mode"),
+        ("crf.json", "crf", lambda p: p["encoder"], "encoder.label_mode"),
+        ("bilstm.json", "bilstm", lambda p: p, "label_mode"),
+        ("bilstm.json", "bilstm", lambda p: p["encoder"], "encoder.label_mode"),
+    ], ids=["encoder", "encoder-codec", "crf", "crf-encoder", "bilstm",
+            "bilstm-encoder"])
+    def test_unknown_key_exits_2(self, trained, capsys, name, kind, part, field):
+        """A key that a checkpoint's writer does not emit, at its top level,
+        in the encoder it embeds or in the codec, is refused with one line
+        that names it, not ignored."""
+        key = field.rpartition(".")[2]
+        line = self.infer_edited(trained, capsys, name,
+                                 lambda p: part(p).update({key: "multilabel"}),
+                                 f"key-{field}")
+        assert line.startswith(f"error: {kind} checkpoint: unknown checkpoint "
+                               f"field {field!r}")
+
+    def test_label_mode_and_seed_in_crf_exit_2(self, trained, capsys):
+        line = self.infer_edited(
+            trained, capsys, "crf.json",
+            lambda p: p.update(label_mode="multilabel", seed="x"), "keys")
+        assert line.startswith("error: crf checkpoint: unknown checkpoint field ")
+
+    @pytest.mark.parametrize("name", ["checkpoint.json", "crf.json", "bilstm.json"])
+    def test_scores_that_overflow_exit_2(self, trained, capsys, name):
+        """An encoder whose weights overflow every score: infer writes no
+        trace and names the checkpoint and the first page, in one line."""
+        def overflow(payload):
+            params = payload.get("encoder", payload)["params"]
+            for block in ("emb", "head_w"):
+                edit_block(params, block, lambda a: np.full_like(a, 1e300))
+        line = self.infer_edited(trained, capsys, name, overflow, "overflow")
+        docs = load_corpus(trained[1] / "manifest.json").test
+        assert re.fullmatch(
+            rf"error: checkpoint \S*overflow-{re.escape(name)}: page 0 of "
+            rf"{re.escape(repr(docs.doc_ids[0]))} has a score that is not finite",
+            line), line
 
     KEYS = "must be an object with exactly the keys 'shape' and 'f8le'"
     SHAPE = "'shape' must be a list of non-negative ints"
@@ -1333,7 +1402,7 @@ class TestBadArtifacts:
         capsys.readouterr()
         assert self.infer(tmp_path, corpus_dir, ckpt) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: encoder checkpoint: config field 'config.max_len' must be int"]
+            "error: encoder checkpoint: checkpoint field 'config.max_len' must be int"]
 
     def test_non_finite_parameter(self, trained, capsys):
         tmp_path, corpus_dir, outdir, _ = trained
@@ -1420,12 +1489,12 @@ class TestBadArtifacts:
         lambda p: p["provenance"].update(seed=-1),
         lambda p: p["provenance"].update(seed=True),
         lambda p: p["provenance"].update(seed=1.0),
-        lambda p: p.update(seed=1) or p.pop("provenance"),
-    ], ids=["list", "negative", "bool", "float", "top-level-only"])
+        lambda p: p.pop("provenance"),
+    ], ids=["list", "negative", "bool", "float", "no-provenance"])
     def test_trained_seed_must_be_a_non_negative_int(self, trained, capsys, edit):
         """The seed a trace header records comes from the checkpoint's
-        provenance alone (a top-level ``seed`` is not read); anything but a
-        non-negative int there is refused."""
+        provenance alone (a top-level ``seed`` is refused as an unknown
+        field); anything but a non-negative int there is refused."""
         tmp_path, corpus_dir, outdir, _ = trained
         payload = json.loads((outdir / "checkpoint.json").read_text())
         edit(payload)

@@ -692,5 +692,5 @@ class TestCheckpoint:
         payload = checkpoint_payload(init_params(config, codec), config, codec,
                                      mode="oblivious")
         del payload["config"][field]
-        with pytest.raises(ValueError, match=f"missing config field 'config.{field}'"):
+        with pytest.raises(ValueError, match=f"missing checkpoint field 'config.{field}'"):
             restore_encoder(payload)

@@ -336,6 +336,31 @@ class TestEncodeSplit:
         assert encoded.text[3, [0, 3]].tolist() == [encoder.UNK_ID] * 2
         assert (encoded.text[[1, 2, 5]] == encoder.PAD_ID).all()
 
+    def test_repeated_unicode_and_cased_pieces(self):
+        """Pieces repeated across pages (each stripped once per split),
+        Unicode whitespace, punctuation-only pieces, a Greek final sigma,
+        whose form depends on what follows it, and U+0130, which lowercases
+        to two code points."""
+        codec = TokenCodec(BRIEFS, ("brief", "of", "οδος", "i\u0307stanbul",
+                                    "σς", "σ"))
+        doc = make_doc("d", [
+            ("Brief, of ΟΔΟΣ brief; «of» ...", 0),
+            ("ΟΔΟΣ\u2003brief\u00a0of\u3000ΟΔΟΣ.\u2028(brief)", 1),
+            ("İSTANBUL İstanbul istanbul ΣΣ Σ ΣΣΣ", 2),
+            ("!!! ,,, — … ΟΔΟΣ", 1),
+            ("ΟΔΟΣΟΔΟΣ\x85Σ\u200bΣ ΑΣ\u0301 brief", 0),
+        ])
+        other = make_doc("e", [("of ΟΔΟΣ, brief! ΣΣ", 0)])
+        encoded = self.assert_matches_loop([doc, other], codec, max_len=7)
+        assert encoded.lengths.tolist() == [5, 5, 6, 1, 4, 4]
+        # a word-final capital sigma lowercases to the final form
+        final, dotted, pair, alone = codec.text_token_ids(
+            ["οδος", "i\u0307stanbul", "σς", "σ"])
+        assert encoded.text[[0, 1, 1, 3, 5], [2, 0, 3, 0, 1]].tolist() == [final] * 5
+        assert encoded.text[2].tolist() == [dotted, dotted, encoder.UNK_ID, pair,
+                                            alone, encoder.UNK_ID]
+
+
 
 class TestAugmentInputProperties:
     """The batched augment_input against the per-page oracle."""
@@ -628,26 +653,46 @@ class TestLockstep:
             for pa, pt in zip(alone, pages):
                 np.testing.assert_allclose(pa.scores, pt.scores, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("lengths, rows", [
-        ((7, 3, 1), [3, 2, 2, 1, 1, 1, 1]),
-        ((1,) * 40, [32, 8]),
+    @pytest.mark.parametrize("variant, lengths, rows", [
+        ("linear", (7, 3, 1), [3, 2, 2, 1, 1, 1, 1]),
+        ("linear", (1,) * 40, [40]),
+        ("tiny-transformer", (7, 3, 1), [3, 2, 2, 1, 1, 1, 1]),
+        ("tiny-transformer", (1,) * 40, [32, 8]),
     ])
-    def test_forward_batch_calls(self, monkeypatch, lengths, rows):
-        """One call per page position, at most 32 rows per call."""
+    def test_forward_batch_calls(self, monkeypatch, variant, lengths, rows):
+        """Calls per page position: the tiny transformer's of at most 32
+        rows, the linear bag's of at most 256."""
         calls = count_forward_batch_rows(monkeypatch)
-        codec, config = briefs_codec(), VARIANTS["linear"]
+        codec, config = briefs_codec(), VARIANTS[variant]
         params = init_params(config, codec)
         infer_split(params, split_of(ragged_split(lengths, 9)), config, codec,
                     recurrent=True)
         assert calls == rows
 
-    def test_oblivious_scores_pages_in_blocks(self, monkeypatch):
+    @pytest.mark.parametrize("variant, rows", [
+        ("linear", [56]), ("tiny-transformer", [32, 24])])
+    def test_oblivious_scores_pages_in_blocks(self, monkeypatch, variant, rows):
         calls = count_forward_batch_rows(monkeypatch)
-        codec, config = briefs_codec(), VARIANTS["linear"]
+        codec, config = briefs_codec(), VARIANTS[variant]
         params = init_params(config, codec)
         infer_split(params, split_of(ragged_split(RAGGED, 10)), config, codec,
                     recurrent=False)
-        assert calls == [32, 24]
+        assert calls == rows
+
+    def test_linear_bag_blocks_of_256_rows(self, monkeypatch):
+        """A split of more pages than one linear call takes is scored in
+        calls of 256 length-sorted rows, to the scores one call over every
+        row gives."""
+        calls = count_forward_batch_rows(monkeypatch)
+        codec, config = briefs_codec(), VARIANTS["linear"]
+        params = random_params(config, codec, 5)
+        split = split_of(ragged_split((1,) * 600, 11))
+        trace = infer_split(params, split, config, codec, recurrent=False)
+        assert calls == [256, 256, 88]
+        encoded = encode_split(split, codec, config.max_len)
+        ids = augment_input(encoded.text, encoded.lengths, None, config.max_len)
+        np.testing.assert_array_equal(trace.scores,
+                                      encoder.forward_batch(params, ids, config))
 
     def test_empty_split(self):
         codec, config = briefs_codec(), VARIANTS["linear"]

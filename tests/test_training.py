@@ -5,8 +5,7 @@ import pytest
 
 from pageseq.corpus import SynthConfig, generate_synthetic
 from pageseq.encoder import EncoderConfig, TokenCodec
-from pageseq.features import fit_vocabulary
-from pageseq.recurrence import page_tokens
+from pageseq.features import fit_vocabulary, tokenize
 from pageseq.training import (
     AdamState,
     TrainConfig,
@@ -148,7 +147,8 @@ def tiny_corpus(seed=0, ambiguity=0.0, n_classes=3, self_prob=0.5):
 
 
 def codec_for(split, cap=60_000):
-    return TokenCodec(split.vocabulary, fit_vocabulary(page_tokens(split.train), cap))
+    return TokenCodec(split.vocabulary,
+                      fit_vocabulary(map(tokenize, split.train.texts), cap))
 
 
 class TestTrainEncoder:
