@@ -309,13 +309,11 @@ def cmd_train(args) -> int:
         check_max_len(encoder_config, codec)
     except ValueError as exc:  # "max_len must be ..."
         raise ConfigError(f"encoder.{exc}") from None
-    train_encoded = encode_split(split.train, codec, encoder_config.max_len,
-                                 train_tokens)
+    train = encode_split(train_tokens, codec, encoder_config.max_len)
+    val = encode_split(split_tokens(split.validation), codec, encoder_config.max_len)
     encode_seconds = time.perf_counter() - started
-    params, report = train_encoder(encoder_config, codec, split.train,
-                                   train_config, recurrent=(mode == "recurrent"),
-                                   val_docs=split.validation,
-                                   encoded=train_encoded)
+    params, report = train_encoder(encoder_config, train, train_config,
+                                   recurrent=(mode == "recurrent"), val=val)
     tick = time.perf_counter()
     ckpt = checkpoint_payload(params, encoder_config, codec, mode=mode)
     ckpt["provenance"] = provenance
@@ -335,8 +333,7 @@ def cmd_train(args) -> int:
         # both baselines read the frozen encoder's train-split emissions
         tick = time.perf_counter()
         emissions = emissions_from_logits(infer_split(
-            params, split.train, encoder_config, codec, recurrent=False,
-            encoded=train_encoded).scores)
+            params, train, encoder_config, recurrent=False).scores)
         timings["emissions_seconds"] = time.perf_counter() - tick
 
     if want_crf:
@@ -469,7 +466,8 @@ def _restore_model(payload):
         raise ConfigError(f"{kind} checkpoint: {exc}") from None
 
     def decode(docs):
-        trace = infer_split(params, docs, config, codec, recurrent)
+        split = encode_split(split_tokens(docs), codec, config.max_len)
+        trace = infer_split(params, split, config, recurrent)
         if head is not None:
             scores, paths = head(emissions_from_logits(trace.scores), trace.offsets)
             if scores is not None:

@@ -1,9 +1,10 @@
 """Previous-page type conditioning: input augmentation with context tokens,
 teacher-forced training examples, and left-to-right inference where the
-model feeds its own predictions forward.  A split is tokenized once
-(``split_tokens``, each distinct whitespace piece stripped once) and turned
-into text ids once (``encode_split``); only the context tokens written before
-its text change.
+model feeds its own predictions forward.  Each stage reads what the one
+before returns: ``split_tokens`` tokenizes a split once (each distinct
+whitespace piece stripped once), ``encode_split`` turns that into an
+``EncodedSplit`` of text ids once, and ``page_examples`` and ``infer_split``
+read it; only the context tokens written before its text change.
 
 Inference decodes every document of a split in lockstep: at page position t
 it scores page t of each document that has one, conditioned on that
@@ -32,9 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from . import encoder
-from .corpus import (FIRST_PAGE_TOKEN, MULTICLASS, Documents, TypeVocabulary,
-                     _Memo, check_format, first_appearance, gc_paused,
-                     page_positions, read_jsonl)
+from .corpus import (FIRST_PAGE_TOKEN, MULTICLASS, ConfigError, Documents,
+                     TypeVocabulary, _block, _Memo, check_format,
+                     first_appearance, gc_paused, page_positions, read_jsonl)
 from .encoder import (CLS_ID, FIRST_ID, LINEAR, PAD_ID, TINY_TRANSFORMER,
                       EncoderConfig, TokenCodec, predict)
 from .features import tokenize
@@ -74,11 +75,12 @@ class SplitTrace:
 
 @dataclass(eq=False)
 class SplitTokens:
-    """The tokens of a split's pages in document order: ``distinct`` holds
-    each distinct token once, in order of first appearance; ``index`` is the
-    position in ``distinct`` of every token, page after page; ``counts`` is
-    each page's token count."""
+    """The tokens of the pages of ``docs`` in document order: ``distinct``
+    holds each distinct token once, in order of first appearance; ``index``
+    is the position in ``distinct`` of every token, page after page;
+    ``counts`` is each page's token count."""
 
+    docs: Documents
     distinct: list
     index: np.ndarray
     counts: np.ndarray
@@ -90,11 +92,21 @@ class SplitTokens:
 
 @dataclass(eq=False)
 class EncodedSplit:
-    """The text ids of a split's pages in document order: ``text`` is (pages,
-    max_len - 1), PAD-padded, and ``lengths`` each row's text length."""
+    """The text ids of the pages of ``docs`` in document order, as ``codec``
+    encodes them for an encoder of ``max_len``: ``text`` is (pages, max_len
+    - 1), PAD-padded, and ``lengths`` each row's text length."""
 
+    docs: Documents
+    codec: TokenCodec
+    max_len: int
     text: np.ndarray
     lengths: np.ndarray
+
+    def check_fits(self, config: EncoderConfig) -> None:
+        """Raise ValueError unless encoded for ``config.max_len``."""
+        if self.max_len != config.max_len:
+            raise ValueError(f"split encoded for max_len {self.max_len}, "
+                             f"encoder has max_len {config.max_len}")
 
 
 def split_tokens(docs: Documents) -> SplitTokens:
@@ -119,16 +131,12 @@ def split_tokens(docs: Documents) -> SplitTokens:
                         dtype=np.int64, count=int(counts.sum()))
     kept = index >= 0
     page = np.repeat(np.arange(len(pieces)), counts)
-    return SplitTokens(list(distinct), index[kept],
+    return SplitTokens(docs, list(distinct), index[kept],
                        np.bincount(page[kept], minlength=len(pieces)))
 
 
-def encode_split(docs: Documents, codec: TokenCodec, max_len: int,
-                 tokens: SplitTokens | None = None) -> EncodedSplit:
-    """The text ids of every page of ``docs``; ``tokens`` is
-    ``split_tokens(docs)`` when the caller already has it."""
-    if tokens is None:
-        tokens = split_tokens(docs)
+def encode_split(tokens: SplitTokens, codec: TokenCodec, max_len: int) -> EncodedSplit:
+    """The text ids of every page of ``tokens.docs``."""
     n_text = max_len - 1
     ids = np.fromiter(codec.text_token_ids(tokens.distinct), dtype=np.int64,
                       count=len(tokens.distinct))[tokens.index]
@@ -139,7 +147,7 @@ def encode_split(docs: Documents, codec: TokenCodec, max_len: int,
     text = np.full((len(lengths), n_text), PAD_ID, dtype=np.int64)
     # the mask's cells in row-major order are the kept tokens in order
     text[np.arange(n_text) < lengths[:, None]] = ids[position < n_text]
-    return EncodedSplit(text=text, lengths=lengths)
+    return EncodedSplit(tokens.docs, codec, max_len, text, lengths)
 
 
 def augment_input(text: np.ndarray, lengths: np.ndarray,
@@ -178,11 +186,9 @@ def row_lengths(ids: np.ndarray) -> np.ndarray:
     return np.count_nonzero(ids != PAD_ID, axis=1)
 
 
-def page_examples(docs: Documents, teacher_forced: bool,
-                  codec: TokenCodec, max_len: int, encoded: EncodedSplit | None = None
+def page_examples(split: EncodedSplit, teacher_forced: bool
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The input ids (pages x width) and targets of every page, in document
-    order; ``encoded`` is ``encode_split(docs, codec, max_len)`` if known.
+    """The input ids (pages x width) and targets of every page of ``split``.
 
     With teacher forcing page 1 is fed the first-page marker and page t>1
     the GOLD label set of page t-1 (never a model output); without it no
@@ -190,15 +196,14 @@ def page_examples(docs: Documents, teacher_forced: bool,
     Targets are gold class indices (a multiclass codec) or a (pages x
     classes) 0/1 matrix (multilabel), as ``encoder.loss_and_grad`` takes them.
     """
-    split = encoded or encode_split(docs, codec, max_len)
-    gold = docs.gold
+    gold = split.docs.gold
     context = None
     if teacher_forced:
         first = np.zeros((len(gold), 1), dtype=bool)
-        first[docs.offsets[:-1]] = True
+        first[split.docs.offsets[:-1]] = True
         context = np.hstack([first, np.roll(gold, 1, axis=0) & ~first])
-    ids = augment_input(split.text, split.lengths, context, max_len)
-    if codec.type_vocab.label_mode == MULTICLASS:
+    ids = augment_input(split.text, split.lengths, context, split.max_len)
+    if split.codec.type_vocab.label_mode == MULTICLASS:
         return ids, gold.argmax(axis=1)
     return ids, gold.astype(np.float64)
 
@@ -230,23 +235,21 @@ def _score_rows(params: dict, split: EncodedSplit, rows: np.ndarray,
             params, ids[block, :lengths[block[-1]]], config, scratch)
 
 
-def infer_split(params: dict, docs: Documents,
-                config: EncoderConfig, codec: TokenCodec, recurrent: bool,
-                encoded: EncodedSplit | None = None,
-                scratch: encoder.Scratch | None = None) -> SplitTrace:
-    """The trace of ``docs``; ``encoded`` is ``encode_split(docs, ...)`` if
-    known.  Every encoder call of the split shares ``scratch`` (a fresh pool
-    if None).
+def infer_split(params: dict, split: EncodedSplit, config: EncoderConfig,
+                recurrent: bool, scratch: encoder.Scratch | None = None
+                ) -> SplitTrace:
+    """The trace of ``split``, encoded for ``config.max_len``.  Every encoder
+    call of the split shares ``scratch`` (a fresh pool if None).
 
     Recurrent: left to right in lockstep across documents; page t>1 is
     conditioned on the model's own decision for page t-1 of its document.
     Oblivious: every page scored from its own text, with no context tokens.
     """
-    label_mode = codec.type_vocab.label_mode
-    split = encoded or encode_split(docs, codec, config.max_len)
+    split.check_fits(config)
+    docs, label_mode = split.docs, split.codec.type_vocab.label_mode
     if scratch is None:
         scratch = encoder.Scratch()
-    trace = SplitTrace.blank(docs.doc_ids, docs.offsets, codec.n_classes)
+    trace = SplitTrace.blank(docs.doc_ids, docs.offsets, split.codec.n_classes)
     if not recurrent:
         _score_rows(params, split, np.arange(len(trace.scores)), None, config,
                     scratch, trace.scores)
@@ -351,19 +354,17 @@ _TRACE_FIELDS = ("doc_id", "labels", "context", "scores")
 
 
 @gc_paused()
-def read_traces(path: Path | str, vocab: TypeVocabulary,
-                text: str | None = None) -> SplitTrace:
-    """The trace in a trace file; ``text`` is the file's contents if already
-    read.  Documents come in order of first appearance, and their pages in
+def read_traces(path: Path | str, vocab: TypeVocabulary, text: str) -> SplitTrace:
+    """The trace in the trace file ``path`` whose contents are ``text``.
+    Documents come in order of first appearance, and their pages in
     ``page_index`` order, which must run 0..l-1.
 
     A header line (one with a provenance and no doc_id) must record
-    ``TRACE_FORMAT``.  The fields are checked a column at a time; only once a
-    check has failed does a pass over the pages name the first bad one.  In a
-    file with several faults, the one reported may not be the first in file
+    ``TRACE_FORMAT``, and hold no key but ``format`` and ``provenance``, an
+    object.  The fields are checked a column at a time; only once a check
+    has failed does a pass over the pages name the first bad one.  In a file
+    with several faults, the one reported may not be the first in file
     order."""
-    if text is None:
-        text = Path(path).read_text(encoding="utf-8")
     try:
         objs = read_jsonl(text)[1]
     except json.JSONDecodeError as exc:
@@ -375,6 +376,9 @@ def read_traces(path: Path | str, vocab: TypeVocabulary,
             pages.append(obj)
         else:  # a header
             check_format(obj, "trace", TRACE_FORMAT, "infer")
+            _block(obj, ("format", "provenance"), "", "trace header")
+            if not isinstance(obj["provenance"], dict):
+                raise ConfigError("trace header field 'provenance' must be an object")
     if not pages:
         return SplitTrace.blank([], np.zeros(1, dtype=np.int64), vocab.n)
     # one list per field: per-page tuples would live long enough to be

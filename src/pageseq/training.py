@@ -1,7 +1,8 @@
 """Optimization: linear warmup/decay learning-rate schedule, Adam with
 decoupled weight decay, and the deterministic training loop shared by the
 context-oblivious and recurrent setups (they differ only in the context
-tokens of the training examples).
+tokens of the training examples).  ``train_encoder`` reads splits as
+``recurrence.encode_split`` returns them, each encoded once by its caller.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Documents
-from .encoder import EncoderConfig, Scratch, TokenCodec, init_params, loss_and_grad
+from .encoder import EncoderConfig, Scratch, init_params, loss_and_grad
 from .evaluation import score
 from . import recurrence
-from .recurrence import EncodedSplit, encode_split, infer_split, row_lengths
+from .recurrence import EncodedSplit, infer_split, row_lengths
 
 
 class TrainingDiverged(RuntimeError):
@@ -190,30 +190,29 @@ def fit_adamw(params: dict[str, np.ndarray], n_examples: int, batch_loss,
                                       "validation": validation_seconds})
 
 
-def train_encoder(encoder_config: EncoderConfig, codec: TokenCodec,
-                  train_docs: Documents, cfg: TrainConfig,
-                  recurrent: bool,
-                  val_docs: Documents | None = None,
-                  encoded: EncodedSplit | None = None
+def train_encoder(encoder_config: EncoderConfig, train: EncodedSplit,
+                  cfg: TrainConfig, recurrent: bool, val: EncodedSplit | None = None
                   ) -> tuple[dict, TrainReport]:
-    """Train one encoder; deterministic given the two configs.
+    """Train one encoder on ``train``; deterministic given the two configs.
 
     ``recurrent=True`` trains on teacher-forced examples (gold previous-page
     context tokens); ``recurrent=False`` on plain per-page examples.  Nothing
-    else differs between the two paths.  Both splits are tokenized once;
-    ``encoded`` is ``encode_split(train_docs, codec, encoder_config.max_len)``
-    if known.  The optimizer steps and the validation decodes share one
-    work pool.
+    else differs between the two paths.  Both splits must be encoded for
+    ``encoder_config.max_len``, and ``val`` by ``train``'s codec; ``val``,
+    unless None or without documents, is decoded after every epoch.  The
+    optimizer steps and the validation decodes share one work pool.
     """
+    codec = train.codec
+    if val is not None and val.codec is not codec:
+        raise ValueError("the validation split was encoded by another codec")
+    for split in filter(None, (train, val)):
+        split.check_fits(encoder_config)
     started = time.perf_counter()
     # looked up on the module, so that perfbench's tracer sees the call
-    ids, targets = recurrence.page_examples(train_docs, recurrent, codec,
-                                            encoder_config.max_len, encoded)
+    ids, targets = recurrence.page_examples(train, recurrent)
     if len(ids) == 0:
         raise ValueError("no training pages")
     lengths = row_lengths(ids)
-    val_encoded = (encode_split(val_docs, codec, encoder_config.max_len)
-                   if val_docs else None)
     encode_seconds = time.perf_counter() - started
     params = init_params(encoder_config, codec)
     scratch = Scratch()
@@ -226,17 +225,15 @@ def train_encoder(encoder_config: EncoderConfig, codec: TokenCodec,
                              encoder_config, codec.type_vocab.label_mode,
                              dropout_rngs[epoch], scratch)
 
-    golds = val_docs.gold if val_docs else None
-
     def validate(epoch):
-        preds = infer_split(params, val_docs, encoder_config, codec, recurrent,
-                            val_encoded, scratch).labels
+        golds = val.docs.gold
+        preds = infer_split(params, val, encoder_config, recurrent, scratch).labels
         scored = score(preds, golds, codec.type_vocab)
         return {"val_accuracy": int((preds == golds).all(axis=1).sum()) / len(golds),
                 "val_macro_f1": scored.macro_f1,
                 "val_weighted_f1": scored.weighted_f1}
 
     report = fit_adamw(params, len(ids), batch_loss, cfg,
-                       validate if val_docs else None)
+                       validate if val is not None and val.docs else None)
     report.stage_seconds["encode"] = encode_seconds
     return params, report

@@ -52,7 +52,7 @@ from pageseq.encoder import (
 )
 from pageseq.evaluation import aggregate_f1, mcnemar_bowker, score
 from pageseq.features import fit_svd, fit_vocabulary, tokenize
-from pageseq.recurrence import infer_split
+from pageseq.recurrence import encode_split, infer_split, split_tokens
 from pageseq.training import AdamState, TrainConfig, lr_at, optimizer_step, train_encoder
 
 from oracles import (
@@ -116,18 +116,20 @@ def _run_models(split, seed, with_baselines):
     codec = TokenCodec(split.vocabulary, fit_vocabulary(map(tokenize, split.train.texts)))
     enc = EncoderConfig(variant="linear", d=32, max_len=16, init_seed=seed)
     cfg = TrainConfig(epochs=5, batch_size=32, peak_lr=0.02, seed=seed)
-    p_obl, _ = train_encoder(enc, codec, split.train, cfg, recurrent=False)
-    p_rec, _ = train_encoder(enc, codec, split.train, cfg, recurrent=True)
+    train, test = (encode_split(split_tokens(docs), codec, enc.max_len)
+                   for docs in (split.train, split.test))
+    p_obl, _ = train_encoder(enc, train, cfg, recurrent=False)
+    p_rec, _ = train_encoder(enc, train, cfg, recurrent=True)
 
     def macro(preds):
         return 100 * score(preds, split.test.gold, split.vocabulary).macro_f1
 
-    trace_obl = infer_split(p_obl, split.test, enc, codec, recurrent=False)
-    trace_rec = infer_split(p_rec, split.test, enc, codec, recurrent=True)
+    trace_obl = infer_split(p_obl, test, enc, recurrent=False)
+    trace_rec = infer_split(p_rec, test, enc, recurrent=True)
     out = {"oblivious": macro(trace_obl.labels), "recurrent": macro(trace_rec.labels)}
     if with_baselines:
         emissions = emissions_from_logits(
-            infer_split(p_obl, split.train, enc, codec, recurrent=False).scores)
+            infer_split(p_obl, train, enc, recurrent=False).scores)
         golds, offsets = split.train.gold.argmax(axis=1), split.train.offsets
         crf_model = crf_fit(emissions, golds, offsets,
                             l2=0.01, tol=1e-4, max_iter=500).model

@@ -44,6 +44,11 @@ def sha(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def read_trace_file(path, vocab):
+    """read_traces on the trace file ``path``."""
+    return read_traces(path, vocab, Path(path).read_text(encoding="utf-8"))
+
+
 def edit_block(blocks, name, edit):
     """Replace the float block ``blocks[name]`` by the block of its array
     after ``edit(array)``, which edits the array in place (returning None)
@@ -238,6 +243,16 @@ class TestTrain:
         assert len(report["step_losses"]) == expected_steps
         assert (outdir / "timing.json").exists()
 
+    @pytest.mark.parametrize("mode", ["oblivious", "recurrent"])
+    def test_empty_validation_split_is_not_decoded(self, tmp_path, corpus_dir, mode):
+        """A validation split file without pages: ``train`` exits 0, and no
+        epoch records a validation metric."""
+        (corpus_dir / "validation.jsonl").write_text("")
+        outdir = run_train(tmp_path, corpus_dir, "no-val", mode=mode)
+        report = json.loads((outdir / "report.json").read_text())
+        assert [sorted(metrics) for metrics in report["epoch_metrics"]] == \
+            [["epoch", "train_loss"]] * 2
+
     @pytest.mark.parametrize("mode, encoder_cfg", [
         ("recurrent", {"variant": "linear", "d": 8, "max_len": 16}),
         ("oblivious", {"variant": "tiny-transformer", "d": 8, "n_layers": 2,
@@ -354,7 +369,8 @@ class TestTrain:
                      "--manifest", str(corpus_dir / "manifest.json"),
                      "--split", "test", "--out", str(out)]) == 0
         split = load_corpus(corpus_dir / "manifest.json")
-        assert len(read_traces(out, split.vocabulary).scores) == len(split.test.texts)
+        trace = read_trace_file(out, split.vocabulary)
+        assert len(trace.scores) == len(split.test.texts)
 
     BAD_BILSTM = {"svd_k": "error: unknown config field 'bilstm.svd_k'",
                   "hidden_dim": "error: bilstm: dimensions must be >= 1"}
@@ -411,9 +427,9 @@ class TestTrain:
             assert main(["infer", "--checkpoint", str(ckpt), "--manifest", manifest,
                          "--split", "test", "--out", str(walk_dir / out)]) == 0
         split = load_corpus(manifest, ("test",))
-        trace = read_traces(walk_dir / "bilstm-test.jsonl", split.vocabulary)
+        trace = read_trace_file(walk_dir / "bilstm-test.jsonl", split.vocabulary)
         emissions = emissions_from_logits(
-            read_traces(walk_dir / "encoder-test.jsonl", split.vocabulary).scores)
+            read_trace_file(walk_dir / "encoder-test.jsonl", split.vocabulary).scores)
         params = {name: read_float_block(block, name)
                   for name, block in payload["params"].items()}
         offsets = split.test.offsets
@@ -537,7 +553,7 @@ class TestInferEvalCompare:
         assert rc == 0
         report = json.loads(report_path.read_text())
         split = load_corpus(corpus_dir / "manifest.json")
-        trace = read_traces(traces_path, split.vocabulary)
+        trace = read_trace_file(traces_path, split.vocabulary)
         preds = align_traces(trace, split.test)
         expected = score(preds, split.test.gold, split.vocabulary)
         assert report["macro_f1"] == pytest.approx(expected.macro_f1)
@@ -576,7 +592,7 @@ class TestInferEvalCompare:
                        "--manifest", str(corpus_dir / "manifest.json"),
                        "--split", "test", "--out", str(out)])
             assert rc == 0
-            trace = read_traces(out, split.vocabulary)
+            trace = read_trace_file(out, split.vocabulary)
             assert len(trace.scores) == n_pages
 
     def test_crf_checkpoint_rejects_other_classes(self, tmp_path, corpus_dir):
@@ -781,6 +797,28 @@ class TestTokenizeOnce:
 
 
 class TestTracedSites:
+    def test_train_reaches_the_traced_functions(self, tmp_path, corpus_dir,
+                                                monkeypatch):
+        """One train with the CRF calls the encoder training, its steps and
+        validation decodes, the vocabulary fit and the CRF fit under the
+        module names perfbench wraps them by."""
+        import pageseq.recurrence as recurrence
+
+        sites = ((cli, "train_encoder"), (recurrence, "page_examples"),
+                 (training, "loss_and_grad"), (training, "optimizer_step"),
+                 (encoder, "forward_batch"), (cli, "fit_vocabulary"),
+                 (cli, "crf_fit"))
+        calls = {f"{module.__name__}.{name}": 0 for module, name in sites}
+        for module, name in sites:
+            def counting(*args, _real=getattr(module, name),
+                         _site=f"{module.__name__}.{name}", **kwargs):
+                calls[_site] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        run_train(tmp_path, corpus_dir, "sites", mode="oblivious",
+                  baselines={"crf": True})
+        assert min(calls.values()) >= 1, calls
+
     def test_infer_reaches_the_traced_functions(self, tmp_path, corpus_dir,
                                                 monkeypatch):
         """One infer calls the tokenizer, the input augmentation and the
@@ -1358,11 +1396,35 @@ class TestBadArtifacts:
         """A trace whose header names another format, or none (as ``infer``
         wrote it before traces recorded one), is refused with a line that
         says to re-run ``infer``."""
+        err = self.run_on_edited_header(trained, command, header, capsys)
+        assert "trace format" in err and "re-run `infer`" in err
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.parametrize("header, message", [
+        (lambda h: h.update(seed=1), "unknown trace header field 'seed'"),
+        (lambda h: h.update(provenanc={}),
+         "unknown trace header field 'provenanc'; did you mean 'provenance'?"),
+        (lambda h: h.update(provenance=[1]),
+         "trace header field 'provenance' must be an object"),
+        (lambda h: h.update(provenance=None),
+         "trace header field 'provenance' must be an object"),
+    ], ids=["extra", "misspelt", "provenance-list", "provenance-null"])
+    def test_trace_header_keys(self, trained, command, header, message, capsys):
+        """A header holds ``format`` and ``provenance``, an object, and no
+        other key."""
+        err = self.run_on_edited_header(trained, command, header, capsys)
+        assert err.endswith(message)
+
+    @staticmethod
+    def run_on_edited_header(trained, command, edit, capsys):
+        """``eval`` or ``compare`` on the trace with its header edited;
+        asserts exit 2 and one error line naming the file, and returns that
+        line."""
         tmp_path, corpus_dir, _, traces = trained
         first, *pages = traces.read_text().splitlines(keepends=True)
         assert json.loads(first)["format"] == TRACE_FORMAT
         edited = json.loads(first)
-        header(edited)
+        edit(edited)
         bad = tmp_path / "old-header.jsonl"
         bad.write_text(json.dumps(edited) + "\n" + "".join(pages))
         argv = (["eval", "--traces", str(bad)] if command == "eval" else
@@ -1372,7 +1434,7 @@ class TestBadArtifacts:
                             "--split", "test"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: trace file {bad}: ")
-        assert "trace format" in err[0] and "re-run `infer`" in err[0]
+        return err[0]
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
     def test_trace_json_error_names_its_line(self, trained, command, capsys):

@@ -670,7 +670,8 @@ AB_PAGES = [json.dumps({"doc_id": d, "labels": [c], "page_index": t, "text": "x"
 READERS = {
     "split-file": (AB_PAGES, lambda p: load_split_file(p, AB),
                    lambda p: reference_load_split_file(p, AB), same_documents),
-    "trace-file": (trace_file_lines(), lambda p: trace_pages(read_traces(p, AB)),
+    "trace-file": (trace_file_lines(), lambda p: trace_pages(read_traces(
+                       p, AB, Path(p).read_text(encoding="utf-8"))),
                    lambda p: read_traces_per_page(p, AB), same_trace_pages),
     "line-reader": (AB_PAGES, line_reader, per_line_json, lambda a, b: a == b),
 }

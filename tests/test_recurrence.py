@@ -28,6 +28,7 @@ from pageseq.recurrence import (
     page_examples,
     read_traces,
     row_lengths,
+    split_tokens,
     write_traces,
 )
 import pageseq.training as training
@@ -55,9 +56,26 @@ def split_of(docs, vocab=BRIEFS):
     return oracles.split_of(docs, vocab)
 
 
+def encode(docs, codec, max_len):
+    """The EncodedSplit of the split of GoldDocs ``docs``."""
+    return encode_split(split_tokens(split_of(docs, codec.type_vocab)), codec,
+                        max_len)
+
+
+def infer(params, docs, config, codec, recurrent):
+    """infer_split over the split of GoldDocs ``docs``."""
+    return infer_split(params, encode(docs, codec, config.max_len), config,
+                       recurrent)
+
+
+def read_file(path, vocab):
+    """read_traces on the trace file ``path``."""
+    return read_traces(path, vocab, Path(path).read_text(encoding="utf-8"))
+
+
 def augment(context, text, codec, max_len):
     """The batched augment_input on one page: its id row."""
-    split = encode_split(split_of([make_doc("d", [(text, 0)])]), codec, max_len)
+    split = encode([make_doc("d", [(text, 0)])], codec, max_len)
     (row,) = augment_input(split.text, split.lengths,
                            oracles.context_arrays([context], codec.n_classes),
                            max_len)
@@ -73,13 +91,13 @@ def reference_row(context, text, codec, max_len):
 def infer_document(params, doc, config, codec):
     """The per-page records of a lone document's recurrent trace."""
     ((_, pages),) = oracles.trace_pages(
-        infer_split(params, split_of([doc]), config, codec, recurrent=True))
+        infer(params, [doc], config, codec, recurrent=True))
     return pages
 
 
 def infer_context_oblivious(params, doc, config, codec):
     ((_, pages),) = oracles.trace_pages(
-        infer_split(params, split_of([doc]), config, codec, recurrent=False))
+        infer(params, [doc], config, codec, recurrent=False))
     return pages
 
 
@@ -183,7 +201,7 @@ class TestTeacherForcedBatches:
         """Doc with gold A,B -> examples (FIRST_PAGE, A), ({A}, B)."""
         codec = briefs_codec()
         doc = make_doc("d", [("brief", 0), ("signed", 1)])
-        ids, targets = page_examples(split_of([doc]), True, codec, 8)
+        ids, targets = page_examples(encode([doc], codec, 8), True)
         assert len(ids) == 2
         assert oracles.decode(codec, ids[0])[1] == "[-1]"
         assert targets[0] == 0
@@ -195,8 +213,8 @@ class TestTeacherForcedBatches:
         batches = record_batches(monkeypatch)
         codec = briefs_codec()
         docs = [make_doc(f"d{i}", [("page", 0)] * 10) for i in range(10)]
-        train_encoder(EncoderConfig(variant="linear", d=4, max_len=8), codec,
-                      split_of(docs), TrainConfig(epochs=1, batch_size=32),
+        train_encoder(EncoderConfig(variant="linear", d=4, max_len=8),
+                      encode(docs, codec, 8), TrainConfig(epochs=1, batch_size=32),
                       recurrent=True)
         assert [len(ids) for ids, _ in batches] == [32, 32, 32, 4]
 
@@ -209,7 +227,7 @@ class TestTeacherForcedBatches:
             make_doc(f"d{i}", [("page", int(c)) for c in rng.integers(0, 3, size=6)])
             for i in range(4)
         ]
-        ids, targets = page_examples(split_of(docs), True, codec, 8)
+        ids, targets = page_examples(encode(docs, codec, 8), True)
         idx = 0
         for doc in docs:
             for t in range(len(doc.pages)):
@@ -228,9 +246,9 @@ class TestTeacherForcedBatches:
         codec = briefs_codec()
         docs = [make_doc(f"d{i}", [("page", 0)] * 5) for i in range(6)]
         for _ in range(2):
-            train_encoder(EncoderConfig(variant="linear", d=4, max_len=8), codec,
-                          split_of(docs), TrainConfig(epochs=2, batch_size=4, seed=3),
-                          recurrent=True)
+            train_encoder(EncoderConfig(variant="linear", d=4, max_len=8),
+                          encode(docs, codec, 8),
+                          TrainConfig(epochs=2, batch_size=4, seed=3), recurrent=True)
         first, second = batches[:len(batches) // 2], batches[len(batches) // 2:]
         for (ix, tx), (iy, ty) in zip(first, second):
             np.testing.assert_array_equal(ix, iy)
@@ -239,7 +257,7 @@ class TestTeacherForcedBatches:
     def test_plain_batches_carry_no_context_tokens(self):
         codec = briefs_codec()
         docs = [make_doc("d", [("brief", 0), ("page", 1)])]
-        ids, _ = page_examples(split_of(docs), False, codec, 8)
+        ids, _ = page_examples(encode(docs, codec, 8), False)
         assert len(ids) == 2
         for row in ids:
             decoded = oracles.decode(codec, row)
@@ -311,7 +329,7 @@ class TestEncodeSplit:
     @staticmethod
     def assert_matches_loop(docs, codec, max_len):
         split = split_of(docs, codec.type_vocab)
-        encoded = encode_split(split, codec, max_len)
+        encoded = encode_split(split_tokens(split), codec, max_len)
         text, lengths = oracles.loop_encode_split(
             list(map(oracles.reference_tokenize, split.texts)), codec, max_len)
         assert (encoded.text.dtype, encoded.lengths.dtype) == (text.dtype,
@@ -370,7 +388,7 @@ class TestAugmentInputProperties:
     def test_rows_equal_per_page_oracle(self, case):
         codec, docs, contexts, max_len, block = case
         texts = [page.text for doc in docs for page in doc.pages]
-        split = encode_split(split_of(docs, codec.type_vocab), codec, max_len)
+        split = encode(docs, codec, max_len)
         fed = [contexts[r] for r in block]
         context = oracles.context_arrays(fed, codec.n_classes)
         if max_len < 1 + max(map(context_size, fed)):
@@ -405,7 +423,7 @@ class TestAugmentInputProperties:
             return real(params, ids, targets, *args)
 
         with mock.patch.object(training, "loss_and_grad", recording):
-            train_encoder(config, codec, split_of(docs, codec.type_vocab), cfg,
+            train_encoder(config, encode(docs, codec, config.max_len), cfg,
                           teacher_forced)
 
         examples = []
@@ -602,7 +620,7 @@ class TestLockstep:
         codec, config = briefs_codec(), VARIANTS[variant]
         params = random_params(config, codec, 3)
         docs = ragged_split(RAGGED, 4)
-        traces = oracles.trace_pages(infer_split(params, split_of(docs), config,
+        traces = oracles.trace_pages(infer(params, docs, config,
                                                  codec, recurrent))
         expected = reference_traces(params, docs, config, codec, recurrent)
         assert [doc_id for doc_id, _ in traces] == [d.doc_id for d in docs]
@@ -623,13 +641,13 @@ class TestLockstep:
         params = random_params(config, codec, 7)
         docs = ragged_split(RAGGED, 6)
         (_, before), *_ = oracles.trace_pages(
-            infer_split(params, split_of(docs), config, codec, True))
+            infer(params, docs, config, codec, True))
         t = 2
         pages = [(p.text, 0) for p in docs[0].pages]
         pages[t + 1] = ("signed signed appellant page of", 0)
         edited = [make_doc("d0", pages)] + docs[1:]
         (_, after), *_ = oracles.trace_pages(
-            infer_split(params, split_of(edited), config, codec, True))
+            infer(params, edited, config, codec, True))
         for p_before, p_after in zip(before[:t + 1], after):
             np.testing.assert_array_equal(p_before.scores, p_after.scores)
             assert p_before.labels == p_after.labels
@@ -640,9 +658,9 @@ class TestLockstep:
         codec, config = briefs_codec(), VARIANTS[variant]
         params = random_params(config, codec, 3)
         docs = ragged_split(RAGGED, 8)
-        together = oracles.trace_pages(infer_split(params, split_of(docs), config,
+        together = oracles.trace_pages(infer(params, docs, config,
                                                    codec, True))
-        subset = oracles.trace_pages(infer_split(params, split_of(docs[1::3]),
+        subset = oracles.trace_pages(infer(params, docs[1::3],
                                                  config, codec, True))
         for (_, alone), (_, pages) in zip(subset, together[1::3]):
             assert [p.labels for p in alone] == [p.labels for p in pages]
@@ -665,7 +683,7 @@ class TestLockstep:
         calls = count_forward_batch_rows(monkeypatch)
         codec, config = briefs_codec(), VARIANTS[variant]
         params = init_params(config, codec)
-        infer_split(params, split_of(ragged_split(lengths, 9)), config, codec,
+        infer(params, ragged_split(lengths, 9), config, codec,
                     recurrent=True)
         assert calls == rows
 
@@ -675,7 +693,7 @@ class TestLockstep:
         calls = count_forward_batch_rows(monkeypatch)
         codec, config = briefs_codec(), VARIANTS[variant]
         params = init_params(config, codec)
-        infer_split(params, split_of(ragged_split(RAGGED, 10)), config, codec,
+        infer(params, ragged_split(RAGGED, 10), config, codec,
                     recurrent=False)
         assert calls == rows
 
@@ -686,18 +704,17 @@ class TestLockstep:
         calls = count_forward_batch_rows(monkeypatch)
         codec, config = briefs_codec(), VARIANTS["linear"]
         params = random_params(config, codec, 5)
-        split = split_of(ragged_split((1,) * 600, 11))
-        trace = infer_split(params, split, config, codec, recurrent=False)
+        split = encode(ragged_split((1,) * 600, 11), codec, config.max_len)
+        trace = infer_split(params, split, config, recurrent=False)
         assert calls == [256, 256, 88]
-        encoded = encode_split(split, codec, config.max_len)
-        ids = augment_input(encoded.text, encoded.lengths, None, config.max_len)
+        ids = augment_input(split.text, split.lengths, None, config.max_len)
         np.testing.assert_array_equal(trace.scores,
                                       encoder.forward_batch(params, ids, config))
 
     def test_empty_split(self):
         codec, config = briefs_codec(), VARIANTS["linear"]
         params = init_params(config, codec)
-        trace = infer_split(params, split_of([]), config, codec, True)
+        trace = infer(params, [], config, codec, True)
         assert trace.doc_ids == [] and trace.scores.shape == (0, BRIEFS.n)
 
 
@@ -828,10 +845,10 @@ class TestTraceFiles:
         params = init_params(config, codec)
         docs = [make_doc("d1", [("brief", 0), ("page", 1)]),
                 make_doc("d2", [("signed", 2)])]
-        trace = infer_split(params, split_of(docs), config, codec, recurrent=True)
+        trace = infer(params, docs, config, codec, recurrent=True)
         path = tmp_path / "traces.jsonl"
         write_traces(trace, path, BRIEFS, provenance={"seed": 0})
-        loaded = read_traces(path, BRIEFS)
+        loaded = read_file(path, BRIEFS)
         assert loaded.doc_ids == ["d1", "d2"] and loaded.context.any()
         for name in ("offsets", "scores", "labels", "context"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(trace, name))
@@ -846,7 +863,7 @@ class TestTraceFiles:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "traces.jsonl"
             write_traces(trace, path, vocab, provenance={"doc_ids": trace.doc_ids})
-            back = read_traces(path, vocab)
+            back = read_file(path, vocab)
         assert back.doc_ids == trace.doc_ids
         assert back.scores.tobytes() == trace.scores.tobytes()
         for name in ("offsets", "labels", "context"):
@@ -869,7 +886,7 @@ class TestTraceFiles:
             header, *lines = path.read_text().splitlines(keepends=True)
             order = np.random.default_rng(seed).permutation(len(lines))
             path.write_text(header + "".join(lines[i] for i in order))
-            pages = oracles.trace_pages(read_traces(path, vocab))
+            pages = oracles.trace_pages(read_file(path, vocab))
             expected = oracles.read_traces_per_page(path, vocab)
         assert [doc_id for doc_id, _ in pages] == [doc_id for doc_id, _ in expected]
         for (_, doc_pages), (_, ref_pages) in zip(pages, expected):
@@ -909,7 +926,7 @@ class TestTraceFiles:
                 page if isinstance(page, str) else json.dumps(page)
                 for page in pages]))
             with pytest.raises((ValueError, KeyError, TypeError)) as ours:
-                read_traces(path, vocab)
+                read_file(path, vocab)
             with pytest.raises((ValueError, KeyError, TypeError)) as ref:
                 oracles.read_traces_per_page(path, vocab)
         assert (type(ours.value), str(ours.value)) == (type(ref.value), str(ref.value))
@@ -927,17 +944,36 @@ class TestTraceFiles:
                        {"format": "pageseq-trace/0", "provenance": {"seed": 0}}):
             path.write_text(json.dumps(edited) + "\n" + "".join(pages))
             with pytest.raises(ValueError, match=r"trace format .* re-run `infer`"):
-                read_traces(path, vocab)
+                read_file(path, vocab)
         write_traces(trace, path, vocab)
         assert "provenance" not in path.read_text()
-        np.testing.assert_array_equal(read_traces(path, vocab).labels, trace.labels)
+        np.testing.assert_array_equal(read_file(path, vocab).labels, trace.labels)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"seed": 0}, "unknown trace header field 'seed'"),
+        ({"Format": TRACE_FORMAT}, "unknown trace header field 'Format'; did you "
+                                   "mean 'format'?"),
+        ({"provenance": 0}, "trace header field 'provenance' must be an object"),
+        ({"provenance": [{"seed": 0}]},
+         "trace header field 'provenance' must be an object"),
+    ], ids=["extra", "misspelt", "provenance-int", "provenance-list"])
+    def test_header_holds_only_format_and_provenance(self, tmp_path, edit, message):
+        vocab, trace = unicode_example()
+        path = tmp_path / "t.jsonl"
+        write_traces(trace, path, vocab, provenance={"seed": 0})
+        header, *pages = path.read_text().splitlines(keepends=True)
+        path.write_text(json.dumps({**json.loads(header), **edit}) + "\n"
+                        + "".join(pages))
+        with pytest.raises(ValueError) as raised:
+            read_file(path, vocab)
+        assert str(raised.value) == message
 
     def test_first_page_context_serialized_as_reserved_token(self, tmp_path):
         codec = briefs_codec()
         config = EncoderConfig(variant="linear", d=4, max_len=8)
         params = init_params(config, codec)
         doc = make_doc("d", [("brief", 0), ("page", 1)])
-        trace = infer_split(params, split_of([doc]), config, codec, recurrent=True)
+        trace = infer(params, [doc], config, codec, recurrent=True)
         path = tmp_path / "t.jsonl"
         write_traces(trace, path, BRIEFS)
         first_line = path.read_text().splitlines()[0]

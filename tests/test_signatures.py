@@ -37,6 +37,12 @@ writer and the reader of each checkpoint kind are the only functions that
 use the pair, and every checkpoint payload (a dict literal with a "kind")
 is built by one of them and records its ``format``.
 
+The encoder path is a chain of stages, each taking the object that the one
+before it returns: documents become ``SplitTokens``, then an
+``EncodedSplit`` that carries its documents, codec and ``max_len``.  No
+function takes documents next to an ``encoded`` or ``tokens`` value that
+must agree with them.
+
 The context a page is fed has one shape: a (pages x 1+n) indicator whose
 column 0 is the first-page marker.  No function takes the marker as a
 separate ``first`` flag or whether anything was ``fed``, and the marker's
@@ -269,3 +275,19 @@ def test_context_has_one_shape():
                        and isinstance(node.value, ast.Constant)
                        and node.value.value == "[-1]")
     assert spelled == defined == ["corpus"]
+
+
+DOCS_PARAM = re.compile(r"docs|\w+_docs")
+
+
+def test_no_function_takes_documents_next_to_their_encoding():
+    functions = dict(package_functions())
+    params = {name: set(inspect.signature(fn).parameters)
+              for name, fn in functions.items()}
+    # the walk sees both kinds of parameter
+    assert "docs" in params["recurrence.split_tokens"]
+    assert "tokens" in params["recurrence.encode_split"]
+    found = [name for name, names in params.items()
+             if names & {"encoded", "tokens"}
+             and any(DOCS_PARAM.fullmatch(param) for param in names)]
+    assert found == []

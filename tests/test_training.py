@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from pageseq.corpus import SynthConfig, generate_synthetic
-from pageseq.encoder import EncoderConfig, TokenCodec
+from pageseq.encoder import EncoderConfig, TokenCodec, init_params
 from pageseq.features import fit_vocabulary, tokenize
+from pageseq.recurrence import encode_split, infer_split, split_tokens
 from pageseq.training import (
     AdamState,
     TrainConfig,
@@ -151,6 +152,11 @@ def codec_for(split, cap=60_000):
                       fit_vocabulary(map(tokenize, split.train.texts), cap))
 
 
+def encode(docs, codec, config):
+    """The EncodedSplit of ``docs`` for an encoder of ``config``."""
+    return encode_split(split_tokens(docs), codec, config.max_len)
+
+
 class TestTrainEncoder:
     def test_step_count(self):
         split = tiny_corpus()
@@ -158,7 +164,7 @@ class TestTrainEncoder:
         enc = EncoderConfig(variant="linear", d=8, max_len=12)
         cfg = TrainConfig(epochs=2, batch_size=32, peak_lr=0.01, seed=1)
         n_pages = len(split.train.texts)
-        _, report = train_encoder(enc, codec, split.train, cfg,
+        _, report = train_encoder(enc, encode(split.train, codec, enc), cfg,
                                   recurrent=False)
         expected = 2 * ((n_pages + 31) // 32)
         assert report.total_steps == expected
@@ -171,8 +177,8 @@ class TestTrainEncoder:
         codec = codec_for(split)
         enc = EncoderConfig(variant="linear", d=16, max_len=16, init_seed=2)
         cfg = TrainConfig(epochs=5, batch_size=32, peak_lr=0.05, seed=3)
-        _, report = train_encoder(enc, codec, split.train, cfg,
-                                  recurrent=False, val_docs=split.train)
+        train = encode(split.train, codec, enc)
+        _, report = train_encoder(enc, train, cfg, recurrent=False, val=train)
         assert report.epoch_metrics[-1]["val_accuracy"] >= 0.99
 
     def test_same_seed_bit_identical(self):
@@ -180,8 +186,10 @@ class TestTrainEncoder:
         codec = codec_for(split)
         enc = EncoderConfig(variant="linear", d=8, max_len=12, init_seed=4)
         cfg = TrainConfig(epochs=2, batch_size=16, peak_lr=0.02, seed=9)
-        params1, report1 = train_encoder(enc, codec, split.train, cfg, recurrent=True)
-        params2, report2 = train_encoder(enc, codec, split.train, cfg, recurrent=True)
+        params1, report1 = train_encoder(enc, encode(split.train, codec, enc), cfg,
+                                         recurrent=True)
+        params2, report2 = train_encoder(enc, encode(split.train, codec, enc), cfg,
+                                         recurrent=True)
         assert report1.step_losses == report2.step_losses
         for name in params1:
             np.testing.assert_array_equal(params1[name], params2[name])
@@ -193,9 +201,9 @@ class TestTrainEncoder:
         codec = codec_for(split)
         enc = EncoderConfig(variant="linear", d=8, max_len=12)
         cfg = TrainConfig(epochs=2, batch_size=16, peak_lr=0.02, seed=5)
-        _, rep_obl = train_encoder(enc, codec, split.train, cfg,
+        _, rep_obl = train_encoder(enc, encode(split.train, codec, enc), cfg,
                                    recurrent=False)
-        _, rep_rec = train_encoder(enc, codec, split.train, cfg,
+        _, rep_rec = train_encoder(enc, encode(split.train, codec, enc), cfg,
                                    recurrent=True)
         assert rep_obl.total_steps == rep_rec.total_steps
         assert rep_obl.step_lrs == rep_rec.step_lrs
@@ -210,7 +218,7 @@ class TestTrainEncoder:
         cfg = TrainConfig(epochs=3, batch_size=8, peak_lr=1e160,
                           warmup_fraction=0.0, seed=6)
         with pytest.raises(TrainingDiverged, match="step"):
-            train_encoder(enc, codec, split.train, cfg,
+            train_encoder(enc, encode(split.train, codec, enc), cfg,
                           recurrent=False)
 
     def test_report_payload_excludes_wall_clock(self):
@@ -218,13 +226,39 @@ class TestTrainEncoder:
         codec = codec_for(split)
         enc = EncoderConfig(variant="linear", d=8, max_len=12)
         cfg = TrainConfig(epochs=1, batch_size=32, peak_lr=0.01)
-        _, report = train_encoder(enc, codec, split.train, cfg,
+        _, report = train_encoder(enc, encode(split.train, codec, enc), cfg,
                                   recurrent=False)
         payload = report.to_payload()
         assert "wall_clock_seconds" not in payload
         assert "stage_seconds" not in payload
         assert report.wall_clock_seconds > 0.0
         assert set(report.stage_seconds) == {"encode", "steps", "validation"}
+
+    def test_split_encoded_for_another_max_len_is_refused(self):
+        """Rows encoded for max_len 4 are truncated for that length: an
+        encoder of max_len 16 neither decodes nor trains on them."""
+        split = tiny_corpus(seed=7)
+        codec = codec_for(split)
+        enc = EncoderConfig(variant="linear", d=8, max_len=16)
+        short = EncoderConfig(variant="linear", d=8, max_len=4)
+        cfg = TrainConfig(epochs=1)
+        with pytest.raises(ValueError, match="max_len 4, encoder has max_len 16"):
+            infer_split(init_params(enc, codec), encode(split.test, codec, short),
+                        enc, recurrent=True)
+        with pytest.raises(ValueError, match="max_len 4, encoder has max_len 16"):
+            train_encoder(enc, encode(split.train, codec, short), cfg,
+                          recurrent=False)
+        with pytest.raises(ValueError, match="max_len 4, encoder has max_len 16"):
+            train_encoder(enc, encode(split.train, codec, enc), cfg, recurrent=False,
+                          val=encode(split.validation, codec, short))
+
+    def test_validation_encoded_by_another_codec_is_refused(self):
+        split = tiny_corpus(seed=8)
+        enc = EncoderConfig(variant="linear", d=8, max_len=12)
+        val = encode(split.validation, codec_for(split, cap=5), enc)
+        with pytest.raises(ValueError, match="another codec"):
+            train_encoder(enc, encode(split.train, codec_for(split), enc),
+                          TrainConfig(epochs=1), recurrent=False, val=val)
 
 
 class TestTrainConfig:
