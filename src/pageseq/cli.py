@@ -43,7 +43,6 @@ from .corpus import (
     CorpusError,
     CorpusSplit,
     SynthConfig,
-    TypeVocabulary,
     _block,
     _config_from,
     _label,
@@ -73,7 +72,6 @@ from .encoder import (
     save_checkpoint,
 )
 from .evaluation import (
-    align_traces,
     compare_traces,
     format_score_table,
     score,
@@ -505,14 +503,14 @@ def cmd_infer(args) -> int:
     bad = np.flatnonzero(~np.isfinite(trace.scores).all(axis=1))
     if bad.size:
         raise ConfigError(f"checkpoint {args.checkpoint}: "
-                          f"{trace.page_name(int(bad[0]))} has a score that is "
+                          f"{trace.docs.page_name(int(bad[0]))} has a score that is "
                           f"not finite")
     ref = {"checkpoint_sha256": digest, "split": args.split}
     provenance = provenance_for("infer", ref, seed)
     with _writing(args.out):
-        write_traces(trace, args.out, split.vocabulary, provenance=provenance)
+        write_traces(trace, args.out, provenance=provenance)
     print(f"wrote {args.out} ({len(trace.scores)} pages, "
-          f"{len(trace.doc_ids)} documents)")
+          f"{len(trace.docs)} documents)")
     return 0
 
 
@@ -521,23 +519,18 @@ def cmd_infer(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_split_traces(path, vocabulary: TypeVocabulary, docs):
-    """The decided labels of the trace file ``path`` in gold page order, and
-    the SHA-256 of its bytes; the file must cover exactly the pages of
-    ``docs``."""
+def _read_split_traces(path, docs):
+    """The trace of ``docs`` in the trace file ``path``, and the SHA-256 of
+    its bytes."""
     text, digest = _load_artifact("trace file", path, read_text_sha256)
-    trace = _load_artifact("trace file", path, read_traces, vocabulary, text)
-    try:
-        return align_traces(trace, docs), digest
-    except ValueError as exc:
-        raise ConfigError(f"trace file {path}: {exc}") from None
+    return _load_artifact("trace file", path, read_traces, docs, text), digest
 
 
 def cmd_eval(args) -> int:
     split = load_corpus(args.manifest, (args.split,))
     docs = split.split(args.split)
-    preds, digest = _read_split_traces(args.traces, split.vocabulary, docs)
-    scores = score(preds, docs.gold, split.vocabulary)
+    trace, digest = _read_split_traces(args.traces, docs)
+    scores = score(trace.labels, docs.gold, split.vocabulary)
     print(format_score_table(scores, split.vocabulary))
     if args.out:
         ref = {"traces_sha256": digest, "split": args.split}
@@ -551,9 +544,9 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     split = load_corpus(args.manifest, (args.split,))
     docs = split.split(args.split)
-    preds_a, digest_a = _read_split_traces(args.traces_a, split.vocabulary, docs)
-    preds_b, digest_b = _read_split_traces(args.traces_b, split.vocabulary, docs)
-    report = compare_traces(preds_a, preds_b, docs.gold, split.vocabulary)
+    a, digest_a = _read_split_traces(args.traces_a, docs)
+    b, digest_b = _read_split_traces(args.traces_b, docs)
+    report = compare_traces(a.labels, b.labels, docs.gold, split.vocabulary)
     names = split.vocabulary.class_names
     print("per-class F1 (A vs B, percent):")
     for c, name in enumerate(names):

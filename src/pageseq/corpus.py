@@ -81,8 +81,8 @@ class Documents:
     """The documents of one split as columns, one row per page in document
     order: document ``doc_ids[i]`` owns rows ``offsets[i]:offsets[i + 1]``,
     ``texts`` holds each page's text and ``gold`` is the (pages x n) 0/1
-    indicator of its gold classes, read in the vocabulary's ``label_mode``.
-    ``len`` is the number of documents.
+    indicator of its gold classes among those of ``vocab``, read in its
+    ``label_mode``.  ``len`` is the number of documents.
 
     Built from each document's id and page count and each page's text and
     gold class indices, checked against the class vocabulary.  This is the
@@ -97,7 +97,7 @@ class Documents:
         self.doc_ids = tuple(doc_ids)
         self.offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
         self.texts = tuple(texts)
-        self.label_mode = vocab.label_mode
+        self.vocab = vocab
         if not (len(self.offsets) == len(self.doc_ids) + 1
                 and self.offsets[-1] == len(self.texts) == len(labels)):
             raise CorpusError("doc_ids, sizes, texts and labels do not align")
@@ -113,7 +113,7 @@ class Documents:
                 and (not flat or 0 <= min(flat) and max(flat) < n)):
             for row, c in zip(rows.tolist(), flat):
                 if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < n:
-                    raise CorpusError(f"{self._page(row)}: label {c!r} is not a "
+                    raise CorpusError(f"{self.page_name(row)}: label {c!r} is not a "
                                       f"class index; a label index is an int in "
                                       f"0..{n - 1}")
         self.gold = np.zeros((len(labels), n), dtype=bool)
@@ -122,13 +122,14 @@ class Documents:
         bad = np.flatnonzero((counts == 0) | (counts > vocab.max_labels))
         if bad.size:
             row = int(bad[0])
-            raise CorpusError(f"{self._page(row)} has no labels" if not counts[row]
-                              else f"{self._page(row)} carries {counts[row]} "
+            raise CorpusError(f"{self.page_name(row)} has no labels" if not counts[row]
+                              else f"{self.page_name(row)} carries {counts[row]} "
                                    f"labels in multiclass mode")
 
-    def _page(self, row: int) -> str:
+    def page_name(self, row: int) -> str:
+        """Row ``row`` as a message names a page: its index and document."""
         doc = int(np.searchsorted(self.offsets, row, side="right")) - 1
-        return f"page ({self.doc_ids[doc]!r}, {row - int(self.offsets[doc])})"
+        return f"page {row - int(self.offsets[doc])} of {self.doc_ids[doc]!r}"
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -766,7 +767,7 @@ def class_page_counts(split: CorpusSplit) -> dict[str, dict[str, int]]:
 
 def _page_classes(docs: Documents) -> np.ndarray:
     """The class of every page of a multiclass split."""
-    if docs.label_mode != MULTICLASS:
+    if docs.vocab.label_mode != MULTICLASS:
         raise CorpusError("run/transition statistics require multiclass labels")
     return docs.gold.argmax(axis=1)
 

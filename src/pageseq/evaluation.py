@@ -1,6 +1,8 @@
 """Evaluation: per-class precision/recall/F1 with macro and support-weighted
 averages, paired-prediction contingency tables, and the McNemar-Bowker test
 of symmetry (chi-square upper tail via the regularized incomplete gamma).
+Predictions and gold are aligned (pages x n) indicators: a trace read
+against a split has that split's rows.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from .corpus import MULTICLASS, Documents, TypeVocabulary, document_rows
-from .recurrence import SplitTrace
+from .corpus import MULTICLASS, TypeVocabulary
 
 
 @dataclass(eq=False)
@@ -146,27 +147,6 @@ class ComparisonReport:
     scores_a: PerClassScores
     scores_b: PerClassScores
     f1_delta: np.ndarray
-
-
-def align_traces(trace: SplitTrace, docs: Documents) -> np.ndarray:
-    """The trace's decided labels, (pages x n), in gold-document page order;
-    errors if the trace does not cover exactly the gold pages."""
-    by_id = {doc_id: i for i, doc_id in enumerate(trace.doc_ids)}
-    if len(by_id) != len(trace.doc_ids):
-        raise ValueError("duplicate doc_id among traces")
-    missing = [doc_id for doc_id in docs.doc_ids if doc_id not in by_id]
-    extra = set(by_id) - set(docs.doc_ids)
-    if missing or extra:
-        raise ValueError(f"trace/gold page-set mismatch: missing={missing}, "
-                         f"extra={sorted(extra)}")
-    order = np.array([by_id[doc_id] for doc_id in docs.doc_ids], dtype=np.int64)
-    sizes, gold_sizes = np.diff(trace.offsets)[order], np.diff(docs.offsets)
-    wrong = np.flatnonzero(sizes != gold_sizes)
-    if wrong.size:
-        i = wrong[0]
-        raise ValueError(f"trace for {docs.doc_ids[i]!r} has {sizes[i]} pages, "
-                         f"gold has {gold_sizes[i]}")
-    return trace.labels[document_rows(trace.offsets, order)]
 
 
 def compare_traces(preds_a, preds_b, golds,

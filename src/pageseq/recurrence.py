@@ -9,8 +9,9 @@ read it; only the context tokens written before its text change.
 Inference decodes every document of a split in lockstep: at page position t
 it scores page t of each document that has one, conditioned on that
 document's own decision at t-1.  No page's input depends on a later page
-(no lookahead) or on another document.  Its result is one ``SplitTrace``,
-whose arrays go to the trace file and come back from it unchanged.
+(no lookahead) or on another document.  Its result is one ``SplitTrace`` of
+the split's documents, whose arrays go to the trace file and come back from
+it, read against those documents, unchanged.
 
 The contexts fed are one (pages x 1+n) indicator from training examples and
 inference through input augmentation to the trace file: column 0 is the
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
@@ -34,8 +35,8 @@ import numpy as np
 
 from . import encoder
 from .corpus import (FIRST_PAGE_TOKEN, MULTICLASS, ConfigError, Documents,
-                     TypeVocabulary, _block, _Memo, check_format,
-                     first_appearance, gc_paused, page_positions, read_jsonl)
+                     _block, _Memo, check_format, first_appearance, gc_paused,
+                     page_positions, read_jsonl)
 from .encoder import (CLS_ID, FIRST_ID, LINEAR, PAD_ID, TINY_TRANSFORMER,
                       EncoderConfig, TokenCodec, predict)
 from .features import tokenize
@@ -43,8 +44,8 @@ from .features import tokenize
 
 @dataclass(eq=False)
 class SplitTrace:
-    """The predictions for one split, one row per page in document order:
-    document ``doc_ids[i]`` owns rows ``offsets[i]:offsets[i + 1]``.
+    """The predictions for the pages of ``docs``, row for row: the n classes
+    are those of ``docs.vocab``.
 
     ``scores`` are the model's (pages x n) scores and ``labels`` its decided
     classes as a 0/1 indicator.  ``context`` is the (pages x 1+n) indicator
@@ -53,24 +54,22 @@ class SplitTrace:
     it is set.
     """
 
-    doc_ids: list
-    offsets: np.ndarray
+    docs: Documents
     scores: np.ndarray
     labels: np.ndarray
     context: np.ndarray
 
     @classmethod
-    def blank(cls, doc_ids: Sequence, offsets: np.ndarray, n: int) -> "SplitTrace":
+    def blank(cls, docs: Documents) -> "SplitTrace":
         """Zero scores, no decisions and no context fed, to be filled in place."""
-        pages = int(offsets[-1])
-        return cls(list(doc_ids), offsets, np.zeros((pages, n)),
-                   np.zeros((pages, n), dtype=bool),
+        pages, n = len(docs.texts), docs.vocab.n
+        return cls(docs, np.zeros((pages, n)), np.zeros((pages, n), dtype=bool),
                    np.zeros((pages, 1 + n), dtype=bool))
 
-    def page_name(self, row: int) -> str:
-        """Row ``row`` as a message names a page: its index and document."""
-        doc = int(np.searchsorted(self.offsets, row, side="right")) - 1
-        return f"page {row - int(self.offsets[doc])} of {self.doc_ids[doc]!r}"
+    @property
+    def offsets(self) -> np.ndarray:
+        """The document offsets of the rows, ``docs.offsets``."""
+        return self.docs.offsets
 
 
 @dataclass(eq=False)
@@ -136,7 +135,9 @@ def split_tokens(docs: Documents) -> SplitTokens:
 
 
 def encode_split(tokens: SplitTokens, codec: TokenCodec, max_len: int) -> EncodedSplit:
-    """The text ids of every page of ``tokens.docs``."""
+    """The text ids of every page of ``tokens.docs``, of the codec's classes."""
+    if tokens.docs.vocab != codec.type_vocab:
+        raise ValueError("the split's classes or label mode are not the codec's")
     n_text = max_len - 1
     ids = np.fromiter(codec.text_token_ids(tokens.distinct), dtype=np.int64,
                       count=len(tokens.distinct))[tokens.index]
@@ -246,10 +247,10 @@ def infer_split(params: dict, split: EncodedSplit, config: EncoderConfig,
     Oblivious: every page scored from its own text, with no context tokens.
     """
     split.check_fits(config)
-    docs, label_mode = split.docs, split.codec.type_vocab.label_mode
+    docs, label_mode = split.docs, split.docs.vocab.label_mode
     if scratch is None:
         scratch = encoder.Scratch()
-    trace = SplitTrace.blank(docs.doc_ids, docs.offsets, split.codec.n_classes)
+    trace = SplitTrace.blank(docs)
     if not recurrent:
         _score_rows(params, split, np.arange(len(trace.scores)), None, config,
                     scratch, trace.scores)
@@ -285,8 +286,9 @@ def _names_json(indicator: np.ndarray, names: Sequence[str]) -> list[str]:
     return list(map(strings.__getitem__, inverse.ravel().tolist()))
 
 
-def write_traces(trace: SplitTrace, path: Path | str, vocab: TypeVocabulary,
+def write_traces(trace: SplitTrace, path: Path | str,
                  provenance: dict | None = None) -> None:
+    docs, vocab = trace.docs, trace.docs.vocab
     lines = []
     if provenance is not None:
         lines.append(json.dumps({"format": TRACE_FORMAT, "provenance": provenance},
@@ -298,7 +300,7 @@ def write_traces(trace: SplitTrace, path: Path | str, vocab: TypeVocabulary,
     scores = (json.dumps(trace.scores.tolist())[2:-2].split("], [")
               if len(labels) else [])
     row = 0
-    for doc_id, size in zip(trace.doc_ids, np.diff(trace.offsets).tolist()):
+    for doc_id, size in zip(docs.doc_ids, np.diff(docs.offsets).tolist()):
         doc = json.dumps(doc_id)
         for t in range(size):
             lines.append(f'{{"context": {contexts[row]}, "doc_id": {doc}, '
@@ -354,10 +356,10 @@ _TRACE_FIELDS = ("doc_id", "labels", "context", "scores")
 
 
 @gc_paused()
-def read_traces(path: Path | str, vocab: TypeVocabulary, text: str) -> SplitTrace:
-    """The trace in the trace file ``path`` whose contents are ``text``.
-    Documents come in order of first appearance, and their pages in
-    ``page_index`` order, which must run 0..l-1.
+def read_traces(path: Path | str, docs: Documents, text: str) -> SplitTrace:
+    """The trace of ``docs`` in the trace file ``path`` whose contents are
+    ``text``.  The page lines, in any order, must hold each page of ``docs``
+    once: page ``page_index`` of document ``doc_id``.
 
     A header line (one with a provenance and no doc_id) must record
     ``TRACE_FORMAT``, and hold no key but ``format`` and ``provenance``, an
@@ -365,11 +367,15 @@ def read_traces(path: Path | str, vocab: TypeVocabulary, text: str) -> SplitTrac
     has failed does a pass over the pages name the first bad one.  In a file
     with several faults, the one reported may not be the first in file
     order."""
+    vocab = docs.vocab
     try:
-        objs = read_jsonl(text)[1]
+        linenos, objs = read_jsonl(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: malformed JSON ({exc.msg} at "
                          f"column {exc.colno})") from None
+    if not set(map(type, objs)) <= {dict}:
+        line = linenos[_first(objs, lambda obj: type(obj) is not dict)]
+        raise ValueError(f"{path}:{line}: expected a JSON object")
     pages = []
     for obj in objs:
         if "doc_id" in obj or "provenance" not in obj:
@@ -379,8 +385,6 @@ def read_traces(path: Path | str, vocab: TypeVocabulary, text: str) -> SplitTrac
             _block(obj, ("format", "provenance"), "", "trace header")
             if not isinstance(obj["provenance"], dict):
                 raise ConfigError("trace header field 'provenance' must be an object")
-    if not pages:
-        return SplitTrace.blank([], np.zeros(1, dtype=np.int64), vocab.n)
     # one list per field: per-page tuples would live long enough to be
     # promoted to the oldest GC generation, and bring on full collections
     columns = [list(map(itemgetter(key), pages))
@@ -399,7 +403,7 @@ def read_traces(path: Path | str, vocab: TypeVocabulary, text: str) -> SplitTrac
         row = _first(scores, lambda s: not set(map(type, s)) <= {int, float})
         raise ValueError(f"{_page_name(pages[row])} has a score that is not a "
                          f"number")
-    if set(map(len, scores)) != {vocab.n}:
+    if not set(map(len, scores)) <= {vocab.n}:
         row = _first(scores, lambda s: len(s) != vocab.n)
         raise ValueError(f"{_page_name(pages[row])} has {len(scores[row])} "
                          f"scores for {vocab.n} classes")
@@ -439,19 +443,39 @@ def read_traces(path: Path | str, vocab: TypeVocabulary, text: str) -> SplitTrac
             raise ValueError(f"{_page_name(pages[bad[0]])} has {counts[bad[0]]} "
                              f"context labels in {vocab.label_mode} mode")
 
-    doc_rows, doc = first_appearance(doc_ids)
-    if set(map(type, page_indices)) == {int} and (
-            0 <= min(page_indices) and max(page_indices) < len(pages)):
-        index = np.array(page_indices, dtype=np.int64)
-    else:  # an index that cannot be a page's is -1, which no page expects
-        index = np.array([i if type(i) is int and 0 <= i < len(pages) else -1
-                          for i in page_indices], dtype=np.int64)
-    sizes = np.bincount(doc, minlength=len(doc_rows))
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    order = np.lexsort((index, doc))
-    wrong = index[order] != np.arange(len(order)) - np.repeat(offsets[:-1], sizes)
-    if wrong.any():
-        doc_id = doc_rows[doc[order[wrong.argmax()]]]
-        raise ValueError(f"trace for {doc_id!r} has missing or duplicate pages")
-    return SplitTrace(doc_rows, offsets, scores[order], labels[order],
-                      context[order])
+    # each line's document in ``docs``, -1 for none of them
+    where = dict(zip(docs.doc_ids, range(len(docs))))
+    doc = np.fromiter(map(where.get, doc_ids, repeat(-1)), dtype=np.int64,
+                      count=len(pages))
+    if not (set(map(type, page_indices)) <= {int}
+            and 0 <= min(page_indices, default=0)
+            and max(page_indices, default=-1) < len(pages)):
+        raise ValueError(_coverage_fault(docs, doc_ids, page_indices))
+    rows = docs.offsets[doc] + np.array(page_indices, dtype=np.int64)
+    if not ((doc >= 0).all() and (rows < docs.offsets[doc + 1]).all()
+            and (np.bincount(rows, minlength=len(docs.texts)) == 1).all()):
+        raise ValueError(_coverage_fault(docs, doc_ids, page_indices))
+    trace = SplitTrace.blank(docs)
+    trace.scores[rows], trace.labels[rows], trace.context[rows] = scores, labels, context
+    return trace
+
+
+def _coverage_fault(docs: Documents, doc_ids: list, page_indices: list) -> str:
+    """Why page lines of these documents and page indices do not hold each
+    page of ``docs`` once: a document they lack or ``docs`` lacks, else one
+    whose lines are not its pages 0..l-1, else one of another length."""
+    lines: dict = {}
+    for doc_id, index in zip(doc_ids, page_indices):
+        lines.setdefault(doc_id, []).append(index)
+    missing = [doc_id for doc_id in docs.doc_ids if doc_id not in lines]
+    extra = sorted(lines.keys() - set(docs.doc_ids))
+    if missing or extra:
+        return f"trace/gold page-set mismatch: missing={missing}, extra={extra}"
+    for doc_id in docs.doc_ids:
+        indices = lines[doc_id]
+        if not (set(map(type, indices)) <= {int}
+                and sorted(indices) == list(range(len(indices)))):
+            return f"trace for {doc_id!r} has missing or duplicate pages"
+    for doc_id, size in zip(docs.doc_ids, np.diff(docs.offsets).tolist()):
+        if len(lines[doc_id]) != size:
+            return f"trace for {doc_id!r} has {len(lines[doc_id])} pages, gold has {size}"

@@ -63,6 +63,16 @@ def split_of(docs, vocab):
                      [page.gold_labels for page in pages])
 
 
+def documents(vocab, doc_ids, sizes):
+    """The ``corpus.Documents`` of these doc ids and page counts, every page
+    with empty text and gold class 0: the pages that a trace of them
+    predicts."""
+    from pageseq.corpus import Documents
+
+    pages = int(sum(sizes))
+    return Documents(vocab, doc_ids, sizes, [""] * pages, [(0,)] * pages)
+
+
 def docs_of(split) -> list[GoldDoc]:
     """A columnar split as a list of ``GoldDoc``s."""
     bounds = split.offsets.tolist()
@@ -76,7 +86,8 @@ def same_documents(x, y) -> bool:
     """Whether two splits have the same doc ids, offsets, texts, label mode
     and gold indicator."""
     return (x.doc_ids == y.doc_ids and x.texts == y.texts
-            and x.label_mode == y.label_mode and np.array_equal(x.offsets, y.offsets)
+            and x.vocab.label_mode == y.vocab.label_mode
+            and np.array_equal(x.offsets, y.offsets)
             and np.array_equal(x.gold, y.gold))
 
 
@@ -393,9 +404,9 @@ def trace_pages(trace) -> list[tuple[str, list[Page]]]:
     set was fed none."""
     fed = trace.context.any()
     out = []
-    for i, doc_id in enumerate(trace.doc_ids):
+    for i, doc_id in enumerate(trace.docs.doc_ids):
         pages = []
-        for r in range(trace.offsets[i], trace.offsets[i + 1]):
+        for r in range(trace.docs.offsets[i], trace.docs.offsets[i + 1]):
             context = (None if not fed else FIRST_PAGE if trace.context[r, 0]
                        else frozenset(np.flatnonzero(trace.context[r, 1:]).tolist()))
             pages.append(Page(trace.scores[r],
@@ -405,12 +416,13 @@ def trace_pages(trace) -> list[tuple[str, list[Page]]]:
     return out
 
 
-def write_traces_per_page(trace, path, vocab, provenance=None) -> None:
+def write_traces_per_page(trace, path, provenance=None) -> None:
     """Reference trace writer: one ``json.dumps`` of each page's record,
     after a header of the trace format and the provenance."""
     from pageseq.corpus import FIRST_PAGE_TOKEN
     from pageseq.recurrence import TRACE_FORMAT
 
+    vocab = trace.docs.vocab
     lines = []
     if provenance is not None:
         lines.append(json.dumps({"format": TRACE_FORMAT, "provenance": provenance},
@@ -441,15 +453,17 @@ def _class_names(names, field, page, vocab) -> frozenset:
     return frozenset(vocab.class_names.index(name) for name in names)
 
 
-def read_traces_per_page(path, vocab):
-    """Reference trace reader, in the form of ``trace_pages``: documents in
-    order of first appearance, each one's pages in page_index order.  One
-    ``json.loads`` per line and every check page by page, with the errors
+def read_traces_per_page(path, gold):
+    """Reference trace reader of the pages of the split ``gold``, in the form
+    of ``trace_pages``: its documents in its order, each one's pages in
+    page_index order.  One ``json.loads`` per line and every check page by
+    page, then document by document, with the errors
     ``recurrence.read_traces`` gives: a file with one fault gets its
     message."""
     from pageseq.corpus import FIRST_PAGE_TOKEN
     from pageseq.recurrence import TRACE_FORMAT
 
+    vocab = gold.vocab
     docs: dict = {}
     fed = set()
     text = Path(path).read_text(encoding="utf-8")
@@ -461,6 +475,8 @@ def read_traces_per_page(path, vocab):
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg} at "
                              f"column {exc.colno})") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}:{lineno}: expected a JSON object")
         if "provenance" in obj and "doc_id" not in obj:
             found = obj.get("format") if isinstance(obj, dict) else None
             if found != TRACE_FORMAT:
@@ -505,13 +521,22 @@ def read_traces_per_page(path, vocab):
             (obj["page_index"], Page(scores, labels, context)))
     if len(fed) > 1:
         raise ValueError("some pages were fed a context and some none")
-    for doc_id, pages in docs.items():
-        indices = [index for index, _ in pages]
+    missing = [doc_id for doc_id in gold.doc_ids if doc_id not in docs]
+    extra = sorted(doc_id for doc_id in docs if doc_id not in gold.doc_ids)
+    if missing or extra:
+        raise ValueError(f"trace/gold page-set mismatch: missing={missing}, "
+                         f"extra={extra}")
+    for doc_id in gold.doc_ids:
+        indices = [index for index, _ in docs[doc_id]]
         if not (all(type(i) is int for i in indices)
-                and sorted(indices) == list(range(len(pages)))):
+                and sorted(indices) == list(range(len(indices)))):
             raise ValueError(f"trace for {doc_id!r} has missing or duplicate pages")
-    return [(doc_id, [page for _, page in sorted(pages, key=lambda p: p[0])])
-            for doc_id, pages in docs.items()]
+    for doc_id, start, end in zip(gold.doc_ids, gold.offsets, gold.offsets[1:]):
+        if len(docs[doc_id]) != end - start:
+            raise ValueError(f"trace for {doc_id!r} has {len(docs[doc_id])} pages, "
+                             f"gold has {end - start}")
+    return [(doc_id, [page for _, page in sorted(docs[doc_id], key=lambda p: p[0])])
+            for doc_id in gold.doc_ids]
 
 
 # -- per-page input augmentation ---------------------------------------------

@@ -26,7 +26,7 @@ from pageseq.corpus import (
 )
 from pageseq.crf import emissions_from_logits
 from pageseq.encoder import EncoderConfig
-from pageseq.evaluation import align_traces, score
+from pageseq.evaluation import score
 from pageseq.recurrence import TRACE_FORMAT, SplitTrace, read_traces, write_traces
 from pageseq.training import TrainConfig
 
@@ -44,9 +44,9 @@ def sha(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def read_trace_file(path, vocab):
-    """read_traces on the trace file ``path``."""
-    return read_traces(path, vocab, Path(path).read_text(encoding="utf-8"))
+def read_trace_file(path, docs):
+    """read_traces of ``docs`` on the trace file ``path``."""
+    return read_traces(path, docs, Path(path).read_text(encoding="utf-8"))
 
 
 def edit_block(blocks, name, edit):
@@ -369,7 +369,7 @@ class TestTrain:
                      "--manifest", str(corpus_dir / "manifest.json"),
                      "--split", "test", "--out", str(out)]) == 0
         split = load_corpus(corpus_dir / "manifest.json")
-        trace = read_trace_file(out, split.vocabulary)
+        trace = read_trace_file(out, split.test)
         assert len(trace.scores) == len(split.test.texts)
 
     BAD_BILSTM = {"svd_k": "error: unknown config field 'bilstm.svd_k'",
@@ -427,9 +427,9 @@ class TestTrain:
             assert main(["infer", "--checkpoint", str(ckpt), "--manifest", manifest,
                          "--split", "test", "--out", str(walk_dir / out)]) == 0
         split = load_corpus(manifest, ("test",))
-        trace = read_trace_file(walk_dir / "bilstm-test.jsonl", split.vocabulary)
+        trace = read_trace_file(walk_dir / "bilstm-test.jsonl", split.test)
         emissions = emissions_from_logits(
-            read_trace_file(walk_dir / "encoder-test.jsonl", split.vocabulary).scores)
+            read_trace_file(walk_dir / "encoder-test.jsonl", split.test).scores)
         params = {name: read_float_block(block, name)
                   for name, block in payload["params"].items()}
         offsets = split.test.offsets
@@ -526,10 +526,10 @@ class TestInferEvalCompare:
     def test_eval_perfect_traces_all_ones(self, trained, capsys):
         tmp_path, corpus_dir, _ = trained
         split = load_corpus(corpus_dir / "manifest.json")
-        trace = SplitTrace.blank(split.test.doc_ids, split.test.offsets, 3)
+        trace = SplitTrace.blank(split.test)
         trace.labels[:] = split.test.gold
         path = tmp_path / "gold_traces.jsonl"
-        write_traces(trace, path, split.vocabulary)
+        write_traces(trace, path)
         capsys.readouterr()
         rc = main(["eval", "--traces", str(path),
                    "--manifest", str(corpus_dir / "manifest.json"),
@@ -553,9 +553,8 @@ class TestInferEvalCompare:
         assert rc == 0
         report = json.loads(report_path.read_text())
         split = load_corpus(corpus_dir / "manifest.json")
-        trace = read_trace_file(traces_path, split.vocabulary)
-        preds = align_traces(trace, split.test)
-        expected = score(preds, split.test.gold, split.vocabulary)
+        trace = read_trace_file(traces_path, split.test)
+        expected = score(trace.labels, split.test.gold, split.vocabulary)
         assert report["macro_f1"] == pytest.approx(expected.macro_f1)
         assert report["weighted_f1"] == pytest.approx(expected.weighted_f1)
 
@@ -592,7 +591,7 @@ class TestInferEvalCompare:
                        "--manifest", str(corpus_dir / "manifest.json"),
                        "--split", "test", "--out", str(out)])
             assert rc == 0
-            trace = read_trace_file(out, split.vocabulary)
+            trace = read_trace_file(out, split.test)
             assert len(trace.scores) == n_pages
 
     def test_crf_checkpoint_rejects_other_classes(self, tmp_path, corpus_dir):
@@ -1451,6 +1450,80 @@ class TestBadArtifacts:
                             "--split", "test"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"{bad}:4: malformed JSON" in err[0]
+
+    # each way that page lines can fail to hold each page of the split once:
+    # an edit of the page objects of one document (its id, its page count
+    # and the indices of its lines), and the error it gets
+    COVERAGE_FAULTS = {
+        "unknown-doc": (
+            lambda objs, doc_id, size, mine: [objs[i].update(doc_id="no such doc")
+                                              for i in mine],
+            "trace/gold page-set mismatch: missing=[{doc_id!r}], "
+            "extra=['no such doc']"),
+        "missing-doc": (
+            lambda objs, doc_id, size, mine: objs.__delitem__(
+                slice(mine[0], mine[-1] + 1)),
+            "trace/gold page-set mismatch: missing=[{doc_id!r}], extra=[]"),
+        "page-count": (
+            lambda objs, doc_id, size, mine: objs.insert(
+                mine[-1] + 1, dict(objs[mine[-1]], page_index=size)),
+            "trace for {doc_id!r} has {more} pages, gold has {size}"),
+        "duplicate-page": (
+            lambda objs, doc_id, size, mine: objs.insert(mine[-1] + 1,
+                                                         objs[mine[-1]]),
+            "trace for {doc_id!r} has missing or duplicate pages"),
+        "missing-page": (
+            lambda objs, doc_id, size, mine: objs[mine[0]].update(page_index=size),
+            "trace for {doc_id!r} has missing or duplicate pages"),
+    }
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.parametrize("fault", sorted(COVERAGE_FAULTS))
+    def test_trace_must_cover_the_split(self, trained, command, fault, capsys):
+        """A trace file whose page lines do not hold each page of the split
+        once exits 2 with one line that names the file and the fault."""
+        tmp_path, corpus_dir, _, traces = trained
+        docs = load_corpus(corpus_dir / "manifest.json", ("test",)).test
+        doc_id, size = docs.doc_ids[1], int(docs.offsets[2] - docs.offsets[1])
+        header, *lines = traces.read_text().splitlines(keepends=True)
+        objs = list(map(json.loads, lines))
+        edit, message = self.COVERAGE_FAULTS[fault]
+        edit(objs, doc_id, size,
+             [i for i, obj in enumerate(objs) if obj["doc_id"] == doc_id])
+        bad = tmp_path / "uncovered.jsonl"
+        bad.write_text(header + "".join(json.dumps(obj) + "\n" for obj in objs))
+        argv = (["eval", "--traces", str(bad)] if command == "eval" else
+                ["compare", "--traces-a", str(traces), "--traces-b", str(bad)])
+        capsys.readouterr()
+        assert main(argv + ["--manifest", str(corpus_dir / "manifest.json"),
+                            "--split", "test"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: trace file {bad}: "
+            + message.format(doc_id=doc_id, size=size, more=size + 1)]
+
+    def test_shuffled_trace_scores_as_the_ordered_one(self, trained, capsys):
+        """Page lines in any order are read onto the split's rows: ``eval``
+        and ``compare`` print and report the same scores for the shuffled
+        trace, byte for byte, but for the digest of the file read."""
+        tmp_path, corpus_dir, _, traces = trained
+        header, *lines = traces.read_text().splitlines(keepends=True)
+        order = np.random.default_rng(0).permutation(len(lines))
+        shuffled = tmp_path / "shuffled.jsonl"
+        shuffled.write_text(header + "".join(lines[i] for i in order))
+        outputs = []
+        for path in (traces, shuffled):
+            report, paired = tmp_path / "eval.json", tmp_path / "compare.json"
+            capsys.readouterr()
+            for argv in (["eval", "--traces", str(path), "--out", str(report)],
+                         ["compare", "--traces-a", str(path), "--traces-b",
+                          str(traces), "--out", str(paired)]):
+                assert main(argv + ["--manifest", str(corpus_dir / "manifest.json"),
+                                    "--split", "test"]) == 0
+            outputs.append([capsys.readouterr().out] + [
+                json.dumps({key: value for key, value in json.loads(
+                    out.read_text()).items() if key != "provenance"})
+                for out in (report, paired)])
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("value", [16.0, "16", None])
     def test_checkpoint_config_of_another_type(self, trained, capsys, value):

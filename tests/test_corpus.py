@@ -43,6 +43,7 @@ from oracles import (
     GoldPage,
     count_self_transitions,
     docs_of,
+    documents,
     read_traces_per_page,
     reference_generate_synthetic,
     reference_load_split_file,
@@ -158,7 +159,7 @@ class TestDataModel:
         write_corpus_dir(tmp_path, [
             {"doc_id": "d", "page_index": 0, "text": "x", "labels": []}])
         with pytest.raises(CorpusError,
-                           match=r"train\.jsonl: page \('d', 0\) has no labels"):
+                           match=r"train\.jsonl: page 0 of 'd' has no labels"):
             load_corpus(tmp_path / "manifest.json")
 
     def test_multiclass_single_label_enforced(self):
@@ -613,18 +614,22 @@ LINE_CASES = {
     "nan": lambda lines, k: lines[:k] + [with_number(lines[k], "NaN")],
     "infinity": lambda lines, k: lines[:k] + [with_number(lines[k], "Infinity")],
     "minus-infinity": lambda lines, k: lines[:k] + [with_number(lines[k], "-Infinity")],
+    "not-object": lambda lines, k: lines[:k] + ["5", "[1, 2]", '"abc"', "null"] + lines[k:],
 }
 
 
+# the documents of the trace file lines
+TRACE_DOCS = documents(AB, ["d", "e"], [2, 1])
+
+
 def trace_file_lines() -> list[str]:
-    vocab = TypeVocabulary(("A", "B"))
-    trace = SplitTrace.blank(["d", "e"], np.array([0, 2, 3]), 2)
+    trace = SplitTrace.blank(TRACE_DOCS)
     trace.scores[:] = [[0.5, -1.25], [2.0, 1e-3], [-0.0, 3.0]]
     trace.labels[[0, 1, 2], [0, 1, 1]] = True
     trace.context[[0, 2], 0] = True
     trace.context[1, 1] = True
     with tempfile.TemporaryDirectory() as tmp:
-        write_traces(trace, Path(tmp) / "t.jsonl", vocab, provenance={"seed": 1})
+        write_traces(trace, Path(tmp) / "t.jsonl", provenance={"seed": 1})
         return (Path(tmp) / "t.jsonl").read_text(encoding="utf-8").splitlines()
 
 
@@ -671,8 +676,8 @@ READERS = {
     "split-file": (AB_PAGES, lambda p: load_split_file(p, AB),
                    lambda p: reference_load_split_file(p, AB), same_documents),
     "trace-file": (trace_file_lines(), lambda p: trace_pages(read_traces(
-                       p, AB, Path(p).read_text(encoding="utf-8"))),
-                   lambda p: read_traces_per_page(p, AB), same_trace_pages),
+                       p, TRACE_DOCS, Path(p).read_text(encoding="utf-8"))),
+                   lambda p: read_traces_per_page(p, TRACE_DOCS), same_trace_pages),
     "line-reader": (AB_PAGES, line_reader, per_line_json, lambda a, b: a == b),
 }
 
@@ -691,6 +696,8 @@ def test_line_reader_matches_json_loads_per_line(tmp_path, case, reader):
     assert ours == ref if kind == "error" else same(ours, ref)
     if reader == "trace-file" and case in ("nan", "infinity", "minus-infinity"):
         assert kind == "error" and "not finite" in ours[1]
+    if reader != "line-reader" and case == "not-object":
+        assert kind == "error" and ours[1] == f"{path}:{len(lines)}: expected a JSON object"
 
 
 class TestGenerateSynthetic:

@@ -1,13 +1,15 @@
 """Tests for scoring, aggregation against the published table arithmetic,
 and the McNemar-Bowker symmetry test."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pageseq.corpus import TypeVocabulary
 from pageseq.evaluation import (
     aggregate_f1,
-    align_traces,
     chi2_survival,
     compare_traces,
     format_score_table,
@@ -16,9 +18,10 @@ from pageseq.evaluation import (
     paired_table,
     score,
 )
-from pageseq.recurrence import SplitTrace
+from pageseq.recurrence import SplitTrace, read_traces, write_traces
 
-from oracles import GoldDoc, GoldPage, naive_prf, reference_chi2_sf, split_of
+from oracles import (GoldDoc, GoldPage, documents, naive_prf, reference_chi2_sf,
+                     split_of)
 
 # Published per-class F1 percentages and test-set supports of a six-class
 # page-type benchmark; the aggregates below are the reported table values.
@@ -187,13 +190,25 @@ class TestMcnemarBowker:
             mcnemar_bowker(np.zeros((2, 3)))
 
 
-def trace_of(docs_labels, n=3):
+ABC = TypeVocabulary(("A", "B", "C"))
+
+
+def trace_of(docs_labels, vocab=ABC):
     """A context-free trace of (doc_id, label sets) pairs, in that order."""
-    sizes = [len(labels) for _, labels in docs_labels]
-    trace = SplitTrace.blank([doc_id for doc_id, _ in docs_labels],
-                             np.cumsum([0] + sizes), n)
-    trace.labels[:] = indicator([c for _, labels in docs_labels for c in labels], n)
+    trace = SplitTrace.blank(documents(vocab, [doc_id for doc_id, _ in docs_labels],
+                                       [len(labels) for _, labels in docs_labels]))
+    trace.labels[:] = indicator([c for _, labels in docs_labels for c in labels],
+                                vocab.n)
     return trace
+
+
+def read_against(trace, gold):
+    """The trace, written to a trace file, read back against the split
+    ``gold``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        write_traces(trace, path)
+        return read_traces(path, gold, path.read_text(encoding="utf-8"))
 
 
 def gold_doc(doc_id, labels):
@@ -202,12 +217,12 @@ def gold_doc(doc_id, labels):
 
 def compare(trace_a, trace_b, docs, vocab):
     gold = split_of(docs, vocab)
-    return compare_traces(align_traces(trace_a, gold), align_traces(trace_b, gold),
-                          gold.gold, vocab)
+    return compare_traces(read_against(trace_a, gold).labels,
+                          read_against(trace_b, gold).labels, gold.gold, vocab)
 
 
 class TestCompareTraces:
-    VOCAB = TypeVocabulary(("A", "B", "C"))
+    VOCAB = ABC
 
     def test_identical_traces_give_p_one(self):
         docs = [gold_doc("d", [0, 1, 2, 1])]
@@ -246,17 +261,18 @@ class TestCompareTraces:
         with pytest.raises(ValueError, match="pages"):
             compare(a, short, docs, self.VOCAB)
 
-    def test_align_follows_gold_document_order(self):
+    def test_read_follows_gold_document_order(self):
         docs = [gold_doc("x", [0]), gold_doc("y", [1, 2, 0]), gold_doc("z", [2, 2])]
         trace = trace_of([("z", [1, 0]), ("x", [2]), ("y", [0, 1, 2])])
-        np.testing.assert_array_equal(align_traces(trace, split_of(docs, self.VOCAB)),
+        gold = split_of(docs, self.VOCAB)
+        np.testing.assert_array_equal(read_against(trace, gold).labels,
                                       indicator([2, 0, 1, 2, 1, 0], 3))
 
     def test_multilabel_uses_flattened_binary_table(self):
         vocab = TypeVocabulary(("A", "B"), "multilabel")
         docs = [gold_doc("d", [0, 1])]
-        ta = trace_of([("d", [frozenset({0, 1}), frozenset({1})])], n=2)
-        tb = trace_of([("d", [frozenset({0}), frozenset({1})])], n=2)
+        ta = trace_of([("d", [frozenset({0, 1}), frozenset({1})])], vocab)
+        tb = trace_of([("d", [frozenset({0}), frozenset({1})])], vocab)
         report = compare(ta, tb, docs, vocab)
         assert report.table.shape == (2, 2)
         assert report.table.sum() == 4  # 2 pages x 2 classes

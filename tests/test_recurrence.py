@@ -68,9 +68,9 @@ def infer(params, docs, config, codec, recurrent):
                        recurrent)
 
 
-def read_file(path, vocab):
-    """read_traces on the trace file ``path``."""
-    return read_traces(path, vocab, Path(path).read_text(encoding="utf-8"))
+def read_file(path, docs):
+    """read_traces of ``docs`` on the trace file ``path``."""
+    return read_traces(path, docs, Path(path).read_text(encoding="utf-8"))
 
 
 def augment(context, text, codec, max_len):
@@ -337,6 +337,17 @@ class TestEncodeSplit:
         np.testing.assert_array_equal(encoded.text, text)
         np.testing.assert_array_equal(encoded.lengths, lengths)
         return encoded
+
+    @pytest.mark.parametrize("vocab", [
+        TypeVocabulary(("Caption", "Body", "Seal")),
+        TypeVocabulary(BRIEFS.class_names, MULTILABEL),
+    ], ids=["classes", "label-mode"])
+    def test_codec_of_other_classes_refused(self, vocab):
+        """A split is encoded only by a codec of its own classes and label
+        mode, so that its gold and the codec's scores have one vocabulary."""
+        tokens = split_tokens(split_of([make_doc("d", [("brief", 0)])], vocab))
+        with pytest.raises(ValueError, match="not the codec's"):
+            encode_split(tokens, briefs_codec(), 8)
 
     @settings(max_examples=200)
     @given(labelled_splits(max_docs=6, max_pages=6), st.integers(1, 12))
@@ -715,7 +726,7 @@ class TestLockstep:
         codec, config = briefs_codec(), VARIANTS["linear"]
         params = init_params(config, codec)
         trace = infer(params, [], config, codec, True)
-        assert trace.doc_ids == [] and trace.scores.shape == (0, BRIEFS.n)
+        assert trace.docs.doc_ids == () and trace.scores.shape == (0, BRIEFS.n)
 
 
 # class names that JSON must escape, or that hold the "], [" between rows of
@@ -730,9 +741,8 @@ SCORES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 
 @st.composite
 def split_traces(draw):
-    """(vocab, trace): a class vocabulary of either label mode and a trace of
-    up to 4 unicode-named documents, fed first-page and class contexts or
-    none."""
+    """A trace of up to 4 unicode-named documents, of a class vocabulary of
+    either label mode, fed first-page and class contexts or none."""
     names = draw(st.lists(CLASS_NAMES, min_size=2, max_size=4, unique=True))
     vocab = TypeVocabulary(tuple(names), draw(st.sampled_from([MULTICLASS,
                                                                 MULTILABEL])))
@@ -740,9 +750,9 @@ def split_traces(draw):
     doc_ids = draw(st.lists(UNICODE_TEXT, max_size=4, unique=True))
     sizes = draw(st.lists(st.integers(1, 4), min_size=len(doc_ids),
                           max_size=len(doc_ids)))
-    trace = SplitTrace.blank(doc_ids, np.cumsum([0] + sizes), n)
+    trace = SplitTrace.blank(oracles.documents(vocab, doc_ids, sizes))
     fed = draw(st.booleans())
-    trace.context[trace.offsets[:-1], 0] = fed
+    trace.context[trace.docs.offsets[:-1], 0] = fed
     pages = len(trace.scores)
     trace.scores[:] = np.reshape(draw(st.lists(SCORES, min_size=pages * n,
                                                max_size=pages * n)), (pages, n))
@@ -752,19 +762,19 @@ def split_traces(draw):
         trace.labels[r, sorted(draw(label_sets))] = True
         if fed and not trace.context[r, 0]:
             trace.context[r, [1 + c for c in sorted(draw(label_sets))]] = True
-    return vocab, trace
+    return trace
 
 
 def unicode_example():
     """Doc ids with line breaks other than "\\n", an astral character and the
     empty string, and scores at the edges of the float range."""
-    trace = SplitTrace.blank(["\u2028", "d\x85", "\U0001F600", ""],
-                             np.array([0, 1, 3, 4, 5]), BRIEFS.n)
+    trace = SplitTrace.blank(oracles.documents(
+        BRIEFS, ["\u2028", "d\x85", "\U0001F600", ""], [1, 2, 1, 1]))
     trace.scores[:] = [-0.0, 5e-324, -1e308]
     trace.labels[:, 1] = True
-    trace.context[trace.offsets[:-1], 0] = True
+    trace.context[trace.docs.offsets[:-1], 0] = True
     trace.context[~trace.context[:, 0], 2] = True
-    return BRIEFS, trace
+    return trace
 
 
 UNKNOWN = "no such class"
@@ -775,10 +785,13 @@ TRACE_WRONG_TYPE = {"doc_id": [7, None, ["d"]], "labels": ["x", None, {}],
 def add_trace_fault(pages: list, vocab, fed: bool, draw) -> None:
     """Put one drawn fault into a drawn page of a trace's page objects, in
     place; the page becomes a line that does not parse, or that is no
-    object, or an object holding the fault."""
+    object, or an object holding the fault; or the pages of its document
+    are renamed to a document of no other page, dropped, or made one more
+    or one fewer."""
     faults = ["json", "object", "missing", "type", "score-type", "score-count",
               "not-finite", "score-huge", "label-type", "label-unknown",
-              "label-count", "duplicate", "index"]
+              "label-count", "duplicate", "index", "doc-unknown", "doc-missing",
+              "page-count"]
     if fed:
         faults += ["context-type", "context-unknown", "context-empty"]
     if len(pages) > 1:
@@ -790,6 +803,19 @@ def add_trace_fault(pages: list, vocab, fed: bool, draw) -> None:
     fault = draw(st.sampled_from(faults))
     i = draw(st.integers(0, len(pages) - 1))
     page = pages[i]
+    own = [j for j, other in enumerate(pages) if other["doc_id"] == page["doc_id"]]
+    if fault == "doc-unknown":      # longer than any doc id, so no document's
+        name = "?" * (1 + max(len(other["doc_id"]) for other in pages))
+        for j in own:
+            pages[j]["doc_id"] = name
+    elif fault == "doc-missing":
+        del pages[own[0]:own[-1] + 1]
+    elif fault == "page-count" and (len(own) == 1 or draw(st.booleans())):
+        pages.insert(own[-1] + 1, dict(pages[own[-1]], page_index=len(own)))
+    elif fault == "page-count":
+        del pages[own[-1]]
+    if fault.startswith(("doc-", "page-")):
+        return
     labels, scores, context = page["labels"], page["scores"], page["context"]
     if fault == "json":
         line = json.dumps(page)
@@ -847,47 +873,45 @@ class TestTraceFiles:
                 make_doc("d2", [("signed", 2)])]
         trace = infer(params, docs, config, codec, recurrent=True)
         path = tmp_path / "traces.jsonl"
-        write_traces(trace, path, BRIEFS, provenance={"seed": 0})
-        loaded = read_file(path, BRIEFS)
-        assert loaded.doc_ids == ["d1", "d2"] and loaded.context.any()
-        for name in ("offsets", "scores", "labels", "context"):
+        write_traces(trace, path, provenance={"seed": 0})
+        loaded = read_file(path, trace.docs)
+        assert loaded.docs is trace.docs and loaded.context.any()
+        for name in ("scores", "labels", "context"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(trace, name))
 
     @settings(max_examples=200)
     @given(split_traces())
     @example(unicode_example())
-    def test_unicode_doc_ids_round_trip(self, case):
-        """Any surrogate-free doc ids come back in order, with every page's
-        scores (bit for bit), labels and context."""
-        vocab, trace = case
+    def test_unicode_doc_ids_round_trip(self, trace):
+        """A trace of any surrogate-free doc ids is read back against its
+        documents with every page's scores (bit for bit), labels and
+        context."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "traces.jsonl"
-            write_traces(trace, path, vocab, provenance={"doc_ids": trace.doc_ids})
-            back = read_file(path, vocab)
-        assert back.doc_ids == trace.doc_ids
+            write_traces(trace, path, provenance={"doc_ids": trace.docs.doc_ids})
+            back = read_file(path, trace.docs)
         assert back.scores.tobytes() == trace.scores.tobytes()
-        for name in ("offsets", "labels", "context"):
+        for name in ("labels", "context"):
             np.testing.assert_array_equal(getattr(back, name), getattr(trace, name))
 
     @settings(max_examples=200)
     @given(split_traces(), st.integers(0, 2**32 - 1))
     @example(unicode_example(), 0)
-    def test_writer_matches_per_page_oracle(self, case, seed):
+    def test_writer_matches_per_page_oracle(self, trace, seed):
         """The columnar writer writes the per-page writer's bytes, and the
         reader gives the per-page reader's records, also from the file's page
         lines in any order."""
-        vocab, trace = case
         with tempfile.TemporaryDirectory() as tmp:
             path, reference = Path(tmp) / "fast.jsonl", Path(tmp) / "ref.jsonl"
-            write_traces(trace, path, vocab, provenance={"doc_ids": trace.doc_ids})
-            oracles.write_traces_per_page(trace, reference, vocab,
-                                          provenance={"doc_ids": trace.doc_ids})
+            write_traces(trace, path, provenance={"doc_ids": trace.docs.doc_ids})
+            oracles.write_traces_per_page(trace, reference,
+                                          provenance={"doc_ids": trace.docs.doc_ids})
             assert path.read_bytes() == reference.read_bytes()
             header, *lines = path.read_text().splitlines(keepends=True)
             order = np.random.default_rng(seed).permutation(len(lines))
             path.write_text(header + "".join(lines[i] for i in order))
-            pages = oracles.trace_pages(read_file(path, vocab))
-            expected = oracles.read_traces_per_page(path, vocab)
+            pages = oracles.trace_pages(read_file(path, trace.docs))
+            expected = oracles.read_traces_per_page(path, trace.docs)
         assert [doc_id for doc_id, _ in pages] == [doc_id for doc_id, _ in expected]
         for (_, doc_pages), (_, ref_pages) in zip(pages, expected):
             assert [p[1:] for p in doc_pages] == [p[1:] for p in ref_pages]
@@ -899,55 +923,54 @@ class TestTraceFiles:
         holds, are written as the per-page writer writes them."""
         vocab = TypeVocabulary(tuple(f"k{c}" for c in range(70)), MULTILABEL)
         rng = np.random.default_rng(0)
-        trace = SplitTrace.blank(["a", "b"], np.array([0, 30, 60]), vocab.n)
+        trace = SplitTrace.blank(oracles.documents(vocab, ["a", "b"], [30, 30]))
         trace.labels[:] = rng.random((60, vocab.n)) < 0.05
         trace.labels[np.arange(60), rng.integers(64, 70, size=60)] = True
         trace.context[[0, 30], 0] = True
         trace.context[1:30, 1:] = trace.labels[:29]
         trace.context[31:, 1:] = trace.labels[30:59]
         ours, reference = tmp_path / "ours.jsonl", tmp_path / "reference.jsonl"
-        write_traces(trace, ours, vocab)
-        oracles.write_traces_per_page(trace, reference, vocab)
+        write_traces(trace, ours)
+        oracles.write_traces_per_page(trace, reference)
         assert ours.read_bytes() == reference.read_bytes()
 
     @settings(max_examples=300)
-    @given(split_traces().filter(lambda case: len(case[1].scores)), st.data())
-    def test_single_fault_gets_the_per_page_oracles_error(self, case, data):
+    @given(split_traces().filter(lambda trace: len(trace.scores)), st.data())
+    def test_single_fault_gets_the_per_page_oracles_error(self, trace, data):
         """A trace file with one fault raises the error, type and message,
         that the per-page reader raises for it."""
-        vocab, trace = case
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.jsonl"
-            write_traces(trace, path, vocab, provenance={"seed": 0})
+            write_traces(trace, path, provenance={"seed": 0})
             header, *lines = path.read_text().splitlines()
             pages = [json.loads(line) for line in lines]
-            add_trace_fault(pages, vocab, trace.context.any(), data.draw)
+            add_trace_fault(pages, trace.docs.vocab, trace.context.any(), data.draw)
             path.write_text("".join(line + "\n" for line in [header] + [
                 page if isinstance(page, str) else json.dumps(page)
                 for page in pages]))
             with pytest.raises((ValueError, KeyError, TypeError)) as ours:
-                read_file(path, vocab)
+                read_file(path, trace.docs)
             with pytest.raises((ValueError, KeyError, TypeError)) as ref:
-                oracles.read_traces_per_page(path, vocab)
+                oracles.read_traces_per_page(path, trace.docs)
         assert (type(ours.value), str(ours.value)) == (type(ref.value), str(ref.value))
 
     def test_header_records_the_trace_format(self, tmp_path):
         """A header names ``TRACE_FORMAT``; a header of another format or of
         none is refused, and a trace written without provenance, which has
         no header, is read."""
-        vocab, trace = unicode_example()
+        trace = unicode_example()
         path = tmp_path / "t.jsonl"
-        write_traces(trace, path, vocab, provenance={"seed": 0})
+        write_traces(trace, path, provenance={"seed": 0})
         header, *pages = path.read_text().splitlines(keepends=True)
         assert json.loads(header) == {"format": TRACE_FORMAT, "provenance": {"seed": 0}}
         for edited in ({"provenance": {"seed": 0}},
                        {"format": "pageseq-trace/0", "provenance": {"seed": 0}}):
             path.write_text(json.dumps(edited) + "\n" + "".join(pages))
             with pytest.raises(ValueError, match=r"trace format .* re-run `infer`"):
-                read_file(path, vocab)
-        write_traces(trace, path, vocab)
+                read_file(path, trace.docs)
+        write_traces(trace, path)
         assert "provenance" not in path.read_text()
-        np.testing.assert_array_equal(read_file(path, vocab).labels, trace.labels)
+        np.testing.assert_array_equal(read_file(path, trace.docs).labels, trace.labels)
 
     @pytest.mark.parametrize("edit, message", [
         ({"seed": 0}, "unknown trace header field 'seed'"),
@@ -958,14 +981,14 @@ class TestTraceFiles:
          "trace header field 'provenance' must be an object"),
     ], ids=["extra", "misspelt", "provenance-int", "provenance-list"])
     def test_header_holds_only_format_and_provenance(self, tmp_path, edit, message):
-        vocab, trace = unicode_example()
+        trace = unicode_example()
         path = tmp_path / "t.jsonl"
-        write_traces(trace, path, vocab, provenance={"seed": 0})
+        write_traces(trace, path, provenance={"seed": 0})
         header, *pages = path.read_text().splitlines(keepends=True)
         path.write_text(json.dumps({**json.loads(header), **edit}) + "\n"
                         + "".join(pages))
         with pytest.raises(ValueError) as raised:
-            read_file(path, vocab)
+            read_file(path, trace.docs)
         assert str(raised.value) == message
 
     def test_first_page_context_serialized_as_reserved_token(self, tmp_path):
@@ -975,6 +998,6 @@ class TestTraceFiles:
         doc = make_doc("d", [("brief", 0), ("page", 1)])
         trace = infer(params, [doc], config, codec, recurrent=True)
         path = tmp_path / "t.jsonl"
-        write_traces(trace, path, BRIEFS)
+        write_traces(trace, path)
         first_line = path.read_text().splitlines()[0]
         assert '"context": ["[-1]"]' in first_line

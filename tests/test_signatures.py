@@ -41,7 +41,9 @@ The encoder path is a chain of stages, each taking the object that the one
 before it returns: documents become ``SplitTokens``, then an
 ``EncodedSplit`` that carries its documents, codec and ``max_len``.  No
 function takes documents next to an ``encoded`` or ``tokens`` value that
-must agree with them.
+must agree with them.  The last stage, a ``SplitTrace``, carries the
+documents it predicts, and they carry their class vocabulary: no function
+takes a ``trace`` next to documents or a vocabulary.
 
 The context a page is fed has one shape: a (pages x 1+n) indicator whose
 column 0 is the first-page marker.  No function takes the marker as a
@@ -290,4 +292,19 @@ def test_no_function_takes_documents_next_to_their_encoding():
     found = [name for name, names in params.items()
              if names & {"encoded", "tokens"}
              and any(DOCS_PARAM.fullmatch(param) for param in names)]
+    assert found == []
+
+
+TRACE_PARAM = re.compile(r"trace|trace_\w+|\w+_trace")
+
+
+def test_no_function_takes_a_trace_next_to_what_it_carries():
+    functions = dict(package_functions())
+    params = {name: set(inspect.signature(fn).parameters)
+              for name, fn in functions.items()}
+    assert "trace" in params["recurrence.write_traces"]  # the walk sees a trace
+    found = [name for name, names in params.items()
+             if any(TRACE_PARAM.fullmatch(param) for param in names)
+             and (names & CARRIERS
+                  or any(DOCS_PARAM.fullmatch(param) for param in names))]
     assert found == []
