@@ -460,6 +460,14 @@ def read_traces(path: Path | str, docs: Documents, text: str) -> SplitTrace:
     return trace
 
 
+def _some(doc_ids: list) -> str:
+    """A list of doc ids as Python prints it, cut to its first 5 ids and its
+    count when it is longer."""
+    if len(doc_ids) <= 5:
+        return str(doc_ids)
+    return f"[{', '.join(map(repr, doc_ids[:5]))}, … ({len(doc_ids)} in all)]"
+
+
 def _coverage_fault(docs: Documents, doc_ids: list, page_indices: list) -> str:
     """Why page lines of these documents and page indices do not hold each
     page of ``docs`` once: a document they lack or ``docs`` lacks, else one
@@ -470,7 +478,8 @@ def _coverage_fault(docs: Documents, doc_ids: list, page_indices: list) -> str:
     missing = [doc_id for doc_id in docs.doc_ids if doc_id not in lines]
     extra = sorted(lines.keys() - set(docs.doc_ids))
     if missing or extra:
-        return f"trace/gold page-set mismatch: missing={missing}, extra={extra}"
+        return (f"trace/gold page-set mismatch: missing={_some(missing)}, "
+                f"extra={_some(extra)}")
     for doc_id in docs.doc_ids:
         indices = lines[doc_id]
         if not (set(map(type, indices)) <= {int}

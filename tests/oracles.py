@@ -524,8 +524,11 @@ def read_traces_per_page(path, gold):
     missing = [doc_id for doc_id in gold.doc_ids if doc_id not in docs]
     extra = sorted(doc_id for doc_id in docs if doc_id not in gold.doc_ids)
     if missing or extra:
-        raise ValueError(f"trace/gold page-set mismatch: missing={missing}, "
-                         f"extra={extra}")
+        def shown(ids):     # at most 5 ids, and the count of a longer list
+            return (str(ids) if len(ids) <= 5
+                    else f"{str(ids[:5])[:-1]}, … ({len(ids)} in all)]")
+        raise ValueError(f"trace/gold page-set mismatch: missing={shown(missing)}, "
+                         f"extra={shown(extra)}")
     for doc_id in gold.doc_ids:
         indices = [index for index, _ in docs[doc_id]]
         if not (all(type(i) is int for i in indices)

@@ -109,13 +109,23 @@ def _experiment_corpus(self_prob, seed):
     return generate_synthetic(cfg)
 
 
-def _run_models(split, seed, with_baselines):
+def _recipe(variant, seed):
+    """The encoder and training configs of each encoder variant's
+    experiment, fixed before any of its test scores was seen."""
+    if variant == "linear":
+        return (EncoderConfig(variant="linear", d=32, max_len=16, init_seed=seed),
+                TrainConfig(epochs=5, batch_size=32, peak_lr=0.02, seed=seed))
+    return (EncoderConfig(variant="tiny-transformer", d=32, n_layers=2, n_heads=2,
+                          max_len=16, init_seed=seed),
+            TrainConfig(epochs=5, batch_size=32, peak_lr=0.003, seed=seed))
+
+
+def _run_models(split, seed, with_baselines, variant="linear"):
     """Train oblivious + recurrent (and optionally fit the CRF and train the
     BiLSTM on the frozen oblivious train scores, as ``pageseq train`` does);
     return test macro-F1 percentages."""
     codec = TokenCodec(split.vocabulary, fit_vocabulary(map(tokenize, split.train.texts)))
-    enc = EncoderConfig(variant="linear", d=32, max_len=16, init_seed=seed)
-    cfg = TrainConfig(epochs=5, batch_size=32, peak_lr=0.02, seed=seed)
+    enc, cfg = _recipe(variant, seed)
     train, test = (encode_split(split_tokens(docs), codec, enc.max_len)
                    for docs in (split.train, split.test))
     p_obl, _ = train_encoder(enc, train, cfg, recurrent=False)
@@ -175,6 +185,36 @@ def test_criterion_2_recurrence_benefit(recurrence_experiment):
         # at self-transition <= 0.30 the benefit may vanish or reverse;
         # the direction mirrors the published per-class regression
         assert gap_low < gap_high
+
+
+@pytest.fixture(scope="module")
+def transformer_experiment():
+    """Criterion 2's corpora and seeds with the tiny transformer: mean test
+    macro-F1 of each mode on the high- and the low-self corpus."""
+    started = time.perf_counter()
+    means = []
+    for self_prob in (0.85, 0.25):
+        runs = [_run_models(_experiment_corpus(self_prob, seed), seed,
+                            with_baselines=False, variant="tiny-transformer")
+                for seed in SEEDS]
+        means.append({mode: float(np.mean([run[mode] for run in runs]))
+                      for mode in ("oblivious", "recurrent")})
+    print(f"\n[ACCEPTANCE] tiny-transformer experiment "
+          f"({time.perf_counter() - started:.0f}s): high-self {means[0]}, "
+          f"low-self {means[1]}")
+    return means
+
+
+def test_criterion_2_recurrence_benefit_with_the_transformer(transformer_experiment):
+    """PAPER.md's claim for a Transformer page classifier: previous-page
+    tokens lift macro-F1 by at least 5 points on the high-self corpus, and
+    not on the low-self one."""
+    with criterion("2t", "recurrence benefit with the tiny transformer"):
+        high, low = transformer_experiment
+        gap_high = high["recurrent"] - high["oblivious"]
+        gap_low = low["recurrent"] - low["oblivious"]
+        assert gap_high >= 5.0, f"macro-F1 gap {gap_high:.2f} < 5 points"
+        assert gap_low < 5.0, f"low-self macro-F1 gap {gap_low:.2f} >= 5 points"
 
 
 def test_criterion_4_context_method_ordering(recurrence_experiment):

@@ -1501,6 +1501,27 @@ class TestBadArtifacts:
             f"error: trace file {bad}: "
             + message.format(doc_id=doc_id, size=size, more=size + 1)]
 
+    def test_trace_of_another_split_gets_a_short_error(self, tmp_path, monkeypatch,
+                                                       capsys):
+        """``eval --split validation`` on a test-split trace: the one error
+        line names a few ids of each side and their counts, not every id.
+        Paths are relative, so the line's length is the message's."""
+        monkeypatch.chdir(tmp_path)
+        Path("synth.json").write_text(json.dumps(dict(SYNTH_CFG,
+                                                      docs_per_split=[2, 30, 40])))
+        assert main(["synth", "--config", "synth.json", "--outdir", ".",
+                     "--run-id", "c"]) == 0
+        trace = SplitTrace.blank(load_corpus("c/manifest.json", ("test",)).test)
+        trace.labels[:] = trace.docs.gold
+        write_traces(trace, "t.jsonl")
+        capsys.readouterr()
+        assert main(["eval", "--traces", "t.jsonl", "--manifest", "c/manifest.json",
+                     "--split", "validation"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: trace file t.jsonl: trace/gold page-set mismatch")
+        assert "(30 in all)" in line and "(40 in all)" in line
+        assert len(line) < 300, line
+
     def test_shuffled_trace_scores_as_the_ordered_one(self, trained, capsys):
         """Page lines in any order are read onto the split's rows: ``eval``
         and ``compare`` print and report the same scores for the shuffled

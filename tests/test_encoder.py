@@ -2,6 +2,7 @@
 and exact gradients against central finite differences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from pageseq.encoder import (
     checkpoint_payload,
 )
 
+import oracles
 from oracles import (
     assert_grads_close,
     check_sequence,
@@ -253,13 +255,14 @@ class TestTransformerAgainstFullSequence:
 @st.composite
 def transformer_cases(draw):
     """A tiny-transformer case: layer count, label mode, dropout rate, seed,
-    and a batch of id rows (CLS first) with extra PAD columns."""
+    a batch of id rows (CLS first) with extra PAD columns, and the width d
+    of 2 heads: dh 4, where 1/sqrt(dh) is exact, or dh 6, where it is not."""
     rows = draw(st.lists(
         st.lists(st.integers(1, 12), max_size=8).map(lambda t: [CLS_ID] + t),
         min_size=1, max_size=6))
     return (draw(st.integers(1, 3)), draw(st.sampled_from([MULTICLASS, MULTILABEL])),
             draw(st.sampled_from([0.0, 0.1])), draw(st.integers(0, 2**16)),
-            rows, draw(st.integers(0, 2)))
+            rows, draw(st.integers(0, 2)), draw(st.sampled_from([8, 12])))
 
 
 class TestTransformerAgainstPaddedReference:
@@ -268,13 +271,14 @@ class TestTransformerAgainstPaddedReference:
     gradient."""
 
     @given(transformer_cases())
-    @example((2, MULTICLASS, 0.0, 1, [[CLS_ID]], 0))                  # B=1, CLS only
-    @example((3, MULTILABEL, 0.1, 2, [[CLS_ID, 7, 8], [CLS_ID, 9, 4]], 0))  # no PAD
-    @example((1, MULTICLASS, 0.1, 3, [[CLS_ID], [CLS_ID, 5, 6, 7, 8]], 2))
+    @example((2, MULTICLASS, 0.0, 1, [[CLS_ID]], 0, 8))               # B=1, CLS only
+    @example((3, MULTILABEL, 0.1, 2, [[CLS_ID, 7, 8], [CLS_ID, 9, 4]], 0, 8))  # no PAD
+    @example((1, MULTICLASS, 0.1, 3, [[CLS_ID], [CLS_ID, 5, 6, 7, 8]], 2, 8))
+    @example((2, MULTICLASS, 0.1, 4, [[CLS_ID, 7], [CLS_ID, 5, 6, 7, 8]], 1, 12))
     def test_loss_scores_and_grads(self, case):
-        n_layers, label_mode, dropout, seed, rows, extra_pad = case
+        n_layers, label_mode, dropout, seed, rows, extra_pad, d = case
         codec = make_codec()
-        config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=n_layers,
+        config = EncoderConfig(variant="tiny-transformer", d=d, n_layers=n_layers,
                                n_heads=2, max_len=12, dropout=dropout)
         rng = np.random.default_rng(seed)
         params = {name: rng.normal(0.0, 0.5, size=value.shape)
@@ -301,6 +305,29 @@ class TestTransformerAgainstPaddedReference:
             params, ids, targets, config, label_mode)
         np.testing.assert_allclose(forward_batch(params, ids, config), ref_scores,
                                    rtol=0, atol=1e-12)
+
+
+class TestGeluAgainstReference:
+    """The exp form of the tanh GELU against the tanh form, saturated inputs
+    included: there exp(-2u) overflows to inf, which must raise no warning
+    and give finite outputs and gradients."""
+
+    @pytest.mark.parametrize("x", [
+        np.array([-1e3, -40.0, -19.0, -1.0, 0.0, 1.0, 19.0, 40.0, 1e3]),
+        np.random.default_rng(7).normal(0.0, 3.0, size=(64, 12)),
+    ], ids=["saturated", "normal"])
+    def test_matches_tanh_form(self, x):
+        pool = Scratch()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, cache = encoder._gelu_fwd(x, pool, "gelu/")
+            dy = np.random.default_rng(8).normal(size=x.shape)
+            dx = encoder._gelu_bwd(dy, cache, pool, "gelu/")
+        ref_y, ref_cache = oracles._ref_gelu_fwd(x)
+        assert np.all(np.isfinite(y)) and np.all(np.isfinite(dx))
+        np.testing.assert_allclose(y, ref_y, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dx, oracles._ref_gelu_bwd(dy, ref_cache),
+                                   rtol=1e-12, atol=1e-12)
 
 
 @st.composite
