@@ -45,7 +45,6 @@ from .corpus import (
     SynthConfig,
     _block,
     _config_from,
-    _label,
     _typed,
     check_format,
     class_page_counts,
@@ -133,8 +132,6 @@ def _load_artifact(what: str, path, load, *args):
         raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
     except ValueError as exc:  # includes JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"{what} {path}: {exc}") from None
-    except KeyError as exc:
-        raise ConfigError(f"{what} {path}: missing field {exc}") from None
     except TypeError as exc:
         raise ConfigError(f"{what} {path}: malformed ({exc})") from None
 
@@ -150,36 +147,23 @@ def _load_config_file(path: str):
 # ---------------------------------------------------------------------------
 
 
-def synth_config_from(obj, where: str = "") -> SynthConfig:
+def synth_config_from(obj) -> SynthConfig:
     """SynthConfig from a JSON object.  ``self_transition`` stands for the
     transition matrix and start distribution of ``SynthConfig.uniform`` and
     excludes both."""
     keys = [f.name for f in fields(SynthConfig)] + ["self_transition"]
-    obj = dict(_block(obj, keys, where))
+    obj = dict(_block(obj, keys, ""))
     self_p = obj.pop("self_transition", None)
     if self_p is None or "n_classes" not in obj:
-        return _config_from(SynthConfig, obj, where)
+        return _config_from(SynthConfig, obj, "")
     if obj.keys() & {"transition_matrix", "start_distribution"}:
-        raise ConfigError(f"config field {_label(where, 'self_transition')!r} "
-                          f"excludes 'transition_matrix' and 'start_distribution'")
-    chain = SynthConfig.uniform(
-        _typed(obj["n_classes"], int, _label(where, "n_classes")),
-        _typed(self_p, float, _label(where, "self_transition")))
-    return _config_from(SynthConfig, obj, where,
+        raise ConfigError("config field 'self_transition' excludes "
+                          "'transition_matrix' and 'start_distribution'")
+    chain = SynthConfig.uniform(_typed(obj["n_classes"], int, "n_classes"),
+                                _typed(self_p, float, "self_transition"))
+    return _config_from(SynthConfig, obj, "",
                         transition_matrix=chain.transition_matrix,
                         start_distribution=chain.start_distribution)
-
-
-def corpus_from(value, base: Path) -> CorpusSplit:
-    if isinstance(value, str):
-        return load_corpus(base / value if not Path(value).is_absolute() else value,
-                           ("train", "validation"))
-    if isinstance(value, dict) and "synthetic" in _block(value, ("synthetic",),
-                                                          "corpus"):
-        return generate_synthetic(synth_config_from(value["synthetic"],
-                                                    "corpus.synthetic"))
-    raise ConfigError("config field 'corpus' must be a manifest path or "
-                      "{\"synthetic\": {...}}")
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +263,11 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"crf: {exc}") from None
     bl_obj = _block(cfg_obj.get("bilstm", {}), ("hidden_dim",), "bilstm")
-    split = corpus_from(cfg_obj.get("corpus"), Path(args.config).parent)
+    corpus = cfg_obj.get("corpus")
+    if not isinstance(corpus, str):
+        raise ConfigError("config field 'corpus' must be a manifest path")
+    # relative to the config's directory; an absolute path stays absolute
+    split = load_corpus(Path(args.config).parent / corpus, ("train", "validation"))
     if (want_crf or want_bilstm) and split.vocabulary.label_mode != MULTICLASS:
         raise ConfigError("baselines.crf and baselines.bilstm need a multiclass corpus")
     if want_bilstm:  # it reads the encoder's n scores per page

@@ -511,16 +511,20 @@ def load_corpus(path: Path | str,
     """Load a corpus from its manifest file, parsing only the ``splits`` named.
 
     The manifest lists the class names, the label mode, and one JSONL path
-    per split (relative paths resolved against the manifest's directory).
-    It is checked whole; a split left out is None in the result.
+    per split (relative paths resolved against the manifest's directory),
+    and may record a provenance; any other key is refused.  It is checked
+    whole; a split left out is None in the result.
     """
     path = Path(path)
     try:
         manifest = parse_json(_read_text(path, "manifest"))
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: malformed manifest ({exc.msg})") from None
-    if not isinstance(manifest, dict):
-        raise CorpusError(f"{path}: manifest must be a JSON object")
+    try:
+        _block(manifest, ("classes", "label_mode", *SPLIT_NAMES, "provenance"), "",
+               "manifest")
+    except ConfigError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
     for key in ("classes", "label_mode", *SPLIT_NAMES):
         if key not in manifest:
             raise CorpusError(f"{path}: manifest missing field {key!r}")

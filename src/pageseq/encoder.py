@@ -138,6 +138,9 @@ class EncoderConfig:
             raise ValueError("d must be divisible by n_heads")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if self.variant == LINEAR and self.dropout:
+            # the bag of embeddings has no layer output to drop
+            raise ValueError("the linear encoder takes no dropout (dropout must be 0)")
         if self.init_seed < 0:
             raise ValueError("init_seed must be >= 0")
 

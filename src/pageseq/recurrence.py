@@ -270,8 +270,7 @@ def infer_split(params: dict, split: EncodedSplit, config: EncoderConfig,
 # Trace files: one JSONL line per page with scores, decision, and context fed
 # ---------------------------------------------------------------------------
 
-# the layout of a trace file, recorded in its header line (a file written
-# without provenance has no header, and is read as this layout)
+# the layout of a trace file, recorded in its header, the first line
 TRACE_FORMAT = "pageseq-trace/1"
 
 
@@ -286,13 +285,12 @@ def _names_json(indicator: np.ndarray, names: Sequence[str]) -> list[str]:
     return list(map(strings.__getitem__, inverse.ravel().tolist()))
 
 
-def write_traces(trace: SplitTrace, path: Path | str,
-                 provenance: dict | None = None) -> None:
+def write_traces(trace: SplitTrace, path: Path | str, provenance: dict) -> None:
+    """The trace file of ``trace``: a header line of ``TRACE_FORMAT`` and
+    ``provenance``, then one line per page in document order."""
     docs, vocab = trace.docs, trace.docs.vocab
-    lines = []
-    if provenance is not None:
-        lines.append(json.dumps({"format": TRACE_FORMAT, "provenance": provenance},
-                                sort_keys=True))
+    lines = [json.dumps({"format": TRACE_FORMAT, "provenance": provenance},
+                        sort_keys=True)]
     labels = _names_json(trace.labels, vocab.class_names)
     contexts = (_names_json(trace.context, (FIRST_PAGE_TOKEN, *vocab.class_names))
                 if trace.context.any() else ["null"] * len(labels))
@@ -358,15 +356,15 @@ _TRACE_FIELDS = ("doc_id", "labels", "context", "scores")
 @gc_paused()
 def read_traces(path: Path | str, docs: Documents, text: str) -> SplitTrace:
     """The trace of ``docs`` in the trace file ``path`` whose contents are
-    ``text``.  The page lines, in any order, must hold each page of ``docs``
-    once: page ``page_index`` of document ``doc_id``.
-
-    A header line (one with a provenance and no doc_id) must record
+    ``text``.  Its first non-blank line is the header: it must record
     ``TRACE_FORMAT``, and hold no key but ``format`` and ``provenance``, an
-    object.  The fields are checked a column at a time; only once a check
-    has failed does a pass over the pages name the first bad one.  In a file
-    with several faults, the one reported may not be the first in file
-    order."""
+    object.  Every later line is a page line.  The page lines, in any order,
+    must hold each page of ``docs`` once: page ``page_index`` of document
+    ``doc_id``.
+
+    The fields are checked a column at a time; only once a check has failed
+    does a pass over the pages name the first bad one.  In a file with
+    several faults, the one reported may not be the first in file order."""
     vocab = docs.vocab
     try:
         linenos, objs = read_jsonl(text)
@@ -376,19 +374,20 @@ def read_traces(path: Path | str, docs: Documents, text: str) -> SplitTrace:
     if not set(map(type, objs)) <= {dict}:
         line = linenos[_first(objs, lambda obj: type(obj) is not dict)]
         raise ValueError(f"{path}:{line}: expected a JSON object")
-    pages = []
-    for obj in objs:
-        if "doc_id" in obj or "provenance" not in obj:
-            pages.append(obj)
-        else:  # a header
-            check_format(obj, "trace", TRACE_FORMAT, "infer")
-            _block(obj, ("format", "provenance"), "", "trace header")
-            if not isinstance(obj["provenance"], dict):
-                raise ConfigError("trace header field 'provenance' must be an object")
+    header, *pages = objs or [None]
+    check_format(header, "trace", TRACE_FORMAT, "infer")
+    _block(header, ("format", "provenance"), "", "trace header")
+    if not isinstance(header.get("provenance"), dict):
+        raise ConfigError("trace header field 'provenance' must be an object")
     # one list per field: per-page tuples would live long enough to be
     # promoted to the oldest GC generation, and bring on full collections
-    columns = [list(map(itemgetter(key), pages))
-               for key in (*_TRACE_FIELDS, "page_index")]
+    keys = (*_TRACE_FIELDS, "page_index")
+    try:
+        columns = [list(map(itemgetter(key), pages)) for key in keys]
+    except KeyError:
+        lineno, key = next((lineno, key) for lineno, obj in zip(linenos[1:], pages)
+                           for key in keys if key not in obj)
+        raise ValueError(f"{path}:{lineno}: missing field {key!r}") from None
     # a score is a JSON number, so neither a string nor a bool
     for field, column, kinds, what in zip(
             _TRACE_FIELDS, columns,

@@ -416,17 +416,15 @@ def trace_pages(trace) -> list[tuple[str, list[Page]]]:
     return out
 
 
-def write_traces_per_page(trace, path, provenance=None) -> None:
+def write_traces_per_page(trace, path, provenance) -> None:
     """Reference trace writer: one ``json.dumps`` of each page's record,
     after a header of the trace format and the provenance."""
     from pageseq.corpus import FIRST_PAGE_TOKEN
     from pageseq.recurrence import TRACE_FORMAT
 
     vocab = trace.docs.vocab
-    lines = []
-    if provenance is not None:
-        lines.append(json.dumps({"format": TRACE_FORMAT, "provenance": provenance},
-                                sort_keys=True))
+    lines = [json.dumps({"format": TRACE_FORMAT, "provenance": provenance},
+                        sort_keys=True)]
     for doc_id, pages in trace_pages(trace):
         for t, (scores, labels, context) in enumerate(pages):
             lines.append(json.dumps({
@@ -456,16 +454,17 @@ def _class_names(names, field, page, vocab) -> frozenset:
 def read_traces_per_page(path, gold):
     """Reference trace reader of the pages of the split ``gold``, in the form
     of ``trace_pages``: its documents in its order, each one's pages in
-    page_index order.  One ``json.loads`` per line and every check page by
-    page, then document by document, with the errors
-    ``recurrence.read_traces`` gives: a file with one fault gets its
-    message."""
+    page_index order.  The first non-blank line is the header, every later
+    one a page.  One ``json.loads`` per line and every check page by page,
+    then document by document, with the errors ``recurrence.read_traces``
+    gives: a file with one fault gets its message."""
     from pageseq.corpus import FIRST_PAGE_TOKEN
     from pageseq.recurrence import TRACE_FORMAT
 
     vocab = gold.vocab
     docs: dict = {}
     fed = set()
+    header = None
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
@@ -477,12 +476,14 @@ def read_traces_per_page(path, gold):
                              f"column {exc.colno})") from None
         if not isinstance(obj, dict):
             raise ValueError(f"{path}:{lineno}: expected a JSON object")
-        if "provenance" in obj and "doc_id" not in obj:
-            found = obj.get("format") if isinstance(obj, dict) else None
-            if found != TRACE_FORMAT:
-                raise ValueError(f"trace format {found!r} is not {TRACE_FORMAT!r}; "
-                                 f"re-run `infer` to write it anew")
+        if header is None:
+            header = obj
+            if header.get("format") != TRACE_FORMAT:
+                break
             continue
+        for field in ("doc_id", "labels", "context", "scores", "page_index"):
+            if field not in obj:
+                raise ValueError(f"{path}:{lineno}: missing field {field!r}")
         page = f"page {obj['page_index']} of {obj['doc_id']!r}"
         for field, kinds, what in (("doc_id", (str,), "a string"),
                                    ("labels", (list,), "a list"),
@@ -519,6 +520,10 @@ def read_traces_per_page(path, gold):
                                  f"{vocab.label_mode} mode")
         docs.setdefault(obj["doc_id"], []).append(
             (obj["page_index"], Page(scores, labels, context)))
+    found = None if header is None else header.get("format")
+    if found != TRACE_FORMAT:
+        raise ValueError(f"trace format {found!r} is not {TRACE_FORMAT!r}; "
+                         f"re-run `infer` to write it anew")
     if len(fed) > 1:
         raise ValueError("some pages were fed a context and some none")
     missing = [doc_id for doc_id in gold.doc_ids if doc_id not in docs]

@@ -529,7 +529,7 @@ class TestInferEvalCompare:
         trace = SplitTrace.blank(split.test)
         trace.labels[:] = split.test.gold
         path = tmp_path / "gold_traces.jsonl"
-        write_traces(trace, path)
+        write_traces(trace, path, provenance={"seed": 0})
         capsys.readouterr()
         rc = main(["eval", "--traces", str(path),
                    "--manifest", str(corpus_dir / "manifest.json"),
@@ -1305,27 +1305,33 @@ class TestBadArtifacts:
             assert len(err) == 1 and str(bad) in err[0]
 
     @staticmethod
-    def run_on_edited_page(trained, command, name, edit, capsys):
-        """``eval`` or ``compare`` on the trace with its last page edited;
-        asserts exit 2 and nothing written, and returns the error lines."""
+    def run_on_trace_lines(trained, command, name, lines, capsys):
+        """``eval`` or ``compare`` on a trace file of ``lines``; asserts exit
+        2 and nothing written, and returns the file and its one error line."""
         tmp_path, corpus_dir, _, traces = trained
-        lines = traces.read_text().splitlines(keepends=True)
-        page = json.loads(lines[-1])
-        edit(page)
         bad = tmp_path / f"{name}.jsonl"
-        bad.write_text("".join(lines[:-1]) + json.dumps(page) + "\n")
+        bad.write_text("".join(lines))
         out = tmp_path / "report.json"
-        if command == "eval":
-            argv = ["eval", "--traces", str(bad)]
-        else:
-            argv = ["compare", "--traces-a", str(traces), "--traces-b", str(bad)]
+        argv = (["eval", "--traces", str(bad)] if command == "eval" else
+                ["compare", "--traces-a", str(traces), "--traces-b", str(bad)])
         capsys.readouterr()
         assert main(argv + ["--manifest", str(corpus_dir / "manifest.json"),
                             "--split", "test", "--out", str(out)]) == 2
         assert not out.exists()
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and str(bad) in err[0]
-        return err
+        (err,) = capsys.readouterr().err.splitlines()
+        return bad, err
+
+    @classmethod
+    def run_on_edited_page(cls, trained, command, name, edit, capsys):
+        """``eval`` or ``compare`` on the trace with its last page edited;
+        asserts exit 2 and nothing written, and returns the error lines."""
+        lines = trained[3].read_text().splitlines(keepends=True)
+        page = json.loads(lines[-1])
+        edit(page)
+        bad, err = cls.run_on_trace_lines(
+            trained, command, name, lines[:-1] + [json.dumps(page) + "\n"], capsys)
+        assert str(bad) in err
+        return [err]
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
     @pytest.mark.parametrize("count", [0, 2])
@@ -1414,42 +1420,59 @@ class TestBadArtifacts:
         err = self.run_on_edited_header(trained, command, header, capsys)
         assert err.endswith(message)
 
-    @staticmethod
-    def run_on_edited_header(trained, command, edit, capsys):
+    @classmethod
+    def run_on_edited_header(cls, trained, command, edit, capsys):
         """``eval`` or ``compare`` on the trace with its header edited;
-        asserts exit 2 and one error line naming the file, and returns that
-        line."""
-        tmp_path, corpus_dir, _, traces = trained
-        first, *pages = traces.read_text().splitlines(keepends=True)
+        asserts exit 2, nothing written and one error line naming the file,
+        and returns that line."""
+        first, *pages = trained[3].read_text().splitlines(keepends=True)
         assert json.loads(first)["format"] == TRACE_FORMAT
         edited = json.loads(first)
         edit(edited)
-        bad = tmp_path / "old-header.jsonl"
-        bad.write_text(json.dumps(edited) + "\n" + "".join(pages))
-        argv = (["eval", "--traces", str(bad)] if command == "eval" else
-                ["compare", "--traces-a", str(traces), "--traces-b", str(bad)])
-        capsys.readouterr()
-        assert main(argv + ["--manifest", str(corpus_dir / "manifest.json"),
-                            "--split", "test"]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: trace file {bad}: ")
-        return err[0]
+        bad, err = cls.run_on_trace_lines(
+            trained, command, "old-header", [json.dumps(edited) + "\n", *pages], capsys)
+        assert err.startswith(f"error: trace file {bad}: ")
+        return err
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.parametrize("placement", ["none", "after-first-page", "second"])
+    def test_trace_has_one_header_on_its_first_line(self, trained, command,
+                                                    placement, capsys):
+        """A trace of page lines with no header, or with the header moved
+        after the first page line, has no format; a second header, of
+        another seed, appended after the pages is a page line that lacks
+        every page field."""
+        header, *pages = trained[3].read_text().splitlines(keepends=True)
+        obj = json.loads(header)
+        second = json.dumps(dict(obj, provenance=dict(obj["provenance"], seed=7)))
+        lines = {"none": pages,
+                 "after-first-page": [pages[0], header, *pages[1:]],
+                 "second": [header, *pages, second + "\n"]}[placement]
+        bad, err = self.run_on_trace_lines(trained, command, placement, lines, capsys)
+        message = (f"{bad}:{len(lines)}: missing field 'doc_id'" if placement == "second"
+                   else f"trace format None is not {TRACE_FORMAT!r}; re-run `infer` "
+                        f"to write it anew")
+        assert err == f"error: trace file {bad}: {message}"
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.parametrize("field", ["doc_id", "labels", "context", "scores",
+                                       "page_index"])
+    def test_trace_missing_field_names_its_line(self, trained, command, field,
+                                                capsys):
+        lines = trained[3].read_text().splitlines(keepends=True)
+        page = json.loads(lines[3])
+        del page[field]
+        lines[3] = json.dumps(page) + "\n"
+        bad, err = self.run_on_trace_lines(trained, command, "no-field", lines, capsys)
+        assert err == f"error: trace file {bad}: {bad}:4: missing field {field!r}"
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
     def test_trace_json_error_names_its_line(self, trained, command, capsys):
         """Each line is parsed on its own, but the error names the file's line."""
-        tmp_path, corpus_dir, _, traces = trained
-        lines = traces.read_text().splitlines(keepends=True)
+        lines = trained[3].read_text().splitlines(keepends=True)
         lines[3] = lines[3].replace('"labels"', '"labels', 1)
-        bad = tmp_path / "bad-line.jsonl"
-        bad.write_text("".join(lines))
-        argv = (["eval", "--traces", str(bad)] if command == "eval" else
-                ["compare", "--traces-a", str(traces), "--traces-b", str(bad)])
-        capsys.readouterr()
-        assert main(argv + ["--manifest", str(corpus_dir / "manifest.json"),
-                            "--split", "test"]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and f"{bad}:4: malformed JSON" in err[0]
+        bad, err = self.run_on_trace_lines(trained, command, "bad-line", lines, capsys)
+        assert f"{bad}:4: malformed JSON" in err
 
     # each way that page lines can fail to hold each page of the split once:
     # an edit of the page objects of one document (its id, its page count
@@ -1513,7 +1536,7 @@ class TestBadArtifacts:
                      "--run-id", "c"]) == 0
         trace = SplitTrace.blank(load_corpus("c/manifest.json", ("test",)).test)
         trace.labels[:] = trace.docs.gold
-        write_traces(trace, "t.jsonl")
+        write_traces(trace, "t.jsonl", provenance={"seed": 0})
         capsys.readouterr()
         assert main(["eval", "--traces", "t.jsonl", "--manifest", "c/manifest.json",
                      "--split", "validation"]) == 2
@@ -1625,6 +1648,22 @@ class TestBadArtifacts:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert f"manifest field {field!r} must be" in err[0]
+
+    @pytest.mark.parametrize("command", ["stats", "eval"])
+    @pytest.mark.parametrize("field, near", [("tset", "test"),
+                                             ("label_modes", "label_mode")])
+    def test_manifest_unknown_field(self, trained, command, field, near, capsys):
+        """A manifest key that no reader reads, even next to every field it
+        needs, is refused with the nearest valid one."""
+        tmp_path, corpus_dir, _, traces = trained
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        bad = corpus_dir / "extra.json"
+        bad.write_text(json.dumps(dict(manifest, **{field: manifest[near]})))
+        argv = ["stats"] if command == "stats" else ["eval", "--traces", str(traces)]
+        capsys.readouterr()
+        assert main(argv + ["--manifest", str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: unknown manifest field {field!r}; did you mean {near!r}?"]
 
     def test_head_narrower_than_manifest_classes(self, trained):
         """A 3-column head relabelled with a 4-class codec must not infer."""
@@ -1987,7 +2026,11 @@ class TestConfigReader:
         pytest.param("train", lambda c: 5, [], ["config must be a JSON object"],
                      id="top-level-5"),
         pytest.param("train", lambda c: experiment_cfg(c, corpus={"synthetic": 5}),
-                     [], ["'corpus.synthetic'"], id="corpus.synthetic-5"),
+                     [], ["'corpus'"], id="corpus.synthetic-5"),
+        pytest.param("train", lambda c: experiment_cfg(
+            c, encoder={"variant": "linear", "d": 8, "max_len": 16, "dropout": 0.5}),
+            [], ["error: encoder: ", "linear encoder takes no dropout"],
+            id="linear-dropout"),
         pytest.param("synth", lambda c: _chain_cfg(5), [], ["'transition_matrix'"],
                      id="transition_matrix-5"),
         pytest.param("synth", lambda c: _chain_cfg([[1, 0, 0], [0, "1", 0],
@@ -2037,6 +2080,19 @@ class TestConfigReader:
         for text in expected:
             assert text in err[0]
 
+    def test_train_reads_its_corpus_only_from_a_manifest(self, tmp_path, capsys):
+        """An inline synthetic corpus, which writes no split files, exits 2
+        before ``train`` writes anything."""
+        cfg_path = tmp_path / "inline.json"
+        cfg_path.write_text(json.dumps(experiment_cfg(
+            tmp_path, corpus={"synthetic": SYNTH_CFG})))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config field 'corpus' must be a manifest path"]
+        assert not (tmp_path / "runs").exists()
+
     unit = st.floats(0.0, 1.0, exclude_max=True)
     positive = st.floats(1e-12, 1e6)
     seed = st.integers(0, 2**63)
@@ -2057,6 +2113,8 @@ class TestConfigReader:
            dropout=unit, init_seed=seed)
     def test_encoder_config_round_trips(self, variant, heads, per_head, n_layers,
                                         max_len, dropout, init_seed):
+        if variant == "linear":  # the linear encoder takes no dropout
+            dropout = 0.0
         cfg = EncoderConfig(variant, heads * per_head, n_layers, heads, max_len,
                             dropout, init_seed)
         assert _config_from(EncoderConfig, json.loads(json.dumps(asdict(cfg))),

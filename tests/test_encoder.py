@@ -150,6 +150,13 @@ class TestLinearForward:
         with pytest.raises(ValueError, match="max_len"):
             forward(params, too_long, config)
 
+    def test_refuses_dropout(self):
+        """The bag of embeddings has no layer output to drop, so a dropout
+        rate would be recorded and never applied."""
+        EncoderConfig(variant="linear", dropout=0.0)
+        with pytest.raises(ValueError, match="linear encoder takes no dropout"):
+            EncoderConfig(variant="linear", dropout=0.5)
+
 
 class TestTransformerForward:
     def test_deterministic_inference(self):

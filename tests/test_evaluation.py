@@ -207,7 +207,7 @@ def read_against(trace, gold):
     ``gold``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.jsonl"
-        write_traces(trace, path)
+        write_traces(trace, path, provenance={"seed": 0})
         return read_traces(path, gold, path.read_text(encoding="utf-8"))
 
 

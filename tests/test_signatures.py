@@ -27,6 +27,10 @@ A JSON object becomes a dataclass only through the typed reader of config
 files (``corpus._config_from``), which checks each field's type: no function
 of the package splats a JSON value into a call (``Cls(**payload[...])``).
 
+Every JSON object the package reads from a file (a config, a checkpoint
+and its blocks, a manifest, a trace file's header) has its keys checked by
+``corpus._block``, which refuses a key that no reader reads.
+
 ``cli.config_hash`` (canonical JSON, then SHA-256) hashes configs only.  A
 file a command reads (checkpoint, trace) is named by the SHA-256 of its
 bytes, so no command re-serializes what it loaded to hash it.
@@ -173,6 +177,15 @@ FLOAT_BLOCK_USERS = {"encoder.checkpoint_payload", "encoder.restore_encoder",
                      "cli.cmd_train", "cli._bilstm_head"}
 
 
+# every reader of a JSON object from a file: the typed reader of config and
+# checkpoint blocks, the top level of a ``train`` and a ``synth`` config, the
+# top level of each checkpoint kind and the BiLSTM's config, the manifest,
+# and a trace file's header
+BLOCK_USERS = {"corpus._config_from", "cli.cmd_train", "cli.synth_config_from",
+               "encoder.restore_encoder", "cli._restore_model", "cli._bilstm_head",
+               "corpus.load_corpus", "recurrence.read_traces"}
+
+
 def users_of(is_use) -> list[str]:
     """module.function (nested names joined by dots) of every node of the
     package's code for which ``is_use(node)`` holds."""
@@ -253,6 +266,13 @@ def test_checkpoints_carry_floats_as_blocks():
     assert len(payloads) == 3  # the walk sees the encoder, CRF and BiLSTM payloads
     assert set(payloads) <= FLOAT_BLOCK_USERS
     assert dict_literals_with("kind", "format") == payloads
+
+
+def test_every_json_object_read_has_its_keys_checked():
+    found = users_of(lambda node: (
+        isinstance(node, ast.Name) and node.id == "_block"
+        or isinstance(node, ast.Attribute) and node.attr == "_block"))
+    assert set(found) == BLOCK_USERS  # none other, none left out
 
 
 def test_config_hash_only_hashes_configs():
