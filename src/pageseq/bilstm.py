@@ -24,9 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_softmax
+from scipy.special import expit
 
 from .corpus import document_rows, page_positions
+from .encoder import softmax_cross_entropy
 from .training import TrainConfig, TrainReport, fit_adamw
 
 # gate row order inside the stacked weight matrices: input, forget, cell, output
@@ -140,14 +141,9 @@ def bilstm_loss_and_grad(params: dict, vectors: np.ndarray, labels: np.ndarray,
     if np.any((labels < 0) | (labels >= n)):
         raise ValueError(f"labels must be class indices in 0..{n - 1}")
     logits, (rev, both, fw_tape, bw_tape) = _forward(params, vectors, offsets)
-    rows = np.arange(len(labels))
-    logp = log_softmax(logits, axis=1)
-    page_losses = -logp[rows, labels]
+    page_losses, dlogits = softmax_cross_entropy(logits, labels)
     if not np.all(np.isfinite(page_losses)):
         raise FloatingPointError("non-finite page loss")
-    dlogits = np.exp(logp)
-    dlogits[rows, labels] -= 1.0
-    dlogits /= len(labels)
     grads = {"head_w": both.T @ dlogits, "head_b": dlogits.sum(axis=0)}
     dboth = dlogits @ params["head_w"].T
     h_dim = both.shape[1] // 2

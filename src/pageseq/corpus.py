@@ -1,15 +1,16 @@
 """Corpus data model, JSONL ingestion, synthetic Markov-document generation,
 and descriptive statistics (page counts, label runs, self-transition rates);
-also the readers every JSON file shares: one whole-file parse, the typed
-reader of config and checkpoint blocks, the format check, and the one
-encoding of float arrays in checkpoint files.
+also the readers every JSON file shares: one whole-file parse, the one
+reader of the page lines of split and trace files, the typed reader of
+config and checkpoint blocks, the format check, and the one encoding of
+float arrays in checkpoint files.
 
 A corpus is a three-way split of documents; each document is an ordered list
 of pages carrying raw text and one or more gold page-type labels.  In memory
 each split is one ``Documents`` record of columns: doc ids, document offsets
 into the page rows, page texts and a (pages x n) gold indicator.  The single
 on-disk format is a manifest JSON pointing at one JSONL file per split, one
-page per line:
+page per line, holding exactly these fields:
 
     {"doc_id": str, "labels": [str, ...], "page_index": int, "text": str}
 """
@@ -27,8 +28,8 @@ import typing
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import itemgetter, ne
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -85,19 +86,21 @@ class Documents:
     ``label_mode``.  ``len`` is the number of documents.
 
     Built from each document's id and page count and each page's text and
-    gold class indices, checked against the class vocabulary.  This is the
-    one place a split is checked: no document is empty, no doc_id repeats,
-    every label is a class index (a non-bool int in 0..n-1), every page has
-    a label, and a multiclass page has exactly one.
+    gold class indices (or, as a split file is read, the gold indicator
+    itself), checked against the class vocabulary.  This is the one place a
+    split is checked: no document is empty, no doc_id repeats, every label
+    is a class index (a non-bool int in 0..n-1), every page has a label,
+    and a multiclass page has exactly one.
     """
 
     def __init__(self, vocab: TypeVocabulary, doc_ids: Sequence[str],
                  sizes: Sequence[int], texts: Sequence[str],
-                 labels: Sequence[Collection[int]]):
+                 labels: Sequence[Collection[int]] | np.ndarray):
         self.doc_ids = tuple(doc_ids)
         self.offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
         self.texts = tuple(texts)
         self.vocab = vocab
+        n = vocab.n
         if not (len(self.offsets) == len(self.doc_ids) + 1
                 and self.offsets[-1] == len(self.texts) == len(labels)):
             raise CorpusError("doc_ids, sizes, texts and labels do not align")
@@ -106,18 +109,20 @@ class Documents:
             raise CorpusError(f"document {self.doc_ids[empty[0]]!r} is empty")
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise CorpusError("duplicate doc_id in split")
-        rows = np.repeat(np.arange(len(labels)), list(map(len, labels)))
-        flat = list(chain.from_iterable(labels))
-        n = vocab.n
-        if not (set(map(type, flat)) <= {int}
-                and (not flat or 0 <= min(flat) and max(flat) < n)):
-            for row, c in zip(rows.tolist(), flat):
-                if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < n:
-                    raise CorpusError(f"{self.page_name(row)}: label {c!r} is not a "
-                                      f"class index; a label index is an int in "
-                                      f"0..{n - 1}")
-        self.gold = np.zeros((len(labels), n), dtype=bool)
-        self.gold[rows, np.array(flat, dtype=np.int64)] = True
+        if isinstance(labels, np.ndarray):  # the gold indicator itself
+            self.gold = labels
+        else:
+            rows = np.repeat(np.arange(len(labels)), list(map(len, labels)))
+            flat = list(chain.from_iterable(labels))
+            if not (set(map(type, flat)) <= {int}
+                    and (not flat or 0 <= min(flat) and max(flat) < n)):
+                for row, c in zip(rows.tolist(), flat):
+                    if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < n:
+                        raise CorpusError(f"{self.page_name(row)}: label {c!r} is not "
+                                          f"a class index; a label index is an int "
+                                          f"in 0..{n - 1}")
+            self.gold = np.zeros((len(labels), n), dtype=bool)
+            self.gold[rows, np.array(flat, dtype=np.int64)] = True
         counts = self.gold.sum(axis=1)
         bad = np.flatnonzero((counts == 0) | (counts > vocab.max_labels))
         if bad.size:
@@ -247,76 +252,109 @@ def first_appearance(keys: Sequence) -> tuple[list, np.ndarray]:
                                        dtype=np.int64, count=len(keys))
 
 
-# the fields of a page line and the one type each must have (a bool is no int)
-_PAGE_FIELDS = {"doc_id": str, "page_index": int, "text": str, "labels": list}
+# the name a message gives each JSON type a page line's field may hold
+_JSON_TYPES = {str: "a string", int: "an int", list: "a list", type(None): "null"}
 
 
-def _page_columns(pages: list, index: Mapping[str, int]) -> tuple | None:
-    """The doc ids (in order of first appearance), page counts, texts and
-    class index tuples of the documents of parsed page lines, checked a
-    column at a time; None if some line breaks a rule of ``_line_fault``."""
-    if not pages:
-        return [], [], [], []
-    if set(map(type, pages)) != {dict}:
-        return None
+def page_columns(pages: list, fields: Mapping[str, tuple]) -> list[list]:
+    """The column of each field of ``fields``, in its order, of parsed page
+    lines.  Every line must be a JSON object with exactly the keys of
+    ``fields``, each holding a value of one of its field's JSON types (a
+    bool is no int).  A fault raises ValueError, naming no line: see
+    ``read_page_lines``."""
+    if not set(map(type, pages)) <= {dict}:
+        raise ValueError("expected a JSON object")
     # one list per field: per-page tuples would live long enough to be
     # promoted to the oldest GC generation, and bring on full collections
     try:
-        columns = [list(map(itemgetter(key), pages)) for key in _PAGE_FIELDS]
-    except KeyError:
-        return None
-    if any(set(map(type, column)) != {kind}
-           for column, kind in zip(columns, _PAGE_FIELDS.values())):
-        return None
-    doc_ids, page_indices, texts, name_lists = columns
-    keys = list(map(tuple, name_lists))
-    try:  # an unknown label, or one that is not a string, is no key of index
-        classes = {key: tuple(map(index.__getitem__, key)) for key in set(keys)}
-    except (KeyError, TypeError):
-        return None
+        columns = [list(map(itemgetter(key), pages)) for key in fields]
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc.args[0]!r}") from None
+    # a line with every field and no more keys than there are fields has
+    # exactly those keys
+    if max(map(len, pages), default=0) > len(fields):
+        for page in pages:
+            _block(page, fields, "", "page line")
+    for (key, kinds), column in zip(fields.items(), columns):
+        if not set(map(type, column)) <= set(kinds):
+            raise ValueError(f"field {key!r} must be "
+                             f"{' or '.join(map(_JSON_TYPES.__getitem__, kinds))}")
+    return columns
+
+
+def class_indicator(name_lists: Sequence[list], field: str,
+                    names: Sequence[str]) -> np.ndarray:
+    """The (pages x len(names)) 0/1 rows of the lists of column ``names`` in
+    ``field`` of each page line.  ValueError if a name is not a string or no
+    column's, and for the first-page marker in a list with other names, as
+    it is fed alone."""
+    flat = list(chain.from_iterable(name_lists))
+    if not set(map(type, flat)) <= {str}:
+        raise ValueError(f"field {field!r} holds a label name that is not a string")
+    index = dict(zip(names, range(len(names))))
+    column = np.fromiter(map(index.get, flat, repeat(-1)), dtype=np.int64,
+                         count=len(flat))
+    counts = np.fromiter(map(len, name_lists), dtype=np.int64, count=len(name_lists))
+    unknown = (column < 0) | ((column == index.get(FIRST_PAGE_TOKEN, -1))
+                              & np.repeat(counts > 1, counts))
+    if unknown.any():
+        raise ValueError(f"unknown label name {flat[unknown.argmax()]!r} in "
+                         f"field {field!r}")
+    indicator = np.zeros((len(name_lists), len(names)), dtype=bool)
+    indicator[np.repeat(np.arange(len(name_lists)), counts), column] = True
+    return indicator
+
+
+def read_page_lines(path: Path | str, linenos: Sequence[int], pages: list, read,
+                    error: type[ValueError] = ValueError):
+    """``read(pages)``, where ``read`` refuses page lines with a ValueError
+    that names no line, and no rule of it depends on a later line.  If it
+    refuses them, raise ``error`` with the message of the shortest prefix of
+    the lines that it refuses, named by the ``path:lineno`` of the prefix's
+    last line: the first bad line in file order.  Bisection finds that
+    prefix in O(n log n), and only once a read has failed."""
+    try:
+        return read(pages)
+    except ValueError as exc:
+        fault = exc
+    good, bad = 0, len(pages)  # read takes pages[:good] and refuses pages[:bad]
+    while bad - good > 1:
+        middle = (good + bad) // 2
+        try:
+            read(pages[:middle])
+            good = middle
+        except ValueError as exc:
+            bad, fault = middle, exc
+    raise error(f"{path}:{linenos[bad - 1]}: {fault}") from None
+
+
+# the fields of a split file's page line, and the JSON type each holds
+_PAGE_FIELDS = {"doc_id": (str,), "page_index": (int,), "text": (str,),
+                "labels": (list,)}
+
+
+def _split_lines(pages: list, names: Sequence[str]) -> tuple:
+    """The doc ids (in order of first appearance) and page counts of the
+    documents of a split file's page lines, and its pages' texts and gold
+    indicator rows in document order.  Each document's pages must come in
+    page_index order 0..l-1."""
+    doc_ids, page_indices, texts, labels = page_columns(pages, _PAGE_FIELDS)
+    gold = class_indicator(labels, "labels", names)
     # each page's row among its document's, in file order
     docs, doc = first_appearance(doc_ids)
     order = np.argsort(doc, kind="stable")
     sizes = np.bincount(doc)
     rank = np.empty_like(doc)
     rank[order] = np.arange(len(doc)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    if rank.tolist() != page_indices:
-        return None
-    rows = order.tolist()
-    return (docs, sizes.tolist(), list(map(texts.__getitem__, rows)),
-            list(map(classes.__getitem__, map(keys.__getitem__, rows))))
-
-
-def _line_fault(path: Path, linenos: Sequence[int], pages: list,
-                index: Mapping[str, int]) -> str:
-    """The error of the first line, in file order, that is not a page object
-    with fields of the right types and known label names, or whose
-    page_index is not its document's next.  Called once a column check of
-    ``_page_columns`` has failed, so some line breaks a rule."""
-    seen: dict[str, int] = {}
-    for lineno, obj in zip(linenos, pages):
-        where = f"{path}:{lineno}"
-        if not isinstance(obj, dict):
-            return f"{where}: expected a JSON object"
-        for key, kind in _PAGE_FIELDS.items():
-            if key not in obj:
-                return f"{where}: missing field {key!r}"
-            if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
-                return f"{where}: field {key!r} has wrong type"
-        for name in obj["labels"]:
-            if not isinstance(name, str):
-                return f"{where}: labels must be strings"
-            if name not in index:
-                return f"{where}: unknown label {name!r}"
-        doc_id, page_index = obj["doc_id"], obj["page_index"]
-        expected = seen.get(doc_id, 0)
-        if page_index != expected:
-            if 0 <= page_index < expected:
-                return f"{where}: duplicate page {(doc_id, page_index)}"
-            return (f"{where}: page_index {page_index} of document {doc_id!r}, "
-                    f"expected {expected} (pages run 0..l-1 in file order)")
-        seen[doc_id] = expected + 1
-    raise AssertionError("a column check failed but every line keeps the rules")
+    ranks = rank.tolist()
+    if ranks != page_indices:
+        row = list(map(ne, ranks, page_indices)).index(True)
+        doc_id, index, expected = doc_ids[row], page_indices[row], ranks[row]
+        if 0 <= index < expected:
+            raise ValueError(f"duplicate page {(doc_id, index)}")
+        raise ValueError(f"page_index {index} of document {doc_id!r}, expected "
+                         f"{expected} (pages run 0..l-1 in file order)")
+    return docs, sizes.tolist(), list(map(texts.__getitem__, order.tolist())), gold[order]
 
 
 @gc_paused()
@@ -325,21 +363,17 @@ def load_split_file(path: Path | str, vocab: TypeVocabulary) -> Documents:
     first appearance; each document's pages must come in page_index order
     0..l-1.
 
-    The lines are checked a column at a time.  Only once a column check
-    fails does a pass over the lines name the first bad line, with the error
-    a line-by-line reader gives.  In a file with several faults that reader
-    may stop at a bad line before a malformed JSON one; here the malformed
-    JSON line is reported first, as the whole file is parsed before any
-    check."""
+    A malformed JSON line is reported first, as the whole file is parsed
+    before any check; then the first bad page line, in file order
+    (``read_page_lines``); then the checks of ``Documents``."""
     path = Path(path)
     try:
         linenos, pages = read_jsonl(_read_text(path, "split file"))
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}:{exc.lineno}: malformed JSON ({exc.msg})") from None
-    index = {name: c for c, name in enumerate(vocab.class_names)}
-    columns = _page_columns(pages, index)
-    if columns is None:
-        raise CorpusError(_line_fault(path, linenos, pages, index))
+    columns = read_page_lines(path, linenos, pages,
+                              lambda lines: _split_lines(lines, vocab.class_names),
+                              CorpusError)
     try:
         return Documents(vocab, *columns)
     except CorpusError as exc:
@@ -422,16 +456,20 @@ def _typed(value, hint, label: str, noun: str = "config"):
 
 def _config_from(cls, obj, where: str, complete: bool = False, **given):
     """Dataclass ``cls`` from the JSON object ``obj``, whose keys must be
-    fields of ``cls`` holding values of their types.  A field that ``obj``
-    leaves out takes its value from ``given`` (what the caller derives, such
-    as seeds), else the dataclass default; with ``complete`` (a checkpoint,
-    which records every field, and is named in messages) it must be in one
-    of them."""
+    fields of ``cls`` holding values of their types.  A field in ``given``
+    is the caller's (in a ``train`` config, a seed derived from the
+    top-level ``seed``), which ``obj`` may not hold.  Any other field that
+    ``obj`` leaves out takes the dataclass default; with ``complete`` (a
+    checkpoint, which records every field, and is named in messages) it
+    must be in ``obj``."""
     noun = "checkpoint" if complete else "config"
     hints = typing.get_type_hints(cls)
     values = dict(given)
     for name, value in _block(obj, [f.name for f in fields(cls)], where,
                               noun).items():
+        if name in given:
+            raise ConfigError(f"{noun} field {_label(where, name)!r} is set by "
+                              f"'seed'")
         values[name] = _typed(value, hints[name], _label(where, name), noun)
     for f in fields(cls):
         if f.name not in values and (complete or f.default is MISSING):

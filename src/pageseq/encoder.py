@@ -590,6 +590,18 @@ def predict(scores: np.ndarray, label_mode: str) -> np.ndarray:
     return chosen
 
 
+def softmax_cross_entropy(scores: np.ndarray, targets: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's softmax cross-entropy against its gold class index in
+    ``targets``, and the gradient of their mean with respect to ``scores``."""
+    logp = log_softmax(scores, axis=-1)
+    rows = np.arange(len(targets))
+    dscores = np.exp(logp)
+    dscores[rows, targets] -= 1.0
+    dscores /= len(targets)
+    return -logp[rows, targets], dscores
+
+
 def loss_and_grad(params: dict, ids: np.ndarray, targets: np.ndarray,
                   config: EncoderConfig, label_mode: str,
                   dropout_rng: np.random.Generator | None = None,
@@ -613,9 +625,7 @@ def loss_and_grad(params: dict, ids: np.ndarray, targets: np.ndarray,
     n_examples, n_classes = scores.shape
 
     if label_mode == MULTICLASS:
-        logp = log_softmax(scores, axis=-1)
-        per_example = -logp[np.arange(n_examples), targets]
-        dscores = (np.exp(logp) - np.eye(n_classes)[targets]) / n_examples
+        per_example, dscores = softmax_cross_entropy(scores, targets)
     else:
         # stable BCE-with-logits: max(y,0) - y*t + log(1 + exp(-|y|))
         per_class = np.maximum(scores, 0.0) - scores * targets + \

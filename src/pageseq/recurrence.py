@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -35,8 +34,8 @@ import numpy as np
 
 from . import encoder
 from .corpus import (FIRST_PAGE_TOKEN, MULTICLASS, ConfigError, Documents,
-                     _block, _Memo, check_format, first_appearance, gc_paused,
-                     page_positions, read_jsonl)
+                     _block, _Memo, check_format, class_indicator, gc_paused,
+                     page_columns, page_positions, read_jsonl, read_page_lines)
 from .encoder import (CLS_ID, FIRST_ID, LINEAR, PAD_ID, TINY_TRANSFORMER,
                       EncoderConfig, TokenCodec, predict)
 from .features import tokenize
@@ -308,49 +307,51 @@ def write_traces(trace: SplitTrace, path: Path | str, provenance: dict) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def _page_name(obj: dict) -> str:
-    return f"page {obj['page_index']} of {obj['doc_id']!r}"
+# the fields of a trace page line, and the JSON types each may hold
+_TRACE_FIELDS = {"doc_id": (str,), "labels": (list,), "context": (type(None), list),
+                 "scores": (list,), "page_index": (int,)}
 
 
-def _first(column: Sequence, bad) -> int:
-    """The index of the first entry of ``column`` for which ``bad`` holds."""
-    return next(i for i, x in enumerate(column) if bad(x))
-
-
-def _all_floats(numbers: list) -> bool:
-    """Whether every number converts to a float: an int too large does not."""
+def _trace_lines(pages: list, vocab) -> tuple:
+    """The doc ids and page indices of a trace file's page lines, and their
+    (pages x n) scores and decided labels and (pages x 1+n) contexts fed.
+    A decision is one label, or 1 to n on a multilabel corpus; a fed context
+    is the first-page marker alone, or as many classes as a page may have
+    labels."""
+    doc_ids, labels, contexts, scores, page_indices = page_columns(pages, _TRACE_FIELDS)
+    n, limit, mode = vocab.n, vocab.max_labels, vocab.label_mode
+    # a score is a JSON number, so neither a string nor a bool
+    if not set(map(type, chain.from_iterable(scores))) <= {int, float}:
+        raise ValueError("field 'scores' holds a score that is not a number")
+    if not set(map(len, scores)) <= {n}:
+        count = next(k for k in map(len, scores) if k != n)
+        raise ValueError(f"field 'scores' holds {count} scores for {n} classes")
     try:
-        list(map(float, numbers))
+        scores = np.fromiter(chain.from_iterable(scores), dtype=np.float64,
+                             count=len(pages) * n).reshape(len(pages), n)
     except OverflowError:
-        return False
-    return True
-
-
-def _indicator(name_lists: Sequence[list], field: str, pages: list,
-               names: Sequence[str]) -> np.ndarray:
-    """The (pages x len(names)) 0/1 rows of the lists of column ``names`` in
-    ``field`` of each page, each distinct list looked up once.  A name that
-    is not a string, or no column's, is reported with its page; so is the
-    first-page marker in a list with other names, as it is fed alone."""
-    if not set(map(type, chain.from_iterable(name_lists))) <= {str}:
-        row = _first(name_lists, lambda names: not set(map(type, names)) <= {str})
-        raise ValueError(f"{_page_name(pages[row])}: field {field!r} holds a "
-                         f"label name that is not a string")
-    distinct, keys = first_appearance(list(map(tuple, name_lists)))
-    index = dict(zip(names, range(len(names))))
-    table = np.zeros((len(distinct), len(names)), dtype=bool)
-    for key, row in enumerate(distinct):
-        unknown = [name for name in row if name not in index
-                   or name == FIRST_PAGE_TOKEN and len(row) > 1]
-        if unknown:
-            raise ValueError(f"{_page_name(pages[np.argmax(keys == key)])}: "
-                             f"unknown label name {unknown[0]!r} in field {field!r}")
-        table[key, list(map(index.__getitem__, row))] = True
-    return table[keys]
-
-
-# the fields of a trace page line, in the order their types are checked
-_TRACE_FIELDS = ("doc_id", "labels", "context", "scores")
+        raise ValueError("field 'scores' holds a score too large for a float") from None
+    if not np.isfinite(scores).all():
+        raise ValueError("field 'scores' holds a score that is not finite")
+    labels = class_indicator(labels, "labels", vocab.class_names)
+    counts = labels.sum(axis=1)
+    bad = counts[(counts == 0) | (counts > limit)]
+    if bad.size:
+        raise ValueError(f"field 'labels' holds {bad[0]} labels in {mode} mode")
+    fed = list in set(map(type, contexts))
+    if fed and None in contexts:
+        raise ValueError("some pages were fed a context and some none")
+    if not fed:
+        return doc_ids, page_indices, scores, labels, np.zeros((len(pages), 1 + n),
+                                                               dtype=bool)
+    context = class_indicator(contexts, "context", (FIRST_PAGE_TOKEN, *vocab.class_names))
+    counts = context.sum(axis=1)
+    if not counts.all():
+        raise ValueError("field 'context' names no class")
+    bad = counts[counts > limit]
+    if bad.size:
+        raise ValueError(f"field 'context' holds {bad[0]} labels in {mode} mode")
+    return doc_ids, page_indices, scores, labels, context
 
 
 @gc_paused()
@@ -358,96 +359,28 @@ def read_traces(path: Path | str, docs: Documents, text: str) -> SplitTrace:
     """The trace of ``docs`` in the trace file ``path`` whose contents are
     ``text``.  Its first non-blank line is the header: it must record
     ``TRACE_FORMAT``, and hold no key but ``format`` and ``provenance``, an
-    object.  Every later line is a page line.  The page lines, in any order,
-    must hold each page of ``docs`` once: page ``page_index`` of document
-    ``doc_id``.
-
-    The fields are checked a column at a time; only once a check has failed
-    does a pass over the pages name the first bad one.  In a file with
-    several faults, the one reported may not be the first in file order."""
-    vocab = docs.vocab
+    object.  Every later line is a page line, read by
+    ``corpus.read_page_lines``, which names the first bad one in file order.
+    The page lines, in any order, must hold each page of ``docs`` once: page
+    ``page_index`` of document ``doc_id``."""
     try:
         linenos, objs = read_jsonl(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: malformed JSON ({exc.msg} at "
                          f"column {exc.colno})") from None
-    if not set(map(type, objs)) <= {dict}:
-        line = linenos[_first(objs, lambda obj: type(obj) is not dict)]
-        raise ValueError(f"{path}:{line}: expected a JSON object")
     header, *pages = objs or [None]
     check_format(header, "trace", TRACE_FORMAT, "infer")
     _block(header, ("format", "provenance"), "", "trace header")
     if not isinstance(header.get("provenance"), dict):
         raise ConfigError("trace header field 'provenance' must be an object")
-    # one list per field: per-page tuples would live long enough to be
-    # promoted to the oldest GC generation, and bring on full collections
-    keys = (*_TRACE_FIELDS, "page_index")
-    try:
-        columns = [list(map(itemgetter(key), pages)) for key in keys]
-    except KeyError:
-        lineno, key = next((lineno, key) for lineno, obj in zip(linenos[1:], pages)
-                           for key in keys if key not in obj)
-        raise ValueError(f"{path}:{lineno}: missing field {key!r}") from None
-    # a score is a JSON number, so neither a string nor a bool
-    for field, column, kinds, what in zip(
-            _TRACE_FIELDS, columns,
-            ({str}, {list}, {list, type(None)}, {list}),
-            ("a string", "a list", "null or a list", "a list")):
-        if not set(map(type, column)) <= kinds:
-            row = _first(column, lambda x: type(x) not in kinds)
-            raise ValueError(f"{_page_name(pages[row])}: field {field!r} must "
-                             f"be {what}")
-    doc_ids, labels, contexts, scores, page_indices = columns
-    if not set(map(type, chain.from_iterable(scores))) <= {int, float}:
-        row = _first(scores, lambda s: not set(map(type, s)) <= {int, float})
-        raise ValueError(f"{_page_name(pages[row])} has a score that is not a "
-                         f"number")
-    if not set(map(len, scores)) <= {vocab.n}:
-        row = _first(scores, lambda s: len(s) != vocab.n)
-        raise ValueError(f"{_page_name(pages[row])} has {len(scores[row])} "
-                         f"scores for {vocab.n} classes")
-    try:
-        scores = np.fromiter(chain.from_iterable(scores), dtype=np.float64,
-                             count=len(pages) * vocab.n).reshape(len(pages), vocab.n)
-    except OverflowError:
-        row = _first(scores, lambda s: not _all_floats(s))
-        raise ValueError(f"{_page_name(pages[row])} has a score too large for a "
-                         f"float") from None
-    bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{_page_name(pages[bad[0]])} has a score that is not finite")
-    labels = _indicator(labels, "labels", pages, vocab.class_names)
-    counts = labels.sum(axis=1)
-    limit = vocab.max_labels
-    bad = np.flatnonzero((counts == 0) | (counts > limit))
-    if bad.size:
-        raise ValueError(f"{_page_name(pages[bad[0]])} has {counts[bad[0]]} labels "
-                         f"in {vocab.label_mode} mode")
-    fed = list in set(map(type, contexts))
-    if fed and None in contexts:
-        raise ValueError("some pages were fed a context and some none")
-    if not fed:
-        context = np.zeros((len(pages), 1 + vocab.n), dtype=bool)
-    else:
-        context = _indicator(contexts, "context", pages,
-                             (FIRST_PAGE_TOKEN, *vocab.class_names))
-        # a fed page was fed the first-page marker alone, or as many classes
-        # as a page may have labels: 1 to ``limit``
-        counts = context.sum(axis=1)
-        if not counts.all():
-            raise ValueError(f"{_page_name(pages[counts.argmin()])}: field "
-                             f"'context' names no class")
-        bad = np.flatnonzero(counts > limit)
-        if bad.size:
-            raise ValueError(f"{_page_name(pages[bad[0]])} has {counts[bad[0]]} "
-                             f"context labels in {vocab.label_mode} mode")
+    doc_ids, page_indices, scores, labels, context = read_page_lines(
+        path, linenos[1:], pages, lambda lines: _trace_lines(lines, docs.vocab))
 
     # each line's document in ``docs``, -1 for none of them
     where = dict(zip(docs.doc_ids, range(len(docs))))
     doc = np.fromiter(map(where.get, doc_ids, repeat(-1)), dtype=np.int64,
                       count=len(pages))
-    if not (set(map(type, page_indices)) <= {int}
-            and 0 <= min(page_indices, default=0)
+    if not (0 <= min(page_indices, default=0)
             and max(page_indices, default=-1) < len(pages)):
         raise ValueError(_coverage_fault(docs, doc_ids, page_indices))
     rows = docs.offsets[doc] + np.array(page_indices, dtype=np.int64)
@@ -481,8 +414,7 @@ def _coverage_fault(docs: Documents, doc_ids: list, page_indices: list) -> str:
                 f"extra={_some(extra)}")
     for doc_id in docs.doc_ids:
         indices = lines[doc_id]
-        if not (set(map(type, indices)) <= {int}
-                and sorted(indices) == list(range(len(indices)))):
+        if sorted(indices) != list(range(len(indices))):
             return f"trace for {doc_id!r} has missing or duplicate pages"
     for doc_id, size in zip(docs.doc_ids, np.diff(docs.offsets).tolist()):
         if len(lines[doc_id]) != size:

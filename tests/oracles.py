@@ -12,6 +12,7 @@ the package's versions must match byte for byte.
 
 from __future__ import annotations
 
+import difflib
 import itertools
 import json
 import math
@@ -193,6 +194,26 @@ def reference_write_corpus(split, directory, provenance=None) -> Path:
     return manifest_path
 
 
+def field_fault(obj: dict, fields) -> str | None:
+    """The fault of a page object, given each of its ``fields`` as (name,
+    JSON types, what a message calls them): a field it lacks, else a key
+    that is no field's (with the nearest field's name), else a field whose
+    value has none of its types (a bool is no int); None if it has none."""
+    names = [name for name, _, _ in fields]
+    for name in names:
+        if name not in obj:
+            return f"missing field {name!r}"
+    for key in obj:
+        if key not in names:
+            near = difflib.get_close_matches(key, names, n=1)
+            return (f"unknown page line field {key!r}"
+                    + (f"; did you mean {near[0]!r}?" if near else ""))
+    for name, kinds, what in fields:
+        if type(obj[name]) not in kinds:
+            return f"field {name!r} must be {what}"
+    return None
+
+
 def reference_load_split_file(path, vocab):
     """One JSONL split file as ``corpus.Documents``, one ``json.loads`` and
     one set of checks per line, in file order: the first bad line is the one
@@ -212,18 +233,20 @@ def reference_load_split_file(path, vocab):
             raise CorpusError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
         if not isinstance(obj, dict):
             raise CorpusError(f"{path}:{lineno}: expected a JSON object")
-        for key, kind in (("doc_id", str), ("page_index", int), ("text", str),
-                          ("labels", list)):
-            if key not in obj:
-                raise CorpusError(f"{path}:{lineno}: missing field {key!r}")
-            if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
-                raise CorpusError(f"{path}:{lineno}: field {key!r} has wrong type")
+        fault = field_fault(obj, (("doc_id", (str,), "a string"),
+                                  ("page_index", (int,), "an int"),
+                                  ("text", (str,), "a string"),
+                                  ("labels", (list,), "a list")))
+        if fault:
+            raise CorpusError(f"{path}:{lineno}: {fault}")
+        if not all(isinstance(name, str) for name in obj["labels"]):
+            raise CorpusError(f"{path}:{lineno}: field 'labels' holds a label name "
+                              f"that is not a string")
         labels = []
         for name in obj["labels"]:
-            if not isinstance(name, str):
-                raise CorpusError(f"{path}:{lineno}: labels must be strings")
             if name not in index:
-                raise CorpusError(f"{path}:{lineno}: unknown label {name!r}")
+                raise CorpusError(f"{path}:{lineno}: unknown label name {name!r} in "
+                                  f"field 'labels'")
             labels.append(index[name])
         doc_id, page_index = obj["doc_id"], obj["page_index"]
         doc = pages.setdefault(doc_id, [])
@@ -439,14 +462,14 @@ def write_traces_per_page(trace, path, provenance) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def _class_names(names, field, page, vocab) -> frozenset:
+def _class_names(names, field, where, vocab) -> frozenset:
     """The class indices of one page's list of names in ``field``."""
     if not all(type(name) is str for name in names):
-        raise ValueError(f"{page}: field {field!r} holds a label name that is "
+        raise ValueError(f"{where}: field {field!r} holds a label name that is "
                          f"not a string")
     for name in names:
         if name not in vocab.class_names:
-            raise ValueError(f"{page}: unknown label name {name!r} in field "
+            raise ValueError(f"{where}: unknown label name {name!r} in field "
                              f"{field!r}")
     return frozenset(vocab.class_names.index(name) for name in names)
 
@@ -456,8 +479,9 @@ def read_traces_per_page(path, gold):
     of ``trace_pages``: its documents in its order, each one's pages in
     page_index order.  The first non-blank line is the header, every later
     one a page.  One ``json.loads`` per line and every check page by page,
-    then document by document, with the errors ``recurrence.read_traces``
-    gives: a file with one fault gets its message."""
+    in file order, then document by document, with the errors
+    ``recurrence.read_traces`` gives: a file with one fault gets its
+    message, and a file with several the message of its first bad line."""
     from pageseq.corpus import FIRST_PAGE_TOKEN
     from pageseq.recurrence import TRACE_FORMAT
 
@@ -474,58 +498,59 @@ def read_traces_per_page(path, gold):
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg} at "
                              f"column {exc.colno})") from None
-        if not isinstance(obj, dict):
-            raise ValueError(f"{path}:{lineno}: expected a JSON object")
         if header is None:
             header = obj
-            if header.get("format") != TRACE_FORMAT:
+            if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
                 break
             continue
-        for field in ("doc_id", "labels", "context", "scores", "page_index"):
-            if field not in obj:
-                raise ValueError(f"{path}:{lineno}: missing field {field!r}")
-        page = f"page {obj['page_index']} of {obj['doc_id']!r}"
-        for field, kinds, what in (("doc_id", (str,), "a string"),
-                                   ("labels", (list,), "a list"),
-                                   ("context", (list, type(None)), "null or a list"),
-                                   ("scores", (list,), "a list")):
-            if type(obj[field]) not in kinds:
-                raise ValueError(f"{page}: field {field!r} must be {what}")
+        where = f"{path}:{lineno}"
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where}: expected a JSON object")
+        fault = field_fault(obj, (("doc_id", (str,), "a string"),
+                                  ("labels", (list,), "a list"),
+                                  ("context", (list, type(None)), "null or a list"),
+                                  ("scores", (list,), "a list"),
+                                  ("page_index", (int,), "an int")))
+        if fault:
+            raise ValueError(f"{where}: {fault}")
         if not all(type(s) in (int, float) for s in obj["scores"]):
-            raise ValueError(f"{page} has a score that is not a number")
+            raise ValueError(f"{where}: field 'scores' holds a score that is not a "
+                             f"number")
         if len(obj["scores"]) != vocab.n:
-            raise ValueError(f"{page} has {len(obj['scores'])} scores for "
-                             f"{vocab.n} classes")
+            raise ValueError(f"{where}: field 'scores' holds {len(obj['scores'])} "
+                             f"scores for {vocab.n} classes")
         try:
             scores = np.asarray(obj["scores"], dtype=np.float64)
         except OverflowError:
-            raise ValueError(f"{page} has a score too large for a float") from None
+            raise ValueError(f"{where}: field 'scores' holds a score too large for "
+                             f"a float") from None
         if not np.isfinite(scores).all():
-            raise ValueError(f"{page} has a score that is not finite")
-        labels = _class_names(obj["labels"], "labels", page, vocab)
+            raise ValueError(f"{where}: field 'scores' holds a score that is not "
+                             f"finite")
+        labels = _class_names(obj["labels"], "labels", where, vocab)
         limit = 1 if vocab.label_mode == "multiclass" else vocab.n
         if not 1 <= len(labels) <= limit:
-            raise ValueError(f"{page} has {len(labels)} labels in "
-                             f"{vocab.label_mode} mode")
+            raise ValueError(f"{where}: field 'labels' holds {len(labels)} labels "
+                             f"in {vocab.label_mode} mode")
         context = obj["context"]
         fed.add(context is not None)
+        if len(fed) > 1:
+            raise ValueError(f"{where}: some pages were fed a context and some none")
         if context == [FIRST_PAGE_TOKEN]:
             context = FIRST_PAGE
         elif context is not None:
-            context = _class_names(context, "context", page, vocab)
+            context = _class_names(context, "context", where, vocab)
             if not context:
-                raise ValueError(f"{page}: field 'context' names no class")
+                raise ValueError(f"{where}: field 'context' names no class")
             if len(context) > limit:
-                raise ValueError(f"{page} has {len(context)} context labels in "
-                                 f"{vocab.label_mode} mode")
+                raise ValueError(f"{where}: field 'context' holds {len(context)} "
+                                 f"labels in {vocab.label_mode} mode")
         docs.setdefault(obj["doc_id"], []).append(
             (obj["page_index"], Page(scores, labels, context)))
-    found = None if header is None else header.get("format")
+    found = header.get("format") if isinstance(header, dict) else None
     if found != TRACE_FORMAT:
         raise ValueError(f"trace format {found!r} is not {TRACE_FORMAT!r}; "
                          f"re-run `infer` to write it anew")
-    if len(fed) > 1:
-        raise ValueError("some pages were fed a context and some none")
     missing = [doc_id for doc_id in gold.doc_ids if doc_id not in docs]
     extra = sorted(doc_id for doc_id in docs if doc_id not in gold.doc_ids)
     if missing or extra:

@@ -1388,9 +1388,9 @@ class TestBadArtifacts:
         score belongs, a doc_id that is not a string, a label name that is
         not a string or no class's, an integer score no float can hold, or a
         fed context that names nothing, on the last page."""
-        last = json.loads(trained[3].read_text().splitlines()[-1])
+        last = len(trained[3].read_text().splitlines())
         err = self.run_on_edited_page(trained, command, "field-type", edit, capsys)
-        assert f"page {last['page_index']} of " in err[0] and message in err[0]
+        assert f"field-type.jsonl:{last}: " in err[0] and message in err[0]
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
     @pytest.mark.parametrize("header", [
@@ -1465,6 +1465,51 @@ class TestBadArtifacts:
         lines[3] = json.dumps(page) + "\n"
         bad, err = self.run_on_trace_lines(trained, command, "no-field", lines, capsys)
         assert err == f"error: trace file {bad}: {bad}:4: missing field {field!r}"
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda page: page.update(labelz=page["labels"]),
+         "unknown page line field 'labelz'; did you mean 'labels'?"),
+        (lambda page: page.update(page_index=str(page["page_index"])),
+         "field 'page_index' must be an int"),
+        (lambda page: page.update(page_index=True), "field 'page_index' must be an int"),
+    ], ids=["unknown-key", "page-index-string", "page-index-bool"])
+    def test_trace_page_line_fault_names_its_line(self, trained, command, edit,
+                                                  message, capsys):
+        """A trace page line holds exactly its fields, and its page_index is
+        an int: the fault is named by its ``path:lineno``."""
+        lines = trained[3].read_text().splitlines(keepends=True)
+        page = json.loads(lines[3])
+        edit(page)
+        lines[3] = json.dumps(page) + "\n"
+        bad, err = self.run_on_trace_lines(trained, command, "page-line", lines, capsys)
+        assert err == f"error: trace file {bad}: {bad}:4: {message}"
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_split_line_with_an_unknown_key_names_its_line(self, trained, command,
+                                                           capsys):
+        """A split file's page line holds exactly its fields: one with a
+        misspelt extra key exits 2, naming its ``path:lineno``, before any
+        trace is read."""
+        tmp_path, corpus_dir, _, traces = trained
+        typo = tmp_path / "typo"
+        typo.mkdir()
+        (typo / "manifest.json").write_text((corpus_dir / "manifest.json").read_text())
+        lines = (corpus_dir / "test.jsonl").read_text().splitlines(keepends=True)
+        page = json.loads(lines[2])
+        page["lables"] = page["labels"]
+        lines[2] = json.dumps(page) + "\n"
+        (typo / "test.jsonl").write_text("".join(lines))
+        out = tmp_path / "report.json"
+        argv = (["eval", "--traces", str(traces)] if command == "eval" else
+                ["compare", "--traces-a", str(traces), "--traces-b", str(traces)])
+        capsys.readouterr()
+        assert main(argv + ["--manifest", str(typo / "manifest.json"),
+                            "--split", "test", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {typo / 'test.jsonl'}:3: unknown page line field 'lables'; "
+            f"did you mean 'labels'?"]
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
     def test_trace_json_error_names_its_line(self, trained, command, capsys):
@@ -2079,6 +2124,24 @@ class TestConfigReader:
         assert len(err) == 1 and err[0].startswith("error: ")
         for text in expected:
             assert text in err[0]
+
+    @pytest.mark.parametrize("field, overrides", [
+        ("encoder.init_seed", {"encoder": {"variant": "linear", "d": 8,
+                                           "max_len": 16, "init_seed": 5}}),
+        ("train.seed", {"train": {"epochs": 1, "seed": 3}}),
+    ], ids=["encoder.init_seed", "train.seed"])
+    def test_seeds_are_set_by_seed_alone(self, tmp_path, capsys, field, overrides):
+        """The encoder's and the trainer's seeds come from the top-level
+        ``seed``, the one that provenance records: a config that sets one of
+        them exits 2 before ``train`` writes anything."""
+        cfg_path = tmp_path / "seeds.json"
+        cfg_path.write_text(json.dumps(experiment_cfg(tmp_path, seed=0, **overrides)))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config field {field!r} is set by 'seed'"]
+        assert not (tmp_path / "runs").exists()
 
     def test_train_reads_its_corpus_only_from_a_manifest(self, tmp_path, capsys):
         """An inline synthetic corpus, which writes no split files, exits 2

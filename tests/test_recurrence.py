@@ -864,6 +864,51 @@ def add_trace_fault(pages: list, vocab, fed: bool, draw) -> None:
     pages[i] = page
 
 
+# the faults a trace page line shows by itself, or against the lines before
+# it: a context fed where they were fed none, or none where they were fed one
+LINE_FAULTS = ("object", "missing", "unknown-key", "type", "index-type",
+               "score-type", "score-count", "not-finite", "score-huge",
+               "label-unknown", "label-count", "fed", "context-unknown")
+
+
+def add_line_fault(pages: list, i: int, vocab, fed: bool, draw) -> None:
+    """Put one drawn fault of ``LINE_FAULTS`` into page object ``i`` of a
+    trace's page objects, in place; "context-unknown" only into a trace that
+    was fed contexts."""
+    page = dict(pages[i], labels=list(pages[i]["labels"]),
+                scores=list(pages[i]["scores"]))
+    fault = draw(st.sampled_from(LINE_FAULTS if fed else LINE_FAULTS[:-1]))
+    score = draw(st.integers(0, len(page["scores"]) - 1))
+    if fault == "object":
+        page = draw(st.sampled_from(["3", "null", "[1, 2]", '"doc_id"']))
+    elif fault == "missing":
+        del page[draw(st.sampled_from(sorted(page)))]
+    elif fault == "unknown-key":
+        page[draw(st.sampled_from(["labelz", "Context", "score"]))] = []
+    elif fault == "type":
+        key = draw(st.sampled_from(sorted(TRACE_WRONG_TYPE)))
+        page[key] = draw(st.sampled_from(TRACE_WRONG_TYPE[key]))
+    elif fault == "index-type":
+        page["page_index"] = draw(st.sampled_from([True, False, "0", 1.5, None]))
+    elif fault == "score-type":
+        page["scores"][score] = draw(st.sampled_from(["1.5", True, None, [1.0]]))
+    elif fault == "score-count":
+        page["scores"] += [0.5]
+    elif fault == "not-finite":
+        page["scores"][score] = draw(st.sampled_from([float("nan"), float("inf")]))
+    elif fault == "score-huge":
+        page["scores"][score] = 10**400
+    elif fault == "label-unknown":
+        page["labels"].insert(draw(st.integers(0, len(page["labels"]))), UNKNOWN)
+    elif fault == "label-count":
+        page["labels"] = []
+    elif fault == "fed":
+        page["context"] = None if fed else [vocab.class_names[0]]
+    elif fault == "context-unknown":
+        page["context"] = [UNKNOWN]
+    pages[i] = page
+
+
 class TestTraceFiles:
     def test_round_trip(self, tmp_path):
         codec = briefs_codec()
@@ -953,6 +998,31 @@ class TestTraceFiles:
             with pytest.raises((ValueError, KeyError, TypeError)) as ref:
                 oracles.read_traces_per_page(path, trace.docs)
         assert (type(ours.value), str(ours.value)) == (type(ref.value), str(ref.value))
+
+    @settings(max_examples=300)
+    @given(split_traces().filter(lambda trace: len(trace.scores) >= 3), st.data())
+    def test_several_faults_get_the_first_lines_message(self, trace, data):
+        """A trace file with faults in two or three page lines raises the
+        error that the per-page reader raises: that of the first bad line in
+        file order, named by its ``path:lineno``."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.jsonl"
+            write_traces(trace, path, provenance={"seed": 0})
+            header, *lines = path.read_text().splitlines()
+            pages = [json.loads(line) for line in lines]
+            for i in data.draw(st.lists(st.integers(0, len(pages) - 1), min_size=2,
+                                        max_size=3, unique=True)):
+                add_line_fault(pages, i, trace.docs.vocab, trace.context.any(),
+                               data.draw)
+            path.write_text("".join(line + "\n" for line in [header] + [
+                page if isinstance(page, str) else json.dumps(page)
+                for page in pages]))
+            with pytest.raises(ValueError) as ours:
+                read_file(path, trace.docs)
+            with pytest.raises(ValueError) as ref:
+                oracles.read_traces_per_page(path, trace.docs)
+        assert (type(ours.value), str(ours.value)) == (type(ref.value), str(ref.value))
+        assert str(ours.value).startswith(f"{path}:")
 
     def test_header_records_the_trace_format(self, tmp_path):
         """A header names ``TRACE_FORMAT``; a header of another format or of

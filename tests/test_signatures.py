@@ -28,8 +28,10 @@ files (``corpus._config_from``), which checks each field's type: no function
 of the package splats a JSON value into a call (``Cls(**payload[...])``).
 
 Every JSON object the package reads from a file (a config, a checkpoint
-and its blocks, a manifest, a trace file's header) has its keys checked by
-``corpus._block``, which refuses a key that no reader reads.
+and its blocks, a manifest, a trace file's header, a page line of a split
+or trace file) has its keys checked by ``corpus._block``, which refuses a
+key that no reader reads.  Page lines are taken apart in one place:
+``corpus.page_columns`` is the one user of ``operator.itemgetter``.
 
 ``cli.config_hash`` (canonical JSON, then SHA-256) hashes configs only.  A
 file a command reads (checkpoint, trace) is named by the SHA-256 of its
@@ -180,10 +182,10 @@ FLOAT_BLOCK_USERS = {"encoder.checkpoint_payload", "encoder.restore_encoder",
 # every reader of a JSON object from a file: the typed reader of config and
 # checkpoint blocks, the top level of a ``train`` and a ``synth`` config, the
 # top level of each checkpoint kind and the BiLSTM's config, the manifest,
-# and a trace file's header
+# a trace file's header, and the page lines of split and trace files
 BLOCK_USERS = {"corpus._config_from", "cli.cmd_train", "cli.synth_config_from",
                "encoder.restore_encoder", "cli._restore_model", "cli._bilstm_head",
-               "corpus.load_corpus", "recurrence.read_traces"}
+               "corpus.load_corpus", "recurrence.read_traces", "corpus.page_columns"}
 
 
 def users_of(is_use) -> list[str]:
@@ -273,6 +275,18 @@ def test_every_json_object_read_has_its_keys_checked():
         isinstance(node, ast.Name) and node.id == "_block"
         or isinstance(node, ast.Attribute) and node.attr == "_block"))
     assert set(found) == BLOCK_USERS  # none other, none left out
+
+
+def test_page_lines_are_taken_apart_in_one_place():
+    """``itemgetter`` called, passed on or imported, from ``operator`` or by
+    its module."""
+    found = users_of(lambda node: (
+        isinstance(node, ast.Name) and node.id == "itemgetter"
+        or isinstance(node, ast.Attribute) and node.attr == "itemgetter"
+        or isinstance(node, ast.ImportFrom) and node.module == "operator"
+        and any(alias.name == "itemgetter" for alias in node.names)))
+    # the corpus module's import, and its one user
+    assert sorted(set(found)) == ["corpus", "corpus.page_columns"]
 
 
 def test_config_hash_only_hashes_configs():
