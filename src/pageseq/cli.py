@@ -18,7 +18,7 @@ over the split, then, for a baseline, its head over the emissions and the
 document offsets.
 
 Exit codes: 0 success, 1 runtime failure (e.g. divergence), 2 invalid
-arguments or config.
+arguments, config or input file.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ from .corpus import (
     float_block,
     generate_synthetic,
     load_corpus,
-    parse_json,
     read_float_block,
-    read_text_sha256,
+    read_input,
+    read_json,
     run_length_stats,
     transition_self_prob,
     write_corpus,
@@ -121,26 +121,6 @@ def _save(path: Path, payload: dict) -> None:
         save_checkpoint(path, payload)
 
 
-def _load_artifact(what: str, path, load, *args):
-    """``load(path, *args)`` with a missing, unreadable or malformed file
-    reported as a ConfigError (exit 2) that names the file."""
-    try:
-        return load(path, *args)
-    except FileNotFoundError:
-        raise ConfigError(f"{what} not found: {path}") from None
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
-    except ValueError as exc:  # includes JSONDecodeError and UnicodeDecodeError
-        raise ConfigError(f"{what} {path}: {exc}") from None
-    except TypeError as exc:
-        raise ConfigError(f"{what} {path}: malformed ({exc})") from None
-
-
-def _load_config_file(path: str):
-    return _load_artifact("config file", path, lambda p: parse_json(
-        Path(p).read_text(encoding="utf-8")))
-
-
 # ---------------------------------------------------------------------------
 # Config parsing: each JSON block is read against the dataclass it configures
 # (``corpus._config_from``, the reader of checkpoint blocks too)
@@ -193,7 +173,7 @@ def _print_corpus_summary(split: CorpusSplit) -> None:
 
 
 def cmd_synth(args) -> int:
-    cfg_obj = _load_config_file(args.config)
+    cfg_obj, _ = read_json(args.config, "config file")
     cfg = synth_config_from(cfg_obj)
     split = generate_synthetic(cfg)
     run_id = args.run_id or f"synth-{config_hash(cfg_obj)[:12]}"
@@ -229,7 +209,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg_obj = _block(_load_config_file(args.config),
+    cfg_obj = _block(read_json(args.config, "config file")[0],
                      ("corpus", "mode", "seed", "encoder", "train", "vocab_cap",
                       "baselines", "crf", "bilstm"), "")
     if args.mode:
@@ -478,8 +458,7 @@ def _trained_seed(payload: dict) -> int:
 def cmd_infer(args) -> int:
     split = load_corpus(args.manifest, (args.split,))
     docs = split.split(args.split)
-    payload, digest = _load_artifact("checkpoint", args.checkpoint,
-                                     load_checkpoint)
+    payload, digest = load_checkpoint(args.checkpoint)
     vocabulary, decode = _restore_model(payload)
     if vocabulary != split.vocabulary:
         raise ConfigError("checkpoint classes or label mode do not match the "
@@ -510,8 +489,8 @@ def cmd_infer(args) -> int:
 def _read_split_traces(path, docs):
     """The trace of ``docs`` in the trace file ``path``, and the SHA-256 of
     its bytes."""
-    text, digest = _load_artifact("trace file", path, read_text_sha256)
-    return _load_artifact("trace file", path, read_traces, docs, text), digest
+    text, digest = read_input(path, "trace file")
+    return read_traces(path, docs, text), digest
 
 
 def cmd_eval(args) -> int:

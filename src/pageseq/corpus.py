@@ -1,9 +1,10 @@
 """Corpus data model, JSONL ingestion, synthetic Markov-document generation,
 and descriptive statistics (page counts, label runs, self-transition rates);
-also the readers every JSON file shares: one whole-file parse, the one
-reader of the page lines of split and trace files, the typed reader of
-config and checkpoint blocks, the format check, and the one encoding of
-float arrays in checkpoint files.
+also the one reader of every input file's bytes, and the readers every JSON
+file shares: one whole-file parse, the one JSONL line reader, the one reader
+of the page lines of split and trace files, the typed reader of config and
+checkpoint blocks, the format check, and the one encoding of float arrays in
+checkpoint files.
 
 A corpus is a three-way split of documents; each document is an ordered list
 of pages carrying raw text and one or more gold page-type labels.  In memory
@@ -31,7 +32,7 @@ from dataclasses import MISSING, dataclass, fields
 from itertools import chain, repeat
 from operator import itemgetter, ne
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,7 +44,9 @@ SPLIT_NAMES = ("train", "validation", "test")
 
 
 class CorpusError(ValueError):
-    """Malformed corpus file, invalid labels, or invalid generator config."""
+    """An input file (config, manifest, split file, checkpoint or trace
+    file) that cannot be read or is malformed, invalid labels, or an invalid
+    generator config."""
 
 
 @dataclass(frozen=True)
@@ -86,43 +89,31 @@ class Documents:
     ``label_mode``.  ``len`` is the number of documents.
 
     Built from each document's id and page count and each page's text and
-    gold class indices (or, as a split file is read, the gold indicator
-    itself), checked against the class vocabulary.  This is the one place a
-    split is checked: no document is empty, no doc_id repeats, every label
-    is a class index (a non-bool int in 0..n-1), every page has a label,
+    gold indicator row, checked against the class vocabulary.  This is the
+    one place a split is checked: no document is empty, no doc_id repeats,
+    ``gold`` is a bool array of shape (pages, n), every page has a label,
     and a multiclass page has exactly one.
     """
 
     def __init__(self, vocab: TypeVocabulary, doc_ids: Sequence[str],
-                 sizes: Sequence[int], texts: Sequence[str],
-                 labels: Sequence[Collection[int]] | np.ndarray):
+                 sizes: Sequence[int], texts: Sequence[str], gold: np.ndarray):
         self.doc_ids = tuple(doc_ids)
         self.offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
         self.texts = tuple(texts)
         self.vocab = vocab
-        n = vocab.n
         if not (len(self.offsets) == len(self.doc_ids) + 1
-                and self.offsets[-1] == len(self.texts) == len(labels)):
-            raise CorpusError("doc_ids, sizes, texts and labels do not align")
+                and self.offsets[-1] == len(self.texts)):
+            raise CorpusError("doc_ids, sizes and texts do not align")
         empty = np.flatnonzero(np.diff(self.offsets) < 1)
         if empty.size:
             raise CorpusError(f"document {self.doc_ids[empty[0]]!r} is empty")
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise CorpusError("duplicate doc_id in split")
-        if isinstance(labels, np.ndarray):  # the gold indicator itself
-            self.gold = labels
-        else:
-            rows = np.repeat(np.arange(len(labels)), list(map(len, labels)))
-            flat = list(chain.from_iterable(labels))
-            if not (set(map(type, flat)) <= {int}
-                    and (not flat or 0 <= min(flat) and max(flat) < n)):
-                for row, c in zip(rows.tolist(), flat):
-                    if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < n:
-                        raise CorpusError(f"{self.page_name(row)}: label {c!r} is not "
-                                          f"a class index; a label index is an int "
-                                          f"in 0..{n - 1}")
-            self.gold = np.zeros((len(labels), n), dtype=bool)
-            self.gold[rows, np.array(flat, dtype=np.int64)] = True
+        shape = (len(self.texts), vocab.n)
+        if not (isinstance(gold, np.ndarray) and gold.dtype == bool
+                and gold.shape == shape):
+            raise CorpusError(f"gold must be a bool array of shape {shape}")
+        self.gold = gold
         counts = self.gold.sum(axis=1)
         bad = np.flatnonzero((counts == 0) | (counts > vocab.max_labels))
         if bad.size:
@@ -184,8 +175,47 @@ def document_rows(offsets: np.ndarray, chosen: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSONL ingestion / emission
+# Input files, JSONL ingestion / emission
 # ---------------------------------------------------------------------------
+
+
+def read_input(path: Path | str, what: str) -> tuple[str, str]:
+    """The text of the input file ``path`` as ``Path.read_text(encoding=
+    "utf-8")`` gives it (strict UTF-8, "\\r\\n" and "\\r" read as "\\n"),
+    and the SHA-256 of its bytes: what a provenance names the file by.  A
+    file that cannot be read, or is not UTF-8, is a CorpusError that names
+    ``path`` first and the file as ``what``.  The one reader of a file."""
+    try:
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
+    except OSError as exc:
+        raise CorpusError(f"{path}: cannot read {what} ({exc.strerror})") from None
+    except UnicodeDecodeError:
+        raise CorpusError(f"{path}: {what} is not UTF-8 text") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text, hashlib.sha256(data).hexdigest()
+
+
+def _malformed(path, exc: Exception, lineno: int = 1) -> CorpusError:
+    """The error of ``json.loads`` raising ``exc`` on the text of ``path``
+    from its line ``lineno`` on: a syntax error named by its line and
+    column, JSON nested deeper than the interpreter's recursion limit by
+    ``lineno``."""
+    if isinstance(exc, RecursionError):
+        return CorpusError(f"{path}:{lineno}: malformed JSON (nested too deeply)")
+    return CorpusError(f"{path}:{lineno - 1 + exc.lineno}:{exc.colno}: malformed JSON "
+                       f"({exc.msg})")
+
+
+def read_json(path: Path | str, what: str):
+    """The JSON value of the whole input file ``path`` (a config, manifest
+    or checkpoint), read by ``read_input``, and the SHA-256 of its bytes."""
+    text, digest = read_input(path, what)
+    try:
+        return json.loads(text), digest
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise _malformed(path, exc) from None
 
 
 @contextmanager
@@ -209,21 +239,20 @@ def gc_paused():
 _SCAN = json.JSONDecoder().scan_once
 
 
-def read_jsonl(text: str) -> tuple[list[int], list]:
+def read_jsonl(path: Path | str, text: str) -> tuple[list[int], list]:
     """The line number and JSON value of each non-blank line of ``text``,
-    split on "\\n" only: a JSON string may hold U+2028 and the like raw.
+    the text of the file ``path``, split on "\\n" only: a JSON string may
+    hold U+2028 and the like raw.
 
     Each value, and each error, is the one ``json.loads(line)`` gives.  A
     line the scanner reads whole keeps the scanner's value; any other line
     (whitespace around the value, a BOM, a second value, a syntax error)
-    goes to ``json.loads``.  A malformed line raises ``JSONDecodeError`` at
-    its position in ``text``, so that its ``lineno`` is the file's line; so
-    does a line nested deeper than the interpreter's recursion limit, at the
-    line's start.
+    goes to ``json.loads``.  A malformed line is a CorpusError named by the
+    file's line and column, a line nested deeper than the interpreter's
+    recursion limit by its line.
     """
     linenos, values = [], []
-    lines = text.split("\n")
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         try:
             value, end = _SCAN(line, 0)
         except (StopIteration, ValueError, RecursionError):
@@ -234,10 +263,7 @@ def read_jsonl(text: str) -> tuple[list[int], list]:
             try:
                 value = json.loads(line)
             except (json.JSONDecodeError, RecursionError) as exc:
-                msg, pos = ((exc.msg, exc.pos) if isinstance(exc, json.JSONDecodeError)
-                            else ("nested too deeply", 0))
-                start = sum(map(len, lines[:lineno - 1])) + lineno - 1
-                raise json.JSONDecodeError(msg, text, start + pos) from None
+                raise _malformed(path, exc, lineno) from None
         linenos.append(lineno)
         values.append(value)
     return linenos, values
@@ -305,11 +331,21 @@ def class_indicator(name_lists: Sequence[list], field: str,
     return indicator
 
 
-def read_page_lines(path: Path | str, linenos: Sequence[int], pages: list, read,
-                    error: type[ValueError] = ValueError):
+def check_label_count(indicator: np.ndarray, field: str, vocab: TypeVocabulary) -> None:
+    """ValueError unless each row of the indicator of ``field`` of page
+    lines sets 1 to ``vocab.max_labels`` columns: a page's labels, and the
+    context it was fed."""
+    counts = indicator.sum(axis=1)
+    bad = counts[(counts == 0) | (counts > vocab.max_labels)]
+    if bad.size:
+        raise ValueError(f"field {field!r} holds {bad[0]} labels in "
+                         f"{vocab.label_mode} mode")
+
+
+def read_page_lines(path: Path | str, linenos: Sequence[int], pages: list, read):
     """``read(pages)``, where ``read`` refuses page lines with a ValueError
     that names no line, and no rule of it depends on a later line.  If it
-    refuses them, raise ``error`` with the message of the shortest prefix of
+    refuses them, raise a CorpusError with the message of the shortest prefix of
     the lines that it refuses, named by the ``path:lineno`` of the prefix's
     last line: the first bad line in file order.  Bisection finds that
     prefix in O(n log n), and only once a read has failed."""
@@ -325,7 +361,7 @@ def read_page_lines(path: Path | str, linenos: Sequence[int], pages: list, read,
             good = middle
         except ValueError as exc:
             bad, fault = middle, exc
-    raise error(f"{path}:{linenos[bad - 1]}: {fault}") from None
+    raise CorpusError(f"{path}:{linenos[bad - 1]}: {fault}") from None
 
 
 # the fields of a split file's page line, and the JSON type each holds
@@ -333,13 +369,15 @@ _PAGE_FIELDS = {"doc_id": (str,), "page_index": (int,), "text": (str,),
                 "labels": (list,)}
 
 
-def _split_lines(pages: list, names: Sequence[str]) -> tuple:
+def _split_lines(pages: list, vocab: TypeVocabulary) -> tuple:
     """The doc ids (in order of first appearance) and page counts of the
     documents of a split file's page lines, and its pages' texts and gold
-    indicator rows in document order.  Each document's pages must come in
+    indicator rows in document order.  Each page has 1 to
+    ``vocab.max_labels`` labels; each document's pages must come in
     page_index order 0..l-1."""
     doc_ids, page_indices, texts, labels = page_columns(pages, _PAGE_FIELDS)
-    gold = class_indicator(labels, "labels", names)
+    gold = class_indicator(labels, "labels", vocab.class_names)
+    check_label_count(gold, "labels", vocab)
     # each page's row among its document's, in file order
     docs, doc = first_appearance(doc_ids)
     order = np.argsort(doc, kind="stable")
@@ -365,30 +403,11 @@ def load_split_file(path: Path | str, vocab: TypeVocabulary) -> Documents:
 
     A malformed JSON line is reported first, as the whole file is parsed
     before any check; then the first bad page line, in file order
-    (``read_page_lines``); then the checks of ``Documents``."""
-    path = Path(path)
-    try:
-        linenos, pages = read_jsonl(_read_text(path, "split file"))
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path}:{exc.lineno}: malformed JSON ({exc.msg})") from None
-    columns = read_page_lines(path, linenos, pages,
-                              lambda lines: _split_lines(lines, vocab.class_names),
-                              CorpusError)
-    try:
-        return Documents(vocab, *columns)
-    except CorpusError as exc:
-        raise CorpusError(f"{path}: {exc}") from None
-
-
-def read_text_sha256(path: Path | str) -> tuple[str, str]:
-    """The text of a file as ``Path.read_text(encoding="utf-8")`` gives it
-    (strict UTF-8, "\\r\\n" and "\\r" read as "\\n"), and the SHA-256 of its
-    bytes: what a provenance names the file by."""
-    data = Path(path).read_bytes()
-    text = data.decode("utf-8")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text, hashlib.sha256(data).hexdigest()
+    (``read_page_lines``), whose rules leave none of ``Documents`` to
+    fail."""
+    linenos, pages = read_jsonl(path, read_input(path, "split file")[0])
+    return Documents(vocab, *read_page_lines(
+        path, linenos, pages, lambda lines: _split_lines(lines, vocab)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +417,6 @@ def read_text_sha256(path: Path | str) -> tuple[str, str]:
 
 class ConfigError(ValueError):
     """Invalid config file or invalid command arguments."""
-
-
-def parse_json(text: str):
-    """``json.loads(text)`` of a whole file; JSON nested deeper than the
-    interpreter's recursion limit is a JSONDecodeError ("nested too
-    deeply"), as a syntax error is."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise json.JSONDecodeError("nested too deeply", text, 0) from None
 
 
 def _label(where: str, name: str) -> str:
@@ -534,16 +543,6 @@ def read_float_block(block, field: str) -> np.ndarray:
         raise ValueError(f"{field}: {exc}") from None
 
 
-def _read_text(path: Path, what: str) -> str:
-    """The UTF-8 text of a corpus file; CorpusError if it cannot be read."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"{path}: cannot read {what} ({exc.strerror})") from None
-    except UnicodeDecodeError:
-        raise CorpusError(f"{path}: {what} is not UTF-8 text") from None
-
-
 def load_corpus(path: Path | str,
                 splits: Sequence[str] = SPLIT_NAMES) -> CorpusSplit:
     """Load a corpus from its manifest file, parsing only the ``splits`` named.
@@ -554,10 +553,7 @@ def load_corpus(path: Path | str,
     whole; a split left out is None in the result.
     """
     path = Path(path)
-    try:
-        manifest = parse_json(_read_text(path, "manifest"))
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path}: malformed manifest ({exc.msg})") from None
+    manifest, _ = read_json(path, "manifest")
     try:
         _block(manifest, ("classes", "label_mode", *SPLIT_NAMES, "provenance"), "",
                "manifest")
@@ -773,9 +769,10 @@ def generate_synthetic(cfg: SynthConfig) -> CorpusSplit:
     lo, hi = cfg.pages_per_doc
     t_lo, t_hi = cfg.tokens_per_page
     vocab = TypeVocabulary(tuple(f"c{i}" for i in range(cfg.n_classes)), MULTICLASS)
+    one_hot = np.eye(cfg.n_classes, dtype=bool)
     splits = []
     for name, count in zip(SPLIT_NAMES, cfg.docs_per_split):
-        sizes, texts, labels = [], [], []
+        sizes, texts, classes = [], [], []
         for _ in range(count):
             length = int(integers(lo, hi + 1))
             cdf = start
@@ -788,10 +785,10 @@ def generate_synthetic(cfg: SynthConfig) -> CorpusSplit:
                 tokens += map(own[c].__getitem__, ids[n_shared:])
                 shuffle(tokens)
                 texts.append(" ".join(tokens))
-                labels.append((c,))
+                classes.append(c)
             sizes.append(length)
         splits.append(Documents(vocab, [f"{name}-{i:04d}" for i in range(count)],
-                                sizes, texts, labels))
+                                sizes, texts, one_hot[classes]))
     return CorpusSplit(splits[0], splits[1], splits[2], vocab)
 
 

@@ -72,9 +72,8 @@ from .corpus import (
     _label,
     check_format,
     float_block,
-    parse_json,
     read_float_block,
-    read_text_sha256,
+    read_json,
 )
 from .features import TOKENIZER_VERSION, check_tokenizer_version
 
@@ -736,5 +735,4 @@ def check_params(params: dict, expected: dict) -> None:
 def load_checkpoint(path: Path | str) -> tuple[dict, str]:
     """The payload of a checkpoint file of any kind and the SHA-256 of the
     file's bytes; the file is read once."""
-    text, digest = read_text_sha256(path)
-    return parse_json(text), digest
+    return read_json(path, "checkpoint")

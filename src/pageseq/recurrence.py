@@ -33,9 +33,10 @@ from typing import Sequence
 import numpy as np
 
 from . import encoder
-from .corpus import (FIRST_PAGE_TOKEN, MULTICLASS, ConfigError, Documents,
-                     _block, _Memo, check_format, class_indicator, gc_paused,
-                     page_columns, page_positions, read_jsonl, read_page_lines)
+from .corpus import (FIRST_PAGE_TOKEN, MULTICLASS, CorpusError, Documents, _block,
+                     _Memo, check_format, check_label_count, class_indicator,
+                     gc_paused, page_columns, page_positions, read_jsonl,
+                     read_page_lines)
 from .encoder import (CLS_ID, FIRST_ID, LINEAR, PAD_ID, TINY_TRANSFORMER,
                       EncoderConfig, TokenCodec, predict)
 from .features import tokenize
@@ -319,7 +320,7 @@ def _trace_lines(pages: list, vocab) -> tuple:
     is the first-page marker alone, or as many classes as a page may have
     labels."""
     doc_ids, labels, contexts, scores, page_indices = page_columns(pages, _TRACE_FIELDS)
-    n, limit, mode = vocab.n, vocab.max_labels, vocab.label_mode
+    n = vocab.n
     # a score is a JSON number, so neither a string nor a bool
     if not set(map(type, chain.from_iterable(scores))) <= {int, float}:
         raise ValueError("field 'scores' holds a score that is not a number")
@@ -334,10 +335,7 @@ def _trace_lines(pages: list, vocab) -> tuple:
     if not np.isfinite(scores).all():
         raise ValueError("field 'scores' holds a score that is not finite")
     labels = class_indicator(labels, "labels", vocab.class_names)
-    counts = labels.sum(axis=1)
-    bad = counts[(counts == 0) | (counts > limit)]
-    if bad.size:
-        raise ValueError(f"field 'labels' holds {bad[0]} labels in {mode} mode")
+    check_label_count(labels, "labels", vocab)
     fed = list in set(map(type, contexts))
     if fed and None in contexts:
         raise ValueError("some pages were fed a context and some none")
@@ -345,12 +343,9 @@ def _trace_lines(pages: list, vocab) -> tuple:
         return doc_ids, page_indices, scores, labels, np.zeros((len(pages), 1 + n),
                                                                dtype=bool)
     context = class_indicator(contexts, "context", (FIRST_PAGE_TOKEN, *vocab.class_names))
-    counts = context.sum(axis=1)
-    if not counts.all():
+    if not context.any(axis=1).all():
         raise ValueError("field 'context' names no class")
-    bad = counts[counts > limit]
-    if bad.size:
-        raise ValueError(f"field 'context' holds {bad[0]} labels in {mode} mode")
+    check_label_count(context, "context", vocab)
     return doc_ids, page_indices, scores, labels, context
 
 
@@ -362,17 +357,17 @@ def read_traces(path: Path | str, docs: Documents, text: str) -> SplitTrace:
     object.  Every later line is a page line, read by
     ``corpus.read_page_lines``, which names the first bad one in file order.
     The page lines, in any order, must hold each page of ``docs`` once: page
-    ``page_index`` of document ``doc_id``."""
-    try:
-        linenos, objs = read_jsonl(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}: malformed JSON ({exc.msg} at "
-                         f"column {exc.colno})") from None
+    ``page_index`` of document ``doc_id``.  Every fault is a CorpusError
+    that names ``path`` first, and a page line's ``path:lineno``."""
+    linenos, objs = read_jsonl(path, text)
     header, *pages = objs or [None]
-    check_format(header, "trace", TRACE_FORMAT, "infer")
-    _block(header, ("format", "provenance"), "", "trace header")
-    if not isinstance(header.get("provenance"), dict):
-        raise ConfigError("trace header field 'provenance' must be an object")
+    try:
+        check_format(header, "trace", TRACE_FORMAT, "infer")
+        _block(header, ("format", "provenance"), "", "trace header")
+        if not isinstance(header.get("provenance"), dict):
+            raise ValueError("trace header field 'provenance' must be an object")
+    except ValueError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
     doc_ids, page_indices, scores, labels, context = read_page_lines(
         path, linenos[1:], pages, lambda lines: _trace_lines(lines, docs.vocab))
 
@@ -382,11 +377,11 @@ def read_traces(path: Path | str, docs: Documents, text: str) -> SplitTrace:
                       count=len(pages))
     if not (0 <= min(page_indices, default=0)
             and max(page_indices, default=-1) < len(pages)):
-        raise ValueError(_coverage_fault(docs, doc_ids, page_indices))
+        raise CorpusError(f"{path}: {_coverage_fault(docs, doc_ids, page_indices)}")
     rows = docs.offsets[doc] + np.array(page_indices, dtype=np.int64)
     if not ((doc >= 0).all() and (rows < docs.offsets[doc + 1]).all()
             and (np.bincount(rows, minlength=len(docs.texts)) == 1).all()):
-        raise ValueError(_coverage_fault(docs, doc_ids, page_indices))
+        raise CorpusError(f"{path}: {_coverage_fault(docs, doc_ids, page_indices)}")
     trace = SplitTrace.blank(docs)
     trace.scores[rows], trace.labels[rows], trace.context[rows] = scores, labels, context
     return trace

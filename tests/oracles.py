@@ -54,6 +54,16 @@ class GoldDoc:
         return len(self.pages)
 
 
+def gold_indicator(label_sets, n: int) -> np.ndarray:
+    """The (pages x n) bool gold indicator of each page's class indices,
+    one cell set at a time."""
+    gold = np.zeros((len(label_sets), n), dtype=bool)
+    for row, labels in enumerate(label_sets):
+        for c in labels:
+            gold[row, c] = True
+    return gold
+
+
 def split_of(docs, vocab):
     """The columnar ``corpus.Documents`` of a list of ``GoldDoc``s."""
     from pageseq.corpus import Documents
@@ -61,7 +71,7 @@ def split_of(docs, vocab):
     pages = [page for doc in docs for page in doc.pages]
     return Documents(vocab, [doc.doc_id for doc in docs], [len(doc) for doc in docs],
                      [page.text for page in pages],
-                     [page.gold_labels for page in pages])
+                     gold_indicator([page.gold_labels for page in pages], vocab.n))
 
 
 def documents(vocab, doc_ids, sizes):
@@ -71,7 +81,8 @@ def documents(vocab, doc_ids, sizes):
     from pageseq.corpus import Documents
 
     pages = int(sum(sizes))
-    return Documents(vocab, doc_ids, sizes, [""] * pages, [(0,)] * pages)
+    return Documents(vocab, doc_ids, sizes, [""] * pages,
+                     gold_indicator([(0,)] * pages, vocab.n))
 
 
 def docs_of(split) -> list[GoldDoc]:
@@ -154,7 +165,7 @@ def reference_generate_synthetic(cfg):
             vocab, [f"{name}-{i:04d}" for i in range(count)],
             [len(texts) for texts, _ in docs],
             [text for texts, _ in docs for text in texts],
-            [[c] for _, classes in docs for c in classes]))
+            gold_indicator([[c] for _, classes in docs for c in classes], vocab.n)))
     return CorpusSplit(splits[0], splits[1], splits[2], vocab)
 
 
@@ -217,11 +228,13 @@ def field_fault(obj: dict, fields) -> str | None:
 def reference_load_split_file(path, vocab):
     """One JSONL split file as ``corpus.Documents``, one ``json.loads`` and
     one set of checks per line, in file order: the first bad line is the one
-    reported.  Documents are grouped by doc_id in order of first appearance,
-    and each one's pages must come in page_index order 0..l-1."""
+    reported.  Each page has 1 label, or 1 to n on a multilabel corpus.
+    Documents are grouped by doc_id in order of first appearance, and each
+    one's pages must come in page_index order 0..l-1."""
     from pageseq.corpus import CorpusError, Documents
 
     index = {name: c for c, name in enumerate(vocab.class_names)}
+    limit = 1 if vocab.label_mode == "multiclass" else vocab.n
     pages: dict[str, list[tuple[str, list[int]]]] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -230,7 +243,8 @@ def reference_load_split_file(path, vocab):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+            raise CorpusError(f"{path}:{lineno}:{exc.colno}: malformed JSON "
+                              f"({exc.msg})") from None
         if not isinstance(obj, dict):
             raise CorpusError(f"{path}:{lineno}: expected a JSON object")
         fault = field_fault(obj, (("doc_id", (str,), "a string"),
@@ -248,6 +262,9 @@ def reference_load_split_file(path, vocab):
                 raise CorpusError(f"{path}:{lineno}: unknown label name {name!r} in "
                                   f"field 'labels'")
             labels.append(index[name])
+        if not 1 <= len(set(labels)) <= limit:
+            raise CorpusError(f"{path}:{lineno}: field 'labels' holds "
+                              f"{len(set(labels))} labels in {vocab.label_mode} mode")
         doc_id, page_index = obj["doc_id"], obj["page_index"]
         doc = pages.setdefault(doc_id, [])
         if page_index != len(doc):
@@ -261,7 +278,8 @@ def reference_load_split_file(path, vocab):
     rows = [page for doc in pages.values() for page in doc]
     try:
         return Documents(vocab, list(pages), [len(doc) for doc in pages.values()],
-                         [text for text, _ in rows], [labels for _, labels in rows])
+                         [text for text, _ in rows],
+                         gold_indicator([labels for _, labels in rows], vocab.n))
     except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from None
 
@@ -464,13 +482,15 @@ def write_traces_per_page(trace, path, provenance) -> None:
 
 def _class_names(names, field, where, vocab) -> frozenset:
     """The class indices of one page's list of names in ``field``."""
+    from pageseq.corpus import CorpusError
+
     if not all(type(name) is str for name in names):
-        raise ValueError(f"{where}: field {field!r} holds a label name that is "
-                         f"not a string")
+        raise CorpusError(f"{where}: field {field!r} holds a label name that is "
+                          f"not a string")
     for name in names:
         if name not in vocab.class_names:
-            raise ValueError(f"{where}: unknown label name {name!r} in field "
-                             f"{field!r}")
+            raise CorpusError(f"{where}: unknown label name {name!r} in field "
+                              f"{field!r}")
     return frozenset(vocab.class_names.index(name) for name in names)
 
 
@@ -482,7 +502,7 @@ def read_traces_per_page(path, gold):
     in file order, then document by document, with the errors
     ``recurrence.read_traces`` gives: a file with one fault gets its
     message, and a file with several the message of its first bad line."""
-    from pageseq.corpus import FIRST_PAGE_TOKEN
+    from pageseq.corpus import FIRST_PAGE_TOKEN, CorpusError
     from pageseq.recurrence import TRACE_FORMAT
 
     vocab = gold.vocab
@@ -496,8 +516,8 @@ def read_traces_per_page(path, gold):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg} at "
-                             f"column {exc.colno})") from None
+            raise CorpusError(f"{path}:{lineno}:{exc.colno}: malformed JSON "
+                              f"({exc.msg})") from None
         if header is None:
             header = obj
             if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
@@ -505,69 +525,70 @@ def read_traces_per_page(path, gold):
             continue
         where = f"{path}:{lineno}"
         if not isinstance(obj, dict):
-            raise ValueError(f"{where}: expected a JSON object")
+            raise CorpusError(f"{where}: expected a JSON object")
         fault = field_fault(obj, (("doc_id", (str,), "a string"),
                                   ("labels", (list,), "a list"),
                                   ("context", (list, type(None)), "null or a list"),
                                   ("scores", (list,), "a list"),
                                   ("page_index", (int,), "an int")))
         if fault:
-            raise ValueError(f"{where}: {fault}")
+            raise CorpusError(f"{where}: {fault}")
         if not all(type(s) in (int, float) for s in obj["scores"]):
-            raise ValueError(f"{where}: field 'scores' holds a score that is not a "
-                             f"number")
+            raise CorpusError(f"{where}: field 'scores' holds a score that is not a "
+                              f"number")
         if len(obj["scores"]) != vocab.n:
-            raise ValueError(f"{where}: field 'scores' holds {len(obj['scores'])} "
-                             f"scores for {vocab.n} classes")
+            raise CorpusError(f"{where}: field 'scores' holds {len(obj['scores'])} "
+                              f"scores for {vocab.n} classes")
         try:
             scores = np.asarray(obj["scores"], dtype=np.float64)
         except OverflowError:
-            raise ValueError(f"{where}: field 'scores' holds a score too large for "
-                             f"a float") from None
+            raise CorpusError(f"{where}: field 'scores' holds a score too large for "
+                              f"a float") from None
         if not np.isfinite(scores).all():
-            raise ValueError(f"{where}: field 'scores' holds a score that is not "
-                             f"finite")
+            raise CorpusError(f"{where}: field 'scores' holds a score that is not "
+                              f"finite")
         labels = _class_names(obj["labels"], "labels", where, vocab)
         limit = 1 if vocab.label_mode == "multiclass" else vocab.n
         if not 1 <= len(labels) <= limit:
-            raise ValueError(f"{where}: field 'labels' holds {len(labels)} labels "
-                             f"in {vocab.label_mode} mode")
+            raise CorpusError(f"{where}: field 'labels' holds {len(labels)} labels "
+                              f"in {vocab.label_mode} mode")
         context = obj["context"]
         fed.add(context is not None)
         if len(fed) > 1:
-            raise ValueError(f"{where}: some pages were fed a context and some none")
+            raise CorpusError(f"{where}: some pages were fed a context and some none")
         if context == [FIRST_PAGE_TOKEN]:
             context = FIRST_PAGE
         elif context is not None:
             context = _class_names(context, "context", where, vocab)
             if not context:
-                raise ValueError(f"{where}: field 'context' names no class")
+                raise CorpusError(f"{where}: field 'context' names no class")
             if len(context) > limit:
-                raise ValueError(f"{where}: field 'context' holds {len(context)} "
-                                 f"labels in {vocab.label_mode} mode")
+                raise CorpusError(f"{where}: field 'context' holds {len(context)} "
+                                  f"labels in {vocab.label_mode} mode")
         docs.setdefault(obj["doc_id"], []).append(
             (obj["page_index"], Page(scores, labels, context)))
     found = header.get("format") if isinstance(header, dict) else None
     if found != TRACE_FORMAT:
-        raise ValueError(f"trace format {found!r} is not {TRACE_FORMAT!r}; "
-                         f"re-run `infer` to write it anew")
+        raise CorpusError(f"{path}: trace format {found!r} is not {TRACE_FORMAT!r}; "
+                          f"re-run `infer` to write it anew")
     missing = [doc_id for doc_id in gold.doc_ids if doc_id not in docs]
     extra = sorted(doc_id for doc_id in docs if doc_id not in gold.doc_ids)
     if missing or extra:
         def shown(ids):     # at most 5 ids, and the count of a longer list
             return (str(ids) if len(ids) <= 5
                     else f"{str(ids[:5])[:-1]}, … ({len(ids)} in all)]")
-        raise ValueError(f"trace/gold page-set mismatch: missing={shown(missing)}, "
-                         f"extra={shown(extra)}")
+        raise CorpusError(f"{path}: trace/gold page-set mismatch: "
+                          f"missing={shown(missing)}, extra={shown(extra)}")
     for doc_id in gold.doc_ids:
         indices = [index for index, _ in docs[doc_id]]
         if not (all(type(i) is int for i in indices)
                 and sorted(indices) == list(range(len(indices)))):
-            raise ValueError(f"trace for {doc_id!r} has missing or duplicate pages")
+            raise CorpusError(f"{path}: trace for {doc_id!r} has missing or "
+                              f"duplicate pages")
     for doc_id, start, end in zip(gold.doc_ids, gold.offsets, gold.offsets[1:]):
         if len(docs[doc_id]) != end - start:
-            raise ValueError(f"trace for {doc_id!r} has {len(docs[doc_id])} pages, "
-                             f"gold has {end - start}")
+            raise CorpusError(f"{path}: trace for {doc_id!r} has "
+                              f"{len(docs[doc_id])} pages, gold has {end - start}")
     return [(doc_id, [page for _, page in sorted(docs[doc_id], key=lambda p: p[0])])
             for doc_id in gold.doc_ids]
 

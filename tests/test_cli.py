@@ -705,19 +705,23 @@ class TestInputDigests:
     ], ids=["utf-16", "bom", "crlf-truncated", "cr-truncated"])
     def test_checkpoint_error_matches_read_text(self, trained, capsys, encode):
         """A checkpoint in UTF-16, with a BOM, or cut short with CRLF or CR
-        line breaks exits 2 with the message that reading it with
-        ``Path.read_text`` and parsing it gives."""
+        line breaks exits 2 with the fault that reading it with
+        ``Path.read_text`` and parsing it gives, at the same line and
+        column."""
         tmp_path, _, outdir = trained
         bad = tmp_path / "encoded.json"
         bad.write_bytes(encode((outdir / "checkpoint.json").read_text()))
         with pytest.raises(ValueError) as exc:
             json.loads(bad.read_text(encoding="utf-8"))
+        fault = (f"{bad}: checkpoint is not UTF-8 text"
+                 if isinstance(exc.value, UnicodeDecodeError) else
+                 f"{bad}:{exc.value.lineno}:{exc.value.colno}: malformed JSON "
+                 f"({exc.value.msg})")
         out = tmp_path / "encoded.jsonl"
         capsys.readouterr()
         assert self.infer(trained, bad, out) == 2
         assert not out.exists()
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: checkpoint {bad}: {exc.value}"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {fault}"]
 
     def test_checkpoint_payload_is_never_hashed(self, trained, monkeypatch):
         """A wide encoder's checkpoint: only the small reference to its
@@ -1431,7 +1435,7 @@ class TestBadArtifacts:
         edit(edited)
         bad, err = cls.run_on_trace_lines(
             trained, command, "old-header", [json.dumps(edited) + "\n", *pages], capsys)
-        assert err.startswith(f"error: trace file {bad}: ")
+        assert err.startswith(f"error: {bad}: ")
         return err
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
@@ -1452,7 +1456,8 @@ class TestBadArtifacts:
         message = (f"{bad}:{len(lines)}: missing field 'doc_id'" if placement == "second"
                    else f"trace format None is not {TRACE_FORMAT!r}; re-run `infer` "
                         f"to write it anew")
-        assert err == f"error: trace file {bad}: {message}"
+        assert err == (f"error: {message}" if placement == "second"
+                       else f"error: {bad}: {message}")
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
     @pytest.mark.parametrize("field", ["doc_id", "labels", "context", "scores",
@@ -1464,7 +1469,7 @@ class TestBadArtifacts:
         del page[field]
         lines[3] = json.dumps(page) + "\n"
         bad, err = self.run_on_trace_lines(trained, command, "no-field", lines, capsys)
-        assert err == f"error: trace file {bad}: {bad}:4: missing field {field!r}"
+        assert err == f"error: {bad}:4: missing field {field!r}"
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
     @pytest.mark.parametrize("edit, message", [
@@ -1483,7 +1488,7 @@ class TestBadArtifacts:
         edit(page)
         lines[3] = json.dumps(page) + "\n"
         bad, err = self.run_on_trace_lines(trained, command, "page-line", lines, capsys)
-        assert err == f"error: trace file {bad}: {bad}:4: {message}"
+        assert err == f"error: {bad}:4: {message}"
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
     def test_split_line_with_an_unknown_key_names_its_line(self, trained, command,
@@ -1517,7 +1522,8 @@ class TestBadArtifacts:
         lines = trained[3].read_text().splitlines(keepends=True)
         lines[3] = lines[3].replace('"labels"', '"labels', 1)
         bad, err = self.run_on_trace_lines(trained, command, "bad-line", lines, capsys)
-        assert f"{bad}:4: malformed JSON" in err
+        assert re.fullmatch(rf"error: {re.escape(str(bad))}:4:\d+: malformed JSON "
+                            rf"\(.+\)", err), err
 
     # each way that page lines can fail to hold each page of the split once:
     # an edit of the page objects of one document (its id, its page count
@@ -1566,7 +1572,7 @@ class TestBadArtifacts:
         assert main(argv + ["--manifest", str(corpus_dir / "manifest.json"),
                             "--split", "test"]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: trace file {bad}: "
+            f"error: {bad}: "
             + message.format(doc_id=doc_id, size=size, more=size + 1)]
 
     def test_trace_of_another_split_gets_a_short_error(self, tmp_path, monkeypatch,
@@ -1586,7 +1592,7 @@ class TestBadArtifacts:
         assert main(["eval", "--traces", "t.jsonl", "--manifest", "c/manifest.json",
                      "--split", "validation"]) == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: trace file t.jsonl: trace/gold page-set mismatch")
+        assert line.startswith("error: t.jsonl: trace/gold page-set mismatch")
         assert "(30 in all)" in line and "(40 in all)" in line
         assert len(line) < 300, line
 
@@ -1812,6 +1818,106 @@ def multilabel_dir(tmp_path):
         "classes": ML_CLASSES, "label_mode": "multilabel", "train": "train.jsonl",
         "validation": "validation.jsonl", "test": "test.jsonl"}))
     return root
+
+
+class TestInputFaults:
+    """Every input file a command reads (a ``train`` or ``synth`` config, a
+    manifest, a split file, a checkpoint, a trace file) is read one way: a
+    missing file, one that is not UTF-8 and malformed JSON each exit 2 with
+    one ``error:`` line that starts with the file's path, names it once, and
+    nothing is written."""
+
+    # each fault: the file's bytes, or None for no file, and the error after
+    # the path, given what the file is called
+    FAULTS = {
+        "missing": (None, lambda what: f": cannot read {what} (No such file or "
+                                       f"directory)"),
+        "not-utf8": (b'\xff\xfe{"a": 1}\n', lambda what: f": {what} is not UTF-8 text"),
+        "malformed": (b'\n\n{"a": 1,}\n', lambda what: ":3:9: malformed JSON "
+                      "(Expecting property name enclosed in double quotes)"),
+    }
+
+    # each input: what its errors call it, and the command reading ``bad`` in
+    # place of it, given the corpus directory, a good trace and the output (a
+    # split file is read through the manifest ``bad`` + "-manifest.json")
+    INPUTS = {
+        "train-config": ("config file", lambda bad, corpus, traces, out: [
+            "train", "--config", bad, "--outdir", out]),
+        "synth-config": ("config file", lambda bad, corpus, traces, out: [
+            "synth", "--config", bad, "--outdir", out]),
+        "manifest": ("manifest", lambda bad, corpus, traces, out: [
+            "stats", "--manifest", bad]),
+        "split-file": ("split file", lambda bad, corpus, traces, out: [
+            "eval", "--traces", traces, "--manifest", f"{bad}-manifest.json",
+            "--out", out]),
+        "checkpoint": ("checkpoint", lambda bad, corpus, traces, out: [
+            "infer", "--checkpoint", bad, "--manifest", f"{corpus}/manifest.json",
+            "--out", out]),
+        "eval-trace": ("trace file", lambda bad, corpus, traces, out: [
+            "eval", "--traces", bad, "--manifest", f"{corpus}/manifest.json",
+            "--out", out]),
+        "compare-trace": ("trace file", lambda bad, corpus, traces, out: [
+            "compare", "--traces-a", traces, "--traces-b", bad, "--manifest",
+            f"{corpus}/manifest.json", "--out", out]),
+    }
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("inputs")
+        (tmp_path / "synth.json").write_text(json.dumps(SYNTH_CFG))
+        assert main(["synth", "--config", str(tmp_path / "synth.json"),
+                     "--outdir", str(tmp_path / "runs"), "--run-id", "corpus"]) == 0
+        corpus_dir = tmp_path / "runs" / "corpus"
+        outdir = run_train(tmp_path, corpus_dir, "m")
+        traces = tmp_path / "traces.jsonl"
+        assert main(["infer", "--checkpoint", str(outdir / "checkpoint.json"),
+                     "--manifest", str(corpus_dir / "manifest.json"),
+                     "--split", "test", "--out", str(traces)]) == 0
+        return tmp_path, corpus_dir, traces
+
+    @staticmethod
+    def run_on(trained, argv, bad, capsys) -> str:
+        """``main(argv(bad, ...))``: asserts exit 2, no output written and
+        one error line naming ``bad`` once, and returns that line."""
+        tmp_path, corpus_dir, traces = trained
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(argv(str(bad), str(corpus_dir), str(traces), str(out))) == 2
+        assert not out.exists()
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        (line,) = printed.err.splitlines()
+        assert line.startswith(f"error: {bad}") and line.count(str(bad)) == 1
+        return line
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_file_fault_names_the_path_once_first(self, trained, capsys, name, fault):
+        tmp_path, corpus_dir, _ = trained
+        what, argv = self.INPUTS[name]
+        data, message = self.FAULTS[fault]
+        bad = tmp_path / f"{name}-{fault}.json"
+        if data is not None:
+            bad.write_bytes(data)
+        if name == "split-file":
+            manifest = json.loads((corpus_dir / "manifest.json").read_text())
+            manifest["test"] = str(bad)
+            Path(f"{bad}-manifest.json").write_text(json.dumps(manifest))
+        line = self.run_on(trained, argv, bad, capsys)
+        assert line == f"error: {bad}{message(what)}"
+
+    @pytest.mark.parametrize("command", ["eval-trace", "compare-trace"])
+    def test_trace_page_line_fault_names_the_path_once(self, trained, capsys,
+                                                       command):
+        tmp_path, _, traces = trained
+        lines = traces.read_text().splitlines(keepends=True)
+        page = json.loads(lines[2])
+        del page["scores"]
+        bad = tmp_path / f"no-scores-{command}.jsonl"
+        bad.write_text("".join(lines[:2]) + json.dumps(page) + "\n"
+                       + "".join(lines[3:]))
+        line = self.run_on(trained, self.INPUTS[command][1], bad, capsys)
+        assert line == f"error: {bad}:3: missing field 'scores'"
 
 
 class TestDeepJson:

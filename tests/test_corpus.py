@@ -158,25 +158,37 @@ class TestDataModel:
     def test_page_without_labels_rejected(self, tmp_path):
         write_corpus_dir(tmp_path, [
             {"doc_id": "d", "page_index": 0, "text": "x", "labels": []}])
-        with pytest.raises(CorpusError,
-                           match=r"train\.jsonl: page 0 of 'd' has no labels"):
+        with pytest.raises(CorpusError, match=r"train\.jsonl:1: field 'labels' holds 0 "
+                                              r"labels in multiclass mode"):
             load_corpus(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("labels, count", [([], 0), (["A", "B"], 2)])
+    def test_label_count_is_named_by_its_line(self, tmp_path, labels, count):
+        """A page of no label, or of two on a multiclass corpus, is named by
+        its line, before a fault on a later line."""
+        write_corpus_dir(tmp_path, [
+            {"doc_id": "d", "page_index": 0, "text": "x", "labels": ["A"]},
+            {"doc_id": "d", "page_index": 1, "text": "y", "labels": labels},
+            {"doc_id": "d", "page_index": "2", "text": "z", "labels": ["A"]}])
+        with pytest.raises(CorpusError) as raised:
+            load_corpus(tmp_path / "manifest.json")
+        assert str(raised.value) == (f"{tmp_path / 'train.jsonl'}:2: field 'labels' "
+                                     f"holds {count} labels in multiclass mode")
 
     def test_multiclass_single_label_enforced(self):
         doc = make_doc("d", [{0, 1}])
         with pytest.raises(CorpusError, match="multiclass"):
             simple_split([doc], AB)
 
-    def test_label_index_range_enforced(self):
-        doc = make_doc("d", [5])
-        with pytest.raises(CorpusError, match="label index"):
-            simple_split([doc], AB)
-
-    @pytest.mark.parametrize("label", [frozenset({0}), "A", True, -1, 1.5],
-                             ids=["frozenset", "str", "bool", "negative", "float"])
-    def test_label_must_be_class_index(self, label):
-        with pytest.raises(CorpusError, match="not a class index"):
-            Documents(AB, ["d"], [1], ["x"], [frozenset({label})])
+    @pytest.mark.parametrize("gold", [
+        [[True, False]], np.array([[1, 0]]), np.array([True, False]),
+        np.zeros((1, 3), dtype=bool), np.zeros((2, 2), dtype=bool),
+    ], ids=["list", "int-array", "one-dim", "three-columns", "two-rows"])
+    def test_gold_must_be_a_bool_indicator(self, gold):
+        """The gold labels are a (pages x n) bool array, nothing else."""
+        with pytest.raises(CorpusError, match=re.escape(
+                "gold must be a bool array of shape (1, 2)")):
+            Documents(AB, ["d"], [1], ["x"], gold)
 
     def test_duplicate_doc_ids_rejected(self):
         docs = [make_doc("d", [0]), make_doc("d", [1])]
@@ -589,7 +601,7 @@ class TestLoaderAgainstPerLineReference:
         lineno = next(k for k, e in enumerate(entries, 1)
                       if isinstance(e, str) and e.startswith("{"))
         ours, _ = load_both(jsonl(entries), vocab)
-        assert re.search(rf"split\.jsonl:{lineno}: malformed JSON \(", ours)
+        assert re.search(rf"split\.jsonl:{lineno}:\d+: malformed JSON \(", ours)
 
 
 def with_number(line: str, literal: str) -> str:
@@ -650,15 +662,13 @@ def per_line_json(path):
             try:
                 values.append((lineno, json.loads(line)))
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{lineno}: {exc.msg}") from None
+                raise CorpusError(f"{path}:{lineno}:{exc.colno}: malformed JSON "
+                                  f"({exc.msg})") from None
     return values
 
 
 def line_reader(path):
-    try:
-        return list(zip(*read_jsonl(Path(path).read_text(encoding="utf-8"))))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{exc.lineno}: {exc.msg}") from None
+    return list(zip(*read_jsonl(path, Path(path).read_text(encoding="utf-8"))))
 
 
 def same_trace_pages(a, b) -> bool:

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pageseq.encoder as encoder
-from pageseq.corpus import FIRST_PAGE_TOKEN, MULTICLASS, MULTILABEL, TypeVocabulary
+from pageseq.corpus import (FIRST_PAGE_TOKEN, MULTICLASS, MULTILABEL, CorpusError,
+                            TypeVocabulary)
 from pageseq.encoder import (
     EncoderConfig,
     TokenCodec,
@@ -1056,9 +1057,9 @@ class TestTraceFiles:
         header, *pages = path.read_text().splitlines(keepends=True)
         path.write_text(json.dumps({**json.loads(header), **edit}) + "\n"
                         + "".join(pages))
-        with pytest.raises(ValueError) as raised:
+        with pytest.raises(CorpusError) as raised:
             read_file(path, trace.docs)
-        assert str(raised.value) == message
+        assert str(raised.value) == f"{path}: {message}"
 
     def test_first_page_context_serialized_as_reserved_token(self, tmp_path):
         codec = briefs_codec()

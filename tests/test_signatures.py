@@ -18,10 +18,12 @@ Rows are summed by index with ``np.bincount``, never with ``np.add.at``:
 both add in index order, and ``add.at`` took about half of the linear
 encoder's ``loss_and_grad``.
 
-JSON files have two parsers: the JSONL line reader, and ``corpus.parse_json``
-for a whole file (manifest, config, checkpoint), the one place that a JSON
-value nested too deeply becomes a decode error.  ``json.loads`` is used only
-by them.
+Every input file (config, manifest, split file, checkpoint, trace file) is
+read by ``corpus.read_input``, the one user of ``Path.read_text``,
+``Path.read_bytes`` and ``open``, so each file-level fault is refused in one
+wording.  JSON files have two parsers: the JSONL line reader, and
+``corpus.read_json`` for a whole file (manifest, config, checkpoint).
+``json.loads`` is used only by them.
 
 A JSON object becomes a dataclass only through the typed reader of config
 files (``corpus._config_from``), which checks each field's type: no function
@@ -166,7 +168,7 @@ def test_no_add_at():
 
 
 # the one JSONL line reader and the one parser of whole JSON files
-JSON_LOADS_USERS = {"corpus.read_jsonl", "corpus.parse_json"}
+JSON_LOADS_USERS = {"corpus.read_jsonl", "corpus.read_json"}
 
 # the JSON hash is for configs: an artifact a command reads is named by the
 # SHA-256 of its bytes, never re-serialized to be hashed
@@ -231,6 +233,16 @@ def test_json_loads_only_in_the_line_reader_and_whole_file_loaders():
     found = json_loads_users()
     assert sorted(set(found) - JSON_LOADS_USERS) == []
     assert "corpus.read_jsonl" in found  # the walk reaches the line reader
+
+
+def test_files_are_read_in_one_place():
+    """``read_text`` or ``read_bytes`` called or passed on, and ``open`` by
+    name or as an attribute (``io.open``, ``Path.open``)."""
+    found = users_of(lambda node: (
+        isinstance(node, ast.Attribute) and node.attr in ("read_text", "read_bytes",
+                                                           "open")
+        or isinstance(node, ast.Name) and node.id == "open"))
+    assert found == ["corpus.read_input"]
 
 
 def splatted_subscripts() -> list[str]:
