@@ -39,7 +39,6 @@ from .bilstm import BiLstmConfig, bilstm_forward, bilstm_train, init_bilstm
 from .corpus import (
     CHECKPOINT_FORMAT,
     MULTICLASS,
-    ConfigError,
     CorpusError,
     CorpusSplit,
     SynthConfig,
@@ -54,6 +53,7 @@ from .corpus import (
     read_float_block,
     read_input,
     read_json,
+    reading,
     run_length_stats,
     transition_self_prob,
     write_corpus,
@@ -101,12 +101,13 @@ def provenance_for(command: str, cfg_obj, seed: int) -> dict:
 
 @contextmanager
 def _writing(path):
-    """An OSError raised while ``path`` is written, or its directory made,
-    reported as a ConfigError (exit 2) that names the path."""
+    """The boundary of the output ``path``: an OSError raised while it is
+    written, or its directory made, becomes a CorpusError (exit 2) that
+    names the path first."""
     try:
         yield
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+        raise CorpusError(f"{path}: cannot write ({exc.strerror})") from None
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -137,8 +138,8 @@ def synth_config_from(obj) -> SynthConfig:
     if self_p is None or "n_classes" not in obj:
         return _config_from(SynthConfig, obj, "")
     if obj.keys() & {"transition_matrix", "start_distribution"}:
-        raise ConfigError("config field 'self_transition' excludes "
-                          "'transition_matrix' and 'start_distribution'")
+        raise ValueError("field 'self_transition' excludes 'transition_matrix' "
+                         "and 'start_distribution'")
     chain = SynthConfig.uniform(_typed(obj["n_classes"], int, "n_classes"),
                                 _typed(self_p, float, "self_transition"))
     return _config_from(SynthConfig, obj, "",
@@ -174,7 +175,8 @@ def _print_corpus_summary(split: CorpusSplit) -> None:
 
 def cmd_synth(args) -> int:
     cfg_obj, _ = read_json(args.config, "config file")
-    cfg = synth_config_from(cfg_obj)
+    with reading(args.config):
+        cfg = synth_config_from(cfg_obj)
     split = generate_synthetic(cfg)
     run_id = args.run_id or f"synth-{config_hash(cfg_obj)[:12]}"
     outdir = Path(args.outdir) / run_id
@@ -209,51 +211,62 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg_obj = _block(read_json(args.config, "config file")[0],
-                     ("corpus", "mode", "seed", "encoder", "train", "vocab_cap",
-                      "baselines", "crf", "bilstm"), "")
-    if args.mode:
-        cfg_obj["mode"] = args.mode
-    # a "train" that is not an object is reported by _config_from below
-    if args.epochs is not None and isinstance(cfg_obj.setdefault("train", {}), dict):
-        cfg_obj["train"]["epochs"] = args.epochs
-    if args.seed is not None:
-        cfg_obj["seed"] = args.seed
+    # a command-line value is blamed on its option, not on the config
+    for option, value, least in (("--epochs", args.epochs, 1), ("--seed", args.seed, 0)):
+        with reading(option):
+            if value is not None and value < least:
+                raise ValueError(f"must be >= {least}")
+    cfg_obj = read_json(args.config, "config file")[0]
+    with reading(args.config):
+        cfg_obj = _block(cfg_obj, ("corpus", "mode", "seed", "encoder", "train",
+                                   "vocab_cap", "baselines", "crf", "bilstm"), "")
+        if args.mode:
+            cfg_obj["mode"] = args.mode
+        # a "train" that is not an object is reported by _config_from below
+        if args.epochs is not None and isinstance(cfg_obj.setdefault("train", {}), dict):
+            cfg_obj["train"]["epochs"] = args.epochs
+        if args.seed is not None:
+            cfg_obj["seed"] = args.seed
 
-    seed = _typed(cfg_obj.get("seed", 0), int, "seed")
-    mode = _typed(cfg_obj.get("mode", "oblivious"), str, "mode")
-    if mode not in MODES:
-        raise ConfigError(f"config field 'mode' must be one of {MODES}")
-    baselines = _block(cfg_obj.get("baselines", {}), ("crf", "bilstm"), "baselines")
-    want_crf = _typed(baselines.get("crf", False), bool, "baselines.crf")
-    want_bilstm = _typed(baselines.get("bilstm", False), bool, "baselines.bilstm")
-    for name, wanted in (("crf", want_crf), ("bilstm", want_bilstm)):
-        if wanted and mode != "oblivious":
-            raise ConfigError(f"baselines.{name} requires mode 'oblivious' (the "
-                              f"baselines read a frozen context-oblivious encoder)")
-    encoder_config = _config_from(EncoderConfig, cfg_obj.get("encoder", {}),
-                                  "encoder", init_seed=seed)
-    train_config = _config_from(TrainConfig, cfg_obj.get("train", {}), "train",
-                                seed=seed)
-    cap = _typed(cfg_obj.get("vocab_cap", DEFAULT_VOCAB_CAP), int, "vocab_cap")
-    l2 = _typed(_block(cfg_obj.get("crf", {}), ("l2",), "crf").get("l2", 0.01), float,
-                "crf.l2")
-    try:
+        seed = _typed(cfg_obj.get("seed", 0), int, "seed")
+        if seed < 0:
+            raise ValueError("field 'seed' must be >= 0")
+        mode = _typed(cfg_obj.get("mode", "oblivious"), str, "mode")
+        if mode not in MODES:
+            raise ValueError(f"field 'mode' must be one of {MODES}")
+        baselines = _block(cfg_obj.get("baselines", {}), ("crf", "bilstm"), "baselines")
+        want_crf = _typed(baselines.get("crf", False), bool, "baselines.crf")
+        want_bilstm = _typed(baselines.get("bilstm", False), bool, "baselines.bilstm")
+        for name, wanted in (("crf", want_crf), ("bilstm", want_bilstm)):
+            if wanted and mode != "oblivious":
+                raise ValueError(f"field 'baselines.{name}' requires mode 'oblivious' "
+                                 f"(the baselines read a frozen context-oblivious "
+                                 f"encoder)")
+        encoder_config = _config_from(EncoderConfig, cfg_obj.get("encoder", {}),
+                                      "encoder", init_seed=seed)
+        train_config = _config_from(TrainConfig, cfg_obj.get("train", {}), "train",
+                                    seed=seed)
+        cap = _typed(cfg_obj.get("vocab_cap", DEFAULT_VOCAB_CAP), int, "vocab_cap")
+        if cap < 1:
+            raise ValueError("field 'vocab_cap' must be >= 1")
+        l2 = _typed(_block(cfg_obj.get("crf", {}), ("l2",), "crf").get("l2", 0.01),
+                    float, "crf.l2")
         check_l2(l2)
-    except ValueError as exc:
-        raise ConfigError(f"crf: {exc}") from None
-    bl_obj = _block(cfg_obj.get("bilstm", {}), ("hidden_dim",), "bilstm")
-    corpus = cfg_obj.get("corpus")
-    if not isinstance(corpus, str):
-        raise ConfigError("config field 'corpus' must be a manifest path")
-    # relative to the config's directory; an absolute path stays absolute
-    split = load_corpus(Path(args.config).parent / corpus, ("train", "validation"))
-    if (want_crf or want_bilstm) and split.vocabulary.label_mode != MULTICLASS:
-        raise ConfigError("baselines.crf and baselines.bilstm need a multiclass corpus")
-    if want_bilstm:  # it reads the encoder's n scores per page
-        n = split.vocabulary.n
-        bl_config = _config_from(BiLstmConfig, bl_obj, "bilstm", input_dim=n,
-                                 n_classes=n, init_seed=seed)
+        bl_obj = _block(cfg_obj.get("bilstm", {}), ("hidden_dim",), "bilstm")
+        corpus = cfg_obj.get("corpus")
+        if not isinstance(corpus, str):
+            raise ValueError("field 'corpus' must be a manifest path")
+        # relative to the config's directory; an absolute path stays absolute
+        manifest = Path(args.config).parent / corpus
+        split = load_corpus(manifest, ("train", "validation"))
+        check_max_len(encoder_config, split.vocabulary)
+        if (want_crf or want_bilstm) and split.vocabulary.label_mode != MULTICLASS:
+            raise ValueError("fields 'baselines.crf' and 'baselines.bilstm' need a "
+                             "multiclass corpus")
+        if want_bilstm:  # it reads the encoder's n scores per page
+            n = split.vocabulary.n
+            bl_config = _config_from(BiLstmConfig, bl_obj, "bilstm", input_dim=n,
+                                     n_classes=n, init_seed=seed)
 
     run_id = args.run_id or f"train-{config_hash(cfg_obj)[:12]}"
     outdir = Path(args.outdir) / run_id
@@ -265,16 +278,9 @@ def cmd_train(args) -> int:
     # the train split is tokenized once, for the vocabulary and the encoder;
     # a collection frequency counts the split's tokens as one sequence
     train_tokens = split_tokens(split.train)
-    try:
+    with reading(manifest):  # a train split without a token
         vocab = fit_vocabulary((train_tokens.flat(),), cap)
-    except ValueError as exc:
-        raise ConfigError(f"cannot fit a vocabulary with vocab_cap={cap}: {exc}") \
-            from None
     codec = TokenCodec(split.vocabulary, vocab)
-    try:
-        check_max_len(encoder_config, codec)
-    except ValueError as exc:  # "max_len must be ..."
-        raise ConfigError(f"encoder.{exc}") from None
     train = encode_split(train_tokens, codec, encoder_config.max_len)
     val = encode_split(split_tokens(split.validation), codec, encoder_config.max_len)
     encode_seconds = time.perf_counter() - started
@@ -357,13 +363,10 @@ def cmd_train(args) -> int:
 def _crf_head(payload: dict, n: int):
     """The Viterbi decoder of a CRF checkpoint over ``n`` classes: it keeps
     the encoder's scores and decides each page's class."""
-    model = CrfModel(
-        _typed(payload["transition"], tuple[tuple[float, ...], ...], "transition",
-               "checkpoint"),
-        _typed(payload["start"], tuple[float, ...], "start", "checkpoint"),
-        _typed(payload["emission_scale"], float, "emission_scale", "checkpoint"))
-    if model.n != n:
-        raise ValueError(f"{model.n} CRF classes, {n} encoder classes")
+    row = tuple[(float,) * n]  # a list of n numbers
+    model = CrfModel(_typed(payload["transition"], tuple[(row,) * n], "transition"),
+                     _typed(payload["start"], row, "start"),
+                     _typed(payload["emission_scale"], float, "emission_scale"))
 
     def head(emissions, offsets):
         return None, crf_viterbi(model, emissions, offsets)[0]
@@ -374,12 +377,13 @@ def _bilstm_head(payload: dict, n: int):
     """The BiLSTM of a checkpoint over ``n`` classes: it reads and scores
     the encoder's ``n`` classes, and decides the argmax."""
     config = _config_from(
-        BiLstmConfig, _block(payload["config"], ("hidden_dim", "init_seed"), "config",
-                             "checkpoint"),
+        BiLstmConfig, _block(payload["config"], ("hidden_dim", "init_seed"), "config"),
         "config", complete=True, input_dim=n, n_classes=n)
+    expected = init_bilstm(config)
     params = {name: read_float_block(block, f"parameter {name!r}")
-              for name, block in payload["params"].items()}
-    check_params(params, init_bilstm(config))
+              for name, block in _block(payload["params"], expected, "params",
+                                        expected).items()}
+    check_params(params, expected)
 
     def head(emissions, offsets):
         scores = bilstm_forward(params, emissions, offsets)
@@ -399,9 +403,10 @@ _HEADS = {
 
 def _restore_model(payload):
     """The class vocabulary and the decoder (documents -> traces) of a
-    checkpoint payload of any kind.  Kind, format, fields, modes, class lists
-    and parameter shapes are checked here; a key its kind does not write, or
-    a malformed payload, is a ConfigError.
+    checkpoint payload of any kind.  Kind, format, fields and their JSON
+    types, modes, class lists and parameter shapes are checked here: a
+    missing key, a key its kind does not write or a value of another type
+    is a ValueError that names the field.
 
     Every kind decodes one way: one encoder, the payload itself or the
     context-oblivious one a CRF or BiLSTM checkpoint embeds, runs over the
@@ -409,27 +414,23 @@ def _restore_model(payload):
     document offsets, and writes the decided labels (and, for the BiLSTM, its
     own scores)."""
     if not isinstance(payload, dict):
-        raise ConfigError("checkpoint is not a JSON object")
+        raise ValueError("expected a JSON object")
     kind = payload.get("kind")
     if kind not in ("encoder", *_HEADS):
-        raise ConfigError(f"unknown checkpoint kind {kind!r}")
+        raise ValueError(f"unknown checkpoint kind {kind!r}")
     head = None
-    try:
-        if kind == "encoder":
-            params, config, codec, recurrent = restore_encoder(payload)
-        else:
-            make_head, keys = _HEADS[kind]
-            check_format(payload, kind)
-            _block(payload, keys, "", "checkpoint")
-            params, config, codec, recurrent = restore_encoder(payload["encoder"],
-                                                               "encoder")
-            if recurrent:
-                raise ValueError("its encoder must be context-oblivious")
-            head = make_head(payload, codec.n_classes)
-    except KeyError as exc:
-        raise ConfigError(f"{kind} checkpoint: missing field {exc}") from None
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"{kind} checkpoint: {exc}") from None
+    if kind == "encoder":
+        params, config, codec, recurrent = restore_encoder(payload)
+    else:
+        make_head, keys = _HEADS[kind]
+        check_format(payload, kind)
+        # every key but the provenance, which ``_trained_seed`` reads
+        _block(payload, keys, "", [key for key in keys if key != "provenance"])
+        params, config, codec, recurrent = restore_encoder(payload["encoder"],
+                                                           "encoder")
+        if recurrent:
+            raise ValueError("field 'encoder' must be context-oblivious")
+        head = make_head(payload, codec.n_classes)
 
     def decode(docs):
         split = encode_split(split_tokens(docs), codec, config.max_len)
@@ -450,8 +451,7 @@ def _trained_seed(payload: dict) -> int:
     provenance = payload.get("provenance")
     seed = provenance.get("seed") if isinstance(provenance, dict) else None
     if type(seed) is not int or seed < 0:
-        raise ConfigError("checkpoint field 'provenance.seed' must be a "
-                          "non-negative int")
+        raise ValueError("field 'provenance.seed' must be a non-negative int")
     return seed
 
 
@@ -459,19 +459,18 @@ def cmd_infer(args) -> int:
     split = load_corpus(args.manifest, (args.split,))
     docs = split.split(args.split)
     payload, digest = load_checkpoint(args.checkpoint)
-    vocabulary, decode = _restore_model(payload)
-    if vocabulary != split.vocabulary:
-        raise ConfigError("checkpoint classes or label mode do not match the "
-                          "corpus manifest")
-    seed = _trained_seed(payload)
-    # a score that overflows, or is not a number, is refused below
-    with np.errstate(all="ignore"):
-        trace = decode(docs)
-    bad = np.flatnonzero(~np.isfinite(trace.scores).all(axis=1))
-    if bad.size:
-        raise ConfigError(f"checkpoint {args.checkpoint}: "
-                          f"{trace.docs.page_name(int(bad[0]))} has a score that is "
-                          f"not finite")
+    with reading(args.checkpoint):
+        vocabulary, decode = _restore_model(payload)
+        if vocabulary != split.vocabulary:
+            raise ValueError("classes or label mode do not match the corpus manifest")
+        seed = _trained_seed(payload)
+        # a score that overflows, or is not a number, is refused below
+        with np.errstate(all="ignore"):
+            trace = decode(docs)
+        bad = np.flatnonzero(~np.isfinite(trace.scores).all(axis=1))
+        if bad.size:
+            raise ValueError(f"{trace.docs.page_name(int(bad[0]))} has a score that "
+                             f"is not finite")
     ref = {"checkpoint_sha256": digest, "split": args.split}
     provenance = provenance_for("infer", ref, seed)
     with _writing(args.out):
@@ -609,7 +608,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CorpusError) as exc:
+    except CorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingDiverged as exc:

@@ -44,31 +44,36 @@ SPLIT_NAMES = ("train", "validation", "test")
 
 
 class CorpusError(ValueError):
-    """An input file (config, manifest, split file, checkpoint or trace
-    file) that cannot be read or is malformed, invalid labels, or an invalid
-    generator config."""
+    """A fault of an input file (config, manifest, split file, checkpoint or
+    trace file) or an output path, named by the file first: ``path: ...``
+    or ``path:line: ...``.  Raised only at a file's boundary; every check
+    below it raises a plain ValueError that names only the field."""
 
 
 @dataclass(frozen=True)
 class TypeVocabulary:
-    """The n page-type classes; none may be named the first-page marker."""
+    """The n page-type classes, a list or tuple of distinct non-empty
+    strings; none may be named the first-page marker."""
 
     class_names: tuple[str, ...]
     label_mode: str = MULTICLASS
 
     def __post_init__(self):
+        if not (isinstance(self.class_names, (list, tuple))
+                and all(type(name) is str for name in self.class_names)):
+            raise ValueError("classes must be a list of strings")
         object.__setattr__(self, "class_names", tuple(self.class_names))
         if self.label_mode not in (MULTICLASS, MULTILABEL):
-            raise CorpusError(f"unknown label_mode {self.label_mode!r}")
+            raise ValueError(f"unknown label_mode {self.label_mode!r}")
         if len(self.class_names) < 2:
-            raise CorpusError("need at least 2 page-type classes")
+            raise ValueError("need at least 2 page-type classes")
         if any(not name for name in self.class_names):
-            raise CorpusError("class names must be non-empty")
+            raise ValueError("class names must be non-empty")
         if len(set(self.class_names)) != len(self.class_names):
-            raise CorpusError("class names must be unique")
+            raise ValueError("class names must be unique")
         if FIRST_PAGE_TOKEN in self.class_names:
-            raise CorpusError(f"class name {FIRST_PAGE_TOKEN!r} is reserved for "
-                              f"the first-page marker")
+            raise ValueError(f"class name {FIRST_PAGE_TOKEN!r} is reserved for "
+                             f"the first-page marker")
 
     @property
     def n(self) -> int:
@@ -103,24 +108,18 @@ class Documents:
         self.vocab = vocab
         if not (len(self.offsets) == len(self.doc_ids) + 1
                 and self.offsets[-1] == len(self.texts)):
-            raise CorpusError("doc_ids, sizes and texts do not align")
+            raise ValueError("doc_ids, sizes and texts do not align")
         empty = np.flatnonzero(np.diff(self.offsets) < 1)
         if empty.size:
-            raise CorpusError(f"document {self.doc_ids[empty[0]]!r} is empty")
+            raise ValueError(f"document {self.doc_ids[empty[0]]!r} is empty")
         if len(set(self.doc_ids)) != len(self.doc_ids):
-            raise CorpusError("duplicate doc_id in split")
+            raise ValueError("duplicate doc_id in split")
         shape = (len(self.texts), vocab.n)
         if not (isinstance(gold, np.ndarray) and gold.dtype == bool
                 and gold.shape == shape):
-            raise CorpusError(f"gold must be a bool array of shape {shape}")
+            raise ValueError(f"gold must be a bool array of shape {shape}")
         self.gold = gold
-        counts = self.gold.sum(axis=1)
-        bad = np.flatnonzero((counts == 0) | (counts > vocab.max_labels))
-        if bad.size:
-            row = int(bad[0])
-            raise CorpusError(f"{self.page_name(row)} has no labels" if not counts[row]
-                              else f"{self.page_name(row)} carries {counts[row]} "
-                                   f"labels in multiclass mode")
+        check_label_count(gold, "gold", vocab)
 
     def page_name(self, row: int) -> str:
         """Row ``row`` as a message names a page: its index and document."""
@@ -143,9 +142,9 @@ class CorpusSplit:
 
     def split(self, name: str) -> Documents:
         if name not in SPLIT_NAMES:
-            raise CorpusError(f"unknown split {name!r}")
+            raise ValueError(f"unknown split {name!r}")
         if getattr(self, name) is None:
-            raise CorpusError(f"split {name!r} was not read")
+            raise ValueError(f"split {name!r} was not read")
         return getattr(self, name)
 
     def splits(self) -> Iterable[tuple[str, Documents]]:
@@ -216,6 +215,19 @@ def read_json(path: Path | str, what: str):
         return json.loads(text), digest
     except (json.JSONDecodeError, RecursionError) as exc:
         raise _malformed(path, exc) from None
+
+
+@contextmanager
+def reading(path):
+    """The boundary of the input file (or command-line option) ``path``,
+    around the checks of what it holds: their ValueError becomes a
+    CorpusError that names ``path`` first; a CorpusError passes through."""
+    try:
+        yield
+    except CorpusError:
+        raise
+    except ValueError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 @contextmanager
@@ -300,7 +312,7 @@ def page_columns(pages: list, fields: Mapping[str, tuple]) -> list[list]:
     # exactly those keys
     if max(map(len, pages), default=0) > len(fields):
         for page in pages:
-            _block(page, fields, "", "page line")
+            _block(page, fields, "")
     for (key, kinds), column in zip(fields.items(), columns):
         if not set(map(type, column)) <= set(kinds):
             raise ValueError(f"field {key!r} must be "
@@ -415,78 +427,74 @@ def load_split_file(path: Path | str, vocab: TypeVocabulary) -> Documents:
 # ---------------------------------------------------------------------------
 
 
-class ConfigError(ValueError):
-    """Invalid config file or invalid command arguments."""
-
-
 def _label(where: str, name: str) -> str:
     return f"{where}.{name}" if where else name
 
 
-def _block(obj, keys, where: str, noun: str = "config") -> dict:
-    """``obj`` as a JSON object whose keys are all among ``keys``; an unknown
-    key is reported with the nearest valid one.  ``noun`` names what the
-    object is read from, in every message."""
+def _block(obj, keys, where: str, required: Iterable[str] = ()) -> dict:
+    """``obj``, the JSON object of field ``where`` ("" for a file's top
+    level), whose keys are all among ``keys`` and include ``required``; an
+    unknown key is reported with the nearest valid one, both by field."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{noun} field {where!r} must be an object" if where
-                          else f"{noun} must be a JSON object")
+        raise ValueError(f"field {where!r} must be an object" if where
+                         else "expected a JSON object")
     for key in obj:
         if key not in keys:
             near = difflib.get_close_matches(key, keys, n=1)
-            hint = f"; did you mean {near[0]!r}?" if near else ""
-            raise ConfigError(f"unknown {noun} field {_label(where, key)!r}{hint}")
+            hint = f"; did you mean {_label(where, near[0])!r}?" if near else ""
+            raise ValueError(f"unknown field {_label(where, key)!r}{hint}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"missing field {_label(where, key)!r}")
     return obj
 
 
-def _typed(value, hint, label: str, noun: str = "config"):
-    """``value`` checked against ``hint``: int, float, str, bool, or a tuple
-    of them, which a JSON array becomes.  An int is accepted as a float;
-    NaN and +-Infinity, which Python's json reads, are not.  ``noun`` names
-    what the value is read from, in every message."""
-    what = f"{noun} field {label!r}"
+def _typed(value, hint, label: str):
+    """``value`` of field ``label`` checked against ``hint``: int, float,
+    str, bool, dict (a JSON object), or a tuple of them, which a JSON array
+    becomes.  An int is accepted as a float; NaN and +-Infinity, which
+    Python's json reads, are not."""
+    what = f"field {label!r}"
     if typing.get_origin(hint) is tuple:
         args = typing.get_args(hint)
         if not isinstance(value, list):
-            raise ConfigError(f"{what} must be a list")
+            raise ValueError(f"{what} must be a list")
         if args[-1] is Ellipsis:
             args = args[:1] * len(value)
         elif len(value) != len(args):
-            raise ConfigError(f"{what} must be a list of {len(args)} values")
-        return tuple(_typed(v, a, f"{label}[{i}]", noun)
+            raise ValueError(f"{what} must be a list of {len(args)} values")
+        return tuple(_typed(v, a, f"{label}[{i}]")
                      for i, (v, a) in enumerate(zip(value, args)))
     if hint is float and type(value) is int:  # too large for a float: inf
         value = float(value) if abs(value) <= sys.float_info.max else np.inf
     if type(value) is not hint:
-        raise ConfigError(f"{what} must be {hint.__name__}")
+        raise ValueError(f"{what} must be "
+                         f"{'an object' if hint is dict else hint.__name__}")
     if hint is float and not np.isfinite(value):
-        raise ConfigError(f"{what} must be finite")
+        raise ValueError(f"{what} must be finite")
     return value
 
 
 def _config_from(cls, obj, where: str, complete: bool = False, **given):
-    """Dataclass ``cls`` from the JSON object ``obj``, whose keys must be
-    fields of ``cls`` holding values of their types.  A field in ``given``
-    is the caller's (in a ``train`` config, a seed derived from the
-    top-level ``seed``), which ``obj`` may not hold.  Any other field that
-    ``obj`` leaves out takes the dataclass default; with ``complete`` (a
-    checkpoint, which records every field, and is named in messages) it
-    must be in ``obj``."""
-    noun = "checkpoint" if complete else "config"
+    """Dataclass ``cls`` from the JSON object ``obj`` of field ``where``,
+    whose keys must be fields of ``cls`` holding values of their types.  A
+    field in ``given`` is the caller's (in a ``train`` config, a seed
+    derived from the top-level ``seed``), which ``obj`` may not hold.  Any
+    other field that ``obj`` leaves out takes the dataclass default; with
+    ``complete`` (a checkpoint, which records every field) it must be in
+    ``obj``."""
     hints = typing.get_type_hints(cls)
     values = dict(given)
-    for name, value in _block(obj, [f.name for f in fields(cls)], where,
-                              noun).items():
+    for name, value in _block(obj, [f.name for f in fields(cls)], where, [
+            f.name for f in fields(cls) if f.name not in given
+            and (complete or f.default is MISSING)]).items():
         if name in given:
-            raise ConfigError(f"{noun} field {_label(where, name)!r} is set by "
-                              f"'seed'")
-        values[name] = _typed(value, hints[name], _label(where, name), noun)
-    for f in fields(cls):
-        if f.name not in values and (complete or f.default is MISSING):
-            raise ConfigError(f"missing {noun} field {_label(where, f.name)!r}")
+            raise ValueError(f"field {_label(where, name)!r} is set by 'seed'")
+        values[name] = _typed(value, hints[name], _label(where, name))
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{where or 'config'}: {exc}") from None
+        raise ValueError(f"field {where!r}: {exc}" if where else str(exc)) from None
 
 
 # the layout of every checkpoint kind (encoder, CRF, BiLSTM): each fact is
@@ -554,22 +562,12 @@ def load_corpus(path: Path | str,
     """
     path = Path(path)
     manifest, _ = read_json(path, "manifest")
-    try:
+    with reading(path):
         _block(manifest, ("classes", "label_mode", *SPLIT_NAMES, "provenance"), "",
-               "manifest")
-    except ConfigError as exc:
-        raise CorpusError(f"{path}: {exc}") from None
-    for key in ("classes", "label_mode", *SPLIT_NAMES):
-        if key not in manifest:
-            raise CorpusError(f"{path}: manifest missing field {key!r}")
-        if key == "classes":
-            if not (isinstance(manifest[key], list)
-                    and all(isinstance(name, str) for name in manifest[key])):
-                raise CorpusError(f"{path}: manifest field 'classes' must be a "
-                                  f"list of strings")
-        elif not isinstance(manifest[key], str):
-            raise CorpusError(f"{path}: manifest field {key!r} must be a string")
-    vocab = TypeVocabulary(tuple(manifest["classes"]), manifest["label_mode"])
+               ("classes", "label_mode", *SPLIT_NAMES))
+        for name in SPLIT_NAMES:
+            _typed(manifest[name], str, name)
+        vocab = TypeVocabulary(manifest["classes"], manifest["label_mode"])
     read = {
         name: load_split_file(path.parent / manifest[name], vocab)
         if name in splits else None
@@ -666,46 +664,46 @@ class SynthConfig:
         )
         n = self.n_classes
         if not _is_int(n):
-            raise CorpusError("n_classes must be an integer")
+            raise ValueError("n_classes must be an integer")
         if n < 2:
-            raise CorpusError("n_classes must be >= 2")
+            raise ValueError("n_classes must be >= 2")
         if len(self.transition_matrix) != n or any(len(r) != n for r in self.transition_matrix):
-            raise CorpusError("transition_matrix must be n x n")
+            raise ValueError("transition_matrix must be n x n")
         if len(self.start_distribution) != n:
-            raise CorpusError("start_distribution must have length n")
+            raise ValueError("start_distribution must have length n")
         for what, dist in [*((f"transition_matrix row {i}", row)
                              for i, row in enumerate(self.transition_matrix)),
                            ("start_distribution", self.start_distribution)]:
             if not all(math.isfinite(p) for p in dist):
-                raise CorpusError(f"{what} has a non-finite entry")
+                raise ValueError(f"{what} has a non-finite entry")
             if any(p < 0 for p in dist) or abs(sum(dist) - 1.0) > 1e-9:
-                raise CorpusError(f"{what} is not stochastic")
+                raise ValueError(f"{what} is not stochastic")
         if not 0.0 <= self.ambiguity <= 1.0:
-            raise CorpusError("ambiguity must be in [0, 1]")
+            raise ValueError("ambiguity must be in [0, 1]")
         for field_name, size in (("pages_per_doc", 2), ("tokens_per_page", 2),
                                  ("docs_per_split", 3)):
             value = getattr(self, field_name)
             if len(value) != size or not all(_is_int(x) for x in value):
-                raise CorpusError(f"{field_name} must be {size} integers")
+                raise ValueError(f"{field_name} must be {size} integers")
             if size == 2 and not 1 <= value[0] <= value[1]:
-                raise CorpusError(f"invalid {field_name} range {tuple(value)}")
+                raise ValueError(f"invalid {field_name} range {tuple(value)}")
             # numpy draws from int64: its upper end + 1 must be at most 2**63
             if size == 2 and value[1] >= 2**63:
-                raise CorpusError(f"{field_name} must end below 2**63")
+                raise ValueError(f"{field_name} must end below 2**63")
         for field_name in ("class_vocab_size", "shared_vocab_size"):
             value = getattr(self, field_name)
             if not _is_int(value) or not 1 <= value <= 2**63:
-                raise CorpusError(f"{field_name} must be an integer in 1..2**63")
+                raise ValueError(f"{field_name} must be an integer in 1..2**63")
         if any(d < 1 for d in self.docs_per_split):
-            raise CorpusError("docs_per_split entries must be >= 1")
+            raise ValueError("docs_per_split entries must be >= 1")
         if not _is_int(self.seed) or self.seed < 0:
-            raise CorpusError("seed must be an integer >= 0")
+            raise ValueError("seed must be an integer >= 0")
 
     @classmethod
     def uniform(cls, n_classes: int, self_prob: float, seed: int = 0, **kwargs) -> "SynthConfig":
         """Convenience constructor: self-transition ``self_prob``, remainder uniform."""
         if not 0.0 <= self_prob <= 1.0:   # also NaN
-            raise CorpusError(f"self_transition must be in [0, 1], got {self_prob!r}")
+            raise ValueError(f"self_transition must be in [0, 1], got {self_prob!r}")
         # n_classes < 2 is rejected by __post_init__, after a safe division
         off = (1.0 - self_prob) / max(n_classes - 1, 1)
         matrix = tuple(
@@ -807,7 +805,7 @@ def class_page_counts(split: CorpusSplit) -> dict[str, dict[str, int]]:
 def _page_classes(docs: Documents) -> np.ndarray:
     """The class of every page of a multiclass split."""
     if docs.vocab.label_mode != MULTICLASS:
-        raise CorpusError("run/transition statistics require multiclass labels")
+        raise ValueError("run/transition statistics require multiclass labels")
     return docs.gold.argmax(axis=1)
 
 
@@ -859,6 +857,6 @@ def transition_self_prob(docs: Documents) -> SelfTransitionStats:
                        minlength=n).tolist()
     per_class = {c: same[c] / total[c] for c in range(n) if total[c]}
     if not per_class:
-        raise CorpusError("no page transitions found")
+        raise ValueError("no page transitions found")
     macro = sum(per_class.values()) / len(per_class)
     return SelfTransitionStats(per_class=per_class, macro=macro)

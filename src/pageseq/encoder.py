@@ -144,10 +144,10 @@ class EncoderConfig:
             raise ValueError("init_seed must be >= 0")
 
 
-def check_max_len(config: EncoderConfig, codec: TokenCodec) -> None:
-    """Raise ValueError unless ``max_len`` holds CLS, the most context tokens
-    a page is fed (one per class it may carry) and one text token."""
-    context = codec.type_vocab.max_labels
+def check_max_len(config: EncoderConfig, vocab: TypeVocabulary) -> None:
+    """Raise ValueError unless ``max_len`` holds CLS, the context tokens a
+    page of ``vocab`` is fed (one per class it may carry) and a text token."""
+    context = vocab.max_labels
     if config.max_len < 2 + context:
         raise ValueError(f"max_len must be >= {2 + context} (CLS, {context} "
                          f"context token(s) and one text token)")
@@ -155,7 +155,7 @@ def check_max_len(config: EncoderConfig, codec: TokenCodec) -> None:
 
 def init_params(config: EncoderConfig, codec: TokenCodec) -> dict[str, np.ndarray]:
     """Seeded parameter initialization; shapes follow the config and codec."""
-    check_max_len(config, codec)
+    check_max_len(config, codec.type_vocab)
     rng = np.random.default_rng(config.init_seed)
     d, n = config.d, codec.n_classes
     scale = 0.02
@@ -680,50 +680,54 @@ def save_checkpoint(path: Path | str, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
-def restore_encoder(payload: dict, where: str = ""):
+def restore_encoder(payload, where: str = ""):
     """Rebuild (params, config, codec, recurrent) from a payload; ``where``
     is the field that holds it in a checkpoint that embeds it, and prefixes
     the fields a message names.
 
-    Raises ValueError unless the payload records ``CHECKPOINT_FORMAT`` and
-    ``TOKENIZER_VERSION``, holds no key but ``CHECKPOINT_KEYS`` (its codec
-    none but the three it writes), ``mode`` is one of ``MODES``, ``config``
-    holds every ``EncoderConfig`` field with a value of its type, the codec's
-    text tokens are distinct strings, and the parameters are float blocks of
-    exactly the names and shapes ``init_params`` gives.
+    Raises ValueError, naming the field, unless the payload is an object of
+    kind "encoder" that records ``CHECKPOINT_FORMAT`` and
+    ``TOKENIZER_VERSION``, holds every key of ``CHECKPOINT_KEYS`` (but the
+    provenance) and no other, its codec exactly its three, ``mode`` is one
+    of ``MODES``, ``config`` holds every ``EncoderConfig`` field with a value
+    of its type, the codec's classes and text tokens are lists of distinct
+    strings, and ``params`` the float blocks ``init_params`` gives.
     """
-    if payload.get("kind") != "encoder":
-        raise ValueError("not an encoder checkpoint")
+    if not isinstance(payload, dict) or payload.get("kind") != "encoder":
+        raise ValueError(f"field {where!r} is not an encoder checkpoint" if where
+                         else "not an encoder checkpoint")
     check_format(payload, "encoder")
-    _block(payload, CHECKPOINT_KEYS, where, "checkpoint")
     check_tokenizer_version(payload)
+    # the provenance, which ``train`` adds, is read from a file's top level
+    _block(payload, CHECKPOINT_KEYS, where,
+           [key for key in CHECKPOINT_KEYS if key != "provenance"])
     if payload["mode"] not in MODES:
-        raise ValueError(f"mode {payload['mode']!r} is not one of {MODES}")
+        raise ValueError(f"{_label(where, 'mode')} {payload['mode']!r} is not one "
+                         f"of {MODES}")
     config = _config_from(EncoderConfig, payload["config"],
                           _label(where, "config"), complete=True)
-    codec = _block(payload["codec"], ("classes", "vocab_label_mode", "text_tokens"),
-                   _label(where, "codec"), "checkpoint")
-    vocab = TypeVocabulary(tuple(codec["classes"]), codec["vocab_label_mode"])
+    keys = ("classes", "vocab_label_mode", "text_tokens")
+    codec = _block(payload["codec"], keys, _label(where, "codec"), keys)
+    vocab = TypeVocabulary(codec["classes"], codec["vocab_label_mode"])
     tokens = codec["text_tokens"]
+    field = _label(where, "codec.text_tokens")
     if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str}:
-        raise ValueError("codec.text_tokens must be a list of strings")
+        raise ValueError(f"{field} must be a list of strings")
     if len(set(tokens)) != len(tokens):
-        raise ValueError("codec.text_tokens holds a token twice")
+        raise ValueError(f"{field} holds a token twice")
     codec = TokenCodec(vocab, tokens)
+    expected = init_params(config, codec)
+    blocks = _block(payload["params"], expected, _label(where, "params"), expected)
     params = {name: read_float_block(block, f"parameter {name!r}")
-              for name, block in payload["params"].items()}
-    check_params(params, init_params(config, codec))
+              for name, block in blocks.items()}
+    check_params(params, expected)
     return params, config, codec, payload["mode"] == "recurrent"
 
 
 def check_params(params: dict, expected: dict) -> None:
-    """Raise ValueError unless ``params`` has the names and shapes of
-    ``expected`` and every value is finite."""
-    if params.keys() != expected.keys():
-        raise ValueError(
-            f"parameter names do not match the config: missing "
-            f"{sorted(expected.keys() - params.keys())}, "
-            f"unexpected {sorted(params.keys() - expected.keys())}")
+    """Raise ValueError unless each of ``params``, read from a block of
+    exactly the names of ``expected`` (``corpus._block``), has its shape in
+    ``expected`` and is finite."""
     for name, value in expected.items():
         if params[name].shape != value.shape:
             raise ValueError(f"parameter {name!r} has shape {params[name].shape}, "

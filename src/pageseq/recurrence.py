@@ -33,10 +33,10 @@ from typing import Sequence
 import numpy as np
 
 from . import encoder
-from .corpus import (FIRST_PAGE_TOKEN, MULTICLASS, CorpusError, Documents, _block,
-                     _Memo, check_format, check_label_count, class_indicator,
-                     gc_paused, page_columns, page_positions, read_jsonl,
-                     read_page_lines)
+from .corpus import (FIRST_PAGE_TOKEN, MULTICLASS, Documents, _block, _Memo, _typed,
+                     check_format, check_label_count, class_indicator, gc_paused,
+                     page_columns, page_positions, read_jsonl, read_page_lines,
+                     reading)
 from .encoder import (CLS_ID, FIRST_ID, LINEAR, PAD_ID, TINY_TRANSFORMER,
                       EncoderConfig, TokenCodec, predict)
 from .features import tokenize
@@ -359,29 +359,26 @@ def read_traces(path: Path | str, docs: Documents, text: str) -> SplitTrace:
     The page lines, in any order, must hold each page of ``docs`` once: page
     ``page_index`` of document ``doc_id``.  Every fault is a CorpusError
     that names ``path`` first, and a page line's ``path:lineno``."""
-    linenos, objs = read_jsonl(path, text)
-    header, *pages = objs or [None]
-    try:
+    with reading(path):
+        linenos, objs = read_jsonl(path, text)
+        header, *pages = objs or [None]
         check_format(header, "trace", TRACE_FORMAT, "infer")
-        _block(header, ("format", "provenance"), "", "trace header")
-        if not isinstance(header.get("provenance"), dict):
-            raise ValueError("trace header field 'provenance' must be an object")
-    except ValueError as exc:
-        raise CorpusError(f"{path}: {exc}") from None
-    doc_ids, page_indices, scores, labels, context = read_page_lines(
-        path, linenos[1:], pages, lambda lines: _trace_lines(lines, docs.vocab))
+        _block(header, ("format", "provenance"), "")
+        _typed(header.get("provenance"), dict, "provenance")
+        doc_ids, page_indices, scores, labels, context = read_page_lines(
+            path, linenos[1:], pages, lambda lines: _trace_lines(lines, docs.vocab))
 
-    # each line's document in ``docs``, -1 for none of them
-    where = dict(zip(docs.doc_ids, range(len(docs))))
-    doc = np.fromiter(map(where.get, doc_ids, repeat(-1)), dtype=np.int64,
-                      count=len(pages))
-    if not (0 <= min(page_indices, default=0)
-            and max(page_indices, default=-1) < len(pages)):
-        raise CorpusError(f"{path}: {_coverage_fault(docs, doc_ids, page_indices)}")
-    rows = docs.offsets[doc] + np.array(page_indices, dtype=np.int64)
-    if not ((doc >= 0).all() and (rows < docs.offsets[doc + 1]).all()
-            and (np.bincount(rows, minlength=len(docs.texts)) == 1).all()):
-        raise CorpusError(f"{path}: {_coverage_fault(docs, doc_ids, page_indices)}")
+        # each line's document in ``docs``, -1 for none of them
+        where = dict(zip(docs.doc_ids, range(len(docs))))
+        doc = np.fromiter(map(where.get, doc_ids, repeat(-1)), dtype=np.int64,
+                          count=len(pages))
+        if not (0 <= min(page_indices, default=0)
+                and max(page_indices, default=-1) < len(pages)):
+            raise ValueError(_coverage_fault(docs, doc_ids, page_indices))
+        rows = docs.offsets[doc] + np.array(page_indices, dtype=np.int64)
+        if not ((doc >= 0).all() and (rows < docs.offsets[doc + 1]).all()
+                and (np.bincount(rows, minlength=len(docs.texts)) == 1).all()):
+            raise ValueError(_coverage_fault(docs, doc_ids, page_indices))
     trace = SplitTrace.blank(docs)
     trace.scores[rows], trace.labels[rows], trace.context[rows] = scores, labels, context
     return trace

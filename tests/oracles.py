@@ -217,7 +217,7 @@ def field_fault(obj: dict, fields) -> str | None:
     for key in obj:
         if key not in names:
             near = difflib.get_close_matches(key, names, n=1)
-            return (f"unknown page line field {key!r}"
+            return (f"unknown field {key!r}"
                     + (f"; did you mean {near[0]!r}?" if near else ""))
     for name, kinds, what in fields:
         if type(obj[name]) not in kinds:

@@ -6,6 +6,7 @@ import json
 import re
 import warnings
 from dataclasses import asdict
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -340,8 +341,9 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path),
                      "--outdir", str(tmp_path / "runs"), "--run-id", "bad"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: baselines.bilstm requires mode 'oblivious' (the "
-                       "baselines read a frozen context-oblivious encoder)"]
+        assert err == [f"error: {cfg_path}: field 'baselines.bilstm' requires mode "
+                       f"'oblivious' (the baselines read a frozen context-oblivious "
+                       f"encoder)"]
         assert not (tmp_path / "runs" / "bad").exists()
 
     def test_baselines_produce_checkpoints(self, tmp_path, corpus_dir):
@@ -372,8 +374,8 @@ class TestTrain:
         trace = read_trace_file(out, split.test)
         assert len(trace.scores) == len(split.test.texts)
 
-    BAD_BILSTM = {"svd_k": "error: unknown config field 'bilstm.svd_k'",
-                  "hidden_dim": "error: bilstm: dimensions must be >= 1"}
+    BAD_BILSTM = {"svd_k": "unknown field 'bilstm.svd_k'",
+                  "hidden_dim": "field 'bilstm': dimensions must be >= 1"}
 
     @pytest.mark.parametrize("field", ["svd_k", "hidden_dim"])
     def test_bad_bilstm_config_exits_2(self, tmp_path, corpus_dir, capsys, field):
@@ -385,7 +387,8 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path),
                      "--outdir", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(self.BAD_BILSTM[field])
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {cfg_path}: {self.BAD_BILSTM[field]}")
 
     def test_readme_walkthrough_runs(self, readme_walkthrough):
         """Every command of the README walkthrough runs on the README's own
@@ -1025,8 +1028,8 @@ class TestBaselineCheckpoints:
     @staticmethod
     def infer_edited(trained, capsys, name, edit, tag):
         """``infer`` with checkpoint ``name`` edited by ``edit(payload)``;
-        asserts exit 2, nothing written and one ``error:`` line, and
-        returns that line."""
+        asserts exit 2, nothing written and one ``error:`` line that starts
+        with the checkpoint's path, and returns the rest of that line."""
         tmp_path, corpus_dir, outdir = trained
         payload = json.loads((outdir / name).read_text())
         edit(payload)
@@ -1038,9 +1041,9 @@ class TestBaselineCheckpoints:
                      "--manifest", str(corpus_dir / "manifest.json"),
                      "--split", "test", "--out", str(out)]) == 2
         assert not out.exists()
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        return err[0]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: "), err
+        return err[0].removeprefix(f"error: {ckpt}: ")
 
     @pytest.mark.parametrize("kind, edit", [
         ("crf", e) for e in ("transition", "start", "encoder", "emission_scale",
@@ -1102,11 +1105,11 @@ class TestBaselineCheckpoints:
             else:
                 part(payload).update(self.as_parent_wrote(part(payload)))
                 part(payload).pop("format")
-        assert part(json.loads((trained[2] / name).read_text()))["format"] \
-            == CHECKPOINT_FORMAT
+        payload = json.loads((trained[2] / name).read_text())
+        assert part(payload)["format"] == CHECKPOINT_FORMAT
+        what = kind if part(payload) is payload else "encoder"
         line = self.infer_edited(trained, capsys, name, change, f"format-{edit}")
-        assert line.startswith(f"error: {kind} checkpoint: ")
-        assert "format" in line and "re-run `train`" in line
+        assert line.startswith(f"{what} format ") and "re-run `train`" in line
 
     @pytest.mark.parametrize("name, kind, part, field", [
         ("checkpoint.json", "encoder", lambda p: p, "label_mode"),
@@ -1125,14 +1128,13 @@ class TestBaselineCheckpoints:
         line = self.infer_edited(trained, capsys, name,
                                  lambda p: part(p).update({key: "multilabel"}),
                                  f"key-{field}")
-        assert line.startswith(f"error: {kind} checkpoint: unknown checkpoint "
-                               f"field {field!r}")
+        assert line.startswith(f"unknown field {field!r}")
 
     def test_label_mode_and_seed_in_crf_exit_2(self, trained, capsys):
         line = self.infer_edited(
             trained, capsys, "crf.json",
             lambda p: p.update(label_mode="multilabel", seed="x"), "keys")
-        assert line.startswith("error: crf checkpoint: unknown checkpoint field ")
+        assert line.startswith("unknown field ")
 
     @pytest.mark.parametrize("name", ["checkpoint.json", "crf.json", "bilstm.json"])
     def test_scores_that_overflow_exit_2(self, trained, capsys, name):
@@ -1144,10 +1146,8 @@ class TestBaselineCheckpoints:
                 edit_block(params, block, lambda a: np.full_like(a, 1e300))
         line = self.infer_edited(trained, capsys, name, overflow, "overflow")
         docs = load_corpus(trained[1] / "manifest.json").test
-        assert re.fullmatch(
-            rf"error: checkpoint \S*overflow-{re.escape(name)}: page 0 of "
-            rf"{re.escape(repr(docs.doc_ids[0]))} has a score that is not finite",
-            line), line
+        assert line == (f"page 0 of {docs.doc_ids[0]!r} has a score that is not "
+                        f"finite")
 
     KEYS = "must be an object with exactly the keys 'shape' and 'f8le'"
     SHAPE = "'shape' must be a list of non-negative ints"
@@ -1188,7 +1188,6 @@ class TestBaselineCheckpoints:
                 payload = payload[key]
             payload[last] = edit(payload[last])
         line = self.infer_edited(trained, capsys, name, change, f"block-{case}")
-        assert line.startswith(f"error: {kind} checkpoint: ")
         assert f"{field}: {message}" in line
 
     @pytest.mark.parametrize("kind", ["checkpoint", "crf", "bilstm"])
@@ -1228,6 +1227,99 @@ class TestBaselineCheckpoints:
         line = self.infer_edited(trained, capsys, f"{kind}.json", change,
                                  f"tokens-{edit}")
         assert message in line
+
+    # the fields ``infer`` reads of an encoder checkpoint, at the top level and
+    # nested; a CRF or BiLSTM checkpoint embeds one under ``encoder``
+    ENCODER_FIELDS = ("kind", "format", "mode", "tokenizer_version", "config",
+                      "config.variant", "config.d", "config.n_layers",
+                      "config.n_heads", "config.max_len", "config.dropout",
+                      "config.init_seed", "codec", "codec.classes",
+                      "codec.vocab_label_mode", "codec.text_tokens", "params",
+                      "params.emb", "params.head_w", "params.head_b")
+    SWEPT = [("checkpoint.json", field) for field in ENCODER_FIELDS
+             + ("provenance", "provenance.seed")] + [
+        ("crf.json", field) for field in ("kind", "format", "transition", "start",
+                                          "emission_scale", "encoder", "provenance",
+                                          "provenance.seed")
+        + tuple(f"encoder.{f}" for f in ENCODER_FIELDS)] + [
+        ("bilstm.json", field) for field in ("kind", "format", "config",
+                                             "config.hidden_dim", "config.init_seed",
+                                             "params", "params.fw_w", "params.head_b",
+                                             "encoder", "provenance", "provenance.seed")
+        + tuple(f"encoder.{f}" for f in ENCODER_FIELDS)]
+    # each edit of a field: delete it, or give it a value of each JSON type
+    REPLACEMENTS = {"null": None, "bool": True, "number": 0.5, "string": "x",
+                    "list": [1], "object": {"x": 1}}
+    # words of Python's own errors, which no message may show
+    INTERNAL = ("object has no attribute", "not subscriptable", "not iterable",
+                "unhashable")
+
+    # every edit of every swept field but one: 0.5 is a valid emission scale
+    SWEEP = [(name, field, edit) for (name, field), edit
+             in product(SWEPT, ("deleted", *REPLACEMENTS))
+             if (field, edit) != ("emission_scale", "number")]
+
+    @pytest.mark.parametrize("name, field, edit", SWEEP, ids=[
+        f"{name[:-5]}:{field}-{edit}" for name, field, edit in SWEEP])
+    def test_fault_sweep(self, trained, capsys, name, field, edit):
+        """Every field ``infer`` reads of each checkpoint kind, deleted or
+        of another JSON type, exits 2 with one line that starts with the
+        checkpoint's path and shows none of Python's own error words."""
+        *outer, last = field.split(".")
+
+        def change(payload):
+            for key in outer:
+                payload = payload[key]
+            if edit == "deleted":
+                del payload[last]
+            else:
+                payload[last] = self.REPLACEMENTS[edit]
+        line = self.infer_edited(trained, capsys, name, change,
+                                 f"sweep-{field}-{edit}")
+        assert not any(words in line for words in self.INTERNAL), line
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"label_mode": "multi"}, "unknown label_mode 'multi'"),
+        ({"classes": ["c0"]}, "need at least 2 page-type classes"),
+    ], ids=["label_mode-multi", "one-class"])
+    def test_manifest_fault_names_the_manifest(self, trained, capsys, edit, message):
+        tmp_path, corpus_dir, outdir = trained
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        bad = corpus_dir / f"bad-{'-'.join(edit)}.json"
+        bad.write_text(json.dumps(dict(manifest, **edit)))
+        out = tmp_path / "bad-manifest.jsonl"
+        capsys.readouterr()
+        assert main(["infer", "--checkpoint", str(outdir / "checkpoint.json"),
+                     "--manifest", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
+        assert not out.exists()
+
+    def test_class_list_that_is_a_string_is_refused(self, trained, capsys):
+        """A checkpoint's classes as the string "abc" are not read as the
+        classes a, b and c, even against a manifest of those classes."""
+        tmp_path, corpus_dir, outdir = trained
+        abc = tmp_path / "abc"
+        abc.mkdir()
+        names = {"c0": "a", "c1": "b", "c2": "c"}
+        pages = [json.loads(line) for line in
+                 (corpus_dir / "test.jsonl").read_text().splitlines()]
+        (abc / "test.jsonl").write_text("".join(
+            json.dumps(dict(page, labels=[names[c] for c in page["labels"]])) + "\n"
+            for page in pages))
+        (abc / "manifest.json").write_text(json.dumps({
+            "classes": ["a", "b", "c"], "label_mode": "multiclass",
+            "train": "test.jsonl", "validation": "test.jsonl", "test": "test.jsonl"}))
+        payload = json.loads((outdir / "checkpoint.json").read_text())
+        payload["codec"]["classes"] = "abc"
+        ckpt = tmp_path / "abc.json"
+        ckpt.write_text(json.dumps(payload))
+        out = tmp_path / "abc.jsonl"
+        capsys.readouterr()
+        assert main(["infer", "--checkpoint", str(ckpt),
+                     "--manifest", str(abc / "manifest.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ckpt}: classes must be a list of strings"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["checkpoint", "crf", "bilstm"])
     def test_empty_split_infers(self, trained, kind):
@@ -1410,13 +1502,11 @@ class TestBadArtifacts:
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
     @pytest.mark.parametrize("header, message", [
-        (lambda h: h.update(seed=1), "unknown trace header field 'seed'"),
+        (lambda h: h.update(seed=1), "unknown field 'seed'"),
         (lambda h: h.update(provenanc={}),
-         "unknown trace header field 'provenanc'; did you mean 'provenance'?"),
-        (lambda h: h.update(provenance=[1]),
-         "trace header field 'provenance' must be an object"),
-        (lambda h: h.update(provenance=None),
-         "trace header field 'provenance' must be an object"),
+         "unknown field 'provenanc'; did you mean 'provenance'?"),
+        (lambda h: h.update(provenance=[1]), "field 'provenance' must be an object"),
+        (lambda h: h.update(provenance=None), "field 'provenance' must be an object"),
     ], ids=["extra", "misspelt", "provenance-list", "provenance-null"])
     def test_trace_header_keys(self, trained, command, header, message, capsys):
         """A header holds ``format`` and ``provenance``, an object, and no
@@ -1474,7 +1564,7 @@ class TestBadArtifacts:
     @pytest.mark.parametrize("command", ["eval", "compare"])
     @pytest.mark.parametrize("edit, message", [
         (lambda page: page.update(labelz=page["labels"]),
-         "unknown page line field 'labelz'; did you mean 'labels'?"),
+         "unknown field 'labelz'; did you mean 'labels'?"),
         (lambda page: page.update(page_index=str(page["page_index"])),
          "field 'page_index' must be an int"),
         (lambda page: page.update(page_index=True), "field 'page_index' must be an int"),
@@ -1513,8 +1603,8 @@ class TestBadArtifacts:
                             "--split", "test", "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {typo / 'test.jsonl'}:3: unknown page line field 'lables'; "
-            f"did you mean 'labels'?"]
+            f"error: {typo / 'test.jsonl'}:3: unknown field 'lables'; did you mean "
+            f"'labels'?"]
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
     def test_trace_json_error_names_its_line(self, trained, command, capsys):
@@ -1632,7 +1722,7 @@ class TestBadArtifacts:
         capsys.readouterr()
         assert self.infer(tmp_path, corpus_dir, ckpt) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: encoder checkpoint: checkpoint field 'config.max_len' must be int"]
+            f"error: {ckpt}: field 'config.max_len' must be int"]
 
     def test_non_finite_parameter(self, trained, capsys):
         tmp_path, corpus_dir, outdir, _ = trained
@@ -1683,12 +1773,17 @@ class TestBadArtifacts:
             assert len(err) == 1 and err[0].startswith("error: ")
             assert str(named) in err[0]
 
-    @pytest.mark.parametrize("field, value", [
-        ("classes", 5), ("classes", "ABC"), ("classes", [0, 1, 2]),
-        ("label_mode", 5), ("test", 5), ("validation", ["validation.jsonl"]),
+    CLASSES = "classes must be a list of strings"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("classes", 5, CLASSES), ("classes", "ABC", CLASSES),
+        ("classes", [0, 1, 2], CLASSES), ("label_mode", 5, "unknown label_mode 5"),
+        ("test", 5, "field 'test' must be str"),
+        ("validation", ["validation.jsonl"], "field 'validation' must be str"),
     ], ids=["int-classes", "string-classes", "int-class-names", "int-label-mode",
             "int-split", "list-split"])
-    def test_manifest_field_types(self, tmp_path, corpus_dir, capsys, field, value):
+    def test_manifest_field_types(self, tmp_path, corpus_dir, capsys, field, value,
+                                  message):
         """A manifest field of the wrong type names the field; a string of
         class names is not read as one class per character."""
         manifest = json.loads((corpus_dir / "manifest.json").read_text())
@@ -1696,9 +1791,7 @@ class TestBadArtifacts:
         bad.write_text(json.dumps(dict(manifest, **{field: value})))
         capsys.readouterr()
         assert main(["stats", "--manifest", str(bad)]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert f"manifest field {field!r} must be" in err[0]
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
 
     @pytest.mark.parametrize("command", ["stats", "eval"])
     @pytest.mark.parametrize("field, near", [("tset", "test"),
@@ -1714,7 +1807,7 @@ class TestBadArtifacts:
         capsys.readouterr()
         assert main(argv + ["--manifest", str(bad)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {bad}: unknown manifest field {field!r}; did you mean {near!r}?"]
+            f"error: {bad}: unknown field {field!r}; did you mean {near!r}?"]
 
     def test_head_narrower_than_manifest_classes(self, trained):
         """A 3-column head relabelled with a 4-class codec must not infer."""
@@ -1749,8 +1842,8 @@ class TestBadArtifacts:
         capsys.readouterr()
         assert self.infer(tmp_path, corpus_dir, ckpt) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: checkpoint field 'provenance.seed' must be a "
-                       "non-negative int"]
+        assert err == [f"error: {ckpt}: field 'provenance.seed' must be a "
+                       f"non-negative int"]
 
     def test_short_embedding_table(self, trained):
         tmp_path, corpus_dir, outdir, _ = trained
@@ -2000,8 +2093,9 @@ class TestUnwritableOutput:
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: cannot write ")
-        assert str(path) in err[0]
+        # synth and train name the run directory below ``path``
+        assert len(err) == 1 and err[0].startswith(f"error: {path}")
+        assert re.fullmatch(r"error: \S+: cannot write \([^()]+\)", err[0]), err[0]
         assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("name", ["checkpoint.json", "crf.json", "bilstm.json"])
@@ -2019,7 +2113,7 @@ class TestUnwritableOutput:
         assert main(["train", "--config", str(cfg), "--outdir",
                      str(tmp_path / "runs"), "--run-id", f"dir-{name}"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: cannot write {blocked}: Is a directory"]
+        assert err == [f"error: {blocked}: cannot write (Is a directory)"]
 
 
 class TestMultilabel:
@@ -2099,8 +2193,8 @@ class TestMaxLen:
         assert main(["train", "--config", str(cfg_path),
                      "--outdir", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "encoder.max_len" in err[0] and ">= 22" in err[0]
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {cfg_path}: max_len must be >= 22 ")
 
 
 class TestStats:
@@ -2148,7 +2242,8 @@ class TestConfigReader:
     @pytest.mark.parametrize("command, make_cfg, argv, expected", [
         pytest.param("train", lambda c: experiment_cfg(
             c, train={"epoch": 1, "batchsize": 4}), [],
-            ["'train.epoch'", "did you mean 'epochs'"], id="train.epoch"),
+            ["unknown field 'train.epoch'; did you mean 'train.epochs'?"],
+            id="train.epoch"),
         pytest.param("train", lambda c: experiment_cfg(c, baseline={"crf": True}),
                      [], ["'baseline'", "did you mean 'baselines'"], id="baseline"),
         pytest.param("synth", lambda c: dict(SYNTH_CFG, sel_transition=0.5), [],
@@ -2174,13 +2269,13 @@ class TestConfigReader:
                                              self_transition=0.7), [],
                      ["'transition_matrix'", "self_transition"],
                      id="self_transition-and-matrix"),
-        pytest.param("train", lambda c: 5, [], ["config must be a JSON object"],
+        pytest.param("train", lambda c: 5, [], ["expected a JSON object"],
                      id="top-level-5"),
         pytest.param("train", lambda c: experiment_cfg(c, corpus={"synthetic": 5}),
                      [], ["'corpus'"], id="corpus.synthetic-5"),
         pytest.param("train", lambda c: experiment_cfg(
             c, encoder={"variant": "linear", "d": 8, "max_len": 16, "dropout": 0.5}),
-            [], ["error: encoder: ", "linear encoder takes no dropout"],
+            [], ["field 'encoder': ", "linear encoder takes no dropout"],
             id="linear-dropout"),
         pytest.param("synth", lambda c: _chain_cfg(5), [], ["'transition_matrix'"],
                      id="transition_matrix-5"),
@@ -2198,10 +2293,10 @@ class TestConfigReader:
         # without a layer the CLS row never reads the text
         pytest.param("train", lambda c: experiment_cfg(c, encoder=dict(TINY, n_layers=0)),
                      [], ["n_layers"], id="n_layers-zero"),
-        pytest.param("train", lambda c: experiment_cfg(c, seed=-1), [], ["seed"],
-                     id="seed-negative"),
-        pytest.param("train", experiment_cfg, ["--seed", "-1"], ["seed"],
-                     id="seed-override-negative"),
+        pytest.param("train", lambda c: experiment_cfg(c, seed=-1), [],
+                     ["field 'seed' must be >= 0"], id="seed-negative"),
+        pytest.param("train", experiment_cfg, ["--seed", "-1"],
+                     ["error: --seed: must be >= 0"], id="seed-override-negative"),
         pytest.param("train", lambda c: experiment_cfg(
             c, encoder=dict(TINY, init_seed=-1)), [], ["init_seed"],
             id="encoder.init_seed-negative"),
@@ -2227,9 +2322,29 @@ class TestConfigReader:
         assert main([command, "--config", str(cfg_path),
                      "--outdir", str(tmp_path / "runs"), *argv]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        # a fault of a command-line value names its option, not the config
+        blamed = "error: --" if expected[0].startswith("error: --") else \
+            f"error: {cfg_path}: "
+        assert len(err) == 1 and err[0].startswith(blamed)
         for text in expected:
             assert text in err[0]
+
+    @pytest.mark.parametrize("argv, line", [
+        (["--epochs", "0"], "error: --epochs: must be >= 1"),
+        (["--seed", "-1"], "error: --seed: must be >= 0"),
+    ], ids=["epochs-0", "seed-negative"])
+    def test_bad_option_exits_2_naming_it(self, tmp_path, corpus_dir, capsys, argv,
+                                          line):
+        """An override out of range is the option's fault, on a config
+        that is valid as it stands, and exits 2 before anything is
+        written."""
+        cfg_path = tmp_path / "good.json"
+        cfg_path.write_text(json.dumps(experiment_cfg(corpus_dir)))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "out"), *argv]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field, overrides", [
         ("encoder.init_seed", {"encoder": {"variant": "linear", "d": 8,
@@ -2246,7 +2361,7 @@ class TestConfigReader:
         assert main(["train", "--config", str(cfg_path),
                      "--outdir", str(tmp_path / "runs")]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: config field {field!r} is set by 'seed'"]
+            f"error: {cfg_path}: field {field!r} is set by 'seed'"]
         assert not (tmp_path / "runs").exists()
 
     def test_train_reads_its_corpus_only_from_a_manifest(self, tmp_path, capsys):
@@ -2259,7 +2374,7 @@ class TestConfigReader:
         assert main(["train", "--config", str(cfg_path),
                      "--outdir", str(tmp_path / "runs")]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: config field 'corpus' must be a manifest path"]
+            f"error: {cfg_path}: field 'corpus' must be a manifest path"]
         assert not (tmp_path / "runs").exists()
 
     unit = st.floats(0.0, 1.0, exclude_max=True)

@@ -132,14 +132,23 @@ class TestDocumentLayout:
 
 class TestTypeVocabulary:
     def test_rejects_duplicates_and_small(self):
-        with pytest.raises(CorpusError):
+        with pytest.raises(ValueError):
             TypeVocabulary(("A", "A"))
-        with pytest.raises(CorpusError):
+        with pytest.raises(ValueError):
             TypeVocabulary(("A",))
-        with pytest.raises(CorpusError):
+        with pytest.raises(ValueError):
             TypeVocabulary(("A", ""))
-        with pytest.raises(CorpusError, match=re.escape("'[-1]' is reserved")):
+        with pytest.raises(ValueError, match=re.escape("'[-1]' is reserved")):
             TypeVocabulary(("[-1]", "b"))  # the first-page marker
+
+    @pytest.mark.parametrize("names", ["abc", ["a", 1], ("a", None), {"a": 0, "b": 1},
+                                       5], ids=["string", "int-name", "null-name",
+                                                "object", "number"])
+    def test_classes_must_be_a_list_of_strings(self, names):
+        """A string is not read as its characters, nor an object as its
+        keys."""
+        with pytest.raises(ValueError, match="classes must be a list of strings"):
+            TypeVocabulary(names)
 
 
 class TestDataModel:
@@ -152,7 +161,7 @@ class TestDataModel:
             load_corpus(tmp_path / "manifest.json")
 
     def test_empty_document_rejected(self):
-        with pytest.raises(CorpusError, match="empty"):
+        with pytest.raises(ValueError, match="empty"):
             Documents(AB, ["d"], [0], [], [])
 
     def test_page_without_labels_rejected(self, tmp_path):
@@ -177,7 +186,7 @@ class TestDataModel:
 
     def test_multiclass_single_label_enforced(self):
         doc = make_doc("d", [{0, 1}])
-        with pytest.raises(CorpusError, match="multiclass"):
+        with pytest.raises(ValueError, match="multiclass"):
             simple_split([doc], AB)
 
     @pytest.mark.parametrize("gold", [
@@ -186,13 +195,13 @@ class TestDataModel:
     ], ids=["list", "int-array", "one-dim", "three-columns", "two-rows"])
     def test_gold_must_be_a_bool_indicator(self, gold):
         """The gold labels are a (pages x n) bool array, nothing else."""
-        with pytest.raises(CorpusError, match=re.escape(
+        with pytest.raises(ValueError, match=re.escape(
                 "gold must be a bool array of shape (1, 2)")):
             Documents(AB, ["d"], [1], ["x"], gold)
 
     def test_duplicate_doc_ids_rejected(self):
         docs = [make_doc("d", [0]), make_doc("d", [1])]
-        with pytest.raises(CorpusError, match="duplicate doc_id"):
+        with pytest.raises(ValueError, match="duplicate doc_id"):
             simple_split(docs, AB)
 
 
@@ -263,7 +272,8 @@ class TestLoadWrite:
         with pytest.raises(CorpusError, match="manifest is not UTF-8"):
             load_corpus(manifest)
         manifest.write_text("[]")
-        with pytest.raises(CorpusError, match="manifest must be a JSON object"):
+        with pytest.raises(CorpusError, match=re.escape(f"{manifest}: expected a JSON "
+                                                        f"object")):
             load_corpus(manifest)
 
     def test_line_separators_inside_text_round_trip(self, tmp_path):
@@ -774,31 +784,31 @@ class TestGenerateSynthetic:
         assert stats.macro == pytest.approx(0.85, abs=0.02)
 
     def test_invalid_configs_rejected(self):
-        with pytest.raises(CorpusError, match="stochastic"):
+        with pytest.raises(ValueError, match="stochastic"):
             SynthConfig(2, ((0.5, 0.4), (0.5, 0.5)), (0.5, 0.5))
-        with pytest.raises(CorpusError, match="stochastic"):
+        with pytest.raises(ValueError, match="stochastic"):
             SynthConfig(2, ((0.5, 0.5), (0.5, 0.5)), (0.9, 0.2))
-        with pytest.raises(CorpusError, match="ambiguity"):
+        with pytest.raises(ValueError, match="ambiguity"):
             SynthConfig.uniform(2, 0.5, ambiguity=1.5)
-        with pytest.raises(CorpusError, match="pages_per_doc"):
+        with pytest.raises(ValueError, match="pages_per_doc"):
             SynthConfig.uniform(2, 0.5, pages_per_doc=(0, 3))
 
     def test_non_finite_transition_row_rejected(self):
         """NaN sums pass the stochastic test (abs(nan - 1) > tol is False),
         so the finite check must catch them."""
         nan = float("nan")
-        with pytest.raises(CorpusError, match="row 0 has a non-finite entry"):
+        with pytest.raises(ValueError, match="row 0 has a non-finite entry"):
             SynthConfig(2, ((nan, nan), (0.5, 0.5)), (0.5, 0.5))
 
     def test_non_finite_start_distribution_rejected(self):
         nan = float("nan")
-        with pytest.raises(CorpusError, match="start_distribution has a non-finite"):
+        with pytest.raises(ValueError, match="start_distribution has a non-finite"):
             SynthConfig(2, ((0.5, 0.5), (0.5, 0.5)), (nan, nan))
 
     @pytest.mark.parametrize("field", ["class_vocab_size", "shared_vocab_size"])
     @pytest.mark.parametrize("size", [2.5, 3.0, True, "3"])
     def test_vocab_size_must_be_an_integer(self, field, size):
-        with pytest.raises(CorpusError, match=f"{field} must be an integer"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SynthConfig.uniform(2, 0.5, **{field: size})
 
     @pytest.mark.parametrize("field, ok, bad", [
@@ -811,11 +821,11 @@ class TestGenerateSynthetic:
         """numpy draws from int64: a pool may hold 2**63 ids, and a range
         may end at 2**63 - 1."""
         SynthConfig.uniform(2, 0.5, **{field: ok})
-        with pytest.raises(CorpusError, match=field):
+        with pytest.raises(ValueError, match=field):
             SynthConfig.uniform(2, 0.5, **{field: bad})
 
     def test_n_classes_must_be_an_integer(self):
-        with pytest.raises(CorpusError, match="n_classes must be an integer"):
+        with pytest.raises(ValueError, match="n_classes must be an integer"):
             SynthConfig(2.0, ((0.5, 0.5), (0.5, 0.5)), (0.5, 0.5))
 
     def test_numpy_integer_vocab_sizes_accepted(self):
@@ -909,7 +919,7 @@ class TestRunLengthStats:
     def test_multilabel_rejected(self):
         vocab = TypeVocabulary(("A", "B"), "multilabel")
         doc = make_doc("d", [{0, 1}, {0}])
-        with pytest.raises(CorpusError, match="multiclass"):
+        with pytest.raises(ValueError, match="multiclass"):
             run_length_stats(split_of([doc], vocab))
 
 
@@ -960,7 +970,7 @@ class TestTransitionSelfProb:
                              for d, labels in enumerate(label_seqs)], ABCD)
             expected = count_self_transitions(label_seqs)
             if not expected:
-                with pytest.raises(CorpusError, match="no page transitions"):
+                with pytest.raises(ValueError, match="no page transitions"):
                     transition_self_prob(docs)
                 continue
             stats = transition_self_prob(docs)
@@ -974,8 +984,8 @@ class TestTransitionSelfProb:
         assert all(0.0 <= v <= 1.0 for v in stats.per_class.values())
 
 
-def test_uniform_with_one_class_raises_corpus_error():
-    with pytest.raises(CorpusError, match="n_classes must be >= 2"):
+def test_uniform_with_one_class_raises_value_error():
+    with pytest.raises(ValueError, match="n_classes must be >= 2"):
         SynthConfig.uniform(1, 0.5)
 
 

@@ -1043,12 +1043,10 @@ class TestTraceFiles:
             read_file(path, trace.docs)
 
     @pytest.mark.parametrize("edit, message", [
-        ({"seed": 0}, "unknown trace header field 'seed'"),
-        ({"Format": TRACE_FORMAT}, "unknown trace header field 'Format'; did you "
-                                   "mean 'format'?"),
-        ({"provenance": 0}, "trace header field 'provenance' must be an object"),
-        ({"provenance": [{"seed": 0}]},
-         "trace header field 'provenance' must be an object"),
+        ({"seed": 0}, "unknown field 'seed'"),
+        ({"Format": TRACE_FORMAT}, "unknown field 'Format'; did you mean 'format'?"),
+        ({"provenance": 0}, "field 'provenance' must be an object"),
+        ({"provenance": [{"seed": 0}]}, "field 'provenance' must be an object"),
     ], ids=["extra", "misspelt", "provenance-int", "provenance-list"])
     def test_header_holds_only_format_and_provenance(self, tmp_path, edit, message):
         trace = unicode_example()

@@ -25,6 +25,13 @@ wording.  JSON files have two parsers: the JSONL line reader, and
 ``corpus.read_json`` for a whole file (manifest, config, checkpoint).
 ``json.loads`` is used only by them.
 
+Every fault of an input file's content is named by that file first:
+``corpus.CorpusError`` is constructed only at a file's boundary
+(``corpus.read_input``, ``corpus._malformed``, ``corpus.read_page_lines``,
+``corpus.reading`` and ``cli._writing``), every check below it raises a
+plain ValueError that names only the field, so no second error type exists
+for exit 2 and no function takes a ``noun`` naming the file.
+
 A JSON object becomes a dataclass only through the typed reader of config
 files (``corpus._config_from``), which checks each field's type: no function
 of the package splats a JSON value into a call (``Cls(**payload[...])``).
@@ -354,3 +361,27 @@ def test_no_function_takes_a_trace_next_to_what_it_carries():
              and (names & CARRIERS
                   or any(DOCS_PARAM.fullmatch(param) for param in names))]
     assert found == []
+
+
+# where a file's fault is named by the file: its reader, its JSON parse,
+# its page lines, the checks of what it holds, and the CLI's writer
+CORPUS_ERROR_MAKERS = {"corpus.read_input", "corpus._malformed",
+                       "corpus.read_page_lines", "corpus.reading", "cli._writing"}
+
+
+def test_file_faults_are_named_at_the_boundary():
+    """``CorpusError(...)`` called, by name or as an attribute."""
+    found = users_of(lambda node: isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "CorpusError"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "CorpusError"))
+    assert set(found) == CORPUS_ERROR_MAKERS  # none other, none left out
+
+
+def test_one_error_type_and_no_noun():
+    assert users_of(lambda node: isinstance(node, (ast.Name, ast.alias, ast.ClassDef))
+                    and "ConfigError" in (getattr(node, "id", None),
+                                          getattr(node, "name", None))) == []
+    functions = dict(package_functions())
+    assert "corpus._block" in functions  # the walk reaches the block reader
+    assert [name for name, fn in functions.items()
+            if "noun" in inspect.signature(fn).parameters] == []
