@@ -47,19 +47,30 @@ class BiLstmConfig:
             raise ValueError("init_seed must be >= 0")
 
 
-def init_bilstm(config: BiLstmConfig) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(config.init_seed)
+def bilstm_shapes(config: BiLstmConfig) -> dict[str, tuple[int, ...]]:
+    """The name and shape of each parameter, in the order ``init_bilstm``
+    makes them.  Nothing is allocated."""
     k, h, n = config.input_dim, config.hidden_dim, config.n_classes
-    scale = 1.0 / math.sqrt(h)
-    params = {}
+    shapes = {}
     for direction in ("fw", "bw"):
-        params[f"{direction}_w"] = rng.uniform(-scale, scale, size=(4 * h, k))
-        params[f"{direction}_u"] = rng.uniform(-scale, scale, size=(4 * h, h))
-        bias = np.zeros(4 * h)
-        bias[h:2 * h] = 1.0  # forget-gate bias, the usual LSTM stabilizer
-        params[f"{direction}_b"] = bias
-    params["head_w"] = rng.uniform(-scale, scale, size=(2 * h, n))
-    params["head_b"] = np.zeros(n)
+        shapes[f"{direction}_w"] = (4 * h, k)
+        shapes[f"{direction}_u"] = (4 * h, h)
+        shapes[f"{direction}_b"] = (4 * h,)
+    shapes["head_w"], shapes["head_b"] = (2 * h, n), (n,)
+    return shapes
+
+
+def init_bilstm(config: BiLstmConfig) -> dict[str, np.ndarray]:
+    """Seeded parameter initialization of the ``bilstm_shapes`` table, drawn
+    in its order: each matrix from U(-1/sqrt(h), 1/sqrt(h)), each vector
+    zeros but the forget-gate biases, which are ones."""
+    rng = np.random.default_rng(config.init_seed)
+    h = config.hidden_dim
+    scale = 1.0 / math.sqrt(h)
+    params = {name: rng.uniform(-scale, scale, size=shape) if len(shape) == 2
+              else np.zeros(shape) for name, shape in bilstm_shapes(config).items()}
+    for direction in ("fw", "bw"):
+        params[f"{direction}_b"][h:2 * h] = 1.0  # the usual LSTM stabilizer
     return params
 
 

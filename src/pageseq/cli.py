@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bilstm import BiLstmConfig, bilstm_forward, bilstm_train, init_bilstm
+from .bilstm import BiLstmConfig, bilstm_forward, bilstm_shapes, bilstm_train
 from .corpus import (
     CHECKPOINT_FORMAT,
     MULTICLASS,
@@ -50,7 +50,6 @@ from .corpus import (
     float_block,
     generate_synthetic,
     load_corpus,
-    read_float_block,
     read_input,
     read_json,
     reading,
@@ -64,9 +63,9 @@ from .encoder import (
     EncoderConfig,
     TokenCodec,
     check_max_len,
-    check_params,
     checkpoint_payload,
     load_checkpoint,
+    read_params,
     restore_encoder,
     save_checkpoint,
 )
@@ -379,11 +378,8 @@ def _bilstm_head(payload: dict, n: int):
     config = _config_from(
         BiLstmConfig, _block(payload["config"], ("hidden_dim", "init_seed"), "config"),
         "config", complete=True, input_dim=n, n_classes=n)
-    expected = init_bilstm(config)
-    params = {name: read_float_block(block, f"parameter {name!r}")
-              for name, block in _block(payload["params"], expected, "params",
-                                        expected).items()}
-    check_params(params, expected)
+    shapes = bilstm_shapes(config)
+    params = read_params(_block(payload["params"], shapes, "params", shapes), shapes)
 
     def head(emissions, offsets):
         scores = bilstm_forward(params, emissions, offsets)

@@ -290,8 +290,10 @@ def first_appearance(keys: Sequence) -> tuple[list, np.ndarray]:
                                        dtype=np.int64, count=len(keys))
 
 
-# the name a message gives each JSON type a page line's field may hold
-_JSON_TYPES = {str: "a string", int: "an int", list: "a list", type(None): "null"}
+# the name a type fault gives each JSON type, in a page line's field and in
+# a config, manifest or checkpoint field alike (an int is accepted as a float)
+_JSON_TYPES = {str: "a string", int: "an int", float: "a number", bool: "a bool",
+               list: "a list", dict: "an object", type(None): "null"}
 
 
 def page_columns(pages: list, fields: Mapping[str, tuple]) -> list[list]:
@@ -468,8 +470,7 @@ def _typed(value, hint, label: str):
     if hint is float and type(value) is int:  # too large for a float: inf
         value = float(value) if abs(value) <= sys.float_info.max else np.inf
     if type(value) is not hint:
-        raise ValueError(f"{what} must be "
-                         f"{'an object' if hint is dict else hint.__name__}")
+        raise ValueError(f"{what} must be {_JSON_TYPES[hint]}")
     if hint is float and not np.isfinite(value):
         raise ValueError(f"{what} must be finite")
     return value
@@ -524,19 +525,25 @@ def float_block(array) -> dict:
             "f8le": base64.b64encode(array.tobytes()).decode("ascii")}
 
 
+def float_block_shape(block, field: str) -> tuple[int, ...]:
+    """The shape a ``float_block`` records, read before its data; ValueError,
+    naming ``field``, unless ``block`` is an object with exactly the keys
+    "shape" (a list of non-negative ints) and "f8le"."""
+    if not isinstance(block, dict) or block.keys() != {"shape", "f8le"}:
+        raise ValueError(f"{field}: must be an object with exactly the keys 'shape' "
+                         f"and 'f8le'")
+    shape = block["shape"]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"{field}: 'shape' must be a list of non-negative ints")
+    return tuple(shape)
+
+
 def read_float_block(block, field: str) -> np.ndarray:
     """The writable float64 array of a ``float_block``; ValueError, naming
-    ``field``, unless ``block`` is an object with exactly the keys "shape"
-    (a list of non-negative ints) and "f8le" (strict base64 of 8 bytes per
-    element)."""
+    ``field``, unless ``block`` has a ``float_block_shape`` and "f8le" holds
+    strict base64 of 8 bytes per element."""
+    shape, data = float_block_shape(block, field), block["f8le"]
     try:
-        if not isinstance(block, dict) or block.keys() != {"shape", "f8le"}:
-            raise ValueError("must be an object with exactly the keys 'shape' "
-                             "and 'f8le'")
-        shape, data = block["shape"], block["f8le"]
-        if not (isinstance(shape, list)
-                and all(type(n) is int and n >= 0 for n in shape)):
-            raise ValueError("'shape' must be a list of non-negative ints")
         if not isinstance(data, str):
             raise ValueError("'f8le' must be a base64 string")
         try:
@@ -544,7 +551,7 @@ def read_float_block(block, field: str) -> np.ndarray:
         except ValueError as exc:
             raise ValueError(f"'f8le' is not strict base64 ({exc})") from None
         if len(raw) != 8 * math.prod(shape):
-            raise ValueError(f"'f8le' holds {len(raw)} bytes, shape {shape} "
+            raise ValueError(f"'f8le' holds {len(raw)} bytes, shape {list(shape)} "
                              f"needs {8 * math.prod(shape)}")
         return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     except ValueError as exc:

@@ -72,6 +72,7 @@ from .corpus import (
     _label,
     check_format,
     float_block,
+    float_block_shape,
     read_float_block,
     read_json,
 )
@@ -153,35 +154,35 @@ def check_max_len(config: EncoderConfig, vocab: TypeVocabulary) -> None:
                          f"context token(s) and one text token)")
 
 
-def init_params(config: EncoderConfig, codec: TokenCodec) -> dict[str, np.ndarray]:
-    """Seeded parameter initialization; shapes follow the config and codec."""
+def param_shapes(config: EncoderConfig, codec: TokenCodec) -> dict[str, tuple[int, ...]]:
+    """The name and shape of each parameter, in the order ``init_params``
+    makes them; shapes follow the config and codec.  Nothing is allocated."""
     check_max_len(config, codec.type_vocab)
-    rng = np.random.default_rng(config.init_seed)
     d, n = config.d, codec.n_classes
-    scale = 0.02
-    params = {
-        "emb": rng.normal(0.0, scale, size=(codec.n_ids, d)),
-        "head_w": rng.normal(0.0, scale, size=(d, n)),
-        "head_b": np.zeros(n),
-    }
+    shapes = {"emb": (codec.n_ids, d), "head_w": (d, n), "head_b": (n,)}
     if config.variant == TINY_TRANSFORMER:
-        params["pos"] = rng.normal(0.0, scale, size=(config.max_len, d))
+        shapes["pos"] = (config.max_len, d)
         for layer in range(config.n_layers):
             p = f"layer{layer}/"
-            params[p + "ln1_g"] = np.ones(d)
-            params[p + "ln1_b"] = np.zeros(d)
+            shapes[p + "ln1_g"] = shapes[p + "ln1_b"] = (d,)
             for name in ("wq", "wk", "wv", "wo"):
-                params[p + name] = rng.normal(0.0, scale, size=(d, d))
-                params[p + name[1] + "b"] = np.zeros(d)  # qb, kb, vb, ob
-            params[p + "ln2_g"] = np.ones(d)
-            params[p + "ln2_b"] = np.zeros(d)
-            params[p + "w1"] = rng.normal(0.0, scale, size=(d, 4 * d))
-            params[p + "b1"] = np.zeros(4 * d)
-            params[p + "w2"] = rng.normal(0.0, scale, size=(4 * d, d))
-            params[p + "b2"] = np.zeros(d)
-        params["lnf_g"] = np.ones(d)
-        params["lnf_b"] = np.zeros(d)
-    return params
+                shapes[p + name] = (d, d)
+                shapes[p + name[1] + "b"] = (d,)  # qb, kb, vb, ob
+            shapes[p + "ln2_g"] = shapes[p + "ln2_b"] = (d,)
+            shapes[p + "w1"], shapes[p + "b1"] = (d, 4 * d), (4 * d,)
+            shapes[p + "w2"], shapes[p + "b2"] = (4 * d, d), (d,)
+        shapes["lnf_g"] = shapes["lnf_b"] = (d,)
+    return shapes
+
+
+def init_params(config: EncoderConfig, codec: TokenCodec) -> dict[str, np.ndarray]:
+    """Seeded parameter initialization of the ``param_shapes`` table, drawn
+    in its order: each matrix from N(0, 0.02^2), each layernorm gain
+    (``_g``) ones and each other vector zeros."""
+    rng = np.random.default_rng(config.init_seed)
+    return {name: rng.normal(0.0, 0.02, size=shape) if len(shape) == 2
+            else np.ones(shape) if name.endswith("_g") else np.zeros(shape)
+            for name, shape in param_shapes(config, codec).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +692,7 @@ def restore_encoder(payload, where: str = ""):
     provenance) and no other, its codec exactly its three, ``mode`` is one
     of ``MODES``, ``config`` holds every ``EncoderConfig`` field with a value
     of its type, the codec's classes and text tokens are lists of distinct
-    strings, and ``params`` the float blocks ``init_params`` gives.
+    strings, and ``params`` the float blocks of ``param_shapes`` (``read_params``).
     """
     if not isinstance(payload, dict) or payload.get("kind") != "encoder":
         raise ValueError(f"field {where!r} is not an encoder checkpoint" if where
@@ -716,24 +717,28 @@ def restore_encoder(payload, where: str = ""):
     if len(set(tokens)) != len(tokens):
         raise ValueError(f"{field} holds a token twice")
     codec = TokenCodec(vocab, tokens)
-    expected = init_params(config, codec)
-    blocks = _block(payload["params"], expected, _label(where, "params"), expected)
-    params = {name: read_float_block(block, f"parameter {name!r}")
-              for name, block in blocks.items()}
-    check_params(params, expected)
+    shapes = param_shapes(config, codec)
+    params = read_params(_block(payload["params"], shapes, _label(where, "params"),
+                                shapes), shapes)
     return params, config, codec, payload["mode"] == "recurrent"
 
 
-def check_params(params: dict, expected: dict) -> None:
-    """Raise ValueError unless each of ``params``, read from a block of
-    exactly the names of ``expected`` (``corpus._block``), has its shape in
-    ``expected`` and is finite."""
-    for name, value in expected.items():
-        if params[name].shape != value.shape:
-            raise ValueError(f"parameter {name!r} has shape {params[name].shape}, "
-                             f"the config gives {value.shape}")
-        if not np.all(np.isfinite(params[name])):
+def read_params(blocks: dict, shapes: dict) -> dict[str, np.ndarray]:
+    """The arrays of a checkpoint's float blocks of exactly the names of
+    ``shapes`` (``corpus._block``).  Raise ValueError unless each block
+    records its name's shape, checked for every block before any is read,
+    and each array read is finite."""
+    for name, shape in shapes.items():
+        found = float_block_shape(blocks[name], f"parameter {name!r}")
+        if found != shape:
+            raise ValueError(f"parameter {name!r} has shape {found}, "
+                             f"the config gives {shape}")
+    params = {name: read_float_block(blocks[name], f"parameter {name!r}")
+              for name in shapes}
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
             raise ValueError(f"parameter {name!r} is not finite")
+    return params
 
 
 def load_checkpoint(path: Path | str) -> tuple[dict, str]:

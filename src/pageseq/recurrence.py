@@ -37,7 +37,7 @@ from .corpus import (FIRST_PAGE_TOKEN, MULTICLASS, Documents, _block, _Memo, _ty
                      check_format, check_label_count, class_indicator, gc_paused,
                      page_columns, page_positions, read_jsonl, read_page_lines,
                      reading)
-from .encoder import (CLS_ID, FIRST_ID, LINEAR, PAD_ID, TINY_TRANSFORMER,
+from .encoder import (CLS_ID, FIRST_ID, LINEAR, PAD_ID,
                       EncoderConfig, TokenCodec, predict)
 from .features import tokenize
 
@@ -209,31 +209,66 @@ def page_examples(split: EncodedSplit, teacher_forced: bool
     return ids, gold.astype(np.float64)
 
 
-# Rows per encoder call, by variant.  Blocks of 32 length-sorted rows decoded
-# faster than 8, 100, 400 or 1600 on the tiny transformer.  The linear bag has
-# no attention grid to bound, only its (rows x max_len x d) embedding gather:
-# on a 2,940-page split at max_len 16 and d 32, 256 rows per call (a 1 MB
-# gather) scored it in 3.4 ms, against 3.6 at 1024, 4.3 at 4096 and 6.1 at 32.
-_BLOCK_ROWS = {TINY_TRANSFORMER: 32, LINEAR: 256}
+# Padded tokens (rows x widest row) per tiny-transformer call.  What bounds a
+# call is its float64 working set, which grows with its tokens, not its rows:
+# a d-32 forward of 40-token rows costs less per row in blocks of 16 than of
+# 32, once the 32-row block no longer fits a 2 MB L2 cache, while 12-token
+# rows still gain from 64-row blocks.  Median decode of a 1,715-page test
+# split of 8-40 token pages, oblivious / recurrent, by the tiny transformer
+# (d 32, 2 layers, max_len 40; 21 interleaved runs, one BLAS thread, a 2-CPU
+# Xeon with 2 MB of L2 per core):
+#   32 rows a block (fixed)  186 / 216 ms     640 tokens    161 / 204 ms
+#   256 tokens               179 / 222 ms     768 tokens    165 / 203 ms
+#   384 tokens               166 / 205 ms     1,024 tokens  179 / 210 ms
+#   512 tokens               159 / 203 ms     1,536 tokens  195 / 233 ms
+# 512 to 768 tie within the runs' spread; 640 is the middle of that plateau.
+_BLOCK_TOKENS = 640
+# Rows per linear-bag call.  The bag has no attention grid to bound, only its
+# (rows x max_len x d) embedding gather: on a 2,940-page split at max_len 16
+# and d 32, 256 rows per call (a 1 MB gather) scored it in 3.4 ms, against
+# 3.6 at 1024, 4.3 at 4096 and 6.1 at 32.
+_BLOCK_ROWS_LINEAR = 256
+
+
+def block_bounds(widths: Sequence[int], budget: int) -> list[int]:
+    """Where each block of rows of the ascending ``widths`` starts, and where
+    the last one ends: a block is the longest run from its start whose row
+    count times its widest row, its last, is at most ``budget``; a row wider
+    than ``budget`` is a block of its own."""
+    bounds = [0]
+    while bounds[-1] < len(widths):
+        start = bounds[-1]
+        # no run from here is longer: every row is at least this wide
+        end = min(len(widths), start + max(1, budget // widths[start]))
+        while end - start > 1 and (end - start) * widths[end - 1] > budget:
+            end -= 1
+        bounds.append(end)
+    return bounds
 
 
 def _score_rows(params: dict, split: EncodedSplit, rows: np.ndarray,
                 context: np.ndarray | None, config: EncoderConfig,
                 scratch: encoder.Scratch, out: np.ndarray) -> None:
     """Score ``rows`` of ``split`` fed ``context`` into the same rows of
-    ``out``, in length-sorted blocks of at most ``_BLOCK_ROWS[variant]`` so
-    that a block pads little."""
+    ``out``, in blocks of length-sorted rows, so that a block pads little:
+    the tiny transformer's of at most ``_BLOCK_TOKENS`` padded tokens
+    (``block_bounds``), the linear bag's of ``_BLOCK_ROWS_LINEAR`` rows.
+    Every encoder call of a decode is made here."""
     ids = augment_input(split.text[rows], split.lengths[rows], context,
                         config.max_len)
     lengths = row_lengths(ids)
     order = np.argsort(lengths, kind="stable")
-    size = _BLOCK_ROWS[config.variant]
-    for start in range(0, len(order), size):
-        block = order[start:start + size]
+    widths = lengths[order].tolist()
+    if config.variant == LINEAR:
+        bounds = [*range(0, len(order), _BLOCK_ROWS_LINEAR), len(order)]
+    else:
+        bounds = block_bounds(widths, _BLOCK_TOKENS)
+    for start, end in zip(bounds, bounds[1:]):
+        block = order[start:end]
         # looked up on the module at call time, so that a wrapper installed
         # on pageseq.encoder.forward_batch (perfbench's tracer) sees the call
         out[rows[block]] = encoder.forward_batch(
-            params, ids[block, :lengths[block[-1]]], config, scratch)
+            params, ids[block, :widths[end - 1]], config, scratch)
 
 
 def infer_split(params: dict, split: EncodedSplit, config: EncoderConfig,
@@ -358,13 +393,16 @@ def read_traces(path: Path | str, docs: Documents, text: str) -> SplitTrace:
     ``corpus.read_page_lines``, which names the first bad one in file order.
     The page lines, in any order, must hold each page of ``docs`` once: page
     ``page_index`` of document ``doc_id``.  Every fault is a CorpusError
-    that names ``path`` first, and a page line's ``path:lineno``."""
+    that names ``path`` first, and the header's or a page line's
+    ``path:lineno``."""
     with reading(path):
         linenos, objs = read_jsonl(path, text)
         header, *pages = objs or [None]
-        check_format(header, "trace", TRACE_FORMAT, "infer")
-        _block(header, ("format", "provenance"), "")
-        _typed(header.get("provenance"), dict, "provenance")
+        # named by its line, as a page line's fault is: line 1 of an empty file
+        with reading(f"{path}:{(linenos or [1])[0]}"):
+            check_format(header, "trace", TRACE_FORMAT, "infer")
+            _block(header, ("format", "provenance"), "")
+            _typed(header.get("provenance"), dict, "provenance")
         doc_ids, page_indices, scores, labels, context = read_page_lines(
             path, linenos[1:], pages, lambda lines: _trace_lines(lines, docs.vocab))
 

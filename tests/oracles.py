@@ -508,7 +508,7 @@ def read_traces_per_page(path, gold):
     vocab = gold.vocab
     docs: dict = {}
     fed = set()
-    header = None
+    header, header_line = None, 1
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
@@ -519,7 +519,7 @@ def read_traces_per_page(path, gold):
             raise CorpusError(f"{path}:{lineno}:{exc.colno}: malformed JSON "
                               f"({exc.msg})") from None
         if header is None:
-            header = obj
+            header, header_line = obj, lineno
             if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
                 break
             continue
@@ -569,8 +569,8 @@ def read_traces_per_page(path, gold):
             (obj["page_index"], Page(scores, labels, context)))
     found = header.get("format") if isinstance(header, dict) else None
     if found != TRACE_FORMAT:
-        raise CorpusError(f"{path}: trace format {found!r} is not {TRACE_FORMAT!r}; "
-                          f"re-run `infer` to write it anew")
+        raise CorpusError(f"{path}:{header_line}: trace format {found!r} is not "
+                          f"{TRACE_FORMAT!r}; re-run `infer` to write it anew")
     missing = [doc_id for doc_id in gold.doc_ids if doc_id not in docs]
     extra = sorted(doc_id for doc_id in docs if doc_id not in gold.doc_ids)
     if missing or extra:

@@ -4,6 +4,7 @@ determinism of every artifact."""
 import hashlib
 import json
 import re
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from itertools import product
@@ -1166,7 +1167,9 @@ class TestBaselineCheckpoints:
                             "'f8le' is not strict base64"),
         "data-padding": (lambda b: dict(b, f8le=b["f8le"].rstrip("=")[:-1]),
                          "'f8le' is not strict base64"),
-        "byte-count": (lambda b: dict(b, shape=b["shape"] + [2]), "'f8le' holds "),
+        # a block of the shape its name needs whose data is 3 bytes short;
+        # a block recording another shape is refused before its data is read
+        "byte-count": (lambda b: dict(b, f8le=b["f8le"][4:]), "'f8le' holds "),
     }
 
     # a block of each checkpoint kind: the path of keys to it, and its name
@@ -1517,15 +1520,15 @@ class TestBadArtifacts:
     @classmethod
     def run_on_edited_header(cls, trained, command, edit, capsys):
         """``eval`` or ``compare`` on the trace with its header edited;
-        asserts exit 2, nothing written and one error line naming the file,
-        and returns that line."""
+        asserts exit 2, nothing written and one error line naming the file
+        and the header's line, and returns that line."""
         first, *pages = trained[3].read_text().splitlines(keepends=True)
         assert json.loads(first)["format"] == TRACE_FORMAT
         edited = json.loads(first)
         edit(edited)
         bad, err = cls.run_on_trace_lines(
             trained, command, "old-header", [json.dumps(edited) + "\n", *pages], capsys)
-        assert err.startswith(f"error: {bad}: ")
+        assert err.startswith(f"error: {bad}:1: ")
         return err
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
@@ -1547,7 +1550,7 @@ class TestBadArtifacts:
                    else f"trace format None is not {TRACE_FORMAT!r}; re-run `infer` "
                         f"to write it anew")
         assert err == (f"error: {message}" if placement == "second"
-                       else f"error: {bad}: {message}")
+                       else f"error: {bad}:1: {message}")
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
     @pytest.mark.parametrize("field", ["doc_id", "labels", "context", "scores",
@@ -1722,7 +1725,29 @@ class TestBadArtifacts:
         capsys.readouterr()
         assert self.infer(tmp_path, corpus_dir, ckpt) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {ckpt}: field 'config.max_len' must be int"]
+            f"error: {ckpt}: field 'config.max_len' must be an int"]
+
+    def test_config_far_wider_than_its_parameters(self, trained, capsys):
+        """A linear checkpoint whose ``config.d`` is 400,000 is refused by
+        the parameter shapes its config gives, checked before any array is
+        made: no model of that width is allocated."""
+        tmp_path, corpus_dir, outdir, _ = trained
+        payload = json.loads((outdir / "checkpoint.json").read_text())
+        n_ids, d = payload["params"]["emb"]["shape"]
+        payload["config"]["d"] = 400_000
+        ckpt = tmp_path / "wide-d.json"
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert self.infer(tmp_path, corpus_dir, ckpt) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ckpt}: parameter 'emb' has shape ({n_ids}, {d}), the config "
+            f"gives ({n_ids}, 400000)"]
+        assert peak < 20 * 2**20
 
     def test_non_finite_parameter(self, trained, capsys):
         tmp_path, corpus_dir, outdir, _ = trained
@@ -1778,8 +1803,8 @@ class TestBadArtifacts:
     @pytest.mark.parametrize("field, value, message", [
         ("classes", 5, CLASSES), ("classes", "ABC", CLASSES),
         ("classes", [0, 1, 2], CLASSES), ("label_mode", 5, "unknown label_mode 5"),
-        ("test", 5, "field 'test' must be str"),
-        ("validation", ["validation.jsonl"], "field 'validation' must be str"),
+        ("test", 5, "field 'test' must be a string"),
+        ("validation", ["validation.jsonl"], "field 'validation' must be a string"),
     ], ids=["int-classes", "string-classes", "int-class-names", "int-label-mode",
             "int-split", "list-split"])
     def test_manifest_field_types(self, tmp_path, corpus_dir, capsys, field, value,

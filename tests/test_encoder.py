@@ -718,7 +718,7 @@ class TestCheckpoint:
         payload = checkpoint_payload(init_params(config, codec), config, codec,
                                      mode="oblivious")
         payload["config"]["max_len"] = value
-        with pytest.raises(ValueError, match="'config.max_len' must be int"):
+        with pytest.raises(ValueError, match="'config.max_len' must be an int"):
             restore_encoder(payload)
 
     @pytest.mark.parametrize("field", ["max_len", "d", "init_seed"])

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pageseq.encoder as encoder
+import pageseq.recurrence as recurrence
 from pageseq.corpus import (FIRST_PAGE_TOKEN, MULTICLASS, MULTILABEL, CorpusError,
                             TypeVocabulary)
 from pageseq.encoder import (
@@ -24,6 +25,7 @@ from pageseq.recurrence import (
     TRACE_FORMAT,
     SplitTrace,
     augment_input,
+    block_bounds,
     encode_split,
     infer_split,
     page_examples,
@@ -687,11 +689,12 @@ class TestLockstep:
         ("linear", (7, 3, 1), [3, 2, 2, 1, 1, 1, 1]),
         ("linear", (1,) * 40, [40]),
         ("tiny-transformer", (7, 3, 1), [3, 2, 2, 1, 1, 1, 1]),
-        ("tiny-transformer", (1,) * 40, [32, 8]),
+        ("tiny-transformer", (1,) * 40, [40]),
     ])
     def test_forward_batch_calls(self, monkeypatch, variant, lengths, rows):
-        """Calls per page position: the tiny transformer's of at most 32
-        rows, the linear bag's of at most 256."""
+        """Calls per page position: the tiny transformer's of at most 640
+        padded tokens (40 rows of at most 10 tokens are one block), the
+        linear bag's of at most 256 rows."""
         calls = count_forward_batch_rows(monkeypatch)
         codec, config = briefs_codec(), VARIANTS[variant]
         params = init_params(config, codec)
@@ -700,8 +703,9 @@ class TestLockstep:
         assert calls == rows
 
     @pytest.mark.parametrize("variant, rows", [
-        ("linear", [56]), ("tiny-transformer", [32, 24])])
+        ("linear", [56]), ("tiny-transformer", [56])])
     def test_oblivious_scores_pages_in_blocks(self, monkeypatch, variant, rows):
+        """56 pages of at most 10 tokens: one block of either variant."""
         calls = count_forward_batch_rows(monkeypatch)
         codec, config = briefs_codec(), VARIANTS[variant]
         params = init_params(config, codec)
@@ -728,6 +732,114 @@ class TestLockstep:
         params = init_params(config, codec)
         trace = infer(params, [], config, codec, True)
         assert trace.docs.doc_ids == () and trace.scores.shape == (0, BRIEFS.n)
+
+
+def assert_matches_per_page_driver(trace, params, docs, config, codec, recurrent):
+    """The trace of ``docs`` holds the per-page reference driver's scores
+    (to 1e-12), decisions and contexts."""
+    expected = reference_traces(params, docs, config, codec, recurrent)
+    for (_, pages), ref in zip(oracles.trace_pages(trace), expected, strict=True):
+        for page, (scores, labels, context) in zip(pages, ref, strict=True):
+            np.testing.assert_allclose(page.scores, scores, rtol=0, atol=1e-12)
+            assert page.labels == labels
+            assert page.context is context or page.context == context
+
+
+def long_split(sizes, words, seed):
+    """Documents of ``sizes`` pages, each page ``words`` words long."""
+    rng = np.random.default_rng(seed)
+    return [make_doc(f"d{i}", [(" ".join(rng.choice(WORDS, size=words)),
+                                int(rng.integers(0, 3))) for _ in range(n)])
+            for i, n in enumerate(sizes)]
+
+
+class TestBlockPlan:
+    """The tiny transformer scores each page position's rows in blocks of
+    length-sorted rows bounded by padded tokens (``block_bounds``)."""
+
+    @given(st.lists(st.integers(1, 64), max_size=200).map(sorted),
+           st.integers(1, 2048))
+    def test_blocks_are_the_longest_runs_within_the_budget(self, widths, budget):
+        bounds = block_bounds(widths, budget)
+        # every row in exactly one block, blocks in the order of the rows
+        assert bounds[0] == 0 and bounds[-1] == len(widths)
+        assert all(start < end for start, end in zip(bounds, bounds[1:]))
+        for start, end in zip(bounds, bounds[1:]):
+            rows = end - start
+            assert rows * max(widths[start:end]) <= budget or rows == 1
+            # one more row would exceed the budget
+            assert end == len(widths) or (rows + 1) * widths[end] > budget
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 5), max_size=10), st.integers(0, 2**32 - 1),
+           st.integers(1, 80), st.booleans())
+    def test_each_page_scored_once_in_planned_blocks(self, sizes, seed, budget,
+                                                     recurrent):
+        """Whatever the budget: every call holds length-sorted rows within
+        it (or one row), the calls of a page position follow one another in
+        length order, their rows add up to the split's pages, and the trace
+        is the per-page driver's."""
+        codec, config = briefs_codec(), VARIANTS["tiny-transformer"]
+        params = random_params(config, codec, 3)
+        docs = ragged_split(sizes, seed)
+        calls = []
+        real = encoder.forward_batch
+
+        def recording(params, ids, config, *pool):
+            calls.append(row_lengths(ids))
+            return real(params, ids, config, *pool)
+
+        with mock.patch.object(recurrence, "_BLOCK_TOKENS", budget), \
+                mock.patch.object(encoder, "forward_batch", recording):
+            trace = infer(params, docs, config, codec, recurrent)
+        assert sum(map(len, calls)) == sum(sizes)
+        for widths in calls:
+            assert (np.diff(widths) >= 0).all()
+            assert len(widths) * widths.max() <= budget or len(widths) == 1
+        # the rows of one page position: calls until their rows add up
+        positions = ([sum(n > t for n in sizes) for t in range(max(sizes, default=0))]
+                     if recurrent else [sum(sizes)] * bool(sizes))
+        for count in positions:
+            scored = []
+            while len(scored) < count:
+                scored.extend(calls.pop(0).tolist())
+            assert len(scored) == count and scored == sorted(scored)
+        assert_matches_per_page_driver(trace, params, docs, config, codec, recurrent)
+
+    @pytest.mark.parametrize("recurrent", [True, False])
+    def test_pages_wider_than_the_budget(self, monkeypatch, recurrent):
+        """Pages of more tokens than the budget holds are each a block of
+        their own, scored as the per-page driver scores them."""
+        calls = count_forward_batch_rows(monkeypatch)
+        codec = briefs_codec()
+        config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=1,
+                               n_heads=2, max_len=recurrence._BLOCK_TOKENS + 60,
+                               init_seed=4)
+        params = random_params(config, codec, 5)
+        docs = long_split((2, 1, 1), config.max_len, 6)
+        trace = infer(params, docs, config, codec, recurrent)
+        assert calls == [1] * 4
+        assert_matches_per_page_driver(trace, params, docs, config, codec, recurrent)
+
+    @pytest.mark.parametrize("recurrent", [True, False])
+    def test_pool_holds_one_budget_sized_block(self, recurrent):
+        """After a split of max_len-wide pages, the work pool is no larger
+        than the pool of one block of as many max_len-wide rows as the
+        budget holds: the pool is bounded by the budget, not the split."""
+        codec = briefs_codec()
+        config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=2,
+                               n_heads=2, max_len=40, init_seed=1)
+        params = init_params(config, codec)
+        split = encode(long_split((1, 3, 2) * 12, 50, 7), codec, config.max_len)
+        pool = encoder.Scratch()
+        infer_split(params, split, config, recurrent, scratch=pool)
+        rows = recurrence._BLOCK_TOKENS // config.max_len
+        ids = augment_input(split.text[:rows], split.lengths[:rows], None,
+                            config.max_len)
+        assert ids.shape == (rows, config.max_len) and len(split.text) > rows
+        block = encoder.Scratch()
+        encoder.forward_batch(params, ids, config, block)
+        assert 0 < pool.nbytes <= block.nbytes
 
 
 # class names that JSON must escape, or that hold the "], [" between rows of
@@ -1057,7 +1169,7 @@ class TestTraceFiles:
                         + "".join(pages))
         with pytest.raises(CorpusError) as raised:
             read_file(path, trace.docs)
-        assert str(raised.value) == f"{path}: {message}"
+        assert str(raised.value) == f"{path}:1: {message}"
 
     def test_first_page_context_serialized_as_reserved_token(self, tmp_path):
         codec = briefs_codec()

@@ -48,9 +48,10 @@ bytes, so no command re-serializes what it loaded to hash it.
 
 Checkpoints carry float arrays one way: as the exact binary blocks of
 ``corpus.float_block``, read back by ``corpus.read_float_block``.  The
-writer and the reader of each checkpoint kind are the only functions that
-use the pair, and every checkpoint payload (a dict literal with a "kind")
-is built by one of them and records its ``format``.
+writers of each checkpoint kind and ``encoder.read_params``, the one reader
+of a kind's parameter blocks, are the only functions that use the pair, and
+every checkpoint payload (a dict literal with a "kind") is built by one of
+them and records its ``format``.
 
 The encoder path is a chain of stages, each taking the object that the one
 before it returns: documents become ``SplitTokens``, then an
@@ -59,6 +60,9 @@ function takes documents next to an ``encoded`` or ``tokens`` value that
 must agree with them.  The last stage, a ``SplitTrace``, carries the
 documents it predicts, and they carry their class vocabulary: no function
 takes a ``trace`` next to documents or a vocabulary.
+
+Every decode scores its pages through one block planner:
+``recurrence._score_rows`` is the one caller of ``encoder.forward_batch``.
 
 The context a page is fed has one shape: a (pages x 1+n) indicator whose
 column 0 is the first-page marker.  No function takes the marker as a
@@ -182,10 +186,10 @@ JSON_LOADS_USERS = {"corpus.read_jsonl", "corpus.read_json"}
 CONFIG_HASH_USERS = {"cli.provenance_for", "cli.cmd_synth", "cli.cmd_train"}
 
 
-# the writer and the reader of each checkpoint kind: encoder, and CRF and
-# BiLSTM (each embeds an encoder checkpoint)
-FLOAT_BLOCK_USERS = {"encoder.checkpoint_payload", "encoder.restore_encoder",
-                     "cli.cmd_train", "cli._bilstm_head"}
+# the writers of each checkpoint kind: encoder, and CRF and BiLSTM (each
+# embeds an encoder checkpoint); and the one reader of parameter blocks
+FLOAT_BLOCK_USERS = {"encoder.checkpoint_payload", "cli.cmd_train",
+                     "encoder.read_params"}
 
 
 # every reader of a JSON object from a file: the typed reader of config and
@@ -330,6 +334,17 @@ def test_context_has_one_shape():
                        and isinstance(node.value, ast.Constant)
                        and node.value.value == "[-1]")
     assert spelled == defined == ["corpus"]
+
+
+def test_one_caller_of_forward_batch():
+    """``forward_batch`` called, passed on or imported by name, other than
+    its definition."""
+    found = users_of(lambda node: (
+        isinstance(node, ast.Name) and node.id == "forward_batch"
+        or isinstance(node, ast.Attribute) and node.attr == "forward_batch"
+        or isinstance(node, ast.ImportFrom)
+        and any(alias.name == "forward_batch" for alias in node.names)))
+    assert found == ["recurrence._score_rows"]
 
 
 DOCS_PARAM = re.compile(r"docs|\w+_docs")
