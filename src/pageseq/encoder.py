@@ -61,7 +61,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import expit, log_softmax
+from scipy.special import expit
 
 from .corpus import (
     CHECKPOINT_FORMAT,
@@ -593,10 +593,19 @@ def predict(scores: np.ndarray, label_mode: str) -> np.ndarray:
 def softmax_cross_entropy(scores: np.ndarray, targets: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Each row's softmax cross-entropy against its gold class index in
-    ``targets``, and the gradient of their mean with respect to ``scores``."""
-    logp = log_softmax(scores, axis=-1)
-    rows = np.arange(len(targets))
+    ``targets``, and the gradient of their mean with respect to ``scores``.
+    The log-probabilities are ``scipy.special.log_softmax``'s operations in
+    its order (a row whose maximum is not finite is shifted by 0), without
+    its per-call wrapper; a test pins them to scipy's bits."""
+    shift = scores.max(axis=-1, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    logp = scores - shift
     dscores = np.exp(logp)
+    with np.errstate(divide="ignore"):                  # a row of -inf: log 0
+        norm = np.log(dscores.sum(axis=-1, keepdims=True))
+    logp -= norm
+    rows = np.arange(len(targets))
+    np.exp(logp, out=dscores)
     dscores[rows, targets] -= 1.0
     dscores /= len(targets)
     return -logp[rows, targets], dscores

@@ -76,53 +76,83 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class AdamState:
+    """AdamW's step count and moments over one contiguous float64 buffer.
+
+    ``flat`` has six rows of one element per parameter entry, the parameters
+    laid end to end in sorted name order: the parameters, ``m``, ``v``, the
+    gradient, and two work rows.  ``params``, ``m`` and ``v`` map each name to
+    its view into the first three rows, so an update is one pass of each
+    operation over the whole vector, not one per parameter."""
+
     step: int
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    params: dict[str, np.ndarray]
+    flat: np.ndarray
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(step=0,
-                   m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()})
+        """A fresh state holding ``params``: each value is copied into the
+        buffer and ``params[name]`` rebound to its view there."""
+        names = sorted(params)
+        ends = np.cumsum([params[name].size for name in names]).tolist()
+        flat = np.zeros((6, ends[-1]))
+        np.concatenate([params[name] for name in names], axis=None, out=flat[0])
+
+        def views(row):
+            return {name: row[end - params[name].size:end].reshape(params[name].shape)
+                    for name, end in zip(names, ends)}
+
+        held = views(flat[0])
+        params.update(held)
+        return cls(step=0, m=views(flat[1]), v=views(flat[2]), params=held, flat=flat)
 
 
 def optimizer_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                    state: AdamState, lr: float, cfg: TrainConfig) -> None:
-    """One in-place AdamW update: bias-corrected moments, decoupled decay
-    applied to the pre-update parameters (never through the gradient).  The
-    moments are updated in place, and each parameter's step allocates only
-    two temporaries; the operations run in the order ``m = b1 m + (1 - b1) g``,
-    ``v = b2 v + ((1 - b2) g) g``,
+    """One in-place AdamW update of the parameters ``state`` holds:
+    bias-corrected moments, decoupled decay applied to the pre-update
+    parameters (never through the gradient).  Every check runs before
+    anything changes.  The gradients are copied into the state's buffer, and
+    each operation then runs once over it, in the order
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g``,
     ``p -= lr ((m / bias1) / (sqrt(v / bias2) + eps) + wd p)``."""
-    for name in sorted(params):
+    unmatched = sorted(params.keys() ^ grads.keys())
+    if unmatched:
+        name = unmatched[0]
+        raise ValueError(f"no gradient for parameter {name}" if name in params
+                         else f"gradient for unknown parameter {name}")
+    for name in sorted(params.keys() | state.params.keys()):
+        if params.get(name) is not state.params.get(name):
+            raise ValueError(f"parameter {name} is not the one the optimizer holds")
         if grads[name].shape != params[name].shape:
             raise ValueError(f"gradient shape mismatch for {name}")
-        if not np.all(np.isfinite(grads[name])):
-            raise ValueError(f"non-finite gradient for {name}")
+    p, m, v, g, term, update = state.flat
+    np.concatenate([grads[name] for name in state.params], axis=None, out=g)
+    if not np.isfinite(g).all():
+        name = next(name for name in state.params if not np.isfinite(grads[name]).all())
+        raise ValueError(f"non-finite gradient for {name}")
     b1, b2 = cfg.betas
     state.step += 1
     t = state.step
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
-    for name in sorted(params):
-        g, m, v, p = grads[name], state.m[name], state.v[name], params[name]
-        term = np.multiply(g, 1.0 - b1, out=np.empty_like(m))  # an array at 0-d too
-        m *= b1
-        m += term
-        np.multiply(g, 1.0 - b2, out=term)
-        term *= g
-        v *= b2
-        v += term
-        np.divide(v, bias2, out=term)                   # sqrt(v_hat) + eps
-        np.sqrt(term, out=term)
-        term += cfg.epsilon
-        update = np.divide(m, bias1)                    # m_hat / ...
-        update /= term
-        if cfg.weight_decay:
-            update += np.multiply(p, cfg.weight_decay, out=term)
-        update *= lr
-        p -= update
+    np.multiply(g, 1.0 - b1, out=term)
+    m *= b1
+    m += term
+    np.multiply(g, 1.0 - b2, out=term)
+    term *= g
+    v *= b2
+    v += term
+    np.divide(v, bias2, out=term)                       # sqrt(v_hat) + eps
+    np.sqrt(term, out=term)
+    term += cfg.epsilon
+    np.divide(m, bias1, out=update)                     # m_hat / ...
+    update /= term
+    if cfg.weight_decay:
+        update += np.multiply(p, cfg.weight_decay, out=term)
+    update *= lr
+    p -= update
 
 
 @dataclass

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
-from scipy.special import expit, logsumexp
+from scipy.special import expit, log_softmax, logsumexp
 
 
 # Text a JSONL reader can trip on: line breaks other than "\n" (U+2028,
@@ -929,6 +929,19 @@ def reference_transformer_loss_and_grad(params, ids, targets, config, label_mode
     np.add.at(grads["emb"], ids, dx)
     grads["pos"][:l] += dx.sum(axis=0)
     return loss, grads, scores
+
+
+# -- the cross-entropy through scipy's log-softmax -----------------------------
+
+def scipy_softmax_cross_entropy(scores, targets):
+    """Each row's softmax cross-entropy and the gradient of their mean, with
+    the log-probabilities from ``scipy.special.log_softmax``."""
+    logp = log_softmax(scores, axis=-1)
+    rows = np.arange(len(targets))
+    dscores = np.exp(logp)
+    dscores[rows, targets] -= 1.0
+    dscores /= len(targets)
+    return -logp[rows, targets], dscores
 
 
 # -- the embedding scatter and the AdamW step, array by array ----------------

@@ -423,6 +423,46 @@ class TestPredict:
                                       [[1, 1, 1], [1, 1, 0], [0, 1, 0], [1, 0, 1]])
 
 
+@st.composite
+def score_rows(draw):
+    """A (rows x 2..8) score matrix with ties, magnitudes up to 1e300 and
+    entries of +-inf and NaN, and one gold class index per row."""
+    n_classes, n_rows = draw(st.integers(2, 8)), draw(st.integers(1, 6))
+    entry = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([
+        0.0, -0.0, 1.0, 1e300, -1e300, math.inf, -math.inf, math.nan]))
+    scores = np.array(draw(st.lists(st.lists(entry, min_size=n_classes,
+                                             max_size=n_classes),
+                                    min_size=n_rows, max_size=n_rows)))
+    targets = np.array(draw(st.lists(st.integers(0, n_classes - 1),
+                                     min_size=n_rows, max_size=n_rows)))
+    return scores, targets
+
+
+class TestSoftmaxCrossEntropyAgainstScipy:
+    """The inline log-softmax of the loss against ``scipy.special.log_softmax``:
+    the same bits and the same warnings, for finite and non-finite rows."""
+
+    @staticmethod
+    def run(fn, scores, targets):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            losses, dscores = fn(scores.copy(), targets)
+        return losses, dscores, sorted((w.category.__name__, str(w.message))
+                                       for w in caught)
+
+    @given(score_rows())
+    @example((np.array([[3.0, 3.0, -1.0], [math.inf, 0.0, 1.0], [math.nan, 2.0, 0.0],
+                        [-math.inf, -math.inf, -math.inf], [1e300, -1e300, 0.0]]),
+              np.array([0, 1, 2, 0, 1])))
+    def test_same_bits_and_warnings(self, case):
+        scores, targets = case
+        got = self.run(encoder.softmax_cross_entropy, scores, targets)
+        want = self.run(oracles.scipy_softmax_cross_entropy, scores, targets)
+        for mine, theirs in zip(got[:2], want[:2]):
+            assert np.array_equal(mine.view(np.int64), theirs.view(np.int64))
+        assert got[2] == want[2]
+
+
 class TestLoss:
     def test_uniform_logits_loss_is_ln_n(self):
         codec = make_codec()

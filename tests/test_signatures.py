@@ -5,7 +5,14 @@ a codec or a vocabulary reads the label mode from it, so no function of the
 package takes ``label_mode`` next to one of them.
 
 Each numeric helper exists once: logsumexp, log-softmax and the sigmoid come
-from ``scipy.special``, and no module defines its own copy.
+from ``scipy.special``, and no module defines its own copy.  The one
+exception is the training loss, ``encoder.softmax_cross_entropy``, which
+runs log-softmax's operations inline; ``tests/test_encoder.py`` pins them to
+scipy's bits.
+
+The AdamW step has one caller: ``training.fit_adamw`` is the only user of
+``optimizer_step`` and ``AdamState.for_params``, so every trainer steps the
+one flat buffer.
 
 A split has one layout: rows in document order plus document offsets.  No
 function of the package takes a list of per-document arrays.  A recursion
@@ -334,6 +341,19 @@ def test_context_has_one_shape():
                        and isinstance(node.value, ast.Constant)
                        and node.value.value == "[-1]")
     assert spelled == defined == ["corpus"]
+
+
+def test_adamw_is_stepped_only_by_the_training_loop():
+    """``optimizer_step`` and ``AdamState.for_params`` called, passed on or
+    imported by name, other than their definitions: no trainer bypasses the
+    flat buffer that ``fit_adamw`` builds and steps."""
+    for name in ("optimizer_step", "for_params"):
+        found = users_of(lambda node: (
+            isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.ImportFrom)
+            and any(alias.name == name for alias in node.names)))
+        assert found == ["training.fit_adamw"], name
 
 
 def test_one_caller_of_forward_batch():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from pageseq.corpus import SynthConfig, generate_synthetic
-from pageseq.encoder import EncoderConfig, TokenCodec, init_params
+from pageseq.corpus import SynthConfig, TypeVocabulary, generate_synthetic
+from pageseq.encoder import EncoderConfig, TokenCodec, init_params, param_shapes
 from pageseq.features import fit_vocabulary, tokenize
 from pageseq.recurrence import encode_split, infer_split, split_tokens
 from pageseq.training import (
@@ -76,6 +76,31 @@ class TestOptimizerStep:
                                    np.array([2.0, -1.0]) * (1 - 0.5 * 0.04),
                                    rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("grads, message", [
+        ({"b": np.zeros(1)}, "no gradient for parameter a"),
+        ({"a": np.zeros(1), "b": np.zeros(1), "c": np.zeros(1), "d": np.zeros(1)},
+         "gradient for unknown parameter c"),
+        ({"a": np.zeros(1), "c": np.zeros(1)}, "no gradient for parameter b"),
+    ])
+    def test_unmatched_gradient_names_rejected_before_any_change(self, grads, message):
+        """The first unmatched name in sorted order, a missing gradient or
+        one that names no parameter."""
+        params = {"a": np.array([1.0]), "b": np.array([2.0])}
+        state = AdamState.for_params(params)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            optimizer_step(params, grads, state, 0.1, TrainConfig())
+        assert state.step == 0
+        assert params["a"][0] == 1.0 and params["b"][0] == 2.0
+        assert not any(np.any(moment) for moments in (state.m, state.v)
+                       for moment in moments.values())
+
+    def test_parameters_not_held_by_the_state_rejected(self):
+        params = {"w": np.array([1.0])}
+        state = AdamState.for_params(params)
+        with pytest.raises(ValueError, match="w is not the one the optimizer holds"):
+            optimizer_step({"w": np.array([1.0])}, {"w": np.zeros(1)}, state, 0.1,
+                           TrainConfig())
+
     def test_non_finite_grads_rejected(self):
         params = {"w": np.array([1.0])}
         state = AdamState.for_params(params)
@@ -111,7 +136,7 @@ class TestOptimizerStepAgainstAllocating:
                  "s": np.array(1.5)}
         params = {name: value.copy() for name, value in start.items()}
         ref_params = {name: value.copy() for name, value in start.items()}
-        state, ref_state = AdamState.for_params(params), AdamState.for_params(params)
+        state, ref_state = AdamState.for_params(params), AdamState.for_params(ref_params)
         for step in range(6):
             grads = {name: np.asarray(rng.normal(0.0, 10.0 ** rng.integers(-6, 3),
                                                  value.shape))
@@ -126,6 +151,45 @@ class TestOptimizerStepAgainstAllocating:
                                   (state.v, ref_state.v)):
                     assert np.array_equal(self.bits(got[name]),
                                           self.bits(want[name])), name
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_same_bits_over_a_transformer_table(self, weight_decay):
+        """Every parameter of a tiny transformer's table plus a 0-d one, over
+        6 steps of gradients spanning many magnitudes."""
+        cfg = TrainConfig(weight_decay=weight_decay)
+        codec = TokenCodec(TypeVocabulary(("A", "B", "C")), ("x", "y", "z"))
+        shapes = param_shapes(EncoderConfig(variant="tiny-transformer", d=8,
+                                            n_layers=2, n_heads=2, max_len=6),
+                              codec)
+        shapes["scalar"] = ()
+        rng = np.random.default_rng(23)
+        start = {name: rng.normal(0.0, 1.0, shape) for name, shape in shapes.items()}
+        params = {name: value.copy() for name, value in start.items()}
+        ref_params = {name: value.copy() for name, value in start.items()}
+        state, ref_state = AdamState.for_params(params), AdamState.for_params(ref_params)
+        for step in range(6):
+            grads = {name: np.asarray(rng.normal(0.0, 10.0 ** rng.integers(-8, 4),
+                                                 shape))
+                     for name, shape in shapes.items()}
+            optimizer_step(params, grads, state, 0.01 * (step + 1), cfg)
+            allocating_optimizer_step(ref_params, grads, ref_state,
+                                      0.01 * (step + 1), cfg)
+            for name in shapes:
+                for got, want in ((params, ref_params), (state.m, ref_state.m),
+                                  (state.v, ref_state.v)):
+                    assert got[name].shape == shapes[name]
+                    assert np.array_equal(self.bits(got[name]),
+                                          self.bits(want[name])), name
+
+    def test_parameters_and_moments_each_share_one_buffer(self):
+        params = {"w": np.ones((2, 3)), "b": np.zeros(3), "s": np.array(2.0)}
+        state = AdamState.for_params(params)
+        assert all(params[name] is view for name, view in state.params.items())
+        assert sorted(state.params) == sorted(params) and params["s"].shape == ()
+        for row, views in zip(state.flat, (params, state.m, state.v)):
+            assert all(np.shares_memory(view, row) for view in views.values())
+            assert sum(view.size for view in views.values()) == row.size
+        assert np.array_equal(state.flat[0], [0.0, 0.0, 0.0, 2.0] + [1.0] * 6)
 
     def test_moments_updated_in_place(self):
         params = {"w": np.array([1.0, 2.0])}
