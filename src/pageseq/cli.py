@@ -18,7 +18,8 @@ over the split, then, for a baseline, its head over the emissions and the
 document offsets.
 
 Exit codes: 0 success, 1 runtime failure (e.g. divergence), 2 invalid
-arguments, config or input file.
+arguments, config, input file or output path, 141 (128 + SIGPIPE) stdout
+closed by its reader.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import hashlib
 import json
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -37,22 +37,12 @@ import numpy as np
 from . import __version__
 from .bilstm import BiLstmConfig, bilstm_forward, bilstm_shapes, bilstm_train
 from .corpus import (
-    CHECKPOINT_FORMAT,
     MULTICLASS,
-    CorpusError,
     CorpusSplit,
     SynthConfig,
-    _block,
-    _config_from,
-    _typed,
-    check_format,
     class_page_counts,
-    float_block,
     generate_synthetic,
     load_corpus,
-    read_input,
-    read_json,
-    reading,
     run_length_stats,
     transition_self_prob,
     write_corpus,
@@ -76,6 +66,19 @@ from .evaluation import (
     scores_payload,
 )
 from .features import DEFAULT_VOCAB_CAP, fit_vocabulary
+from .files import (
+    CHECKPOINT_FORMAT,
+    CorpusError,
+    check_format,
+    config_from,
+    float_block,
+    json_object,
+    json_value,
+    read_input,
+    read_json,
+    reading,
+    writing,
+)
 from .recurrence import (encode_split, infer_split, read_traces, split_tokens,
                          write_traces)
 from .training import TrainConfig, TrainingDiverged, train_encoder
@@ -98,32 +101,21 @@ def provenance_for(command: str, cfg_obj, seed: int) -> dict:
     }
 
 
-@contextmanager
-def _writing(path):
-    """The boundary of the output ``path``: an OSError raised while it is
-    written, or its directory made, becomes a CorpusError (exit 2) that
-    names the path first."""
-    try:
-        yield
-    except OSError as exc:
-        raise CorpusError(f"{path}: cannot write ({exc.strerror})") from None
-
-
 def write_json(path: Path, payload: dict) -> None:
-    with _writing(path):
+    with writing(path):
         path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                         encoding="utf-8")
 
 
 def _save(path: Path, payload: dict) -> None:
     """A checkpoint of any kind, written as ``save_checkpoint`` writes it."""
-    with _writing(path):
+    with writing(path):
         save_checkpoint(path, payload)
 
 
 # ---------------------------------------------------------------------------
 # Config parsing: each JSON block is read against the dataclass it configures
-# (``corpus._config_from``, the reader of checkpoint blocks too)
+# (``files.config_from``, the reader of checkpoint blocks too)
 # ---------------------------------------------------------------------------
 
 
@@ -132,18 +124,18 @@ def synth_config_from(obj) -> SynthConfig:
     transition matrix and start distribution of ``SynthConfig.uniform`` and
     excludes both."""
     keys = [f.name for f in fields(SynthConfig)] + ["self_transition"]
-    obj = dict(_block(obj, keys, ""))
+    obj = dict(json_object(obj, keys, ""))
     self_p = obj.pop("self_transition", None)
     if self_p is None or "n_classes" not in obj:
-        return _config_from(SynthConfig, obj, "")
+        return config_from(SynthConfig, obj, "")
     if obj.keys() & {"transition_matrix", "start_distribution"}:
         raise ValueError("field 'self_transition' excludes 'transition_matrix' "
                          "and 'start_distribution'")
-    chain = SynthConfig.uniform(_typed(obj["n_classes"], int, "n_classes"),
-                                _typed(self_p, float, "self_transition"))
-    return _config_from(SynthConfig, obj, "",
-                        transition_matrix=chain.transition_matrix,
-                        start_distribution=chain.start_distribution)
+    chain = SynthConfig.uniform(json_value(obj["n_classes"], int, "n_classes"),
+                                json_value(self_p, float, "self_transition"))
+    return config_from(SynthConfig, obj, "",
+                       transition_matrix=chain.transition_matrix,
+                       start_distribution=chain.start_distribution)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +172,7 @@ def cmd_synth(args) -> int:
     run_id = args.run_id or f"synth-{config_hash(cfg_obj)[:12]}"
     outdir = Path(args.outdir) / run_id
     provenance = provenance_for("synth", cfg_obj, cfg.seed)
-    with _writing(outdir):
+    with writing(outdir):
         manifest = write_corpus(split, outdir, provenance=provenance)
     print(f"wrote {manifest}")
     _print_corpus_summary(split)
@@ -217,41 +209,42 @@ def cmd_train(args) -> int:
                 raise ValueError(f"must be >= {least}")
     cfg_obj = read_json(args.config, "config file")[0]
     with reading(args.config):
-        cfg_obj = _block(cfg_obj, ("corpus", "mode", "seed", "encoder", "train",
-                                   "vocab_cap", "baselines", "crf", "bilstm"), "")
+        cfg_obj = json_object(cfg_obj, ("corpus", "mode", "seed", "encoder", "train",
+                                        "vocab_cap", "baselines", "crf", "bilstm"), "")
         if args.mode:
             cfg_obj["mode"] = args.mode
-        # a "train" that is not an object is reported by _config_from below
+        # a "train" that is not an object is reported by config_from below
         if args.epochs is not None and isinstance(cfg_obj.setdefault("train", {}), dict):
             cfg_obj["train"]["epochs"] = args.epochs
         if args.seed is not None:
             cfg_obj["seed"] = args.seed
 
-        seed = _typed(cfg_obj.get("seed", 0), int, "seed")
+        seed = json_value(cfg_obj.get("seed", 0), int, "seed")
         if seed < 0:
             raise ValueError("field 'seed' must be >= 0")
-        mode = _typed(cfg_obj.get("mode", "oblivious"), str, "mode")
+        mode = json_value(cfg_obj.get("mode", "oblivious"), str, "mode")
         if mode not in MODES:
             raise ValueError(f"field 'mode' must be one of {MODES}")
-        baselines = _block(cfg_obj.get("baselines", {}), ("crf", "bilstm"), "baselines")
-        want_crf = _typed(baselines.get("crf", False), bool, "baselines.crf")
-        want_bilstm = _typed(baselines.get("bilstm", False), bool, "baselines.bilstm")
+        baselines = json_object(cfg_obj.get("baselines", {}), ("crf", "bilstm"),
+                                "baselines")
+        want_crf = json_value(baselines.get("crf", False), bool, "baselines.crf")
+        want_bilstm = json_value(baselines.get("bilstm", False), bool, "baselines.bilstm")
         for name, wanted in (("crf", want_crf), ("bilstm", want_bilstm)):
             if wanted and mode != "oblivious":
                 raise ValueError(f"field 'baselines.{name}' requires mode 'oblivious' "
                                  f"(the baselines read a frozen context-oblivious "
                                  f"encoder)")
-        encoder_config = _config_from(EncoderConfig, cfg_obj.get("encoder", {}),
-                                      "encoder", init_seed=seed)
-        train_config = _config_from(TrainConfig, cfg_obj.get("train", {}), "train",
-                                    seed=seed)
-        cap = _typed(cfg_obj.get("vocab_cap", DEFAULT_VOCAB_CAP), int, "vocab_cap")
+        encoder_config = config_from(EncoderConfig, cfg_obj.get("encoder", {}),
+                                     "encoder", init_seed=seed)
+        train_config = config_from(TrainConfig, cfg_obj.get("train", {}), "train",
+                                   seed=seed)
+        cap = json_value(cfg_obj.get("vocab_cap", DEFAULT_VOCAB_CAP), int, "vocab_cap")
         if cap < 1:
             raise ValueError("field 'vocab_cap' must be >= 1")
-        l2 = _typed(_block(cfg_obj.get("crf", {}), ("l2",), "crf").get("l2", 0.01),
-                    float, "crf.l2")
+        crf_obj = json_object(cfg_obj.get("crf", {}), ("l2",), "crf")
+        l2 = json_value(crf_obj.get("l2", 0.01), float, "crf.l2")
         check_l2(l2)
-        bl_obj = _block(cfg_obj.get("bilstm", {}), ("hidden_dim",), "bilstm")
+        bl_obj = json_object(cfg_obj.get("bilstm", {}), ("hidden_dim",), "bilstm")
         corpus = cfg_obj.get("corpus")
         if not isinstance(corpus, str):
             raise ValueError("field 'corpus' must be a manifest path")
@@ -264,12 +257,12 @@ def cmd_train(args) -> int:
                              "multiclass corpus")
         if want_bilstm:  # it reads the encoder's n scores per page
             n = split.vocabulary.n
-            bl_config = _config_from(BiLstmConfig, bl_obj, "bilstm", input_dim=n,
-                                     n_classes=n, init_seed=seed)
+            bl_config = config_from(BiLstmConfig, bl_obj, "bilstm", input_dim=n,
+                                    n_classes=n, init_seed=seed)
 
     run_id = args.run_id or f"train-{config_hash(cfg_obj)[:12]}"
     outdir = Path(args.outdir) / run_id
-    with _writing(outdir):
+    with writing(outdir):
         outdir.mkdir(parents=True, exist_ok=True)
     provenance = provenance_for("train", cfg_obj, seed)
 
@@ -363,9 +356,9 @@ def _crf_head(payload: dict, n: int):
     """The Viterbi decoder of a CRF checkpoint over ``n`` classes: it keeps
     the encoder's scores and decides each page's class."""
     row = tuple[(float,) * n]  # a list of n numbers
-    model = CrfModel(_typed(payload["transition"], tuple[(row,) * n], "transition"),
-                     _typed(payload["start"], row, "start"),
-                     _typed(payload["emission_scale"], float, "emission_scale"))
+    model = CrfModel(json_value(payload["transition"], tuple[(row,) * n], "transition"),
+                     json_value(payload["start"], row, "start"),
+                     json_value(payload["emission_scale"], float, "emission_scale"))
 
     def head(emissions, offsets):
         return None, crf_viterbi(model, emissions, offsets)[0]
@@ -375,11 +368,12 @@ def _crf_head(payload: dict, n: int):
 def _bilstm_head(payload: dict, n: int):
     """The BiLSTM of a checkpoint over ``n`` classes: it reads and scores
     the encoder's ``n`` classes, and decides the argmax."""
-    config = _config_from(
-        BiLstmConfig, _block(payload["config"], ("hidden_dim", "init_seed"), "config"),
+    config = config_from(
+        BiLstmConfig, json_object(payload["config"], ("hidden_dim", "init_seed"),
+                                  "config"),
         "config", complete=True, input_dim=n, n_classes=n)
     shapes = bilstm_shapes(config)
-    params = read_params(_block(payload["params"], shapes, "params", shapes), shapes)
+    params = read_params(json_object(payload["params"], shapes, "params", shapes), shapes)
 
     def head(emissions, offsets):
         scores = bilstm_forward(params, emissions, offsets)
@@ -421,7 +415,7 @@ def _restore_model(payload):
         make_head, keys = _HEADS[kind]
         check_format(payload, kind)
         # every key but the provenance, which ``_trained_seed`` reads
-        _block(payload, keys, "", [key for key in keys if key != "provenance"])
+        json_object(payload, keys, "", [key for key in keys if key != "provenance"])
         params, config, codec, recurrent = restore_encoder(payload["encoder"],
                                                            "encoder")
         if recurrent:
@@ -469,7 +463,7 @@ def cmd_infer(args) -> int:
                              f"is not finite")
     ref = {"checkpoint_sha256": digest, "split": args.split}
     provenance = provenance_for("infer", ref, seed)
-    with _writing(args.out):
+    with writing(args.out):
         write_traces(trace, args.out, provenance=provenance)
     print(f"wrote {args.out} ({len(trace.scores)} pages, "
           f"{len(trace.docs)} documents)")
@@ -603,7 +597,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: drop it, so that the interpreter does not
+        # flush what is left into the closed pipe at exit
+        sys.stdout = None
+        return 141
     except CorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -63,20 +63,19 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .corpus import (
+from .corpus import MULTICLASS, TypeVocabulary
+from .features import TOKENIZER_VERSION, check_tokenizer_version
+from .files import (
     CHECKPOINT_FORMAT,
-    MULTICLASS,
-    TypeVocabulary,
-    _block,
-    _config_from,
-    _label,
     check_format,
+    config_from,
+    field_label,
     float_block,
     float_block_shape,
+    json_object,
     read_float_block,
     read_json,
 )
-from .features import TOKENIZER_VERSION, check_tokenizer_version
 
 PAD_ID = 0
 UNK_ID = 1
@@ -709,32 +708,32 @@ def restore_encoder(payload, where: str = ""):
     check_format(payload, "encoder")
     check_tokenizer_version(payload)
     # the provenance, which ``train`` adds, is read from a file's top level
-    _block(payload, CHECKPOINT_KEYS, where,
-           [key for key in CHECKPOINT_KEYS if key != "provenance"])
+    json_object(payload, CHECKPOINT_KEYS, where,
+                [key for key in CHECKPOINT_KEYS if key != "provenance"])
     if payload["mode"] not in MODES:
-        raise ValueError(f"{_label(where, 'mode')} {payload['mode']!r} is not one "
-                         f"of {MODES}")
-    config = _config_from(EncoderConfig, payload["config"],
-                          _label(where, "config"), complete=True)
+        raise ValueError(f"{field_label(where, 'mode')} {payload['mode']!r} is not "
+                         f"one of {MODES}")
+    config = config_from(EncoderConfig, payload["config"],
+                         field_label(where, "config"), complete=True)
     keys = ("classes", "vocab_label_mode", "text_tokens")
-    codec = _block(payload["codec"], keys, _label(where, "codec"), keys)
+    codec = json_object(payload["codec"], keys, field_label(where, "codec"), keys)
     vocab = TypeVocabulary(codec["classes"], codec["vocab_label_mode"])
     tokens = codec["text_tokens"]
-    field = _label(where, "codec.text_tokens")
+    field = field_label(where, "codec.text_tokens")
     if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str}:
         raise ValueError(f"{field} must be a list of strings")
     if len(set(tokens)) != len(tokens):
         raise ValueError(f"{field} holds a token twice")
     codec = TokenCodec(vocab, tokens)
     shapes = param_shapes(config, codec)
-    params = read_params(_block(payload["params"], shapes, _label(where, "params"),
-                                shapes), shapes)
+    params = read_params(json_object(payload["params"], shapes,
+                                     field_label(where, "params"), shapes), shapes)
     return params, config, codec, payload["mode"] == "recurrent"
 
 
 def read_params(blocks: dict, shapes: dict) -> dict[str, np.ndarray]:
     """The arrays of a checkpoint's float blocks of exactly the names of
-    ``shapes`` (``corpus._block``).  Raise ValueError unless each block
+    ``shapes`` (``files.json_object``).  Raise ValueError unless each block
     records its name's shape, checked for every block before any is read,
     and each array read is finite."""
     for name, shape in shapes.items():

@@ -15,7 +15,7 @@ it, read against those documents, unchanged.
 
 The contexts fed are one (pages x 1+n) indicator from training examples and
 inference through input augmentation to the trace file: column 0 is the
-first-page marker (``FIRST_PAGE_TOKEN``, token ``FIRST_ID``) and column 1+c
+first-page marker (``files.FIRST_PAGE_TOKEN``, token ``FIRST_ID``) and column 1+c
 class c (token ``FIRST_ID + 1 + c``).
 
 The exposure gap is structural: training examples carry the gold labels of
@@ -32,11 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import encoder
-from .corpus import (FIRST_PAGE_TOKEN, MULTICLASS, Documents, _block, _Memo, _typed,
-                     check_format, check_label_count, class_indicator, gc_paused,
-                     page_columns, page_positions, read_jsonl, read_page_lines,
-                     reading)
+from . import encoder, files
+from .corpus import MULTICLASS, Documents, Memo, page_positions
 from .encoder import (CLS_ID, FIRST_ID, LINEAR, PAD_ID,
                       EncoderConfig, TokenCodec, predict)
 from .features import tokenize
@@ -118,7 +115,7 @@ def split_tokens(docs: Documents) -> SplitTokens:
     own to the token it yields in its page, or to none."""
     pieces = list(map(str.split, map(str.lower, docs.texts)))
     counts = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
-    distinct = _Memo(lambda token: len(distinct))  # a new token: the next index
+    distinct = Memo(lambda token: len(distinct))  # a new token: the next index
 
     def strip(piece):
         # looked up on the module at call time, so that a wrapper installed
@@ -126,7 +123,7 @@ def split_tokens(docs: Documents) -> SplitTokens:
         kept = tokenize(piece)
         return distinct[kept[0]] if kept else -1
 
-    index = np.fromiter(map(_Memo(strip).__getitem__, chain.from_iterable(pieces)),
+    index = np.fromiter(map(Memo(strip).__getitem__, chain.from_iterable(pieces)),
                         dtype=np.int64, count=int(counts.sum()))
     kept = index >= 0
     page = np.repeat(np.arange(len(pieces)), counts)
@@ -305,10 +302,6 @@ def infer_split(params: dict, split: EncodedSplit, config: EncoderConfig,
 # Trace files: one JSONL line per page with scores, decision, and context fed
 # ---------------------------------------------------------------------------
 
-# the layout of a trace file, recorded in its header, the first line
-TRACE_FORMAT = "pageseq-trace/1"
-
-
 def _names_json(indicator: np.ndarray, names: Sequence[str]) -> list[str]:
     """The JSON list of the names of each row's set columns, in column order;
     each distinct row, packed into one bytes code, is encoded once."""
@@ -321,13 +314,13 @@ def _names_json(indicator: np.ndarray, names: Sequence[str]) -> list[str]:
 
 
 def write_traces(trace: SplitTrace, path: Path | str, provenance: dict) -> None:
-    """The trace file of ``trace``: a header line of ``TRACE_FORMAT`` and
-    ``provenance``, then one line per page in document order."""
+    """The trace file of ``trace``: a header line of ``files.TRACE_FORMAT``
+    and ``provenance``, then one line per page in document order."""
     docs, vocab = trace.docs, trace.docs.vocab
-    lines = [json.dumps({"format": TRACE_FORMAT, "provenance": provenance},
+    lines = [json.dumps({"format": files.TRACE_FORMAT, "provenance": provenance},
                         sort_keys=True)]
     labels = _names_json(trace.labels, vocab.class_names)
-    contexts = (_names_json(trace.context, (FIRST_PAGE_TOKEN, *vocab.class_names))
+    contexts = (_names_json(trace.context, (files.FIRST_PAGE_TOKEN, *vocab.class_names))
                 if trace.context.any() else ["null"] * len(labels))
     # one encoding of the whole matrix, cut into rows: no number holds "], ["
     scores = (json.dumps(trace.scores.tolist())[2:-2].split("], [")
@@ -354,7 +347,8 @@ def _trace_lines(pages: list, vocab) -> tuple:
     A decision is one label, or 1 to n on a multilabel corpus; a fed context
     is the first-page marker alone, or as many classes as a page may have
     labels."""
-    doc_ids, labels, contexts, scores, page_indices = page_columns(pages, _TRACE_FIELDS)
+    doc_ids, labels, contexts, scores, page_indices = files.page_columns(
+        pages, _TRACE_FIELDS)
     n = vocab.n
     # a score is a JSON number, so neither a string nor a bool
     if not set(map(type, chain.from_iterable(scores))) <= {int, float}:
@@ -369,41 +363,42 @@ def _trace_lines(pages: list, vocab) -> tuple:
         raise ValueError("field 'scores' holds a score too large for a float") from None
     if not np.isfinite(scores).all():
         raise ValueError("field 'scores' holds a score that is not finite")
-    labels = class_indicator(labels, "labels", vocab.class_names)
-    check_label_count(labels, "labels", vocab)
+    labels = files.class_indicator(labels, "labels", vocab.class_names)
+    files.check_label_count(labels, "labels", vocab)
     fed = list in set(map(type, contexts))
     if fed and None in contexts:
         raise ValueError("some pages were fed a context and some none")
     if not fed:
         return doc_ids, page_indices, scores, labels, np.zeros((len(pages), 1 + n),
                                                                dtype=bool)
-    context = class_indicator(contexts, "context", (FIRST_PAGE_TOKEN, *vocab.class_names))
+    context = files.class_indicator(contexts, "context",
+                                    (files.FIRST_PAGE_TOKEN, *vocab.class_names))
     if not context.any(axis=1).all():
         raise ValueError("field 'context' names no class")
-    check_label_count(context, "context", vocab)
+    files.check_label_count(context, "context", vocab)
     return doc_ids, page_indices, scores, labels, context
 
 
-@gc_paused()
+@files.gc_paused()
 def read_traces(path: Path | str, docs: Documents, text: str) -> SplitTrace:
     """The trace of ``docs`` in the trace file ``path`` whose contents are
     ``text``.  Its first non-blank line is the header: it must record
-    ``TRACE_FORMAT``, and hold no key but ``format`` and ``provenance``, an
-    object.  Every later line is a page line, read by
-    ``corpus.read_page_lines``, which names the first bad one in file order.
+    ``files.TRACE_FORMAT``, and hold no key but ``format`` and
+    ``provenance``, an object.  Every later line is a page line, read by
+    ``files.read_page_lines``, which names the first bad one in file order.
     The page lines, in any order, must hold each page of ``docs`` once: page
     ``page_index`` of document ``doc_id``.  Every fault is a CorpusError
     that names ``path`` first, and the header's or a page line's
     ``path:lineno``."""
-    with reading(path):
-        linenos, objs = read_jsonl(path, text)
+    with files.reading(path):
+        linenos, objs = files.read_jsonl(path, text)
         header, *pages = objs or [None]
         # named by its line, as a page line's fault is: line 1 of an empty file
-        with reading(f"{path}:{(linenos or [1])[0]}"):
-            check_format(header, "trace", TRACE_FORMAT, "infer")
-            _block(header, ("format", "provenance"), "")
-            _typed(header.get("provenance"), dict, "provenance")
-        doc_ids, page_indices, scores, labels, context = read_page_lines(
+        with files.reading(f"{path}:{(linenos or [1])[0]}"):
+            files.check_format(header, "trace", files.TRACE_FORMAT, "infer")
+            files.json_object(header, ("format", "provenance"), "")
+            files.json_value(header.get("provenance"), dict, "provenance")
+        doc_ids, page_indices, scores, labels, context = files.read_page_lines(
             path, linenos[1:], pages, lambda lines: _trace_lines(lines, docs.vocab))
 
         # each line's document in ``docs``, -1 for none of them

@@ -212,6 +212,10 @@ def fit_adamw(params: dict[str, np.ndarray], n_examples: int, batch_loss,
             validation_seconds += time.perf_counter() - tick
         epoch_metrics.append(metrics)
     assert len(step_losses) == total_steps
+    # each trained parameter its own array: a view would keep the whole
+    # six-row buffer alive
+    for name, value in state.params.items():
+        params[name] = value.copy()
     seconds = time.perf_counter() - started
     return TrainReport(step_losses=step_losses, step_lrs=step_lrs,
                        epoch_metrics=epoch_metrics, total_steps=total_steps,

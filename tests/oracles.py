@@ -231,7 +231,8 @@ def reference_load_split_file(path, vocab):
     reported.  Each page has 1 label, or 1 to n on a multilabel corpus.
     Documents are grouped by doc_id in order of first appearance, and each
     one's pages must come in page_index order 0..l-1."""
-    from pageseq.corpus import CorpusError, Documents
+    from pageseq.corpus import Documents
+    from pageseq.files import CorpusError
 
     index = {name: c for c, name in enumerate(vocab.class_names)}
     limit = 1 if vocab.label_mode == "multiclass" else vocab.n
@@ -361,8 +362,8 @@ def is_control_id(codec, i: int) -> bool:
 def id_to_string(codec, i: int) -> str:
     """The token an id stands for; the context token of class ``name`` reads
     ``[type_<name>]``."""
-    from pageseq.corpus import FIRST_PAGE_TOKEN
     from pageseq.encoder import CLS_ID, FIRST_ID, N_RESERVED, PAD_ID, UNK_ID
+    from pageseq.files import FIRST_PAGE_TOKEN
 
     if i == PAD_ID:
         return "[PAD]"
@@ -460,8 +461,7 @@ def trace_pages(trace) -> list[tuple[str, list[Page]]]:
 def write_traces_per_page(trace, path, provenance) -> None:
     """Reference trace writer: one ``json.dumps`` of each page's record,
     after a header of the trace format and the provenance."""
-    from pageseq.corpus import FIRST_PAGE_TOKEN
-    from pageseq.recurrence import TRACE_FORMAT
+    from pageseq.files import FIRST_PAGE_TOKEN, TRACE_FORMAT
 
     vocab = trace.docs.vocab
     lines = [json.dumps({"format": TRACE_FORMAT, "provenance": provenance},
@@ -482,7 +482,7 @@ def write_traces_per_page(trace, path, provenance) -> None:
 
 def _class_names(names, field, where, vocab) -> frozenset:
     """The class indices of one page's list of names in ``field``."""
-    from pageseq.corpus import CorpusError
+    from pageseq.files import CorpusError
 
     if not all(type(name) is str for name in names):
         raise CorpusError(f"{where}: field {field!r} holds a label name that is "
@@ -502,8 +502,7 @@ def read_traces_per_page(path, gold):
     in file order, then document by document, with the errors
     ``recurrence.read_traces`` gives: a file with one fault gets its
     message, and a file with several the message of its first bad line."""
-    from pageseq.corpus import FIRST_PAGE_TOKEN, CorpusError
-    from pageseq.recurrence import TRACE_FORMAT
+    from pageseq.files import FIRST_PAGE_TOKEN, TRACE_FORMAT, CorpusError
 
     vocab = gold.vocab
     docs: dict = {}

@@ -3,7 +3,10 @@ determinism of every artifact."""
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import asdict
@@ -18,18 +21,19 @@ from hypothesis import strategies as st
 import pageseq.cli as cli
 import pageseq.encoder as encoder
 import pageseq.training as training
-from pageseq.cli import _config_from, main
-from pageseq.corpus import (
-    CHECKPOINT_FORMAT,
-    SynthConfig,
-    float_block,
-    load_corpus,
-    read_float_block,
-)
+from pageseq.cli import main
+from pageseq.corpus import SynthConfig, load_corpus
 from pageseq.crf import emissions_from_logits
 from pageseq.encoder import EncoderConfig
 from pageseq.evaluation import score
-from pageseq.recurrence import TRACE_FORMAT, SplitTrace, read_traces, write_traces
+from pageseq.files import (
+    CHECKPOINT_FORMAT,
+    TRACE_FORMAT,
+    config_from,
+    float_block,
+    read_float_block,
+)
+from pageseq.recurrence import SplitTrace, read_traces, write_traces
 from pageseq.training import TrainConfig
 
 from oracles import (
@@ -2248,6 +2252,57 @@ class TestStats:
         assert "'[-1]'" in err[0]
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early (``pageseq stats ... | head -1``)
+    ends the command with exit status 141 (128 + SIGPIPE), not a traceback.
+    Each command runs as a child whose stdout pipe is closed before it
+    starts, with Python's default block buffering (the failing write is the
+    last flush) and unbuffered (the failing write is a ``print``)."""
+
+    @pytest.fixture(scope="class")
+    def commands(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("closed-stdout")
+        (tmp_path / "synth.json").write_text(json.dumps(SYNTH_CFG))
+        assert main(["synth", "--config", str(tmp_path / "synth.json"),
+                     "--outdir", str(tmp_path / "runs"), "--run-id", "corpus"]) == 0
+        corpus_dir = tmp_path / "runs" / "corpus"
+        outdir = run_train(tmp_path, corpus_dir, "m", mode="recurrent")
+        test = ["--manifest", str(corpus_dir / "manifest.json"), "--split", "test"]
+        traces = str(tmp_path / "traces.jsonl")
+        infer = ["infer", "--checkpoint", str(outdir / "checkpoint.json"),
+                 "--out", traces] + test
+        assert main(infer) == 0
+        child = ["--outdir", str(tmp_path / "child"), "--run-id", "run"]
+        return {
+            "synth": ["synth", "--config", str(tmp_path / "synth.json")] + child,
+            "stats": ["stats", "--manifest", str(corpus_dir / "manifest.json")],
+            "train": ["train", "--config", str(tmp_path / "m.json")] + child,
+            "infer": infer,
+            "eval": ["eval", "--traces", traces] + test,
+            "compare": ["compare", "--traces-a", traces, "--traces-b", traces] + test,
+        }
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("command", ["synth", "stats", "train", "infer", "eval",
+                                         "compare"])
+    def test_exits_141_without_a_traceback(self, commands, command, unbuffered):
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        child = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from pageseq.cli import main; "
+             "sys.exit(main())", *commands[command]],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 141, err
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
 def _chain_cfg(matrix):
     """SYNTH_CFG with an explicit chain in place of its self-transition."""
     cfg = {k: v for k, v in SYNTH_CFG.items() if k != "self_transition"}
@@ -2413,8 +2468,8 @@ class TestConfigReader:
     def test_synth_config_round_trips(self, n, self_p, seed, pages, ambiguity, docs):
         cfg = SynthConfig.uniform(n, self_p, seed=seed, pages_per_doc=pages,
                                   ambiguity=ambiguity, docs_per_split=docs)
-        assert _config_from(SynthConfig, json.loads(json.dumps(asdict(cfg))),
-                            "synth") == cfg
+        assert config_from(SynthConfig, json.loads(json.dumps(asdict(cfg))),
+                           "synth") == cfg
 
     @given(variant=st.sampled_from(["linear", "tiny-transformer"]),
            heads=st.integers(1, 4), per_head=st.integers(1, 8),
@@ -2426,8 +2481,8 @@ class TestConfigReader:
             dropout = 0.0
         cfg = EncoderConfig(variant, heads * per_head, n_layers, heads, max_len,
                             dropout, init_seed)
-        assert _config_from(EncoderConfig, json.loads(json.dumps(asdict(cfg))),
-                            "encoder") == cfg
+        assert config_from(EncoderConfig, json.loads(json.dumps(asdict(cfg))),
+                           "encoder") == cfg
 
     @given(epochs=st.integers(1, 100), batch_size=st.integers(1, 4096),
            peak_lr=positive, warmup=unit, weight_decay=st.floats(0.0, 1e3),
@@ -2436,5 +2491,5 @@ class TestConfigReader:
                                       weight_decay, betas, epsilon, seed):
         cfg = TrainConfig(epochs, batch_size, peak_lr, warmup, weight_decay, betas,
                           epsilon, seed)
-        assert _config_from(TrainConfig, json.loads(json.dumps(asdict(cfg))),
-                            "train") == cfg
+        assert config_from(TrainConfig, json.loads(json.dumps(asdict(cfg))),
+                           "train") == cfg

@@ -14,26 +14,28 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pageseq.corpus import (
-    CHECKPOINT_FORMAT,
-    CorpusError,
     CorpusSplit,
     Documents,
     RunLengthStats,
     SynthConfig,
     TypeVocabulary,
-    check_format,
     class_page_counts,
     document_rows,
-    float_block,
     generate_synthetic,
     load_corpus,
     load_split_file,
     page_positions,
-    read_float_block,
-    read_jsonl,
     run_length_stats,
     transition_self_prob,
     write_corpus,
+)
+from pageseq.files import (
+    CHECKPOINT_FORMAT,
+    CorpusError,
+    check_format,
+    float_block,
+    read_float_block,
+    read_jsonl,
 )
 from pageseq.recurrence import SplitTrace, read_traces, write_traces
 

@@ -11,13 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import pageseq.encoder as encoder
-from pageseq.corpus import (
-    MULTICLASS,
-    MULTILABEL,
-    TypeVocabulary,
-    float_block,
-    read_float_block,
-)
+from pageseq.corpus import MULTICLASS, MULTILABEL, TypeVocabulary
+from pageseq.files import float_block, read_float_block
 from pageseq.features import TOKENIZER_VERSION
 from pageseq.encoder import (
     CLS_ID,

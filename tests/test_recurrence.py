@@ -13,16 +13,15 @@ from hypothesis import strategies as st
 
 import pageseq.encoder as encoder
 import pageseq.recurrence as recurrence
-from pageseq.corpus import (FIRST_PAGE_TOKEN, MULTICLASS, MULTILABEL, CorpusError,
-                            TypeVocabulary)
+from pageseq.corpus import MULTICLASS, MULTILABEL, TypeVocabulary
 from pageseq.encoder import (
     EncoderConfig,
     TokenCodec,
     init_params,
     predict,
 )
+from pageseq.files import FIRST_PAGE_TOKEN, TRACE_FORMAT, CorpusError
 from pageseq.recurrence import (
-    TRACE_FORMAT,
     SplitTrace,
     augment_input,
     block_bounds,

@@ -26,35 +26,35 @@ both add in index order, and ``add.at`` took about half of the linear
 encoder's ``loss_and_grad``.
 
 Every input file (config, manifest, split file, checkpoint, trace file) is
-read by ``corpus.read_input``, the one user of ``Path.read_text``,
+read by ``files.read_input``, the one user of ``Path.read_text``,
 ``Path.read_bytes`` and ``open``, so each file-level fault is refused in one
 wording.  JSON files have two parsers: the JSONL line reader, and
-``corpus.read_json`` for a whole file (manifest, config, checkpoint).
+``files.read_json`` for a whole file (manifest, config, checkpoint).
 ``json.loads`` is used only by them.
 
 Every fault of an input file's content is named by that file first:
-``corpus.CorpusError`` is constructed only at a file's boundary
-(``corpus.read_input``, ``corpus._malformed``, ``corpus.read_page_lines``,
-``corpus.reading`` and ``cli._writing``), every check below it raises a
+``files.CorpusError`` is constructed only at a file's boundary
+(``files.read_input``, ``files._malformed``, ``files.read_page_lines``,
+``files.reading`` and ``files.writing``), every check below it raises a
 plain ValueError that names only the field, so no second error type exists
 for exit 2 and no function takes a ``noun`` naming the file.
 
 A JSON object becomes a dataclass only through the typed reader of config
-files (``corpus._config_from``), which checks each field's type: no function
+files (``files.config_from``), which checks each field's type: no function
 of the package splats a JSON value into a call (``Cls(**payload[...])``).
 
 Every JSON object the package reads from a file (a config, a checkpoint
 and its blocks, a manifest, a trace file's header, a page line of a split
-or trace file) has its keys checked by ``corpus._block``, which refuses a
-key that no reader reads.  Page lines are taken apart in one place:
-``corpus.page_columns`` is the one user of ``operator.itemgetter``.
+or trace file) has its keys checked by ``files.json_object``, which refuses
+a key that no reader reads.  Page lines are taken apart in one place:
+``files.page_columns`` is the one user of ``operator.itemgetter``.
 
 ``cli.config_hash`` (canonical JSON, then SHA-256) hashes configs only.  A
 file a command reads (checkpoint, trace) is named by the SHA-256 of its
 bytes, so no command re-serializes what it loaded to hash it.
 
 Checkpoints carry float arrays one way: as the exact binary blocks of
-``corpus.float_block``, read back by ``corpus.read_float_block``.  The
+``files.float_block``, read back by ``files.read_float_block``.  The
 writers of each checkpoint kind and ``encoder.read_params``, the one reader
 of a kind's parameter blocks, are the only functions that use the pair, and
 every checkpoint payload (a dict literal with a "kind") is built by one of
@@ -74,15 +74,35 @@ Every decode scores its pages through one block planner:
 The context a page is fed has one shape: a (pages x 1+n) indicator whose
 column 0 is the first-page marker.  No function takes the marker as a
 separate ``first`` flag or whether anything was ``fed``, and the marker's
-string is spelled once, as the value of ``corpus.FIRST_PAGE_TOKEN``.
+string is spelled once, as the value of ``files.FIRST_PAGE_TOKEN``.
+
+The file boundary is the bottom layer: ``pageseq.files`` imports no other
+module of the package and holds every reader, format name and file error
+under a public name, and ``corpus`` and ``recurrence``, where they used to
+live, bind none of them.  No module imports another module's ``_``-prefixed
+name.  ``files``, ``corpus`` and ``cli`` each import alone in a fresh
+interpreter, so no import cycle hides behind a lucky import order.
+
+The benchmark wraps each traced function under the name its caller looks it
+up by, and names its layer by the function's module: every site of
+``perfbench/tracing.py`` resolves but the four of the deleted per-document
+decoders, and each live span site's layer is a per-layer metric of
+``BENCHMARK.json``.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import pageseq
 
@@ -186,7 +206,7 @@ def test_no_add_at():
 
 
 # the one JSONL line reader and the one parser of whole JSON files
-JSON_LOADS_USERS = {"corpus.read_jsonl", "corpus.read_json"}
+JSON_LOADS_USERS = {"files.read_jsonl", "files.read_json"}
 
 # the JSON hash is for configs: an artifact a command reads is named by the
 # SHA-256 of its bytes, never re-serialized to be hashed
@@ -203,9 +223,9 @@ FLOAT_BLOCK_USERS = {"encoder.checkpoint_payload", "cli.cmd_train",
 # checkpoint blocks, the top level of a ``train`` and a ``synth`` config, the
 # top level of each checkpoint kind and the BiLSTM's config, the manifest,
 # a trace file's header, and the page lines of split and trace files
-BLOCK_USERS = {"corpus._config_from", "cli.cmd_train", "cli.synth_config_from",
+BLOCK_USERS = {"files.config_from", "cli.cmd_train", "cli.synth_config_from",
                "encoder.restore_encoder", "cli._restore_model", "cli._bilstm_head",
-               "corpus.load_corpus", "recurrence.read_traces", "corpus.page_columns"}
+               "corpus.load_corpus", "recurrence.read_traces", "files.page_columns"}
 
 
 def users_of(is_use) -> list[str]:
@@ -250,7 +270,7 @@ def config_hash_users() -> list[str]:
 def test_json_loads_only_in_the_line_reader_and_whole_file_loaders():
     found = json_loads_users()
     assert sorted(set(found) - JSON_LOADS_USERS) == []
-    assert "corpus.read_jsonl" in found  # the walk reaches the line reader
+    assert "files.read_jsonl" in found  # the walk reaches the line reader
 
 
 def test_files_are_read_in_one_place():
@@ -260,7 +280,7 @@ def test_files_are_read_in_one_place():
         isinstance(node, ast.Attribute) and node.attr in ("read_text", "read_bytes",
                                                            "open")
         or isinstance(node, ast.Name) and node.id == "open"))
-    assert found == ["corpus.read_input"]
+    assert found == ["files.read_input"]
 
 
 def splatted_subscripts() -> list[str]:
@@ -273,7 +293,7 @@ def splatted_subscripts() -> list[str]:
 def test_no_call_splats_a_json_value():
     assert splatted_subscripts() == []
     # the typed reader splats its checked values, a name, into the dataclass
-    assert "corpus._config_from" in users_of(lambda node: isinstance(
+    assert "files.config_from" in users_of(lambda node: isinstance(
         node, ast.Call) and any(kw.arg is None for kw in node.keywords))
 
 
@@ -302,8 +322,8 @@ def test_checkpoints_carry_floats_as_blocks():
 
 def test_every_json_object_read_has_its_keys_checked():
     found = users_of(lambda node: (
-        isinstance(node, ast.Name) and node.id == "_block"
-        or isinstance(node, ast.Attribute) and node.attr == "_block"))
+        isinstance(node, ast.Name) and node.id == "json_object"
+        or isinstance(node, ast.Attribute) and node.attr == "json_object"))
     assert set(found) == BLOCK_USERS  # none other, none left out
 
 
@@ -315,8 +335,8 @@ def test_page_lines_are_taken_apart_in_one_place():
         or isinstance(node, ast.Attribute) and node.attr == "itemgetter"
         or isinstance(node, ast.ImportFrom) and node.module == "operator"
         and any(alias.name == "itemgetter" for alias in node.names)))
-    # the corpus module's import, and its one user
-    assert sorted(set(found)) == ["corpus", "corpus.page_columns"]
+    # the files module's import, and its one user
+    assert sorted(set(found)) == ["files", "files.page_columns"]
 
 
 def test_config_hash_only_hashes_configs():
@@ -340,7 +360,7 @@ def test_context_has_one_shape():
                        and [ast.unparse(t) for t in node.targets] == ["FIRST_PAGE_TOKEN"]
                        and isinstance(node.value, ast.Constant)
                        and node.value.value == "[-1]")
-    assert spelled == defined == ["corpus"]
+    assert spelled == defined == ["files"]
 
 
 def test_adamw_is_stepped_only_by_the_training_loop():
@@ -400,8 +420,8 @@ def test_no_function_takes_a_trace_next_to_what_it_carries():
 
 # where a file's fault is named by the file: its reader, its JSON parse,
 # its page lines, the checks of what it holds, and the CLI's writer
-CORPUS_ERROR_MAKERS = {"corpus.read_input", "corpus._malformed",
-                       "corpus.read_page_lines", "corpus.reading", "cli._writing"}
+CORPUS_ERROR_MAKERS = {"files.read_input", "files._malformed",
+                       "files.read_page_lines", "files.reading", "files.writing"}
 
 
 def test_file_faults_are_named_at_the_boundary():
@@ -417,6 +437,108 @@ def test_one_error_type_and_no_noun():
                     and "ConfigError" in (getattr(node, "id", None),
                                           getattr(node, "name", None))) == []
     functions = dict(package_functions())
-    assert "corpus._block" in functions  # the walk reaches the block reader
+    assert "files.json_object" in functions  # the walk reaches the block reader
     assert [name for name, fn in functions.items()
             if "noun" in inspect.signature(fn).parameters] == []
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def package_imports(tree) -> list[ast.ImportFrom]:
+    """The ``from`` imports of the package's own modules in a module's code."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "pageseq")]
+
+
+def test_no_module_imports_another_modules_private_name():
+    """By ``from`` import, or as an attribute of a package module imported
+    by name (``from . import encoder``, then ``encoder._x``)."""
+    found = []
+    for path in sorted(Path(pageseq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = package_imports(tree)
+        modules = {alias.asname or alias.name for node in imports
+                   if node.module in (None, "pageseq") for alias in node.names}
+        found += [f"{path.stem}: {alias.name}" for node in imports
+                  for alias in node.names if is_private(alias.name)]
+        found += [f"{path.stem}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and is_private(node.attr)]
+    assert found == []
+
+
+def test_files_is_the_bottom_layer():
+    tree = ast.parse((Path(pageseq.__file__).parent / "files.py").read_text(
+        encoding="utf-8"))
+    assert [ast.unparse(node) for node in package_imports(tree)] == []
+    assert [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "pageseq" for alias in node.names)] == []
+
+
+# what ``files`` holds, by the names it holds them under, and the private
+# names they had before, in ``corpus`` (and ``TRACE_FORMAT`` in ``recurrence``)
+FILE_BOUNDARY = {"CorpusError", "read_input", "read_json", "reading", "writing",
+                 "gc_paused", "read_jsonl", "page_columns", "class_indicator",
+                 "check_label_count", "read_page_lines", "json_object", "json_value",
+                 "config_from", "field_label", "check_format", "float_block",
+                 "float_block_shape", "read_float_block", "CHECKPOINT_FORMAT",
+                 "TRACE_FORMAT", "FIRST_PAGE_TOKEN"}
+FORMER_NAMES = {"_block", "_typed", "_config_from", "_label", "_malformed", "_SCAN",
+                "_JSON_TYPES", "_Memo", "_writing"}
+
+
+def test_the_file_boundary_lives_in_files():
+    files = importlib.import_module("pageseq.files")
+    assert sorted(name for name in FILE_BOUNDARY if not hasattr(files, name)) == []
+    for name in ("corpus", "recurrence", "cli"):
+        module = importlib.import_module(f"pageseq.{name}")
+        assert sorted(FORMER_NAMES & set(vars(module))) == [], name
+    for name in ("corpus", "recurrence"):
+        module = importlib.import_module(f"pageseq.{name}")
+        assert sorted(FILE_BOUNDARY & set(vars(module))) == [], name
+    defined = users_of(lambda node: isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id in ("CHECKPOINT_FORMAT", "TRACE_FORMAT",
+                                             "FIRST_PAGE_TOKEN") for t in node.targets))
+    assert defined == ["files"] * 3
+
+
+@pytest.mark.parametrize("module", ["pageseq.files", "pageseq.corpus", "pageseq.cli"])
+def test_module_imports_in_a_fresh_interpreter(module):
+    src = str(Path(pageseq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", f"import {module}"],
+                            env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+# the sites of the per-document decoders that ``recurrence.infer_split``
+# replaced, which ``perfbench/tracing.py`` still lists
+DEAD_TRACE_SITES = {"pageseq.cli.infer_document", "pageseq.training.infer_document",
+                    "pageseq.cli.infer_context_oblivious",
+                    "pageseq.training.infer_context_oblivious"}
+
+
+def test_benchmark_trace_sites_resolve_to_its_layers():
+    """``perfbench/tracing.py`` is loaded by path and only read."""
+    root = Path(pageseq.__file__).resolve().parent.parent.parent
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  root / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    metrics = {metric["name"] for metric in json.loads(
+        (root / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]}
+
+    def resolve(sites):
+        return {f"{module}.{name}": getattr(importlib.import_module(module), name, None)
+                for module, name in sites}
+
+    spans, counts = resolve(tracing.SPAN_SITES), resolve(tracing.COUNT_SITES)
+    assert {site for site, fn in {**spans, **counts}.items() if fn is None} \
+        == DEAD_TRACE_SITES
+    live = {site: fn for site, fn in spans.items() if fn is not None}
+    assert len(live) == 22
+    assert sorted(site for site, fn in live.items()
+                  if tracing.layer_of(fn) + ".s" not in metrics) == []

@@ -258,6 +258,25 @@ class TestTrainEncoder:
         for name in params1:
             np.testing.assert_array_equal(params1[name], params2[name])
 
+    @pytest.mark.parametrize("enc", [
+        EncoderConfig(variant="linear", d=8, max_len=12),
+        EncoderConfig(variant="tiny-transformer", d=8, n_layers=1, n_heads=2,
+                      max_len=12)], ids=["linear", "tiny-transformer"])
+    def test_trained_parameters_share_no_memory(self, enc):
+        """Each returned parameter is its own array: views into the
+        optimizer's buffer would keep all six of its rows alive.  Such views
+        do not overlap, so ``np.shares_memory`` alone cannot see them: a
+        view has a ``base``."""
+        split = tiny_corpus(seed=2)
+        codec = codec_for(split)
+        cfg = TrainConfig(epochs=1, batch_size=16, peak_lr=0.02, seed=9)
+        params, _ = train_encoder(enc, encode(split.train, codec, enc), cfg,
+                                  recurrent=False)
+        names = sorted(params)
+        assert [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+                if np.shares_memory(params[a], params[b])] == []
+        assert [name for name in names if params[name].base is not None] == []
+
     def test_recurrent_and_oblivious_share_schedule(self):
         """Identical step counts and schedule values; only batch construction
         differs between the two modes."""
