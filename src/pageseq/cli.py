@@ -487,13 +487,13 @@ def cmd_eval(args) -> int:
     docs = split.split(args.split)
     trace, digest = _read_split_traces(args.traces, docs)
     scores = score(trace.labels, docs.gold, split.vocabulary)
-    print(format_score_table(scores, split.vocabulary))
     if args.out:
         ref = {"traces_sha256": digest, "split": args.split}
         write_json(Path(args.out), {
             "provenance": provenance_for("eval", ref, 0),
             **scores_payload(scores, split.vocabulary),
         })
+    print(format_score_table(scores, split.vocabulary))
     return 0
 
 
@@ -504,18 +504,7 @@ def cmd_compare(args) -> int:
     b, digest_b = _read_split_traces(args.traces_b, docs)
     report = compare_traces(a.labels, b.labels, docs.gold, split.vocabulary)
     names = split.vocabulary.class_names
-    print("per-class F1 (A vs B, percent):")
-    for c, name in enumerate(names):
-        print(f"  {name}: {100 * report.scores_a.f1[c]:.2f} vs "
-              f"{100 * report.scores_b.f1[c]:.2f} "
-              f"(delta {100 * report.f1_delta[c]:+.2f})")
-    print(f"macro-avg: {100 * report.scores_a.macro_f1:.2f} vs "
-          f"{100 * report.scores_b.macro_f1:.2f}")
-    print(f"weighted-avg: {100 * report.scores_a.weighted_f1:.2f} vs "
-          f"{100 * report.scores_b.weighted_f1:.2f}")
     t = report.test
-    print(f"McNemar-Bowker: statistic {t.statistic:.4f}, dof {t.dof}, "
-          f"p-value {t.p_value:.6g}")
     if args.out:
         ref = {"traces_a_sha256": digest_a, "traces_b_sha256": digest_b,
                "split": args.split}
@@ -530,6 +519,17 @@ def cmd_compare(args) -> int:
             "f1_delta": {name: float(report.f1_delta[c])
                          for c, name in enumerate(names)},
         })
+    print("per-class F1 (A vs B, percent):")
+    for c, name in enumerate(names):
+        print(f"  {name}: {100 * report.scores_a.f1[c]:.2f} vs "
+              f"{100 * report.scores_b.f1[c]:.2f} "
+              f"(delta {100 * report.f1_delta[c]:+.2f})")
+    print(f"macro-avg: {100 * report.scores_a.macro_f1:.2f} vs "
+          f"{100 * report.scores_b.macro_f1:.2f}")
+    print(f"weighted-avg: {100 * report.scores_a.weighted_f1:.2f} vs "
+          f"{100 * report.scores_b.weighted_f1:.2f}")
+    print(f"McNemar-Bowker: statistic {t.statistic:.4f}, dof {t.dof}, "
+          f"p-value {t.p_value:.6g}")
     return 0
 
 

@@ -2282,10 +2282,10 @@ class TestClosedStdout:
             "compare": ["compare", "--traces-a", traces, "--traces-b", traces] + test,
         }
 
-    @pytest.mark.parametrize("unbuffered", [False, True])
-    @pytest.mark.parametrize("command", ["synth", "stats", "train", "infer", "eval",
-                                         "compare"])
-    def test_exits_141_without_a_traceback(self, commands, command, unbuffered):
+    @staticmethod
+    def run_closed(argv, unbuffered):
+        """The exit status and stderr of ``pageseq <argv>`` run as a child
+        whose stdout pipe is closed before it starts."""
         env = {key: value for key, value in os.environ.items()
                if key != "PYTHONUNBUFFERED"}
         if unbuffered:
@@ -2294,13 +2294,32 @@ class TestClosedStdout:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         child = subprocess.Popen(
             [sys.executable, "-c", "import sys; from pageseq.cli import main; "
-             "sys.exit(main())", *commands[command]],
+             "sys.exit(main())", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
         child.stdout.close()
         err = child.stderr.read()
         child.stderr.close()
-        assert child.wait(timeout=120) == 141, err
+        return child.wait(timeout=120), err
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("command", ["synth", "stats", "train", "infer", "eval",
+                                         "compare"])
+    def test_exits_141_without_a_traceback(self, commands, command, unbuffered):
+        status, err = self.run_closed(commands[command], unbuffered)
+        assert status == 141, err
         assert "Traceback" not in err and "Exception ignored" not in err, err
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_report_is_written_before_stdout(self, commands, command, tmp_path,
+                                             capsys):
+        """Unbuffered, the first ``print`` is the failing write: the ``--out``
+        report must already be on disk, with the bytes of a normal run."""
+        assert main(commands[command] + ["--out", str(tmp_path / "normal.json")]) == 0
+        capsys.readouterr()
+        closed = tmp_path / "closed.json"
+        status, err = self.run_closed(commands[command] + ["--out", str(closed)], True)
+        assert status == 141, err
+        assert closed.read_bytes() == (tmp_path / "normal.json").read_bytes()
 
 
 def _chain_cfg(matrix):
