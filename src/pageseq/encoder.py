@@ -9,12 +9,18 @@ The transformer keeps its hidden states as packed rows, one (d,) row per
 non-PAD token of the (B, L) id matrix (``np.flatnonzero(ids != PAD_ID)``,
 row-major).  The embedding gather, the layernorms, the Q/K/V/O projections,
 the FFN and GELU, the residuals and their backward passes run on those rows
-only.  Attention alone scatters K, V (and Q) into the padded (B, H, L, dh)
-grid, adds a -1e30 key mask at the PAD slots, and gathers the context back
-to packed rows.  PAD tokens therefore never reach a score, and their
-embedding gets no gradient.  The last layer computes the B CLS rows only (its
-keys and values still see every row), in the forward and the backward pass
-alike.
+only.  Attention alone scatters Q, K and V into the padded (B, H, L, dh)
+grid, adds a -1e30 key mask at the PAD slots (of a block that has any), and
+writes its outputs straight into a (B, L, d) row-layout grid, from which the
+packed rows are gathered.  PAD tokens therefore never reach a score, and
+their embedding gets no gradient.
+
+The last layer computes the B CLS rows only, in the forward and the backward
+pass alike, and reads its keys and values through ``wk`` and ``wv``: per
+head, the query q becomes u = wk q, the logits are u . a_j over the padded
+grid of the layer's layernormed input rows a_j, and the context is
+(sum_j p_j a_j) wv + vb, since the softmax weights p_j sum to 1.  So no key
+or value row is projected there, in either pass.
 
 The transformer computes its function with few passes over its arrays: the
 tanh-form GELU as x / (1 + exp(-2u)), u = C (x + a x^3), which equals
@@ -361,9 +367,9 @@ def _heads(x, n_heads):
 
 def _rows(grid, slots, scratch, key):
     """The packed rows at ``slots`` of a (B, L, d) grid: the grid's own rows
-    when it has no PAD slot (or ``slots`` is None)."""
+    when it has no PAD slot."""
     x = grid.reshape(-1, grid.shape[-1])
-    if slots is None or len(slots) == len(x):
+    if len(slots) == len(x):
         return x
     # with out=, mode "raise" gathers into a hidden copy of out; "clip" does
     # not, and positions computed from ids are always in range
@@ -372,46 +378,84 @@ def _rows(grid, slots, scratch, key):
 
 
 def _matmul_rows(x1, x2, slots, scratch, key):
-    """``x1 @ x2`` over (B, H, ., .) heads, written straight into the row
-    layout of a (B, Lq, d) grid; then its packed rows (``_rows``)."""
-    b, n_heads, lq, _ = x1.shape
-    grid = scratch.get(key + "grid", (b, lq, n_heads * x2.shape[-1]))
+    """``x1 @ x2`` over (B, H, L, .) heads, written straight into the row
+    layout of a (B, L, d) grid; then its packed rows (``_rows``)."""
+    b, n_heads, l, _ = x1.shape
+    grid = scratch.get(key + "grid", (b, l, n_heads * x2.shape[-1]))
     np.matmul(x1, x2, out=_heads(grid, n_heads))
     return _rows(grid, slots, scratch, key)
 
 
-def _attention_fwd(a, params, prefix, pack, n_heads, cls_only, scratch):
-    """Multi-head self-attention over packed rows ``a`` (N, d).  Queries come
-    from every row, or from the CLS rows only; keys and values come from
-    every row.  The projections run on the packed rows; the logits run on
-    the padded grid, where the additive key mask hides the PAD slots."""
-    slots, cls, mask = pack
+def _attention_fwd(a, params, prefix, pack, n_heads, scratch):
+    """Multi-head self-attention over packed rows ``a`` (N, d), every row a
+    query.  The projections run on the packed rows; the logits run on the
+    padded grid, where the additive key mask hides the PAD slots."""
+    slots, _, mask = pack
     b, l = mask.shape
-    n, d = a.shape
+    d = a.shape[1]
     dh = d // n_heads
-    aq = a[cls] if cls_only else a
-    q = np.matmul(aq, params[prefix + "wq"], out=scratch.get(prefix + "q", aq.shape))
+    q = np.matmul(a, params[prefix + "wq"], out=scratch.get(prefix + "q", a.shape))
     q += params[prefix + "qb"]
     q /= math.sqrt(dh)                  # the logit scale, on the query rows
     # no key bias: q . kb shifts a query row's logits alike, which softmax ignores
-    k = np.matmul(a, params[prefix + "wk"], out=scratch.get(prefix + "k", (n, d)))
-    v = np.matmul(a, params[prefix + "wv"], out=scratch.get(prefix + "v", (n, d)))
+    k = np.matmul(a, params[prefix + "wk"], out=scratch.get(prefix + "k", a.shape))
+    v = np.matmul(a, params[prefix + "wv"], out=scratch.get(prefix + "v", a.shape))
     v += params[prefix + "vb"]
-    qh = _heads(q[:, None] if cls_only
-                else _padded(q, slots, b, l, scratch, prefix + "qgrid"), n_heads)
+    qh = _heads(_padded(q, slots, b, l, scratch, prefix + "qgrid"), n_heads)
     kh = _heads(_padded(k, slots, b, l, scratch, prefix + "kgrid"), n_heads)
     vh = _heads(_padded(v, slots, b, l, scratch, prefix + "vgrid"), n_heads)
-    logits = np.matmul(qh, kh.transpose(0, 1, 3, 2),                # (B, H, Lq, L)
+    logits = np.matmul(qh, kh.transpose(0, 1, 3, 2),                # (B, H, L, L)
                        out=scratch.get(prefix + "probs", qh.shape[:3] + (l,)))
     if len(slots) < b * l:
         logits += mask[:, None, None, :]
     probs = _softmax_last(logits)
-    merged = _matmul_rows(probs, vh, None if cls_only else slots, scratch,
-                          prefix + "merged")
+    merged = _matmul_rows(probs, vh, slots, scratch, prefix + "merged")
     out = np.matmul(merged, params[prefix + "wo"], out=scratch.get(prefix + "out",
                                                                    merged.shape))
     out += params[prefix + "ob"]
-    return out, (a, aq, cls_only, qh, kh, vh, probs, merged)
+    return out, (a, qh, kh, vh, probs, merged)
+
+
+def _head_weights(w, n_heads):
+    """(d, d) -> (H, d, dh): each head's columns."""
+    d = w.shape[0]
+    return w.reshape(d, n_heads, d // n_heads).transpose(1, 0, 2)
+
+
+def _cls_attention_fwd(a, params, prefix, pack, n_heads, scratch):
+    """Attention of the B CLS rows over the packed rows ``a`` (N, d), which
+    reads the keys and values through ``wk`` and ``wv`` on the padded
+    (B, L, d) grid of ``a``.  Per head h: the logits are a_j . u_h with
+    u_h = wk_h q_h, and the context is r_h wv_h + vb_h with the
+    softmax-weighted row r_h = sum_j p_hj a_j, since the weights sum to 1.
+    So no packed row is multiplied by ``wk`` or ``wv``."""
+    slots, cls, mask = pack
+    b, l = mask.shape
+    d = a.shape[1]
+    dh = d // n_heads
+    aq = np.take(a, cls, axis=0, out=scratch.get(prefix + "aq", (b, d)), mode="clip")
+    q = np.matmul(aq, params[prefix + "wq"], out=scratch.get(prefix + "q", aq.shape))
+    q += params[prefix + "qb"]
+    q /= math.sqrt(dh)
+    qh = q.reshape(b, n_heads, dh).transpose(1, 0, 2)               # (H, B, dh)
+    u = scratch.get(prefix + "u", (b, n_heads, d))
+    np.matmul(qh, _head_weights(params[prefix + "wk"], n_heads).transpose(0, 2, 1),
+              out=u.transpose(1, 0, 2))
+    grid = _padded(a, slots, b, l, scratch, prefix + "agrid")        # (B, L, d)
+    logits = np.matmul(u, grid.transpose(0, 2, 1),                   # (B, H, L)
+                       out=scratch.get(prefix + "probs", (b, n_heads, l)))
+    if len(slots) < b * l:
+        logits += mask[:, None, :]
+    probs = _softmax_last(logits)
+    r = np.matmul(probs, grid, out=scratch.get(prefix + "r", u.shape))
+    merged = scratch.get(prefix + "merged", aq.shape)
+    np.matmul(r.transpose(1, 0, 2), _head_weights(params[prefix + "wv"], n_heads),
+              out=merged.reshape(b, n_heads, dh).transpose(1, 0, 2))
+    merged += params[prefix + "vb"]
+    out = np.matmul(merged, params[prefix + "wo"], out=scratch.get(prefix + "out",
+                                                                   merged.shape))
+    out += params[prefix + "ob"]
+    return out, (aq, qh, u, grid, probs, r, merged)
 
 
 def _softmax_last(x):
@@ -422,45 +466,91 @@ def _softmax_last(x):
     return x
 
 
+def _softmax_bwd(dprobs, probs, scratch):
+    """The logit gradient from the probability gradient, in ``dprobs``."""
+    dprobs -= np.sum(np.multiply(dprobs, probs, out=scratch.get("attn.dp", probs.shape)),
+                     axis=-1, keepdims=True)
+    dprobs *= probs
+    return dprobs
+
+
 def _attention_bwd(dout, params, prefix, pack, cache, grads, n_heads, scratch):
-    """Gradient wrt the attention input: packed (N, d) from (Nq, d).  Its
+    """Gradient wrt the attention input: packed (N, d) from (N, d).  Its
     buffers are shared by all layers: none is read after the layer's step."""
-    a, aq, cls_only, qh, kh, vh, probs, merged = cache
-    slots, cls, _ = pack
+    a, qh, kh, vh, probs, merged = cache
+    slots = pack.slots
     b, _, l, dh = kh.shape
     grads[prefix + "wo"] = merged.T @ dout
     grads[prefix + "ob"] = dout.sum(axis=0)
     dmerged = np.matmul(dout, params[prefix + "wo"].T,
                         out=scratch.get("attn.dmerged", dout.shape))
-    dctx = _heads(dmerged[:, None] if cls_only
-                  else _padded(dmerged, slots, b, l, scratch, "attn.dctx"), n_heads)
+    dctx = _heads(_padded(dmerged, slots, b, l, scratch, "attn.dctx"), n_heads)
     dprobs = np.matmul(dctx, vh.transpose(0, 1, 3, 2),
                        out=scratch.get("attn.dprobs", probs.shape))
     dv = _matmul_rows(probs.transpose(0, 1, 3, 2), dctx, slots, scratch, "attn.dv")
-    dlogits = dprobs                                # softmax backward
-    dlogits -= np.sum(np.multiply(dprobs, probs, out=scratch.get("attn.dp", probs.shape)),
-                      axis=-1, keepdims=True)
-    dlogits *= probs
-    dq = _matmul_rows(dlogits, kh, None if cls_only else slots, scratch, "attn.dq")
+    dlogits = _softmax_bwd(dprobs, probs, scratch)
+    dq = _matmul_rows(dlogits, kh, slots, scratch, "attn.dq")
     dq /= math.sqrt(dh)
     dk = _matmul_rows(dlogits.transpose(0, 1, 3, 2), qh, slots, scratch, "attn.dk")
     da = np.matmul(dk, params[prefix + "wk"].T, out=scratch.get("attn.da", a.shape))
-    da[cls if cls_only else slice(None)] += np.matmul(
-        dq, params[prefix + "wq"].T, out=scratch.get("attn.daq", dq.shape))
+    da += np.matmul(dq, params[prefix + "wq"].T, out=scratch.get("attn.daq", a.shape))
     da += np.matmul(dv, params[prefix + "wv"].T, out=scratch.get("attn.dav", a.shape))
     grads[prefix + "wk"] = a.T @ dk                 # kb is not added: no gradient
-    for x, dz, w_name, b_name in ((aq, dq, "wq", "qb"), (a, dv, "wv", "vb")):
-        grads[prefix + w_name] = x.T @ dz
+    for dz, w_name, b_name in ((dq, "wq", "qb"), (dv, "wv", "vb")):
+        grads[prefix + w_name] = a.T @ dz
         grads[prefix + b_name] = dz.sum(axis=0)
+    return da
+
+
+def _cls_attention_bwd(dout, params, prefix, pack, cache, grads, n_heads, scratch):
+    """Gradient wrt the attention input: packed (N, d) from the (B, d) CLS
+    rows, by ``_cls_attention_fwd``'s products in reverse.  The input grid's
+    gradient, p_h dr_h + dlogits_h du_h summed over heads, is read at the
+    packed slots, and the query's at the CLS rows."""
+    aq, qh, u, grid, probs, r, merged = cache
+    slots, cls, _ = pack
+    b, n_heads, d = u.shape
+    dh = d // n_heads
+    grads[prefix + "wo"] = merged.T @ dout
+    grads[prefix + "ob"] = dout.sum(axis=0)
+    dmerged = np.matmul(dout, params[prefix + "wo"].T,
+                        out=scratch.get("attn.dmerged", dout.shape))
+    dctx = dmerged.reshape(b, n_heads, dh).transpose(1, 0, 2)       # (H, B, dh)
+    grads[prefix + "wv"] = dwv = np.empty((d, d))
+    np.matmul(r.transpose(1, 2, 0), dctx, out=_head_weights(dwv, n_heads))
+    grads[prefix + "vb"] = dmerged.sum(axis=0)
+    dr = scratch.get("cls.dr", u.shape)
+    np.matmul(dctx, _head_weights(params[prefix + "wv"], n_heads).transpose(0, 2, 1),
+              out=dr.transpose(1, 0, 2))
+    dprobs = np.matmul(dr, grid.transpose(0, 2, 1), out=scratch.get("cls.dprobs",
+                                                                     probs.shape))
+    dlogits = _softmax_bwd(dprobs, probs, scratch)
+    du = np.matmul(dlogits, grid, out=scratch.get("cls.du", u.shape))
+    grads[prefix + "wk"] = dwk = np.empty((d, d))   # kb is not added: no gradient
+    np.matmul(du.transpose(1, 2, 0), qh, out=_head_weights(dwk, n_heads))
+    dq = scratch.get("cls.dq", aq.shape)
+    np.matmul(du.transpose(1, 0, 2), _head_weights(params[prefix + "wk"], n_heads),
+              out=dq.reshape(b, n_heads, dh).transpose(1, 0, 2))
+    dq /= math.sqrt(dh)
+    grads[prefix + "wq"] = aq.T @ dq
+    grads[prefix + "qb"] = dq.sum(axis=0)
+    dgrid = np.matmul(probs.transpose(0, 2, 1), dr, out=scratch.get("cls.dgrid",
+                                                                    grid.shape))
+    dgrid += np.matmul(dlogits.transpose(0, 2, 1), u, out=scratch.get("cls.dgrid2",
+                                                                      grid.shape))
+    da = _rows(dgrid, slots, scratch, "cls.da")
+    da[cls] += np.matmul(dq, params[prefix + "wq"].T, out=scratch.get("attn.daq",
+                                                                      dq.shape))
     return da
 
 
 def _transformer_fwd(params, ids, config, dropout_rng, scratch):
     """Pre-LN layers read out at CLS, on packed rows: one row per non-PAD
     token, in row-major order of ``ids``.  The last layer computes the CLS
-    rows only: after its attention every op is row-wise, so only its keys
-    and values need the other rows.  What the backward pass reads stays in
-    ``scratch`` under the layer's prefix."""
+    rows only: after its attention every op is row-wise, and its attention
+    reads the other rows through ``wk`` and ``wv`` (``_cls_attention_fwd``).
+    What the backward pass reads stays in ``scratch`` under the layer's
+    prefix."""
     b, l = ids.shape
     pack = _pack(ids)
     slots, cls = pack.slots, pack.cls
@@ -484,8 +574,8 @@ def _transformer_fwd(params, ids, config, dropout_rng, scratch):
             out_rows, drop_shape, drop_rows = slice(None), (b, l, d), slots
         a, ln1_cache = _layernorm_fwd(x, params[p + "ln1_g"], params[p + "ln1_b"],
                                       scratch, p + "ln1/")
-        attn, attn_cache = _attention_fwd(a, params, p, pack, config.n_heads, last,
-                                          scratch)
+        attention = _cls_attention_fwd if last else _attention_fwd
+        attn, attn_cache = attention(a, params, p, pack, config.n_heads, scratch)
         m1 = _dropout_fwd(attn, drop, dropout_rng, drop_shape, drop_rows, scratch,
                           p + "drop1/")
         attn += x[out_rows]
@@ -551,12 +641,14 @@ def _transformer_bwd(dscores, params, cache, config, scratch):
         dx += dx_ln2
         dattn = dx if m1 is None else np.multiply(dx, m1,
                                                   out=scratch.get("dattn", dx.shape))
-        da = _attention_bwd(dattn, params, p, pack, attn_cache, grads, config.n_heads,
-                            scratch)
+        last = layer == config.n_layers - 1
+        attention_bwd = _cls_attention_bwd if last else _attention_bwd
+        da = attention_bwd(dattn, params, p, pack, attn_cache, grads, config.n_heads,
+                           scratch)
         # the layer below reads dx after writing its own: one buffer per layer
         dx_ln1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layernorm_bwd(
             da, ln1_cache, scratch, p + "ln1/")
-        dx_ln1[cls if layer == config.n_layers - 1 else slice(None)] += dx  # residual
+        dx_ln1[cls if last else slice(None)] += dx  # residual
         dx = dx_ln1
     grads["emb"] = _embedding_grad(tokens, dx, params["emb"].shape[0])
     b, l = mask.shape

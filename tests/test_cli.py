@@ -286,6 +286,26 @@ class TestTrain:
         monkeypatch.setattr(training, "optimizer_step", allocating_optimizer_step)
         assert train("oracles") == shipped
 
+    def test_tiny_transformer_key_bias_stays_zero(self, tmp_path, corpus_dir):
+        """The key bias gets an exact zero gradient, so AdamW (with weight
+        decay) leaves it at its zero start: every ``layer*/kb`` block of a
+        trained checkpoint decodes to zeros, while the query and value
+        biases, which start at zero too, moved."""
+        outdir = run_train(
+            tmp_path, corpus_dir, "tiny",
+            encoder={"variant": "tiny-transformer", "d": 8, "n_layers": 2,
+                     "n_heads": 2, "max_len": 16, "dropout": 0.1},
+            train={"epochs": 2, "batch_size": 16, "peak_lr": 0.02,
+                   "weight_decay": 0.01})
+        blocks = json.loads((outdir / "checkpoint.json").read_text())["params"]
+        params = {name: read_float_block(block, name) for name, block in blocks.items()}
+        assert sorted(name for name in params if name.endswith("/kb")) == \
+            ["layer0/kb", "layer1/kb"]
+        for layer in range(2):
+            assert np.all(params[f"layer{layer}/kb"] == 0.0)
+            assert np.any(params[f"layer{layer}/qb"] != 0.0)
+            assert np.any(params[f"layer{layer}/vb"] != 0.0)
+
     def test_timing_sidecar_has_stage_seconds(self, tmp_path, corpus_dir):
         outdir = run_train(tmp_path, corpus_dir, "timed")
         timing = json.loads((outdir / "timing.json").read_text())

@@ -280,9 +280,33 @@ class TestTransformerAgainstPaddedReference:
     @example((2, MULTICLASS, 0.1, 4, [[CLS_ID, 7], [CLS_ID, 5, 6, 7, 8]], 1, 12))
     def test_loss_scores_and_grads(self, case):
         n_layers, label_mode, dropout, seed, rows, extra_pad, d = case
+        self.check(EncoderConfig(variant="tiny-transformer", d=d, n_layers=n_layers,
+                                 n_heads=2, max_len=12, dropout=dropout),
+                   label_mode, seed, rows, extra_pad)
+
+    # The benchmark's encoder (d 32, 2 heads, max_len 40): a ragged block
+    # with PAD, a block without PAD, a 1-row block, and a 1-layer model,
+    # whose only layer is the CLS-only one.
+    @pytest.mark.parametrize("n_layers, label_mode, dropout, seed, lengths", [
+        pytest.param(2, MULTICLASS, 0.1, 11, [40, 3, 17, 40, 9, 1, 26, 33] * 4,
+                     id="ragged-32-rows"),
+        pytest.param(2, MULTILABEL, 0.0, 12, [40, 3, 17, 40, 9, 1, 26, 33] * 4,
+                     id="ragged-32-rows-multilabel"),
+        pytest.param(2, MULTICLASS, 0.1, 13, [24] * 16, id="no-pad"),
+        pytest.param(2, MULTICLASS, 0.1, 14, [40], id="one-row"),
+        pytest.param(1, MULTICLASS, 0.1, 15, [40, 3, 17, 40, 9, 1, 26, 33] * 4,
+                     id="one-layer"),
+    ])
+    def test_benchmark_shape(self, n_layers, label_mode, dropout, seed, lengths):
+        rng = np.random.default_rng(seed)
+        rows = [[CLS_ID] + rng.integers(1, 13, size=n - 1).tolist() for n in lengths]
+        self.check(EncoderConfig(variant="tiny-transformer", d=32, n_layers=n_layers,
+                                 n_heads=2, max_len=40, dropout=dropout),
+                   label_mode, seed, rows, 0)
+
+    @staticmethod
+    def check(config, label_mode, seed, rows, extra_pad):
         codec = make_codec()
-        config = EncoderConfig(variant="tiny-transformer", d=d, n_layers=n_layers,
-                               n_heads=2, max_len=12, dropout=dropout)
         rng = np.random.default_rng(seed)
         params = {name: rng.normal(0.0, 0.5, size=value.shape)
                   for name, value in init_params(config, codec).items()}
@@ -293,7 +317,7 @@ class TestTransformerAgainstPaddedReference:
         ids = np.pad(ids, ((0, 0), (0, extra_pad)))
 
         def dropout_rng():
-            return np.random.default_rng(seed) if dropout else None
+            return np.random.default_rng(seed) if config.dropout else None
 
         loss, grads = loss_and_grad(params, ids, targets, config, label_mode,
                                     dropout_rng())
@@ -308,6 +332,29 @@ class TestTransformerAgainstPaddedReference:
             params, ids, targets, config, label_mode)
         np.testing.assert_allclose(forward_batch(params, ids, config), ref_scores,
                                    rtol=0, atol=1e-12)
+
+
+class TestKeyBiasGradient:
+    """The key bias is never added, so its gradient is exactly 0, with and
+    without dropout, and AdamW never moves it from its zero start."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_exactly_zero(self, n_layers, dropout):
+        config = EncoderConfig(variant="tiny-transformer", d=32, n_layers=n_layers,
+                               n_heads=2, max_len=40, dropout=dropout)
+        rng = np.random.default_rng(31)
+        params = {name: rng.normal(0.0, 0.5, size=value.shape)
+                  for name, value in init_params(config, make_codec()).items()}
+        ids, targets = as_batch([(seq([CLS_ID] + rng.integers(1, 13, size=n).tolist()),
+                                  frozenset({n % 3})) for n in (39, 4, 20, 0, 31)])
+        _, grads = loss_and_grad(params, ids, targets, config, MULTICLASS,
+                                 np.random.default_rng(5) if dropout else None)
+        names = [name for name in grads if name.endswith("/kb")]
+        assert len(names) == n_layers
+        for name in names:
+            assert np.all(grads[name] == 0.0), name
+        assert all(np.any(grads[f"layer{layer}/wk"] != 0.0) for layer in range(n_layers))
 
 
 class TestGeluAgainstReference:
