@@ -37,18 +37,12 @@ flat bins ``token * d + column``, weighted by the gradient rows of the
 tokens read, which sums each bin in the order and with the bits of a
 row-by-row ``np.add.at``.
 
-Every per-token or per-grid temporary of the transformer's forward and
-backward passes is written with ``out=`` into a ``Scratch`` pool: flat
-float64 buffers keyed by call site (and layer, for what the backward pass
-reads), each grown to the largest size asked for.  The arithmetic is the
-one a fresh array per temporary gives, bit for bit; what changes is that a
-reused buffer's pages are already mapped, so a call does not pay page
-faults for its temporaries again.  ``forward_batch`` and ``loss_and_grad``
-take the pool as ``scratch``, or make a fresh one per call when it is None.
-``training.train_encoder`` owns one pool for its optimizer steps and
-validation decodes, and ``recurrence.infer_split`` one per call.  The
-scores, losses and gradients they return are new arrays, never views into
-the pool, so the next call cannot change them.
+Every temporary of the transformer's forward and backward passes is a
+fresh array, updated in place where the next operation allows it.  A
+temporary of a few hundred kB is above glibc's default threshold for
+mapping an allocation on its own, so freeing it would hand its pages back
+to the OS and the next call would fault them in again; ``cli.main`` sets
+glibc's allocator to keep freed memory mapped instead.
 
 Token id layout (one combined table of size V + n + 4):
 
@@ -199,28 +193,6 @@ _LN_EPS = 1e-5
 _MASK_NEG = -1e30
 
 
-class Scratch:
-    """Reused float64 work buffers of the tiny transformer, one per key (a
-    call site, plus the layer prefix where a buffer must outlive its layer).
-    A buffer grows to the largest size asked for and is handed out as a
-    contiguous view of the asked shape, holding whatever its last user
-    wrote.  Nothing in the pool is live between two calls."""
-
-    def __init__(self):
-        self._flat: dict[str, np.ndarray] = {}
-
-    def get(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        flat = self._flat.get(key)
-        if flat is None or flat.size < size:
-            flat = self._flat[key] = np.empty(size)
-        return flat[:size].reshape(shape)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(flat.nbytes for flat in self._flat.values())
-
-
 @functools.cache
 def _mean_column(d):
     """The read-only (d, 1) column of 1/d, made once per width."""
@@ -229,34 +201,31 @@ def _mean_column(d):
     return column
 
 
-def _row_mean(x, scratch, key):
+def _row_mean(x):
     """The (N, 1) mean of each row of a 2-d ``x``: one BLAS matrix-vector
     product with a column of 1/d, ~6x faster than ``x.mean(axis=-1)``."""
-    return np.matmul(x, _mean_column(x.shape[1]), out=scratch.get(key, (len(x), 1)))
+    return x @ _mean_column(x.shape[1])
 
 
-def _layernorm_fwd(x, g, b, scratch, key):
-    mu = _row_mean(x, scratch, "ln.mean")
-    xhat = np.subtract(x, mu, out=scratch.get(key + "xhat", x.shape))
-    y = scratch.get(key + "y", x.shape)
-    var = _row_mean(np.square(xhat, out=y), scratch, "ln.mean")   # == x.var(axis=-1)
+def _layernorm_fwd(x, g, b):
+    xhat = x - _row_mean(x)
+    var = _row_mean(np.square(xhat))                # == x.var(axis=-1)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
-    np.multiply(g, xhat, out=y)
+    y = g * xhat
     y += b
     return y, (xhat, inv, g)
 
 
-def _layernorm_bwd(dy, cache, scratch, key):
+def _layernorm_bwd(dy, cache):
     xhat, inv, g = cache
-    tmp = np.multiply(dy, xhat, out=scratch.get("ln.tmp", dy.shape))
-    dg = np.sum(tmp, axis=0)
+    dg = np.sum(dy * xhat, axis=0)
     db = np.sum(dy, axis=0)
-    dx = np.multiply(dy, g, out=scratch.get(key + "dx", dy.shape))   # dxhat
-    mean1 = _row_mean(dx, scratch, "ln.mean")
-    mean2 = _row_mean(np.multiply(dx, xhat, out=tmp), scratch, "ln.mean2")
+    dx = dy * g                                     # dxhat
+    mean1 = _row_mean(dx)
+    mean2 = _row_mean(dx * xhat)
     dx -= mean1                                     # inv (dxhat - mean1 - xhat mean2)
-    dx -= np.multiply(xhat, mean2, out=tmp)
+    dx -= xhat * mean2
     dx *= inv
     return dx, dg, db
 
@@ -267,27 +236,27 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def _gelu_fwd(x, scratch, key):
+def _gelu_fwd(x):
     # -2u = x (-2C - 2Ca x^2); x * x: numpy's float pow is ~60x slower
-    t = np.multiply(x, x, out=scratch.get(key + "t", x.shape))
+    t = x * x
     t *= -2 * _GELU_C * _GELU_A
     t -= 2 * _GELU_C
     t *= x
     with np.errstate(over="ignore"):    # exp = inf gives x / inf = -0.0, the limit
         np.exp(t, out=t)
     t += 1.0
-    return np.divide(x, t, out=scratch.get(key + "y", x.shape)), (x, t)
+    return x / t, (x, t)
 
 
-def _gelu_bwd(dy, cache, scratch, key):
+def _gelu_bwd(dy, cache):
     # with s = 1 / t = sigma(2u): dx = dy (s + s (1 - s) 2C (1 + 3a x^2) x)
     x, t = cache
-    s = np.divide(1.0, t, out=scratch.get(key + "dx", x.shape))
-    poly = np.multiply(x, x, out=scratch.get("gelu.poly", x.shape))
+    s = 1.0 / t
+    poly = x * x
     poly *= 2 * _GELU_C * 3 * _GELU_A
     poly += 2 * _GELU_C
     poly *= x
-    ds = np.subtract(1.0, s, out=scratch.get("gelu.ds", x.shape))
+    ds = 1.0 - s
     ds *= s
     poly *= ds
     s += poly
@@ -348,13 +317,12 @@ def _pack(ids) -> _Packing:
                     np.where(nonpad, 0.0, _MASK_NEG))
 
 
-def _padded(x, slots, b, l, scratch, key):
+def _padded(x, slots, b, l):
     """Packed rows (N, d) scattered to their flat ``slots`` of a zero
     (B, L, d) grid."""
     if len(slots) == b * l:                 # no PAD: the rows are the grid
         return x.reshape(b, l, -1)
-    grid = scratch.get(key, (b * l, x.shape[1]))
-    grid.fill(0.0)
+    grid = np.zeros((b * l, x.shape[1]))
     grid[slots] = x
     return grid.reshape(b, l, -1)
 
@@ -365,28 +333,25 @@ def _heads(x, n_heads):
     return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _rows(grid, slots, scratch, key):
+def _rows(grid, slots):
     """The packed rows at ``slots`` of a (B, L, d) grid: the grid's own rows
     when it has no PAD slot."""
     x = grid.reshape(-1, grid.shape[-1])
     if len(slots) == len(x):
         return x
-    # with out=, mode "raise" gathers into a hidden copy of out; "clip" does
-    # not, and positions computed from ids are always in range
-    return np.take(x, slots, axis=0, out=scratch.get(key, (len(slots), x.shape[1])),
-                   mode="clip")
+    return x[slots]
 
 
-def _matmul_rows(x1, x2, slots, scratch, key):
+def _matmul_rows(x1, x2, slots):
     """``x1 @ x2`` over (B, H, L, .) heads, written straight into the row
     layout of a (B, L, d) grid; then its packed rows (``_rows``)."""
     b, n_heads, l, _ = x1.shape
-    grid = scratch.get(key + "grid", (b, l, n_heads * x2.shape[-1]))
+    grid = np.empty((b, l, n_heads * x2.shape[-1]))
     np.matmul(x1, x2, out=_heads(grid, n_heads))
-    return _rows(grid, slots, scratch, key)
+    return _rows(grid, slots)
 
 
-def _attention_fwd(a, params, prefix, pack, n_heads, scratch):
+def _attention_fwd(a, params, prefix, pack, n_heads):
     """Multi-head self-attention over packed rows ``a`` (N, d), every row a
     query.  The projections run on the packed rows; the logits run on the
     padded grid, where the additive key mask hides the PAD slots."""
@@ -394,24 +359,22 @@ def _attention_fwd(a, params, prefix, pack, n_heads, scratch):
     b, l = mask.shape
     d = a.shape[1]
     dh = d // n_heads
-    q = np.matmul(a, params[prefix + "wq"], out=scratch.get(prefix + "q", a.shape))
+    q = a @ params[prefix + "wq"]
     q += params[prefix + "qb"]
     q /= math.sqrt(dh)                  # the logit scale, on the query rows
     # no key bias: q . kb shifts a query row's logits alike, which softmax ignores
-    k = np.matmul(a, params[prefix + "wk"], out=scratch.get(prefix + "k", a.shape))
-    v = np.matmul(a, params[prefix + "wv"], out=scratch.get(prefix + "v", a.shape))
+    k = a @ params[prefix + "wk"]
+    v = a @ params[prefix + "wv"]
     v += params[prefix + "vb"]
-    qh = _heads(_padded(q, slots, b, l, scratch, prefix + "qgrid"), n_heads)
-    kh = _heads(_padded(k, slots, b, l, scratch, prefix + "kgrid"), n_heads)
-    vh = _heads(_padded(v, slots, b, l, scratch, prefix + "vgrid"), n_heads)
-    logits = np.matmul(qh, kh.transpose(0, 1, 3, 2),                # (B, H, L, L)
-                       out=scratch.get(prefix + "probs", qh.shape[:3] + (l,)))
+    qh = _heads(_padded(q, slots, b, l), n_heads)
+    kh = _heads(_padded(k, slots, b, l), n_heads)
+    vh = _heads(_padded(v, slots, b, l), n_heads)
+    logits = qh @ kh.transpose(0, 1, 3, 2)                          # (B, H, L, L)
     if len(slots) < b * l:
         logits += mask[:, None, None, :]
     probs = _softmax_last(logits)
-    merged = _matmul_rows(probs, vh, slots, scratch, prefix + "merged")
-    out = np.matmul(merged, params[prefix + "wo"], out=scratch.get(prefix + "out",
-                                                                   merged.shape))
+    merged = _matmul_rows(probs, vh, slots)
+    out = merged @ params[prefix + "wo"]
     out += params[prefix + "ob"]
     return out, (a, qh, kh, vh, probs, merged)
 
@@ -422,7 +385,7 @@ def _head_weights(w, n_heads):
     return w.reshape(d, n_heads, d // n_heads).transpose(1, 0, 2)
 
 
-def _cls_attention_fwd(a, params, prefix, pack, n_heads, scratch):
+def _cls_attention_fwd(a, params, prefix, pack, n_heads):
     """Attention of the B CLS rows over the packed rows ``a`` (N, d), which
     reads the keys and values through ``wk`` and ``wv`` on the padded
     (B, L, d) grid of ``a``.  Per head h: the logits are a_j . u_h with
@@ -433,27 +396,25 @@ def _cls_attention_fwd(a, params, prefix, pack, n_heads, scratch):
     b, l = mask.shape
     d = a.shape[1]
     dh = d // n_heads
-    aq = np.take(a, cls, axis=0, out=scratch.get(prefix + "aq", (b, d)), mode="clip")
-    q = np.matmul(aq, params[prefix + "wq"], out=scratch.get(prefix + "q", aq.shape))
+    aq = a[cls]
+    q = aq @ params[prefix + "wq"]
     q += params[prefix + "qb"]
     q /= math.sqrt(dh)
     qh = q.reshape(b, n_heads, dh).transpose(1, 0, 2)               # (H, B, dh)
-    u = scratch.get(prefix + "u", (b, n_heads, d))
+    u = np.empty((b, n_heads, d))
     np.matmul(qh, _head_weights(params[prefix + "wk"], n_heads).transpose(0, 2, 1),
               out=u.transpose(1, 0, 2))
-    grid = _padded(a, slots, b, l, scratch, prefix + "agrid")        # (B, L, d)
-    logits = np.matmul(u, grid.transpose(0, 2, 1),                   # (B, H, L)
-                       out=scratch.get(prefix + "probs", (b, n_heads, l)))
+    grid = _padded(a, slots, b, l)                                   # (B, L, d)
+    logits = u @ grid.transpose(0, 2, 1)                             # (B, H, L)
     if len(slots) < b * l:
         logits += mask[:, None, :]
     probs = _softmax_last(logits)
-    r = np.matmul(probs, grid, out=scratch.get(prefix + "r", u.shape))
-    merged = scratch.get(prefix + "merged", aq.shape)
+    r = probs @ grid
+    merged = np.empty((b, d))
     np.matmul(r.transpose(1, 0, 2), _head_weights(params[prefix + "wv"], n_heads),
               out=merged.reshape(b, n_heads, dh).transpose(1, 0, 2))
     merged += params[prefix + "vb"]
-    out = np.matmul(merged, params[prefix + "wo"], out=scratch.get(prefix + "out",
-                                                                   merged.shape))
+    out = merged @ params[prefix + "wo"]
     out += params[prefix + "ob"]
     return out, (aq, qh, u, grid, probs, r, merged)
 
@@ -466,35 +427,31 @@ def _softmax_last(x):
     return x
 
 
-def _softmax_bwd(dprobs, probs, scratch):
+def _softmax_bwd(dprobs, probs):
     """The logit gradient from the probability gradient, in ``dprobs``."""
-    dprobs -= np.sum(np.multiply(dprobs, probs, out=scratch.get("attn.dp", probs.shape)),
-                     axis=-1, keepdims=True)
+    dprobs -= np.sum(dprobs * probs, axis=-1, keepdims=True)
     dprobs *= probs
     return dprobs
 
 
-def _attention_bwd(dout, params, prefix, pack, cache, grads, n_heads, scratch):
-    """Gradient wrt the attention input: packed (N, d) from (N, d).  Its
-    buffers are shared by all layers: none is read after the layer's step."""
+def _attention_bwd(dout, params, prefix, pack, cache, grads, n_heads):
+    """Gradient wrt the attention input: packed (N, d) from (N, d)."""
     a, qh, kh, vh, probs, merged = cache
     slots = pack.slots
     b, _, l, dh = kh.shape
     grads[prefix + "wo"] = merged.T @ dout
     grads[prefix + "ob"] = dout.sum(axis=0)
-    dmerged = np.matmul(dout, params[prefix + "wo"].T,
-                        out=scratch.get("attn.dmerged", dout.shape))
-    dctx = _heads(_padded(dmerged, slots, b, l, scratch, "attn.dctx"), n_heads)
-    dprobs = np.matmul(dctx, vh.transpose(0, 1, 3, 2),
-                       out=scratch.get("attn.dprobs", probs.shape))
-    dv = _matmul_rows(probs.transpose(0, 1, 3, 2), dctx, slots, scratch, "attn.dv")
-    dlogits = _softmax_bwd(dprobs, probs, scratch)
-    dq = _matmul_rows(dlogits, kh, slots, scratch, "attn.dq")
+    dmerged = dout @ params[prefix + "wo"].T
+    dctx = _heads(_padded(dmerged, slots, b, l), n_heads)
+    dprobs = dctx @ vh.transpose(0, 1, 3, 2)
+    dv = _matmul_rows(probs.transpose(0, 1, 3, 2), dctx, slots)
+    dlogits = _softmax_bwd(dprobs, probs)
+    dq = _matmul_rows(dlogits, kh, slots)
     dq /= math.sqrt(dh)
-    dk = _matmul_rows(dlogits.transpose(0, 1, 3, 2), qh, slots, scratch, "attn.dk")
-    da = np.matmul(dk, params[prefix + "wk"].T, out=scratch.get("attn.da", a.shape))
-    da += np.matmul(dq, params[prefix + "wq"].T, out=scratch.get("attn.daq", a.shape))
-    da += np.matmul(dv, params[prefix + "wv"].T, out=scratch.get("attn.dav", a.shape))
+    dk = _matmul_rows(dlogits.transpose(0, 1, 3, 2), qh, slots)
+    da = dk @ params[prefix + "wk"].T
+    da += dq @ params[prefix + "wq"].T
+    da += dv @ params[prefix + "wv"].T
     grads[prefix + "wk"] = a.T @ dk                 # kb is not added: no gradient
     for dz, w_name, b_name in ((dq, "wq", "qb"), (dv, "wv", "vb")):
         grads[prefix + w_name] = a.T @ dz
@@ -502,7 +459,7 @@ def _attention_bwd(dout, params, prefix, pack, cache, grads, n_heads, scratch):
     return da
 
 
-def _cls_attention_bwd(dout, params, prefix, pack, cache, grads, n_heads, scratch):
+def _cls_attention_bwd(dout, params, prefix, pack, cache, grads, n_heads):
     """Gradient wrt the attention input: packed (N, d) from the (B, d) CLS
     rows, by ``_cls_attention_fwd``'s products in reverse.  The input grid's
     gradient, p_h dr_h + dlogits_h du_h summed over heads, is read at the
@@ -513,52 +470,43 @@ def _cls_attention_bwd(dout, params, prefix, pack, cache, grads, n_heads, scratc
     dh = d // n_heads
     grads[prefix + "wo"] = merged.T @ dout
     grads[prefix + "ob"] = dout.sum(axis=0)
-    dmerged = np.matmul(dout, params[prefix + "wo"].T,
-                        out=scratch.get("attn.dmerged", dout.shape))
+    dmerged = dout @ params[prefix + "wo"].T
     dctx = dmerged.reshape(b, n_heads, dh).transpose(1, 0, 2)       # (H, B, dh)
     grads[prefix + "wv"] = dwv = np.empty((d, d))
     np.matmul(r.transpose(1, 2, 0), dctx, out=_head_weights(dwv, n_heads))
     grads[prefix + "vb"] = dmerged.sum(axis=0)
-    dr = scratch.get("cls.dr", u.shape)
+    dr = np.empty(u.shape)
     np.matmul(dctx, _head_weights(params[prefix + "wv"], n_heads).transpose(0, 2, 1),
               out=dr.transpose(1, 0, 2))
-    dprobs = np.matmul(dr, grid.transpose(0, 2, 1), out=scratch.get("cls.dprobs",
-                                                                     probs.shape))
-    dlogits = _softmax_bwd(dprobs, probs, scratch)
-    du = np.matmul(dlogits, grid, out=scratch.get("cls.du", u.shape))
+    dprobs = dr @ grid.transpose(0, 2, 1)
+    dlogits = _softmax_bwd(dprobs, probs)
+    du = dlogits @ grid
     grads[prefix + "wk"] = dwk = np.empty((d, d))   # kb is not added: no gradient
     np.matmul(du.transpose(1, 2, 0), qh, out=_head_weights(dwk, n_heads))
-    dq = scratch.get("cls.dq", aq.shape)
+    dq = np.empty(aq.shape)
     np.matmul(du.transpose(1, 0, 2), _head_weights(params[prefix + "wk"], n_heads),
               out=dq.reshape(b, n_heads, dh).transpose(1, 0, 2))
     dq /= math.sqrt(dh)
     grads[prefix + "wq"] = aq.T @ dq
     grads[prefix + "qb"] = dq.sum(axis=0)
-    dgrid = np.matmul(probs.transpose(0, 2, 1), dr, out=scratch.get("cls.dgrid",
-                                                                    grid.shape))
-    dgrid += np.matmul(dlogits.transpose(0, 2, 1), u, out=scratch.get("cls.dgrid2",
-                                                                      grid.shape))
-    da = _rows(dgrid, slots, scratch, "cls.da")
-    da[cls] += np.matmul(dq, params[prefix + "wq"].T, out=scratch.get("attn.daq",
-                                                                      dq.shape))
+    dgrid = probs.transpose(0, 2, 1) @ dr
+    dgrid += dlogits.transpose(0, 2, 1) @ u
+    da = _rows(dgrid, slots)
+    da[cls] += dq @ params[prefix + "wq"].T
     return da
 
 
-def _transformer_fwd(params, ids, config, dropout_rng, scratch):
+def _transformer_fwd(params, ids, config, dropout_rng):
     """Pre-LN layers read out at CLS, on packed rows: one row per non-PAD
     token, in row-major order of ``ids``.  The last layer computes the CLS
     rows only: after its attention every op is row-wise, and its attention
-    reads the other rows through ``wk`` and ``wv`` (``_cls_attention_fwd``).
-    What the backward pass reads stays in ``scratch`` under the layer's
-    prefix."""
+    reads the other rows through ``wk`` and ``wv`` (``_cls_attention_fwd``)."""
     b, l = ids.shape
     pack = _pack(ids)
     slots, cls = pack.slots, pack.cls
     tokens = ids.ravel()[slots]
-    shape = (len(slots), params["emb"].shape[1])
-    x = np.take(params["emb"], tokens, axis=0, out=scratch.get("emb", shape))  # (N, d)
-    x += np.take(params["pos"], slots % l, axis=0, out=scratch.get("pos", shape),
-                 mode="clip")
+    x = params["emb"][tokens]                                        # (N, d)
+    x += params["pos"][slots % l]
     d = x.shape[1]
     caches = []
     drop = config.dropout if dropout_rng is not None else 0.0
@@ -572,50 +520,43 @@ def _transformer_fwd(params, ids, config, dropout_rng, scratch):
             out_rows, drop_shape, drop_rows = cls, (b, 1, d), None
         else:
             out_rows, drop_shape, drop_rows = slice(None), (b, l, d), slots
-        a, ln1_cache = _layernorm_fwd(x, params[p + "ln1_g"], params[p + "ln1_b"],
-                                      scratch, p + "ln1/")
+        a, ln1_cache = _layernorm_fwd(x, params[p + "ln1_g"], params[p + "ln1_b"])
         attention = _cls_attention_fwd if last else _attention_fwd
-        attn, attn_cache = attention(a, params, p, pack, config.n_heads, scratch)
-        m1 = _dropout_fwd(attn, drop, dropout_rng, drop_shape, drop_rows, scratch,
-                          p + "drop1/")
+        attn, attn_cache = attention(a, params, p, pack, config.n_heads)
+        m1 = _dropout_fwd(attn, drop, dropout_rng, drop_shape, drop_rows)
         attn += x[out_rows]
         x = attn
-        f, ln2_cache = _layernorm_fwd(x, params[p + "ln2_g"], params[p + "ln2_b"],
-                                      scratch, p + "ln2/")
-        w1 = params[p + "w1"]
-        h1 = np.matmul(f, w1, out=scratch.get(p + "h1", (len(f), w1.shape[1])))
+        f, ln2_cache = _layernorm_fwd(x, params[p + "ln2_g"], params[p + "ln2_b"])
+        h1 = f @ params[p + "w1"]
         h1 += params[p + "b1"]
-        u, gelu_cache = _gelu_fwd(h1, scratch, p + "gelu/")
-        h2 = np.matmul(u, params[p + "w2"], out=scratch.get("h2", f.shape))
+        u, gelu_cache = _gelu_fwd(h1)
+        h2 = u @ params[p + "w2"]
         h2 += params[p + "b2"]
-        m2 = _dropout_fwd(h2, drop, dropout_rng, drop_shape, drop_rows, scratch,
-                          p + "drop2/")
+        m2 = _dropout_fwd(h2, drop, dropout_rng, drop_shape, drop_rows)
         x += h2
         caches.append((ln1_cache, attn_cache, m1, ln2_cache, f, gelu_cache, u, m2))
-    cls_out, lnf_cache = _layernorm_fwd(x, params["lnf_g"], params["lnf_b"], scratch,
-                                        "lnf/")
+    cls_out, lnf_cache = _layernorm_fwd(x, params["lnf_g"], params["lnf_b"])
     scores = cls_out @ params["head_w"] + params["head_b"]
     return scores, (pack, tokens, caches, lnf_cache, cls_out)
 
 
-def _dropout_fwd(x, rate, rng, shape, rows, scratch, key):
+def _dropout_fwd(x, rate, rng, shape, rows):
     """Inverted dropout on rows ``x``, in place: the mask is drawn at
     ``shape`` and its ``rows`` (of the flattened leading axes; all if None)
     are applied.  Returns the mask, or None without dropout."""
     if rate <= 0.0 or rng is None:
         return None
-    draw = rng.random(out=scratch.get(key + "draw", shape))
+    draw = rng.random(shape)
     np.greater_equal(draw, rate, out=draw)
     draw /= 1.0 - rate
     mask = draw.reshape(-1, shape[-1])
     if rows is not None:
-        mask = np.take(mask, rows, axis=0, out=scratch.get(key + "mask", x.shape),
-                       mode="clip")
+        mask = mask[rows]
     x *= mask
     return mask
 
 
-def _transformer_bwd(dscores, params, cache, config, scratch):
+def _transformer_bwd(dscores, params, cache, config):
     pack, tokens, caches, lnf_cache, cls_out = cache
     slots, cls, mask = pack
     # kb is never added, so its gradient is 0; pos gets only its first l rows
@@ -624,35 +565,30 @@ def _transformer_bwd(dscores, params, cache, config, scratch):
     grads["head_w"] = cls_out.T @ dscores
     grads["head_b"] = dscores.sum(axis=0)
     dx, grads["lnf_g"], grads["lnf_b"] = _layernorm_bwd(
-        dscores @ params["head_w"].T, lnf_cache, scratch, "lnf/")     # (B, d)
+        dscores @ params["head_w"].T, lnf_cache)                     # (B, d)
     for layer in reversed(range(config.n_layers)):
         p = f"layer{layer}/"
         ln1_cache, attn_cache, m1, ln2_cache, f, gelu_cache, u, m2 = caches[layer]
-        dh2 = dx if m2 is None else np.multiply(dx, m2, out=scratch.get("dh2", dx.shape))
+        dh2 = dx if m2 is None else dx * m2
         grads[p + "w2"] = u.T @ dh2
         grads[p + "b2"] = dh2.sum(axis=0)
-        du = np.matmul(dh2, params[p + "w2"].T, out=scratch.get("du", u.shape))
-        dh1 = _gelu_bwd(du, gelu_cache, scratch, "gelu/")
+        du = dh2 @ params[p + "w2"].T
+        dh1 = _gelu_bwd(du, gelu_cache)
         grads[p + "w1"] = f.T @ dh1
         grads[p + "b1"] = dh1.sum(axis=0)
-        df = np.matmul(dh1, params[p + "w1"].T, out=scratch.get("df", f.shape))
-        dx_ln2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layernorm_bwd(
-            df, ln2_cache, scratch, "ln2/")
+        df = dh1 @ params[p + "w1"].T
+        dx_ln2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layernorm_bwd(df, ln2_cache)
         dx += dx_ln2
-        dattn = dx if m1 is None else np.multiply(dx, m1,
-                                                  out=scratch.get("dattn", dx.shape))
+        dattn = dx if m1 is None else dx * m1
         last = layer == config.n_layers - 1
         attention_bwd = _cls_attention_bwd if last else _attention_bwd
-        da = attention_bwd(dattn, params, p, pack, attn_cache, grads, config.n_heads,
-                           scratch)
-        # the layer below reads dx after writing its own: one buffer per layer
-        dx_ln1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layernorm_bwd(
-            da, ln1_cache, scratch, p + "ln1/")
+        da = attention_bwd(dattn, params, p, pack, attn_cache, grads, config.n_heads)
+        dx_ln1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layernorm_bwd(da, ln1_cache)
         dx_ln1[cls if last else slice(None)] += dx  # residual
         dx = dx_ln1
     grads["emb"] = _embedding_grad(tokens, dx, params["emb"].shape[0])
     b, l = mask.shape
-    grads["pos"][:l] += _padded(dx, slots, b, l, scratch, "pos.grid").sum(axis=0)
+    grads["pos"][:l] += _padded(dx, slots, b, l).sum(axis=0)
     return grads
 
 
@@ -661,18 +597,20 @@ def _transformer_bwd(dscores, params, cache, config, scratch):
 # ---------------------------------------------------------------------------
 
 
-def forward_batch(params: dict, ids: np.ndarray, config: EncoderConfig,
-                  scratch: Scratch | None = None) -> np.ndarray:
-    """Class score rows of a (B, L) PAD-padded id matrix; no dropout.
-    ``scratch`` is the transformer's work pool (a fresh one if None); the
-    scores are a new array, never a view into it."""
+def _check_width(ids, config):
+    """Raise ValueError if the (B, L) ``ids`` are wider than ``max_len``:
+    scoring and training refuse the same rows."""
     if ids.shape[1] > config.max_len:
         raise ValueError("sequence longer than max_len")
+
+
+def forward_batch(params: dict, ids: np.ndarray, config: EncoderConfig) -> np.ndarray:
+    """Class score rows of a (B, L) PAD-padded id matrix; no dropout."""
+    _check_width(ids, config)
     if config.variant == LINEAR:
         scores, _ = _linear_fwd(params, ids)
     else:
-        scores, _ = _transformer_fwd(params, ids, config, None,
-                                     Scratch() if scratch is None else scratch)
+        scores, _ = _transformer_fwd(params, ids, config, None)
     return scores
 
 
@@ -711,24 +649,21 @@ def softmax_cross_entropy(scores: np.ndarray, targets: np.ndarray
 
 def loss_and_grad(params: dict, ids: np.ndarray, targets: np.ndarray,
                   config: EncoderConfig, label_mode: str,
-                  dropout_rng: np.random.Generator | None = None,
-                  scratch: Scratch | None = None
+                  dropout_rng: np.random.Generator | None = None
                   ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over a (B, L) id matrix and its exact gradient.
 
     Multiclass: softmax cross-entropy against B gold class indices.
     Multilabel: per-class sigmoid cross-entropy against a (B, n) 0/1 matrix,
-    averaged over examples and classes.  ``scratch`` is the transformer's
-    work pool (a fresh one if None); the gradients are new arrays.
+    averaged over examples and classes.
     """
     if len(ids) == 0:
         raise ValueError("batch must be non-empty")
-    if scratch is None:
-        scratch = Scratch()
+    _check_width(ids, config)
     if config.variant == LINEAR:
         scores, cache = _linear_fwd(params, ids)
     else:
-        scores, cache = _transformer_fwd(params, ids, config, dropout_rng, scratch)
+        scores, cache = _transformer_fwd(params, ids, config, dropout_rng)
     n_examples, n_classes = scores.shape
 
     if label_mode == MULTICLASS:
@@ -748,7 +683,7 @@ def loss_and_grad(params: dict, ids: np.ndarray, targets: np.ndarray,
     if config.variant == LINEAR:
         grads = _linear_bwd(dscores, params, cache)
     else:
-        grads = _transformer_bwd(dscores, params, cache, config, scratch)
+        grads = _transformer_bwd(dscores, params, cache, config)
     return loss, grads
 
 

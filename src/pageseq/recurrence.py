@@ -245,7 +245,7 @@ def block_bounds(widths: Sequence[int], budget: int) -> list[int]:
 
 def _score_rows(params: dict, split: EncodedSplit, rows: np.ndarray,
                 context: np.ndarray | None, config: EncoderConfig,
-                scratch: encoder.Scratch, out: np.ndarray) -> None:
+                out: np.ndarray) -> None:
     """Score ``rows`` of ``split`` fed ``context`` into the same rows of
     ``out``, in blocks of length-sorted rows, so that a block pads little:
     the tiny transformer's of at most ``_BLOCK_TOKENS`` padded tokens
@@ -265,14 +265,12 @@ def _score_rows(params: dict, split: EncodedSplit, rows: np.ndarray,
         # looked up on the module at call time, so that a wrapper installed
         # on pageseq.encoder.forward_batch (perfbench's tracer) sees the call
         out[rows[block]] = encoder.forward_batch(
-            params, ids[block, :widths[end - 1]], config, scratch)
+            params, ids[block, :widths[end - 1]], config)
 
 
 def infer_split(params: dict, split: EncodedSplit, config: EncoderConfig,
-                recurrent: bool, scratch: encoder.Scratch | None = None
-                ) -> SplitTrace:
-    """The trace of ``split``, encoded for ``config.max_len``.  Every encoder
-    call of the split shares ``scratch`` (a fresh pool if None).
+                recurrent: bool) -> SplitTrace:
+    """The trace of ``split``, encoded for ``config.max_len``.
 
     Recurrent: left to right in lockstep across documents; page t>1 is
     conditioned on the model's own decision for page t-1 of its document.
@@ -280,20 +278,17 @@ def infer_split(params: dict, split: EncodedSplit, config: EncoderConfig,
     """
     split.check_fits(config)
     docs, label_mode = split.docs, split.docs.vocab.label_mode
-    if scratch is None:
-        scratch = encoder.Scratch()
     trace = SplitTrace.blank(docs)
     if not recurrent:
         _score_rows(params, split, np.arange(len(trace.scores)), None, config,
-                    scratch, trace.scores)
+                    trace.scores)
         trace.labels[:] = predict(trace.scores, label_mode)
         return trace
     trace.context[docs.offsets[:-1], 0] = True
     for t, rows in enumerate(page_positions(docs.offsets, len(trace.scores))):
         if t:
             trace.context[rows, 1:] = trace.labels[rows - 1]
-        _score_rows(params, split, rows, trace.context[rows], config, scratch,
-                    trace.scores)
+        _score_rows(params, split, rows, trace.context[rows], config, trace.scores)
         trace.labels[rows] = predict(trace.scores[rows], label_mode)
     return trace
 

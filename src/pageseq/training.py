@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import EncoderConfig, Scratch, init_params, loss_and_grad
+from .encoder import EncoderConfig, init_params, loss_and_grad
 from .evaluation import score
 from . import recurrence
 from .recurrence import EncodedSplit, infer_split, row_lengths
@@ -27,7 +27,7 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     """Training recipe.  ``published()`` gives the standard pre-trained-model
     fine-tuning settings (6 epochs, batch 32, peak 2e-5, 10% warmup); the
-    constructor default peak learning rate suits from-scratch encoders."""
+    constructor default peak learning rate suits randomly initialized encoders."""
 
     epochs: int = 6
     batch_size: int = 32
@@ -233,8 +233,7 @@ def train_encoder(encoder_config: EncoderConfig, train: EncodedSplit,
     context tokens); ``recurrent=False`` on plain per-page examples.  Nothing
     else differs between the two paths.  Both splits must be encoded for
     ``encoder_config.max_len``, and ``val`` by ``train``'s codec; ``val``,
-    unless None or without documents, is decoded after every epoch.  The
-    optimizer steps and the validation decodes share one work pool.
+    unless None or without documents, is decoded after every epoch.
     """
     codec = train.codec
     if val is not None and val.codec is not codec:
@@ -249,7 +248,6 @@ def train_encoder(encoder_config: EncoderConfig, train: EncodedSplit,
     lengths = row_lengths(ids)
     encode_seconds = time.perf_counter() - started
     params = init_params(encoder_config, codec)
-    scratch = Scratch()
     dropout_rngs = [np.random.default_rng((cfg.seed, 7919, epoch))
                     if encoder_config.dropout > 0 else None
                     for epoch in range(cfg.epochs)]
@@ -257,11 +255,11 @@ def train_encoder(encoder_config: EncoderConfig, train: EncodedSplit,
     def batch_loss(rows, epoch):
         return loss_and_grad(params, ids[rows, :lengths[rows].max()], targets[rows],
                              encoder_config, codec.type_vocab.label_mode,
-                             dropout_rngs[epoch], scratch)
+                             dropout_rngs[epoch])
 
     def validate(epoch):
         golds = val.docs.gold
-        preds = infer_split(params, val, encoder_config, recurrent, scratch).labels
+        preds = infer_split(params, val, encoder_config, recurrent).labels
         scored = score(preds, golds, codec.type_vocab)
         return {"val_accuracy": int((preds == golds).all(axis=1).sum()) / len(golds),
                 "val_macro_f1": scored.macro_f1,

@@ -20,7 +20,6 @@ from pageseq.encoder import (
     PAD_ID,
     UNK_ID,
     EncoderConfig,
-    Scratch,
     TokenCodec,
     forward_batch,
     init_params,
@@ -139,12 +138,16 @@ class TestLinearForward:
                                       params["head_b"])
 
     def test_sequence_longer_than_max_len_rejected(self):
+        """Scoring and training refuse the row alike."""
         codec = make_codec()
         config = EncoderConfig(variant="linear", d=8, max_len=12)
         params = init_params(config, codec)
         too_long = seq([CLS_ID] + [7] * 15)
         with pytest.raises(ValueError, match="max_len"):
             forward(params, too_long, config)
+        ids, targets = as_batch([(too_long, frozenset({0}))])
+        with pytest.raises(ValueError, match="sequence longer than max_len"):
+            loss_and_grad(params, ids, targets, config, MULTICLASS)
 
     def test_refuses_dropout(self):
         """The bag of embeddings has no layer output to drop, so a dropout
@@ -202,14 +205,27 @@ class TestTransformerForward:
         gelu_rows = []
         gelu_fwd = encoder._gelu_fwd
 
-        def spy(x, *pool):
+        def spy(x):
             gelu_rows.append(x.size // x.shape[-1])
-            return gelu_fwd(x, *pool)
+            return gelu_fwd(x)
 
         monkeypatch.setattr(encoder, "_gelu_fwd", spy)
         forward_batch(params, ids, config)
         loss_and_grad(params, ids, targets, config, MULTICLASS)
         assert gelu_rows == [np.count_nonzero(ids), len(ids)] * 2
+
+    def test_sequence_longer_than_max_len_rejected(self):
+        """Scoring and training refuse ids wider than the position table,
+        never clipping a position to its last row."""
+        codec = make_codec()
+        config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=1,
+                               n_heads=2, max_len=4)
+        params = init_params(config, codec)
+        ids, targets = as_batch([(seq([CLS_ID, 7, 8, 9, 10, 5]), frozenset({0}))])
+        with pytest.raises(ValueError, match="sequence longer than max_len"):
+            forward_batch(params, ids, config)
+        with pytest.raises(ValueError, match="sequence longer than max_len"):
+            loss_and_grad(params, ids, targets, config, MULTICLASS)
 
     def test_row_must_start_with_a_token(self):
         """Row 0 is the read-out row, so it cannot be PAD."""
@@ -367,73 +383,16 @@ class TestGeluAgainstReference:
         np.random.default_rng(7).normal(0.0, 3.0, size=(64, 12)),
     ], ids=["saturated", "normal"])
     def test_matches_tanh_form(self, x):
-        pool = Scratch()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y, cache = encoder._gelu_fwd(x, pool, "gelu/")
+            y, cache = encoder._gelu_fwd(x)
             dy = np.random.default_rng(8).normal(size=x.shape)
-            dx = encoder._gelu_bwd(dy, cache, pool, "gelu/")
+            dx = encoder._gelu_bwd(dy, cache)
         ref_y, ref_cache = oracles._ref_gelu_fwd(x)
         assert np.all(np.isfinite(y)) and np.all(np.isfinite(dx))
         np.testing.assert_allclose(y, ref_y, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(dx, oracles._ref_gelu_bwd(dy, ref_cache),
                                    rtol=1e-12, atol=1e-12)
-
-
-@st.composite
-def pool_cases(draw):
-    """Layer count, dropout rate, seed, and a sequence of ragged batches of
-    id rows (CLS first) for one shared pool."""
-    batch = st.lists(st.lists(st.integers(1, 12), max_size=10).map(lambda t: [CLS_ID] + t),
-                     min_size=1, max_size=5)
-    return (draw(st.integers(1, 3)), draw(st.sampled_from([0.0, 0.1])),
-            draw(st.integers(0, 2**16)), draw(st.lists(batch, min_size=1, max_size=4)))
-
-
-class TestScratchPool:
-    """One ``Scratch`` shared by a sequence of calls against a fresh pool per
-    call: bit-equal scores, losses and gradients; results that later calls
-    leave alone; and a pool that stops growing at the largest batch."""
-
-    @given(pool_cases())
-    @example((2, 0.0, 0, [[[CLS_ID]], [[CLS_ID, 7, 8], [CLS_ID, 9]]]))
-    @example((3, 0.1, 1, [[[CLS_ID, 7, 8], [CLS_ID, 9, 4]]]))            # no PAD
-    def test_shared_pool_matches_fresh_pools(self, case):
-        n_layers, dropout, seed, batches = case
-        codec = make_codec()
-        config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=n_layers,
-                               n_heads=2, max_len=12, dropout=dropout)
-        rng = np.random.default_rng(seed)
-        params = {name: rng.normal(0.0, 0.5, size=value.shape)
-                  for name, value in init_params(config, codec).items()}
-        # Largest in rows, width and tokens, and padded: one row more than any
-        # drawn batch, all of them max_len long but one.
-        big = [[CLS_ID] + [7] * (config.max_len - 1)] * max(map(len, batches)) + [[CLS_ID]]
-        sequence = batches + [big] + batches[::-1] + [big]   # grow, shrink, grow
-        pool = Scratch()
-        kept, sizes = [], []
-
-        def dropout_rng():
-            return np.random.default_rng(seed) if dropout else None
-
-        for rows in sequence:
-            ids, targets = as_batch([(seq(row), frozenset({int(rng.integers(3))}))
-                                     for row in rows])
-            scores = forward_batch(params, ids, config, scratch=pool)
-            np.testing.assert_array_equal(scores, forward_batch(params, ids, config))
-            loss, grads = loss_and_grad(params, ids, targets, config, MULTICLASS,
-                                        dropout_rng(), scratch=pool)
-            fresh_loss, fresh_grads = loss_and_grad(params, ids, targets, config,
-                                                    MULTICLASS, dropout_rng())
-            assert loss == fresh_loss
-            for name, grad in grads.items():
-                np.testing.assert_array_equal(grad, fresh_grads[name], err_msg=name)
-            for result, copy in kept:                   # no views into the pool
-                np.testing.assert_array_equal(result, copy)
-            kept = [(a, a.copy()) for a in (scores, *grads.values())]
-            sizes.append(pool.nbytes)
-        first_big = len(batches)
-        assert sizes[first_big:] == [sizes[first_big]] * len(sizes[first_big:])
 
 
 def decided(scores, label_mode):

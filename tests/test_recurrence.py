@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -132,9 +133,9 @@ def count_forward_batch_rows(monkeypatch):
     rows = []
     real = encoder.forward_batch
 
-    def counting(params, ids, config, *pool):
+    def counting(params, ids, config):
         rows.append(len(ids))
-        return real(params, ids, config, *pool)
+        return real(params, ids, config)
 
     monkeypatch.setattr(encoder, "forward_batch", counting)
     return rows
@@ -744,6 +745,16 @@ def assert_matches_per_page_driver(trace, params, docs, config, codec, recurrent
             assert page.context is context or page.context == context
 
 
+def traced_peak(call):
+    """The peak of memory traced by ``tracemalloc`` during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def long_split(sizes, words, seed):
     """Documents of ``sizes`` pages, each page ``words`` words long."""
     rng = np.random.default_rng(seed)
@@ -784,9 +795,9 @@ class TestBlockPlan:
         calls = []
         real = encoder.forward_batch
 
-        def recording(params, ids, config, *pool):
+        def recording(params, ids, config):
             calls.append(row_lengths(ids))
-            return real(params, ids, config, *pool)
+            return real(params, ids, config)
 
         with mock.patch.object(recurrence, "_BLOCK_TOKENS", budget), \
                 mock.patch.object(encoder, "forward_batch", recording):
@@ -821,24 +832,27 @@ class TestBlockPlan:
         assert_matches_per_page_driver(trace, params, docs, config, codec, recurrent)
 
     @pytest.mark.parametrize("recurrent", [True, False])
-    def test_pool_holds_one_budget_sized_block(self, recurrent):
-        """After a split of max_len-wide pages, the work pool is no larger
-        than the pool of one block of as many max_len-wide rows as the
-        budget holds: the pool is bounded by the budget, not the split."""
+    def test_working_memory_holds_one_budget_sized_block(self, recurrent):
+        """On a split of max_len-wide pages, whose first page position holds
+        several blocks' rows, a decode's traced peak beyond its per-page
+        arrays (the trace, and an id row per page, twice over) stays within
+        1.25 times the peak of one block of as many max_len-wide rows as the
+        budget holds: its memory is bounded by the budget, not the split."""
         codec = briefs_codec()
         config = EncoderConfig(variant="tiny-transformer", d=8, n_layers=2,
                                n_heads=2, max_len=40, init_seed=1)
         params = init_params(config, codec)
-        split = encode(long_split((1, 3, 2) * 12, 50, 7), codec, config.max_len)
-        pool = encoder.Scratch()
-        infer_split(params, split, config, recurrent, scratch=pool)
+        split = encode(long_split((1, 3, 2) * 24, 50, 7), codec, config.max_len)
         rows = recurrence._BLOCK_TOKENS // config.max_len
-        ids = augment_input(split.text[:rows], split.lengths[:rows], None,
-                            config.max_len)
-        assert ids.shape == (rows, config.max_len) and len(split.text) > rows
-        block = encoder.Scratch()
-        encoder.forward_batch(params, ids, config, block)
-        assert 0 < pool.nbytes <= block.nbytes
+        ids = augment_input(split.text, split.lengths, None, config.max_len)
+        assert ids.shape == (len(split.text), config.max_len)
+        assert len(split.docs.offsets) - 1 >= 4 * rows
+        block = traced_peak(lambda: encoder.forward_batch(params, ids[:rows], config))
+        trace = infer_split(params, split, config, recurrent)
+        per_page = (trace.scores.nbytes + trace.labels.nbytes + trace.context.nbytes
+                    + 2 * ids.nbytes)
+        peak = traced_peak(lambda: infer_split(params, split, config, recurrent))
+        assert peak <= 1.25 * block + per_page
 
 
 # class names that JSON must escape, or that hold the "], [" between rows of

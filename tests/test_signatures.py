@@ -25,6 +25,9 @@ Rows are summed by index with ``np.bincount``, never with ``np.add.at``:
 both add in index order, and ``add.at`` took about half of the linear
 encoder's ``loss_and_grad``.
 
+No gather clips its indices: ``mode="clip"`` turns an out-of-range index
+into the nearest row, a silently wrong one, where a plain gather raises.
+
 Every input file (config, manifest, split file, checkpoint, trace file) is
 read by ``files.read_input``, the one user of ``Path.read_text``,
 ``Path.read_bytes`` and ``open``, so each file-level fault is refused in one
@@ -202,6 +205,14 @@ def test_no_add_at():
                     and (isinstance(node.value, ast.Attribute) and node.value.attr == "add"
                          or isinstance(node.value, ast.Name) and node.value.id == "add")):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_gather_clips_its_indices():
+    """No call of the package passes ``mode="clip"``."""
+    found = users_of(lambda node: (
+        isinstance(node, ast.keyword) and node.arg == "mode"
+        and isinstance(node.value, ast.Constant) and node.value.value == "clip"))
     assert found == []
 
 
